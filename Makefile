@@ -58,14 +58,15 @@ latency:
 	$(GO) test -race ./internal/message/ ./internal/lla/
 	$(GO) test -run xxx -bench 'BenchmarkBrokerPublishParallel|BenchmarkBrokerPublishReplay|BenchmarkPeekStageStamp' -benchmem ./...
 
-# Connection-scale suite: both connection cores' protocol/churn/shutdown
-# tests under the race detector, then a reduced-scale run of the C100k
-# harness (real dynamoth-node subprocess, multiplexed epoll load driver;
-# writes BENCH_conns.json). Linux-only — the reactor runs are skipped
-# elsewhere. CONNS overrides the target count.
+# Connection-scale suite: the connection layer's packages under the race
+# detector (selected by package, so a renamed test cannot leave the gate),
+# then a reduced-scale run of the C100k harness (real dynamoth-node
+# subprocess, multiplexed epoll load driver; writes BENCH_conns.json).
+# Linux-only — the harness is skipped elsewhere. CONNS overrides the target
+# count.
 CONNS ?= 5000
 conns:
-	$(GO) test -race -run 'ConnCore|Reactor|FDTable|ConnBench' ./internal/broker/ ./internal/workload/
+	$(GO) test -race ./internal/broker/ ./internal/workload/
 	$(GO) run ./cmd/experiments -run conns -conns $(CONNS)
 
 # Channel-scale suite: the bounded hot-state packages (cache, client local

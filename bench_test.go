@@ -346,6 +346,13 @@ func BenchmarkBrokerPublishReplay(b *testing.B) {
 	}
 }
 
+// serveRoomy serves br on ln with a slow-consumer limit no benchmark burst
+// reaches, so throughput runs never lose a subscriber. It returns when the
+// listener closes.
+func serveRoomy(ln net.Listener, br *broker.Broker) {
+	broker.NewConnServer(br, broker.ServeOptions{WriteBufferLimit: 64 << 20}).Serve(ln) //nolint:errcheck
+}
+
 // BenchmarkTCPEndToEnd drives the full RESP path over loopback TCP: a
 // pipelined publisher and subs subscriber connections, with every delivery
 // read back off the wire before the clock stops. This is the syscall-bound
@@ -353,14 +360,14 @@ func BenchmarkBrokerPublishReplay(b *testing.B) {
 func BenchmarkTCPEndToEnd(b *testing.B) {
 	for _, subs := range []int{1, 8} {
 		b.Run(fmt.Sprintf("subs=%d", subs), func(b *testing.B) {
-			br := broker.New(broker.Options{OutputBuffer: 1 << 17})
+			br := broker.New(broker.Options{})
 			defer br.Close()
 			ln, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
 				b.Fatal(err)
 			}
 			defer ln.Close()
-			go broker.Serve(ln, br) //nolint:errcheck // returns on listener close
+			go serveRoomy(ln, br)
 			addr := ln.Addr().String()
 
 			var received atomic.Int64
@@ -483,14 +490,14 @@ func BenchmarkClientPublish(b *testing.B) {
 func BenchmarkClientPublishThroughput(b *testing.B) {
 	for _, gs := range []int{1, 4} {
 		b.Run(fmt.Sprintf("goroutines=%d", gs), func(b *testing.B) {
-			br := broker.New(broker.Options{OutputBuffer: 1 << 17})
+			br := broker.New(broker.Options{})
 			defer br.Close()
 			ln, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
 				b.Fatal(err)
 			}
 			defer ln.Close()
-			go broker.Serve(ln, br) //nolint:errcheck // returns on listener close
+			go serveRoomy(ln, br)
 
 			client, err := dynamoth.Connect(dynamoth.Config{
 				Addrs:  map[string]string{"pub1": ln.Addr().String()},
@@ -556,14 +563,14 @@ func waitBrokerPublished(b *testing.B, br *broker.Broker, want uint64) uint64 {
 // application channel. The publisher's lead is bounded so the subscriber's
 // buffer never overflows; allocs/op covers both ends of the path.
 func BenchmarkClientEndToEnd(b *testing.B) {
-	br := broker.New(broker.Options{OutputBuffer: 1 << 17})
+	br := broker.New(broker.Options{})
 	defer br.Close()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer ln.Close()
-	go broker.Serve(ln, br) //nolint:errcheck // returns on listener close
+	go serveRoomy(ln, br)
 	addrs := map[string]string{"pub1": ln.Addr().String()}
 
 	sub, err := dynamoth.Connect(dynamoth.Config{Addrs: addrs, NodeID: 43, SubscribeBuffer: 1 << 15})

@@ -24,7 +24,6 @@ import (
 	"syscall"
 	"time"
 
-	"github.com/dynamoth/dynamoth/internal/broker"
 	"github.com/dynamoth/dynamoth/internal/buildinfo"
 	"github.com/dynamoth/dynamoth/internal/obs"
 	"github.com/dynamoth/dynamoth/internal/plan"
@@ -70,7 +69,6 @@ func run() error {
 		dialTO  = flag.Duration("dial-timeout", 5*time.Second, "deadline for dialing peer nodes (forwarding)")
 		admin   = flag.String("admin-addr", "", "admin HTTP listen address for /metrics, /healthz, /statusz, /debug/pprof, /debug/events, /debug/rebalances, /debug/latency, /debug/freemem (empty = disabled)")
 		logLvl  = flag.String("log-level", "warn", "structured log level on stderr (debug, info, warn, error)")
-		ccore   = flag.String("conn-core", "auto", "connection core: auto (reactor where available), goroutine, or reactor")
 		reuse   = flag.Bool("reuseport", false, "set SO_REUSEPORT on the RESP listener (linux; lets several nodes share one address)")
 		llaCap  = flag.Int("lla-channel-cap", 0, "distinct channels the LLA tracks per time unit; overflow folds into an aggregate bucket (0 = default, negative = unbounded)")
 		topkCap = flag.Int("topk-cap", 0, "channels held by the hot-channel tracker (0 = default, negative = unbounded)")
@@ -83,10 +81,6 @@ func run() error {
 	level, err := trace.ParseLevel(*logLvl)
 	if err != nil {
 		return fmt.Errorf("parsing -log-level: %w", err)
-	}
-	core, err := broker.ParseConnCore(*ccore)
-	if err != nil {
-		return fmt.Errorf("parsing -conn-core: %w", err)
 	}
 	// Best-effort: lift the fd soft limit toward the hard limit so the
 	// reactor's connection budget is the machine's, not the shell's default.
@@ -119,7 +113,6 @@ func run() error {
 		PublishReports: true,
 		Recorder:       rec,
 		Logger:         logger,
-		ConnCore:       core,
 	})
 	if err != nil {
 		return err
@@ -131,7 +124,7 @@ func run() error {
 		return fmt.Errorf("listen %s: %w", *listen, err)
 	}
 	fmt.Printf("dynamoth-node %s (%s) serving RESP on %s (conn-core: %s, peers: %s)\n",
-		*id, buildinfo.Version, ln.Addr(), n.ConnCore(), peers.String())
+		*id, buildinfo.Version, ln.Addr(), n.ConnStats().Core, peers.String())
 
 	if *admin != "" {
 		srv, aln, err := obs.Serve(*admin, obs.NewAdminMux(n.Registry(), n.Status,

@@ -11,14 +11,13 @@ import (
 
 // runConns is the C100k harness: it boots a real dynamoth-node subprocess,
 // rams it with multiplexed connections from this process's epoll driver, and
-// writes BENCH_conns.json comparing the reactor core at the largest
-// achievable scale against the goroutine core at 10k. Connection counts are
-// capped by RLIMIT_NOFILE on both sides of the socket (driver and server are
-// separate processes, each paying one fd per connection); the JSON reports
-// target vs achieved vs the fd limit so a capped run is never mistaken for a
-// sustained one.
+// writes BENCH_conns.json for the node's connection core at the largest
+// achievable scale. Connection counts are capped by RLIMIT_NOFILE on both
+// sides of the socket (driver and server are separate processes, each paying
+// one fd per connection); the JSON reports target vs achieved vs the fd limit
+// so a capped run is never mistaken for a sustained one.
 func runConns(target int) error {
-	fmt.Println("=== C100k — connection-scale harness (reactor vs goroutine core) ===")
+	fmt.Println("=== C100k — connection-scale harness ===")
 	fmt.Printf("target %d connections; driver and server fd limits cap the achievable count\n\n", target)
 
 	binDir, err := os.MkdirTemp("", "dynamoth-conns-*")
@@ -31,35 +30,24 @@ func runConns(target int) error {
 		return err
 	}
 
-	reactor, err := runConnsCore(nodeBin, "reactor", target)
+	reactor, err := runConnsCore(nodeBin, target)
 	if err != nil {
-		return fmt.Errorf("reactor run: %w", err)
-	}
-	goroutineTarget := min(10_000, target)
-	goroutine, err := runConnsCore(nodeBin, "goroutine", goroutineTarget)
-	if err != nil {
-		return fmt.Errorf("goroutine run: %w", err)
+		return err
 	}
 
 	out := map[string]any{
 		"description": "Connection-scale harness: a multiplexed epoll load driver (one process, " +
 			"fd-indexed sockets, pipelined nonblocking connects) holds subscriber connections " +
 			"against a real dynamoth-node subprocess under publish traffic and subscription churn. " +
-			"'reactor' is the sharded epoll connection core at the largest fd-budget-achievable " +
-			"scale; 'goroutine' is the portable goroutine-per-connection core at 10k for the " +
-			"per-connection memory contrast. bytesPerConn is server RSS growth divided by held " +
-			"connections; deliveryP99Us is publish-stamp-to-driver-receipt during churn.",
+			"'reactor' is the node's connection core (the sharded epoll reactor on Linux) at the " +
+			"largest fd-budget-achievable scale. bytesPerConn is server RSS growth divided by " +
+			"held connections; deliveryP99Us is publish-stamp-to-driver-receipt during churn.",
 		"generated": time.Now().UTC().Format(time.RFC3339),
 		"environment": map[string]any{
 			"note": "fd-limited container: RLIMIT_NOFILE hard cap bounds both processes; " +
 				"achieved < target means the fd budget, not the broker, was the ceiling",
 		},
-		"reactor":   reactor,
-		"goroutine": goroutine,
-	}
-	if reactor.Driver.Achieved > 0 && goroutine.Driver.Achieved > 0 &&
-		goroutine.BytesPerConn > 0 && reactor.BytesPerConn > 0 {
-		out["bytesPerConnRatio"] = goroutine.BytesPerConn / reactor.BytesPerConn
+		"reactor": reactor,
 	}
 	data, err := json.MarshalIndent(out, "", "  ")
 	if err != nil {
@@ -72,9 +60,8 @@ func runConns(target int) error {
 	return nil
 }
 
-// connsCoreResult is one core's harness outcome.
+// connsCoreResult is the harness outcome.
 type connsCoreResult struct {
-	Core   string                    `json:"core"`
 	Driver *workload.ConnBenchResult `json:"driver"`
 	// Server-side figures: RSS before the ramp, at full connection count,
 	// and the growth divided across connections.
@@ -83,23 +70,21 @@ type connsCoreResult struct {
 	BytesPerConn    float64 `json:"bytesPerConn"`
 	// Scraped broker counters: MetricsAtPeak with every connection still
 	// held (the conns gauge is meaningful there), Metrics after the window
-	// and driver teardown (the counters' final values; epoll families are
-	// 0 on the goroutine core).
+	// and driver teardown (the counters' final values).
 	MetricsAtPeak map[string]float64 `json:"metricsAtPeak"`
 	Metrics       map[string]float64 `json:"metrics"`
 }
 
-// runConnsCore boots one node with the given core and drives it.
-func runConnsCore(nodeBin, core string, target int) (*connsCoreResult, error) {
-	fmt.Printf("--- core=%s target=%d ---\n", core, target)
-	node, err := startNode(nodeBin, "-conn-core", core)
+// runConnsCore boots one node and drives it.
+func runConnsCore(nodeBin string, target int) (*connsCoreResult, error) {
+	node, err := startNode(nodeBin)
 	if err != nil {
 		return nil, err
 	}
 	defer node.Stop()
 	respAddr, adminAddr := node.RespAddr, node.AdminAddr
 
-	res := &connsCoreResult{Core: core}
+	res := &connsCoreResult{}
 	res.ServerRSSBaseKB = readRSSKB(node.Pid())
 
 	// Spread client sockets over extra loopback IPs past the ~28k

@@ -20,8 +20,9 @@
 // The delivery pipeline is engineered to be allocation- and contention-free
 // in steady state (see DESIGN.md "Hot path"): the subscription registry is
 // lock-striped across shards so publishes to different channels never
-// contend, the per-publish scratch is pooled, and the per-session writer
-// coalesces bursts of deliveries into one sink flush.
+// contend, the per-publish scratch is pooled, and a TCP session's deliveries
+// accumulate in one output buffer that its connection core writes out in as
+// few syscalls as the socket allows.
 package broker
 
 import (
@@ -35,8 +36,10 @@ import (
 	"github.com/dynamoth/dynamoth/internal/message"
 )
 
-// Sink receives deliveries for one session. Implementations must be fast;
-// Deliver is called from the session's dedicated writer goroutine.
+// Sink receives deliveries for one in-process session. Implementations must
+// be fast; Deliver is called from the session's dedicated writer goroutine
+// (Connect queues in front of a plain Sink; see EnqueueSink for sinks that
+// queue for themselves).
 type Sink interface {
 	// Deliver hands the session one publication.
 	Deliver(channel string, payload []byte)
@@ -55,24 +58,12 @@ type PatternSink interface {
 	DeliverPattern(pattern, channel string, payload []byte)
 }
 
-// BatchSink is optionally implemented by sinks that buffer Deliver calls.
-// The session writer drains up to Options.WriteBatch queued deliveries in
-// one burst and then calls FlushDeliveries once, letting the sink coalesce
-// the batch into a single downstream write (one TCP syscall instead of one
-// per message — Redis-style write coalescing).
-type BatchSink interface {
-	// FlushDeliveries pushes buffered deliveries to the client.
-	FlushDeliveries()
-}
-
-// EnqueueSink is implemented by sinks that do their own output queueing and
-// flushing — the event-loop connection core's sessions, whose pending bytes
-// live in a per-connection write buffer flushed by a shard goroutine.
-// Sessions whose sink implements EnqueueSink get NO writer goroutine: Publish
-// enqueues straight into the sink, so per-session cost is one buffer, not a
-// parked goroutine plus a channel. Enqueue must not block; returning false
-// signals the session's buffer is full (slow consumer) and the broker
-// disconnects it, exactly like an output-channel overflow.
+// EnqueueSink is the one sink shape a Session delivers into: a sink that does
+// its own output queueing and flushing. TCP connections implement it with a
+// per-connection write buffer their connection core flushes; Connect wraps a
+// plain Sink in a bounded queue drained by a writer goroutine. Enqueue must
+// not block; returning false signals the session's buffer is full (slow
+// consumer) and the broker disconnects it.
 type EnqueueSink interface {
 	Sink
 	// Enqueue queues one delivery without blocking. pattern is non-empty
@@ -98,10 +89,10 @@ type Observer interface {
 
 // FlushObserver is optionally implemented by Observers that also want the
 // writer-flush stage of the latency waterfall: OnFlush fires once per
-// delivery as the frame leaves the broker's output queue into the
-// connection's write buffer (the last broker-side instant before the
-// socket). It runs on writer/shard goroutines concurrently with publishes,
-// so implementations must be cheap and typically sample.
+// delivery as the frame enters the connection's write buffer (the last
+// broker-side instant before the socket) or, for an in-process session,
+// leaves its queue for the sink. It runs concurrently with publishes, so
+// implementations must be cheap and typically sample.
 type FlushObserver interface {
 	OnFlush(payload []byte)
 }
@@ -123,14 +114,11 @@ var (
 	ErrSessionClosed = errors.New("broker: session closed")
 )
 
-// DefaultOutputBuffer is the per-session output queue limit (messages),
-// calibrated per DESIGN.md §4 so one connection saturates where the paper's
-// Redis did.
+// DefaultOutputBuffer is the output queue limit (messages) of an in-process
+// session, calibrated per DESIGN.md §4 so one connection saturates where the
+// paper's Redis did. TCP sessions are bounded in bytes instead
+// (ServeOptions.WriteBufferLimit).
 const DefaultOutputBuffer = 2000
-
-// DefaultWriteBatch is the per-session writer coalescing window: how many
-// queued deliveries the writer drains before flushing the sink once.
-const DefaultWriteBatch = 64
 
 // numShards is the lock-striping factor of the subscription registry. Must
 // be a power of two. 32 shards keep the probability of two concurrent
@@ -141,12 +129,9 @@ const numShards = 32
 type Options struct {
 	// Name identifies the broker in logs and stats (e.g. "pub1").
 	Name string
-	// OutputBuffer is the per-session outbound queue limit in messages;
-	// non-positive selects DefaultOutputBuffer.
+	// OutputBuffer is the outbound queue limit, in messages, of sessions
+	// connected with a plain Sink; non-positive selects DefaultOutputBuffer.
 	OutputBuffer int
-	// WriteBatch is how many queued deliveries a session writer coalesces
-	// into one sink flush; non-positive selects DefaultWriteBatch.
-	WriteBatch int
 	// ReplayDepth, when positive, keeps the last ReplayDepth data frames of
 	// each channel in a replay ring and serves cursor-based resubscribes
 	// (Session.SubscribeFrom / the CSUBSCRIBE command). 0 disables replay.
@@ -183,9 +168,8 @@ func shardIndex(channel string) uint32 {
 
 // Broker is a single independent pub/sub server.
 type Broker struct {
-	name       string
-	outBuffer  int
-	writeBatch int
+	name      string
+	outBuffer int
 
 	shards [numShards]shard
 
@@ -231,19 +215,15 @@ func New(opts Options) *Broker {
 	if opts.OutputBuffer <= 0 {
 		opts.OutputBuffer = DefaultOutputBuffer
 	}
-	if opts.WriteBatch <= 0 {
-		opts.WriteBatch = DefaultWriteBatch
-	}
 	if opts.Name == "" {
 		opts.Name = "broker"
 	}
 	b := &Broker{
-		name:       opts.Name,
-		outBuffer:  opts.OutputBuffer,
-		writeBatch: opts.WriteBatch,
-		nowNanos:   opts.NowNanos,
-		patterns:   make(map[string]map[*Session]struct{}),
-		sessions:   make(map[*Session]struct{}),
+		name:      opts.Name,
+		outBuffer: opts.OutputBuffer,
+		nowNanos:  opts.NowNanos,
+		patterns:  make(map[string]map[*Session]struct{}),
+		sessions:  make(map[*Session]struct{}),
 	}
 	for i := range b.shards {
 		b.shards[i].channels = make(map[string]map[*Session]struct{})
@@ -290,8 +270,8 @@ func (b *Broker) AddObserver(o Observer) {
 }
 
 // observeFlush hands a delivery frame to the flush observers as it leaves
-// the broker's output queue. Called per delivery from writer and shard
-// goroutines; one atomic load when no observer wants flushes.
+// the broker's output queue. Called per delivery; one atomic load when no
+// observer wants flushes.
 func (b *Broker) observeFlush(payload []byte) {
 	if obs := b.flushObs.Load(); obs != nil {
 		for _, o := range *obs {
@@ -324,27 +304,33 @@ func (b *Broker) notifyUnsubscribe(channel, session string, n int) {
 	}
 }
 
-// Connect opens an in-process session delivering into sink. name labels the
-// session for the observer.
+// Connect opens a session delivering into sink. name labels the session for
+// the observer. A sink that implements EnqueueSink is delivered into
+// directly; any other gets a queue of Options.OutputBuffer messages and a
+// writer goroutine in front of it.
 func (b *Broker) Connect(name string, sink Sink) (*Session, error) {
 	if sink == nil {
 		return nil, errors.New("broker: nil sink")
 	}
+	es, ok := sink.(EnqueueSink)
+	var q *queueSink
+	if !ok {
+		q = &queueSink{
+			b:    b,
+			sink: sink,
+			out:  make(chan delivery, b.outBuffer),
+			done: make(chan struct{}),
+		}
+		q.psink, _ = sink.(PatternSink)
+		es = q
+	}
 	s := &Session{
 		broker: b,
 		name:   name,
-		sink:   sink,
-		batch:  b.writeBatch,
+		sink:   es,
 		done:   make(chan struct{}),
 		subs:   make(map[string]struct{}),
 		psubs:  make(map[string]struct{}),
-	}
-	if es, ok := sink.(EnqueueSink); ok {
-		// Event-loop session: the sink buffers and a shard flushes; no
-		// output channel, no writer goroutine.
-		s.enq = es
-	} else {
-		s.out = make(chan delivery, b.outBuffer)
 	}
 	b.mu.Lock()
 	if b.closed.Load() {
@@ -353,8 +339,8 @@ func (b *Broker) Connect(name string, sink Sink) (*Session, error) {
 	}
 	b.sessions[s] = struct{}{}
 	b.mu.Unlock()
-	if s.enq == nil {
-		go s.writer()
+	if q != nil {
+		go q.writer()
 	}
 	return s, nil
 }
@@ -443,10 +429,6 @@ func (b *Broker) Publish(channel string, payload []byte) int {
 		regionObs = b.regionObs.Load()
 	}
 
-	// One delivery value is shared across the whole fan-out; the channel
-	// send copies it, so per-subscriber delivery structs are never heap
-	// allocated.
-	d := delivery{channel: channel, payload: payload}
 	delivered := 0
 	var overflowed []*Session
 	for i := range ts {
@@ -454,26 +436,12 @@ func (b *Broker) Publish(channel string, payload []byte) int {
 		if s.closed.Load() {
 			continue // session is gone; skip
 		}
-		if s.enq != nil {
-			// Event-loop session: enqueue straight into the sink's write
-			// buffer; the owning shard flushes coalesced.
-			if s.enq.Enqueue(channel, ts[i].pattern, payload) {
-				delivered++
-			} else {
-				overflowed = append(overflowed, s)
-				continue
-			}
-		} else {
-			d.pattern = ts[i].pattern
-			select {
-			case s.out <- d:
-				delivered++
-			default:
-				// Output buffer full: slow consumer, disconnect it.
-				overflowed = append(overflowed, s)
-				continue
-			}
+		if !s.sink.Enqueue(channel, ts[i].pattern, payload) {
+			// Output buffer full: slow consumer, disconnect it.
+			overflowed = append(overflowed, s)
+			continue
 		}
+		delivered++
 		if regionObs != nil {
 			if r := s.Region(); r != "" {
 				age := time.Duration(fanoutNs - pubStamp)
@@ -662,7 +630,7 @@ func (b *Broker) removeSession(s *Session, subs, psubs []string) {
 	}
 }
 
-// delivery is one queued outbound message. pattern is non-empty for
+// delivery is one message queued for a plain Sink. pattern is non-empty for
 // pattern-subscription matches.
 type delivery struct {
 	channel string
@@ -670,14 +638,66 @@ type delivery struct {
 	pattern string
 }
 
+// queueSink is the EnqueueSink Connect puts in front of a plain Sink: a
+// bounded queue drained into the sink by one writer goroutine — the
+// in-process counterpart of a connection's write buffer and flusher. A full
+// queue is the slow-consumer signal.
+type queueSink struct {
+	b     *Broker
+	sink  Sink
+	psink PatternSink // sink's pmessage side; nil when it has none
+	out   chan delivery
+	done  chan struct{} // closed by Closed; stops the writer
+}
+
+func (q *queueSink) Enqueue(channel, pattern string, payload []byte) bool {
+	select {
+	case q.out <- delivery{channel: channel, payload: payload, pattern: pattern}:
+		return true
+	default:
+		return false
+	}
+}
+
+// Deliver implements Sink; the broker only ever calls Enqueue.
+func (q *queueSink) Deliver(channel string, payload []byte) {
+	q.sink.Deliver(channel, payload)
+}
+
+// Closed stops the writer and passes the news on. It runs on the closing
+// goroutine: the writer may be blocked inside Deliver (that is exactly the
+// slow-consumer case) and Closed implementations unblock it.
+func (q *queueSink) Closed(reason error) {
+	close(q.done)
+	q.sink.Closed(reason)
+}
+
+// writer drains the queue into the sink. Like a Redis disconnect, Closed
+// drops anything still queued.
+func (q *queueSink) writer() {
+	for {
+		select {
+		case d := <-q.out:
+			// The frame is leaving the output queue: the writer-flush
+			// observation point of the latency waterfall (queue wait is the
+			// dominant broker-side delay this stage exists to expose).
+			q.b.observeFlush(d.payload)
+			if d.pattern != "" && q.psink != nil {
+				q.psink.DeliverPattern(d.pattern, d.channel, d.payload)
+			} else {
+				q.sink.Deliver(d.channel, d.payload)
+			}
+		case <-q.done:
+			return
+		}
+	}
+}
+
 // Session is one client connection to a broker.
 type Session struct {
 	broker *Broker
 	name   string
-	sink   Sink
-	batch  int
-	out    chan delivery // nil for EnqueueSink sessions
-	enq    EnqueueSink   // non-nil when the sink queues for itself
+	sink   EnqueueSink
 
 	mu    sync.Mutex
 	subs  map[string]struct{}
@@ -690,7 +710,7 @@ type Session struct {
 	closeOnce sync.Once
 	closed    atomic.Bool
 	done      chan struct{}
-	reason    error // set before done is closed; read only by the writer
+	reason    error // set before done is closed
 }
 
 // Name returns the session label.
@@ -955,57 +975,11 @@ func (s *Session) close(reason error) {
 		s.broker.removeSession(s, subs, psubs)
 	})
 	if first {
-		// Notify the sink from the closing goroutine: the writer may be
-		// blocked inside Deliver (that is exactly the slow-consumer case)
-		// and Closed implementations unblock it (e.g. by closing the TCP
-		// connection). Runs outside the Once so a sink that re-enters
-		// Close (clients tearing down their side) cannot deadlock.
-		// Sinks must make Closed non-blocking.
+		// Runs outside the Once so a sink that re-enters Close (clients
+		// tearing down their side) cannot deadlock. Sinks must make Closed
+		// non-blocking.
 		s.sink.Closed(reason)
 	}
-}
-
-// writer drains the output queue into the sink — the per-connection sender.
-// After each blocking dequeue it greedily drains up to batch-1 more pending
-// deliveries non-blocking and then flushes batching sinks once, so a burst
-// of fan-out costs one syscall instead of one per message. Like a Redis
-// disconnect, close drops anything still queued.
-func (s *Session) writer() {
-	bs, canFlush := s.sink.(BatchSink)
-	for {
-		select {
-		case d := <-s.out:
-			s.dispatch(d)
-		drain:
-			for n := 1; n < s.batch; n++ {
-				select {
-				case d = <-s.out:
-					s.dispatch(d)
-				default:
-					break drain
-				}
-			}
-			if canFlush {
-				bs.FlushDeliveries()
-			}
-		case <-s.done:
-			return
-		}
-	}
-}
-
-func (s *Session) dispatch(d delivery) {
-	// The frame is leaving the output queue for the sink's write buffer:
-	// the writer-flush observation point of the latency waterfall (queue
-	// wait is the dominant broker-side delay this stage exists to expose).
-	s.broker.observeFlush(d.payload)
-	if d.pattern != "" {
-		if ps, ok := s.sink.(PatternSink); ok {
-			ps.DeliverPattern(d.pattern, d.channel, d.payload)
-			return
-		}
-	}
-	s.sink.Deliver(d.channel, d.payload)
 }
 
 // String describes the session.

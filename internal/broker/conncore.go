@@ -3,68 +3,13 @@ package broker
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net"
-	"runtime"
 	"sync"
 	"sync/atomic"
+	"syscall"
+	"time"
 )
-
-// ConnCore selects the broker's connection-serving implementation.
-//
-// The goroutine core is the portable baseline: one reader goroutine plus one
-// session-writer goroutine and a buffered output channel per connection. It
-// is simple and fast at thousands of connections but its per-connection
-// memory (two goroutine stacks, two 16 KiB bufio buffers, an output channel)
-// tops out far below the subscriber populations a single Dynamoth broker is
-// supposed to absorb before the LB rebalances.
-//
-// The reactor core (linux) replaces all of that with N event-loop shards:
-// each shard owns an epoll instance, an fd-indexed session table, a shared
-// read buffer feeding the incremental RESP parser, and a write-flush cycle
-// that coalesces deliveries per shard pass — so memory and wakeups scale
-// with *active* sockets, not total sockets.
-type ConnCore uint8
-
-const (
-	// CoreAuto selects CoreReactor where available (linux) and falls back
-	// to CoreGoroutine elsewhere.
-	CoreAuto ConnCore = iota
-	// CoreGoroutine is the portable goroutine-per-connection core — the
-	// default on non-Linux builds.
-	CoreGoroutine
-	// CoreReactor is the sharded epoll event-loop core (Linux only).
-	CoreReactor
-)
-
-// ErrReactorUnavailable is returned by Serve when CoreReactor is requested
-// on a platform without epoll support.
-var ErrReactorUnavailable = errors.New("broker: reactor core unavailable on this platform")
-
-// String names the core ("auto", "goroutine", "reactor").
-func (c ConnCore) String() string {
-	switch c {
-	case CoreGoroutine:
-		return "goroutine"
-	case CoreReactor:
-		return "reactor"
-	default:
-		return "auto"
-	}
-}
-
-// ParseConnCore resolves a core name as accepted by the -conn-core flag.
-func ParseConnCore(s string) (ConnCore, error) {
-	switch s {
-	case "auto", "":
-		return CoreAuto, nil
-	case "goroutine":
-		return CoreGoroutine, nil
-	case "reactor":
-		return CoreReactor, nil
-	default:
-		return CoreAuto, fmt.Errorf("broker: unknown connection core %q (want auto, goroutine, or reactor)", s)
-	}
-}
 
 // ConnObserver sees connection-layer events. Callbacks run on hot paths
 // (accept loop, publish fan-out) and must be cheap and non-blocking; the
@@ -77,37 +22,32 @@ type ConnObserver interface {
 	OnConnClose(addr string, reason error)
 	// OnBackpressure fires when a session is about to be disconnected
 	// because its output buffer is over its limit; buffered is the pending
-	// byte count (-1 when the core tracks messages, not bytes).
+	// byte count.
 	OnBackpressure(addr string, buffered int)
 }
 
-// Serving defaults.
 const (
-	// DefaultReadBuffer is the per-shard read buffer: big enough to drain
-	// a burst of pipelined commands in one syscall.
-	DefaultReadBuffer = 64 << 10
-	// DefaultWriteBufferLimit is the per-session pending-output cap in
-	// bytes for the reactor core; a session exceeding it is disconnected
-	// as a slow consumer (client-output-buffer-limit behavior).
+	// DefaultWriteBufferLimit is the per-connection pending-output cap in
+	// bytes; a connection exceeding it is disconnected as a slow consumer
+	// (client-output-buffer-limit behavior).
 	DefaultWriteBufferLimit = 1 << 20
-	// wbufRetain is the largest write-buffer capacity a reactor session
-	// keeps after a full flush; larger bursts release their memory so idle
+	// wbufRetain is the largest write-buffer capacity a connection keeps
+	// after a full flush; larger bursts release their memory so idle
 	// connections return to a small footprint.
 	wbufRetain = 64 << 10
+	// connReadBuffer is the portable core's per-connection read buffer.
+	connReadBuffer = 16 << 10
+	// farewellTimeout bounds a closing connection's last write on the
+	// portable core (QUIT's +OK, a protocol-error reply), and is how long a
+	// write blocked on a peer that stopped reading outlives its session.
+	farewellTimeout = time.Second
 )
 
 // ServeOptions configures a ConnServer.
 type ServeOptions struct {
-	// Core selects the connection implementation (default CoreAuto).
-	Core ConnCore
-	// Shards is the reactor's event-loop count; non-positive selects
-	// GOMAXPROCS.
-	Shards int
-	// ReadBuffer is the per-shard read buffer size in bytes; non-positive
-	// selects DefaultReadBuffer.
-	ReadBuffer int
-	// WriteBufferLimit is the reactor's per-session pending-output cap in
-	// bytes; non-positive selects DefaultWriteBufferLimit.
+	// WriteBufferLimit is the per-connection pending-output cap in bytes —
+	// the one slow-consumer limit of TCP sessions; non-positive selects
+	// DefaultWriteBufferLimit.
 	WriteBufferLimit int
 	// Observer receives connection lifecycle events (may be nil).
 	Observer ConnObserver
@@ -115,7 +55,7 @@ type ServeOptions struct {
 
 // ConnStats is a snapshot of connection-layer counters.
 type ConnStats struct {
-	// Core is the resolved core name.
+	// Core names the connection core in use ("reactor" or "goroutine").
 	Core string
 	// Conns is the number of currently open connections.
 	Conns int64
@@ -134,13 +74,26 @@ type ConnStats struct {
 	EpollWrites uint64
 }
 
-// ConnServer serves a broker's RESP protocol over TCP with a selectable
-// connection core. One ConnServer serves one listener; Stats exposes the
-// counters the node exports as dynamoth_broker_conn_*/epoll_* metrics.
+// connCore is what a connection core supplies to the shared accept loop.
+// start readies the core and returns attach, which takes over one accepted
+// socket (and closes it if the broker refuses the session), and stop, which
+// closes every connection still open and returns once they are gone.
+type connCore struct {
+	name  string
+	start func(cs *ConnServer) (attach func(*net.TCPConn), stop func(), err error)
+}
+
+// ConnServer serves a broker's RESP protocol over TCP. Both connection cores
+// run the same accept loop, the same respConn output seam and the same
+// command dispatch; the core is chosen by platform — the sharded epoll
+// reactor on Linux (reactor_linux.go), elsewhere the portable
+// goroutine-per-connection core below. One ConnServer serves one listener;
+// Stats exposes the counters the node exports as
+// dynamoth_broker_conn_*/epoll_* metrics.
 type ConnServer struct {
 	b    *Broker
 	opts ServeOptions
-	core ConnCore // resolved: CoreGoroutine or CoreReactor
+	core connCore
 
 	conns        atomic.Int64
 	accepts      atomic.Uint64
@@ -153,36 +106,19 @@ type ConnServer struct {
 	epollWrites  atomic.Uint64
 }
 
-// NewConnServer builds a connection server for b. CoreAuto resolves to the
-// reactor where available.
+// NewConnServer builds a connection server for b on the platform's
+// connection core.
 func NewConnServer(b *Broker, opts ServeOptions) *ConnServer {
-	if opts.Shards <= 0 {
-		opts.Shards = runtime.GOMAXPROCS(0)
-	}
-	if opts.ReadBuffer <= 0 {
-		opts.ReadBuffer = DefaultReadBuffer
-	}
 	if opts.WriteBufferLimit <= 0 {
 		opts.WriteBufferLimit = DefaultWriteBufferLimit
 	}
-	core := opts.Core
-	if core == CoreAuto {
-		if ReactorAvailable() {
-			core = CoreReactor
-		} else {
-			core = CoreGoroutine
-		}
-	}
-	return &ConnServer{b: b, opts: opts, core: core}
+	return &ConnServer{b: b, opts: opts, core: platformCore}
 }
-
-// Core returns the resolved connection core.
-func (cs *ConnServer) Core() ConnCore { return cs.core }
 
 // Stats snapshots the connection counters.
 func (cs *ConnServer) Stats() ConnStats {
 	return ConnStats{
-		Core:         cs.core.String(),
+		Core:         cs.core.name,
 		Conns:        cs.conns.Load(),
 		Accepts:      cs.accepts.Load(),
 		Closes:       cs.closes.Load(),
@@ -195,87 +131,236 @@ func (cs *ConnServer) Stats() ConnStats {
 	}
 }
 
-// Serve accepts and serves connections on ln until the listener is closed.
-// It returns the accept error (wrapping net.ErrClosed on clean shutdown).
-// With the reactor core, any connections still open when the listener closes
-// are torn down before Serve returns; the goroutine core, like the previous
-// per-connection implementation, leaves them to the broker's Close.
+// Serve accepts and serves TCP connections on ln until the listener is
+// closed, closes every connection still open, and returns the accept error
+// (wrapping net.ErrClosed on clean shutdown). Accept errors that pass —
+// descriptor exhaustion, a handshake aborted by the peer — are retried after
+// a short back-off instead of ending the server.
 func (cs *ConnServer) Serve(ln net.Listener) error {
-	if cs.core == CoreReactor {
-		return cs.serveReactor(ln)
+	attach, stop, err := cs.core.start(cs)
+	if err != nil {
+		return err
 	}
-	return cs.serveGoroutine(ln)
-}
-
-// serveGoroutine is the portable goroutine-per-connection core.
-func (cs *ConnServer) serveGoroutine(ln net.Listener) error {
-	var wg sync.WaitGroup
-	defer wg.Wait()
+	defer stop()
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
+			var ne net.Error
+			if errors.As(err, &ne) && ne.Timeout() {
+				continue
+			}
+			if isTransientAccept(err) {
+				time.Sleep(10 * time.Millisecond) // back off instead of spinning
+				continue
+			}
 			return fmt.Errorf("broker: accept: %w", err)
 		}
-		if tc, ok := conn.(*net.TCPConn); ok {
-			// Explicit, even though Go defaults to it: delivery latency
-			// must never ride on Nagle coalescing (the broker already
-			// batches writes itself).
-			tc.SetNoDelay(true) //nolint:errcheck // best-effort
+		tc, ok := conn.(*net.TCPConn)
+		if !ok {
+			conn.Close() //nolint:errcheck // refusing it
+			return fmt.Errorf("broker: serving needs TCP connections, listener produced %T", conn)
 		}
-		addr := conn.RemoteAddr().String()
-		cs.accepts.Add(1)
-		cs.conns.Add(1)
-		if cs.opts.Observer != nil {
-			cs.opts.Observer.OnAccept(addr)
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			reason := serveConn(&countingConn{Conn: conn, in: &cs.bytesIn, out: &cs.bytesOut}, cs.b)
-			cs.conns.Add(-1)
-			cs.closes.Add(1)
-			if errors.Is(reason, ErrSlowConsumer) {
-				cs.backpressure.Add(1)
-				if cs.opts.Observer != nil {
-					cs.opts.Observer.OnBackpressure(addr, -1)
-				}
-			}
-			if cs.opts.Observer != nil {
-				cs.opts.Observer.OnConnClose(addr, reason)
-			}
-		}()
+		// Explicit, even though Go defaults to it: delivery latency must
+		// never ride on Nagle coalescing (the flushers already batch writes).
+		tc.SetNoDelay(true) //nolint:errcheck // best-effort
+		attach(tc)
 	}
 }
 
-// countingConn counts wire bytes around a net.Conn.
-type countingConn struct {
-	net.Conn
-	in, out *atomic.Uint64
+// isTransientAccept reports whether an accept error is worth retrying.
+func isTransientAccept(err error) bool {
+	return errors.Is(err, syscall.EMFILE) || errors.Is(err, syscall.ENFILE) ||
+		errors.Is(err, syscall.ECONNABORTED) || errors.Is(err, syscall.EINTR)
 }
 
-func (c *countingConn) Read(p []byte) (int, error) {
-	n, err := c.Conn.Read(p)
-	c.in.Add(uint64(n))
-	return n, err
+// connect opens the broker session behind a freshly accepted connection and
+// counts it. sink is the core's connection type embedding c. On a broker
+// that has shut down it tells the peer so and reports false; the caller
+// closes the socket.
+func (cs *ConnServer) connect(c *respConn, sink EnqueueSink, conn *net.TCPConn) bool {
+	c.cs = cs
+	c.name = conn.RemoteAddr().String()
+	sess, err := cs.b.Connect(c.name, sink)
+	if err != nil {
+		conn.Write([]byte("-ERR broker unavailable\r\n")) //nolint:errcheck // refusing it
+		return false
+	}
+	c.sess = sess
+	cs.accepts.Add(1)
+	cs.conns.Add(1)
+	if cs.opts.Observer != nil {
+		cs.opts.Observer.OnAccept(c.name)
+	}
+	return true
 }
 
-func (c *countingConn) Write(p []byte) (int, error) {
-	n, err := c.Conn.Write(p)
-	c.out.Add(uint64(n))
-	return n, err
+// disconnected counts a connection whose socket the core has released.
+func (cs *ConnServer) disconnected(c *respConn) {
+	c.mu.Lock()
+	reason := c.reason
+	c.mu.Unlock()
+	cs.conns.Add(-1)
+	cs.closes.Add(1)
+	if cs.opts.Observer != nil {
+		cs.opts.Observer.OnConnClose(c.name, reason)
+	}
 }
 
 // Serve accepts connections on ln and serves the Redis pub/sub protocol
-// against b until the listener is closed or the broker shuts down, using the
-// portable goroutine-per-connection core. It returns the listener's accept
-// error (net.ErrClosed on clean shutdown). Use NewConnServer to select the
-// event-loop reactor core instead.
+// against b until the listener is closed, using the portable
+// goroutine-per-connection core on every platform. It returns the listener's
+// accept error (net.ErrClosed on clean shutdown). NewConnServer serves the
+// platform's default core instead.
 //
 // Supported commands: SUBSCRIBE, UNSUBSCRIBE, PSUBSCRIBE, PUNSUBSCRIBE,
-// PUBLISH, PING, ECHO, INFO, QUIT. Push messages use the standard
-// ["message", channel, payload] and ["pmessage", pattern, channel, payload]
-// frames, subscription confirmations ["subscribe"/"unsubscribe"/
+// CSUBSCRIBE, PUBLISH, REGION, PING, ECHO, INFO, QUIT. Push messages use the
+// standard ["message", channel, payload] and ["pmessage", pattern, channel,
+// payload] frames, subscription confirmations ["subscribe"/"unsubscribe"/
 // "psubscribe"/"punsubscribe", name, count].
 func Serve(ln net.Listener, b *Broker) error {
-	return NewConnServer(b, ServeOptions{Core: CoreGoroutine}).Serve(ln)
+	cs := NewConnServer(b, ServeOptions{})
+	cs.core = goroutineCore
+	return cs.Serve(ln)
+}
+
+// goroutineCore is the portable fallback: a read loop and a flush loop per
+// connection, nothing else. Its per-connection cost (two goroutine stacks
+// and a read buffer) is what the reactor exists to avoid.
+var goroutineCore = connCore{name: "goroutine", start: startGoroutineCore}
+
+// gserver tracks the portable core's open connections so stop can end them.
+type gserver struct {
+	cs *ConnServer
+	wg sync.WaitGroup
+
+	mu    sync.Mutex
+	conns map[*gconn]struct{}
+}
+
+func startGoroutineCore(cs *ConnServer) (func(*net.TCPConn), func(), error) {
+	g := &gserver{cs: cs, conns: make(map[*gconn]struct{})}
+	return g.attach, g.stop, nil
+}
+
+// gconn is one portable-core connection.
+type gconn struct {
+	respConn
+	conn *net.TCPConn
+	// kick wakes the flush loop; one buffered token stands for any number
+	// of wake calls since the loop last took the buffer.
+	kick chan struct{}
+}
+
+func (g *gserver) attach(conn *net.TCPConn) {
+	c := &gconn{conn: conn, kick: make(chan struct{}, 1)}
+	c.wake = c.kickFlusher
+	if !g.cs.connect(&c.respConn, c, conn) {
+		conn.Close() //nolint:errcheck // refused
+		return
+	}
+	g.mu.Lock()
+	g.conns[c] = struct{}{}
+	g.mu.Unlock()
+	g.wg.Add(1)
+	go g.serve(c)
+}
+
+// serve runs one connection to its end: the flush loop beside the read
+// loop, then the books.
+func (g *gserver) serve(c *gconn) {
+	defer g.wg.Done()
+	flushed := make(chan struct{})
+	go func() {
+		defer close(flushed)
+		c.flushLoop()
+	}()
+	c.readLoop()
+	<-flushed
+	g.mu.Lock()
+	delete(g.conns, c)
+	g.mu.Unlock()
+	g.cs.disconnected(&c.respConn)
+}
+
+func (g *gserver) stop() {
+	g.mu.Lock()
+	open := make([]*gconn, 0, len(g.conns))
+	for c := range g.conns {
+		open = append(open, c)
+	}
+	g.mu.Unlock()
+	for _, c := range open {
+		c.end(ErrSessionClosed)
+	}
+	g.wg.Wait()
+}
+
+func (c *gconn) kickFlusher() {
+	select {
+	case c.kick <- struct{}{}:
+	default:
+	}
+}
+
+// Closed implements Sink: called exactly once by the broker when the session
+// ends (overflow, QUIT, broker shutdown). It must not block, so it leaves
+// the socket to the flush loop: the write deadline bounds the loop's last
+// write and aborts one that is blocked on a peer that stopped reading.
+func (c *gconn) Closed(reason error) {
+	c.shut(reason)
+	c.conn.SetWriteDeadline(time.Now().Add(farewellTimeout)) //nolint:errcheck // best-effort
+	c.kickFlusher()
+}
+
+// readLoop feeds the socket to the command parser until the connection ends.
+func (c *gconn) readLoop() {
+	buf := make([]byte, connReadBuffer)
+	for {
+		n, err := c.conn.Read(buf)
+		if n > 0 {
+			c.cs.bytesIn.Add(uint64(n))
+			if done, reason := c.feed(buf[:n]); done {
+				c.end(reason)
+				return
+			}
+		}
+		if err != nil {
+			if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) {
+				err = nil // peer hung up, or the flush loop closed the socket
+			}
+			c.end(err)
+			return
+		}
+	}
+}
+
+// flushLoop writes out whatever accumulated since its last pass — however
+// many deliveries that was, in one write — and closes the socket once the
+// connection has ended.
+func (c *gconn) flushLoop() {
+	defer c.conn.Close() //nolint:errcheck // teardown; unblocks readLoop
+	var spare []byte
+	for range c.kick {
+		c.mu.Lock()
+		buf := c.wbuf
+		c.wbuf = spare[:0]
+		c.dirty = false
+		closed := c.closed
+		c.mu.Unlock()
+		if len(buf) > 0 {
+			n, err := c.conn.Write(buf)
+			c.cs.bytesOut.Add(uint64(n))
+			if err != nil && !closed {
+				c.end(err)
+				return
+			}
+		}
+		if closed {
+			return
+		}
+		spare = buf
+		if cap(spare) > wbufRetain {
+			spare = nil
+		}
+	}
 }

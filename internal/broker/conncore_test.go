@@ -2,44 +2,62 @@ package broker
 
 import (
 	"fmt"
+	"io"
 	"net"
+	"os"
 	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
+	"github.com/dynamoth/dynamoth/internal/message"
 	"github.com/dynamoth/dynamoth/internal/resp"
 )
 
-// testCores lists the connection cores to exercise on this platform.
-func testCores() []ConnCore {
-	cores := []ConnCore{CoreGoroutine}
-	if ReactorAvailable() {
-		cores = append(cores, CoreReactor)
+// testCores lists the connection cores to exercise on this platform: the
+// portable one everywhere, plus the platform's own where that is another.
+func testCores() []connCore {
+	cores := []connCore{goroutineCore}
+	if platformCore.name != goroutineCore.name {
+		cores = append(cores, platformCore)
 	}
 	return cores
 }
 
-// startCore serves a fresh broker on a loopback listener with the given
-// connection core and returns the address plus the live handles.
-func startCore(t *testing.T, bopts Options, sopts ServeOptions) (string, *Broker, *ConnServer) {
+// serveCore serves b on a fresh loopback listener (wrapped by wrap, if given)
+// with the given connection core. The returned channel closes when Serve
+// returns.
+func serveCore(t *testing.T, core connCore, b *Broker, sopts ServeOptions, wrap func(net.Listener) net.Listener) (net.Listener, *ConnServer, <-chan struct{}) {
 	t.Helper()
-	if bopts.Name == "" {
-		bopts.Name = "core-test"
-	}
-	b := New(bopts)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	if wrap != nil {
+		ln = wrap(ln)
+	}
 	cs := NewConnServer(b, sopts)
+	cs.core = core
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		cs.Serve(ln) //nolint:errcheck // returns on listener close
 	}()
+	return ln, cs, done
+}
+
+// startCore serves a fresh broker with the given connection core and returns
+// the address plus the live handles; cleanup shuts everything down.
+func startCore(t *testing.T, core connCore, bopts Options, sopts ServeOptions) (string, *Broker, *ConnServer) {
+	t.Helper()
+	if bopts.Name == "" {
+		bopts.Name = "core-test"
+	}
+	b := New(bopts)
+	ln, cs, done := serveCore(t, core, b, sopts, nil)
 	t.Cleanup(func() {
 		b.Close()
 		ln.Close()
@@ -48,236 +66,389 @@ func startCore(t *testing.T, bopts Options, sopts ServeOptions) (string, *Broker
 	return ln.Addr().String(), b, cs
 }
 
-// TestConnCoresProtocol runs the full command surface against every core so
-// the reactor and goroutine paths stay wire-identical.
-func TestConnCoresProtocol(t *testing.T) {
+// TestConnCoreConformance is the one table both connection cores answer to:
+// every case runs the same assertions against each core, so the reactor and
+// the portable core stay wire- and counter-identical.
+func TestConnCoreConformance(t *testing.T) {
+	cases := []struct {
+		name string
+		run  func(t *testing.T, core connCore)
+	}{
+		{"protocol", conformProtocol},
+		{"pipelined", conformPipelined},
+		{"slow consumer", conformSlowConsumer},
+		{"replay precedes ack", conformReplayPrecedesAck},
+		{"flush observed", conformFlushObserved},
+		{"observer", conformObserver},
+		{"transient accept error", conformTransientAccept},
+		{"shutdown", conformShutdown},
+		{"large fan-out", conformLargeFanout},
+		{"churn", conformChurn},
+	}
 	for _, core := range testCores() {
-		t.Run(core.String(), func(t *testing.T) {
-			addr, _, cs := startCore(t, Options{}, ServeOptions{Core: core})
-			if cs.Core() != core {
-				t.Fatalf("resolved core %v, want %v", cs.Core(), core)
-			}
-
-			c := dialRESP(t, addr)
-			if v := c.cmd(t, "PING"); v.Kind != resp.KindSimpleString || string(v.Str) != "PONG" {
-				t.Fatalf("PING => %+v", v)
-			}
-			if v := c.cmd(t, "ECHO", "hello"); v.Kind != resp.KindBulkString || string(v.Str) != "hello" {
-				t.Fatalf("ECHO => %+v", v)
-			}
-			if v := c.cmd(t, "NOPE"); v.Kind != resp.KindError || !strings.Contains(string(v.Str), "unknown command") {
-				t.Fatalf("unknown => %+v", v)
-			}
-
-			sub := dialRESP(t, addr)
-			ack := sub.cmd(t, "SUBSCRIBE", "news")
-			if ack.Kind != resp.KindArray || string(ack.Array[0].Str) != "subscribe" || ack.Array[2].Int != 1 {
-				t.Fatalf("subscribe ack %+v", ack)
-			}
-			pack := sub.cmd(t, "PSUBSCRIBE", "sport.*")
-			if string(pack.Array[0].Str) != "psubscribe" || pack.Array[2].Int != 2 {
-				t.Fatalf("psubscribe ack %+v", pack)
-			}
-
-			if v := c.cmd(t, "PUBLISH", "news", "breaking"); v.Int != 1 {
-				t.Fatalf("PUBLISH news => %+v", v)
-			}
-			msg := sub.read(t)
-			if string(msg.Array[0].Str) != "message" || string(msg.Array[1].Str) != "news" || string(msg.Array[2].Str) != "breaking" {
-				t.Fatalf("message frame %+v", msg)
-			}
-			if v := c.cmd(t, "PUBLISH", "sport.f1", "lights out"); v.Int != 1 {
-				t.Fatalf("PUBLISH sport.f1 => %+v", v)
-			}
-			pmsg := sub.read(t)
-			if string(pmsg.Array[0].Str) != "pmessage" || string(pmsg.Array[1].Str) != "sport.*" ||
-				string(pmsg.Array[2].Str) != "sport.f1" || string(pmsg.Array[3].Str) != "lights out" {
-				t.Fatalf("pmessage frame %+v", pmsg)
-			}
-
-			if v := sub.cmd(t, "UNSUBSCRIBE", "news"); string(v.Array[0].Str) != "unsubscribe" || v.Array[2].Int != 1 {
-				t.Fatalf("unsubscribe ack %+v", v)
-			}
-			if v := sub.cmd(t, "PUNSUBSCRIBE", "sport.*"); string(v.Array[0].Str) != "punsubscribe" || v.Array[2].Int != 0 {
-				t.Fatalf("punsubscribe ack %+v", v)
-			}
-
-			info := c.cmd(t, "INFO")
-			if info.Kind != resp.KindBulkString || !strings.Contains(string(info.Str), "sessions:") {
-				t.Fatalf("INFO => %+v", info)
-			}
-			if v := c.cmd(t, "QUIT"); string(v.Str) != "OK" {
-				t.Fatalf("QUIT => %+v", v)
-			}
-
-			st := cs.Stats()
-			if st.Core != core.String() || st.Accepts < 2 || st.BytesIn == 0 || st.BytesOut == 0 {
-				t.Fatalf("stats %+v", st)
-			}
-		})
+		for _, tc := range cases {
+			t.Run(core.name+"/"+tc.name, func(t *testing.T) { tc.run(t, core) })
+		}
 	}
 }
 
-// TestConnCoresPipelined sends a pipelined burst in one TCP segment and
-// expects every reply — the reactor must parse multiple commands out of one
-// read and coalesce the replies.
-func TestConnCoresPipelined(t *testing.T) {
-	for _, core := range testCores() {
-		t.Run(core.String(), func(t *testing.T) {
-			addr, _, _ := startCore(t, Options{}, ServeOptions{Core: core})
-			c := dialRESP(t, addr)
+// conformProtocol runs the full command surface.
+func conformProtocol(t *testing.T, core connCore) {
+	addr, _, cs := startCore(t, core, Options{}, ServeOptions{})
 
-			const n = 200
-			var burst []byte
-			for i := 0; i < n; i++ {
-				burst = resp.AppendCommandStrings(burst, "ECHO", fmt.Sprintf("m%d", i))
-			}
-			if _, err := c.conn.Write(burst); err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < n; i++ {
-				v := c.read(t)
-				if want := fmt.Sprintf("m%d", i); string(v.Str) != want {
-					t.Fatalf("reply %d = %q, want %q", i, v.Str, want)
-				}
-			}
-		})
+	c := dialRESP(t, addr)
+	if v := c.cmd(t, "PING"); v.Kind != resp.KindSimpleString || string(v.Str) != "PONG" {
+		t.Fatalf("PING => %+v", v)
+	}
+	if v := c.cmd(t, "ECHO", "hello"); v.Kind != resp.KindBulkString || string(v.Str) != "hello" {
+		t.Fatalf("ECHO => %+v", v)
+	}
+	if v := c.cmd(t, "NOPE"); v.Kind != resp.KindError || !strings.Contains(string(v.Str), "unknown command") {
+		t.Fatalf("unknown => %+v", v)
+	}
+	if v := c.cmd(t, "REGION", "eu-west"); string(v.Str) != "OK" {
+		t.Fatalf("REGION => %+v", v)
+	}
+	for _, bad := range [][]string{{"SUBSCRIBE"}, {"PSUBSCRIBE"}, {"PUBLISH", "ch"}, {"ECHO"}, {"REGION"}, {"CSUBSCRIBE", "ch"}} {
+		if v := c.cmd(t, bad...); v.Kind != resp.KindError || !strings.Contains(string(v.Str), "wrong number of arguments") {
+			t.Fatalf("%v => %+v", bad, v)
+		}
+	}
+	if v := c.cmd(t, "CSUBSCRIBE", "ch", "\xff\xff\xff"); v.Kind != resp.KindError || !strings.Contains(string(v.Str), "malformed cursor") {
+		t.Fatalf("bad cursor => %+v", v)
+	}
+
+	sub := dialRESP(t, addr)
+	ack := sub.cmd(t, "SUBSCRIBE", "news")
+	if ack.Kind != resp.KindArray || string(ack.Array[0].Str) != "subscribe" || ack.Array[2].Int != 1 {
+		t.Fatalf("subscribe ack %+v", ack)
+	}
+	pack := sub.cmd(t, "PSUBSCRIBE", "sport.*")
+	if string(pack.Array[0].Str) != "psubscribe" || pack.Array[2].Int != 2 {
+		t.Fatalf("psubscribe ack %+v", pack)
+	}
+
+	if v := c.cmd(t, "PUBLISH", "news", "breaking"); v.Int != 1 {
+		t.Fatalf("PUBLISH news => %+v", v)
+	}
+	msg := sub.read(t)
+	if string(msg.Array[0].Str) != "message" || string(msg.Array[1].Str) != "news" || string(msg.Array[2].Str) != "breaking" {
+		t.Fatalf("message frame %+v", msg)
+	}
+	if v := c.cmd(t, "PUBLISH", "sport.f1", "lights out"); v.Int != 1 {
+		t.Fatalf("PUBLISH sport.f1 => %+v", v)
+	}
+	pmsg := sub.read(t)
+	if string(pmsg.Array[0].Str) != "pmessage" || string(pmsg.Array[1].Str) != "sport.*" ||
+		string(pmsg.Array[2].Str) != "sport.f1" || string(pmsg.Array[3].Str) != "lights out" {
+		t.Fatalf("pmessage frame %+v", pmsg)
+	}
+
+	if v := sub.cmd(t, "UNSUBSCRIBE", "news"); string(v.Array[0].Str) != "unsubscribe" || v.Array[2].Int != 1 {
+		t.Fatalf("unsubscribe ack %+v", v)
+	}
+	if v := sub.cmd(t, "PUNSUBSCRIBE", "sport.*"); string(v.Array[0].Str) != "punsubscribe" || v.Array[2].Int != 0 {
+		t.Fatalf("punsubscribe ack %+v", v)
+	}
+
+	info := c.cmd(t, "INFO")
+	if info.Kind != resp.KindBulkString || !strings.Contains(string(info.Str), "sessions:") {
+		t.Fatalf("INFO => %+v", info)
+	}
+	if v := c.cmd(t, "QUIT"); string(v.Str) != "OK" {
+		t.Fatalf("QUIT => %+v", v)
+	}
+	c.conn.SetReadDeadline(time.Now().Add(2 * time.Second)) //nolint:errcheck
+	if _, err := c.r.ReadValue(); err == nil {
+		t.Fatal("connection alive after QUIT")
+	}
+
+	// A malformed frame gets one error reply, then the connection closes.
+	bad := dialRESP(t, addr)
+	if _, err := bad.conn.Write([]byte("*1\r\n$99999999999\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	if v := bad.read(t); v.Kind != resp.KindError || !strings.Contains(string(v.Str), "protocol error") {
+		t.Fatalf("malformed frame => %+v", v)
+	}
+	if _, err := bad.r.ReadValue(); err == nil {
+		t.Fatal("connection alive after protocol error")
+	}
+
+	st := cs.Stats()
+	if st.Core != core.name || st.Accepts < 3 || st.BytesIn == 0 || st.BytesOut == 0 {
+		t.Fatalf("stats %+v", st)
 	}
 }
 
-// TestConnCoresShutdownNoGoroutineLeak holds live (and subscribed)
-// connections open, shuts the server down, and verifies the goroutine count
-// returns to baseline — the regression guard for writer/reader/shard
-// goroutines outliving the broker.
-func TestConnCoresShutdownNoGoroutineLeak(t *testing.T) {
-	for _, core := range testCores() {
-		t.Run(core.String(), func(t *testing.T) {
-			before := runtime.NumGoroutine()
+// conformPipelined sends a pipelined burst in one TCP segment and expects
+// every reply: many commands parsed out of one read, replies coalesced.
+func conformPipelined(t *testing.T, core connCore) {
+	addr, _, _ := startCore(t, core, Options{}, ServeOptions{})
+	c := dialRESP(t, addr)
 
-			b := New(Options{Name: "leak-test"})
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			cs := NewConnServer(b, ServeOptions{Core: core})
-			served := make(chan struct{})
-			go func() {
-				defer close(served)
-				cs.Serve(ln) //nolint:errcheck
-			}()
-
-			const conns = 32
-			clients := make([]net.Conn, 0, conns)
-			for i := 0; i < conns; i++ {
-				c := dialRESP(t, ln.Addr().String())
-				if i%2 == 0 {
-					c.cmd(t, "SUBSCRIBE", fmt.Sprintf("ch%d", i))
-				} else {
-					c.cmd(t, "PING")
-				}
-				clients = append(clients, c.conn)
-			}
-
-			// Tear down with clients still connected. Broker close ends every
-			// session; listener close ends the accept/shard loops.
-			b.Close()
-			ln.Close()
-			select {
-			case <-served:
-			case <-time.After(5 * time.Second):
-				t.Fatal("Serve did not return after listener close")
-			}
-			for _, c := range clients {
-				c.Close() //nolint:errcheck
-			}
-
-			deadline := time.Now().Add(5 * time.Second)
-			for {
-				runtime.GC()
-				if n := runtime.NumGoroutine(); n <= before+2 {
-					break
-				}
-				if time.Now().After(deadline) {
-					buf := make([]byte, 1<<20)
-					t.Fatalf("goroutines %d > baseline %d after shutdown\n%s",
-						runtime.NumGoroutine(), before, buf[:runtime.Stack(buf, true)])
-				}
-				time.Sleep(10 * time.Millisecond)
-			}
-		})
+	const n = 200
+	var burst []byte
+	for i := 0; i < n; i++ {
+		burst = resp.AppendCommandStrings(burst, "ECHO", fmt.Sprintf("m%d", i))
+	}
+	if _, err := c.conn.Write(burst); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		v := c.read(t)
+		if want := fmt.Sprintf("m%d", i); string(v.Str) != want {
+			t.Fatalf("reply %d = %q, want %q", i, v.Str, want)
+		}
 	}
 }
 
-// TestConnCoresSlowConsumer verifies that a subscriber that never reads is
-// disconnected (output overflow) instead of wedging the publisher, and that
-// the backpressure counter records it.
-func TestConnCoresSlowConsumer(t *testing.T) {
-	for _, core := range testCores() {
-		t.Run(core.String(), func(t *testing.T) {
-			// Tiny limits so the overflow trips fast: 16 queued messages for
-			// the goroutine core, 4 KiB pending bytes for the reactor.
-			addr, b, cs := startCore(t,
-				Options{OutputBuffer: 16},
-				ServeOptions{Core: core, WriteBufferLimit: 4 << 10})
+// conformSlowConsumer: a subscriber that never reads is disconnected once
+// its pending bytes pass the limit, instead of wedging the publisher, and
+// the counter and the observer both record it in bytes.
+func conformSlowConsumer(t *testing.T, core connCore) {
+	const limit = 4 << 10
+	obs := &countingObserver{}
+	addr, b, cs := startCore(t, core, Options{}, ServeOptions{WriteBufferLimit: limit, Observer: obs})
 
-			sub := dialRESP(t, addr)
-			sub.cmd(t, "SUBSCRIBE", "firehose")
-			// Stop reading: deliveries pile up server-side.
+	sub := dialRESP(t, addr)
+	sub.cmd(t, "SUBSCRIBE", "firehose")
+	// Stop reading: deliveries pile up server-side.
 
-			payload := make([]byte, 1024)
-			deadline := time.Now().Add(5 * time.Second)
-			for b.Stats().Sessions > 0 {
-				b.Publish("firehose", payload)
-				if time.Now().After(deadline) {
-					t.Fatal("slow consumer was never disconnected")
-				}
-			}
-			if core == CoreReactor && cs.Stats().Backpressure == 0 {
-				t.Fatal("backpressure counter not incremented")
-			}
-		})
+	payload := make([]byte, 1024)
+	deadline := time.Now().Add(10 * time.Second)
+	for b.Stats().Sessions > 0 {
+		b.Publish("firehose", payload)
+		if time.Now().After(deadline) {
+			t.Fatal("slow consumer was never disconnected")
+		}
+	}
+	if st := b.Stats(); st.Dropped != 1 {
+		t.Fatalf("broker dropped = %d, want 1", st.Dropped)
+	}
+	if n := cs.Stats().Backpressure; n < 1 {
+		t.Fatalf("backpressure counter = %d, want >= 1", n)
+	}
+	if got := obs.buffered.Load(); got <= limit {
+		t.Fatalf("OnBackpressure saw %d buffered bytes, want > %d", got, limit)
 	}
 }
 
-// TestConnCoresObserver checks accept/close observer plumbing on both cores.
-func TestConnCoresObserver(t *testing.T) {
-	for _, core := range testCores() {
-		t.Run(core.String(), func(t *testing.T) {
-			obs := &countingObserver{}
-			addr, _, _ := startCore(t, Options{}, ServeOptions{Core: core, Observer: obs})
-			c := dialRESP(t, addr)
-			c.cmd(t, "PING")
-			c.conn.Close()
+// conformReplayPrecedesAck: a cursor subscribe's replayed frames are on the
+// wire before its ack, in sequence order.
+func conformReplayPrecedesAck(t *testing.T, core connCore) {
+	addr, b, _ := startCore(t, core, Options{ReplayDepth: 16}, ServeOptions{})
+	const n = 5
+	for i := 1; i <= n; i++ {
+		b.Publish("ch", dataFrame("ch", fmt.Sprintf("m%d", i), int64(i)))
+	}
+	epoch, head, ok := b.ReplayHead("ch")
+	if !ok || head != n {
+		t.Fatalf("ReplayHead = %d, %d, %v", epoch, head, ok)
+	}
 
-			deadline := time.Now().Add(2 * time.Second)
-			for obs.closes.Load() == 0 {
-				if time.Now().After(deadline) {
-					t.Fatalf("observer: accepts=%d closes=%d", obs.accepts.Load(), obs.closes.Load())
-				}
-				time.Sleep(5 * time.Millisecond)
-			}
-			if obs.accepts.Load() != 1 {
-				t.Fatalf("accepts = %d, want 1", obs.accepts.Load())
-			}
-		})
+	c := dialRESP(t, addr)
+	cur := message.MarshalCursor(message.Cursor{Seen: []message.EpochSeq{{Epoch: epoch, Seq: 0}}})
+	first := c.cmd(t, "CSUBSCRIBE", "ch", string(cur))
+	for want := uint64(1); want <= n; want++ {
+		v := first
+		if want > 1 {
+			v = c.read(t)
+		}
+		if v.Kind != resp.KindArray || string(v.Array[0].Str) != "message" {
+			t.Fatalf("frame %d on the wire is %+v, want a replayed message", want, v)
+		}
+		if e, seq, ok := message.PeekChannelSeq(v.Array[2].Str); !ok || e != epoch || seq != want {
+			t.Fatalf("replayed (%d, %d, %v), want (%d, %d)", e, seq, ok, epoch, want)
+		}
+	}
+	ack := c.read(t)
+	if len(ack.Array) != 6 || string(ack.Array[0].Str) != "csubscribe" || string(ack.Array[1].Str) != "ch" ||
+		ack.Array[2].Int != 1 || ack.Array[3].Int != n || ack.Array[4].Int != 0 || uint64(ack.Array[5].Int) != epoch {
+		t.Fatalf("csubscribe ack %+v", ack)
+	}
+}
+
+// flushCounter counts OnFlush calls; the no-op embedded observer makes it
+// registrable.
+type flushCounter struct {
+	recordingObserver
+	flushes atomic.Int64
+}
+
+func (f *flushCounter) OnFlush([]byte) { f.flushes.Add(1) }
+
+// conformFlushObserved: every TCP delivery passes the flush observation
+// point exactly once.
+func conformFlushObserved(t *testing.T, core connCore) {
+	addr, b, _ := startCore(t, core, Options{}, ServeOptions{})
+	fc := &flushCounter{}
+	b.AddObserver(fc)
+
+	sub := dialRESP(t, addr)
+	sub.cmd(t, "SUBSCRIBE", "a")
+	sub.cmd(t, "PSUBSCRIBE", "a*")
+	const n = 20
+	for i := 0; i < n; i++ {
+		if got := b.Publish("a", []byte("x")); got != 2 {
+			t.Fatalf("Publish = %d, want 2", got)
+		}
+	}
+	for i := 0; i < 2*n; i++ {
+		sub.read(t)
+	}
+	if got := fc.flushes.Load(); got != 2*n {
+		t.Fatalf("OnFlush fired %d times for %d deliveries", got, 2*n)
+	}
+}
+
+// conformObserver checks accept/close observer plumbing: an ordinary
+// disconnect is reported once, with a nil reason.
+func conformObserver(t *testing.T, core connCore) {
+	obs := &countingObserver{}
+	addr, _, _ := startCore(t, core, Options{}, ServeOptions{Observer: obs})
+	c := dialRESP(t, addr)
+	c.cmd(t, "PING")
+	c.conn.Close()
+
+	deadline := time.Now().Add(2 * time.Second)
+	for obs.closes.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("observer: accepts=%d closes=%d", obs.accepts.Load(), obs.closes.Load())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if obs.accepts.Load() != 1 || obs.closes.Load() != 1 || obs.abnormal.Load() != 0 {
+		t.Fatalf("accepts=%d closes=%d abnormal=%d, want 1/1/0",
+			obs.accepts.Load(), obs.closes.Load(), obs.abnormal.Load())
 	}
 }
 
 type countingObserver struct {
-	accepts, closes, backpressure atomic.Int64
+	accepts, closes, abnormal, buffered atomic.Int64
 }
 
-func (o *countingObserver) OnAccept(string)            { o.accepts.Add(1) }
-func (o *countingObserver) OnConnClose(string, error)  { o.closes.Add(1) }
-func (o *countingObserver) OnBackpressure(string, int) { o.backpressure.Add(1) }
-
-// TestReactorLargeFanout pushes payloads big enough to overrun the kernel
-// socket buffer, exercising the partial-write + EPOLLOUT re-arm path.
-func TestReactorLargeFanout(t *testing.T) {
-	if !ReactorAvailable() {
-		t.Skip("reactor core unavailable")
+func (o *countingObserver) OnAccept(string) { o.accepts.Add(1) }
+func (o *countingObserver) OnConnClose(_ string, reason error) {
+	o.closes.Add(1)
+	if reason != nil {
+		o.abnormal.Add(1)
 	}
-	addr, b, _ := startCore(t, Options{}, ServeOptions{Core: CoreReactor, WriteBufferLimit: 64 << 20})
+}
+func (o *countingObserver) OnBackpressure(_ string, buffered int) { o.buffered.Store(int64(buffered)) }
+
+// abortOnceListener fails its first Accept the way the kernel reports a
+// handshake the peer aborted.
+type abortOnceListener struct {
+	net.Listener
+	failed atomic.Bool
+}
+
+func (l *abortOnceListener) Accept() (net.Conn, error) {
+	if !l.failed.Swap(true) {
+		return nil, &net.OpError{Op: "accept", Net: "tcp", Err: os.NewSyscallError("accept", syscall.ECONNABORTED)}
+	}
+	return l.Listener.Accept()
+}
+
+// conformTransientAccept: a passing accept error does not end the server.
+func conformTransientAccept(t *testing.T, core connCore) {
+	b := New(Options{Name: "accept-test"})
+	ln, _, done := serveCore(t, core, b, ServeOptions{}, func(ln net.Listener) net.Listener {
+		return &abortOnceListener{Listener: ln}
+	})
+	t.Cleanup(func() {
+		b.Close()
+		ln.Close()
+		<-done
+	})
+	c := dialRESP(t, ln.Addr().String())
+	if v := c.cmd(t, "PING"); string(v.Str) != "PONG" {
+		t.Fatalf("PING after a transient accept error => %+v", v)
+	}
+	if !ln.(*abortOnceListener).failed.Load() {
+		t.Fatal("the stub never injected its error")
+	}
+}
+
+func TestIsTransientAccept(t *testing.T) {
+	for _, errno := range []syscall.Errno{syscall.EMFILE, syscall.ENFILE, syscall.ECONNABORTED, syscall.EINTR} {
+		err := &net.OpError{Op: "accept", Net: "tcp", Err: os.NewSyscallError("accept", errno)}
+		if !isTransientAccept(err) {
+			t.Errorf("isTransientAccept(%v) = false", err)
+		}
+	}
+	for _, err := range []error{net.ErrClosed, io.EOF, &net.OpError{Op: "accept", Err: syscall.EINVAL}} {
+		if isTransientAccept(err) {
+			t.Errorf("isTransientAccept(%v) = true", err)
+		}
+	}
+}
+
+// conformShutdown holds live (and subscribed) connections open and closes
+// only the listener: Serve must end every connection itself before it
+// returns, the counters must balance, and once the broker is closed too the
+// goroutine count returns to baseline — the regression guard for
+// reader/flusher/shard goroutines outliving the server.
+func conformShutdown(t *testing.T, core connCore) {
+	before := runtime.NumGoroutine()
+
+	b := New(Options{Name: "leak-test"})
+	ln, cs, served := serveCore(t, core, b, ServeOptions{}, nil)
+
+	const conns = 32
+	clients := make([]*respClient, 0, conns)
+	for i := 0; i < conns; i++ {
+		c := dialRESP(t, ln.Addr().String())
+		if i%2 == 0 {
+			c.cmd(t, "SUBSCRIBE", fmt.Sprintf("ch%d", i))
+		} else {
+			c.cmd(t, "PING")
+		}
+		clients = append(clients, c)
+	}
+
+	ln.Close()
+	select {
+	case <-served:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Serve did not return after listener close")
+	}
+	if st := cs.Stats(); st.Conns != 0 || st.Accepts != conns || st.Closes != st.Accepts {
+		t.Fatalf("after Serve returned: %+v, want 0 conns and closes == accepts == %d", st, conns)
+	}
+	if n := b.Stats().Sessions; n != 0 {
+		t.Fatalf("%d sessions outlived Serve", n)
+	}
+	for _, c := range clients {
+		c.conn.SetReadDeadline(time.Now().Add(2 * time.Second)) //nolint:errcheck
+		if _, err := c.r.ReadValue(); err == nil {
+			t.Fatal("a connection survived Serve's return")
+		}
+		c.conn.Close() //nolint:errcheck
+	}
+	b.Close()
+
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		runtime.GC()
+		if n := runtime.NumGoroutine(); n <= before+2 {
+			break
+		}
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("goroutines %d > baseline %d after shutdown\n%s",
+				runtime.NumGoroutine(), before, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// conformLargeFanout pushes payloads big enough to overrun the kernel socket
+// buffer, exercising partial writes (the reactor's EPOLLOUT re-arm, the
+// portable core's blocked flusher) under a raised limit.
+func conformLargeFanout(t *testing.T, core connCore) {
+	addr, b, _ := startCore(t, core, Options{}, ServeOptions{WriteBufferLimit: 64 << 20})
 
 	sub := dialRESP(t, addr)
 	sub.cmd(t, "SUBSCRIBE", "big")
@@ -307,13 +478,10 @@ func TestReactorLargeFanout(t *testing.T) {
 	}
 }
 
-// TestReactorChurn hammers the reactor with connections subscribing,
-// publishing, and vanishing concurrently.
-func TestReactorChurn(t *testing.T) {
-	if !ReactorAvailable() {
-		t.Skip("reactor core unavailable")
-	}
-	addr, _, cs := startCore(t, Options{}, ServeOptions{Core: CoreReactor})
+// conformChurn hammers the core with connections subscribing, publishing,
+// and vanishing concurrently; every one must be accounted closed.
+func conformChurn(t *testing.T, core connCore) {
+	addr, _, cs := startCore(t, core, Options{}, ServeOptions{})
 
 	const workers = 16
 	iters := 30
@@ -332,12 +500,14 @@ func TestReactorChurn(t *testing.T) {
 				}
 				cl := &respClient{conn: conn, r: resp.NewReader(conn), w: resp.NewWriter(conn)}
 				ch := fmt.Sprintf("churn%d", w%4)
-				cl.cmd(t, "SUBSCRIBE", ch)
-				cl.cmd(t, "PUBLISH", ch, "x") //nolint:errcheck // may race own delivery
+				cl.w.WriteCommand([]byte("SUBSCRIBE"), []byte(ch))            //nolint:errcheck
+				cl.w.WriteCommand([]byte("PUBLISH"), []byte(ch), []byte("x")) //nolint:errcheck
 				if i%3 == 0 {
 					cl.w.WriteCommand([]byte("QUIT")) //nolint:errcheck
-					cl.w.Flush()                      //nolint:errcheck
 				}
+				cl.w.Flush()                                          //nolint:errcheck
+				conn.SetReadDeadline(time.Now().Add(2 * time.Second)) //nolint:errcheck
+				cl.r.ReadValue()                                      //nolint:errcheck // the subscribe ack
 				conn.Close()
 			}
 		}(w)
@@ -350,6 +520,9 @@ func TestReactorChurn(t *testing.T) {
 			t.Fatalf("conns stuck at %d after churn", cs.Stats().Conns)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+	if st := cs.Stats(); st.Closes != st.Accepts {
+		t.Fatalf("closes %d != accepts %d after churn", st.Closes, st.Accepts)
 	}
 }
 
@@ -394,18 +567,5 @@ func TestFDTable(t *testing.T) {
 	tbl.del(9999) // no-op
 	if tbl.get(5) != nil || tbl.size() != 2 {
 		t.Fatal("del failed")
-	}
-}
-
-func TestParseConnCore(t *testing.T) {
-	cases := map[string]ConnCore{"": CoreAuto, "auto": CoreAuto, "goroutine": CoreGoroutine, "reactor": CoreReactor}
-	for in, want := range cases {
-		got, err := ParseConnCore(in)
-		if err != nil || got != want {
-			t.Fatalf("ParseConnCore(%q) = %v, %v", in, got, err)
-		}
-	}
-	if _, err := ParseConnCore("bogus"); err == nil {
-		t.Fatal("ParseConnCore accepted bogus")
 	}
 }

@@ -1,7 +1,6 @@
 package broker
 
 import (
-	"sync"
 	"testing"
 	"time"
 )
@@ -60,126 +59,6 @@ func TestDirectAndPatternExactlyOneCopy(t *testing.T) {
 	case f := <-patterned.frames:
 		t.Fatalf("pattern subscriber got a second copy: %v", f)
 	default:
-	}
-}
-
-// batchSink records Deliver and FlushDeliveries calls; the gate, when set,
-// blocks the first Deliver so a backlog can build up behind it.
-type batchSink struct {
-	mu        sync.Mutex
-	delivered int
-	flushes   int
-	gate      chan struct{}
-	gateOnce  sync.Once
-	inFirst   chan struct{} // closed when the first Deliver is entered
-}
-
-func newBatchSink(gated bool) *batchSink {
-	s := &batchSink{inFirst: make(chan struct{})}
-	if gated {
-		s.gate = make(chan struct{})
-	}
-	return s
-}
-
-func (s *batchSink) Deliver(string, []byte) {
-	first := false
-	s.gateOnce.Do(func() { first = true })
-	if first {
-		close(s.inFirst)
-		if s.gate != nil {
-			<-s.gate
-		}
-	}
-	s.mu.Lock()
-	s.delivered++
-	s.mu.Unlock()
-}
-
-func (s *batchSink) FlushDeliveries() {
-	s.mu.Lock()
-	s.flushes++
-	s.mu.Unlock()
-}
-
-func (s *batchSink) Closed(error) {}
-
-func (s *batchSink) counts() (delivered, flushes int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.delivered, s.flushes
-}
-
-// TestWriterCoalescesBatches proves the write-coalescing contract: a burst
-// that queues behind a stalled delivery is drained in one batch and flushed
-// once, not once per message.
-func TestWriterCoalescesBatches(t *testing.T) {
-	b := New(Options{OutputBuffer: 128, WriteBatch: 64})
-	defer b.Close()
-	sink := newBatchSink(true)
-	s, err := b.Connect("c", sink)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Subscribe("burst"); err != nil {
-		t.Fatal(err)
-	}
-
-	const msgs = 10
-	if got := b.Publish("burst", []byte("m")); got != 1 {
-		t.Fatalf("Publish=%d", got)
-	}
-	<-sink.inFirst // writer is now stalled inside Deliver
-	for i := 1; i < msgs; i++ {
-		if got := b.Publish("burst", []byte("m")); got != 1 {
-			t.Fatalf("Publish=%d", got)
-		}
-	}
-	close(sink.gate)
-
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		delivered, _ := sink.counts()
-		if delivered == msgs {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("delivered %d of %d", delivered, msgs)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if _, flushes := sink.counts(); flushes < 1 || flushes >= msgs {
-		t.Fatalf("flushes=%d for %d messages, want coalescing (1 <= flushes < %d)", flushes, msgs, msgs)
-	}
-}
-
-// TestWriteBatchOfOneFlushesPerMessage pins the knob's lower bound:
-// WriteBatch=1 disables coalescing and flushes after every delivery.
-func TestWriteBatchOfOneFlushesPerMessage(t *testing.T) {
-	b := New(Options{OutputBuffer: 128, WriteBatch: 1})
-	defer b.Close()
-	sink := newBatchSink(false)
-	s, err := b.Connect("c", sink)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Subscribe("one"); err != nil {
-		t.Fatal(err)
-	}
-	const msgs = 5
-	for i := 0; i < msgs; i++ {
-		b.Publish("one", []byte("m"))
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		delivered, flushes := sink.counts()
-		if delivered == msgs && flushes >= msgs {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("delivered=%d flushes=%d, want %d of each", delivered, flushes, msgs)
-		}
-		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -3,32 +3,32 @@
 package broker
 
 import (
-	"errors"
 	"fmt"
 	"net"
-	"strconv"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"syscall"
-	"time"
-
-	"github.com/dynamoth/dynamoth/internal/resp"
 )
 
 // This file is the Linux event-loop connection core: a sharded epoll
-// reactor. The accept loop pulls raw fds off the listener with accept4 and
-// hands them round-robin to N shards; each shard owns one epoll instance, an
-// fd-indexed session table, and a shared read buffer. Reads are
-// edge-triggered into the shared buffer and fed to the per-session
-// incremental RESP parser (partial frames carry over between wakeups);
-// deliveries enqueue into per-session write buffers that the shard flushes
-// once per loop pass, so a fan-out burst costs one write syscall per
-// *connection per cycle*, not one per message — and an idle connection costs
-// one table slot and an empty buffer, not two goroutines and a channel.
+// reactor. The shared accept loop hands each accepted socket to attach, which
+// moves its fd round-robin to one of GOMAXPROCS shards; each shard owns one
+// epoll instance, an fd-indexed session table, and a shared read buffer.
+// Reads are edge-triggered into the shared buffer and fed to the
+// connection's incremental RESP parser (partial frames carry over between
+// wakeups); deliveries enqueue into per-connection write buffers (respConn)
+// that the shard flushes once per loop pass, so a fan-out burst costs one
+// write syscall per *connection per cycle*, not one per message — and an
+// idle connection costs one table slot and an empty buffer, not two
+// goroutines and a read buffer.
 
-// ReactorAvailable reports whether the epoll reactor core can run on this
-// platform.
-func ReactorAvailable() bool { return true }
+// platformCore is the core NewConnServer serves with.
+var platformCore = connCore{name: "reactor", start: startReactor}
+
+// shardReadBuffer is the per-shard read buffer: big enough to drain a burst
+// of pipelined commands in one syscall.
+const shardReadBuffer = 64 << 10
 
 // epoll event masks. EPOLLET does not fit int32 through the syscall
 // constants, so the masks are assembled as uint32 here.
@@ -39,21 +39,16 @@ const (
 	epollErrMask  = uint32(syscall.EPOLLHUP | syscall.EPOLLERR)
 )
 
-// serveReactor runs the sharded epoll event loop against ln's socket until
-// the listener closes, then tears down every remaining connection.
-func (cs *ConnServer) serveReactor(ln net.Listener) error {
-	tln, ok := ln.(*net.TCPListener)
-	if !ok {
-		return fmt.Errorf("broker: reactor core requires *net.TCPListener, got %T", ln)
-	}
-	r := &reactor{cs: cs, b: cs.b, ln: tln}
-	for i := 0; i < cs.opts.Shards; i++ {
+// startReactor creates the shards and starts their event loops.
+func startReactor(cs *ConnServer) (func(*net.TCPConn), func(), error) {
+	r := &reactor{cs: cs}
+	for i := 0; i < runtime.GOMAXPROCS(0); i++ {
 		sh, err := newShard(r)
 		if err != nil {
 			for _, s := range r.shards {
 				s.destroy()
 			}
-			return fmt.Errorf("broker: reactor shard: %w", err)
+			return nil, nil, fmt.Errorf("broker: reactor shard: %w", err)
 		}
 		r.shards = append(r.shards, sh)
 	}
@@ -65,59 +60,42 @@ func (cs *ConnServer) serveReactor(ln net.Listener) error {
 			sh.loop()
 		}(sh)
 	}
-	err := r.acceptLoop()
-	for _, sh := range r.shards {
-		sh.stop()
+	stop := func() {
+		for _, sh := range r.shards {
+			sh.stop()
+		}
+		wg.Wait()
 	}
-	wg.Wait()
-	return err
+	return r.attach, stop, nil
 }
 
 type reactor struct {
 	cs     *ConnServer
-	b      *Broker
-	ln     *net.TCPListener
 	shards []*rshard
-	next   uint64 // round-robin shard cursor (acceptor goroutine only)
+	next   uint64 // round-robin shard cursor (accept goroutine only)
 }
 
-// acceptLoop pulls connections off the listener and transfers each fd out of
-// the runtime's netpoller into shard ownership. Go's listener RawConn only
-// supports Control (Read returns EINVAL), so the portable Accept does the
-// blocking; the fd is then duplicated out of the short-lived *net.TCPConn
-// (dup shares the file description, so the socket survives closing the
-// original) and everything after the handoff is epoll-only. Returns the
-// listener's close error.
-func (r *reactor) acceptLoop() error {
-	for {
-		conn, err := r.ln.AcceptTCP()
-		if err != nil {
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() {
-				continue
-			}
-			if isTransientAccept(err) {
-				// Out of descriptors or an aborted handshake: back off
-				// instead of spinning.
-				time.Sleep(10 * time.Millisecond)
-				continue
-			}
-			return fmt.Errorf("broker: accept: %w", err)
-		}
-		fd, err := dupConnFD(conn)
-		addr := conn.RemoteAddr().String()
-		conn.Close() //nolint:errcheck // fd ownership moved (or dup failed)
-		if err != nil {
-			continue
-		}
-		r.register(fd, addr)
+// attach transfers an accepted connection's fd out of the runtime's
+// netpoller into shard ownership. Go's listener RawConn only supports Control
+// (Read returns EINVAL), so the portable Accept does the blocking; the fd is
+// then duplicated out of the short-lived *net.TCPConn (dup shares the file
+// description, so the socket survives closing the original) and everything
+// after the handoff is epoll-only.
+func (r *reactor) attach(conn *net.TCPConn) {
+	defer conn.Close() //nolint:errcheck // fd ownership moved (or dup failed)
+	fd, err := dupConnFD(conn)
+	if err != nil {
+		return
 	}
-}
-
-// isTransientAccept reports whether an accept error is worth retrying.
-func isTransientAccept(err error) bool {
-	return errors.Is(err, syscall.EMFILE) || errors.Is(err, syscall.ENFILE) ||
-		errors.Is(err, syscall.ECONNABORTED) || errors.Is(err, syscall.EINTR)
+	sh := r.shards[r.next%uint64(len(r.shards))]
+	r.next++
+	rs := &rsession{fd: fd, sh: sh}
+	rs.wake = func() { sh.addPending(rs) }
+	if !r.cs.connect(&rs.respConn, rs, conn) {
+		syscall.Close(fd) //nolint:errcheck // refused
+		return
+	}
+	sh.addIncoming(rs)
 }
 
 // dupConnFD duplicates tc's descriptor so the reactor owns a copy outside
@@ -147,108 +125,15 @@ func dupConnFD(tc *net.TCPConn) (int, error) {
 	return nfd, nil
 }
 
-// register attaches a freshly accepted fd to a shard.
-func (r *reactor) register(fd int, addr string) {
-	// Explicit TCP_NODELAY: delivery latency must never ride on Nagle
-	// coalescing (the shard flush cycle already batches writes).
-	syscall.SetsockoptInt(fd, syscall.IPPROTO_TCP, syscall.TCP_NODELAY, 1) //nolint:errcheck // best-effort
-	sh := r.shards[r.next%uint64(len(r.shards))]
-	r.next++
-	rs := &rsession{fd: fd, sh: sh, name: addr}
-	sess, err := r.b.Connect(addr, rs)
-	if err != nil {
-		// Broker shut down; refuse politely.
-		syscall.Write(fd, []byte("-ERR broker unavailable\r\n")) //nolint:errcheck
-		syscall.Close(fd)                                        //nolint:errcheck
-		return
-	}
-	rs.sess = sess
-	r.cs.accepts.Add(1)
-	r.cs.conns.Add(1)
-	if r.cs.opts.Observer != nil {
-		r.cs.opts.Observer.OnAccept(addr)
-	}
-	sh.addIncoming(rs)
-}
-
-// rsession is one reactor-core connection. It implements EnqueueSink (so
-// the broker's Publish writes straight into wbuf with no writer goroutine)
-// and replySink (so dispatch replies coalesce into the same buffer).
+// rsession is one reactor-core connection: the shared output seam plus the
+// fd and its epoll state.
 type rsession struct {
-	fd   int
-	sh   *rshard
-	name string
-	sess *Session
-	// parser carries partial frames across read wakeups; it is only
-	// touched by the shard goroutine.
-	parser resp.CommandParser
+	respConn
+	fd int
+	sh *rshard
 
-	mu         sync.Mutex
-	wbuf       []byte // pending outbound bytes (replies + deliveries)
-	dirty      bool   // queued in the shard's flush list
-	wantWrite  bool   // EPOLLOUT armed (kernel buffer was full)
-	closed     bool   // no more enqueues; teardown queued
-	fdReleased bool   // fd closed, table entry gone (shard goroutine only)
-	reason     error  // why the session ended
-}
-
-func (rs *rsession) isClosed() bool {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	return rs.closed
-}
-
-// markDirtyLocked queues the session for the shard's next flush cycle.
-// Caller holds rs.mu.
-func (rs *rsession) markDirtyLocked() {
-	if !rs.dirty {
-		rs.dirty = true
-		rs.sh.addPending(rs)
-	}
-}
-
-// Enqueue implements EnqueueSink: called from publisher goroutines on the
-// fan-out hot path. It appends the push frame to the session's write buffer
-// and wakes the owning shard; false means the buffer is over its limit
-// (slow consumer) and the broker must disconnect the session.
-func (rs *rsession) Enqueue(channel, pattern string, payload []byte) bool {
-	cs := rs.sh.r.cs
-	rs.mu.Lock()
-	if rs.closed {
-		rs.mu.Unlock()
-		return true // dying anyway; swallow like a closed Redis conn
-	}
-	if len(rs.wbuf) > cs.opts.WriteBufferLimit {
-		buffered := len(rs.wbuf)
-		rs.mu.Unlock()
-		cs.backpressure.Add(1)
-		if cs.opts.Observer != nil {
-			cs.opts.Observer.OnBackpressure(rs.name, buffered)
-		}
-		return false
-	}
-	if pattern != "" {
-		rs.wbuf = resp.AppendPMessage(rs.wbuf, pattern, channel, payload)
-	} else {
-		rs.wbuf = resp.AppendMessage(rs.wbuf, channel, payload)
-	}
-	rs.markDirtyLocked()
-	rs.mu.Unlock()
-	// The frame is now in the connection's write buffer, flushed on the
-	// shard's next pass: the reactor core's writer-flush observation point.
-	rs.sh.r.b.observeFlush(payload)
-	return true
-}
-
-// Deliver implements Sink; the broker uses Enqueue for reactor sessions, but
-// the interface requires it (and in-process callers may hold one).
-func (rs *rsession) Deliver(channel string, payload []byte) {
-	rs.Enqueue(channel, "", payload)
-}
-
-// DeliverPattern implements PatternSink.
-func (rs *rsession) DeliverPattern(pattern, channel string, payload []byte) {
-	rs.Enqueue(channel, pattern, payload)
+	wantWrite  bool // EPOLLOUT armed (kernel buffer was full); guarded by mu
+	fdReleased bool // fd closed, table entry gone (shard goroutine only)
 }
 
 // Closed implements Sink: called exactly once by the broker when the session
@@ -256,113 +141,8 @@ func (rs *rsession) DeliverPattern(pattern, channel string, payload []byte) {
 // close the fd — fd lifecycle belongs to the shard goroutine, which frees it
 // on the next pass.
 func (rs *rsession) Closed(reason error) {
-	rs.mu.Lock()
-	if rs.closed {
-		rs.mu.Unlock()
-		return
-	}
-	rs.closed = true
-	rs.reason = reason
-	rs.mu.Unlock()
+	rs.shut(reason)
 	rs.sh.addDead(rs)
-}
-
-// replySink implementation: replies append to the same pending buffer as
-// deliveries, so acks and pushes interleave in order and flush together.
-
-func (rs *rsession) replyLockedCheck() error {
-	if rs.closed {
-		return ErrSessionClosed
-	}
-	return nil
-}
-
-func (rs *rsession) writeAck(kind, channel string, count int) error {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	if err := rs.replyLockedCheck(); err != nil {
-		return err
-	}
-	w := append(rs.wbuf, '*', '3', '\r', '\n')
-	w = resp.AppendBulkString(w, kind)
-	w = resp.AppendBulkString(w, channel)
-	w = append(w, ':')
-	w = strconv.AppendInt(w, int64(count), 10)
-	rs.wbuf = append(w, '\r', '\n')
-	rs.markDirtyLocked()
-	return nil
-}
-
-func (rs *rsession) writeReplayAck(channel string, count, replayed int, missed, epoch uint64) error {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	if err := rs.replyLockedCheck(); err != nil {
-		return err
-	}
-	w := append(rs.wbuf, '*', '6', '\r', '\n')
-	w = resp.AppendBulkString(w, "csubscribe")
-	w = resp.AppendBulkString(w, channel)
-	w = append(w, ':')
-	w = strconv.AppendInt(w, int64(count), 10)
-	w = append(w, '\r', '\n', ':')
-	w = strconv.AppendInt(w, int64(replayed), 10)
-	w = append(w, '\r', '\n', ':')
-	w = strconv.AppendUint(w, missed, 10)
-	w = append(w, '\r', '\n', ':')
-	w = strconv.AppendUint(w, epoch, 10)
-	rs.wbuf = append(w, '\r', '\n')
-	rs.markDirtyLocked()
-	return nil
-}
-
-func (rs *rsession) writeSimple(v string) error {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	if err := rs.replyLockedCheck(); err != nil {
-		return err
-	}
-	w := append(rs.wbuf, '+')
-	w = append(w, v...)
-	rs.wbuf = append(w, '\r', '\n')
-	rs.markDirtyLocked()
-	return nil
-}
-
-func (rs *rsession) writeErr(msg string) error {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	if err := rs.replyLockedCheck(); err != nil {
-		return err
-	}
-	w := append(rs.wbuf, '-')
-	w = append(w, msg...)
-	rs.wbuf = append(w, '\r', '\n')
-	rs.markDirtyLocked()
-	return nil
-}
-
-func (rs *rsession) writeInt(n int64) error {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	if err := rs.replyLockedCheck(); err != nil {
-		return err
-	}
-	w := append(rs.wbuf, ':')
-	w = strconv.AppendInt(w, n, 10)
-	rs.wbuf = append(w, '\r', '\n')
-	rs.markDirtyLocked()
-	return nil
-}
-
-func (rs *rsession) writeBulk(b []byte) error {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	if err := rs.replyLockedCheck(); err != nil {
-		return err
-	}
-	rs.wbuf = resp.AppendBulk(rs.wbuf, b)
-	rs.markDirtyLocked()
-	return nil
 }
 
 // rshard is one event-loop shard: an epoll instance, a wake pipe, the
@@ -407,7 +187,7 @@ func newShard(r *reactor) (*rshard, error) {
 		wakeR:  p[0],
 		wakeW:  p[1],
 		events: make([]syscall.EpollEvent, 256),
-		rbuf:   make([]byte, r.cs.opts.ReadBuffer),
+		rbuf:   make([]byte, shardReadBuffer),
 	}
 	ev := syscall.EpollEvent{Events: uint32(syscall.EPOLLIN), Fd: int32(p[0])}
 	if err := syscall.EpollCtl(epfd, syscall.EPOLL_CTL_ADD, p[0], &ev); err != nil {
@@ -529,7 +309,7 @@ func (sh *rshard) processIncoming() {
 		}
 		ev := syscall.EpollEvent{Events: epollReadMask, Fd: int32(rs.fd)}
 		if err := syscall.EpollCtl(sh.epfd, syscall.EPOLL_CTL_ADD, rs.fd, &ev); err != nil {
-			sh.closeSession(rs, fmt.Errorf("broker: epoll add: %w", err))
+			rs.end(fmt.Errorf("broker: epoll add: %w", err))
 			continue
 		}
 		sh.table.put(rs.fd, rs)
@@ -544,7 +324,7 @@ func (sh *rshard) handleEvent(fd int, events uint32) {
 		return
 	}
 	if events&epollErrMask != 0 {
-		sh.closeSession(rs, nil) // peer reset/hangup: ordinary disconnect
+		rs.end(nil) // peer reset/hangup: ordinary disconnect
 		return
 	}
 	if events&uint32(syscall.EPOLLOUT) != 0 {
@@ -559,32 +339,15 @@ func (sh *rshard) handleEvent(fd int, events uint32) {
 }
 
 // readSession drains the socket (edge-triggered: until EAGAIN) through the
-// shared read buffer into the session's incremental parser, dispatching
-// every complete command.
+// shared read buffer into the connection's parser and dispatch.
 func (sh *rshard) readSession(rs *rsession) {
-	cs := sh.r.cs
 	for {
 		n, err := syscall.Read(rs.fd, sh.rbuf)
 		if n > 0 {
-			cs.bytesIn.Add(uint64(n))
-			rs.parser.Feed(sh.rbuf[:n])
-			for {
-				args, perr := rs.parser.Next()
-				if perr != nil {
-					rs.writeErr("ERR protocol error") //nolint:errcheck
-					sh.closeSession(rs, perr)
-					return
-				}
-				if args == nil {
-					break
-				}
-				if done := dispatch(sh.r.b, rs.sess, rs, args); done {
-					sh.closeSession(rs, nil)
-					return
-				}
-				if rs.isClosed() {
-					return // dispatch raced a concurrent teardown
-				}
+			sh.r.cs.bytesIn.Add(uint64(n))
+			if done, reason := rs.feed(sh.rbuf[:n]); done {
+				rs.end(reason)
+				return
 			}
 			if n < len(sh.rbuf) {
 				// Short read: the socket buffer is drained; a fresh edge
@@ -599,10 +362,10 @@ func (sh *rshard) readSession(rs *rsession) {
 		case syscall.EINTR:
 			continue
 		case nil:
-			sh.closeSession(rs, nil) // n == 0: peer closed
+			rs.end(nil) // n == 0: peer closed
 			return
 		default:
-			sh.closeSession(rs, err)
+			rs.end(err)
 			return
 		}
 	}
@@ -652,7 +415,7 @@ func (sh *rshard) flushSession(rs *rsession) {
 	}
 	if err != nil {
 		rs.mu.Unlock()
-		sh.closeSession(rs, err)
+		rs.end(err)
 		return
 	}
 	rs.wbuf = rs.wbuf[:0]
@@ -671,25 +434,6 @@ func (sh *rshard) flushSession(rs *rsession) {
 func (sh *rshard) epollMod(fd int, mask uint32) {
 	ev := syscall.EpollEvent{Events: mask, Fd: int32(fd)}
 	syscall.EpollCtl(sh.epfd, syscall.EPOLL_CTL_MOD, fd, &ev) //nolint:errcheck // fd may be racing teardown
-}
-
-// closeSession ends a session from the shard goroutine. The broker's close
-// path invokes rs.Closed, which queues the fd release for this same loop
-// pass.
-func (sh *rshard) closeSession(rs *rsession, reason error) {
-	if rs.sess != nil {
-		if reason == nil {
-			rs.sess.close(ErrSessionClosed)
-		} else {
-			rs.sess.close(reason)
-		}
-		// Preserve "ordinary disconnect" for the observer.
-		if reason == nil {
-			rs.mu.Lock()
-			rs.reason = nil
-			rs.mu.Unlock()
-		}
-	}
 }
 
 // processDead releases fds of sessions the broker has closed.
@@ -724,17 +468,12 @@ func (sh *rshard) releaseFD(rs *rsession) {
 		}
 	}
 	rs.wbuf = nil
-	reason := rs.reason
 	rs.mu.Unlock()
 	if sh.table.get(rs.fd) == rs {
 		sh.table.del(rs.fd)
 	}
 	syscall.Close(rs.fd) //nolint:errcheck
-	cs.conns.Add(-1)
-	cs.closes.Add(1)
-	if cs.opts.Observer != nil {
-		cs.opts.Observer.OnConnClose(rs.name, reason)
-	}
+	cs.disconnected(&rs.respConn)
 }
 
 // cleanup tears down every remaining connection and the shard's own
@@ -744,7 +483,7 @@ func (sh *rshard) cleanup() {
 	var live []*rsession
 	sh.table.each(func(_ int, rs *rsession) { live = append(live, rs) })
 	for _, rs := range live {
-		sh.closeSession(rs, ErrSessionClosed)
+		rs.end(ErrSessionClosed)
 	}
 	// ...and any accepted-but-unregistered stragglers.
 	sh.processIncoming()
@@ -753,7 +492,7 @@ func (sh *rshard) cleanup() {
 	sh.incoming = nil
 	sh.qmu.Unlock()
 	for _, rs := range batch {
-		sh.closeSession(rs, ErrSessionClosed)
+		rs.end(ErrSessionClosed)
 	}
 	sh.processDead()
 	sh.destroy()

@@ -2,12 +2,6 @@
 
 package broker
 
-import "net"
-
-// ReactorAvailable reports whether the epoll reactor core can run on this
-// platform. Non-Linux builds fall back to the goroutine core.
-func ReactorAvailable() bool { return false }
-
-func (cs *ConnServer) serveReactor(net.Listener) error {
-	return ErrReactorUnavailable
-}
+// platformCore is the core NewConnServer serves with: without epoll, the
+// portable one.
+var platformCore = goroutineCore

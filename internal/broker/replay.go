@@ -232,20 +232,10 @@ func (s *Session) SubscribeFrom(channel string, cur message.Cursor) (ReplayResul
 		if s.closed.Load() {
 			return res, ErrSessionClosed
 		}
-		if s.enq != nil {
-			if !s.enq.Enqueue(channel, "", f) {
-				s.broker.dropped.Add(1)
-				s.close(ErrSlowConsumer)
-				return res, ErrSlowConsumer
-			}
-		} else {
-			select {
-			case s.out <- delivery{channel: channel, payload: f}:
-			default:
-				s.broker.dropped.Add(1)
-				s.close(ErrSlowConsumer)
-				return res, ErrSlowConsumer
-			}
+		if !s.sink.Enqueue(channel, "", f) {
+			s.broker.dropped.Add(1)
+			s.close(ErrSlowConsumer)
+			return res, ErrSlowConsumer
 		}
 		res.Replayed++
 	}

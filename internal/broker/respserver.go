@@ -1,9 +1,6 @@
 package broker
 
 import (
-	"errors"
-	"io"
-	"net"
 	"strconv"
 	"strings"
 	"sync"
@@ -12,152 +9,222 @@ import (
 	"github.com/dynamoth/dynamoth/internal/resp"
 )
 
-// replySink is the command-reply surface shared by both connection cores.
-// The goroutine core's respSink flushes each reply through a per-connection
-// bufio writer; the reactor core's session appends to its pending write
-// buffer and lets the shard flush cycle push it out.
-type replySink interface {
-	writeAck(kind, channel string, count int) error
-	writeReplayAck(channel string, count, replayed int, missed, epoch uint64) error
-	writeSimple(v string) error
-	writeErr(msg string) error
-	writeInt(n int64) error
-	writeBulk(b []byte) error
+// respConn is the one connection seam both TCP cores embed: the broker
+// session behind a socket, the incremental command parser, and the pending
+// output buffer — replies and deliveries appended under one mutex, so they
+// leave in the order they were produced (a CSUBSCRIBE ack always follows its
+// replayed frames) and flush together. It implements EnqueueSink except for
+// Closed, which each core adds because releasing the socket is the core's
+// business. A core supplies two things only: wake, how its flusher learns
+// that bytes are pending, and the loop that reads the socket into feed.
+type respConn struct {
+	cs   *ConnServer
+	name string // remote address
+	sess *Session
+	// parser carries partial frames across reads; it is only touched by
+	// the goroutine that reads the socket.
+	parser resp.CommandParser
+	// wake is called with mu held when the buffer goes from clean to dirty.
+	// It must not block.
+	wake func()
+
+	mu     sync.Mutex
+	wbuf   []byte // pending outbound bytes (replies + deliveries)
+	dirty  bool   // wake has fired and the flusher has not yet taken wbuf
+	closed bool   // no more output is accepted
+	reason error  // why the connection ended (nil = ordinary disconnect)
 }
 
-// respSink bridges broker deliveries onto a RESP connection. Deliver and
-// DeliverPattern only buffer their frame; the session writer calls
-// FlushDeliveries once per drained batch, so a fan-out burst costs one TCP
-// write instead of one per message.
-type respSink struct {
-	mu   sync.Mutex
-	w    *resp.Writer
-	conn net.Conn
+func (c *respConn) isClosed() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.closed
 }
 
-func (s *respSink) writeAck(kind, channel string, count int) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.w.WriteArrayHeader(3)        //nolint:errcheck
-	s.w.WriteBulkString(kind)      //nolint:errcheck
-	s.w.WriteBulkString(channel)   //nolint:errcheck
-	s.w.WriteInteger(int64(count)) //nolint:errcheck
-	return s.w.Flush()
+// markDirtyLocked tells the core's flusher there are bytes to write. Caller
+// holds c.mu.
+func (c *respConn) markDirtyLocked() {
+	if !c.dirty {
+		c.dirty = true
+		c.wake()
+	}
+}
+
+// Enqueue implements EnqueueSink: called from publisher goroutines on the
+// fan-out hot path. It appends the push frame to the pending buffer and wakes
+// the flusher; false means the buffer is over ServeOptions.WriteBufferLimit
+// (slow consumer) and the broker must disconnect the session.
+func (c *respConn) Enqueue(channel, pattern string, payload []byte) bool {
+	cs := c.cs
+	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
+		return true // dying anyway; swallow like a closed Redis conn
+	}
+	if len(c.wbuf) > cs.opts.WriteBufferLimit {
+		buffered := len(c.wbuf)
+		c.mu.Unlock()
+		cs.backpressure.Add(1)
+		if cs.opts.Observer != nil {
+			cs.opts.Observer.OnBackpressure(c.name, buffered)
+		}
+		return false
+	}
+	if pattern != "" {
+		c.wbuf = resp.AppendPMessage(c.wbuf, pattern, channel, payload)
+	} else {
+		c.wbuf = resp.AppendMessage(c.wbuf, channel, payload)
+	}
+	c.markDirtyLocked()
+	c.mu.Unlock()
+	// The frame is now in the connection's write buffer, written out on the
+	// flusher's next pass: the writer-flush observation point of the latency
+	// waterfall for TCP sessions.
+	cs.b.observeFlush(payload)
+	return true
+}
+
+// Deliver implements Sink; the broker only ever calls Enqueue, but the
+// interface requires it.
+func (c *respConn) Deliver(channel string, payload []byte) {
+	c.Enqueue(channel, "", payload)
+}
+
+// shut stops the connection accepting output. The first reason wins, so a
+// core that ends a connection itself records its own reason (nil for an
+// ordinary disconnect) before the broker's Closed callback arrives.
+func (c *respConn) shut(reason error) {
+	c.mu.Lock()
+	if !c.closed {
+		c.closed = true
+		c.reason = reason
+	}
+	c.mu.Unlock()
+}
+
+// end closes the connection's session; the broker then calls the core's
+// Closed, which releases the socket. reason is what the ConnObserver is
+// told: nil for an ordinary disconnect (peer hangup, QUIT).
+func (c *respConn) end(reason error) {
+	c.shut(reason)
+	if reason == nil {
+		reason = ErrSessionClosed
+	}
+	c.sess.close(reason)
+}
+
+// feed runs one read's worth of bytes through the parser and executes every
+// complete command. done reports that the connection should end, for reason
+// (nil after QUIT, or when a concurrent teardown got there first).
+func (c *respConn) feed(p []byte) (done bool, reason error) {
+	c.parser.Feed(p)
+	for {
+		args, err := c.parser.Next()
+		if err != nil {
+			c.writeErr("ERR protocol error") //nolint:errcheck
+			return true, err
+		}
+		if args == nil {
+			return false, nil
+		}
+		if dispatch(c.cs.b, c.sess, c, args) || c.isClosed() {
+			return true, nil
+		}
+	}
+}
+
+// Replies append to the same pending buffer as deliveries. Each returns
+// ErrSessionClosed once the connection stopped accepting output.
+
+func (c *respConn) writeAck(kind, channel string, count int) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		return ErrSessionClosed
+	}
+	w := append(c.wbuf, '*', '3', '\r', '\n')
+	w = resp.AppendBulkString(w, kind)
+	w = resp.AppendBulkString(w, channel)
+	w = append(w, ':')
+	w = strconv.AppendInt(w, int64(count), 10)
+	c.wbuf = append(w, '\r', '\n')
+	c.markDirtyLocked()
+	return nil
 }
 
 // writeReplayAck is the CSUBSCRIBE reply: a 6-element array of kind,
 // channel, subscription count, frames replayed, frames missed (already
 // evicted from the ring), and the ring's current epoch.
-func (s *respSink) writeReplayAck(channel string, count, replayed int, missed, epoch uint64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.w.WriteArrayHeader(6)           //nolint:errcheck
-	s.w.WriteBulkString("csubscribe") //nolint:errcheck
-	s.w.WriteBulkString(channel)      //nolint:errcheck
-	s.w.WriteInteger(int64(count))    //nolint:errcheck
-	s.w.WriteInteger(int64(replayed)) //nolint:errcheck
-	s.w.WriteInteger(int64(missed))   //nolint:errcheck
-	s.w.WriteInteger(int64(epoch))    //nolint:errcheck
-	return s.w.Flush()
-}
-
-func (s *respSink) writeSimple(v string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.w.WriteSimpleString(v) //nolint:errcheck
-	return s.w.Flush()
-}
-
-func (s *respSink) writeErr(msg string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.w.WriteError(msg) //nolint:errcheck
-	return s.w.Flush()
-}
-
-func (s *respSink) writeInt(n int64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.w.WriteInteger(n) //nolint:errcheck
-	return s.w.Flush()
-}
-
-func (s *respSink) writeBulk(b []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.w.WriteBulk(b) //nolint:errcheck
-	return s.w.Flush()
-}
-
-// Deliver implements Sink. It buffers the message frame; the batch flush
-// (or any interleaved reply on this connection) pushes it out.
-func (s *respSink) Deliver(channel string, payload []byte) {
-	s.mu.Lock()
-	err := s.w.WriteMessage(channel, payload)
-	s.mu.Unlock()
-	if err != nil {
-		s.conn.Close() //nolint:errcheck // teardown; reader notices
+func (c *respConn) writeReplayAck(channel string, count, replayed int, missed, epoch uint64) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		return ErrSessionClosed
 	}
+	w := append(c.wbuf, '*', '6', '\r', '\n')
+	w = resp.AppendBulkString(w, "csubscribe")
+	w = resp.AppendBulkString(w, channel)
+	w = append(w, ':')
+	w = strconv.AppendInt(w, int64(count), 10)
+	w = append(w, '\r', '\n', ':')
+	w = strconv.AppendInt(w, int64(replayed), 10)
+	w = append(w, '\r', '\n', ':')
+	w = strconv.AppendUint(w, missed, 10)
+	w = append(w, '\r', '\n', ':')
+	w = strconv.AppendUint(w, epoch, 10)
+	c.wbuf = append(w, '\r', '\n')
+	c.markDirtyLocked()
+	return nil
 }
 
-// DeliverPattern implements PatternSink with the Redis pmessage frame,
-// buffered like Deliver.
-func (s *respSink) DeliverPattern(pattern, channel string, payload []byte) {
-	s.mu.Lock()
-	err := s.w.WritePMessage(pattern, channel, payload)
-	s.mu.Unlock()
-	if err != nil {
-		s.conn.Close() //nolint:errcheck // teardown; reader notices
+func (c *respConn) writeSimple(v string) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		return ErrSessionClosed
 	}
+	w := append(c.wbuf, '+')
+	w = append(w, v...)
+	c.wbuf = append(w, '\r', '\n')
+	c.markDirtyLocked()
+	return nil
 }
 
-// FlushDeliveries implements BatchSink: one flush per drained batch of
-// deliveries — the write-coalescing point of the whole pipeline.
-func (s *respSink) FlushDeliveries() {
-	s.mu.Lock()
-	err := s.w.Flush()
-	s.mu.Unlock()
-	if err != nil {
-		s.conn.Close() //nolint:errcheck // teardown; reader notices
+func (c *respConn) writeErr(msg string) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		return ErrSessionClosed
 	}
+	w := append(c.wbuf, '-')
+	w = append(w, msg...)
+	c.wbuf = append(w, '\r', '\n')
+	c.markDirtyLocked()
+	return nil
 }
 
-// Closed implements Sink.
-func (s *respSink) Closed(error) {
-	s.conn.Close() //nolint:errcheck // teardown
+func (c *respConn) writeInt(n int64) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		return ErrSessionClosed
+	}
+	w := append(c.wbuf, ':')
+	w = strconv.AppendInt(w, n, 10)
+	c.wbuf = append(w, '\r', '\n')
+	c.markDirtyLocked()
+	return nil
 }
 
-// serveConn runs one goroutine-core connection to completion and returns the
-// reason the session ended (nil for a plain peer disconnect).
-func serveConn(conn net.Conn, b *Broker) error {
-	defer conn.Close() //nolint:errcheck // teardown
-	sink := &respSink{w: resp.NewWriter(conn), conn: conn}
-	session, err := b.Connect(conn.RemoteAddr().String(), sink)
-	if err != nil {
-		sink.writeErr("ERR broker unavailable") //nolint:errcheck
-		return err
+func (c *respConn) writeBulk(b []byte) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		return ErrSessionClosed
 	}
-	defer session.Close()
-
-	r := resp.NewReader(conn)
-	for {
-		args, err := r.ReadCommand()
-		if err != nil {
-			if reason := session.CloseReason(); reason != nil {
-				// The broker ended the session (slow consumer, shutdown);
-				// the read error is just the closed socket.
-				return reason
-			}
-			if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			sink.writeErr("ERR protocol error") //nolint:errcheck
-			return err
-		}
-		if done := dispatch(b, session, sink, args); done {
-			return session.CloseReason()
-		}
-	}
+	c.wbuf = resp.AppendBulk(c.wbuf, b)
+	c.markDirtyLocked()
+	return nil
 }
 
 // infoPool recycles the INFO reply scratch so admin polling does not
@@ -182,10 +249,10 @@ func appendInfo(dst []byte, name string, st Stats) []byte {
 }
 
 // dispatch executes one command; it reports whether the connection should
-// close. It is shared by both connection cores: args may alias a read buffer
-// that is reused after dispatch returns, so anything retained is copied here
-// (channel names through string conversion, the publish payload explicitly).
-func dispatch(b *Broker, session *Session, sink replySink, args [][]byte) bool {
+// close. args may alias a read buffer that is reused after dispatch returns,
+// so anything retained is copied here (channel names through string
+// conversion, the publish payload explicitly).
+func dispatch(b *Broker, session *Session, sink *respConn, args [][]byte) bool {
 	cmd := strings.ToUpper(string(args[0]))
 	switch cmd {
 	case "SUBSCRIBE":

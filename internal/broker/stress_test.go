@@ -14,14 +14,14 @@ func (s *swallowingSink) Deliver(string, []byte)                { s.n.Add(1) }
 func (s *swallowingSink) DeliverPattern(string, string, []byte) { s.n.Add(1) }
 func (s *swallowingSink) Closed(error)                          {}
 
-// TestConcurrentStress exercises the sharded registry and the coalescing
+// TestConcurrentStress exercises the sharded registry and the queueing
 // writer under everything at once: parallel publishers across the channel
 // space, session churn (connect/subscribe/close loops), and pattern
 // (un)subscribe churn. It runs in the short suite so `make race` covers it;
 // the assertions are on invariants (counter consistency, no deadlock, no
 // leaked registry state), the real check is the race detector.
 func TestConcurrentStress(t *testing.T) {
-	b := New(Options{OutputBuffer: 1 << 14, WriteBatch: 8})
+	b := New(Options{OutputBuffer: 1 << 14})
 	defer b.Close()
 
 	const (

@@ -138,57 +138,34 @@ type Envelope struct {
 	StageFlushUs   uint32
 }
 
-// Envelope magics. Legacy (pre-stage) frames carry envelopeMagic and no
-// stage block; frames marshaled by this version carry envelopeMagicStaged
-// plus the fixed 12-byte stage block. Decoders accept both — a legacy frame
-// simply has zero stage marks.
-const (
-	envelopeMagic       = 0xD7
-	envelopeMagicStaged = 0xD8
-)
+// envelopeMagic opens every encoded envelope.
+const envelopeMagic = 0xD8
 
-// seqHeaderLen is the fixed-width (epoch, channelSeq) region between the
-// magic/type bytes and the varint fields: two little-endian uint64s at
-// offsets [2,10) and [10,18). Fixed width is what makes in-place broker
-// stamping possible on an already-encoded frame.
+// seqHeaderLen is the fixed-width (epoch, channelSeq) region after the
+// magic/type bytes: two little-endian uint64s at offsets [2,10) and [10,18).
+// Fixed width is what makes in-place broker stamping possible on an
+// already-encoded frame.
 const seqHeaderLen = 16
 
-// stageHeaderLen is the fixed-width stage block on staged envelopes: three
-// little-endian uint32 microsecond offsets (ingress, fanout, flush) at
-// [18,22), [22,26), [26,30).
+// stageHeaderLen is the fixed-width stage block: three little-endian uint32
+// microsecond offsets (ingress, fanout, flush) at [18,22), [22,26), [26,30).
 const stageHeaderLen = 12
 
-// envelopeHeaderLen is magic + type + the fixed sequence header (legacy
-// frames); staged frames additionally carry the stage block.
-const envelopeHeaderLen = 2 + seqHeaderLen
+// envelopeHeaderLen is the full fixed header — magic, type, sequence header,
+// stage block — after which the uvarint fields begin.
+const envelopeHeaderLen = 2 + seqHeaderLen + stageHeaderLen
 
-// stagedHeaderLen is the full fixed header of a staged envelope.
-const stagedHeaderLen = envelopeHeaderLen + stageHeaderLen
-
-// Stage block byte offsets within a staged envelope.
+// Stage block byte offsets within an envelope.
 const (
-	stageIngressOff = envelopeHeaderLen
-	stageFanoutOff  = envelopeHeaderLen + 4
-	stageFlushOff   = envelopeHeaderLen + 8
+	stageIngressOff = 2 + seqHeaderLen
+	stageFanoutOff  = stageIngressOff + 4
+	stageFlushOff   = stageIngressOff + 8
 )
 
-// peekHeader validates the envelope magic and returns the fixed-header
-// length (after which the uvarint fields begin) and whether the frame
-// carries a stage block. ok is false for non-envelope payloads.
-func peekHeader(data []byte) (hdr int, staged, ok bool) {
-	if len(data) < envelopeHeaderLen {
-		return 0, false, false
-	}
-	switch data[0] {
-	case envelopeMagic:
-		return envelopeHeaderLen, false, true
-	case envelopeMagicStaged:
-		if len(data) < stagedHeaderLen {
-			return 0, false, false
-		}
-		return stagedHeaderLen, true, true
-	}
-	return 0, false, false
+// peekHeader reports whether data opens with a complete envelope header;
+// false for non-envelope payloads.
+func peekHeader(data []byte) bool {
+	return len(data) >= envelopeHeaderLen && data[0] == envelopeMagic
 }
 
 // Encoding errors.
@@ -209,7 +186,7 @@ const maxFieldLen = 1 << 24
 // seq(uvarint), stamp(uvarint), channel(len-prefixed), strategy,
 // servers(count + len-prefixed each), payload (remainder).
 func (e *Envelope) Marshal() []byte {
-	n := stagedHeaderLen +
+	n := envelopeHeaderLen +
 		binary.MaxVarintLen64*4 +
 		binary.MaxVarintLen32 + len(e.Channel) +
 		1 + // strategy
@@ -229,7 +206,7 @@ func (e *Envelope) Marshal() []byte {
 // reusable scratch buffer — e.g. one from GetBuffer — encodes a publication
 // with zero allocations.
 func (e *Envelope) AppendMarshal(dst []byte) []byte {
-	dst = append(dst, envelopeMagicStaged, byte(e.Type))
+	dst = append(dst, envelopeMagic, byte(e.Type))
 	dst = binary.LittleEndian.AppendUint64(dst, e.Epoch)
 	dst = binary.LittleEndian.AppendUint64(dst, e.ChannelSeq)
 	dst = binary.LittleEndian.AppendUint32(dst, e.StageIngressUs)
@@ -282,24 +259,21 @@ func Unmarshal(data []byte) (*Envelope, error) {
 	if len(data) < 2 {
 		return nil, ErrTruncated
 	}
-	if data[0] != envelopeMagic && data[0] != envelopeMagicStaged {
+	if data[0] != envelopeMagic {
 		return nil, ErrBadMagic
 	}
-	hdr, staged, ok := peekHeader(data)
-	if !ok {
+	if !peekHeader(data) {
 		return nil, ErrTruncated
 	}
 	e := &Envelope{
-		Type:       Type(data[1]),
-		Epoch:      binary.LittleEndian.Uint64(data[2:10]),
-		ChannelSeq: binary.LittleEndian.Uint64(data[10:18]),
+		Type:           Type(data[1]),
+		Epoch:          binary.LittleEndian.Uint64(data[2:10]),
+		ChannelSeq:     binary.LittleEndian.Uint64(data[10:18]),
+		StageIngressUs: binary.LittleEndian.Uint32(data[stageIngressOff:]),
+		StageFanoutUs:  binary.LittleEndian.Uint32(data[stageFanoutOff:]),
+		StageFlushUs:   binary.LittleEndian.Uint32(data[stageFlushOff:]),
 	}
-	if staged {
-		e.StageIngressUs = binary.LittleEndian.Uint32(data[stageIngressOff:])
-		e.StageFanoutUs = binary.LittleEndian.Uint32(data[stageFanoutOff:])
-		e.StageFlushUs = binary.LittleEndian.Uint32(data[stageFlushOff:])
-	}
-	rest := data[hdr:]
+	rest := data[envelopeHeaderLen:]
 
 	var err error
 	var u uint64
@@ -395,20 +369,15 @@ func readString(data []byte) (string, []byte, error) {
 // simulator's bandwidth model so simulated byte counts equal live byte counts.
 func (e *Envelope) WireSize() int { return len(e.Marshal()) }
 
-// PeekStamp extracts the envelope type and publish stamp from an encoded
-// envelope without decoding (or allocating) anything else. It exists for the
-// broker-side latency observer, which runs on the publish hot path and must
-// not pay the full Unmarshal. ok is false for non-envelope payloads.
 // PeekNode extracts the originating node ID from an encoded envelope without
 // decoding it. Like PeekStamp it is allocation-free: the LLA calls it on the
 // broker's publish hot path for every message, where a full Unmarshal would
 // heap-allocate an Envelope per publication.
 func PeekNode(data []byte) (node uint32, ok bool) {
-	hdr, _, ok := peekHeader(data)
-	if !ok {
+	if !peekHeader(data) {
 		return 0, false
 	}
-	rest := data[hdr:]
+	rest := data[envelopeHeaderLen:]
 	_, n := binary.Uvarint(rest) // skip planVersion
 	if n <= 0 {
 		return 0, false
@@ -420,13 +389,16 @@ func PeekNode(data []byte) (node uint32, ok bool) {
 	return uint32(u), true
 }
 
+// PeekStamp extracts the envelope type and publish stamp from an encoded
+// envelope without decoding (or allocating) anything else. It exists for the
+// broker-side latency observer, which runs on the publish hot path and must
+// not pay the full Unmarshal. ok is false for non-envelope payloads.
 func PeekStamp(data []byte) (t Type, stamp int64, ok bool) {
-	hdr, _, ok := peekHeader(data)
-	if !ok {
+	if !peekHeader(data) {
 		return 0, 0, false
 	}
 	t = Type(data[1])
-	rest := data[hdr:]
+	rest := data[envelopeHeaderLen:]
 	for i := 0; i < 3; i++ { // skip planVersion, node, seq
 		_, n := binary.Uvarint(rest)
 		if n <= 0 {
@@ -444,7 +416,7 @@ func PeekStamp(data []byte) (t Type, stamp int64, ok bool) {
 // StageStamp is the zero-alloc view of a frame's latency waterfall marks:
 // the publisher's send stamp plus the broker's in-place stage offsets.
 // Offsets are microseconds from Stamp; 0 means the stage was never stamped
-// (legacy frame, control envelope, or a broker without stage stamping).
+// (control envelope, or a broker without stage stamping).
 type StageStamp struct {
 	Type      Type
 	Stamp     int64 // publisher send time, Unix nanoseconds (0 = unstamped)
@@ -468,25 +440,20 @@ func stageAt(stamp int64, us uint32) int64 {
 
 // PeekStageStamp extracts the full multi-stage stamp from an encoded
 // envelope without decoding (or allocating) anything else — the stage
-// sibling of PeekStamp, and like it safe to call on the hot path. Legacy
-// (pre-stage) envelopes decode with zero stage offsets; ok is false only
-// for non-envelope payloads.
+// sibling of PeekStamp, and like it safe to call on the hot path. ok is
+// false for non-envelope payloads.
 func PeekStageStamp(data []byte) (s StageStamp, ok bool) {
-	_, staged, ok := peekHeader(data)
-	if !ok {
-		return StageStamp{}, false
-	}
 	t, stamp, ok := PeekStamp(data)
 	if !ok {
 		return StageStamp{}, false
 	}
-	s = StageStamp{Type: t, Stamp: stamp}
-	if staged {
-		s.IngressUs = binary.LittleEndian.Uint32(data[stageIngressOff:])
-		s.FanoutUs = binary.LittleEndian.Uint32(data[stageFanoutOff:])
-		s.FlushUs = binary.LittleEndian.Uint32(data[stageFlushOff:])
-	}
-	return s, true
+	return StageStamp{
+		Type:      t,
+		Stamp:     stamp,
+		IngressUs: binary.LittleEndian.Uint32(data[stageIngressOff:]),
+		FanoutUs:  binary.LittleEndian.Uint32(data[stageFanoutOff:]),
+		FlushUs:   binary.LittleEndian.Uint32(data[stageFlushOff:]),
+	}, true
 }
 
 // stageDeltaUs converts an absolute stage instant into the on-wire
@@ -504,15 +471,15 @@ func stageDeltaUs(stamp, at int64) uint32 {
 }
 
 // StampStages writes the broker's ingress and fanout-enqueue marks into an
-// already-encoded staged data envelope in place, and returns the frame's
+// already-encoded data envelope in place, and returns the frame's
 // publisher stamp so the caller can derive stage ages without a second
 // peek. It stamps only TypeData and TypeForwarded frames whose publisher
-// stamp is set; everything else (control envelopes, legacy frames, raw
-// payloads) is left untouched with ok false. Like StampChannelSeq, the
+// stamp is set; everything else (control envelopes, raw payloads) is left
+// untouched with ok false. Like StampChannelSeq, the
 // caller must exclusively own data — the broker stamps before the first
 // subscriber queue sees the frame.
 func StampStages(data []byte, ingressNanos, fanoutNanos int64) (stamp int64, ok bool) {
-	if _, staged, ok := peekHeader(data); !ok || !staged {
+	if !peekHeader(data) {
 		return 0, false
 	}
 	if t := Type(data[1]); t != TypeData && t != TypeForwarded {
@@ -527,12 +494,11 @@ func StampStages(data []byte, ingressNanos, fanoutNanos int64) (stamp int64, ok 
 	return stamp, true
 }
 
-// StampFlush writes the writer-flush mark into a staged data envelope in
-// place. It is only safe on frames the caller exclusively owns (a sink's
+// StampFlush writes the writer-flush mark into a data envelope in place. It is only safe on frames the caller exclusively owns (a sink's
 // private copy); the shared-fanout delivery cores must not call it and
 // instead observe flush age broker-side.
 func StampFlush(data []byte, flushNanos int64) bool {
-	if _, staged, ok := peekHeader(data); !ok || !staged {
+	if !peekHeader(data) {
 		return false
 	}
 	if t := Type(data[1]); t != TypeData && t != TypeForwarded {
@@ -553,7 +519,7 @@ func StampFlush(data []byte, flushNanos int64) bool {
 // data: the broker's publish path stamps the frame it is about to fan out,
 // before any subscriber sees it.
 func StampChannelSeq(data []byte, epoch, seq uint64) bool {
-	if _, _, ok := peekHeader(data); !ok {
+	if !peekHeader(data) {
 		return false
 	}
 	if t := Type(data[1]); t != TypeData && t != TypeForwarded {
@@ -568,7 +534,7 @@ func StampChannelSeq(data []byte, epoch, seq uint64) bool {
 // without decoding anything else. ok is false for non-envelope payloads and
 // for envelopes never stamped by a replay-enabled broker (epoch 0).
 func PeekChannelSeq(data []byte) (epoch, seq uint64, ok bool) {
-	if _, _, ok := peekHeader(data); !ok {
+	if !peekHeader(data) {
 		return 0, 0, false
 	}
 	epoch = binary.LittleEndian.Uint64(data[2:10])

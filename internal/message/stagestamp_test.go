@@ -1,7 +1,9 @@
 package message
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"testing"
 	"time"
 )
@@ -16,18 +18,6 @@ func stagedDataFrame(stamp int64) []byte {
 		Stamp:   stamp,
 	}
 	return e.Marshal()
-}
-
-// legacyFrame re-encodes a staged frame in the PR 4 single-stamp layout:
-// legacy magic, no 12-byte stage block. This is byte-for-byte what an older
-// publisher puts on the wire.
-func legacyFrame(e *Envelope) []byte {
-	staged := e.Marshal()
-	legacy := make([]byte, 0, len(staged)-stageHeaderLen)
-	legacy = append(legacy, envelopeMagic)
-	legacy = append(legacy, staged[1:envelopeHeaderLen]...)
-	legacy = append(legacy, staged[stagedHeaderLen:]...)
-	return legacy
 }
 
 func TestStageStampRoundTrip(t *testing.T) {
@@ -145,10 +135,10 @@ func TestPeekStageStampGarbage(t *testing.T) {
 	cases := [][]byte{
 		nil,
 		{},
-		{envelopeMagicStaged},
+		{envelopeMagic},
 		[]byte("garbage that is long enough to not be truncated"),
-		// Staged magic but truncated before the stage block ends.
-		append([]byte{envelopeMagicStaged, byte(TypeData)}, make([]byte, seqHeaderLen+3)...),
+		// Right magic but truncated before the stage block ends.
+		append([]byte{envelopeMagic, byte(TypeData)}, make([]byte, seqHeaderLen+3)...),
 	}
 	for i, c := range cases {
 		if _, ok := PeekStageStamp(c); ok {
@@ -157,67 +147,46 @@ func TestPeekStageStampGarbage(t *testing.T) {
 	}
 }
 
-func TestPeekStageStampLegacyFrame(t *testing.T) {
-	// A PR 4 frame (legacy magic, no stage block) must decode with zero
-	// stage offsets — and refuse in-place stage stamping.
-	e := &Envelope{
-		Type:    TypeData,
-		ID:      ID{Node: 2, Seq: 5},
-		Channel: "legacy",
-		Payload: []byte("old"),
-		Stamp:   987654321,
-	}
-	data := legacyFrame(e)
+// TestOldMagicRejected: the pre-stage framing is gone. A frame opening with
+// its magic byte is not an envelope to any entry point, and the in-place
+// stampers leave it untouched.
+func TestOldMagicRejected(t *testing.T) {
+	data := stagedDataFrame(987654321)
+	data[0] = 0xD7
+	before := bytes.Clone(data)
 
-	s, ok := PeekStageStamp(data)
-	if !ok {
-		t.Fatal("PeekStageStamp rejected a legacy frame")
+	if _, err := Unmarshal(data); !errors.Is(err, ErrBadMagic) {
+		t.Fatalf("Unmarshal = %v, want ErrBadMagic", err)
 	}
-	if s.Type != TypeData || s.Stamp != 987654321 {
-		t.Fatalf("legacy peek = %v/%d, want %v/987654321", s.Type, s.Stamp, TypeData)
+	if _, _, ok := PeekStamp(data); ok {
+		t.Fatal("PeekStamp accepted the old magic")
 	}
-	if s.IngressUs != 0 || s.FanoutUs != 0 || s.FlushUs != 0 {
-		t.Fatalf("legacy frame decoded with stage marks %d/%d/%d", s.IngressUs, s.FanoutUs, s.FlushUs)
+	if _, ok := PeekNode(data); ok {
+		t.Fatal("PeekNode accepted the old magic")
 	}
-	if s.IngressAt() != 0 || s.FanoutAt() != 0 || s.FlushAt() != 0 {
-		t.Fatal("unstamped stages must yield zero absolute instants")
+	if _, ok := PeekStageStamp(data); ok {
+		t.Fatal("PeekStageStamp accepted the old magic")
 	}
-
-	if _, ok := StampStages(data, s.Stamp+1000, s.Stamp+2000); ok {
-		t.Fatal("StampStages wrote into a legacy frame with no stage block")
+	if _, _, ok := PeekChannelSeq(data); ok {
+		t.Fatal("PeekChannelSeq accepted the old magic")
 	}
-	if StampFlush(data, s.Stamp+1000) {
-		t.Fatal("StampFlush wrote into a legacy frame with no stage block")
+	if _, ok := StampStages(data, 987655321, 987656321); ok {
+		t.Fatal("StampStages accepted the old magic")
 	}
-
-	// The legacy frame still fully unmarshals, with zero stage fields.
-	env, err := Unmarshal(data)
-	if err != nil {
-		t.Fatalf("Unmarshal(legacy): %v", err)
+	if StampFlush(data, 987657321) {
+		t.Fatal("StampFlush accepted the old magic")
 	}
-	if env.Channel != "legacy" || string(env.Payload) != "old" || env.Stamp != 987654321 {
-		t.Fatalf("legacy envelope corrupted: %+v", env)
+	if StampChannelSeq(data, 4, 17) {
+		t.Fatal("StampChannelSeq accepted the old magic")
 	}
-	if env.StageIngressUs != 0 || env.StageFanoutUs != 0 || env.StageFlushUs != 0 {
-		t.Fatal("legacy envelope decoded with nonzero stage fields")
-	}
-
-	// And the other peeks agree across both layouts.
-	if node, ok := PeekNode(data); !ok || node != 2 {
-		t.Fatalf("PeekNode(legacy) = %d/%v", node, ok)
-	}
-	if !StampChannelSeq(data, 4, 17) {
-		t.Fatal("StampChannelSeq refused a legacy frame")
-	}
-	if epoch, seq, ok := PeekChannelSeq(data); !ok || epoch != 4 || seq != 17 {
-		t.Fatalf("PeekChannelSeq(legacy) = %d/%d/%v", epoch, seq, ok)
+	if !bytes.Equal(data, before) {
+		t.Fatal("a rejected frame was written to")
 	}
 }
 
 func FuzzStageStamp(f *testing.F) {
 	f.Add(stagedDataFrame(123456789))
-	f.Add(legacyFrame(&Envelope{Type: TypeData, Channel: "c", Stamp: 42}))
-	f.Add([]byte{envelopeMagicStaged, byte(TypeData)})
+	f.Add([]byte{envelopeMagic, byte(TypeData)})
 	f.Add([]byte("garbage"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Peeks and in-place stamps must never panic, whatever the bytes.

@@ -6,11 +6,11 @@ import (
 )
 
 // CommandParser incrementally decodes RESP client commands from a byte
-// stream delivered in arbitrary fragments — the zero-copy decode path of the
-// event-loop connection core, where reads land in a shared per-shard buffer
-// instead of a per-connection bufio.Reader. Feed appends a fragment; Next
-// returns the next complete command or (nil, nil) when the buffered bytes end
-// mid-frame (partial-frame carry-over).
+// stream delivered in arbitrary fragments — the decode path of both
+// connection cores, whose reads land in a read buffer (shared per shard on
+// the reactor) rather than a per-connection bufio.Reader. Feed appends a
+// fragment; Next returns the next complete command or (nil, nil) when the
+// buffered bytes end mid-frame (partial-frame carry-over).
 //
 // The same grammar as Reader.ReadCommand is accepted (arrays of bulk strings
 // and inline commands), plus integer elements inside arrays — which lets the
@@ -19,7 +19,7 @@ import (
 //
 // Returned argument slices alias the parser's internal buffer and are valid
 // only until the next Feed or Next call; callers that retain them must copy
-// (the broker's dispatch already does, exactly as it does for Reader args).
+// (the broker's dispatch already does).
 type CommandParser struct {
 	buf  []byte
 	r    int // consumed offset into buf

@@ -124,7 +124,9 @@ func (r *Reader) ReadValue() (Value, error) {
 
 // ReadCommand reads a client command: either an array of bulk strings or an
 // inline command (space-separated words on one line). It returns the
-// arguments with the command name first.
+// arguments with the command name first. The broker reads untrusted bytes
+// with CommandParser only; this stays as the reference its tests compare
+// against.
 func (r *Reader) ReadCommand() ([][]byte, error) {
 	t, err := r.br.ReadByte()
 	if err != nil {

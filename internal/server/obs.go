@@ -198,7 +198,7 @@ func (n *Node) Status() any {
 		PlanServers: servers,
 		Sessions:    st.Sessions,
 		Channels:    st.Channels,
-		ConnCore:    n.connSrv.Core().String(),
+		ConnCore:    n.connSrv.Stats().Core,
 		Conns:       n.connSrv.Stats().Conns,
 		Published:   st.Published,
 		Delivered:   st.Delivered,

@@ -56,7 +56,8 @@ type Options struct {
 	// the LLA's per-region delivery-latency attribution (e.g. from netsim's
 	// King-dataset model). Nil reports raw measured ages.
 	RegionDelay func(region string) time.Duration
-	// OutputBuffer is the broker's per-session output limit.
+	// OutputBuffer is the broker's output limit, in messages, for
+	// in-process sessions.
 	OutputBuffer int
 	// ReplayDepth is the broker's per-channel replay ring depth: the last
 	// ReplayDepth data frames of each channel stay available for
@@ -66,12 +67,6 @@ type Options struct {
 	// ReplayChannels bounds how many channels may hold a replay ring
 	// (0 = broker.DefaultReplayChannels, negative = unbounded).
 	ReplayChannels int
-	// ConnCore selects the broker's connection-serving implementation for
-	// ServeTCP (default broker.CoreAuto: the epoll reactor where
-	// available, goroutine-per-connection elsewhere).
-	ConnCore broker.ConnCore
-	// ConnShards is the reactor's event-loop count (default GOMAXPROCS).
-	ConnShards int
 	// DrainTimeout bounds dispatcher transitions.
 	DrainTimeout time.Duration
 	// PublishReports, when true (the default for cluster nodes), pumps
@@ -180,8 +175,6 @@ func New(opts Options) (*Node, error) {
 		done:       make(chan struct{}),
 	}
 	n.connSrv = broker.NewConnServer(b, broker.ServeOptions{
-		Core:     opts.ConnCore,
-		Shards:   opts.ConnShards,
 		Observer: &connTracer{rec: opts.Recorder},
 	})
 	// Observability observers: all are allocation-free in steady state (the
@@ -242,15 +235,12 @@ func (n *Node) pumpReports(publish bool) {
 }
 
 // ServeTCP serves the node's broker over RESP on ln (blocking), using the
-// connection core selected in Options.ConnCore.
+// platform's connection core.
 func (n *Node) ServeTCP(ln net.Listener) error {
 	return n.connSrv.Serve(ln)
 }
 
-// ConnCore returns the resolved connection core ServeTCP uses.
-func (n *Node) ConnCore() broker.ConnCore { return n.connSrv.Core() }
-
-// ConnStats snapshots the connection-layer counters.
+// ConnStats snapshots the connection-layer counters (and names the core).
 func (n *Node) ConnStats() broker.ConnStats { return n.connSrv.Stats() }
 
 // connTracer bridges connection lifecycle events into the flight recorder.

@@ -129,7 +129,7 @@ func (d *TCPDialer) Dial(server plan.ServerID, h Handler) (Conn, error) {
 // tcpConn pipelines the publish path: Publish only appends the command to
 // the buffered publisher socket and returns; a flusher goroutine coalesces
 // buffered commands into one write syscall (mirroring the broker's
-// WriteBatch delivery coalescing), and an ack-reader goroutine drains the
+// per-connection flusher), and an ack-reader goroutine drains the
 // integer replies, counting outstanding publishes and capturing the first
 // server error or disconnect, which subsequent Publish calls surface.
 type tcpConn struct {

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -9,18 +10,18 @@ import (
 )
 
 // TestConnBenchSmall runs the multiplexed driver at toy scale against an
-// in-process reactor broker: every connection must establish, subscribe, and
+// in-process broker: every connection must establish, subscribe, and
 // see stamped deliveries under churn.
 func TestConnBenchSmall(t *testing.T) {
-	if !broker.ReactorAvailable() {
-		t.Skip("reactor core unavailable")
+	if runtime.GOOS != "linux" {
+		t.Skip("the load driver needs epoll")
 	}
 	b := broker.New(broker.Options{Name: "connbench"})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs := broker.NewConnServer(b, broker.ServeOptions{Core: broker.CoreReactor})
+	cs := broker.NewConnServer(b, broker.ServeOptions{})
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -63,15 +64,15 @@ func TestConnBenchSmall(t *testing.T) {
 // TestConnBenchMultiSource exercises explicit source-IP binding
 // (127.0.0.2/127.0.0.3 need no configuration on Linux loopback).
 func TestConnBenchMultiSource(t *testing.T) {
-	if !broker.ReactorAvailable() {
-		t.Skip("reactor core unavailable")
+	if runtime.GOOS != "linux" {
+		t.Skip("the load driver needs epoll")
 	}
 	b := broker.New(broker.Options{Name: "connbench"})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs := broker.NewConnServer(b, broker.ServeOptions{Core: broker.CoreReactor})
+	cs := broker.NewConnServer(b, broker.ServeOptions{})
 	done := make(chan struct{})
 	go func() {
 		defer close(done)

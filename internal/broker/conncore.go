@@ -31,10 +31,11 @@ const (
 	// bytes; a connection exceeding it is disconnected as a slow consumer
 	// (client-output-buffer-limit behavior).
 	DefaultWriteBufferLimit = 1 << 20
-	// wbufRetain is the largest write-buffer capacity a connection keeps
-	// after a full flush; larger bursts release their memory so idle
-	// connections return to a small footprint.
-	wbufRetain = 64 << 10
+	// wbufRetain is the largest write-buffer capacity a connection always
+	// keeps after a full flush; a larger one is released once wbufLeanFlushes
+	// flushes in a row have left most of it unused (respConn.recycle).
+	wbufRetain      = 64 << 10
+	wbufLeanFlushes = 8
 	// connReadBuffer is the portable core's per-connection read buffer.
 	connReadBuffer = 16 << 10
 	// farewellTimeout bounds a closing connection's last write on the
@@ -72,6 +73,9 @@ type ConnStats struct {
 	// EpollWrites counts flush write syscalls (reactor only); deliveries
 	// divided by this is the write-coalescing factor.
 	EpollWrites uint64
+	// Doorbells counts wake-ups rung on a parked shard's eventfd, AdoptedFlushes
+	// sessions flushed by an awake shard other than their owner (reactor only).
+	Doorbells, AdoptedFlushes uint64
 }
 
 // connCore is what a connection core supplies to the shared accept loop.
@@ -104,6 +108,8 @@ type ConnServer struct {
 	epollWakeups atomic.Uint64
 	epollEvents  atomic.Uint64
 	epollWrites  atomic.Uint64
+	doorbells    atomic.Uint64
+	adopted      atomic.Uint64
 }
 
 // NewConnServer builds a connection server for b on the platform's
@@ -118,16 +124,18 @@ func NewConnServer(b *Broker, opts ServeOptions) *ConnServer {
 // Stats snapshots the connection counters.
 func (cs *ConnServer) Stats() ConnStats {
 	return ConnStats{
-		Core:         cs.core.name,
-		Conns:        cs.conns.Load(),
-		Accepts:      cs.accepts.Load(),
-		Closes:       cs.closes.Load(),
-		Backpressure: cs.backpressure.Load(),
-		BytesIn:      cs.bytesIn.Load(),
-		BytesOut:     cs.bytesOut.Load(),
-		EpollWakeups: cs.epollWakeups.Load(),
-		EpollEvents:  cs.epollEvents.Load(),
-		EpollWrites:  cs.epollWrites.Load(),
+		Core:           cs.core.name,
+		Conns:          cs.conns.Load(),
+		Accepts:        cs.accepts.Load(),
+		Closes:         cs.closes.Load(),
+		Backpressure:   cs.backpressure.Load(),
+		BytesIn:        cs.bytesIn.Load(),
+		BytesOut:       cs.bytesOut.Load(),
+		EpollWakeups:   cs.epollWakeups.Load(),
+		EpollEvents:    cs.epollEvents.Load(),
+		EpollWrites:    cs.epollWrites.Load(),
+		Doorbells:      cs.doorbells.Load(),
+		AdoptedFlushes: cs.adopted.Load(),
 	}
 }
 
@@ -345,7 +353,7 @@ func (c *gconn) flushLoop() {
 		buf := c.wbuf
 		c.wbuf = spare[:0]
 		c.dirty = false
-		closed := c.closed
+		closed := c.closed.Load()
 		c.mu.Unlock()
 		if len(buf) > 0 {
 			n, err := c.conn.Write(buf)
@@ -358,9 +366,6 @@ func (c *gconn) flushLoop() {
 		if closed {
 			return
 		}
-		spare = buf
-		if cap(spare) > wbufRetain {
-			spare = nil
-		}
+		spare = c.recycle(buf, len(buf))
 	}
 }

@@ -84,6 +84,7 @@ func TestConnCoreConformance(t *testing.T) {
 		{"shutdown", conformShutdown},
 		{"large fan-out", conformLargeFanout},
 		{"churn", conformChurn},
+		{"lost wake-up", conformLostWakeup},
 	}
 	for _, core := range testCores() {
 		for _, tc := range cases {
@@ -523,6 +524,104 @@ func conformChurn(t *testing.T, core connCore) {
 	}
 	if st := cs.Stats(); st.Closes != st.Accepts {
 		t.Fatalf("closes %d != accepts %d after churn", st.Closes, st.Accepts)
+	}
+}
+
+// conformLostWakeup hunts for a flush that only further traffic would
+// trigger — which is a lost flush. Subscribers sit idle on every shard; TCP
+// publishers (a shard is awake when their publish dirties the subscriber) and
+// in-process Publish callers (no shard is awake: the owner must be woken) each
+// send their next message only after the previous one arrived, so nothing
+// else is in flight to push a stranded frame out, and every wait is bounded.
+func conformLostWakeup(t *testing.T, core connCore) {
+	addr, b, _ := startCore(t, core, Options{}, ServeOptions{})
+
+	const senders, subsPerSender = 4, 2
+	rounds := 400
+	if testing.Short() {
+		rounds = 100
+	}
+	subs := make([][]*respClient, senders)
+	pubs := make([]*respClient, senders)
+	for s := range subs {
+		// Dial order interleaves publishers and subscribers, so round-robin
+		// attach spreads both kinds over every shard.
+		if s%2 == 0 {
+			pubs[s] = dialRESP(t, addr)
+			pubs[s].cmd(t, "PING")
+		}
+		for i := 0; i < subsPerSender; i++ {
+			c := dialRESP(t, addr)
+			c.cmd(t, "SUBSCRIBE", fmt.Sprintf("s%d.%d", s, i))
+			subs[s] = append(subs[s], c)
+		}
+	}
+
+	var wg sync.WaitGroup
+	for s := 0; s < senders; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			for n := 0; n < rounds; n++ {
+				i := n % subsPerSender
+				ch, want := fmt.Sprintf("s%d.%d", s, i), fmt.Sprintf("m%d", n)
+				if pub := pubs[s]; pub != nil {
+					pub.w.WriteCommand([]byte("PUBLISH"), []byte(ch), []byte(want)) //nolint:errcheck
+					pub.w.Flush()                                                   //nolint:errcheck
+				} else if got := b.Publish(ch, []byte(want)); got != 1 {
+					t.Errorf("sender %d round %d: Publish = %d, want 1", s, n, got)
+					return
+				}
+				sub := subs[s][i]
+				sub.conn.SetReadDeadline(time.Now().Add(2 * time.Second)) //nolint:errcheck
+				v, err := sub.r.ReadValue()
+				if err != nil {
+					t.Errorf("sender %d round %d: delivery never flushed: %v", s, n, err)
+					return
+				}
+				if len(v.Array) != 3 || string(v.Array[2].Str) != want {
+					t.Errorf("sender %d round %d: got %+v, want %q", s, n, v, want)
+					return
+				}
+			}
+		}(s)
+	}
+	wg.Wait()
+}
+
+// TestWriteBufferHysteresis pins respConn.recycle: a grown buffer survives as
+// long as flushes keep using it, and is released only after wbufLeanFlushes
+// lean flushes in a row.
+func TestWriteBufferHysteresis(t *testing.T) {
+	var c respConn
+	small := make([]byte, 100, wbufRetain)
+	for i := 0; i < 3*wbufLeanFlushes; i++ {
+		if got := c.recycle(small, 1); cap(got) != wbufRetain || len(got) != 0 {
+			t.Fatalf("a buffer within wbufRetain was not kept: len %d cap %d", len(got), cap(got))
+		}
+	}
+	big := make([]byte, 0, 4*wbufRetain)
+	for i := 0; i < 3*wbufLeanFlushes; i++ {
+		if got := c.recycle(big, 2*wbufRetain); cap(got) != cap(big) {
+			t.Fatalf("flush %d of a sustained large stream dropped the buffer", i)
+		}
+	}
+	// A lean streak cut short by one large flush starts over.
+	for i := 0; i < wbufLeanFlushes-1; i++ {
+		if c.recycle(big, 64) == nil {
+			t.Fatalf("released after only %d lean flushes", i+1)
+		}
+	}
+	if c.recycle(big, 2*wbufRetain) == nil {
+		t.Fatal("released on a large flush")
+	}
+	for i := 0; i < wbufLeanFlushes-1; i++ {
+		if c.recycle(big, 64) == nil {
+			t.Fatalf("streak did not restart: released after %d lean flushes", i+1)
+		}
+	}
+	if got := c.recycle(big, 64); got != nil {
+		t.Fatalf("still holding %d bytes after %d lean flushes", cap(got), wbufLeanFlushes)
 	}
 }
 

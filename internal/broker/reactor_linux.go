@@ -18,10 +18,18 @@ import (
 // Reads are edge-triggered into the shared buffer and fed to the
 // connection's incremental RESP parser (partial frames carry over between
 // wakeups); deliveries enqueue into per-connection write buffers (respConn)
-// that the shard flushes once per loop pass, so a fan-out burst costs one
+// that a shard flushes once per loop pass, so a fan-out burst costs one
 // write syscall per *connection per cycle*, not one per message — and an
 // idle connection costs one table slot and an empty buffer, not two
 // goroutines and a read buffer.
+//
+// Who flushes is decided where a session goes dirty (markPending), by the park
+// protocol: a shard is awake from its return from epoll_wait until it has
+// seen its work queues empty under qmu, so whatever is queued on an awake
+// shard is handled before it sleeps. A dirty session goes to its owner if
+// awake, else to any awake shard that is not backlogged (the fd and its
+// epoll registration stay the owner's), and only when nobody can take it is
+// the parked owner rung through its eventfd — once per park.
 
 // platformCore is the core NewConnServer serves with.
 var platformCore = connCore{name: "reactor", start: startReactor}
@@ -41,17 +49,30 @@ const (
 
 // startReactor creates the shards and starts their event loops.
 func startReactor(cs *ConnServer) (func(*net.TCPConn), func(), error) {
+	r, err := newReactor(cs, runtime.GOMAXPROCS(0))
+	if err != nil {
+		return nil, nil, err
+	}
+	return r.attach, r.start(), nil
+}
+
+func newReactor(cs *ConnServer, shards int) (*reactor, error) {
 	r := &reactor{cs: cs}
-	for i := 0; i < runtime.GOMAXPROCS(0); i++ {
+	for i := 0; i < shards; i++ {
 		sh, err := newShard(r)
 		if err != nil {
 			for _, s := range r.shards {
 				s.destroy()
 			}
-			return nil, nil, fmt.Errorf("broker: reactor shard: %w", err)
+			return nil, fmt.Errorf("broker: reactor shard: %w", err)
 		}
 		r.shards = append(r.shards, sh)
 	}
+	return r, nil
+}
+
+// start runs the shard loops; the returned stop ends them and waits.
+func (r *reactor) start() (stop func()) {
 	var wg sync.WaitGroup
 	for _, sh := range r.shards {
 		wg.Add(1)
@@ -60,13 +81,12 @@ func startReactor(cs *ConnServer) (func(*net.TCPConn), func(), error) {
 			sh.loop()
 		}(sh)
 	}
-	stop := func() {
+	return func() {
 		for _, sh := range r.shards {
 			sh.stop()
 		}
 		wg.Wait()
 	}
-	return r.attach, stop, nil
 }
 
 type reactor struct {
@@ -90,12 +110,33 @@ func (r *reactor) attach(conn *net.TCPConn) {
 	sh := r.shards[r.next%uint64(len(r.shards))]
 	r.next++
 	rs := &rsession{fd: fd, sh: sh}
-	rs.wake = func() { sh.addPending(rs) }
+	rs.wake = func() { r.markPending(rs) }
 	if !r.cs.connect(&rs.respConn, rs, conn) {
 		syscall.Close(fd) //nolint:errcheck // refused
 		return
 	}
-	sh.addIncoming(rs)
+	sh.post(&sh.incoming, rs)
+}
+
+// adoptMax is the pending-list length past which a shard has enough flushing
+// of its own and declines sessions it does not own.
+const adoptMax = 4
+
+// markPending queues a session that just went dirty on the shard that will
+// flush it soonest without a wake-up: its owner if awake, else an awake shard
+// with room, else the owner after all — rung if it is still parked. Called
+// with rs.mu held.
+func (r *reactor) markPending(rs *rsession) {
+	if rs.sh.offer(rs) {
+		return
+	}
+	for _, sh := range r.shards {
+		if sh != rs.sh && sh.offer(rs) {
+			r.cs.adopted.Add(1)
+			return
+		}
+	}
+	rs.sh.post(&rs.sh.pending, rs)
 }
 
 // dupConnFD duplicates tc's descriptor so the reactor owns a copy outside
@@ -133,7 +174,7 @@ type rsession struct {
 	sh *rshard
 
 	wantWrite  bool // EPOLLOUT armed (kernel buffer was full); guarded by mu
-	fdReleased bool // fd closed, table entry gone (shard goroutine only)
+	fdReleased bool // fd closed, table entry gone; guarded by mu, set by the owner
 }
 
 // Closed implements Sink: called exactly once by the broker when the session
@@ -142,30 +183,32 @@ type rsession struct {
 // on the next pass.
 func (rs *rsession) Closed(reason error) {
 	rs.shut(reason)
-	rs.sh.addDead(rs)
+	rs.sh.post(&rs.sh.dead, rs)
 }
 
-// rshard is one event-loop shard: an epoll instance, a wake pipe, the
+// rshard is one event-loop shard: an epoll instance, a doorbell eventfd, the
 // fd-indexed session table, and the shared read buffer. All fd lifecycle
 // (epoll registration, close) happens on the shard goroutine; other
-// goroutines only append to the queues and wake it.
+// goroutines only append to the queues, ringing the shard if it is parked.
 type rshard struct {
-	r     *reactor
-	epfd  int
-	wakeR int
-	wakeW int
+	r    *reactor
+	epfd int
+	evfd int // doorbell: written only to a parked shard
 
 	table  fdTable[rsession]
 	events []syscall.EpollEvent
 	rbuf   []byte
 
 	qmu      sync.Mutex
-	pending  []*rsession // sessions with bytes to flush
+	awake    bool        // running, or rung and about to; cleared only by park
+	pending  []*rsession // sessions with bytes to flush (adopted ones included)
 	incoming []*rsession // freshly accepted, awaiting registration
 	dead     []*rsession // closed sessions awaiting fd release
 
-	wakeArmed atomic.Bool
-	stopped   atomic.Bool
+	// fullRead is set while the last socket read filled rbuf: more input is
+	// already waiting, so the shard leaves foreign flushes to their owners.
+	fullRead atomic.Bool
+	stopped  atomic.Bool
 
 	// swap scratch so draining the queues never allocates in steady state
 	pendScratch, inScratch, deadScratch []*rsession
@@ -176,21 +219,21 @@ func newShard(r *reactor) (*rshard, error) {
 	if err != nil {
 		return nil, fmt.Errorf("epoll_create1: %w", err)
 	}
-	var p [2]int
-	if err := syscall.Pipe2(p[:], syscall.O_NONBLOCK|syscall.O_CLOEXEC); err != nil {
+	// EFD_NONBLOCK and EFD_CLOEXEC are the O_ flags of the same names.
+	evfd, _, errno := syscall.Syscall(syscall.SYS_EVENTFD2, 0, syscall.O_NONBLOCK|syscall.O_CLOEXEC, 0)
+	if errno != 0 {
 		syscall.Close(epfd) //nolint:errcheck
-		return nil, fmt.Errorf("pipe2: %w", err)
+		return nil, fmt.Errorf("eventfd2: %w", errno)
 	}
 	sh := &rshard{
 		r:      r,
 		epfd:   epfd,
-		wakeR:  p[0],
-		wakeW:  p[1],
+		evfd:   int(evfd),
 		events: make([]syscall.EpollEvent, 256),
 		rbuf:   make([]byte, shardReadBuffer),
 	}
-	ev := syscall.EpollEvent{Events: uint32(syscall.EPOLLIN), Fd: int32(p[0])}
-	if err := syscall.EpollCtl(epfd, syscall.EPOLL_CTL_ADD, p[0], &ev); err != nil {
+	ev := syscall.EpollEvent{Events: uint32(syscall.EPOLLIN), Fd: int32(evfd)}
+	if err := syscall.EpollCtl(epfd, syscall.EPOLL_CTL_ADD, sh.evfd, &ev); err != nil {
 		sh.destroy()
 		return nil, fmt.Errorf("epoll_ctl wake: %w", err)
 	}
@@ -200,52 +243,74 @@ func newShard(r *reactor) (*rshard, error) {
 // destroy releases the shard's descriptors (only for construction failures
 // and final cleanup; live teardown goes through loop()).
 func (sh *rshard) destroy() {
-	syscall.Close(sh.epfd)  //nolint:errcheck
-	syscall.Close(sh.wakeR) //nolint:errcheck
-	syscall.Close(sh.wakeW) //nolint:errcheck
+	syscall.Close(sh.epfd) //nolint:errcheck
+	syscall.Close(sh.evfd) //nolint:errcheck
 }
 
-// wake nudges the shard out of epoll_wait (deduplicated: one pipe byte per
-// quiet period, not one per enqueue).
-func (sh *rshard) wake() {
-	if !sh.wakeArmed.Swap(true) {
-		var one = [1]byte{1}
-		syscall.Write(sh.wakeW, one[:]) //nolint:errcheck // pipe full = wake already pending
+// offer queues rs for flushing on sh only if that costs no wake-up: sh must
+// be awake and, for a session it does not own, not backlogged — judged by
+// what it sees in its own input (a read that filled rbuf, a pending list at
+// adoptMax), so at saturation every owner is rung and every core writes.
+func (sh *rshard) offer(rs *rsession) bool {
+	sh.qmu.Lock()
+	ok := sh.awake && (rs.sh == sh || (len(sh.pending) < adoptMax && !sh.fullRead.Load()))
+	if ok {
+		sh.pending = append(sh.pending, rs)
 	}
+	sh.qmu.Unlock()
+	return ok
 }
 
-func (sh *rshard) addPending(rs *rsession) {
+// post appends rs to one of sh's queues (nil rs: nothing to append) and rings
+// the doorbell if sh is parked. The ringer marks the shard awake itself, so
+// of all producers that find it parked exactly one writes the eventfd.
+func (sh *rshard) post(q *[]*rsession, rs *rsession) {
 	sh.qmu.Lock()
-	sh.pending = append(sh.pending, rs)
+	if rs != nil {
+		*q = append(*q, rs)
+	}
+	parked := !sh.awake
+	sh.awake = true
 	sh.qmu.Unlock()
-	sh.wake()
-}
-
-func (sh *rshard) addIncoming(rs *rsession) {
-	sh.qmu.Lock()
-	sh.incoming = append(sh.incoming, rs)
-	sh.qmu.Unlock()
-	sh.wake()
-}
-
-func (sh *rshard) addDead(rs *rsession) {
-	sh.qmu.Lock()
-	sh.dead = append(sh.dead, rs)
-	sh.qmu.Unlock()
-	sh.wake()
+	if parked {
+		sh.r.cs.doorbells.Add(1)
+		// Any nonzero count rings; this one is nonzero in either byte order.
+		syscall.Write(sh.evfd, []byte{0: 1, 7: 1}) //nolint:errcheck // EAGAIN = already rung
+	}
 }
 
 // stop asks the shard loop to tear down and exit.
 func (sh *rshard) stop() {
 	sh.stopped.Store(true)
-	sh.wake()
+	sh.post(nil, nil)
+}
+
+// park ends a loop pass and returns the next epoll_wait's timeout. awake is
+// cleared under the lock the queues were seen empty under: what a producer
+// appended while it read awake is handled before the shard blocks, and a
+// later one finds it parked and rings. With work queued (or a stop requested)
+// the shard stays awake and only polls its sockets.
+func (sh *rshard) park() (timeout int) {
+	sh.qmu.Lock()
+	defer sh.qmu.Unlock()
+	if len(sh.pending)+len(sh.incoming)+len(sh.dead) > 0 || sh.stopped.Load() {
+		return 0
+	}
+	sh.awake = false
+	return -1
 }
 
 // loop is the shard's event loop.
 func (sh *rshard) loop() {
 	cs := sh.r.cs
 	for {
-		n, err := syscall.EpollWait(sh.epfd, sh.events, -1)
+		timeout := sh.park()
+		n, err := syscall.EpollWait(sh.epfd, sh.events, timeout)
+		if timeout < 0 {
+			sh.qmu.Lock()
+			sh.awake = true
+			sh.qmu.Unlock()
+		}
 		if err == syscall.EINTR {
 			continue
 		}
@@ -254,19 +319,16 @@ func (sh *rshard) loop() {
 			return
 		}
 		cs.epollWakeups.Add(1)
-		woke := false
 		for i := 0; i < n; i++ {
 			ev := &sh.events[i]
 			fd := int(ev.Fd)
-			if fd == sh.wakeR {
-				woke = true
+			if fd == sh.evfd {
+				var count [8]byte
+				syscall.Read(fd, count[:]) //nolint:errcheck // one read clears an eventfd
 				continue
 			}
 			cs.epollEvents.Add(1)
 			sh.handleEvent(fd, ev.Events)
-		}
-		if woke {
-			sh.drainWake()
 		}
 		sh.processIncoming()
 		sh.flushPending()
@@ -276,22 +338,6 @@ func (sh *rshard) loop() {
 			return
 		}
 	}
-}
-
-// drainWake empties the wake pipe and re-arms it. Order matters: drain the
-// pipe, clear the armed flag, and only then drain the work queues — a
-// producer enqueueing in between either sees armed=true (its work is in the
-// queues we are about to drain) or writes a fresh wake byte for the next
-// epoll_wait.
-func (sh *rshard) drainWake() {
-	var buf [64]byte
-	for {
-		n, err := syscall.Read(sh.wakeR, buf[:])
-		if n < len(buf) || err != nil {
-			break
-		}
-	}
-	sh.wakeArmed.Store(false)
 }
 
 // processIncoming registers freshly accepted sessions with the epoll
@@ -328,7 +374,7 @@ func (sh *rshard) handleEvent(fd int, events uint32) {
 		return
 	}
 	if events&uint32(syscall.EPOLLOUT) != 0 {
-		sh.flushSession(rs)
+		rs.flush()
 		if rs.isClosed() {
 			return
 		}
@@ -343,6 +389,9 @@ func (sh *rshard) handleEvent(fd int, events uint32) {
 func (sh *rshard) readSession(rs *rsession) {
 	for {
 		n, err := syscall.Read(rs.fd, sh.rbuf)
+		if full := n == len(sh.rbuf); full != sh.fullRead.Load() {
+			sh.fullRead.Store(full)
+		}
 		if n > 0 {
 			sh.r.cs.bytesIn.Add(uint64(n))
 			if done, reason := rs.feed(sh.rbuf[:n]); done {
@@ -371,29 +420,30 @@ func (sh *rshard) readSession(rs *rsession) {
 	}
 }
 
-// flushPending writes out every session that buffered bytes since the last
-// pass — the write-coalescing point of the reactor: one write syscall per
-// dirty connection per cycle, regardless of how many deliveries landed.
+// flushPending writes out every session queued here since the last pass, own
+// or adopted — the write-coalescing point of the reactor: one write syscall
+// per dirty connection per cycle, regardless of how many deliveries landed.
 func (sh *rshard) flushPending() {
 	sh.qmu.Lock()
 	batch := sh.pending
 	sh.pending = sh.pendScratch[:0]
 	sh.qmu.Unlock()
 	for _, rs := range batch {
-		sh.flushSession(rs)
+		rs.flush()
 	}
 	// Drop *rsession references so the scratch never pins dead sessions.
 	clear(batch)
 	sh.pendScratch = batch[:0]
 }
 
-// flushSession writes the session's pending bytes. On a full kernel buffer
-// it keeps the remainder and arms EPOLLOUT; the edge re-enters here.
-func (sh *rshard) flushSession(rs *rsession) {
-	cs := sh.r.cs
+// flush writes the session's pending bytes; any shard may call it (wbuf,
+// wantWrite and fdReleased are all under mu). On a full kernel buffer it keeps
+// the remainder and arms EPOLLOUT on the owner, where the edge re-enters here.
+func (rs *rsession) flush() {
+	sh, cs := rs.sh, rs.sh.r.cs
 	rs.mu.Lock()
 	rs.dirty = false
-	if rs.closed || rs.fdReleased || len(rs.wbuf) == 0 {
+	if rs.closed.Load() || rs.fdReleased || len(rs.wbuf) == 0 {
 		rs.mu.Unlock()
 		return
 	}
@@ -418,12 +468,7 @@ func (sh *rshard) flushSession(rs *rsession) {
 		rs.end(err)
 		return
 	}
-	rs.wbuf = rs.wbuf[:0]
-	if cap(rs.wbuf) > wbufRetain {
-		// A burst grew the buffer; give the memory back so idle
-		// connections stay small.
-		rs.wbuf = nil
-	}
+	rs.wbuf = rs.recycle(rs.wbuf, n)
 	if rs.wantWrite {
 		rs.wantWrite = false
 		sh.epollMod(rs.fd, epollReadMask)
@@ -479,19 +524,11 @@ func (sh *rshard) releaseFD(rs *rsession) {
 // cleanup tears down every remaining connection and the shard's own
 // descriptors; runs when the listener closes (or epoll itself fails).
 func (sh *rshard) cleanup() {
-	// Close sessions still in the table...
+	// Register accepted stragglers first: then the table holds every session.
+	sh.processIncoming()
 	var live []*rsession
 	sh.table.each(func(_ int, rs *rsession) { live = append(live, rs) })
 	for _, rs := range live {
-		rs.end(ErrSessionClosed)
-	}
-	// ...and any accepted-but-unregistered stragglers.
-	sh.processIncoming()
-	sh.qmu.Lock()
-	batch := sh.incoming
-	sh.incoming = nil
-	sh.qmu.Unlock()
-	for _, rs := range batch {
 		rs.end(ErrSessionClosed)
 	}
 	sh.processDead()

@@ -4,6 +4,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"github.com/dynamoth/dynamoth/internal/message"
 	"github.com/dynamoth/dynamoth/internal/resp"
@@ -29,16 +30,30 @@ type respConn struct {
 	wake func()
 
 	mu     sync.Mutex
-	wbuf   []byte // pending outbound bytes (replies + deliveries)
-	dirty  bool   // wake has fired and the flusher has not yet taken wbuf
-	closed bool   // no more output is accepted
-	reason error  // why the connection ended (nil = ordinary disconnect)
+	wbuf   []byte      // pending outbound bytes (replies + deliveries)
+	dirty  bool        // wake has fired and the flusher has not yet taken wbuf
+	closed atomic.Bool // no more output is accepted; written under mu only
+	reason error       // why the connection ended (nil = ordinary disconnect)
+	lean   int         // flushes in a row that left a grown wbuf mostly unused (recycle)
 }
 
-func (c *respConn) isClosed() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.closed
+// isClosed is the read path's lock-free look at closed; a reader that misses
+// a concurrent shut finishes the command in hand, whose output is refused.
+func (c *respConn) isClosed() bool { return c.closed.Load() }
+
+// recycle readies a flushed buffer that held used bytes for reuse. One grown
+// past wbufRetain is kept while flushes keep using it (a large-frame stream
+// does not regrow it every burst) and released after wbufLeanFlushes flushes
+// in a row that each used under a quarter of it, so a connection whose
+// traffic subsides falls back to a small footprint.
+func (c *respConn) recycle(buf []byte, used int) []byte {
+	if cap(buf) <= wbufRetain || used > cap(buf)/4 {
+		c.lean = 0
+	} else if c.lean++; c.lean >= wbufLeanFlushes {
+		c.lean = 0
+		return nil
+	}
+	return buf[:0]
 }
 
 // markDirtyLocked tells the core's flusher there are bytes to write. Caller
@@ -57,7 +72,7 @@ func (c *respConn) markDirtyLocked() {
 func (c *respConn) Enqueue(channel, pattern string, payload []byte) bool {
 	cs := c.cs
 	c.mu.Lock()
-	if c.closed {
+	if c.closed.Load() {
 		c.mu.Unlock()
 		return true // dying anyway; swallow like a closed Redis conn
 	}
@@ -95,8 +110,8 @@ func (c *respConn) Deliver(channel string, payload []byte) {
 // ordinary disconnect) before the broker's Closed callback arrives.
 func (c *respConn) shut(reason error) {
 	c.mu.Lock()
-	if !c.closed {
-		c.closed = true
+	if !c.closed.Load() {
+		c.closed.Store(true)
 		c.reason = reason
 	}
 	c.mu.Unlock()
@@ -139,7 +154,7 @@ func (c *respConn) feed(p []byte) (done bool, reason error) {
 func (c *respConn) writeAck(kind, channel string, count int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
+	if c.closed.Load() {
 		return ErrSessionClosed
 	}
 	w := append(c.wbuf, '*', '3', '\r', '\n')
@@ -158,7 +173,7 @@ func (c *respConn) writeAck(kind, channel string, count int) error {
 func (c *respConn) writeReplayAck(channel string, count, replayed int, missed, epoch uint64) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
+	if c.closed.Load() {
 		return ErrSessionClosed
 	}
 	w := append(c.wbuf, '*', '6', '\r', '\n')
@@ -180,7 +195,7 @@ func (c *respConn) writeReplayAck(channel string, count, replayed int, missed, e
 func (c *respConn) writeSimple(v string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
+	if c.closed.Load() {
 		return ErrSessionClosed
 	}
 	w := append(c.wbuf, '+')
@@ -193,7 +208,7 @@ func (c *respConn) writeSimple(v string) error {
 func (c *respConn) writeErr(msg string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
+	if c.closed.Load() {
 		return ErrSessionClosed
 	}
 	w := append(c.wbuf, '-')
@@ -206,7 +221,7 @@ func (c *respConn) writeErr(msg string) error {
 func (c *respConn) writeInt(n int64) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
+	if c.closed.Load() {
 		return ErrSessionClosed
 	}
 	w := append(c.wbuf, ':')
@@ -219,7 +234,7 @@ func (c *respConn) writeInt(n int64) error {
 func (c *respConn) writeBulk(b []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
+	if c.closed.Load() {
 		return ErrSessionClosed
 	}
 	c.wbuf = resp.AppendBulk(c.wbuf, b)

@@ -299,6 +299,12 @@ func (n *Node) buildRegistry() {
 	r.Counter("dynamoth_broker_epoll_writes_total",
 		"Reactor flush write syscalls; deliveries per write is the coalescing factor.",
 		func() uint64 { return n.connSrv.Stats().EpollWrites })
+	r.Counter("dynamoth_broker_conn_doorbells_total",
+		"Wake-ups rung on a parked reactor shard's eventfd (0 on the goroutine core).",
+		func() uint64 { return n.connSrv.Stats().Doorbells })
+	r.Counter("dynamoth_broker_conn_adopted_flushes_total",
+		"Sessions flushed by an already-awake reactor shard other than their owner (0 on the goroutine core).",
+		func() uint64 { return n.connSrv.Stats().AdoptedFlushes })
 	if n.Broker.ReplayEnabled() {
 		r.Gauge("dynamoth_broker_replay_rings",
 			"Channels currently holding a replay ring.",

@@ -84,6 +84,8 @@ func TestNodeMetricsScrapeUnderPublishStorm(t *testing.T) {
 		"dynamoth_broker_dropped_total",
 		"dynamoth_broker_sessions",
 		"dynamoth_broker_channels",
+		"dynamoth_broker_conn_doorbells_total",
+		"dynamoth_broker_conn_adopted_flushes_total",
 		"dynamoth_plan_version",
 		"dynamoth_e2e_latency_seconds_bucket",
 	} {

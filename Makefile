@@ -34,12 +34,13 @@ chaos:
 
 # Zero-loss delivery suite: cursor encoding + seq tracker + replay ring
 # property tests, the dedup-window interop regressions, and the chaos
-# zero-loss scenarios, all under the race detector — then the publish hot
-# path with replay rings enabled must still run at 0 allocs/op.
+# zero-loss scenarios, all under the race detector — then a RESP PUBLISH on
+# the assembled node (replay rings, stage stamping and every observer on)
+# must still allocate nothing.
 replay:
 	$(GO) test -race -run 'Replay|Cursor|SeqTracker|Dedup' ./...
 	$(GO) test -race -count=1 -run 'TestChaosBrokerCrashMidPublishStorm|TestChaosRebalanceDrainZeroLoss' ./cluster/
-	$(GO) test -run xxx -bench 'BenchmarkBrokerFanOut|BenchmarkBrokerPublishParallel|BenchmarkBrokerPublishReplay' -benchmem .
+	$(GO) test -count=1 -run TestNodePublishPathAllocs ./internal/broker/
 
 # Observability suite: exposition/registry/admin unit tests, the scrape
 # cross-checks, the flight-recorder (trace) package under the race
@@ -51,12 +52,13 @@ obs:
 
 # Latency-waterfall suite: the multi-stage stamp wire format, the stage
 # histograms and region attribution through the LLA report path, and the
-# waterfall endpoints/CLI, all under the race detector — then the publish hot
-# path with stage stamping enabled must still run at 0 allocs/op.
+# waterfall endpoints/CLI, all under the race detector — then a RESP PUBLISH
+# on the assembled node (stage stamping, replay rings and every observer on)
+# must still allocate nothing.
 latency:
 	$(GO) test -race -run 'Stage|Waterfall|Region|LatencyTopK|BuildInfo|ShowLatency|Skew' ./...
 	$(GO) test -race ./internal/message/ ./internal/lla/
-	$(GO) test -run xxx -bench 'BenchmarkBrokerPublishParallel|BenchmarkBrokerPublishReplay|BenchmarkPeekStageStamp' -benchmem ./...
+	$(GO) test -count=1 -run TestNodePublishPathAllocs ./internal/broker/
 
 # Connection-scale suite: the connection layer's packages under the race
 # detector (selected by package, so a renamed test cannot leave the gate),
@@ -73,7 +75,8 @@ conns:
 # plan, LLA accumulator) under the race detector, then the channel soak — a
 # real dynamoth-node subprocess taking one publication on each of CHANNELS
 # distinct channels; RSS on both sides must stay flat from CHANNELS/10 to
-# CHANNELS (writes BENCH_channels.json). CHANNELS overrides the target.
+# CHANNELS and the node's under an absolute ceiling, or the run fails (writes
+# BENCH_channels.json). CHANNELS overrides the target.
 CHANNELS ?= 1000000
 channels:
 	$(GO) test -race ./internal/hotstate/ ./internal/localplan/ ./internal/lla/

@@ -10,6 +10,8 @@ import (
 	"time"
 
 	dynamoth "github.com/dynamoth/dynamoth"
+	"github.com/dynamoth/dynamoth/internal/obs"
+	"github.com/dynamoth/dynamoth/internal/server"
 )
 
 // Channel-soak knobs. The node runs with deliberately small hot-state caps
@@ -18,24 +20,43 @@ import (
 const (
 	soakLLACap       = 4096 // -lla-channel-cap
 	soakTopKCap      = 4096 // -topk-cap
+	soakReplayCap    = 8192 // -replay-channels
 	soakWorkingSet   = 1024 // channels in the steady-state publish loop
 	soakSteadyOps    = 50_000
 	soakPayloadBytes = 64
+	// The warmup fills every working-set replay ring to its depth, then
+	// sweeps throwaway channels until the trackers that only sample
+	// publications (top-K and latency top-K, soakTopKCap channels each) are
+	// full too — twice what that takes: the first checkpoint's own sweep is
+	// too short for it at CI scale.
+	soakWarmupOps   = soakWorkingSet * server.DefaultReplayDepth
+	soakWarmupSweep = 2 * soakTopKCap << obs.DefaultSampleShift
+
+	// Bounds the run must meet: RSS flat from the first checkpoint to the
+	// second, and the node's RSS at the target under an absolute ceiling —
+	// about 1.5× the 31–36 MiB this configuration measures, and far under what
+	// it would cost to size each of the soakReplayCap one-frame rings ahead of
+	// its contents (10 KiB of empty slots apiece, +80 MiB), which a ratio of
+	// two readings that both include it cannot see.
+	soakMaxRSSRatio    = 1.10
+	soakMaxServerRSSKB = 56 << 10
 )
 
 // runChannels is the million-channel soak: a real dynamoth-node subprocess
 // with bounded hot-state caches takes one publication on each of `target`
 // distinct channels from a real client over TCP. RSS on both sides is read
 // at target/10 and at target; with every per-channel map bounded, the two
-// readings must agree within noise — memory is O(cap), not O(channels).
+// readings must agree within noise — memory is O(cap), not O(channels) — and
+// the node's reading at target must sit under soakMaxServerRSSKB, or the run
+// is an error.
 // Steady-state publish throughput and allocations are measured at both
 // checkpoints over a fixed working set, and the node's hotstate families
 // are scraped to show each cache pinned at its capacity. Writes
 // BENCH_channels.json.
 func runChannels(target int) error {
 	fmt.Println("=== Channel soak — bounded hot-state caches under an unbounded namespace ===")
-	fmt.Printf("target %d distinct channels; node caps: lla=%d topk=%d; RSS checkpoints at %d and %d\n\n",
-		target, soakLLACap, soakTopKCap, target/10, target)
+	fmt.Printf("target %d distinct channels; node caps: lla=%d topk=%d replay=%d; RSS checkpoints at %d and %d\n\n",
+		target, soakLLACap, soakTopKCap, soakReplayCap, target/10, target)
 	if target < 10 {
 		return fmt.Errorf("-channels must be at least 10, got %d", target)
 	}
@@ -52,7 +73,8 @@ func runChannels(target int) error {
 
 	node, err := startNode(nodeBin,
 		"-lla-channel-cap", strconv.Itoa(soakLLACap),
-		"-topk-cap", strconv.Itoa(soakTopKCap))
+		"-topk-cap", strconv.Itoa(soakTopKCap),
+		"-replay-channels", strconv.Itoa(soakReplayCap))
 	if err != nil {
 		return err
 	}
@@ -76,9 +98,9 @@ func runChannels(target int) error {
 	}
 	payload := make([]byte, soakPayloadBytes)
 
-	sweep := func(from, to int) error {
+	sweep := func(prefix string, from, to int) error {
 		for i := from; i < to; i++ {
-			if err := client.Publish("soak."+strconv.Itoa(i), payload); err != nil {
+			if err := client.Publish(prefix+strconv.Itoa(i), payload); err != nil {
 				return fmt.Errorf("publish channel %d: %w", i, err)
 			}
 			if (i+1)%100_000 == 0 {
@@ -94,10 +116,13 @@ func runChannels(target int) error {
 	// burst is flushed to the broker, then the wait ends when the node has
 	// actually built its first LLA report — not after a guessed sleep that
 	// under-waits on a loaded machine.
-	for i := 0; i < soakSteadyOps; i++ {
+	for i := 0; i < soakWarmupOps; i++ {
 		if err := client.Publish(working[i%len(working)], payload); err != nil {
 			return fmt.Errorf("warmup publish: %w", err)
 		}
+	}
+	if err := sweep("warm.", 0, soakWarmupSweep); err != nil {
+		return err
 	}
 	if err := client.Flush(30 * time.Second); err != nil {
 		return fmt.Errorf("warmup flush: %w", err)
@@ -108,7 +133,7 @@ func runChannels(target int) error {
 
 	tenth := target / 10
 	start := time.Now()
-	if err := sweep(0, tenth); err != nil {
+	if err := sweep("soak.", 0, tenth); err != nil {
 		return err
 	}
 	at10, err := channelsCheckpoint(client, node.Pid(), adminAddr, tenth, working, payload)
@@ -118,7 +143,7 @@ func runChannels(target int) error {
 	fmt.Printf("checkpoint %d: server RSS %d KB, client RSS %d KB, steady %.0f msg/s at %.1f allocs/op\n",
 		tenth, at10.ServerRSSKB, at10.ClientRSSKB, at10.SteadyPublishPerSec, at10.SteadyAllocsPerOp)
 
-	if err := sweep(tenth, target); err != nil {
+	if err := sweep("soak.", tenth, target); err != nil {
 		return err
 	}
 	atFull, err := channelsCheckpoint(client, node.Pid(), adminAddr, target, working, payload)
@@ -131,8 +156,9 @@ func runChannels(target int) error {
 	hotstate := scrapeFamilies(adminAddr, "dynamoth_node_hotstate")
 	serverRatio := ratio(atFull.ServerRSSKB, at10.ServerRSSKB)
 	clientRatio := ratio(atFull.ClientRSSKB, at10.ClientRSSKB)
-	fmt.Printf("\nRSS growth %d→%d channels: server ×%.3f, client ×%.3f (flat ≤ 1.10 expected)\n",
-		tenth, target, serverRatio, clientRatio)
+	fmt.Printf("\nRSS growth %d→%d channels: server ×%.3f, client ×%.3f (flat ≤ %.2f expected)\n",
+		tenth, target, serverRatio, clientRatio, soakMaxRSSRatio)
+	fmt.Printf("server RSS at %d channels: %d KB (≤ %d KB expected)\n", target, atFull.ServerRSSKB, soakMaxServerRSSKB)
 	fmt.Printf("sweep wall time: %v\n", time.Since(start).Round(time.Millisecond))
 
 	out := map[string]any{
@@ -155,6 +181,7 @@ func runChannels(target int) error {
 			"targetChannels":     target,
 			"llaChannelCap":      soakLLACap,
 			"topkCap":            soakTopKCap,
+			"replayChannels":     soakReplayCap,
 			"clientLocalPlanCap": "default (4096)",
 			"workingSet":         soakWorkingSet,
 			"steadyOps":          soakSteadyOps,
@@ -174,6 +201,12 @@ func runChannels(target int) error {
 		return err
 	}
 	fmt.Println("\nwrote BENCH_channels.json")
+	if serverRatio > soakMaxRSSRatio || clientRatio > soakMaxRSSRatio {
+		return fmt.Errorf("RSS grew with the channel namespace: server ×%.3f, client ×%.3f, want ≤ %.2f", serverRatio, clientRatio, soakMaxRSSRatio)
+	}
+	if atFull.ServerRSSKB > soakMaxServerRSSKB {
+		return fmt.Errorf("server RSS %d KB at %d channels, want ≤ %d KB", atFull.ServerRSSKB, target, soakMaxServerRSSKB)
+	}
 	return nil
 }
 

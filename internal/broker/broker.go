@@ -68,7 +68,9 @@ type EnqueueSink interface {
 	Sink
 	// Enqueue queues one delivery without blocking. pattern is non-empty
 	// for pattern-subscription matches. It reports false when the session's
-	// output buffer is over its limit.
+	// output buffer is over its limit. payload is borrowed for the call (it
+	// may be a connection's read buffer, reused once the publish returns): a
+	// sink copies what it queues and must not write to it.
 	Enqueue(channel, pattern string, payload []byte) bool
 }
 
@@ -76,8 +78,8 @@ type EnqueueSink interface {
 // run synchronously on the publishing/subscribing goroutine and must be
 // cheap and non-blocking.
 type Observer interface {
-	// OnPublish fires for every publication with its receiver count and
-	// payload size in bytes.
+	// OnPublish fires for every publication with its receiver count. payload
+	// is borrowed for the call, like a sink's: read it, copy what is kept.
 	OnPublish(channel string, payload []byte, receivers int)
 	// OnSubscribe fires when a session subscribes to a channel;
 	// subscribers is the channel's subscriber count afterwards.
@@ -328,6 +330,7 @@ func (b *Broker) Connect(name string, sink Sink) (*Session, error) {
 		broker: b,
 		name:   name,
 		sink:   es,
+		queued: q != nil,
 		done:   make(chan struct{}),
 		subs:   make(map[string]struct{}),
 		psubs:  make(map[string]struct{}),
@@ -365,9 +368,19 @@ var targetPool = sync.Pool{New: func() any { return new([]target) }}
 // On a replay-enabled broker, a data-envelope payload is stamped in place
 // with its (epoch, channelSeq) replay coordinates before fan-out; with
 // stage stamping enabled (Options.NowNanos) the broker-ingress and
-// fanout-enqueue waterfall marks are written the same way. Either way the
-// caller must exclusively own payload until Publish returns.
+// fanout-enqueue waterfall marks are written the same way. The caller hands
+// payload over: in-process sessions queue the slice itself, so it must not be
+// touched again.
 func (b *Broker) Publish(channel string, payload []byte) int {
+	return b.publish(channel, payload, false)
+}
+
+// publish is Publish for either ownership: lent says payload is only borrowed
+// for the call (a connection's read buffer, writable meanwhile). Bytes handed
+// down the publish path are borrowed; whoever keeps them copies them — the
+// replay ring and every connection's write buffer do anyway, so a lent payload
+// is copied here only for in-process queues, once, if there are any.
+func (b *Broker) publish(channel string, payload []byte, lent bool) int {
 	if b.closed.Load() {
 		return 0
 	}
@@ -431,12 +444,20 @@ func (b *Broker) Publish(channel string, payload []byte) int {
 
 	delivered := 0
 	var overflowed []*Session
+	var owned []byte // the in-process queues' copy of a lent payload
 	for i := range ts {
 		s := ts[i].s
 		if s.closed.Load() {
 			continue // session is gone; skip
 		}
-		if !s.sink.Enqueue(channel, ts[i].pattern, payload) {
+		p := payload
+		if lent && s.queued {
+			if owned == nil {
+				owned = append([]byte(nil), payload...)
+			}
+			p = owned
+		}
+		if !s.sink.Enqueue(channel, ts[i].pattern, p) {
 			// Output buffer full: slow consumer, disconnect it.
 			overflowed = append(overflowed, s)
 			continue
@@ -498,6 +519,7 @@ type Stats struct {
 
 	// Replay-ring counters (all zero when replay is disabled).
 	ReplayRings    int    // channels currently holding a replay ring
+	ReplayBytes    int64  // frame bytes those rings currently hold
 	ReplayRetained uint64 // data frames appended to replay rings
 	ReplayRequests uint64 // cursor subscribes served
 	ReplayedFrames uint64 // frames replayed to sessions
@@ -525,6 +547,7 @@ func (b *Broker) Stats() Stats {
 	}
 	if b.replay != nil {
 		st.ReplayRings = b.replay.rings.Len()
+		st.ReplayBytes = b.replay.bytes.Load()
 		st.ReplayRetained = b.replay.retained.Load()
 		st.ReplayRequests = b.replay.requests.Load()
 		st.ReplayedFrames = b.replay.replayed.Load()
@@ -698,6 +721,9 @@ type Session struct {
 	broker *Broker
 	name   string
 	sink   EnqueueSink
+	// queued marks a sink that is Connect's queueSink, the one sink that holds
+	// the payload slice itself past Enqueue: it is handed owned bytes only.
+	queued bool
 
 	mu    sync.Mutex
 	subs  map[string]struct{}

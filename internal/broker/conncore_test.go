@@ -78,6 +78,7 @@ func TestConnCoreConformance(t *testing.T) {
 		{"pipelined", conformPipelined},
 		{"slow consumer", conformSlowConsumer},
 		{"replay precedes ack", conformReplayPrecedesAck},
+		{"borrowed publish", conformBorrowedPublish},
 		{"flush observed", conformFlushObserved},
 		{"observer", conformObserver},
 		{"transient accept error", conformTransientAccept},
@@ -268,6 +269,88 @@ func conformReplayPrecedesAck(t *testing.T, core connCore) {
 		ack.Array[2].Int != 1 || ack.Array[3].Int != n || ack.Array[4].Int != 0 || uint64(ack.Array[5].Int) != epoch {
 		t.Fatalf("csubscribe ack %+v", ack)
 	}
+}
+
+// holdingSink keeps the very slices it is delivered, as an in-process
+// subscriber is entitled to.
+type holdingSink struct {
+	got chan []byte
+}
+
+func (s holdingSink) Deliver(_ string, payload []byte) { s.got <- payload }
+func (holdingSink) Closed(error)                       {}
+
+// conformBorrowedPublish: a PUBLISH is parsed, stamped and fanned out where
+// it lies in the connection's read buffer, so everyone who keeps it longer
+// than the call must have taken a copy. Two same-length publications arrive
+// in one write; a TCP subscriber, an in-process subscriber that holds on to
+// what it was delivered, and a later cursor replay must each see the first
+// then the second, intact — also after the publisher's next write has landed
+// on the same bytes of the read buffer.
+func conformBorrowedPublish(t *testing.T, core connCore) {
+	addr, b, _ := startCore(t, core, Options{ReplayDepth: 16, NowNanos: func() int64 { return time.Now().UnixNano() }}, ServeOptions{})
+
+	held := holdingSink{got: make(chan []byte, 4)}
+	inproc, err := b.Connect("inproc", held)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := inproc.Subscribe("ch"); err != nil {
+		t.Fatal(err)
+	}
+	sub := dialRESP(t, addr)
+	sub.cmd(t, "SUBSCRIBE", "ch")
+
+	want := []string{"payload-one", "payload-two"}
+	// Live deliveries carry the stage marks stamped after the ring took its
+	// copy; replayed frames carry none.
+	check := func(who string, i int, frame []byte, staged bool) {
+		t.Helper()
+		env, err := message.Unmarshal(frame)
+		if err != nil {
+			t.Fatalf("%s: frame %d: %v", who, i+1, err)
+		}
+		if string(env.Payload) != want[i] || env.ChannelSeq != uint64(i+1) || (env.StageIngressUs != 0) != staged {
+			t.Fatalf("%s: frame %d is %q seq %d ingress %dus, want %q seq %d, stage-stamped %v",
+				who, i+1, env.Payload, env.ChannelSeq, env.StageIngressUs, want[i], i+1, staged)
+		}
+	}
+	// One publisher connection throughout: its second write lands in the read
+	// buffer the first pair was parsed in.
+	pub := dialRESP(t, addr)
+	publishPair := func(ch, first, second string) {
+		t.Helper()
+		stamp := time.Now().UnixNano()
+		burst := resp.AppendCommandStrings(nil, "PUBLISH", ch, string(dataFrame(ch, first, stamp)))
+		burst = resp.AppendCommandStrings(burst, "PUBLISH", ch, string(dataFrame(ch, second, stamp)))
+		if _, err := pub.conn.Write(burst); err != nil {
+			t.Fatal(err)
+		}
+		pub.read(t)
+		pub.read(t)
+	}
+	publishPair("ch", want[0], want[1])
+	var kept [][]byte
+	for i := range want {
+		check("TCP subscriber", i, sub.read(t).Array[2].Str, true)
+		select {
+		case p := <-held.got:
+			kept = append(kept, p)
+		case <-time.After(2 * time.Second):
+			t.Fatalf("in-process subscriber: delivery %d never arrived", i+1)
+		}
+	}
+	publishPair("xx", "scribble-11", "scribble-22")
+	for i, p := range kept {
+		check("in-process subscriber", i, p, true)
+	}
+
+	epoch, _, _ := b.ReplayHead("ch")
+	late := dialRESP(t, addr)
+	cur := message.MarshalCursor(message.Cursor{Seen: []message.EpochSeq{{Epoch: epoch, Seq: 0}}})
+	first := late.cmd(t, "CSUBSCRIBE", "ch", string(cur))
+	check("replay", 0, first.Array[2].Str, false)
+	check("replay", 1, late.read(t).Array[2].Str, false)
 }
 
 // flushCounter counts OnFlush calls; the no-op embedded observer makes it

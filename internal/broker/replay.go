@@ -51,22 +51,41 @@ type replaySlot struct {
 }
 
 // replayRing is one channel's bounded frame history. head is the last
-// assigned sequence; sequence s lives in slots[(s-1) % depth].
+// assigned sequence; sequence s lives in slots[(s-1) % depth]. The slot array
+// grows with the frames retained on the first lap and stops at depth, so a
+// ring costs what it holds: a channel that saw one frame has one slot.
 type replayRing struct {
-	mu    sync.Mutex
-	epoch uint64
-	head  uint64
-	slots []replaySlot
+	mu      sync.Mutex
+	epoch   uint64
+	head    uint64
+	slots   []replaySlot
+	bytes   int64 // frame bytes held across slots
+	evicted bool  // dropped from the store; its bytes left the store's total
 }
 
-func newReplayRing(depth int) *replayRing {
+func newReplayRing() *replayRing {
 	// 63 bits so the epoch survives a round trip through a RESP integer
 	// (int64); 0 is reserved — on the wire it means "never stamped".
 	e := rand.Uint64() >> 1
 	if e == 0 {
 		e = 1
 	}
-	return &replayRing{epoch: e, slots: make([]replaySlot, depth)}
+	return &replayRing{epoch: e}
+}
+
+// slot returns the slot of sequence seq, growing the array geometrically (and
+// never past depth) when seq is the first to reach it.
+func (r *replayRing) slot(seq uint64, depth int) *replaySlot {
+	i := int((seq - 1) % uint64(depth))
+	if i == len(r.slots) {
+		if i == cap(r.slots) {
+			grown := make([]replaySlot, i, min(max(2*i, 1), depth))
+			copy(grown, r.slots)
+			r.slots = grown
+		}
+		r.slots = r.slots[:i+1]
+	}
+	return &r.slots[i]
 }
 
 // replayStore is the broker's channel→ring table, bounded by a hotstate
@@ -77,6 +96,7 @@ type replayStore struct {
 	depth int
 	rings *hotstate.Cache[string, *replayRing]
 
+	bytes    atomic.Int64  // frame bytes currently held by rings in the store
 	retained atomic.Uint64 // frames appended to rings
 	requests atomic.Uint64 // cursor subscribes served
 	replayed atomic.Uint64 // frames replayed to sessions
@@ -93,6 +113,12 @@ func newReplayStore(depth, channels int) *replayStore {
 	st := &replayStore{depth: depth}
 	st.rings = hotstate.New(hotstate.Config[string, *replayRing]{
 		Capacity: channels,
+		OnEvict: func(_ string, r *replayRing) {
+			r.mu.Lock()
+			r.evicted = true
+			st.bytes.Add(-r.bytes)
+			r.mu.Unlock()
+		},
 	})
 	return st
 }
@@ -108,37 +134,37 @@ func (st *replayStore) ring(channel string) *replayRing {
 			out = old
 			return old, false
 		}
-		out = newReplayRing(st.depth)
+		out = newReplayRing()
 		return out, true
 	})
 	return out
 }
 
-// retainable reports whether a payload is a data envelope the ring should
-// keep, peeking only the fixed header (raw payloads and control envelopes
-// pass through the broker unstamped and unretained).
-func retainable(payload []byte) bool {
-	t, _, ok := message.PeekStamp(payload)
-	return ok && (t == message.TypeData || t == message.TypeForwarded)
-}
-
 // retain assigns the channel's next sequence, stamps payload in place with
-// (epoch, seq), and copies the stamped frame into the ring. The caller must
-// exclusively own payload (the broker's publish contract). Steady state is
-// allocation-free: slot buffers are reused once the ring has wrapped.
+// (epoch, seq), and copies the stamped frame into the ring — only data
+// envelopes, told by one peek of the fixed header (raw payloads and control
+// envelopes pass through the broker unstamped and unretained). payload must
+// be the caller's to write for the duration of the call; the ring keeps its
+// own copy. Steady state is allocation-free: slot buffers are reused once the
+// ring has wrapped.
 func (st *replayStore) retain(channel string, payload []byte) {
-	if !retainable(payload) {
+	t, stamp, ok := message.PeekStamp(payload)
+	if !ok || (t != message.TypeData && t != message.TypeForwarded) {
 		return
 	}
-	_, stamp, _ := message.PeekStamp(payload)
 	r := st.ring(channel)
 	r.mu.Lock()
 	r.head++
 	message.StampChannelSeq(payload, r.epoch, r.head)
-	s := &r.slots[(r.head-1)%uint64(len(r.slots))]
+	s := r.slot(r.head, st.depth)
+	delta := int64(len(payload) - len(s.buf))
 	s.seq = r.head
 	s.stamp = stamp
 	s.buf = append(s.buf[:0], payload...)
+	r.bytes += delta
+	if !r.evicted {
+		st.bytes.Add(delta)
+	}
 	r.mu.Unlock()
 	st.retained.Add(1)
 }
@@ -170,7 +196,7 @@ func (st *replayStore) collect(channel string, cur message.Cursor) (frames [][]b
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	epoch = r.epoch
-	depth := uint64(len(r.slots))
+	depth := uint64(st.depth)
 	tail := uint64(1)
 	if r.head > depth {
 		tail = r.head - depth + 1

@@ -2,6 +2,7 @@ package broker
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -335,4 +336,115 @@ func TestReplayEvictionChurnRace(t *testing.T) {
 		}
 	}()
 	wg.Wait()
+}
+
+// A ring's slot array follows the frames it has retained up to depth, and at
+// every fill level — empty, one frame, one short of a lap, exactly a lap, one
+// past it, several laps — a cursor is owed exactly (cursor, head], less what
+// the ring has overwritten.
+func TestReplayRingGrowthBoundaries(t *testing.T) {
+	const depth = 8
+	for _, n := range []int{0, 1, depth - 1, depth, depth + 1, 3 * depth} {
+		b := New(Options{ReplayDepth: depth})
+		for i := 1; i <= n; i++ {
+			b.Publish("ch", dataFrame("ch", fmt.Sprintf("m%d", i), int64(i)))
+		}
+		slots := 0
+		if r, ok := b.replay.rings.Peek("ch"); ok {
+			slots = len(r.slots)
+			if cap(r.slots) > depth {
+				t.Fatalf("n=%d: slot array grew to %d, past depth %d", n, cap(r.slots), depth)
+			}
+		}
+		if want := min(n, depth); slots != want {
+			t.Fatalf("n=%d: ring holds %d slots, want %d", n, slots, want)
+		}
+		epoch, head, _ := b.ReplayHead("ch")
+		if head != uint64(n) {
+			t.Fatalf("n=%d: head %d", n, head)
+		}
+		tail := uint64(1)
+		if n > depth {
+			tail = uint64(n-depth) + 1
+		}
+		for _, cursor := range []uint64{0, uint64(n / 2), uint64(n)} {
+			frames, missed, _ := b.replay.collect("ch", message.Cursor{Seen: []message.EpochSeq{{Epoch: epoch, Seq: cursor}}})
+			from := max(cursor+1, tail)
+			if want := from - (cursor + 1); missed != want {
+				t.Fatalf("n=%d cursor=%d: %d missed, want %d", n, cursor, missed, want)
+			}
+			if want := uint64(n) + 1 - from; uint64(len(frames)) != want {
+				t.Fatalf("n=%d cursor=%d: %d frames, want %d", n, cursor, len(frames), want)
+			}
+			for i, f := range frames {
+				env, err := message.Unmarshal(f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if seq := from + uint64(i); env.ChannelSeq != seq || string(env.Payload) != fmt.Sprintf("m%d", seq) {
+					t.Fatalf("n=%d cursor=%d: frame %d is seq %d %q, want seq %d", n, cursor, i, env.ChannelSeq, env.Payload, seq)
+				}
+			}
+		}
+		if n > depth {
+			// Wrapped: slots and their buffers are reused, so retaining
+			// costs no allocation (what BenchmarkBrokerPublishReplay times).
+			frame := dataFrame("ch", "mX", 1)
+			if allocs := testing.AllocsPerRun(100, func() { b.Publish("ch", frame) }); allocs != 0 {
+				t.Fatalf("n=%d: publish into a wrapped ring allocates %v times", n, allocs)
+			}
+		}
+	}
+}
+
+// A channel that saw one frame costs about that frame: the footprint of many
+// barely-used rings must follow what they hold, not depth × channels.
+func TestReplayFootprint(t *testing.T) {
+	const channels = 8192
+	names := make([]string, channels)
+	for i := range names {
+		names[i] = fmt.Sprintf("tile.%d", i)
+	}
+	frame := dataFrame("tile", string(make([]byte, 120)), 1) // ~160 B on the wire
+	b := New(Options{ReplayDepth: 256})
+	heap := func() uint64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	before := heap()
+	for _, ch := range names {
+		b.Publish(ch, frame)
+	}
+	grown := int64(heap()) - int64(before)
+	if st := b.Stats(); st.ReplayRings != channels || st.ReplayBytes != int64(channels*len(frame)) {
+		t.Fatalf("%d rings holding %d bytes, want %d holding %d", st.ReplayRings, st.ReplayBytes, channels, channels*len(frame))
+	}
+	if limit := int64(8 << 20); grown > limit {
+		t.Fatalf("one %d-byte frame on each of %d channels grew the heap by %d KiB, want under %d KiB",
+			len(frame), channels, grown>>10, limit>>10)
+	}
+	runtime.KeepAlive(b)
+}
+
+// ReplayBytes follows the rings' contents: up with each retained frame, level
+// once slots are overwritten by frames of the same size, down by a ring's
+// whole holding when the bounding cache evicts it.
+func TestReplayBytesGauge(t *testing.T) {
+	b := New(Options{ReplayDepth: 2, ReplayChannels: 1})
+	frame := dataFrame("a", "m", 1)
+	size := int64(len(frame))
+	for i, want := range []int64{size, 2 * size, 2 * size} {
+		b.Publish("a", frame)
+		if got := b.Stats().ReplayBytes; got != want {
+			t.Fatalf("after %d frames: ReplayBytes = %d, want %d", i+1, got, want)
+		}
+	}
+	// Capacity 1: a ring on another channel in a's shard evicts a's.
+	other := sameShardChannels("a", 1)[0]
+	b.Publish(other, frame)
+	if got := b.Stats().ReplayBytes; got != size {
+		t.Fatalf("after a's ring was evicted: ReplayBytes = %d, want %d", got, size)
+	}
 }

@@ -22,9 +22,11 @@ type respConn struct {
 	cs   *ConnServer
 	name string // remote address
 	sess *Session
-	// parser carries partial frames across reads; it is only touched by
-	// the goroutine that reads the socket.
+	// parser carries partial frames across reads and names interns the
+	// channels this connection publishes to (channelName); both are only
+	// touched by the goroutine that reads the socket.
 	parser resp.CommandParser
+	names  map[string]string
 	// wake is called with mu held when the buffer goes from clean to dirty.
 	// It must not block.
 	wake func()
@@ -128,9 +130,39 @@ func (c *respConn) end(reason error) {
 	c.sess.close(reason)
 }
 
+// internCap bounds a connection's channel-name table, which is emptied when
+// full; names over internMaxName bytes are not worth pinning there.
+const (
+	internCap     = 1024
+	internMaxName = 128
+)
+
+// channelName returns the channel a PUBLISH names as a string of its own —
+// the replay store, the LLA and the top-K trackers keep channel strings, so it
+// can never alias the read buffer — allocated once per name a connection
+// publishes to, not once per publication.
+func (c *respConn) channelName(b []byte) string {
+	if s, ok := c.names[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	if len(s) > internMaxName {
+		return s
+	}
+	if c.names == nil {
+		c.names = make(map[string]string)
+	} else if len(c.names) >= internCap {
+		clear(c.names)
+	}
+	c.names[s] = s
+	return s
+}
+
 // feed runs one read's worth of bytes through the parser and executes every
-// complete command. done reports that the connection should end, for reason
-// (nil after QUIT, or when a concurrent teardown got there first).
+// complete command, each parsed where it lies in p: p is the parser's (and
+// through it the broker's, to stamp and to read) until feed returns. done
+// reports that the connection should end, for reason (nil after QUIT, or when
+// a concurrent teardown got there first).
 func (c *respConn) feed(p []byte) (done bool, reason error) {
 	c.parser.Feed(p)
 	for {
@@ -264,9 +296,9 @@ func appendInfo(dst []byte, name string, st Stats) []byte {
 }
 
 // dispatch executes one command; it reports whether the connection should
-// close. args may alias a read buffer that is reused after dispatch returns,
-// so anything retained is copied here (channel names through string
-// conversion, the publish payload explicitly).
+// close. args alias a read buffer that is reused after dispatch returns, so
+// anything retained is copied: channel names through string conversion here,
+// a PUBLISH payload by whoever down the publish path keeps it.
 func dispatch(b *Broker, session *Session, sink *respConn, args [][]byte) bool {
 	cmd := strings.ToUpper(string(args[0]))
 	switch cmd {
@@ -356,10 +388,7 @@ func dispatch(b *Broker, session *Session, sink *respConn, args [][]byte) bool {
 			sink.writeErr("ERR wrong number of arguments for 'publish'") //nolint:errcheck
 			return false
 		}
-		// Copy the payload: it aliases the reader's buffer, while broker
-		// delivery is asynchronous.
-		payload := append([]byte(nil), args[2]...)
-		n := b.Publish(string(args[1]), payload)
+		n := b.publish(sink.channelName(args[1]), args[2], true)
 		if err := sink.writeInt(int64(n)); err != nil {
 			return true
 		}

@@ -147,39 +147,63 @@ func (c *Core) OnPlan(p *plan.Plan, now time.Time) []Action {
 	return actions
 }
 
-// OnLocalPublish reacts to a publication observed on the local broker.
-// localSubs is the channel's local subscriber count at delivery time.
-func (c *Core) OnLocalPublish(channel string, env *message.Envelope, localSubs int, now time.Time) []Action {
+// OnLocalPublish reacts to a publication observed on the local broker. frame
+// is the publication as encoded on the wire, borrowed for the call; localSubs
+// is the channel's local subscriber count at delivery time. The decision
+// reads the envelope header only; the rest is decoded when an action has to
+// carry the publication on, so the steady state — right server, current
+// mapping, nothing in transition — costs no decode and no allocation.
+func (c *Core) OnLocalPublish(channel string, frame []byte, localSubs int, now time.Time) []Action {
 	if plan.IsControlChannel(channel) {
 		return nil
 	}
-	if env.Type != message.TypeData && env.Type != message.TypeForwarded {
-		return nil // our own switch messages and other control traffic
+	typ, version, node, ok := message.PeekRouting(frame)
+	if !ok || (typ != message.TypeData && typ != message.TypeForwarded) {
+		// Not Dynamoth traffic (a raw Redis client), or our own switch
+		// messages and other control traffic: nothing to manage.
+		return nil
 	}
-	entry, explicit := c.plan.Lookup(channel)
-	selfIn := containsServer(entry.Servers, c.self)
+	isData := typ == message.TypeData
+	selfIn, explicit := c.plan.Holds(channel, c.self)
 	tr := c.transitions[channel]
+	draining := isData && tr != nil && len(tr.draining) > 0
 	// A data publication carrying an older plan version than ours came
 	// from a client that has not yet learned the channel's current
 	// mapping (clients stamp publications with their entry's version).
-	stale := env.Type == message.TypeData && explicit && env.PlanVersion < c.plan.Version
+	stale := isData && explicit && version < c.plan.Version
+	if selfIn && !draining && !stale {
+		return nil
+	}
+	entry, _ := c.plan.Lookup(channel)
 
 	var actions []Action
+	// forward relays the publication to server s, decoding it from frame the
+	// first time a relay is called for.
+	var fwd *message.Envelope
+	forward := func(s plan.ServerID) {
+		if fwd == nil {
+			env, err := message.Unmarshal(frame)
+			if err != nil {
+				return // header-only envelope: nothing to carry on
+			}
+			fwd = forwardedCopy(env, channel)
+		}
+		actions = append(actions, Action{Kind: ActionForward, Server: s, Channel: channel, Env: fwd})
+	}
 
 	if selfIn {
-		if env.Type == message.TypeData && tr != nil && len(tr.draining) > 0 {
+		if draining {
 			// Correct server during a transition (§IV-A3, Fig 3b):
 			// forward to old servers that still drain, so their lagging
 			// subscribers miss nothing. Deterministic order for the
 			// simulator's sake.
-			fwd := forwardedCopy(env, channel)
 			targets := make([]plan.ServerID, 0, len(tr.draining))
 			for s := range tr.draining {
 				targets = append(targets, s)
 			}
 			sort.Strings(targets)
 			for _, s := range targets {
-				actions = append(actions, Action{Kind: ActionForward, Server: s, Channel: channel, Env: fwd})
+				forward(s)
 			}
 		}
 		if stale {
@@ -195,15 +219,14 @@ func (c *Core) OnLocalPublish(channel string, env *message.Envelope, localSubs i
 				if entry.Strategy == plan.StrategyAllPublishers {
 					// Its publication must reach every replica (each one
 					// serves a disjoint subscriber subset).
-					fwd := forwardedCopy(env, channel)
 					for _, s := range entry.Servers {
 						if s != c.self {
-							actions = append(actions, Action{Kind: ActionForward, Server: s, Channel: channel, Env: fwd})
+							forward(s)
 						}
 					}
 				}
-				if env.ID.Node != 0 && env.ID.Node != c.node {
-					actions = append(actions, c.redirectAction(env.ID.Node, channel, entry))
+				if node != 0 && node != c.node {
+					actions = append(actions, c.redirectAction(node, channel, entry))
 				}
 			}
 		}
@@ -217,22 +240,20 @@ func (c *Core) OnLocalPublish(channel string, env *message.Envelope, localSubs i
 		c.markSwitch(channel, now)
 	}
 
-	if env.Type == message.TypeData {
+	if isData {
 		// Forward the original to the correct server(s) so no subscriber
 		// misses it. All-publishers channels receive on every replica, so
 		// forward to all; otherwise the first (deterministic) target
 		// suffices since every target reaches all subscribers.
-		fwd := forwardedCopy(env, channel)
 		for _, s := range plan.PublishTargets(entry, nil) {
-			if s == c.self {
-				continue
+			if s != c.self {
+				forward(s)
 			}
-			actions = append(actions, Action{Kind: ActionForward, Server: s, Channel: channel, Env: fwd})
 		}
 		// Redirect the publisher so its next message goes to the right
 		// place (§IV "Publishing on old server").
-		if env.ID.Node != 0 && env.ID.Node != c.node {
-			actions = append(actions, c.redirectAction(env.ID.Node, channel, entry))
+		if node != 0 && node != c.node {
+			actions = append(actions, c.redirectAction(node, channel, entry))
 		}
 	}
 	return actions

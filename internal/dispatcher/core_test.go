@@ -45,17 +45,17 @@ func TestCorrectServerNoActions(t *testing.T) {
 	core := NewCore("s1", 100, p1, 0)
 	env := dataEnv(7, 1, "c")
 	env.PlanVersion = p1.Version // publisher is up to date
-	actions := core.OnLocalPublish("c", env, 3, epoch)
+	actions := core.OnLocalPublish("c", env.Marshal(), 3, epoch)
 	if len(actions) != 0 {
 		t.Fatalf("actions on correct server: %+v", actions)
 	}
 	// A publisher with a stale entry for an explicitly mapped channel gets
 	// the mapping re-announced exactly once (lazy propagation).
-	staleActions := core.OnLocalPublish("c", dataEnv(7, 2, "c"), 3, epoch)
+	staleActions := core.OnLocalPublish("c", dataEnv(7, 2, "c").Marshal(), 3, epoch)
 	if len(find(staleActions, ActionPublishLocal, message.TypeSwitch)) != 1 {
 		t.Fatalf("stale publication not announced: %+v", staleActions)
 	}
-	again := core.OnLocalPublish("c", dataEnv(7, 3, "c"), 3, epoch)
+	again := core.OnLocalPublish("c", dataEnv(7, 3, "c").Marshal(), 3, epoch)
 	if len(again) != 0 {
 		t.Fatalf("stale announcement repeated: %+v", again)
 	}
@@ -68,7 +68,7 @@ func TestOldServerEmitsSwitchForwardsAndRedirects(t *testing.T) {
 	core := NewCore("s1", 100, p1, 0)
 	core.OnPlan(p2, epoch)
 
-	actions := core.OnLocalPublish("c", dataEnv(7, 1, "c"), 2, epoch)
+	actions := core.OnLocalPublish("c", dataEnv(7, 1, "c").Marshal(), 2, epoch)
 
 	// 1. Switch notification to local subscribers.
 	switches := find(actions, ActionPublishLocal, message.TypeSwitch)
@@ -108,8 +108,8 @@ func TestSwitchEmittedOncePerPlanVersion(t *testing.T) {
 	core := NewCore("s1", 100, p1, 0)
 	core.OnPlan(p2, epoch)
 
-	first := core.OnLocalPublish("c", dataEnv(7, 1, "c"), 2, epoch)
-	second := core.OnLocalPublish("c", dataEnv(7, 2, "c"), 2, epoch)
+	first := core.OnLocalPublish("c", dataEnv(7, 1, "c").Marshal(), 2, epoch)
+	second := core.OnLocalPublish("c", dataEnv(7, 2, "c").Marshal(), 2, epoch)
 	if len(find(first, ActionPublishLocal, message.TypeSwitch)) != 1 {
 		t.Fatalf("first publish: %+v", first)
 	}
@@ -126,7 +126,7 @@ func TestNoSwitchWithoutLocalSubscribers(t *testing.T) {
 	p1, p2 := planV2("c")
 	core := NewCore("s1", 100, p1, 0)
 	core.OnPlan(p2, epoch)
-	actions := core.OnLocalPublish("c", dataEnv(7, 1, "c"), 0, epoch)
+	actions := core.OnLocalPublish("c", dataEnv(7, 1, "c").Marshal(), 0, epoch)
 	if len(find(actions, ActionPublishLocal, message.TypeSwitch)) != 0 {
 		t.Fatalf("switch without subscribers: %+v", actions)
 	}
@@ -143,7 +143,7 @@ func TestNewServerForwardsBackWhileOldDrains(t *testing.T) {
 	core := NewCore("s2", 200, p1, 0)
 	core.OnPlan(p2, epoch)
 
-	actions := core.OnLocalPublish("c", dataEnv(7, 1, "c"), 1, epoch)
+	actions := core.OnLocalPublish("c", dataEnv(7, 1, "c").Marshal(), 1, epoch)
 	fwds := find(actions, ActionForward, message.TypeForwarded)
 	if len(fwds) != 1 || fwds[0].Server != "s1" {
 		t.Fatalf("no forward-back to draining old server: %+v", actions)
@@ -151,7 +151,7 @@ func TestNewServerForwardsBackWhileOldDrains(t *testing.T) {
 
 	// Drain notification stops the forwarding.
 	core.OnDrained("c", "s1")
-	actions = core.OnLocalPublish("c", dataEnv(7, 2, "c"), 1, epoch)
+	actions = core.OnLocalPublish("c", dataEnv(7, 2, "c").Marshal(), 1, epoch)
 	if len(actions) != 0 {
 		t.Fatalf("forwarding continued after drain: %+v", actions)
 	}
@@ -165,7 +165,7 @@ func TestForwardedMessagesNeverReforwarded(t *testing.T) {
 	core := NewCore("s2", 200, p1, 0)
 	core.OnPlan(p2, epoch)
 	fwd := &message.Envelope{Type: message.TypeForwarded, ID: message.ID{Node: 7, Seq: 1}, Channel: "c"}
-	actions := core.OnLocalPublish("c", fwd, 1, epoch)
+	actions := core.OnLocalPublish("c", fwd.Marshal(), 1, epoch)
 	if len(find(actions, ActionForward, message.TypeForwarded)) != 0 {
 		t.Fatalf("forwarded message re-forwarded (loop!): %+v", actions)
 	}
@@ -225,7 +225,7 @@ func TestMisrouteWithoutTransition(t *testing.T) {
 	core := NewCore("s1", 100, plan.New("s1", "s2"), 0)
 	core.OnPlan(p, epoch)
 
-	actions := core.OnLocalPublish("c", dataEnv(9, 1, "c"), 0, epoch)
+	actions := core.OnLocalPublish("c", dataEnv(9, 1, "c").Marshal(), 0, epoch)
 	if len(find(actions, ActionForward, message.TypeForwarded)) != 1 {
 		t.Fatalf("misroute not forwarded: %+v", actions)
 	}
@@ -246,7 +246,7 @@ func TestReplicatedChannelForwardTargets(t *testing.T) {
 	core := NewCore("s1", 100, base, 0)
 	core.OnPlan(p, epoch)
 
-	actions := core.OnLocalPublish("hot", dataEnv(9, 1, "hot"), 0, epoch)
+	actions := core.OnLocalPublish("hot", dataEnv(9, 1, "hot").Marshal(), 0, epoch)
 	fwds := find(actions, ActionForward, message.TypeForwarded)
 	if len(fwds) != 2 {
 		t.Fatalf("all-publishers forwards: %+v", actions)
@@ -277,7 +277,7 @@ func TestTransitionExpiryOnTick(t *testing.T) {
 	}
 	// After expiry, no more forwarding back (a one-time switch
 	// re-announcement for the stale publisher is still allowed).
-	actions := core.OnLocalPublish("c", dataEnv(7, 1, "c"), 1, epoch.Add(12*time.Second))
+	actions := core.OnLocalPublish("c", dataEnv(7, 1, "c").Marshal(), 1, epoch.Add(12*time.Second))
 	if len(find(actions, ActionForward, message.TypeForwarded)) != 0 {
 		t.Fatalf("forwarding after expiry: %+v", actions)
 	}
@@ -297,7 +297,7 @@ func TestControlChannelsIgnored(t *testing.T) {
 	core := NewCore("s1", 100, p1, 0)
 	core.OnPlan(p2, epoch)
 	env := dataEnv(7, 1, plan.PlanChannel)
-	if actions := core.OnLocalPublish(plan.PlanChannel, env, 5, epoch); len(actions) != 0 {
+	if actions := core.OnLocalPublish(plan.PlanChannel, env.Marshal(), 5, epoch); len(actions) != 0 {
 		t.Fatalf("control publish produced actions: %+v", actions)
 	}
 	if actions := core.OnLocalSubscribe(plan.DispatchChannel("s9"), 1, epoch); len(actions) != 0 {
@@ -312,7 +312,7 @@ func TestSwitchNotSentToOwnPublications(t *testing.T) {
 	core := NewCore("s1", 100, p1, 0)
 	core.OnPlan(p2, epoch)
 	env := dataEnv(100, 1, "c") // node 100 == core's own node
-	actions := core.OnLocalPublish("c", env, 0, epoch)
+	actions := core.OnLocalPublish("c", env.Marshal(), 0, epoch)
 	redirects := append(find(actions, ActionForward, message.TypeWrongServer),
 		find(actions, ActionPublishLocal, message.TypeWrongServer)...)
 	if len(redirects) != 0 {
@@ -337,7 +337,7 @@ func TestReplicaMembershipChangeOpensTransition(t *testing.T) {
 	survivor.OnPlan(p2.Clone(), epoch)
 	env := dataEnv(7, 1, "hot")
 	env.PlanVersion = 3
-	actions := survivor.OnLocalPublish("hot", env, 4, epoch)
+	actions := survivor.OnLocalPublish("hot", env.Marshal(), 4, epoch)
 	fwds := find(actions, ActionForward, message.TypeForwarded)
 	if len(fwds) != 1 || fwds[0].Server != "s3" {
 		t.Fatalf("survivor forwarding: %+v", actions)

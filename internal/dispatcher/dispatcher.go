@@ -167,12 +167,8 @@ func (d *Dispatcher) OnPublish(channel string, payload []byte, receivers int) {
 	if d.closed() {
 		return
 	}
-	env, err := message.Unmarshal(payload)
-	if err != nil {
-		return // not Dynamoth traffic (raw Redis client); nothing to manage
-	}
 	d.mu.Lock()
-	actions := d.core.OnLocalPublish(channel, env, receivers, d.clk.Now())
+	actions := d.core.OnLocalPublish(channel, payload, receivers, d.clk.Now())
 	d.mu.Unlock()
 	d.execute(actions)
 }

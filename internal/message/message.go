@@ -369,24 +369,33 @@ func readString(data []byte) (string, []byte, error) {
 // simulator's bandwidth model so simulated byte counts equal live byte counts.
 func (e *Envelope) WireSize() int { return len(e.Marshal()) }
 
-// PeekNode extracts the originating node ID from an encoded envelope without
-// decoding it. Like PeekStamp it is allocation-free: the LLA calls it on the
-// broker's publish hot path for every message, where a full Unmarshal would
-// heap-allocate an Envelope per publication.
-func PeekNode(data []byte) (node uint32, ok bool) {
+// PeekRouting extracts what a dispatcher decides on — the envelope type, the
+// plan version its publisher stamped and the originating node ID — from an
+// encoded envelope without decoding it. Like PeekStamp it is allocation-free:
+// it runs on the broker's publish hot path for every message, where a full
+// Unmarshal would heap-allocate an Envelope per publication. ok is false for
+// non-envelope payloads.
+func PeekRouting(data []byte) (t Type, planVersion uint64, node uint32, ok bool) {
 	if !peekHeader(data) {
-		return 0, false
+		return 0, 0, 0, false
 	}
 	rest := data[envelopeHeaderLen:]
-	_, n := binary.Uvarint(rest) // skip planVersion
+	planVersion, n := binary.Uvarint(rest)
 	if n <= 0 {
-		return 0, false
+		return 0, 0, 0, false
 	}
 	u, n := binary.Uvarint(rest[n:])
 	if n <= 0 || u > math.MaxUint32 {
-		return 0, false
+		return 0, 0, 0, false
 	}
-	return uint32(u), true
+	return Type(data[1]), planVersion, uint32(u), true
+}
+
+// PeekNode is PeekRouting for callers that want only the originating node ID
+// (the LLA, per publication).
+func PeekNode(data []byte) (node uint32, ok bool) {
+	_, _, node, ok = PeekRouting(data)
+	return node, ok
 }
 
 // PeekStamp extracts the envelope type and publish stamp from an encoded

@@ -88,11 +88,11 @@ func TestPeekStampZeroAlloc(t *testing.T) {
 }
 
 func TestPeekNodeMatchesUnmarshal(t *testing.T) {
-	f := func(typ uint8, node uint32, seq uint64, channel string, payload []byte) bool {
+	f := func(typ uint8, version uint64, node uint32, seq uint64, channel string, payload []byte) bool {
 		if typ == 0 {
 			typ = 1
 		}
-		in := Envelope{Type: Type(typ), ID: ID{Node: node, Seq: seq}, Channel: channel, Payload: payload}
+		in := Envelope{Type: Type(typ), PlanVersion: version, ID: ID{Node: node, Seq: seq}, Channel: channel, Payload: payload}
 		data := in.Marshal()
 		got, ok := PeekNode(data)
 		if !ok {
@@ -102,7 +102,9 @@ func TestPeekNodeMatchesUnmarshal(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return got == full.ID.Node
+		// PeekRouting is the same peek with the type and plan version kept.
+		rt, rv, rn, ok := PeekRouting(data)
+		return got == full.ID.Node && ok && rt == full.Type && rv == full.PlanVersion && rn == full.ID.Node
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)

@@ -134,6 +134,22 @@ func (p *Plan) Lookup(channel string) (Entry, bool) {
 	return Entry{Strategy: StrategySingle, Servers: []ServerID{home}}, false
 }
 
+// Holds reports whether server s is among the channel's servers — Lookup's
+// entry searched for s, without building the entry, for callers that ask on
+// every publication. explicit is Lookup's ok.
+func (p *Plan) Holds(channel string, s ServerID) (holds, explicit bool) {
+	if e, ok := p.Channels[channel]; ok {
+		for _, have := range e.Servers {
+			if have == s {
+				return true, true
+			}
+		}
+		return false, true
+	}
+	home := p.Ring().Lookup(channel)
+	return home != "" && home == s, false
+}
+
 // Home returns the channel's consistent-hash home server — the server whose
 // dispatcher stays subscribed to the channel forever to catch misrouted
 // traffic (§IV-A5). It is independent of any explicit mapping.

@@ -26,6 +26,36 @@ func TestLookupFallbackMatchesRing(t *testing.T) {
 	}
 }
 
+// Holds is Lookup's entry searched for one server, for mapped and unmapped
+// channels alike, and it does not build the entry to find out.
+func TestHoldsMatchesLookup(t *testing.T) {
+	p := New("a", "b", "c")
+	p.Set("single", Entry{Strategy: StrategySingle, Servers: []ServerID{"b"}})
+	p.Set("replicated", Entry{Strategy: StrategyAllPublishers, Servers: []ServerID{"a", "c"}})
+	for _, ch := range []string{"single", "replicated", "unmapped-1", "unmapped-2", "unmapped-3"} {
+		e, explicit := p.Lookup(ch)
+		for _, s := range []ServerID{"a", "b", "c", "stranger", ""} {
+			want := false
+			for _, have := range e.Servers {
+				want = want || have == s
+			}
+			holds, gotExplicit := p.Holds(ch, s)
+			if holds != want || gotExplicit != explicit {
+				t.Errorf("Holds(%q, %q) = %v, %v; Lookup says %v, %v", ch, s, holds, gotExplicit, want, explicit)
+			}
+		}
+	}
+	if holds, explicit := New().Holds("anything", ""); holds || explicit {
+		t.Errorf("empty plan holds a channel: %v, %v", holds, explicit)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		p.Holds("single", "b")
+		p.Holds("unmapped-1", "a")
+	}); allocs != 0 {
+		t.Errorf("Holds allocates %v times", allocs)
+	}
+}
+
 func TestLookupEmptyPlan(t *testing.T) {
 	p := New()
 	if e, ok := p.Lookup("x"); ok || len(e.Servers) != 0 {

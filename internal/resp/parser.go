@@ -8,21 +8,38 @@ import (
 // CommandParser incrementally decodes RESP client commands from a byte
 // stream delivered in arbitrary fragments — the decode path of both
 // connection cores, whose reads land in a read buffer (shared per shard on
-// the reactor) rather than a per-connection bufio.Reader. Feed appends a
-// fragment; Next returns the next complete command or (nil, nil) when the
-// buffered bytes end mid-frame (partial-frame carry-over).
+// the reactor) rather than a per-connection bufio.Reader. Feed lends the
+// parser a fragment; Next returns the next complete command or (nil, nil)
+// when the stream ends mid-frame.
+//
+// Complete frames are parsed in place in the fragment: the parser copies
+// nothing but the unconsumed tail of a frame cut short by the fragment's end,
+// which moves to a carry buffer and is completed — with exactly the bytes that
+// frame still needs — from the next fragment. The carry buffer is dropped once
+// its frame is returned, so a parser between whole frames holds no memory.
+//
+// Borrowing contract: the fragment passed to Feed is the parser's until Next
+// has returned (nil, nil) or an error, and the arguments Next returns alias
+// it (or the carry buffer) and stay intact until the next Feed. A caller
+// therefore drains with Next before it refills the read buffer, and copies
+// whatever it keeps longer. Arguments are writable: the broker stamps a
+// PUBLISH payload where it lies.
 //
 // The same grammar as Reader.ReadCommand is accepted (arrays of bulk strings
 // and inline commands), plus integer elements inside arrays — which lets the
 // load harness parse subscription acks ["subscribe", name, :count] with the
 // same machinery.
-//
-// Returned argument slices alias the parser's internal buffer and are valid
-// only until the next Feed or Next call; callers that retain them must copy
-// (the broker's dispatch already does).
 type CommandParser struct {
-	buf  []byte
-	r    int // consumed offset into buf
+	in    []byte // borrowed: the part of the last fragment not yet parsed
+	carry []byte // owned: the head of a frame whose tail has not arrived
+
+	// Resume point of the frame at the head of the stream, as offsets from its
+	// first byte, so a frame that arrives in pieces is scanned once rather
+	// than once per piece — and survives the move from fragment to carry.
+	pos   int   // next unscanned byte (0 with left == 0: frame not begun)
+	left  int   // array elements still to scan
+	spans []int // [lo, hi) of each element scanned so far
+
 	args [][]byte
 }
 
@@ -31,116 +48,182 @@ type CommandParser struct {
 // must not make the parser buffer it forever.
 const maxHeaderLine = 64
 
-// Feed appends a fragment of the stream. The fragment is copied; the caller
-// may reuse data immediately (the reactor feeds from a shared read buffer).
+// carryRoom bounds the space a new carry buffer reserves on the word of a
+// length prefix alone; a longer body grows the buffer as it really arrives.
+const carryRoom = 64 << 10
+
+// needLine is scan's "cannot tell how many" answer: the frame stops inside a
+// line, which ends at the next '\n'.
+const needLine = -1
+
+// Feed lends the parser the next fragment of the stream (see the borrowing
+// contract on CommandParser). Fed before the previous fragment was drained,
+// the undrained rest is copied first, so no byte of the stream is lost.
 func (p *CommandParser) Feed(data []byte) {
-	if p.r == len(p.buf) {
-		p.buf = p.buf[:0]
-		p.r = 0
-	} else if p.r > 0 && len(p.buf)+len(data) > cap(p.buf) {
-		// Compact consumed prefix away before growing the buffer.
-		n := copy(p.buf, p.buf[p.r:])
-		p.buf = p.buf[:n]
-		p.r = 0
+	if len(p.in) > 0 {
+		p.carry = append(p.carry, p.in...)
 	}
-	p.buf = append(p.buf, data...)
+	p.in = data
 }
 
-// Buffered reports how many unconsumed bytes the parser is holding.
-func (p *CommandParser) Buffered() int { return len(p.buf) - p.r }
+// Buffered reports how many bytes of the stream the parser has been fed and
+// not yet returned as commands.
+func (p *CommandParser) Buffered() int { return len(p.carry) + len(p.in) }
 
-// Next returns the next complete command, or (nil, nil) when the buffered
-// stream ends mid-frame. Protocol violations return an error wrapping
+// Next returns the next complete command, or (nil, nil) when the stream fed
+// so far ends mid-frame. Protocol violations return an error wrapping
 // ErrProtocol or ErrTooLarge; the connection should be closed, matching
 // Reader.ReadCommand behavior.
 func (p *CommandParser) Next() ([][]byte, error) {
-	b := p.buf[p.r:]
-	if len(b) == 0 {
+	if len(p.carry) == 0 {
+		n, need, err := p.scan(p.in)
+		if err != nil {
+			return nil, err
+		}
+		if need == 0 {
+			p.in = p.in[n:]
+			return p.args, nil
+		}
+		if len(p.in) > 0 {
+			// Cut short by the fragment's end: keep the tail, with room for
+			// what the frame is known to need (as far as one more read could
+			// bring it) so a bulk body lands without regrowth.
+			room := min(max(need, maxHeaderLine), carryRoom)
+			p.carry = append(make([]byte, 0, len(p.in)+room), p.in...)
+			p.in = nil
+		}
 		return nil, nil
 	}
-	if b[0] != '*' {
-		return p.nextInline(b)
-	}
-	n, pos, ok, err := parseIntLine(b, 1)
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return nil, nil
-	}
-	if n <= 0 || n > maxArrayLen {
-		return nil, fmt.Errorf("%w: command array length %d", ErrProtocol, n)
-	}
-	p.args = p.args[:0]
-	for i := int64(0); i < n; i++ {
-		if pos >= len(b) {
+	for {
+		n, need, err := p.scan(p.carry)
+		if err != nil {
+			return nil, err
+		}
+		if need == 0 {
+			// The returned arguments keep the buffer alive for as long as the
+			// caller holds them; the parser lets go now.
+			if p.carry = p.carry[n:]; len(p.carry) == 0 {
+				p.carry = nil
+			}
+			return p.args, nil
+		}
+		if len(p.in) == 0 {
 			return nil, nil
+		}
+		// Move over exactly what the frame needs next, so the frames behind
+		// it are parsed where they lie.
+		if need == needLine {
+			need = bytes.IndexByte(p.in, '\n') + 1
+		}
+		if need <= 0 || need > len(p.in) {
+			need = len(p.in)
+		}
+		p.carry = append(p.carry, p.in[:need]...)
+		p.in = p.in[need:]
+	}
+}
+
+// scan advances over the frame at the head of b from where the previous call
+// left off (b may have grown or moved in between; it must start at the same
+// stream byte). need == 0 reports a complete frame of n bytes, its arguments
+// in p.args. Otherwise the frame is incomplete and need is how many more
+// bytes it is known to require: the rest of a bulk body and its CRLF, or
+// needLine.
+func (p *CommandParser) scan(b []byte) (n, need int, err error) {
+	if p.left == 0 {
+		if len(b) == 0 {
+			return 0, needLine, nil
+		}
+		if b[0] != '*' {
+			return p.scanInline(b)
+		}
+		count, pos, ok, err := parseIntLine(b, 1)
+		if err != nil {
+			return 0, 0, err
+		}
+		if !ok {
+			return 0, needLine, nil
+		}
+		if count <= 0 || count > maxArrayLen {
+			return 0, 0, fmt.Errorf("%w: command array length %d", ErrProtocol, count)
+		}
+		p.pos, p.left, p.spans = pos, int(count), p.spans[:0]
+	}
+	for ; p.left > 0; p.left-- {
+		pos := p.pos
+		if pos >= len(b) {
+			return 0, needLine, nil
 		}
 		switch b[pos] {
 		case '$':
 			ln, np, ok, err := parseIntLine(b, pos+1)
 			if err != nil {
-				return nil, err
+				return 0, 0, err
 			}
 			if !ok {
-				return nil, nil
+				return 0, needLine, nil
 			}
 			if ln < 0 {
-				return nil, fmt.Errorf("%w: command element %d is a null bulk string", ErrProtocol, i)
+				return 0, 0, fmt.Errorf("%w: command element %d is a null bulk string", ErrProtocol, len(p.spans)/2)
 			}
 			if ln > MaxBulkLen {
-				return nil, fmt.Errorf("%w: bulk length %d", ErrTooLarge, ln)
+				return 0, 0, fmt.Errorf("%w: bulk length %d", ErrTooLarge, ln)
 			}
 			end := np + int(ln)
 			if end+2 > len(b) {
-				return nil, nil
+				return 0, end + 2 - len(b), nil
 			}
 			if b[end] != '\r' || b[end+1] != '\n' {
-				return nil, fmt.Errorf("%w: bulk string missing CRLF terminator", ErrProtocol)
+				return 0, 0, fmt.Errorf("%w: bulk string missing CRLF terminator", ErrProtocol)
 			}
-			p.args = append(p.args, b[np:end])
-			pos = end + 2
+			p.spans = append(p.spans, np, end)
+			p.pos = end + 2
 		case ':':
 			line, np, ok, err := parseHeaderLine(b, pos+1)
 			if err != nil {
-				return nil, err
+				return 0, 0, err
 			}
 			if !ok {
-				return nil, nil
+				return 0, needLine, nil
 			}
 			if _, good := parseInt(line); !good {
-				return nil, fmt.Errorf("%w: bad integer %q", ErrProtocol, line)
+				return 0, 0, fmt.Errorf("%w: bad integer %q", ErrProtocol, line)
 			}
-			p.args = append(p.args, line)
-			pos = np
+			p.spans = append(p.spans, pos+1, pos+1+len(line))
+			p.pos = np
 		default:
-			return nil, fmt.Errorf("%w: command element %d is type %q, want bulk string", ErrProtocol, i, b[pos])
+			return 0, 0, fmt.Errorf("%w: command element %d is type %q, want bulk string", ErrProtocol, len(p.spans)/2, b[pos])
 		}
 	}
-	p.r += pos
-	return p.args, nil
+	p.args = p.args[:0]
+	for i := 0; i < len(p.spans); i += 2 {
+		p.args = append(p.args, b[p.spans[i]:p.spans[i+1]])
+	}
+	n, p.pos = p.pos, 0
+	return n, 0, nil
 }
 
-// nextInline parses a one-line inline command (space-separated words).
-func (p *CommandParser) nextInline(b []byte) ([][]byte, error) {
-	i := bytes.IndexByte(b, '\n')
+// scanInline scans a one-line inline command (space-separated words). p.pos
+// remembers how much of the line was already searched for its end.
+func (p *CommandParser) scanInline(b []byte) (n, need int, err error) {
+	i := bytes.IndexByte(b[p.pos:], '\n')
 	if i < 0 {
 		if len(b) > MaxBulkLen {
-			return nil, fmt.Errorf("%w: line length %d", ErrTooLarge, len(b))
+			return 0, 0, fmt.Errorf("%w: line length %d", ErrTooLarge, len(b))
 		}
-		return nil, nil
+		p.pos = len(b)
+		return 0, needLine, nil
 	}
+	i += p.pos
+	p.pos = 0
 	if i == 0 || b[i-1] != '\r' {
-		return nil, fmt.Errorf("%w: line not CRLF-terminated", ErrProtocol)
+		return 0, 0, fmt.Errorf("%w: line not CRLF-terminated", ErrProtocol)
 	}
-	line := b[:i-1]
-	fields := bytes.Fields(line)
-	if len(fields) == 0 {
-		return nil, fmt.Errorf("%w: empty inline command", ErrProtocol)
+	p.args = append(p.args[:0], bytes.Fields(b[:i-1])...)
+	if len(p.args) == 0 {
+		return 0, 0, fmt.Errorf("%w: empty inline command", ErrProtocol)
 	}
-	p.r += i + 1
-	p.args = append(p.args[:0], fields...)
-	return p.args, nil
+	return i + 1, 0, nil
 }
 
 // parseHeaderLine scans a short CRLF-terminated line starting at pos (after

@@ -309,6 +309,9 @@ func (n *Node) buildRegistry() {
 		r.Gauge("dynamoth_broker_replay_rings",
 			"Channels currently holding a replay ring.",
 			func() float64 { return float64(n.Broker.Stats().ReplayRings) })
+		r.Gauge("dynamoth_broker_replay_bytes",
+			"Frame bytes currently held across replay rings.",
+			func() float64 { return float64(n.Broker.Stats().ReplayBytes) })
 		r.Counter("dynamoth_broker_replay_retained_total",
 			"Data frames appended to replay rings.",
 			func() uint64 { return n.Broker.Stats().ReplayRetained })

@@ -86,12 +86,16 @@ func TestNodeMetricsScrapeUnderPublishStorm(t *testing.T) {
 		"dynamoth_broker_channels",
 		"dynamoth_broker_conn_doorbells_total",
 		"dynamoth_broker_conn_adopted_flushes_total",
+		"dynamoth_broker_replay_bytes",
 		"dynamoth_plan_version",
 		"dynamoth_e2e_latency_seconds_bucket",
 	} {
 		if !strings.Contains(out, fam) {
 			t.Errorf("exposition missing %s:\n%s", fam, out)
 		}
+	}
+	if st := n.Broker.Stats(); st.ReplayBytes <= 0 {
+		t.Errorf("ReplayBytes = %d with %d frames retained", st.ReplayBytes, st.ReplayRetained)
 	}
 	if n.E2ELatency().Count() == 0 {
 		t.Error("stamped publications observed no end-to-end latency")

@@ -394,7 +394,10 @@ func (srv *Server) receive(channel string, env *message.Envelope) {
 	}
 	s := srv.sim
 	now := s.eng.Now()
-	wire := float64(env.WireSize())
+	// The publication as a live broker sees it: its size feeds the link
+	// model, its bytes the dispatcher core.
+	frame := env.Marshal()
+	wire := float64(len(frame))
 
 	subscribers := srv.subs[channel]
 	receivers := len(subscribers)
@@ -455,7 +458,7 @@ func (srv *Server) receive(channel string, env *message.Envelope) {
 	}
 
 	// Dispatcher reaction.
-	actions := srv.core.OnLocalPublish(channel, env, receivers, now)
+	actions := srv.core.OnLocalPublish(channel, frame, receivers, now)
 	srv.execute(actions)
 }
 

@@ -62,13 +62,16 @@ latency:
 
 # Connection-scale suite: the connection layer's packages under the race
 # detector (selected by package, so a renamed test cannot leave the gate),
-# then a reduced-scale run of the C100k harness (real dynamoth-node
-# subprocess, multiplexed epoll load driver; writes BENCH_conns.json).
+# the reactor's cross-shard tests five more times (adoption and hand-off bugs
+# depend on the schedule), then a reduced-scale run of the C100k harness
+# (real dynamoth-node subprocess, multiplexed epoll load driver; writes
+# BENCH_conns.json).
 # Linux-only — the harness is skipped elsewhere. CONNS overrides the target
 # count.
 CONNS ?= 5000
 conns:
 	$(GO) test -race ./internal/broker/ ./internal/workload/
+	$(GO) test -race -count=5 -run TestReactor ./internal/broker/
 	$(GO) run ./cmd/experiments -run conns -conns $(CONNS)
 
 # Channel-scale suite: the bounded hot-state packages (cache, client local

@@ -100,6 +100,7 @@ func TestAdminEndpointIntegration(t *testing.T) {
 		"dynamoth_broker_sessions",
 		"dynamoth_broker_conn_doorbells_total",
 		"dynamoth_broker_conn_adopted_flushes_total",
+		"dynamoth_broker_conn_handoffs_total",
 		"dynamoth_broker_replay_bytes",
 		"dynamoth_plan_version",
 		"dynamoth_e2e_latency_seconds",

@@ -74,8 +74,10 @@ type ConnStats struct {
 	// divided by this is the write-coalescing factor.
 	EpollWrites uint64
 	// Doorbells counts wake-ups rung on a parked shard's eventfd, AdoptedFlushes
-	// sessions flushed by an awake shard other than their owner (reactor only).
-	Doorbells, AdoptedFlushes uint64
+	// writes made by an awake shard other than the session's owner, Handoffs
+	// sessions such a shard returned to their owner at flush time instead
+	// (reactor only).
+	Doorbells, AdoptedFlushes, Handoffs uint64
 }
 
 // connCore is what a connection core supplies to the shared accept loop.
@@ -110,6 +112,7 @@ type ConnServer struct {
 	epollWrites  atomic.Uint64
 	doorbells    atomic.Uint64
 	adopted      atomic.Uint64
+	handoffs     atomic.Uint64
 }
 
 // NewConnServer builds a connection server for b on the platform's
@@ -136,6 +139,7 @@ func (cs *ConnServer) Stats() ConnStats {
 		EpollWrites:    cs.epollWrites.Load(),
 		Doorbells:      cs.doorbells.Load(),
 		AdoptedFlushes: cs.adopted.Load(),
+		Handoffs:       cs.handoffs.Load(),
 	}
 }
 

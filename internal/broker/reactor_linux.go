@@ -23,13 +23,15 @@ import (
 // idle connection costs one table slot and an empty buffer, not two
 // goroutines and a read buffer.
 //
-// Who flushes is decided where a session goes dirty (markPending), by the park
-// protocol: a shard is awake from its return from epoll_wait until it has
-// seen its work queues empty under qmu, so whatever is queued on an awake
-// shard is handled before it sleeps. A dirty session goes to its owner if
-// awake, else to any awake shard that is not backlogged (the fd and its
-// epoll registration stay the owner's), and only when nobody can take it is
-// the parked owner rung through its eventfd — once per park.
+// Who flushes rests on the park protocol: a shard is awake from its return
+// from epoll_wait until it has seen its work queues empty under qmu, so
+// whatever is queued on an awake shard is handled before it sleeps. A session
+// that goes dirty (markPending) is queued on its owner if awake, else on an
+// awake shard with no input waiting (the fd and its epoll registration stay
+// the owner's), and only when nobody can take it is the parked owner rung
+// through its eventfd — once per park. The shard that took it writes it with
+// the rest of its pass (flushPending), unless the pass gathered a backlog of
+// foreign sessions: those go back to their owners, one ring each.
 
 // platformCore is the core NewConnServer serves with.
 var platformCore = connCore{name: "reactor", start: startReactor}
@@ -59,7 +61,7 @@ func startReactor(cs *ConnServer) (func(*net.TCPConn), func(), error) {
 func newReactor(cs *ConnServer, shards int) (*reactor, error) {
 	r := &reactor{cs: cs}
 	for i := 0; i < shards; i++ {
-		sh, err := newShard(r)
+		sh, err := newShard(r, i)
 		if err != nil {
 			for _, s := range r.shards {
 				s.destroy()
@@ -118,21 +120,23 @@ func (r *reactor) attach(conn *net.TCPConn) {
 	sh.post(&sh.incoming, rs)
 }
 
-// adoptMax is the pending-list length past which a shard has enough flushing
-// of its own and declines sessions it does not own.
-const adoptMax = 4
+// handOffMin is how many foreign sessions one pass must hold before
+// flushPending returns them to their owners instead of writing them itself: a
+// ring costs ≈ 20 µs of CPU over the two cores and a socket write ≈ 4 µs, so
+// fewer buy too little parallel writing to pay for it (DESIGN.md §14).
+const handOffMin = 32
 
 // markPending queues a session that just went dirty on the shard that will
-// flush it soonest without a wake-up: its owner if awake, else an awake shard
-// with room, else the owner after all — rung if it is still parked. Called
+// flush it soonest without a wake-up: its owner if awake, else the first awake
+// shard after it with no input waiting (after it, so that adoption spreads over
+// the awake shards), else the owner after all — rung if still parked. Called
 // with rs.mu held.
 func (r *reactor) markPending(rs *rsession) {
 	if rs.sh.offer(rs) {
 		return
 	}
-	for _, sh := range r.shards {
-		if sh != rs.sh && sh.offer(rs) {
-			r.cs.adopted.Add(1)
+	for i := 1; i < len(r.shards); i++ {
+		if r.shards[(rs.sh.idx+i)%len(r.shards)].offer(rs) {
 			return
 		}
 	}
@@ -192,6 +196,7 @@ func (rs *rsession) Closed(reason error) {
 // goroutines only append to the queues, ringing the shard if it is parked.
 type rshard struct {
 	r    *reactor
+	idx  int // position in r.shards
 	epfd int
 	evfd int // doorbell: written only to a parked shard
 
@@ -201,7 +206,7 @@ type rshard struct {
 
 	qmu      sync.Mutex
 	awake    bool        // running, or rung and about to; cleared only by park
-	pending  []*rsession // sessions with bytes to flush (adopted ones included)
+	pending  []*rsession // sessions with bytes to flush: own, adopted or handed back
 	incoming []*rsession // freshly accepted, awaiting registration
 	dead     []*rsession // closed sessions awaiting fd release
 
@@ -212,9 +217,10 @@ type rshard struct {
 
 	// swap scratch so draining the queues never allocates in steady state
 	pendScratch, inScratch, deadScratch []*rsession
+	handScratch                         [][]*rsession // handOff's groups, by owner idx
 }
 
-func newShard(r *reactor) (*rshard, error) {
+func newShard(r *reactor, idx int) (*rshard, error) {
 	epfd, err := syscall.EpollCreate1(syscall.EPOLL_CLOEXEC)
 	if err != nil {
 		return nil, fmt.Errorf("epoll_create1: %w", err)
@@ -227,6 +233,7 @@ func newShard(r *reactor) (*rshard, error) {
 	}
 	sh := &rshard{
 		r:      r,
+		idx:    idx,
 		epfd:   epfd,
 		evfd:   int(evfd),
 		events: make([]syscall.EpollEvent, 256),
@@ -248,12 +255,12 @@ func (sh *rshard) destroy() {
 }
 
 // offer queues rs for flushing on sh only if that costs no wake-up: sh must
-// be awake and, for a session it does not own, not backlogged — judged by
-// what it sees in its own input (a read that filled rbuf, a pending list at
-// adoptMax), so at saturation every owner is rung and every core writes.
+// be awake and, for a session it does not own, not behind on its own input
+// (a read that filled rbuf). How many sessions it holds for others is
+// flushPending's business, once the pass has dirtied all it will.
 func (sh *rshard) offer(rs *rsession) bool {
 	sh.qmu.Lock()
-	ok := sh.awake && (rs.sh == sh || (len(sh.pending) < adoptMax && !sh.fullRead.Load()))
+	ok := sh.awake && (rs.sh == sh || !sh.fullRead.Load())
 	if ok {
 		sh.pending = append(sh.pending, rs)
 	}
@@ -261,13 +268,13 @@ func (sh *rshard) offer(rs *rsession) bool {
 	return ok
 }
 
-// post appends rs to one of sh's queues (nil rs: nothing to append) and rings
-// the doorbell if sh is parked. The ringer marks the shard awake itself, so
-// of all producers that find it parked exactly one writes the eventfd.
-func (sh *rshard) post(q *[]*rsession, rs *rsession) {
+// post appends rs to one of sh's queues (none: q may be nil) and rings the
+// doorbell if sh is parked. The ringer marks the shard awake itself, so of
+// all producers that find it parked exactly one writes the eventfd.
+func (sh *rshard) post(q *[]*rsession, rs ...*rsession) {
 	sh.qmu.Lock()
-	if rs != nil {
-		*q = append(*q, rs)
+	if len(rs) > 0 {
+		*q = append(*q, rs...)
 	}
 	parked := !sh.awake
 	sh.awake = true
@@ -282,7 +289,7 @@ func (sh *rshard) post(q *[]*rsession, rs *rsession) {
 // stop asks the shard loop to tear down and exit.
 func (sh *rshard) stop() {
 	sh.stopped.Store(true)
-	sh.post(nil, nil)
+	sh.post(nil)
 }
 
 // park ends a loop pass and returns the next epoll_wait's timeout. awake is
@@ -374,7 +381,7 @@ func (sh *rshard) handleEvent(fd int, events uint32) {
 		return
 	}
 	if events&uint32(syscall.EPOLLOUT) != 0 {
-		rs.flush()
+		rs.flush(sh)
 		if rs.isClosed() {
 			return
 		}
@@ -423,23 +430,63 @@ func (sh *rshard) readSession(rs *rsession) {
 // flushPending writes out every session queued here since the last pass, own
 // or adopted — the write-coalescing point of the reactor: one write syscall
 // per dirty connection per cycle, regardless of how many deliveries landed.
+// The pass's reads have fanned out by now: a backlog of foreign sessions goes
+// back whole, and first, so the owners' wake-ups overlap the writes made here.
 func (sh *rshard) flushPending() {
 	sh.qmu.Lock()
 	batch := sh.pending
 	sh.pending = sh.pendScratch[:0]
 	sh.qmu.Unlock()
+	foreign := 0
 	for _, rs := range batch {
-		rs.flush()
+		if rs.sh != sh {
+			foreign++
+		}
+	}
+	mine := batch
+	if foreign >= handOffMin {
+		mine = sh.handOff(batch)
+	}
+	for _, rs := range mine {
+		rs.flush(sh)
 	}
 	// Drop *rsession references so the scratch never pins dead sessions.
 	clear(batch)
 	sh.pendScratch = batch[:0]
 }
 
-// flush writes the session's pending bytes; any shard may call it (wbuf,
+// handOff returns the foreign sessions in batch to their owners, grouped: one
+// qmu acquisition and at most one ring per owner. dirty stays set, so a session
+// in transit is queued nowhere else, and it only ever moves to its owner, never
+// on. It returns sh's own sessions, compacted to the front of batch.
+func (sh *rshard) handOff(batch []*rsession) (mine []*rsession) {
+	if sh.handScratch == nil {
+		sh.handScratch = make([][]*rsession, len(sh.r.shards))
+	}
+	mine = batch[:0]
+	for _, rs := range batch {
+		if rs.sh == sh {
+			mine = append(mine, rs)
+		} else {
+			sh.handScratch[rs.sh.idx] = append(sh.handScratch[rs.sh.idx], rs)
+		}
+	}
+	sh.r.cs.handoffs.Add(uint64(len(batch) - len(mine)))
+	for i, group := range sh.handScratch {
+		if len(group) > 0 {
+			owner := sh.r.shards[i]
+			owner.post(&owner.pending, group...)
+			clear(group)
+			sh.handScratch[i] = group[:0]
+		}
+	}
+	return mine
+}
+
+// flush writes the session's pending bytes; any shard, by, may call it (wbuf,
 // wantWrite and fdReleased are all under mu). On a full kernel buffer it keeps
 // the remainder and arms EPOLLOUT on the owner, where the edge re-enters here.
-func (rs *rsession) flush() {
+func (rs *rsession) flush(by *rshard) {
 	sh, cs := rs.sh, rs.sh.r.cs
 	rs.mu.Lock()
 	rs.dirty = false
@@ -449,6 +496,9 @@ func (rs *rsession) flush() {
 	}
 	n, err := syscall.Write(rs.fd, rs.wbuf)
 	cs.epollWrites.Add(1)
+	if by != sh {
+		cs.adopted.Add(1)
+	}
 	if n > 0 {
 		cs.bytesOut.Add(uint64(n))
 	}

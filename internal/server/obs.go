@@ -303,8 +303,11 @@ func (n *Node) buildRegistry() {
 		"Wake-ups rung on a parked reactor shard's eventfd (0 on the goroutine core).",
 		func() uint64 { return n.connSrv.Stats().Doorbells })
 	r.Counter("dynamoth_broker_conn_adopted_flushes_total",
-		"Sessions flushed by an already-awake reactor shard other than their owner (0 on the goroutine core).",
+		"Writes made by an already-awake reactor shard other than the session's owner (0 on the goroutine core).",
 		func() uint64 { return n.connSrv.Stats().AdoptedFlushes })
+	r.Counter("dynamoth_broker_conn_handoffs_total",
+		"Sessions an awake reactor shard returned to their owner at flush time, a backlog's worth at once (0 on the goroutine core).",
+		func() uint64 { return n.connSrv.Stats().Handoffs })
 	if n.Broker.ReplayEnabled() {
 		r.Gauge("dynamoth_broker_replay_rings",
 			"Channels currently holding a replay ring.",

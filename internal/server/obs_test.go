@@ -86,6 +86,7 @@ func TestNodeMetricsScrapeUnderPublishStorm(t *testing.T) {
 		"dynamoth_broker_channels",
 		"dynamoth_broker_conn_doorbells_total",
 		"dynamoth_broker_conn_adopted_flushes_total",
+		"dynamoth_broker_conn_handoffs_total",
 		"dynamoth_broker_replay_bytes",
 		"dynamoth_plan_version",
 		"dynamoth_e2e_latency_seconds_bucket",

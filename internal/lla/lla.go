@@ -379,10 +379,6 @@ type Config struct {
 	// time unit (and the persistent subscriber-count map). 0 means
 	// DefaultChannelCap; negative means unbounded.
 	ChannelCap int
-	// RegionCap bounds the distinct subscriber regions tracked
-	// (0 = DefaultRegionCap); beyond it observations fold into the
-	// RegionOverflow pseudo-region.
-	RegionCap int
 	// RegionDelay optionally models the WAN delay to a subscriber region
 	// (e.g. from netsim's King-dataset latency model). When set, the modeled
 	// delay is added to every region observation, putting geography back
@@ -457,7 +453,7 @@ func NewAnalyzer(cfg Config) *Analyzer {
 	return &Analyzer{
 		cfg:          cfg,
 		accum:        NewAccumulatorWithCap(cfg.ChannelCap),
-		regions:      newRegionTracker(cfg.RegionCap, cfg.RegionDelay),
+		regions:      newRegionTracker(DefaultRegionCap, cfg.RegionDelay),
 		log:          trace.Component(cfg.Logger, "lla"),
 		windowStart:  cfg.Clock.Now(),
 		unitTicker:   cfg.Clock.NewTicker(cfg.Unit),

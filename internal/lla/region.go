@@ -1,18 +1,23 @@
 package lla
 
 import (
-	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"github.com/dynamoth/dynamoth/internal/metrics"
 )
 
-// RegionBuckets is the per-region delivery-latency histogram resolution:
-// power-of-two microsecond buckets, bucket i covering (2^i, 2^(i+1)] µs —
-// the same compact scheme the node's per-channel latency tracker uses, so
-// one bucket index means the same latency range everywhere. 28 buckets span
-// 1µs to ~4.5 minutes.
+// RegionBuckets is the per-region delivery-latency histogram resolution: 28
+// factor-two buckets from 1µs to ~4.5 minutes — the layout the node's
+// per-channel latency tracker uses, computed by the same metrics.Histogram
+// on every server, so one bucket index means the same latency range
+// everywhere.
 const RegionBuckets = 28
+
+func newRegionHist() *metrics.Histogram {
+	return metrics.NewHistogram(time.Microsecond, time.Microsecond<<RegionBuckets, RegionBuckets)
+}
 
 // DefaultRegionCap bounds the distinct subscriber regions a tracker holds.
 // Deployments have few regions (the King dataset clusters into continents);
@@ -30,60 +35,69 @@ const RegionOverflow = "+overflow"
 type RegionStats struct {
 	Region string `json:"region"`
 	Count  uint64 `json:"count"`
-	// SumMs/MaxMs/P99Ms are milliseconds; P99 is the upper bound of the
-	// bucket holding the window's 99th-percentile observation.
+	// SumMs/MaxMs/P99Ms are milliseconds; P99 is metrics.Counts.Quantile
+	// over Buckets: the upper bound of the bucket holding the window's
+	// 99th-percentile observation, never above MaxMs.
 	SumMs float64 `json:"sumMs"`
 	MaxMs float64 `json:"maxMs"`
 	P99Ms float64 `json:"p99Ms"`
-	// Buckets are the window's observation counts per power-of-two
-	// microsecond bucket (see RegionBuckets).
+	// Buckets are the window's observation counts per factor-two bucket
+	// from 1µs up (see RegionBuckets).
 	Buckets []uint64 `json:"buckets,omitempty"`
 }
 
-// regionBucket maps a latency to its power-of-two bucket index.
-func regionBucket(d time.Duration) int {
-	us := d.Microseconds()
-	if us < 1 {
-		us = 1
-	}
-	b := bits.Len64(uint64(us)) - 1
-	if b >= RegionBuckets {
-		b = RegionBuckets - 1
-	}
-	return b
+// regionLayout is an empty read-out carrying the region histogram's layout:
+// what a RegionStats off the wire is rebuilt on.
+var regionLayout = newRegionHist().Counts()
+
+// counts rebuilds the distribution a RegionStats digests. A report is input
+// from outside the program, so whatever bucket array it carries is cut or
+// padded to the layout's length.
+func (s RegionStats) counts() metrics.Counts {
+	c := regionLayout
+	c.Buckets = make([]uint64, RegionBuckets)
+	copy(c.Buckets, s.Buckets)
+	c.Sum = time.Duration(s.SumMs * float64(time.Millisecond))
+	c.Min = -1
+	c.Max = time.Duration(s.MaxMs * float64(time.Millisecond))
+	return c
 }
 
-// RegionBucketUpperMs is bucket i's upper bound in milliseconds.
-func RegionBucketUpperMs(i int) float64 {
-	return float64(uint64(1)<<uint(i+1)) / 1e3
+// statsFrom digests one region's distribution (ok false when it is empty).
+func statsFrom(region string, c metrics.Counts) (RegionStats, bool) {
+	total := c.Count()
+	if total == 0 {
+		return RegionStats{}, false
+	}
+	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+	return RegionStats{
+		Region:  region,
+		Count:   total,
+		SumMs:   ms(c.Sum),
+		MaxMs:   ms(c.Max),
+		P99Ms:   ms(c.Quantile(0.99)),
+		Buckets: c.Buckets,
+	}, true
 }
 
-// regionHist is one region's accumulation. Counters are cumulative atomics
-// (Observe runs on the broker's fan-out path); prev holds the values already
-// shipped in earlier reports and is only touched under the tracker's drain
-// lock.
-type regionHist struct {
-	counts [RegionBuckets]atomic.Uint64
-	sumUs  atomic.Int64
-	maxUs  atomic.Int64 // cumulative max; reset on drain
-
-	prev      [RegionBuckets]uint64
-	prevSumUs int64
+// regionEntry is one region's accumulation: the cumulative histogram (Observe
+// runs on the broker's fan-out path) and, beside it, the maximum since the
+// last drain — a histogram keeps only the extremes of its whole life. shipped
+// is the read-out already sent in earlier reports, touched only under the
+// tracker's drain lock.
+type regionEntry struct {
+	hist    *metrics.Histogram
+	winMax  atomic.Int64 // nanoseconds
+	shipped metrics.Counts
 }
 
-func (h *regionHist) observe(d time.Duration) {
-	h.counts[regionBucket(d)].Add(1)
-	us := d.Microseconds()
-	if us < 0 {
-		us = 0
+func newRegionEntry() *regionEntry { return &regionEntry{hist: newRegionHist()} }
+
+func (e *regionEntry) observe(d time.Duration) {
+	for cur := e.winMax.Load(); int64(d) > cur && !e.winMax.CompareAndSwap(cur, int64(d)); {
+		cur = e.winMax.Load()
 	}
-	h.sumUs.Add(us)
-	for {
-		cur := h.maxUs.Load()
-		if us <= cur || h.maxUs.CompareAndSwap(cur, us) {
-			return
-		}
-	}
+	e.hist.Observe(d)
 }
 
 // regionTracker accumulates per-subscriber-region delivery latencies. The
@@ -94,7 +108,7 @@ type regionTracker struct {
 	delay func(region string) time.Duration // optional WAN-delay model
 
 	mu      sync.RWMutex
-	regions map[string]*regionHist
+	regions map[string]*regionEntry
 
 	drainMu sync.Mutex
 }
@@ -106,7 +120,7 @@ func newRegionTracker(cap int, delay func(string) time.Duration) *regionTracker 
 	return &regionTracker{
 		cap:     cap,
 		delay:   delay,
-		regions: make(map[string]*regionHist),
+		regions: make(map[string]*regionEntry),
 	}
 }
 
@@ -122,54 +136,25 @@ func (t *regionTracker) Observe(region string, d time.Duration) {
 		d += t.delay(region)
 	}
 	t.mu.RLock()
-	h := t.regions[region]
+	e := t.regions[region]
 	t.mu.RUnlock()
-	if h == nil {
+	if e == nil {
 		t.mu.Lock()
-		h = t.regions[region]
-		if h == nil {
+		e = t.regions[region]
+		if e == nil {
 			if len(t.regions) >= t.cap {
-				if h = t.regions[RegionOverflow]; h == nil {
-					h = new(regionHist)
-					t.regions[RegionOverflow] = h
+				if e = t.regions[RegionOverflow]; e == nil {
+					e = newRegionEntry()
+					t.regions[RegionOverflow] = e
 				}
 			} else {
-				h = new(regionHist)
-				t.regions[region] = h
+				e = newRegionEntry()
+				t.regions[region] = e
 			}
 		}
 		t.mu.Unlock()
 	}
-	h.observe(d)
-}
-
-// statsFrom turns a window's bucket deltas into a RegionStats.
-func statsFrom(region string, window [RegionBuckets]uint64, sumUs, maxUs int64) (RegionStats, bool) {
-	var total uint64
-	for _, c := range window {
-		total += c
-	}
-	if total == 0 {
-		return RegionStats{}, false
-	}
-	target := (total*99 + 99) / 100
-	var cum uint64
-	p99 := RegionBucketUpperMs(RegionBuckets - 1)
-	for i, c := range window {
-		cum += c
-		if cum >= target {
-			p99 = RegionBucketUpperMs(i)
-			break
-		}
-	}
-	return RegionStats{
-		Region:  region,
-		Count:   total,
-		SumMs:   float64(sumUs) / 1e3,
-		MaxMs:   float64(maxUs) / 1e3,
-		P99Ms:   p99,
-		Buckets: append([]uint64(nil), window[:]...),
-	}, true
+	e.observe(d)
 }
 
 // Drain returns the per-region stats accumulated since the previous Drain
@@ -183,18 +168,12 @@ func (t *regionTracker) Drain() []RegionStats {
 		return nil
 	}
 	out := make([]RegionStats, 0, len(t.regions))
-	for region, h := range t.regions {
-		var window [RegionBuckets]uint64
-		for i := range window {
-			cum := h.counts[i].Load()
-			window[i] = cum - h.prev[i]
-			h.prev[i] = cum
-		}
-		sum := h.sumUs.Load()
-		winSum := sum - h.prevSumUs
-		h.prevSumUs = sum
-		maxUs := h.maxUs.Swap(0)
-		if s, ok := statsFrom(region, window, winSum, maxUs); ok {
+	for region, e := range t.regions {
+		cum := e.hist.Counts()
+		window := cum.Sub(e.shipped)
+		e.shipped = cum
+		window.Max = time.Duration(e.winMax.Swap(0))
+		if s, ok := statsFrom(region, window); ok {
 			out = append(out, s)
 		}
 	}
@@ -212,12 +191,8 @@ func (t *regionTracker) Snapshot() []RegionStats {
 		return nil
 	}
 	out := make([]RegionStats, 0, len(t.regions))
-	for region, h := range t.regions {
-		var window [RegionBuckets]uint64
-		for i := range window {
-			window[i] = h.counts[i].Load()
-		}
-		if s, ok := statsFrom(region, window, h.sumUs.Load(), h.maxUs.Load()); ok {
+	for region, e := range t.regions {
+		if s, ok := statsFrom(region, e.hist.Counts()); ok {
 			out = append(out, s)
 		}
 	}
@@ -237,28 +212,11 @@ func sortRegionStats(s []RegionStats) {
 // merged P99 is recomputed from the merged buckets). The balancer uses this
 // to aggregate one region's latency across every server reporting it.
 func MergeRegionStats(a, b RegionStats) RegionStats {
-	var buckets [RegionBuckets]uint64
-	for i := range buckets {
-		if i < len(a.Buckets) {
-			buckets[i] += a.Buckets[i]
-		}
-		if i < len(b.Buckets) {
-			buckets[i] += b.Buckets[i]
-		}
-	}
-	sumUs := int64((a.SumMs + b.SumMs) * 1e3)
-	maxMs := a.MaxMs
-	if b.MaxMs > maxMs {
-		maxMs = b.MaxMs
-	}
-	merged, ok := statsFrom(a.Region, buckets, sumUs, int64(maxMs*1e3))
+	merged, ok := statsFrom(a.Region, a.counts().Add(b.counts()))
 	if !ok {
 		// Neither side carried buckets; fall back to the scalar fields.
 		merged = RegionStats{Region: a.Region, Count: a.Count + b.Count,
-			SumMs: a.SumMs + b.SumMs, MaxMs: maxMs}
-		if merged.P99Ms = a.P99Ms; b.P99Ms > merged.P99Ms {
-			merged.P99Ms = b.P99Ms
-		}
+			SumMs: a.SumMs + b.SumMs, MaxMs: max(a.MaxMs, b.MaxMs), P99Ms: max(a.P99Ms, b.P99Ms)}
 	}
 	return merged
 }

@@ -104,6 +104,27 @@ func TestReportRegionsRoundTrip(t *testing.T) {
 	if len(got.Regions[0].Buckets) != RegionBuckets {
 		t.Fatalf("buckets did not survive: %d", len(got.Regions[0].Buckets))
 	}
+
+	// The report is a wire format: one marshalled before the region tracker
+	// moved onto metrics.Histogram (ten 20 ms deliveries and one of 300 ms)
+	// must still unmarshal, and merge bucket for bucket with the same
+	// deliveries observed now.
+	const golden = `{"server":"pub1","seq":1,"units":null,"maxOutgoingBps":0,"measuredOutgoingBps":0,"regions":[{"region":"eu","count":11,"sumMs":500,"maxMs":300,"p99Ms":524.288,"buckets":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,10,0,0,0,1,0,0,0,0,0,0,0,0,0]}]}`
+	old, err := UnmarshalReport([]byte(golden))
+	if err != nil {
+		t.Fatalf("UnmarshalReport(golden): %v", err)
+	}
+	for i := 0; i < 10; i++ {
+		rt.Observe("eu", 20*time.Millisecond)
+	}
+	rt.Observe("eu", 300*time.Millisecond)
+	m := MergeRegionStats(old.Regions[0], rt.Drain()[0])
+	if m.Count != 22 || m.Buckets[14] != 20 || m.Buckets[18] != 2 {
+		t.Fatalf("golden report merged into other buckets: %+v", m)
+	}
+	if m.SumMs != 1000 || m.MaxMs != 300 || m.P99Ms != 300 {
+		t.Fatalf("merged sum/max/p99 = %v/%v/%v ms, want 1000/300/300", m.SumMs, m.MaxMs, m.P99Ms)
+	}
 }
 
 func TestMergeRegionStats(t *testing.T) {

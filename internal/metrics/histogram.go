@@ -1,32 +1,46 @@
 // Package metrics provides the measurement primitives used by the Dynamoth
-// load-monitoring pipeline and the experiment harness: latency histograms
-// with quantiles, running summaries, windowed rates, and printable time
-// series (the data behind every figure in the paper's evaluation).
+// load-monitoring pipeline and the experiment harness: the one latency
+// histogram (with its windows, merges and quantiles) every in-process site
+// records into, and printable time series (the data behind every figure in
+// the paper's evaluation).
 package metrics
 
 import (
-	"fmt"
 	"math"
-	"sort"
-	"sync"
+	"sync/atomic"
 	"time"
 )
 
-// Histogram is a log-bucketed duration histogram, cheap enough to sit on the
-// publish hot path. Buckets grow geometrically from Min to Max; values
-// outside the range clamp to the edge buckets. The zero value is unusable;
-// create with NewHistogram.
-type Histogram struct {
-	mu      sync.Mutex
-	counts  []uint64
+// layout places durations into geometric buckets: bucket i starts at
+// min·e^(i·logStep), and the two edge buckets absorb everything outside the
+// range. It is the only bucket arithmetic in the tree.
+type layout struct {
 	min     float64 // seconds
-	ratio   float64 // log bucket growth factor
 	logMin  float64
 	logStep float64
-	total   uint64
-	sum     float64 // seconds
-	maxSeen float64
-	minSeen float64
+}
+
+// bound is bucket i's lower bound (bucket i-1's upper bound) in seconds.
+func (l layout) bound(i int) float64 {
+	return math.Exp(l.logMin + float64(i)*l.logStep)
+}
+
+// Histogram is a log-bucketed duration histogram, cheap enough to sit on the
+// publish hot path and lock-free, so any number of goroutines (or reactor
+// shards) may Observe and read it at once. Buckets grow geometrically from
+// Min to Max; values outside the range clamp to the edge buckets. The zero
+// value is unusable; create with NewHistogram.
+type Histogram struct {
+	// The extremes change only while a record is being set, but every
+	// observation reads them; sum is written by every observation. First
+	// and last, they lie 64 bytes apart — never on one cache line, the
+	// allocator aligning the struct to 16 bytes — with only fields that
+	// never change between them.
+	minSeen atomic.Int64 // nanoseconds; negative until the first observation
+	maxSeen atomic.Int64
+	layout
+	counts []atomic.Uint64
+	sum    atomic.Int64 // nanoseconds: integer, so sums of stage legs stay exact
 }
 
 // NewHistogram creates a histogram covering [min, max] with the given number
@@ -39,257 +53,187 @@ func NewHistogram(min, max time.Duration, buckets int) *Histogram {
 	lo := min.Seconds()
 	hi := max.Seconds()
 	h := &Histogram{
-		counts:  make([]uint64, buckets),
-		min:     lo,
-		logMin:  math.Log(lo),
-		logStep: (math.Log(hi) - math.Log(lo)) / float64(buckets),
-		minSeen: math.Inf(1),
+		layout: layout{
+			min:     lo,
+			logMin:  math.Log(lo),
+			logStep: (math.Log(hi) - math.Log(lo)) / float64(buckets),
+		},
+		counts: make([]atomic.Uint64, buckets),
 	}
-	h.ratio = math.Exp(h.logStep)
+	h.minSeen.Store(-1)
+	h.maxSeen.Store(-1)
 	return h
 }
 
-// Observe records one duration.
+// Observe records one duration (negative ones as zero).
 func (h *Histogram) Observe(d time.Duration) {
-	s := d.Seconds()
-	if s < 0 {
-		s = 0
+	if d < 0 {
+		d = 0
 	}
 	i := 0
-	if s > h.min {
+	if s := d.Seconds(); s > h.min {
 		i = int((math.Log(s) - h.logMin) / h.logStep)
 		if i >= len(h.counts) {
 			i = len(h.counts) - 1
 		}
 	}
-	h.mu.Lock()
-	h.counts[i]++
-	h.total++
-	h.sum += s
-	if s > h.maxSeen {
-		h.maxSeen = s
+	// Extremes before the count, and Counts reads them in the opposite
+	// order: every observation a read-out counts lies inside its extremes.
+	ns := int64(d)
+	for cur := h.maxSeen.Load(); ns > cur && !h.maxSeen.CompareAndSwap(cur, ns); {
+		cur = h.maxSeen.Load()
 	}
-	if s < h.minSeen {
-		h.minSeen = s
+	for cur := h.minSeen.Load(); (cur < 0 || ns < cur) && !h.minSeen.CompareAndSwap(cur, ns); {
+		cur = h.minSeen.Load()
 	}
-	h.mu.Unlock()
+	h.sum.Add(ns)
+	h.counts[i].Add(1)
 }
 
 // Count returns the number of observations.
 func (h *Histogram) Count() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.total
+	var n uint64
+	for i := range h.counts {
+		n += h.counts[i].Load()
+	}
+	return n
 }
 
 // Mean returns the mean observed duration, or 0 with no observations.
 func (h *Histogram) Mean() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.total == 0 {
+	n := h.Count()
+	if n == 0 {
 		return 0
 	}
-	return time.Duration(h.sum / float64(h.total) * float64(time.Second))
+	return time.Duration(h.sum.Load() / int64(n))
 }
 
-// Max returns the largest observed duration.
-func (h *Histogram) Max() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.total == 0 {
-		return 0
-	}
-	return time.Duration(h.maxSeen * float64(time.Second))
-}
+// Max returns the largest observed duration, or 0 with no observations.
+func (h *Histogram) Max() time.Duration { return time.Duration(max(h.maxSeen.Load(), 0)) }
 
-// Min returns the smallest observed duration.
-func (h *Histogram) Min() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.total == 0 {
-		return 0
-	}
-	return time.Duration(h.minSeen * float64(time.Second))
-}
+// Min returns the smallest observed duration, or 0 with no observations.
+func (h *Histogram) Min() time.Duration { return time.Duration(max(h.minSeen.Load(), 0)) }
 
-// Quantile returns an estimate of the q-quantile (0 < q <= 1), using the
-// geometric midpoint of the bucket containing the rank, clamped to the
-// observed [Min(), Max()] range. The edge buckets absorb out-of-range
-// observations, so their midpoints can lie arbitrarily far from any real
-// sample; they report the true observed extremes instead.
-func (h *Histogram) Quantile(q float64) time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.total == 0 || q <= 0 || q > 1 {
-		return 0
-	}
-	rank := uint64(math.Ceil(q * float64(h.total)))
-	var cum uint64
-	for i, c := range h.counts {
-		cum += c
-		if cum >= rank {
-			lo := math.Exp(h.logMin + float64(i)*h.logStep)
-			est := lo * math.Sqrt(h.ratio)
-			switch i {
-			case 0:
-				est = h.minSeen // holds everything clamped below min
-			case len(h.counts) - 1:
-				est = h.maxSeen // holds everything clamped above max
-			}
-			if est < h.minSeen {
-				est = h.minSeen
-			}
-			if est > h.maxSeen {
-				est = h.maxSeen
-			}
-			return time.Duration(est * float64(time.Second))
-		}
-	}
-	return time.Duration(h.maxSeen * float64(time.Second))
-}
+// Quantile is Counts().Quantile(q). Read several figures of one instant from
+// one Counts instead.
+func (h *Histogram) Quantile(q float64) time.Duration { return h.Counts().Quantile(q) }
 
-// Buckets iterates the histogram's buckets in ascending order, calling fn
-// with each bucket's inclusive upper bound in seconds (+Inf for the last,
-// which absorbs over-range observations) and the cumulative observation
-// count up to it — the Prometheus cumulative-bucket convention. It returns
-// the total count and the sum of all observations in seconds. fn must not
-// call back into the histogram.
-func (h *Histogram) Buckets(fn func(upperSeconds float64, cumulative uint64)) (count uint64, sum float64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	var cum uint64
-	for i, c := range h.counts {
-		cum += c
-		le := math.Exp(h.logMin + float64(i+1)*h.logStep)
-		if i == len(h.counts)-1 {
-			le = math.Inf(1)
-		}
-		fn(le, cum)
-	}
-	return h.total, h.sum
-}
-
-// Reset clears all recorded observations.
-func (h *Histogram) Reset() {
-	h.mu.Lock()
-	defer h.mu.Unlock()
+// Counts reads the histogram out in a single pass.
+func (h *Histogram) Counts() Counts {
+	c := Counts{Buckets: make([]uint64, len(h.counts)), layout: h.layout}
 	for i := range h.counts {
-		h.counts[i] = 0
+		c.Buckets[i] = h.counts[i].Load()
 	}
-	h.total, h.sum, h.maxSeen = 0, 0, 0
-	h.minSeen = math.Inf(1)
+	c.Sum = time.Duration(h.sum.Load())
+	c.Min = time.Duration(h.minSeen.Load())
+	c.Max = time.Duration(h.maxSeen.Load())
+	return c
 }
 
-// Snapshot summarizes the histogram.
-func (h *Histogram) Snapshot() HistogramSnapshot {
-	return HistogramSnapshot{
-		Count: h.Count(),
-		Mean:  h.Mean(),
-		P50:   h.Quantile(0.50),
-		P95:   h.Quantile(0.95),
-		P99:   h.Quantile(0.99),
-		Max:   h.Max(),
+// Counts is one read-out of a duration distribution — a histogram at an
+// instant, a window between two instants (Sub), or several merged (Add) —
+// and the one place a quantile is computed from buckets. The fields may be
+// replaced to carry a distribution over a wire; the layout always comes from
+// a Histogram. Counts values share bucket slices and are not modified by
+// their methods.
+type Counts struct {
+	// Buckets holds the observations per bucket (not cumulative).
+	Buckets []uint64
+	// Sum is the total of all observations.
+	Sum time.Duration
+	// Min and Max are the observed extremes; negative where unknown (an
+	// empty distribution, or a window: a histogram keeps only the extremes
+	// of its whole life).
+	Min, Max time.Duration
+	layout
+}
+
+// Count returns the number of observations.
+func (c Counts) Count() uint64 {
+	var n uint64
+	for _, b := range c.Buckets {
+		n += b
 	}
+	return n
 }
 
-// HistogramSnapshot is a point-in-time summary of a Histogram.
-type HistogramSnapshot struct {
-	Count uint64
-	Mean  time.Duration
-	P50   time.Duration
-	P95   time.Duration
-	P99   time.Duration
-	Max   time.Duration
-}
-
-// String renders the snapshot on one line.
-func (s HistogramSnapshot) String() string {
-	return fmt.Sprintf("n=%d mean=%s p50=%s p95=%s p99=%s max=%s",
-		s.Count, s.Mean.Round(time.Microsecond), s.P50.Round(time.Microsecond),
-		s.P95.Round(time.Microsecond), s.P99.Round(time.Microsecond),
-		s.Max.Round(time.Microsecond))
-}
-
-// Summary accumulates count/mean/min/max of a float series. The zero value
-// is ready to use.
-type Summary struct {
-	mu    sync.Mutex
-	n     uint64
-	sum   float64
-	min   float64
-	max   float64
-	first bool
-}
-
-// Add records one value.
-func (s *Summary) Add(v float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.first {
-		s.min, s.max, s.first = v, v, true
-	} else {
-		if v < s.min {
-			s.min = v
-		}
-		if v > s.max {
-			s.max = v
-		}
+// Upper returns bucket i's upper bound in seconds: +Inf for the last bucket,
+// which absorbs everything above the layout's range (the Prometheus `le`
+// convention).
+func (c Counts) Upper(i int) float64 {
+	if i == len(c.Buckets)-1 {
+		return math.Inf(1)
 	}
-	s.n++
-	s.sum += v
+	return c.bound(i + 1)
 }
 
-// Count returns the number of recorded values.
-func (s *Summary) Count() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.n
-}
-
-// Mean returns the mean, or 0 with no values.
-func (s *Summary) Mean() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.n == 0 {
+// Quantile estimates the q-quantile (0 < q <= 1) as the upper bound of the
+// bucket holding that rank, so a tail is never understated, clamped to the
+// observed extremes where they are known. The edge buckets absorb
+// out-of-range observations and their bounds can lie arbitrarily far from
+// any real sample, so they report the known extreme itself.
+func (c Counts) Quantile(q float64) time.Duration {
+	total := c.Count()
+	if total == 0 || q <= 0 || q > 1 {
 		return 0
 	}
-	return s.sum / float64(s.n)
+	rank := uint64(math.Ceil(q * float64(total)))
+	last := len(c.Buckets) - 1
+	i := 0
+	for cum := c.Buckets[0]; cum < rank && i < last; cum += c.Buckets[i] {
+		i++
+	}
+	est := time.Duration(c.bound(i+1) * float64(time.Second))
+	if (i == 0 && c.Min >= 0) || est < c.Min {
+		est = c.Min
+	}
+	if c.Max >= 0 && (i == last || est > c.Max) {
+		est = c.Max
+	}
+	return est
 }
 
-// Min returns the smallest value, or 0 with none.
-func (s *Summary) Min() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.min
+// Sub returns the window between an earlier read-out of the same histogram
+// and this one: a scrape or report interval. A bucket below its previous
+// value means the histogram was dropped and re-created in between (a cache
+// eviction), so the whole of c is this window's. A window's extremes are
+// unknown.
+func (c Counts) Sub(prev Counts) Counts {
+	out := c
+	out.Min, out.Max = -1, -1
+	if len(prev.Buckets) != len(c.Buckets) {
+		return out
+	}
+	window := make([]uint64, len(c.Buckets))
+	for i, n := range c.Buckets {
+		if n < prev.Buckets[i] {
+			return out
+		}
+		window[i] = n - prev.Buckets[i]
+	}
+	out.Buckets, out.Sum = window, c.Sum-prev.Sum
+	return out
 }
 
-// Max returns the largest value, or 0 with none.
-func (s *Summary) Max() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.max
-}
-
-// Percentile computes the p-quantile (0..1) of a raw sample slice, sorting a
-// copy. Intended for offline experiment post-processing, not hot paths.
-func Percentile(samples []float64, p float64) float64 {
-	if len(samples) == 0 {
-		return 0
+// Add returns the merge of two distributions with the same layout: one
+// region seen from two servers. An extreme of the merge is known only where
+// both sides know theirs; an empty side changes nothing.
+func (c Counts) Add(other Counts) Counts {
+	if other.Count() == 0 {
+		return c
 	}
-	cp := append([]float64(nil), samples...)
-	sort.Float64s(cp)
-	if p <= 0 {
-		return cp[0]
+	if c.Count() == 0 {
+		return other
 	}
-	if p >= 1 {
-		return cp[len(cp)-1]
+	out := c
+	out.Buckets = make([]uint64, len(c.Buckets))
+	for i, n := range c.Buckets {
+		out.Buckets[i] = n + other.Buckets[i]
 	}
-	idx := p * float64(len(cp)-1)
-	lo := int(math.Floor(idx))
-	hi := int(math.Ceil(idx))
-	if lo == hi {
-		return cp[lo]
+	out.Sum = c.Sum + other.Sum
+	out.Min = min(c.Min, other.Min) // unknown (negative) wins
+	if out.Max = max(c.Max, other.Max); c.Max < 0 || other.Max < 0 {
+		out.Max = -1
 	}
-	frac := idx - float64(lo)
-	return cp[lo]*(1-frac) + cp[hi]*frac
+	return out
 }

@@ -1,18 +1,17 @@
 package obs
 
 import (
-	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"github.com/dynamoth/dynamoth/internal/hotstate"
+	"github.com/dynamoth/dynamoth/internal/metrics"
 )
 
-// latTopKBuckets is the per-channel histogram resolution: power-of-two
-// microsecond buckets, bucket i covering (2^i, 2^(i+1)] µs. 28 buckets span
-// 1µs to ~4.5min — coarse (factor-2) quantiles, but per-channel state stays
+// latTopKBuckets is the per-channel histogram resolution: 28 factor-two
+// buckets from 1µs to ~4.5min — coarse quantiles, but per-channel state stays
 // at 28 counters, which is what lets the tracker hold thousands of channels.
 const latTopKBuckets = 28
 
@@ -21,29 +20,10 @@ const latTopKBuckets = 28
 // bucket array rather than one counter.
 const DefaultLatencyTopKCap = 4096
 
-// latHist is one channel's compact latency histogram. All counters are
-// cumulative; the scrape computes per-window deltas.
-type latHist struct {
-	counts [latTopKBuckets]atomic.Uint64
-}
-
-// latBucket maps a latency to its power-of-two bucket index.
-func latBucket(d time.Duration) int {
-	us := d.Microseconds()
-	if us < 1 {
-		us = 1
-	}
-	b := bits.Len64(uint64(us)) - 1
-	if b >= latTopKBuckets {
-		b = latTopKBuckets - 1
-	}
-	return b
-}
-
-// latBucketUpperSeconds is bucket i's upper bound in seconds — the quantile
-// estimate reported for observations landing in it.
-func latBucketUpperSeconds(i int) float64 {
-	return float64(uint64(1)<<uint(i+1)) / 1e6
+// newChannelHist creates one channel's compact latency histogram. It is
+// cumulative; the scrape takes per-window differences.
+func newChannelHist() *metrics.Histogram {
+	return metrics.NewHistogram(time.Microsecond, time.Microsecond<<latTopKBuckets, latTopKBuckets)
 }
 
 // ChannelLatency is one channel's delivery-latency summary over the scrape
@@ -65,10 +45,10 @@ type ChannelLatency struct {
 type LatencyTopK struct {
 	shift uint64
 	n     atomic.Uint64
-	hists *hotstate.Cache[string, *latHist]
+	hists *hotstate.Cache[string, *metrics.Histogram]
 
 	snapMu      sync.Mutex
-	prev, cur   map[string][latTopKBuckets]uint64
+	prev, cur   map[string]metrics.Counts
 	idleScratch []string
 	lastTime    time.Time
 	now         func() time.Time
@@ -94,11 +74,11 @@ func NewLatencyTopKWithCap(sampleShift, cap int, now func() time.Time) *LatencyT
 	t := &LatencyTopK{
 		shift: uint64(sampleShift),
 		now:   now,
-		hists: hotstate.New[string, *latHist](hotstate.Config[string, *latHist]{
+		hists: hotstate.New[string, *metrics.Histogram](hotstate.Config[string, *metrics.Histogram]{
 			Capacity: cap,
 		}),
-		prev: make(map[string][latTopKBuckets]uint64),
-		cur:  make(map[string][latTopKBuckets]uint64),
+		prev: make(map[string]metrics.Counts),
+		cur:  make(map[string]metrics.Counts),
 	}
 	t.lastTime = now()
 	return t
@@ -110,20 +90,19 @@ func (t *LatencyTopK) Observe(channel string, d time.Duration) {
 	if n&(1<<t.shift-1) != 0 {
 		return
 	}
-	b := latBucket(d)
 	if h, ok := t.hists.Get(channel); ok {
-		h.counts[b].Add(1)
+		h.Observe(d)
 		return
 	}
-	h := new(latHist)
-	t.hists.Upsert(channel, func(old *latHist, exists bool) (*latHist, bool) {
+	h := newChannelHist()
+	t.hists.Upsert(channel, func(old *metrics.Histogram, exists bool) (*metrics.Histogram, bool) {
 		if exists {
 			h = old
 			return old, false
 		}
 		return h, true
 	})
-	h.counts[b].Add(1)
+	h.Observe(d)
 }
 
 // Top returns up to k channels ordered by p99 contribution since the
@@ -140,31 +119,11 @@ func (t *LatencyTopK) TopInto(k int, dst []ChannelLatency) []ChannelLatency {
 	out := dst[:0]
 	clear(t.cur)
 	idle := t.idleScratch[:0]
-	t.hists.Range(func(ch string, h *latHist) bool {
-		var cum [latTopKBuckets]uint64
-		for i := range cum {
-			cum[i] = h.counts[i].Load()
-		}
+	t.hists.Range(func(ch string, h *metrics.Histogram) bool {
+		cum := h.Counts()
 		last, seen := t.prev[ch]
-		var total uint64
-		var delta [latTopKBuckets]uint64
-		restarted := false
-		for i := range cum {
-			if cum[i] < last[i] {
-				// Evicted and re-created since the last scrape: counters
-				// restarted, the whole count is this window's.
-				restarted = true
-				break
-			}
-		}
-		for i := range cum {
-			d := cum[i]
-			if !restarted {
-				d -= last[i]
-			}
-			delta[i] = d
-			total += d
-		}
+		window := cum.Sub(last)
+		total := window.Count()
 		if total == 0 && seen {
 			idle = append(idle, ch)
 			return true
@@ -173,18 +132,7 @@ func (t *LatencyTopK) TopInto(k int, dst []ChannelLatency) []ChannelLatency {
 		if total == 0 {
 			return true
 		}
-		// p99 = upper bound of the bucket holding the 99th-percentile
-		// observation of this window.
-		target := (total*99 + 99) / 100
-		var cumCount uint64
-		p99 := latBucketUpperSeconds(latTopKBuckets - 1)
-		for i, d := range delta {
-			cumCount += d
-			if cumCount >= target {
-				p99 = latBucketUpperSeconds(i)
-				break
-			}
-		}
+		p99 := window.Quantile(0.99).Seconds()
 		count := uint64(float64(total) * scale)
 		out = append(out, ChannelLatency{
 			Channel:      ch,

@@ -87,31 +87,6 @@ func TestLatencyTopKZeroAllocObserve(t *testing.T) {
 	}
 }
 
-func TestLatBucketBounds(t *testing.T) {
-	cases := []struct {
-		d   time.Duration
-		min float64
-	}{
-		{0, 0},                // clamps to bucket 0
-		{time.Microsecond, 0}, // bucket 0: upper bound 2µs
-		{time.Millisecond, 0.001},
-		{time.Hour, 100}, // clamps to the last bucket
-	}
-	for _, c := range cases {
-		b := latBucket(c.d)
-		if b < 0 || b >= latTopKBuckets {
-			t.Fatalf("latBucket(%v) = %d out of range", c.d, b)
-		}
-		up := latBucketUpperSeconds(b)
-		if up < c.min {
-			t.Fatalf("latBucket(%v) upper bound %v < %v", c.d, up, c.min)
-		}
-		if c.d.Seconds() > up && b != latTopKBuckets-1 {
-			t.Fatalf("latBucket(%v): %v above upper bound %v", c.d, c.d.Seconds(), up)
-		}
-	}
-}
-
 func TestRegistryInfo(t *testing.T) {
 	r := NewRegistry()
 	r.Info("dynamoth_build_info",

@@ -140,8 +140,8 @@ func (r *Registry) Info(name, help string, labels ...[2]string) {
 
 // Histogram registers h as a Prometheus histogram family (cumulative
 // _bucket/_sum/_count series) plus a companion "<name>_quantile" gauge
-// family exporting the given quantiles (e.g. 0.5, 0.99, 0.999) estimated by
-// h.Quantile. Rendering walks the buckets only on scrape.
+// family exporting the given quantiles (e.g. 0.5, 0.99, 0.999). Each scrape
+// renders all of it from one metrics.Counts read-out.
 func (r *Registry) Histogram(name, help string, h *metrics.Histogram, quantiles ...float64) {
 	r.add(&family{name: name, help: help, kind: "histogram", hist: h, quants: quantiles})
 }
@@ -200,16 +200,21 @@ func (f *family) render(b *strings.Builder) {
 			writeSample(b, f.name, f.label, s.Label, formatFloat(s.Value))
 		}
 	case f.hist != nil:
-		count, sum := f.hist.Buckets(func(le float64, cum uint64) {
-			writeSample(b, f.name+"_bucket", "le", formatFloat(le), strconv.FormatUint(cum, 10))
-		})
-		writeSample(b, f.name+"_sum", "", "", formatFloat(sum))
-		writeSample(b, f.name+"_count", "", "", strconv.FormatUint(count, 10))
+		// One read-out per family: the buckets, _count and the quantile
+		// gauges of a scrape all describe the same instant.
+		c := f.hist.Counts()
+		var cum uint64
+		for i, n := range c.Buckets {
+			cum += n
+			writeSample(b, f.name+"_bucket", "le", formatFloat(c.Upper(i)), strconv.FormatUint(cum, 10))
+		}
+		writeSample(b, f.name+"_sum", "", "", formatFloat(c.Sum.Seconds()))
+		writeSample(b, f.name+"_count", "", "", strconv.FormatUint(cum, 10))
 		if len(f.quants) > 0 {
 			qname := f.name + "_quantile"
 			writeHeader(b, qname, "Estimated quantiles of "+f.name+".", "gauge")
 			for _, q := range f.quants {
-				writeSample(b, qname, "quantile", formatFloat(q), formatFloat(f.hist.Quantile(q).Seconds()))
+				writeSample(b, qname, "quantile", formatFloat(q), formatFloat(c.Quantile(q).Seconds()))
 			}
 		}
 	}

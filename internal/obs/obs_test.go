@@ -1,6 +1,10 @@
 package obs
 
 import (
+	"fmt"
+	"math"
+	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -82,17 +86,63 @@ func TestRegistryHistogramBridge(t *testing.T) {
 		t.Fatalf("family types = %v", fams)
 	}
 
-	// Cumulative buckets must be non-decreasing and end at the count.
-	var last uint64
-	count, _ := h.Buckets(func(_ float64, cum uint64) {
-		if cum < last {
-			t.Fatalf("cumulative bucket decreased: %d -> %d", last, cum)
-		}
-		last = cum
-	})
-	if last != count {
-		t.Fatalf("last cumulative %d != count %d", last, count)
+	if err := histogramScrapeError(out, "test_latency_seconds"); err != nil {
+		t.Fatal(err)
 	}
+}
+
+// histogramScrapeError reports how one rendered histogram family fails to
+// describe a single instant: cumulative buckets never decrease, _count equals
+// the +Inf bucket, and every _quantile gauge lies in a bucket that same
+// scrape shows occupied.
+func histogramScrapeError(out, name string) error {
+	var les, cums, quants []float64
+	count := -1.0
+	for _, line := range strings.Split(out, "\n") {
+		var err error
+		if rest, ok := strings.CutPrefix(line, name+`_bucket{le="`); ok {
+			le, cum, _ := strings.Cut(rest, `"} `)
+			les, err = appendFloat(les, le)
+			if err == nil {
+				cums, err = appendFloat(cums, cum)
+			}
+		} else if rest, ok := strings.CutPrefix(line, name+"_count "); ok {
+			count, err = strconv.ParseFloat(rest, 64)
+		} else if strings.HasPrefix(line, name+`_quantile{quantile="`) {
+			_, v, _ := strings.Cut(line, `"} `)
+			quants, err = appendFloat(quants, v)
+		}
+		if err != nil {
+			return fmt.Errorf("%s: line %q: %w", name, line, err)
+		}
+	}
+	if len(les) == 0 || !math.IsInf(les[len(les)-1], 1) {
+		return fmt.Errorf("%s: bucket bounds %v do not end at +Inf", name, les)
+	}
+	for i := 1; i < len(cums); i++ {
+		if cums[i] < cums[i-1] {
+			return fmt.Errorf("%s: cumulative bucket decreased: %v -> %v", name, cums[i-1], cums[i])
+		}
+	}
+	if last := cums[len(cums)-1]; last != count {
+		return fmt.Errorf("%s: +Inf bucket %v != _count %v", name, last, count)
+	}
+	for _, q := range quants {
+		i := sort.SearchFloat64s(les, q) // first bucket with q <= le
+		in := cums[i]
+		if i > 0 {
+			in -= cums[i-1]
+		}
+		if in == 0 && count > 0 {
+			return fmt.Errorf("%s: quantile gauge %v lies in bucket le=%v, which this scrape shows empty", name, q, les[i])
+		}
+	}
+	return nil
+}
+
+func appendFloat(dst []float64, s string) ([]float64, error) {
+	v, err := strconv.ParseFloat(s, 64)
+	return append(dst, v), err
 }
 
 func TestRegistryPanicsOnBadRegistration(t *testing.T) {
@@ -112,42 +162,50 @@ func TestRegistryPanicsOnBadRegistration(t *testing.T) {
 	mustPanic("bad label", func() { r.GaugeVec("ok_name", "x.", "bad-label", func() []Sample { return nil }) })
 }
 
+// TestRegistryConcurrentRender scrapes while a writer observes ever-larger
+// durations, so new buckets keep filling: every scrape must be well-formed
+// and each histogram family in it self-consistent (one read-out, not one per
+// line).
 func TestRegistryConcurrentRender(t *testing.T) {
 	r := NewRegistry()
 	var n atomic.Uint64
 	r.Counter("race_total", "x.", n.Load)
-	h := metrics.NewHistogram(time.Millisecond, time.Second, 10)
-	r.Histogram("race_seconds", "x.", h, 0.5)
+	h := metrics.NewHistogram(time.Microsecond, 1000*time.Second, 200)
+	r.Histogram("race_seconds", "x.", h, 0.5, 0.99, 1)
 
 	var wg sync.WaitGroup
-	stop := make(chan struct{})
+	done := make(chan struct{})
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				n.Add(1)
-				h.Observe(time.Millisecond)
-			}
+		defer close(done)
+		for d := time.Microsecond; d < 1000*time.Second; d += d>>13 + 1 {
+			n.Add(1)
+			h.Observe(d)
 		}
 	}()
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for j := 0; j < 100; j++ {
-				if _, err := ValidateExposition(r.String()); err != nil {
+			for j := 0; ; j++ {
+				out := r.String()
+				if _, err := ValidateExposition(out); err != nil {
 					t.Errorf("scrape %d invalid: %v", j, err)
 					return
+				}
+				if err := histogramScrapeError(out, "race_seconds"); err != nil {
+					t.Errorf("scrape %d: %v", j, err)
+					return
+				}
+				select {
+				case <-done:
+					return
+				default:
 				}
 			}
 		}()
 	}
-	time.Sleep(10 * time.Millisecond)
-	close(stop)
 	wg.Wait()
 }
 

@@ -55,37 +55,35 @@ func newStageHistograms() *stageHistograms {
 	}
 }
 
-// latencyObserver measures publish→deliver latency at the broker: every
-// stamped data envelope's age at the moment its fan-out was queued, plus the
-// per-stage waterfall marks the broker stamped into the frame. It sits on
-// the publish hot path, so it peeks only the envelope header — no decoding,
-// no allocation.
+// latencyObserver is the node's one latency observer: every stamped data
+// envelope's publish→fan-out age with its per-stage split (OnPublish), and
+// the writer-flush leg (OnFlush). It reads everything OnPublish needs from
+// the marks the broker has just stamped into the frame — a header peek, no
+// decoding, no allocation, no clock read, no lock.
 type latencyObserver struct {
 	clk     clock.Clock
 	hist    *metrics.Histogram
 	stages  *stageHistograms
 	latTopk *obs.LatencyTopK
+	flushes atomic.Uint64
 }
 
-// OnPublish implements broker.Observer.
+// OnPublish implements broker.Observer. The e2e age is the fanout mark
+// itself, so ingress + fanout sum to e2e exactly, observation by observation.
 func (o *latencyObserver) OnPublish(ch string, payload []byte, _ int) {
 	s, ok := message.PeekStageStamp(payload)
-	if !ok || s.Stamp == 0 {
+	if !ok || s.Stamp == 0 || s.FanoutUs == 0 {
 		return
 	}
 	if s.Type != message.TypeData && s.Type != message.TypeForwarded {
 		return
 	}
-	// Observe clamps negative durations (clock skew across real machines).
-	age := time.Duration(o.clk.Now().UnixNano() - s.Stamp)
+	age := time.Duration(s.FanoutUs) * time.Microsecond
+	ingress := time.Duration(min(s.IngressUs, s.FanoutUs)) * time.Microsecond // min: a clock stepped back between the marks
 	o.hist.Observe(age)
 	o.latTopk.Observe(ch, age)
-	if s.IngressUs != 0 {
-		o.stages.ingress.Observe(time.Duration(s.IngressUs) * time.Microsecond)
-		if s.FanoutUs >= s.IngressUs {
-			o.stages.fanout.Observe(time.Duration(s.FanoutUs-s.IngressUs) * time.Microsecond)
-		}
-	}
+	o.stages.ingress.Observe(ingress)
+	o.stages.fanout.Observe(age - ingress)
 }
 
 // OnSubscribe implements broker.Observer (ignored).
@@ -94,20 +92,13 @@ func (o *latencyObserver) OnSubscribe(string, string, int) {}
 // OnUnsubscribe implements broker.Observer (ignored).
 func (o *latencyObserver) OnUnsubscribe(string, string, int) {}
 
-// flushObserver measures the writer-flush leg: the age of a frame past its
+// OnFlush implements broker.FlushObserver: the age of a frame past its
 // fanout-enqueue mark at the moment it leaves the broker's output queue for
-// a connection write buffer. OnFlush runs once per delivery on the dispatch
-// path, so it samples (every 2^shift-th delivery) and peeks only on the
-// sampled subset.
-type flushObserver struct {
-	clk  clock.Clock
-	hist *metrics.Histogram
-	n    atomic.Uint64
-}
-
-// OnFlush implements broker.FlushObserver.
-func (o *flushObserver) OnFlush(payload []byte) {
-	if o.n.Add(1)&(1<<obs.DefaultSampleShift-1) != 0 {
+// a connection write buffer. It runs once per delivery on the dispatch path,
+// so it samples (every 2^shift-th delivery) and peeks only on the sampled
+// subset.
+func (o *latencyObserver) OnFlush(payload []byte) {
+	if o.flushes.Add(1)&(1<<obs.DefaultSampleShift-1) != 0 {
 		return
 	}
 	s, ok := message.PeekStageStamp(payload)
@@ -118,18 +109,8 @@ func (o *flushObserver) OnFlush(payload []byte) {
 	if at == 0 {
 		return
 	}
-	o.hist.Observe(time.Duration(o.clk.Now().UnixNano() - at))
+	o.stages.flush.Observe(time.Duration(o.clk.Now().UnixNano() - at))
 }
-
-// OnPublish implements broker.Observer (ignored; flush frames arrive via
-// OnFlush).
-func (o *flushObserver) OnPublish(string, []byte, int) {}
-
-// OnSubscribe implements broker.Observer (ignored).
-func (o *flushObserver) OnSubscribe(string, string, int) {}
-
-// OnUnsubscribe implements broker.Observer (ignored).
-func (o *flushObserver) OnUnsubscribe(string, string, int) {}
 
 // Registry returns the node's metric registry, served by the admin
 // endpoint's /metrics and the cluster scrape helpers.
@@ -172,12 +153,14 @@ type LatencySummary struct {
 }
 
 func summarize(h *metrics.Histogram) LatencySummary {
+	c := h.Counts() // one read-out: every figure describes the same instant
+	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 	return LatencySummary{
-		Count:  h.Count(),
-		P50ms:  float64(h.Quantile(0.5)) / float64(time.Millisecond),
-		P99ms:  float64(h.Quantile(0.99)) / float64(time.Millisecond),
-		P999ms: float64(h.Quantile(0.999)) / float64(time.Millisecond),
-		MaxMs:  float64(h.Max()) / float64(time.Millisecond),
+		Count:  c.Count(),
+		P50ms:  ms(c.Quantile(0.5)),
+		P99ms:  ms(c.Quantile(0.99)),
+		P999ms: ms(c.Quantile(0.999)),
+		MaxMs:  ms(max(c.Max, 0)),
 	}
 }
 

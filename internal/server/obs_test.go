@@ -137,3 +137,51 @@ func TestLatencyObserverSkipsUnstampedAndControl(t *testing.T) {
 		t.Fatalf("observed latency %v, want ~50ms", p)
 	}
 }
+
+// tickingClock advances by an odd, sub-microsecond-grained step every time it
+// is read, so no two readings agree and any clock read the node makes per
+// publication shows up in what it measures.
+type tickingClock struct{ *clock.Manual }
+
+func (c tickingClock) Now() time.Time {
+	c.Advance(1337 * time.Nanosecond)
+	return c.Manual.Now()
+}
+
+// TestStagesDecomposeE2EExactly pins "ingress + fanout decompose e2e exactly
+// per observation": the observer takes all three from the two marks the
+// broker stamped, so on a clock that never reads the same twice the sums
+// still agree to the nanosecond — with and without a subscriber (the
+// early-exit path stamps too).
+func TestStagesDecomposeE2EExactly(t *testing.T) {
+	clk := tickingClock{clock.NewManual(epoch)}
+	n := newNode(t, clk)
+	sess, err := n.Broker.Connect("sub", dropSink{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	if _, err := sess.Subscribe("heard"); err != nil {
+		t.Fatal(err)
+	}
+
+	const each = 200
+	for i := 0; i < each; i++ {
+		for _, ch := range []string{"heard", "unheard"} {
+			env := message.Envelope{Type: message.TypeData, ID: message.ID{Node: 1, Seq: uint64(i)},
+				Channel: ch, Stamp: clk.Now().UnixNano()}
+			n.Broker.Publish(ch, env.Marshal())
+		}
+	}
+	e2e, ingress, fanout := n.e2e.Counts(), n.stages.ingress.Counts(), n.stages.fanout.Counts()
+	if e2e.Count() != 2*each || ingress.Count() != 2*each || fanout.Count() != 2*each {
+		t.Fatalf("observations e2e=%d ingress=%d fanout=%d, want %d each",
+			e2e.Count(), ingress.Count(), fanout.Count(), 2*each)
+	}
+	if e2e.Sum != ingress.Sum+fanout.Sum {
+		t.Fatalf("Σe2e %v != Σingress %v + Σfanout %v", e2e.Sum, ingress.Sum, fanout.Sum)
+	}
+	if fanout.Sum == 0 {
+		t.Fatal("fanout leg never measured a clock step")
+	}
+}

@@ -177,9 +177,9 @@ func New(opts Options) (*Node, error) {
 	n.connSrv = broker.NewConnServer(b, broker.ServeOptions{
 		Observer: &connTracer{rec: opts.Recorder},
 	})
-	// Observability observers: all are allocation-free in steady state (the
+	// Observability observers: both are allocation-free in steady state (the
 	// latency observer peeks the envelope header once; the top-K trackers and
-	// the flush observer sample).
+	// its flush leg sample).
 	b.AddObserver(n.topk)
 	b.AddObserver(&latencyObserver{
 		clk:     opts.Clock,
@@ -187,7 +187,6 @@ func New(opts Options) (*Node, error) {
 		stages:  n.stages,
 		latTopk: n.latTopk,
 	})
-	b.AddObserver(&flushObserver{clk: opts.Clock, hist: n.stages.flush})
 	n.buildRegistry()
 	go n.pumpReports(opts.PublishReports)
 	return n, nil

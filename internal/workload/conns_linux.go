@@ -5,12 +5,12 @@ package workload
 import (
 	"fmt"
 	"net"
-	"sort"
 	"strconv"
 	"syscall"
 	"time"
 
 	"github.com/dynamoth/dynamoth/internal/loadgen"
+	"github.com/dynamoth/dynamoth/internal/metrics"
 	"github.com/dynamoth/dynamoth/internal/resp"
 	"github.com/dynamoth/dynamoth/internal/transport"
 )
@@ -76,7 +76,8 @@ func RunConnBench(opts ConnBenchOptions) (*ConnBenchResult, error) {
 		return nil, err
 	}
 
-	d := &connDriver{opts: opts, dst: dst, srcs: srcs, t0: time.Now()}
+	d := &connDriver{opts: opts, dst: dst, srcs: srcs, t0: time.Now(),
+		latency: metrics.NewHistogram(time.Microsecond, time.Minute, 200)}
 	if d.epfd, err = syscall.EpollCreate1(syscall.EPOLL_CLOEXEC); err != nil {
 		return nil, fmt.Errorf("workload: epoll_create1: %w", err)
 	}
@@ -109,10 +110,10 @@ func RunConnBench(opts ConnBenchOptions) (*ConnBenchResult, error) {
 	res.Delivered = d.delivered
 	res.ControlMsgs = d.controlMsgs
 	res.ChurnOps = d.churnOps
-	res.Samples = len(d.samples)
+	res.Samples = int(d.latency.Count())
 	res.StampErrors = d.stampErrs
 	res.BehindSchedule = d.behind
-	res.DeliveryP50us, res.DeliveryP99us, res.DeliveryMaxus = quantilesUs(d.samples)
+	res.DeliveryP50us, res.DeliveryP99us, _, res.DeliveryMaxus = loadgen.QuantilesUs(d.latency)
 	return res, nil
 }
 
@@ -155,11 +156,11 @@ type connDriver struct {
 	events []syscall.EpollEvent
 	rbuf   []byte
 
-	up        int
-	nextSrc   int
-	pubFD     int // publisher connection, multiplexed like the rest
-	pubConn   *benchConn
-	pubGroup  int
+	up          int
+	nextSrc     int
+	pubFD       int // publisher connection, multiplexed like the rest
+	pubConn     *benchConn
+	pubGroup    int
 	published   uint64
 	delivered   uint64
 	subAcks     uint64
@@ -167,7 +168,7 @@ type connDriver struct {
 	churnOps    uint64
 	stampErrs   uint64
 	behind      uint64
-	samples     []int64 // latency ns
+	latency     *metrics.Histogram // every delivery of the run, no cap
 }
 
 func (d *connDriver) close() {
@@ -412,9 +413,8 @@ func (d *connDriver) consume(c *benchConn, args [][]byte) {
 			d.stampErrs++
 			return
 		}
-		lat := time.Since(d.t0).Nanoseconds() - stamp
-		if lat >= 0 && len(d.samples) < 1<<20 {
-			d.samples = append(d.samples, lat)
+		if lat := time.Since(d.t0) - time.Duration(stamp); lat >= 0 {
+			d.latency.Observe(lat)
 		}
 	}
 	// Everything else: subscribe/unsubscribe acks, +OK, :N publish replies.
@@ -515,16 +515,4 @@ func (d *connDriver) nextUp(cursor *int) *benchConn {
 		}
 	}
 	return nil
-}
-
-func quantilesUs(samples []int64) (p50, p99, max float64) {
-	if len(samples) == 0 {
-		return 0, 0, 0
-	}
-	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-	at := func(q float64) float64 {
-		i := int(q * float64(len(samples)-1))
-		return float64(samples[i]) / 1e3
-	}
-	return at(0.5), at(0.99), float64(samples[len(samples)-1]) / 1e3
 }

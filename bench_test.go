@@ -684,6 +684,7 @@ func newBenchRand() *rand.Rand { return rand.New(rand.NewSource(1)) }
 func BenchmarkRESPCommandRoundTrip(b *testing.B) {
 	var buf bytes.Buffer
 	w := resp.NewWriter(&buf)
+	var p resp.CommandParser
 	payload := make([]byte, 200)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -694,8 +695,9 @@ func BenchmarkRESPCommandRoundTrip(b *testing.B) {
 		if err := w.Flush(); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := resp.NewReader(&buf).ReadCommand(); err != nil {
-			b.Fatal(err)
+		p.Feed(buf.Bytes())
+		if args, err := p.Next(); err != nil || len(args) != 3 {
+			b.Fatalf("parsed %d args, err %v", len(args), err)
 		}
 	}
 }

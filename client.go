@@ -91,12 +91,6 @@ type Config struct {
 	// client's control plane; implementations must not call back into the
 	// client synchronously.
 	OnReplayGap func(channel string, missed uint64)
-	// Region declares the subscriber region this client runs in (e.g.
-	// "eu-west"). It is announced to every server the client connects to,
-	// letting brokers attribute delivery latency per region in their LLA
-	// reports — the signal latency-aware placement consumes. Empty declares
-	// nothing and costs nothing.
-	Region string
 	// Logger receives structured client logs. Nil discards.
 	Logger *slog.Logger
 }
@@ -867,16 +861,6 @@ func (c *Client) connLocked(server plan.ServerID) (*clientConn, error) {
 	cc.conn = conn
 	if nr, ok := conn.(transport.NonRetaining); ok && nr.PublishNonRetaining() {
 		cc.noRetain = true
-	}
-	if c.cfg.Region != "" {
-		if rd, ok := conn.(transport.RegionDeclarer); ok {
-			if err := rd.DeclareRegion(c.cfg.Region); err != nil {
-				// Attribution is best-effort: a server that cannot take the
-				// declaration still serves traffic, just without region tags.
-				c.log.Warn("region declaration failed",
-					slog.String("server", server), slog.Any("err", err))
-			}
-		}
 	}
 	c.conns[server] = cc
 	return cc, nil

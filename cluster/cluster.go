@@ -112,15 +112,12 @@ type Cluster struct {
 	watched map[plan.ServerID]*watcher
 	nextNum uint32
 
-	dialer *transport.MemDialer // client-facing (WAN latency if enabled)
-	faults *netsim.Faults       // fault injection on the client↔server path
-	// regionDelay models per-region WAN distance for the LLAs'
-	// delivery-latency attribution (nil without WANLatency).
-	regionDelay func(region string) time.Duration
-	reports     chan *lla.Report
-	orch        *balancer.Orchestrator
-	provider    *cloud.Simulator
-	rec         *trace.Recorder // shared flight recorder (every component appends)
+	dialer   *transport.MemDialer // client-facing (WAN latency if enabled)
+	faults   *netsim.Faults       // fault injection on the client↔server path
+	reports  chan *lla.Report
+	orch     *balancer.Orchestrator
+	provider *cloud.Simulator
+	rec      *trace.Recorder // shared flight recorder (every component appends)
 
 	// lbReg is the balancer's scrape registry, built lazily by
 	// BalancerRegistry (the orchestrator is optional).
@@ -186,10 +183,6 @@ func Start(opts Options) (*Cluster, error) {
 			Class:   netsim.Client,
 			Faults:  c.faults,
 		}
-		// Regions inherit the same King-like WAN model: each declared
-		// subscriber region maps to a deterministic characteristic delay,
-		// which the LLAs add when attributing delivery latency per region.
-		c.regionDelay = netsim.RegionDelays(netsim.NewKingLike())
 	} else {
 		dialerOpts = transport.MemDialerOptions{Clock: opts.Clock, Faults: c.faults}
 	}
@@ -500,7 +493,6 @@ func (c *Cluster) startNode(id plan.ServerID, initial *plan.Plan) error {
 		MaxOutgoingBps: c.opts.MaxOutgoingBps,
 		Unit:           c.opts.UnitInterval,
 		ReportEvery:    c.opts.ReportEvery,
-		RegionDelay:    c.regionDelay,
 		OutputBuffer:   c.opts.OutputBuffer,
 		ReplayDepth:    c.opts.ReplayDepth,
 		ReplayChannels: c.opts.ReplayChannels,

@@ -67,13 +67,6 @@ func renderWaterfall(out io.Writer, wf server.Waterfall) {
 				ch.Channel, fmtMs(ch.P99*1e3), ch.Count)
 		}
 	}
-	if len(wf.Regions) > 0 {
-		fmt.Fprintf(out, "regions:\n")
-		for _, rs := range wf.Regions {
-			fmt.Fprintf(out, "  %-24s p99 %10s  max %10s  n %9d\n",
-				rs.Region, fmtMs(rs.P99Ms), fmtMs(rs.MaxMs), rs.Count)
-		}
-	}
 }
 
 // fmtMs renders a millisecond quantity at a human scale.

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/dynamoth/dynamoth/internal/lla"
 	"github.com/dynamoth/dynamoth/internal/obs"
 	"github.com/dynamoth/dynamoth/internal/server"
 )
@@ -13,7 +12,7 @@ import (
 // TestShowLatencyRendersWaterfall drives the latency subcommand against a
 // real /debug/latency handler serving a populated Waterfall and checks the
 // rendering carries every section: e2e digest, the three stages in pipeline
-// order, slow channels, and regions.
+// order, and slow channels.
 func TestShowLatencyRendersWaterfall(t *testing.T) {
 	wf := server.Waterfall{
 		Server: "pub1",
@@ -25,9 +24,6 @@ func TestShowLatencyRendersWaterfall(t *testing.T) {
 		},
 		SlowChannels: []obs.ChannelLatency{
 			{Channel: "room.lobby", Count: 400, P99: 30e-3, Contribution: 12},
-		},
-		Regions: []lla.RegionStats{
-			{Region: "eu-west", Count: 1200, P99Ms: 150, MaxMs: 300},
 		},
 	}
 	srv := httptest.NewServer(obs.JSONHandler(func() any { return wf }))
@@ -42,7 +38,7 @@ func TestShowLatencyRendersWaterfall(t *testing.T) {
 	for _, want := range []string{
 		"node pub1", "p99 30.00ms", "n=1000",
 		"ingress", "fanout", "flush",
-		"room.lobby", "eu-west", "150.00ms",
+		"room.lobby",
 	} {
 		if !strings.Contains(got, want) {
 			t.Fatalf("output missing %q:\n%s", want, got)

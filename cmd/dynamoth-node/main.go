@@ -131,7 +131,7 @@ func run() error {
 			obs.Route{Pattern: "/debug/events", Handler: rec.EventsHandler()},
 			obs.Route{Pattern: "/debug/rebalances", Handler: rec.RebalancesHandler()},
 			// Per-stage latency waterfall: e2e plus ingress/fanout/flush
-			// summaries, slow channels, and per-region delivery latency.
+			// summaries and slow channels.
 			obs.Route{Pattern: "/debug/latency", Handler: obs.JSONHandler(
 				func() any { return n.Waterfall() })},
 			// Forces a GC and returns freed pages to the OS, so memory

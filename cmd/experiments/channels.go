@@ -1,12 +1,12 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/debug"
 	"strconv"
+	"strings"
 	"time"
 
 	dynamoth "github.com/dynamoth/dynamoth"
@@ -50,9 +50,9 @@ const (
 // the node's reading at target must sit under soakMaxServerRSSKB, or the run
 // is an error.
 // Steady-state publish throughput and allocations are measured at both
-// checkpoints over a fixed working set, and the node's hotstate families
-// are scraped to show each cache pinned at its capacity. Writes
-// BENCH_channels.json.
+// checkpoints over a fixed working set (the rate must be positive), and the
+// node's hotstate families are scraped: every cache must be bounded and at or
+// under its capacity, and the top-K tracker must have evicted.
 func runChannels(target int) error {
 	fmt.Println("=== Channel soak — bounded hot-state caches under an unbounded namespace ===")
 	fmt.Printf("target %d distinct channels; node caps: lla=%d topk=%d replay=%d; RSS checkpoints at %d and %d\n\n",
@@ -136,7 +136,7 @@ func runChannels(target int) error {
 	if err := sweep("soak.", 0, tenth); err != nil {
 		return err
 	}
-	at10, err := channelsCheckpoint(client, node.Pid(), adminAddr, tenth, working, payload)
+	at10, err := channelsCheckpoint(client, node.Pid(), adminAddr, working, payload)
 	if err != nil {
 		return err
 	}
@@ -146,7 +146,7 @@ func runChannels(target int) error {
 	if err := sweep("soak.", tenth, target); err != nil {
 		return err
 	}
-	atFull, err := channelsCheckpoint(client, node.Pid(), adminAddr, target, working, payload)
+	atFull, err := channelsCheckpoint(client, node.Pid(), adminAddr, working, payload)
 	if err != nil {
 		return err
 	}
@@ -154,70 +154,51 @@ func runChannels(target int) error {
 		target, atFull.ServerRSSKB, atFull.ClientRSSKB, atFull.SteadyPublishPerSec, atFull.SteadyAllocsPerOp)
 
 	hotstate := scrapeFamilies(adminAddr, "dynamoth_node_hotstate")
+	topkEvictions := hotstate[`dynamoth_node_hotstate_evictions_total{cache="topk"}`]
 	serverRatio := ratio(atFull.ServerRSSKB, at10.ServerRSSKB)
 	clientRatio := ratio(atFull.ClientRSSKB, at10.ClientRSSKB)
-	fmt.Printf("\nRSS growth %d→%d channels: server ×%.3f, client ×%.3f (flat ≤ %.2f expected)\n",
-		tenth, target, serverRatio, clientRatio, soakMaxRSSRatio)
-	fmt.Printf("server RSS at %d channels: %d KB (≤ %d KB expected)\n", target, atFull.ServerRSSKB, soakMaxServerRSSKB)
-	fmt.Printf("sweep wall time: %v\n", time.Since(start).Round(time.Millisecond))
+	fmt.Printf("\nRSS growth %d→%d channels: server ×%.3f, client ×%.3f (≤ %.2f); server RSS %d KB (≤ %d KB); top-K evictions %.0f; sweep %v\n",
+		tenth, target, serverRatio, clientRatio, soakMaxRSSRatio, atFull.ServerRSSKB, soakMaxServerRSSKB,
+		topkEvictions, time.Since(start).Round(time.Millisecond))
 
-	out := map[string]any{
-		"description": "Channel soak: a real dynamoth-node subprocess with bounded hot-state " +
-			"caches receives one publication on each of targetChannels distinct channels from a " +
-			"real client over TCP. Both checkpoints land after every cache is full, so the RSS " +
-			"ratio between them is the per-channel leak test: bounded caches hold it flat while " +
-			"the channel namespace grows 10x. steadyPublishPerSec/steadyAllocsPerOp measure the " +
-			"client publish path over a fixed working set at each checkpoint (allocs include the " +
-			"client's background maintenance loop, amortized over steadyOps).",
-		"generated": time.Now().UTC().Format(time.RFC3339),
-		"environment": map[string]any{
-			"goos":   runtime.GOOS,
-			"goarch": runtime.GOARCH,
-			"cores":  runtime.NumCPU(),
-			"note": "single-container run: client and node share the machine, so steady-state " +
-				"throughput is a same-host TCP figure, not a network one",
-		},
-		"config": map[string]any{
-			"targetChannels":     target,
-			"llaChannelCap":      soakLLACap,
-			"topkCap":            soakTopKCap,
-			"replayChannels":     soakReplayCap,
-			"clientLocalPlanCap": "default (4096)",
-			"workingSet":         soakWorkingSet,
-			"steadyOps":          soakSteadyOps,
-			"payloadBytes":       soakPayloadBytes,
-		},
-		"at10pct":        at10,
-		"atTarget":       atFull,
-		"serverRssRatio": serverRatio,
-		"clientRssRatio": clientRatio,
-		"hotstate":       hotstate,
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile("BENCH_channels.json", append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Println("\nwrote BENCH_channels.json")
 	if serverRatio > soakMaxRSSRatio || clientRatio > soakMaxRSSRatio {
 		return fmt.Errorf("RSS grew with the channel namespace: server ×%.3f, client ×%.3f, want ≤ %.2f", serverRatio, clientRatio, soakMaxRSSRatio)
 	}
 	if atFull.ServerRSSKB > soakMaxServerRSSKB {
 		return fmt.Errorf("server RSS %d KB at %d channels, want ≤ %d KB", atFull.ServerRSSKB, target, soakMaxServerRSSKB)
 	}
+	// Every cache the node exports must be bounded and within its bound.
+	const capPrefix = `dynamoth_node_hotstate_capacity{cache="`
+	caches := 0
+	for name, capacity := range hotstate {
+		cache, ok := strings.CutPrefix(name, capPrefix)
+		if !ok {
+			continue
+		}
+		caches++
+		size := hotstate[`dynamoth_node_hotstate_size{cache="`+cache]
+		if capacity <= 0 || size > capacity {
+			return fmt.Errorf("hotstate cache %s holds %.0f entries against capacity %.0f", strings.TrimSuffix(cache, `"}`), size, capacity)
+		}
+	}
+	if caches == 0 {
+		return fmt.Errorf("node exports no dynamoth_node_hotstate_capacity family")
+	}
+	if topkEvictions <= 0 {
+		return fmt.Errorf("top-K tracker never evicted: the sweep did not pass its capacity")
+	}
+	if atFull.SteadyPublishPerSec <= 0 {
+		return fmt.Errorf("steady publish rate %.0f msg/s at %d channels", atFull.SteadyPublishPerSec, target)
+	}
 	return nil
 }
 
 // channelsResult is one checkpoint's measurements.
 type channelsResult struct {
-	Channels            int     `json:"channels"`
-	ServerRSSKB         int64   `json:"serverRssKb"`
-	ClientRSSKB         int64   `json:"clientRssKb"`
-	SteadyPublishPerSec float64 `json:"steadyPublishPerSec"`
-	SteadyAllocsPerOp   float64 `json:"steadyAllocsPerOp"`
-	SteadyBytesPerOp    float64 `json:"steadyBytesPerOp"`
+	ServerRSSKB         int64
+	ClientRSSKB         int64
+	SteadyPublishPerSec float64
+	SteadyAllocsPerOp   float64
 }
 
 // channelsCheckpoint runs the steady-state publish measurement over the
@@ -227,8 +208,8 @@ type channelsResult struct {
 // directly) and reads both RSS figures. RSS is read last on purpose: Go
 // keeps freed pages at the high-water mark, so each checkpoint must include
 // the same steady-state churn for the two readings to be comparable.
-func channelsCheckpoint(client *dynamoth.Client, nodePid int, adminAddr string, channels int, working []string, payload []byte) (*channelsResult, error) {
-	res := &channelsResult{Channels: channels}
+func channelsCheckpoint(client *dynamoth.Client, nodePid int, adminAddr string, working []string, payload []byte) (*channelsResult, error) {
+	res := &channelsResult{}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	start := time.Now()
@@ -241,7 +222,6 @@ func channelsCheckpoint(client *dynamoth.Client, nodePid int, adminAddr string, 
 	runtime.ReadMemStats(&after)
 	res.SteadyPublishPerSec = float64(soakSteadyOps) / elapsed.Seconds()
 	res.SteadyAllocsPerOp = float64(after.Mallocs-before.Mallocs) / soakSteadyOps
-	res.SteadyBytesPerOp = float64(after.TotalAlloc-before.TotalAlloc) / soakSteadyOps
 
 	// Drain the burst to the broker, then wait for the node to have sealed
 	// and marshaled at least one full LLA report *after* it — the

@@ -8,7 +8,7 @@ package main
 
 import (
 	"bufio"
-	"encoding/json"
+	"bytes"
 	"fmt"
 	"io"
 	"net/http"
@@ -39,6 +39,10 @@ type nodeProc struct {
 	AdminAddr string
 }
 
+// nodeBannerTimeout bounds how long a booted node may take to print both of
+// its listen addresses.
+const nodeBannerTimeout = 15 * time.Second
+
 // startNode boots a single-server node on loopback ephemeral ports and waits
 // for its banner. The bootstrap plan's server set contains the node's own ID
 // so bench channels are "right" under the plan (no SWITCH flood), and extra
@@ -51,21 +55,33 @@ func startNode(nodeBin string, extra ...string) (*nodeProc, error) {
 		"-admin-addr", "127.0.0.1:0",
 		"-log-level", "error",
 	}
-	args = append(args, extra...)
-	cmd := exec.Command(nodeBin, args...)
+	return bootNode(nodeBannerTimeout, nodeBin, append(args, extra...)...)
+}
+
+// bootNode starts bin and reads its banner off stdout. A child that has not
+// printed it within bannerTimeout is killed — which is also what ends the
+// read, so a child that starts and prints nothing cannot hang the caller —
+// and the error carries whatever the child wrote to stderr.
+func bootNode(bannerTimeout time.Duration, bin string, args ...string) (*nodeProc, error) {
+	cmd := exec.Command(bin, args...)
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		return nil, err
 	}
-	cmd.Stderr = os.Stderr
+	var stderr bytes.Buffer
+	cmd.Stderr = io.MultiWriter(os.Stderr, &stderr)
 	if err := cmd.Start(); err != nil {
 		return nil, err
 	}
+	timer := time.AfterFunc(bannerTimeout, func() { cmd.Process.Kill() }) //nolint:errcheck
 	respAddr, adminAddr, err := parseNodeBanner(stdout)
+	if !timer.Stop() {
+		err = fmt.Errorf("no node banner within %v (resp=%q admin=%q)", bannerTimeout, respAddr, adminAddr)
+	}
 	if err != nil {
 		cmd.Process.Kill() //nolint:errcheck
-		cmd.Wait()         //nolint:errcheck
-		return nil, err
+		cmd.Wait()         //nolint:errcheck // also drains stderr into the buffer
+		return nil, fmt.Errorf("%w; node stderr: %q", err, strings.TrimSpace(stderr.String()))
 	}
 	go io.Copy(io.Discard, stdout) //nolint:errcheck // keep the pipe drained
 	return &nodeProc{cmd: cmd, RespAddr: respAddr, AdminAddr: adminAddr}, nil
@@ -79,10 +95,9 @@ func (n *nodeProc) Stop() {
 }
 
 // parseNodeBanner extracts the RESP and admin addresses from the node's
-// startup lines.
+// startup lines, reading until it has both or the stream ends.
 func parseNodeBanner(r io.Reader) (resp, admin string, err error) {
 	sc := bufio.NewScanner(r)
-	deadline := time.Now().Add(15 * time.Second)
 	for sc.Scan() {
 		line := sc.Text()
 		if i := strings.Index(line, "serving RESP on "); i >= 0 {
@@ -95,11 +110,8 @@ func parseNodeBanner(r io.Reader) (resp, admin string, err error) {
 		if resp != "" && admin != "" {
 			return resp, admin, nil
 		}
-		if time.Now().After(deadline) {
-			break
-		}
 	}
-	return "", "", fmt.Errorf("node banner not found (resp=%q admin=%q)", resp, admin)
+	return resp, admin, fmt.Errorf("node exited before its banner (resp=%q admin=%q)", resp, admin)
 }
 
 // readRSSKB reads VmRSS from /proc/<pid>/status (0 if unavailable).
@@ -184,24 +196,6 @@ func awaitMetric(adminAddr, name string, timeout time.Duration, pred func(float6
 // from".
 func awaitCounterAdvance(adminAddr, name string, from, delta float64, timeout time.Duration) error {
 	return awaitMetric(adminAddr, name, timeout, func(v float64) bool { return v >= from+delta })
-}
-
-// fetchWaterfall reads the node's /debug/latency document as generic JSON
-// (the per-stage breakdown scenario outputs embed verbatim).
-func fetchWaterfall(adminAddr string) (map[string]any, error) {
-	resp, err := http.Get("http://" + adminAddr + "/debug/latency")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("/debug/latency: %s", resp.Status)
-	}
-	var wf map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&wf); err != nil {
-		return nil, err
-	}
-	return wf, nil
 }
 
 // forceNodeGC makes the node subprocess run a GC and return freed pages to

@@ -1,11 +1,9 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"net"
 	"os"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -21,9 +19,9 @@ import (
 // runScenarios drives the open-loop scenario suite against real
 // dynamoth-node subprocesses: each scenario boots a fresh node, establishes
 // its subscriber topology, publishes on a fixed arrival schedule through
-// real clients, and writes BENCH_scenario_<name>.json with latency
-// quantiles measured from the *intended* send instants. filter selects one
-// scenario by name (empty = all); scale shrinks the suite shape-preserving.
+// real clients, and judges the run (checkScenarioRun) on latency measured
+// from the *intended* send instants. filter selects one scenario by name
+// (empty = all); scale shrinks the suite shape-preserving.
 func runScenarios(filter string, scale float64, seed int64) error {
 	fmt.Println("=== Scenario suite — open-loop load against a real node ===")
 	fmt.Printf("scale %.2f; latency is measured from intended send instants (coordinated-omission-safe)\n\n", scale)
@@ -86,8 +84,8 @@ func runScenario(nodeBin string, sc workload.Scenario, seed int64) error {
 	}
 
 	// One shared recorder per scenario; blends additionally get per-component
-	// recorders chained into it so the BENCH json shows both the blended
-	// tail and each tenant's own.
+	// recorders chained into it so both the blended tail and each tenant's
+	// own are judged.
 	blended := loadgen.NewRecorder()
 	type compRun struct {
 		sc  workload.Scenario
@@ -219,34 +217,46 @@ func runScenario(nodeBin string, sc workload.Scenario, seed int64) error {
 	// Wait until the delivered count stops moving.
 	awaitDeliveryStable(blended, 10*time.Second)
 
-	out := scenarioJSON(sc, runs[0].rep, blended, churnOps.Load())
-	// Per-stage latency breakdown from the node's /debug/latency waterfall:
-	// broker-side e2e with its ingress/fanout/flush decomposition, slow
-	// channels, and regions — scraped before the node stops.
-	if wf, err := fetchWaterfall(node.AdminAddr); err == nil {
-		out["stageBreakdown"] = wf
-	} else {
-		fmt.Printf("warning: stage breakdown unavailable: %v\n", err)
+	// A blend is judged per component (its own report and recorder) and then
+	// on the blended recorder; a single scenario's recorder is the blended one.
+	var sent uint64
+	for _, run := range runs {
+		if err := checkScenarioRun(run.sc.Name, run.rep, run.rec); err != nil {
+			return err
+		}
+		sent += run.rep.Sent
 	}
 	if len(sc.Components) > 0 {
-		comps := map[string]any{}
-		for _, run := range runs {
-			comps[run.sc.Name] = scenarioComponentJSON(run.sc, run.rep, run.rec)
+		if err := checkScenarioRun("blend", nil, blended); err != nil {
+			return err
 		}
-		out["components"] = comps
-		out["report"] = nil // per-component reports replace the single one
 	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
+	in := blended.Intended()
+	fmt.Printf("sent=%d delivered=%d stampErrs=%d churn=%d  intended p50=%v p99=%v p999=%v  actual p99=%v\n\n",
+		sent, blended.Delivered(), blended.StampErrors(), churnOps.Load(),
+		in.Quantile(0.5), in.Quantile(0.99), in.Quantile(0.999), blended.Actual().Quantile(0.99))
+	return nil
+}
+
+// checkScenarioRun is the pass/fail rule of one scenario, blend component or
+// blend: the generator sent without error (rep, nil for a blend, which has one
+// report per component), deliveries arrived with parseable stamps, and
+// intended-time p99 dominates actual-time p99 — intended time includes
+// send-side queueing, so it can never read below the closed-loop figure.
+func checkScenarioRun(tag string, rep *loadgen.Report, rec *loadgen.Recorder) error {
+	ip99, ap99 := rec.Intended().Quantile(0.99), rec.Actual().Quantile(0.99)
+	switch {
+	case rep != nil && rep.Sent == 0:
+		return fmt.Errorf("%s: nothing sent", tag)
+	case rep != nil && rep.SendErrors != 0:
+		return fmt.Errorf("%s: %d send errors of %d sent", tag, rep.SendErrors, rep.Sent)
+	case rec.Delivered() == 0:
+		return fmt.Errorf("%s: nothing delivered", tag)
+	case rec.StampErrors() != 0:
+		return fmt.Errorf("%s: %d stamp errors", tag, rec.StampErrors())
+	case ip99 < ap99:
+		return fmt.Errorf("%s: intended p99 %v below actual p99 %v", tag, ip99, ap99)
 	}
-	file := "BENCH_scenario_" + sc.Name + ".json"
-	if err := os.WriteFile(file, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	ip50, ip99, ip999, _ := loadgen.QuantilesUs(blended.Intended())
-	fmt.Printf("delivered=%d stampErrs=%d  intended p50=%.0fµs p99=%.0fµs p999=%.0fµs\nwrote %s\n\n",
-		blended.Delivered(), blended.StampErrors(), ip50, ip99, ip999, file)
 	return nil
 }
 
@@ -338,61 +348,6 @@ func awaitDeliveryStable(rec *loadgen.Recorder, limit time.Duration) {
 			idle++
 		}
 	}
-}
-
-// scenarioJSON assembles one scenario's BENCH output.
-func scenarioJSON(sc workload.Scenario, rep *loadgen.Report, rec *loadgen.Recorder, churnOps uint64) map[string]any {
-	out := map[string]any{
-		"description": "Open-loop scenario run: publishers follow a fixed arrival schedule and every " +
-			"message is stamped with its intended send instant; intended* quantiles measure delivery " +
-			"latency from that instant, so publisher backpressure widens the tail instead of " +
-			"disappearing (coordinated omission). actual* quantiles are the closed-loop figure kept " +
-			"for contrast — intendedP99 >= actualP99 always, and a large gap means the generator " +
-			"ran behind schedule (see behindSchedule/maxSendLagUs in the report).",
-		"generated": time.Now().UTC().Format(time.RFC3339),
-		"environment": map[string]any{
-			"goos":   runtime.GOOS,
-			"goarch": runtime.GOARCH,
-			"cores":  runtime.NumCPU(),
-			"note": "single-container run: clients and node share the machine; latencies are " +
-				"same-host TCP figures",
-		},
-		"scenario": map[string]any{
-			"name":        sc.Name,
-			"description": sc.Description,
-			"offered":     sc.OfferedPerSec(),
-			"durationSec": sc.Duration.Seconds(),
-		},
-		"report":   rep,
-		"churnOps": churnOps,
-	}
-	addRecorder(out, rec)
-	return out
-}
-
-func scenarioComponentJSON(sc workload.Scenario, rep *loadgen.Report, rec *loadgen.Recorder) map[string]any {
-	out := map[string]any{
-		"offered": sc.OfferedPerSec(),
-		"report":  rep,
-	}
-	addRecorder(out, rec)
-	return out
-}
-
-// addRecorder emits both histograms' quantiles plus the delivery counters.
-func addRecorder(out map[string]any, rec *loadgen.Recorder) {
-	ip50, ip99, ip999, imax := loadgen.QuantilesUs(rec.Intended())
-	ap50, ap99, ap999, amax := loadgen.QuantilesUs(rec.Actual())
-	out["delivered"] = rec.Delivered()
-	out["stampErrors"] = rec.StampErrors()
-	out["intendedP50Us"] = ip50
-	out["intendedP99Us"] = ip99
-	out["intendedP999Us"] = ip999
-	out["intendedMaxUs"] = imax
-	out["actualP50Us"] = ap50
-	out["actualP99Us"] = ap99
-	out["actualP999Us"] = ap999
-	out["actualMaxUs"] = amax
 }
 
 // scenarioNames lists the stock suite for -h output.

@@ -16,18 +16,6 @@ func (o *Orchestrator) Loads() []ServerLoad {
 	return loads
 }
 
-// RegionLatencies returns each server's accumulated per-region
-// delivery-latency distributions from the LLA reports.
-func (o *Orchestrator) RegionLatencies() map[string][]lla.RegionStats {
-	return o.state.RegionLatencies()
-}
-
-// MergedRegionLatencies returns the deployment-wide per-region distributions
-// (every server's view of a region merged bucket-wise), sorted by region.
-func (o *Orchestrator) MergedRegionLatencies() []lla.RegionStats {
-	return o.state.MergedRegionLatencies()
-}
-
 // DetectorStatus reports the failure detector's per-server view. It returns
 // nil when detection is disabled.
 func (o *Orchestrator) DetectorStatus() []lla.ServerStatus {
@@ -44,7 +32,6 @@ type BalancerStatus struct {
 	Rebalances  int                `json:"rebalances"`
 	Failures    int                `json:"failures"`
 	Loads       []ServerLoad       `json:"loads"`
-	Regions     []lla.RegionStats  `json:"regions,omitempty"`
 	Detector    []lla.ServerStatus `json:"detector,omitempty"`
 	Version     string             `json:"version"`
 	GoVersion   string             `json:"goVersion"`
@@ -64,7 +51,6 @@ func (o *Orchestrator) Status() any {
 		Rebalances:  o.Rebalances(),
 		Failures:    o.Failures(),
 		Loads:       o.Loads(),
-		Regions:     o.MergedRegionLatencies(),
 		Detector:    o.DetectorStatus(),
 		Version:     buildinfo.Version,
 		GoVersion:   buildinfo.GoVersion(),
@@ -121,17 +107,6 @@ func (o *Orchestrator) RegisterMetrics(r *obs.Registry) {
 					v = 1
 				}
 				out = append(out, obs.Sample{Label: s.Server, Value: v})
-			}
-			return out
-		})
-	r.GaugeVec("dynamoth_region_delivery_latency_p99_seconds",
-		"Deployment-wide 99th-percentile delivery latency per subscriber region, merged across all servers' LLA reports.",
-		"region",
-		func() []obs.Sample {
-			regions := o.MergedRegionLatencies()
-			out := make([]obs.Sample, 0, len(regions))
-			for _, rs := range regions {
-				out = append(out, obs.Sample{Label: rs.Region, Value: rs.P99Ms / 1e3})
 			}
 			return out
 		})

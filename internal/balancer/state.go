@@ -77,9 +77,6 @@ type serverState struct {
 	cpu      float64
 	units    []lla.UnitStats // most recent last
 	lastSeq  uint64
-	// regions accumulates the per-region delivery-latency distributions the
-	// server's LLA reports (each report carries one window; we merge them).
-	regions map[string]lla.RegionStats
 }
 
 // NewState creates a State averaging over the given number of time units.
@@ -110,15 +107,6 @@ func (st *State) AddReport(r *lla.Report) {
 	s.units = append(s.units, r.Units...)
 	if over := len(s.units) - st.window; over > 0 {
 		s.units = append([]lla.UnitStats(nil), s.units[over:]...)
-	}
-	for _, rs := range r.Regions {
-		if s.regions == nil {
-			s.regions = make(map[string]lla.RegionStats)
-		}
-		if prev, ok := s.regions[rs.Region]; ok {
-			rs = lla.MergeRegionStats(prev, rs)
-		}
-		s.regions[rs.Region] = rs
 	}
 }
 
@@ -197,50 +185,6 @@ func (st *State) Snapshot() []ServerLoad {
 		}
 		out = append(out, sl)
 	}
-	return out
-}
-
-// RegionLatencies returns each reporting server's accumulated per-region
-// delivery-latency distributions, regions sorted by name. Servers whose LLAs
-// saw no region-tagged deliveries are omitted.
-func (st *State) RegionLatencies() map[string][]lla.RegionStats {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	out := make(map[string][]lla.RegionStats)
-	for name, s := range st.servers {
-		if len(s.regions) == 0 {
-			continue
-		}
-		regions := make([]lla.RegionStats, 0, len(s.regions))
-		for _, rs := range s.regions {
-			regions = append(regions, rs)
-		}
-		sort.Slice(regions, func(i, j int) bool { return regions[i].Region < regions[j].Region })
-		out[name] = regions
-	}
-	return out
-}
-
-// MergedRegionLatencies folds every server's per-region distributions into
-// one deployment-wide view per region (bucket-wise merge, p99 recomputed),
-// sorted by region name — the balancer's answer to "which subscriber regions
-// are slow, regardless of which server serves them".
-func (st *State) MergedRegionLatencies() []lla.RegionStats {
-	perServer := st.RegionLatencies()
-	merged := make(map[string]lla.RegionStats)
-	for _, regions := range perServer {
-		for _, rs := range regions {
-			if prev, ok := merged[rs.Region]; ok {
-				rs = lla.MergeRegionStats(prev, rs)
-			}
-			merged[rs.Region] = rs
-		}
-	}
-	out := make([]lla.RegionStats, 0, len(merged))
-	for _, rs := range merged {
-		out = append(out, rs)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Region < out[j].Region })
 	return out
 }
 

@@ -1,6 +1,7 @@
 package balancer
 
 import (
+	"bytes"
 	"testing"
 
 	"github.com/dynamoth/dynamoth/internal/lla"
@@ -29,10 +30,21 @@ func chanStats(ch string, pubs, publications, subs, sent int, in, out int64) lla
 
 func TestStateSnapshotAveraging(t *testing.T) {
 	st := NewState(5)
-	st.AddReport(report("s1", 1, 1000, 500,
+	// The report arrives as a node older than the removal of region
+	// attribution sends it, "regions" key and all: its units fold the same.
+	wire, err := report("s1", 1, 1000, 500,
 		unit(0, chanStats("a", 1, 10, 2, 20, 100, 200)),
 		unit(1, chanStats("a", 1, 30, 4, 120, 300, 1200)),
-	))
+	).Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire = append(bytes.TrimSuffix(wire, []byte("}")), `,"regions":[{"region":"eu-west","count":3,"p99Ms":12.5}]}`...)
+	r, err := lla.UnmarshalReport(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.AddReport(r)
 	snap := st.Snapshot()
 	if len(snap) != 1 {
 		t.Fatalf("snapshot=%d servers", len(snap))

@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/dynamoth/dynamoth/internal/hotstate"
 	"github.com/dynamoth/dynamoth/internal/message"
@@ -97,16 +96,6 @@ type Observer interface {
 // implementations must be cheap and typically sample.
 type FlushObserver interface {
 	OnFlush(payload []byte)
-}
-
-// RegionLatencyObserver is optionally implemented by Observers that want
-// per-subscriber-region delivery attribution: ObserveRegionDelivery fires
-// once per enqueued delivery to a region-tagged session, with the frame's
-// age since its publisher stamp at fanout-enqueue time. It only fires when
-// the broker has stage stamping enabled (Options.NowNanos) and at least one
-// session declared a region, so untagged deployments pay nothing.
-type RegionLatencyObserver interface {
-	ObserveRegionDelivery(region string, age time.Duration)
 }
 
 // Session close reasons.
@@ -183,19 +172,14 @@ type Broker struct {
 	sessions map[*Session]struct{}
 
 	// observers is copy-on-write: registration is rare, reads happen on
-	// every publish. flushObs and regionObs hold the observers that
-	// additionally implement the optional waterfall interfaces, extracted at
-	// registration so the hot paths pay one pointer load, not a type switch.
+	// every publish. flushObs holds the observers that additionally
+	// implement FlushObserver, extracted at registration so the flush path
+	// pays one pointer load, not a type switch.
 	observers atomic.Pointer[[]Observer]
 	flushObs  atomic.Pointer[[]FlushObserver]
-	regionObs atomic.Pointer[[]RegionLatencyObserver]
 
 	// nowNanos enables in-place stage stamping on Publish (nil = disabled).
 	nowNanos func() int64
-
-	// regionSessions counts sessions that declared a region, so the fan-out
-	// loop skips region attribution entirely in untagged deployments.
-	regionSessions atomic.Int64
 
 	// patternSubs counts live (pattern, session) entries so Publish can
 	// skip the glob scan entirely when no patterns exist (the common case).
@@ -260,14 +244,6 @@ func (b *Broker) AddObserver(o Observer) {
 		}
 		fos = append(fos, fo)
 		b.flushObs.Store(&fos)
-	}
-	if ro, ok := o.(RegionLatencyObserver); ok {
-		var ros []RegionLatencyObserver
-		if cur := b.regionObs.Load(); cur != nil {
-			ros = append(ros, *cur...)
-		}
-		ros = append(ros, ro)
-		b.regionObs.Store(&ros)
 	}
 }
 
@@ -432,14 +408,8 @@ func (b *Broker) publish(channel string, payload []byte, lent bool) int {
 	// Stage-stamp while the frame is still exclusively ours: ingress at
 	// Publish entry, fanout now — the last instant before a subscriber
 	// queue (and its concurrently-reading writer) can see the bytes.
-	var fanoutNs, pubStamp int64
 	if ingressNs != 0 {
-		fanoutNs = b.nowNanos()
-		pubStamp, _ = message.StampStages(payload, ingressNs, fanoutNs)
-	}
-	var regionObs *[]RegionLatencyObserver
-	if pubStamp != 0 && b.regionSessions.Load() > 0 {
-		regionObs = b.regionObs.Load()
+		message.StampStages(payload, ingressNs, b.nowNanos())
 	}
 
 	delivered := 0
@@ -463,14 +433,6 @@ func (b *Broker) publish(channel string, payload []byte, lent bool) int {
 			continue
 		}
 		delivered++
-		if regionObs != nil {
-			if r := s.Region(); r != "" {
-				age := time.Duration(fanoutNs - pubStamp)
-				for _, ro := range *regionObs {
-					ro.ObserveRegionDelivery(r, age)
-				}
-			}
-		}
 	}
 	clear(ts) // drop *Session references so the pool does not pin them
 	*tp = ts[:0]
@@ -625,9 +587,6 @@ func (b *Broker) removeSession(s *Session, subs, psubs []string) {
 	}
 	delete(b.sessions, s)
 	b.mu.Unlock()
-	if s.region.Load() != nil {
-		b.regionSessions.Add(-1)
-	}
 	for _, ch := range subs {
 		sh := &b.shards[shardIndex(ch)]
 		sh.mu.Lock()
@@ -729,10 +688,6 @@ type Session struct {
 	subs  map[string]struct{}
 	psubs map[string]struct{}
 
-	// region is the subscriber-declared region tag (REGION command /
-	// SetRegion), read per delivery by the fan-out's region attribution.
-	region atomic.Pointer[string]
-
 	closeOnce sync.Once
 	closed    atomic.Bool
 	done      chan struct{}
@@ -744,26 +699,6 @@ func (s *Session) Name() string { return s.name }
 
 // Broker returns the broker this session is connected to.
 func (s *Session) Broker() *Broker { return s.broker }
-
-// SetRegion declares the client-side region of this session, tagging its
-// deliveries for per-region latency attribution (the RESP REGION command
-// lands here). Empty strings are ignored; re-declaring replaces the tag.
-func (s *Session) SetRegion(region string) {
-	if region == "" {
-		return
-	}
-	if s.region.Swap(&region) == nil {
-		s.broker.regionSessions.Add(1)
-	}
-}
-
-// Region returns the session's declared region ("" when untagged).
-func (s *Session) Region() string {
-	if p := s.region.Load(); p != nil {
-		return *p
-	}
-	return ""
-}
 
 // Subscribe adds the session to the given channels and returns the session's
 // total subscription count (the Redis reply convention).

@@ -225,7 +225,7 @@ func (cs *ConnServer) disconnected(c *respConn) {
 // platform's default core instead.
 //
 // Supported commands: SUBSCRIBE, UNSUBSCRIBE, PSUBSCRIBE, PUNSUBSCRIBE,
-// CSUBSCRIBE, PUBLISH, REGION, PING, ECHO, INFO, QUIT. Push messages use the
+// CSUBSCRIBE, PUBLISH, PING, ECHO, INFO, QUIT. Push messages use the
 // standard ["message", channel, payload] and ["pmessage", pattern, channel,
 // payload] frames, subscription confirmations ["subscribe"/"unsubscribe"/
 // "psubscribe"/"punsubscribe", name, count].

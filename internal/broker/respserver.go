@@ -392,17 +392,6 @@ func dispatch(b *Broker, session *Session, sink *respConn, args [][]byte) bool {
 		if err := sink.writeInt(int64(n)); err != nil {
 			return true
 		}
-	case "REGION":
-		// Declares the subscriber's region for per-region delivery-latency
-		// attribution. Idempotent; the first non-empty declaration wins.
-		if len(args) != 2 {
-			sink.writeErr("ERR wrong number of arguments for 'region'") //nolint:errcheck
-			return false
-		}
-		session.SetRegion(string(args[1]))
-		if err := sink.writeSimple("OK"); err != nil {
-			return true
-		}
 	case "PING":
 		if err := sink.writeSimple("PONG"); err != nil {
 			return true

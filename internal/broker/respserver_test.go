@@ -144,8 +144,11 @@ func TestRESPMultiChannelSubscribe(t *testing.T) {
 func TestRESPErrors(t *testing.T) {
 	addr, _ := startTCP(t)
 	c := dialRESP(t, addr)
-	if v := c.cmd(t, "NOPE"); v.Kind != resp.KindError || !strings.Contains(string(v.Str), "unknown command") {
-		t.Fatalf("unknown command => %+v", v)
+	// REGION is what a client older than the command's removal still sends.
+	for _, unknown := range [][]string{{"NOPE"}, {"REGION", "eu-west"}} {
+		if v := c.cmd(t, unknown...); v.Kind != resp.KindError || !strings.Contains(string(v.Str), "unknown command") {
+			t.Fatalf("%v => %+v", unknown, v)
+		}
 	}
 	if v := c.cmd(t, "PUBLISH", "onlychannel"); v.Kind != resp.KindError {
 		t.Fatalf("bad publish => %+v", v)
@@ -159,6 +162,9 @@ func TestRESPErrors(t *testing.T) {
 	// Connection still usable after errors.
 	if v := c.cmd(t, "PING"); string(v.Str) != "PONG" {
 		t.Fatalf("PING after errors => %+v", v)
+	}
+	if ack := c.cmd(t, "SUBSCRIBE", "news"); ack.Kind != resp.KindArray || string(ack.Array[0].Str) != "subscribe" {
+		t.Fatalf("SUBSCRIBE after errors => %+v", ack)
 	}
 }
 

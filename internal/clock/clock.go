@@ -106,9 +106,6 @@ func NewScaled(start time.Time, factor float64) *Scaled {
 	return &Scaled{origin: time.Now(), virtOrigin: start, factor: factor}
 }
 
-// Factor returns the acceleration factor.
-func (s *Scaled) Factor() float64 { return s.factor }
-
 // Now implements Clock.
 func (s *Scaled) Now() time.Time {
 	real := time.Since(s.origin)

@@ -77,11 +77,6 @@ type Report struct {
 	// the LLA models it as per-delivery processing cost against the
 	// node's delivery-rate capacity.
 	CPUUtilization float64 `json:"cpuUtilization,omitempty"`
-	// Regions carries per-subscriber-region delivery-latency histograms for
-	// the report window — the signal the ROADMAP's latency-aware placement
-	// needs: not just how loaded a server is, but which regions it serves
-	// slowly. Empty when no session declared a region.
-	Regions []RegionStats `json:"regions,omitempty"`
 }
 
 // Marshal encodes the report for the control plane.
@@ -379,11 +374,6 @@ type Config struct {
 	// time unit (and the persistent subscriber-count map). 0 means
 	// DefaultChannelCap; negative means unbounded.
 	ChannelCap int
-	// RegionDelay optionally models the WAN delay to a subscriber region
-	// (e.g. from netsim's King-dataset latency model). When set, the modeled
-	// delay is added to every region observation, putting geography back
-	// into signals measured over loopback or in-process transports.
-	RegionDelay func(region string) time.Duration
 	// Clock provides time (default: real clock).
 	Clock clock.Clock
 	// Logger receives structured LLA logs (one debug line per emitted
@@ -414,10 +404,9 @@ func (c *Config) fillDefaults() {
 // Analyzer is the live LLA: a broker observer plus a ticking loop that seals
 // time units and emits Reports.
 type Analyzer struct {
-	cfg     Config
-	accum   *Accumulator
-	regions *regionTracker
-	log     *slog.Logger
+	cfg   Config
+	accum *Accumulator
+	log   *slog.Logger
 
 	// bytesOut/deliveries are atomics, not mu-guarded: OnPublish is the
 	// broker's fan-out hot path and must not serialize on the report mutex.
@@ -453,7 +442,6 @@ func NewAnalyzer(cfg Config) *Analyzer {
 	return &Analyzer{
 		cfg:          cfg,
 		accum:        NewAccumulatorWithCap(cfg.ChannelCap),
-		regions:      newRegionTracker(DefaultRegionCap, cfg.RegionDelay),
 		log:          trace.Component(cfg.Logger, "lla"),
 		windowStart:  cfg.Clock.Now(),
 		unitTicker:   cfg.Clock.NewTicker(cfg.Unit),
@@ -490,18 +478,6 @@ func (an *Analyzer) OnPublish(ch string, payload []byte, receivers int) {
 // Accumulator exposes the analyzer's accumulation core (for cache-stat
 // scraping by the node's /metrics registry).
 func (an *Analyzer) Accumulator() *Accumulator { return an.accum }
-
-// ObserveRegionDelivery implements broker.RegionLatencyObserver: one
-// delivery to a region-tagged subscriber, age after the publisher's stamp.
-// Runs on the broker's fan-out path — lock-free after a region's first
-// observation.
-func (an *Analyzer) ObserveRegionDelivery(region string, age time.Duration) {
-	an.regions.Observe(region, age)
-}
-
-// RegionSnapshot returns the cumulative per-region delivery-latency stats
-// without disturbing the report window (the /debug/latency read).
-func (an *Analyzer) RegionSnapshot() []RegionStats { return an.regions.Snapshot() }
 
 // OnSubscribe implements broker.Observer.
 func (an *Analyzer) OnSubscribe(ch, _ string, subscribers int) {
@@ -594,7 +570,6 @@ func (an *Analyzer) buildReport() *Report {
 		Units:               units,
 		MaxOutgoingBps:      an.cfg.MaxOutgoingBps,
 		MeasuredOutgoingBps: float64(bytes) / window,
-		Regions:             an.regions.Drain(),
 	}
 	if an.cfg.MaxDeliveriesPerSec > 0 {
 		r.CPUUtilization = float64(deliveries) / window / an.cfg.MaxDeliveriesPerSec

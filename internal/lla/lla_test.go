@@ -1,6 +1,7 @@
 package lla
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"testing"
@@ -132,15 +133,21 @@ func TestReportMarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := UnmarshalReport(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Server != "pub1" || got.Seq != 3 || len(got.Units) != 1 {
-		t.Fatalf("decoded %+v", got)
-	}
-	if got.Units[0].Channels[0].BytesOut != 600 {
-		t.Fatalf("channel stats lost: %+v", got.Units[0].Channels[0])
+	// A node older than the removal of region attribution still sends a
+	// "regions" key; the report must decode the same with it.
+	older := append(bytes.TrimSuffix(data, []byte("}")),
+		`,"regions":[{"region":"eu-west","count":3,"sumMs":30,"maxMs":20,"p99Ms":12.5,"buckets":[0,3]}]}`...)
+	for _, in := range [][]byte{data, older} {
+		got, err := UnmarshalReport(in)
+		if err != nil {
+			t.Fatalf("%s: %v", in, err)
+		}
+		if got.Server != "pub1" || got.Seq != 3 || len(got.Units) != 1 {
+			t.Fatalf("decoded %+v", got)
+		}
+		if got.Units[0].Channels[0].BytesOut != 600 {
+			t.Fatalf("channel stats lost: %+v", got.Units[0].Channels[0])
+		}
 	}
 	if _, err := UnmarshalReport([]byte("{")); err == nil {
 		t.Fatal("bad JSON decoded")

@@ -106,7 +106,7 @@ func (r *Recorder) Actual() *metrics.Histogram { return r.actual }
 // RegisterMetrics exports the recorder on reg under prefix (e.g.
 // "dynamoth_loadgen"): both latency histograms plus the delivery and
 // stamp-error counters, so a scrape of the harness process shows the same
-// figures its BENCH json reports.
+// figures its summary line reports.
 func (r *Recorder) RegisterMetrics(reg *obs.Registry, prefix string) {
 	reg.Counter(prefix+"_delivered_total",
 		"Stamped deliveries observed by the open-loop recorder.",
@@ -271,7 +271,7 @@ func Run(opts Options) (*Report, error) {
 	return rep, nil
 }
 
-// QuantilesUs digests a histogram into microsecond quantiles for BENCH json.
+// QuantilesUs digests a histogram into microsecond quantiles.
 func QuantilesUs(h *metrics.Histogram) (p50, p99, p999, max float64) {
 	us := func(d time.Duration) float64 { return float64(d) / 1e3 }
 	return us(h.Quantile(0.5)), us(h.Quantile(0.99)), us(h.Quantile(0.999)), us(h.Max())

@@ -365,10 +365,6 @@ func readString(data []byte) (string, []byte, error) {
 	return string(rest[:u]), rest[u:], nil
 }
 
-// WireSize returns the exact encoded size of the envelope. It is used by the
-// simulator's bandwidth model so simulated byte counts equal live byte counts.
-func (e *Envelope) WireSize() int { return len(e.Marshal()) }
-
 // PeekRouting extracts what a dispatcher decides on — the envelope type, the
 // plan version its publisher stamped and the originating node ID — from an
 // encoded envelope without decoding it. Like PeekStamp it is allocation-free:
@@ -434,17 +430,13 @@ type StageStamp struct {
 	FlushUs   uint32
 }
 
-// IngressAt, FanoutAt and FlushAt return the absolute Unix-nanosecond
-// instants of the stamped stages (0 when the stage is unstamped).
-func (s StageStamp) IngressAt() int64 { return stageAt(s.Stamp, s.IngressUs) }
-func (s StageStamp) FanoutAt() int64  { return stageAt(s.Stamp, s.FanoutUs) }
-func (s StageStamp) FlushAt() int64   { return stageAt(s.Stamp, s.FlushUs) }
-
-func stageAt(stamp int64, us uint32) int64 {
-	if stamp == 0 || us == 0 {
+// FanoutAt returns the absolute Unix-nanosecond instant of the fanout mark
+// (0 when the frame is unstamped or the stage was never marked).
+func (s StageStamp) FanoutAt() int64 {
+	if s.Stamp == 0 || s.FanoutUs == 0 {
 		return 0
 	}
-	return stamp + int64(us)*1000
+	return s.Stamp + int64(s.FanoutUs)*1000
 }
 
 // PeekStageStamp extracts the full multi-stage stamp from an encoded

@@ -144,13 +144,6 @@ func TestUnmarshalTruncationsNeverPanic(t *testing.T) {
 	}
 }
 
-func TestWireSizeMatchesMarshal(t *testing.T) {
-	env := Envelope{Type: TypeData, ID: ID{Node: 1, Seq: 2}, Channel: "c", Payload: []byte("xyz")}
-	if got, want := env.WireSize(), len(env.Marshal()); got != want {
-		t.Fatalf("WireSize=%d, len(Marshal)=%d", got, want)
-	}
-}
-
 func TestGeneratorUnique(t *testing.T) {
 	g := NewGenerator(5)
 	const n = 1000

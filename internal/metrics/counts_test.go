@@ -26,38 +26,6 @@ func sameDistribution(t *testing.T, what string, got, want Counts) bool {
 	return true
 }
 
-// TestCountsAddMatchesOneHistogram: merging the read-outs of several
-// histograms equals the read-out of one histogram fed everything — buckets,
-// sum and extremes — with empty sides changing nothing.
-func TestCountsAddMatchesOneHistogram(t *testing.T) {
-	property := func(sets [][]uint32) bool {
-		all := newTestHistogram()
-		var merged Counts
-		for i, raw := range sets {
-			h := newTestHistogram()
-			feed(h, raw)
-			feed(all, raw)
-			if i == 0 {
-				merged = h.Counts()
-			} else {
-				merged = merged.Add(h.Counts())
-			}
-		}
-		if len(sets) == 0 {
-			return true
-		}
-		want := all.Counts()
-		if merged.Min != want.Min || merged.Max != want.Max {
-			t.Logf("merged extremes [%v, %v], want [%v, %v]", merged.Min, merged.Max, want.Min, want.Max)
-			return false
-		}
-		return sameDistribution(t, "merge", merged, want)
-	}
-	if err := quick.Check(property, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestCountsSubIsWhatCameBetween: the difference of two reads of one
 // histogram equals the read-out of a fresh histogram fed only what was
 // observed between them; a window knows no extremes.
@@ -104,11 +72,10 @@ func TestCountsSubRestarted(t *testing.T) {
 }
 
 // TestCountsQuantileRule pins the one quantile rule on the factor-two layout
-// the per-channel and per-region trackers use: the holding bucket's upper
+// the per-channel tracker uses: the holding bucket's upper
 // bound, clamped to the extremes where they are known.
 func TestCountsQuantileRule(t *testing.T) {
-	newHist := func() *Histogram { return NewHistogram(time.Microsecond, time.Microsecond<<28, 28) }
-	h := newHist()
+	h := NewHistogram(time.Microsecond, time.Microsecond<<28, 28)
 	for i := 0; i < 100; i++ {
 		h.Observe(20 * time.Millisecond)
 	}
@@ -120,16 +87,6 @@ func TestCountsQuantileRule(t *testing.T) {
 	}
 	if got := h.Quantile(0.99); got != 20*time.Millisecond {
 		t.Errorf("p99 = %v, want the observed maximum 20ms", got)
-	}
-
-	// A merged tail comes from the slow side.
-	fast, slow := newHist(), newHist()
-	for i := 0; i < 99; i++ {
-		fast.Observe(time.Millisecond)
-		slow.Observe(500 * time.Millisecond)
-	}
-	if got := fast.Counts().Add(slow.Counts()).Quantile(0.99); got != 500*time.Millisecond {
-		t.Errorf("merged p99 = %v, want 500ms", got)
 	}
 }
 

@@ -131,11 +131,10 @@ func (h *Histogram) Counts() Counts {
 }
 
 // Counts is one read-out of a duration distribution — a histogram at an
-// instant, a window between two instants (Sub), or several merged (Add) —
-// and the one place a quantile is computed from buckets. The fields may be
-// replaced to carry a distribution over a wire; the layout always comes from
-// a Histogram. Counts values share bucket slices and are not modified by
-// their methods.
+// instant or a window between two instants (Sub) — and the one place a
+// quantile is computed from buckets. The layout always comes from a
+// Histogram. Counts values share bucket slices and are not modified by their
+// methods.
 type Counts struct {
 	// Buckets holds the observations per bucket (not cumulative).
 	Buckets []uint64
@@ -212,28 +211,5 @@ func (c Counts) Sub(prev Counts) Counts {
 		window[i] = n - prev.Buckets[i]
 	}
 	out.Buckets, out.Sum = window, c.Sum-prev.Sum
-	return out
-}
-
-// Add returns the merge of two distributions with the same layout: one
-// region seen from two servers. An extreme of the merge is known only where
-// both sides know theirs; an empty side changes nothing.
-func (c Counts) Add(other Counts) Counts {
-	if other.Count() == 0 {
-		return c
-	}
-	if c.Count() == 0 {
-		return other
-	}
-	out := c
-	out.Buckets = make([]uint64, len(c.Buckets))
-	for i, n := range c.Buckets {
-		out.Buckets[i] = n + other.Buckets[i]
-	}
-	out.Sum = c.Sum + other.Sum
-	out.Min = min(c.Min, other.Min) // unknown (negative) wins
-	if out.Max = max(c.Max, other.Max); c.Max < 0 || other.Max < 0 {
-		out.Max = -1
-	}
 	return out
 }

@@ -62,11 +62,6 @@ func (s *Series) Mark(x float64, label string) {
 	s.marks[x] = append(s.marks[x], label)
 }
 
-// Columns returns the column names.
-func (s *Series) Columns() []string {
-	return append([]string(nil), s.cols...)
-}
-
 // Xs returns the sorted X values present.
 func (s *Series) Xs() []float64 {
 	s.mu.Lock()

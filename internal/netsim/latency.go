@@ -16,10 +16,8 @@
 package netsim
 
 import (
-	"hash/fnv"
 	"math"
 	"math/rand"
-	"sync"
 	"time"
 )
 
@@ -89,30 +87,6 @@ var _ LatencyModel = Fixed(0)
 
 // Sample implements LatencyModel.
 func (f Fixed) Sample(*rand.Rand) time.Duration { return time.Duration(f) }
-
-// RegionDelays derives a deterministic per-region one-way WAN delay from a
-// latency model: each region name seeds the model's sampler, so the same
-// region always maps to the same characteristic delay (its "distance" from
-// the cloud), while distinct regions spread across the model's distribution.
-// The returned function memoizes per region and is safe for concurrent use —
-// it is shaped to plug straight into the LLA's RegionDelay hook for
-// per-region delivery-latency attribution.
-func RegionDelays(m LatencyModel) func(region string) time.Duration {
-	var cache sync.Map // region string -> time.Duration
-	return func(region string) time.Duration {
-		if region == "" {
-			return 0
-		}
-		if v, ok := cache.Load(region); ok {
-			return v.(time.Duration)
-		}
-		h := fnv.New64a()
-		h.Write([]byte(region)) //nolint:errcheck // fnv never errors
-		rng := rand.New(rand.NewSource(int64(h.Sum64())))
-		d, _ := cache.LoadOrStore(region, m.Sample(rng))
-		return d.(time.Duration)
-	}
-}
 
 // PathModel applies the paper's three-case injection rule (§V-B) on top of a
 // WAN model: one sample for client↔infra paths, two samples (round trip) for

@@ -71,42 +71,6 @@ func TestNewPathModelDefaults(t *testing.T) {
 	}
 }
 
-func TestRegionDelaysDeterministicAndBounded(t *testing.T) {
-	m := NewKingLike()
-	delay := RegionDelays(m)
-	if got := delay(""); got != 0 {
-		t.Fatalf("empty region delay %v, want 0", got)
-	}
-	regions := []string{"us-east", "eu-west", "ap-south", "sa-east"}
-	first := make(map[string]time.Duration)
-	for _, r := range regions {
-		d := delay(r)
-		if d < m.Min || d > m.Max {
-			t.Fatalf("region %q delay %v outside [%v, %v]", r, d, m.Min, m.Max)
-		}
-		first[r] = d
-	}
-	// Memoized and stable: same region, same delay — across the cached
-	// function and across a freshly derived one.
-	fresh := RegionDelays(NewKingLike())
-	for _, r := range regions {
-		if d := delay(r); d != first[r] {
-			t.Fatalf("region %q delay changed: %v then %v", r, first[r], d)
-		}
-		if d := fresh(r); d != first[r] {
-			t.Fatalf("region %q delay not derived from name: %v vs %v", r, d, first[r])
-		}
-	}
-	// Distinct regions should spread (not all collapse to one value).
-	distinct := make(map[time.Duration]bool)
-	for _, d := range first {
-		distinct[d] = true
-	}
-	if len(distinct) < 2 {
-		t.Fatalf("all regions mapped to the same delay %v", first)
-	}
-}
-
 func TestPipeUnloadedPassThrough(t *testing.T) {
 	p := NewPipe(1000) // 1000 units/s => 1ms per unit
 	dep := p.Send(epoch, 1)

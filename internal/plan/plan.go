@@ -413,9 +413,6 @@ func Unmarshal(data []byte) (*Plan, error) {
 	return &p, nil
 }
 
-// ServersFor is a convenience for the union of all servers an entry names.
-func (e Entry) ServersFor() []ServerID { return append([]ServerID(nil), e.Servers...) }
-
 // String renders a short plan summary.
 func (p *Plan) String() string {
 	return fmt.Sprintf("plan{v%d servers=%d channels=%d}", p.Version, len(p.Servers), len(p.Channels))

@@ -16,54 +16,45 @@ func decodeFrame(t *testing.T, raw []byte) Value {
 	return v
 }
 
+// TestWriteMessageFrame pins the message push frame the broker writes
+// (AppendMessage) byte for byte.
 func TestWriteMessageFrame(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	if err := w.WriteMessage("news", []byte("breaking")); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	got := AppendMessage(nil, "news", []byte("breaking"))
 	want := "*3\r\n$7\r\nmessage\r\n$4\r\nnews\r\n$8\r\nbreaking\r\n"
-	if got := buf.String(); got != want {
-		t.Fatalf("WriteMessage wire=%q want %q", got, want)
+	if string(got) != want {
+		t.Fatalf("AppendMessage wire=%q want %q", got, want)
 	}
-	v := decodeFrame(t, buf.Bytes())
+	v := decodeFrame(t, got)
 	if v.Kind != KindArray || len(v.Array) != 3 || string(v.Array[0].Str) != "message" {
 		t.Fatalf("decoded %+v", v)
 	}
 }
 
+// TestWritePMessageFrame pins the pattern push frame (AppendPMessage).
 func TestWritePMessageFrame(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	if err := w.WritePMessage("n.*", "n.s", []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
 	want := "*4\r\n$8\r\npmessage\r\n$3\r\nn.*\r\n$3\r\nn.s\r\n$1\r\nx\r\n"
-	if got := buf.String(); got != want {
-		t.Fatalf("WritePMessage wire=%q want %q", got, want)
+	if got := AppendPMessage(nil, "n.*", "n.s", []byte("x")); string(got) != want {
+		t.Fatalf("AppendPMessage wire=%q want %q", got, want)
 	}
 }
 
 // TestAppendPathMatchesWriter: the append-style encoders must produce
-// byte-identical frames to the Writer methods, for any payload including
-// binary and embedded CRLF.
+// byte-identical frames to the Writer's element-by-element encoding, for any
+// payload including binary and embedded CRLF.
 func TestAppendPathMatchesWriter(t *testing.T) {
 	payloads := [][]byte{nil, {}, []byte("hello"), {0, 1, 2, 255, '\r', '\n'}, bytes.Repeat([]byte("z"), 4096)}
 	for _, p := range payloads {
 		var buf bytes.Buffer
 		w := NewWriter(&buf)
-		if err := w.WriteMessage("chan-1", p); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.WritePMessage("c*", "chan-1", p); err != nil {
-			t.Fatal(err)
-		}
+		w.WriteArrayHeader(3)         //nolint:errcheck // sticky: Flush reports it
+		w.WriteBulkString("message")  //nolint:errcheck
+		w.WriteBulkString("chan-1")   //nolint:errcheck
+		w.WriteBulk(p)                //nolint:errcheck
+		w.WriteArrayHeader(4)         //nolint:errcheck
+		w.WriteBulkString("pmessage") //nolint:errcheck
+		w.WriteBulkString("c*")       //nolint:errcheck
+		w.WriteBulkString("chan-1")   //nolint:errcheck
+		w.WriteBulk(p)                //nolint:errcheck
 		if err := w.Flush(); err != nil {
 			t.Fatal(err)
 		}
@@ -181,27 +172,6 @@ func TestLongLineSpansBufferRefills(t *testing.T) {
 	}
 	if string(v2.Str) != "ok" {
 		t.Fatalf("follow-up read=%q", v2.Str)
-	}
-}
-
-// BenchmarkWriteMessage measures the per-frame encode cost on the delivery
-// hot path (target: 0 allocs/op).
-func BenchmarkWriteMessage(b *testing.B) {
-	var buf bytes.Buffer
-	buf.Grow(1 << 20)
-	w := NewWriter(&buf)
-	payload := make([]byte, 200)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if i%1024 == 0 {
-			buf.Reset()
-		}
-		if err := w.WriteMessage("tile-3-4", payload); err != nil {
-			b.Fatal(err)
-		}
-		if err := w.Flush(); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -25,10 +25,10 @@ import (
 // whatever it keeps longer. Arguments are writable: the broker stamps a
 // PUBLISH payload where it lies.
 //
-// The same grammar as Reader.ReadCommand is accepted (arrays of bulk strings
-// and inline commands), plus integer elements inside arrays — which lets the
-// load harness parse subscription acks ["subscribe", name, :count] with the
-// same machinery.
+// The grammar is arrays of bulk strings and inline commands (what the tests'
+// reference reader, Reader.ReadCommand, accepts), plus integer elements inside
+// arrays — which lets the load harness parse subscription acks
+// ["subscribe", name, :count] with the same machinery.
 type CommandParser struct {
 	in    []byte // borrowed: the part of the last fragment not yet parsed
 	carry []byte // owned: the head of a frame whose tail has not arrived
@@ -72,8 +72,7 @@ func (p *CommandParser) Buffered() int { return len(p.carry) + len(p.in) }
 
 // Next returns the next complete command, or (nil, nil) when the stream fed
 // so far ends mid-frame. Protocol violations return an error wrapping
-// ErrProtocol or ErrTooLarge; the connection should be closed, matching
-// Reader.ReadCommand behavior.
+// ErrProtocol or ErrTooLarge; the connection should be closed.
 func (p *CommandParser) Next() ([][]byte, error) {
 	if len(p.carry) == 0 {
 		n, need, err := p.scan(p.in)

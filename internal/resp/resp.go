@@ -122,54 +122,6 @@ func (r *Reader) ReadValue() (Value, error) {
 	}
 }
 
-// ReadCommand reads a client command: either an array of bulk strings or an
-// inline command (space-separated words on one line). It returns the
-// arguments with the command name first. The broker reads untrusted bytes
-// with CommandParser only; this stays as the reference its tests compare
-// against.
-func (r *Reader) ReadCommand() ([][]byte, error) {
-	t, err := r.br.ReadByte()
-	if err != nil {
-		return nil, err
-	}
-	if t != '*' {
-		// Inline command.
-		if err := r.br.UnreadByte(); err != nil {
-			return nil, err
-		}
-		line, err := r.readLine()
-		if err != nil {
-			return nil, err
-		}
-		// Copy before splitting: the scratch line is overwritten by the
-		// next read, while command args may outlive it.
-		fields := bytes.Fields(append([]byte(nil), line...))
-		if len(fields) == 0 {
-			return nil, fmt.Errorf("%w: empty inline command", ErrProtocol)
-		}
-		return fields, nil
-	}
-	n, err := r.readInt()
-	if err != nil {
-		return nil, err
-	}
-	if n <= 0 || n > maxArrayLen {
-		return nil, fmt.Errorf("%w: command array length %d", ErrProtocol, n)
-	}
-	args := make([][]byte, n)
-	for i := range args {
-		v, err := r.ReadValue()
-		if err != nil {
-			return nil, err
-		}
-		if v.Kind != KindBulkString || v.Null {
-			return nil, fmt.Errorf("%w: command element %d is %s, want bulk string", ErrProtocol, i, v.Kind)
-		}
-		args[i] = v.Str
-	}
-	return args, nil
-}
-
 // messagePushPrefix is the fixed wire prefix of a ["message", channel,
 // payload] push frame: array of 3, first element the 7-byte bulk "message".
 var messagePushPrefix = []byte("*3\r\n$7\r\nmessage\r\n")
@@ -485,26 +437,8 @@ func (w *Writer) WriteNullBulk() error {
 // WriteArrayHeader writes "*n\r\n"; the caller then writes n elements.
 func (w *Writer) WriteArrayHeader(n int) error { return w.writeHeader('*', int64(n)) }
 
-// WriteMessage writes the Redis ["message", channel, payload] push frame in
-// one allocation-free shot — the broker delivery hot path.
-func (w *Writer) WriteMessage(channel string, payload []byte) error {
-	w.bw.WriteString("*3\r\n$7\r\nmessage\r\n") //nolint:errcheck
-	w.WriteBulkString(channel)                  //nolint:errcheck
-	return w.WriteBulk(payload)
-}
-
-// WritePMessage writes the ["pmessage", pattern, channel, payload] frame for
-// pattern-subscription deliveries.
-func (w *Writer) WritePMessage(pattern, channel string, payload []byte) error {
-	w.bw.WriteString("*4\r\n$8\r\npmessage\r\n") //nolint:errcheck
-	w.WriteBulkString(pattern)                   //nolint:errcheck
-	w.WriteBulkString(channel)                   //nolint:errcheck
-	return w.WriteBulk(payload)
-}
-
 // WritePublish writes the ["PUBLISH", channel, payload] command frame in one
-// allocation-free shot — the pipelined client publish hot path, mirroring
-// WriteMessage on the delivery side.
+// allocation-free shot — the pipelined client publish hot path.
 func (w *Writer) WritePublish(channel string, payload []byte) error {
 	w.bw.WriteString("*3\r\n$7\r\nPUBLISH\r\n") //nolint:errcheck // sticky error checked below
 	w.WriteBulkString(channel)                  //nolint:errcheck

@@ -7,7 +7,6 @@ import (
 	"github.com/dynamoth/dynamoth/internal/buildinfo"
 	"github.com/dynamoth/dynamoth/internal/clock"
 	"github.com/dynamoth/dynamoth/internal/hotstate"
-	"github.com/dynamoth/dynamoth/internal/lla"
 	"github.com/dynamoth/dynamoth/internal/message"
 	"github.com/dynamoth/dynamoth/internal/metrics"
 	"github.com/dynamoth/dynamoth/internal/obs"
@@ -198,10 +197,9 @@ type StageSummary struct {
 }
 
 // Waterfall is the /debug/latency document: the node's end-to-end latency
-// with its per-stage decomposition, the channels contributing the most tail
-// latency, and the per-subscriber-region delivery latencies the LLA folds
-// into its reports. All numbers are read-only digests; rendering touches
-// nothing on the publish path.
+// with its per-stage decomposition and the channels contributing the most
+// tail latency. All numbers are read-only digests; rendering touches nothing
+// on the publish path.
 type Waterfall struct {
 	Server string `json:"server"`
 	// E2E is publish→fan-out latency as observed broker-side (the node
@@ -216,9 +214,6 @@ type Waterfall struct {
 	// SlowChannels ranks channels by p99 contribution (p99 × count) over
 	// the window since the previous Waterfall call.
 	SlowChannels []obs.ChannelLatency `json:"slowChannels"`
-	// Regions is the cumulative per-subscriber-region delivery-latency
-	// digest (empty when no session declared a region).
-	Regions []lla.RegionStats `json:"regions"`
 }
 
 // Waterfall snapshots the node's latency waterfall for /debug/latency.
@@ -232,7 +227,6 @@ func (n *Node) Waterfall() Waterfall {
 			{Stage: "flush", LatencySummary: summarize(n.stages.flush)},
 		},
 		SlowChannels: n.latTopk.Top(10),
-		Regions:      n.LLA.RegionSnapshot(),
 	}
 }
 

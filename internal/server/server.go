@@ -52,10 +52,6 @@ type Options struct {
 	// TopKCap bounds the hot-channel tracker's channel set
 	// (0 = obs.DefaultTopKCap, negative = unbounded).
 	TopKCap int
-	// RegionDelay optionally models the WAN delay to a subscriber region for
-	// the LLA's per-region delivery-latency attribution (e.g. from netsim's
-	// King-dataset model). Nil reports raw measured ages.
-	RegionDelay func(region string) time.Duration
 	// OutputBuffer is the broker's output limit, in messages, for
 	// in-process sessions.
 	OutputBuffer int
@@ -135,7 +131,6 @@ func New(opts Options) (*Node, error) {
 		Unit:           opts.Unit,
 		ReportEvery:    opts.ReportEvery,
 		ChannelCap:     opts.LLAChannelCap,
-		RegionDelay:    opts.RegionDelay,
 		Clock:          opts.Clock,
 		Logger:         opts.Logger,
 	})

@@ -287,7 +287,6 @@ type Server struct {
 	windowBytes  float64 // bytes since last LLA report
 	unitBytes    float64 // bytes in current stats unit
 	unitMsgs     int64
-	debugBytes   map[string]float64 // per-channel bytes for DebugServers
 
 	alive bool
 }
@@ -304,7 +303,6 @@ func (s *Sim) addServer(id plan.ServerID, node uint32) *Server {
 		accum:   lla.NewAccumulator(),
 		alive:   true,
 	}
-	srv.debugBytes = make(map[string]float64)
 	srv.deliverFIFO = make(map[uint32]time.Time)
 	s.servers[id] = srv
 	s.serverIDs = append(s.serverIDs, id)
@@ -427,9 +425,6 @@ func (srv *Server) receive(channel string, env *message.Envelope) {
 			}
 			srv.windowBytes += wire
 			srv.unitBytes += wire
-			if srv.debugBytes != nil {
-				srv.debugBytes[channel] += wire
-			}
 			// Saturated egress sheds bulk data instead of queueing
 			// unboundedly (socket buffers are finite; Redis disconnects
 			// slow consumers rather than buffer forever). Offered bytes
@@ -1082,42 +1077,4 @@ func containsID(list []plan.ServerID, s plan.ServerID) bool {
 		}
 	}
 	return false
-}
-
-// DebugServers returns one diagnostic line per server: backlog and the topN
-// channels by bytes delivered since the last call, for experiment debugging.
-func (s *Sim) DebugServers(topN int) []string {
-	out := make([]string, 0, len(s.serverIDs))
-	for _, id := range s.serverIDs {
-		srv := s.servers[id]
-		type chLoad struct {
-			ch    string
-			bytes float64
-			subs  int
-		}
-		var chans []chLoad
-		var total float64
-		for ch, b := range srv.debugBytes {
-			chans = append(chans, chLoad{ch, b, len(srv.subs[ch])})
-			total += b
-		}
-		sort.Slice(chans, func(i, j int) bool {
-			if chans[i].bytes != chans[j].bytes {
-				return chans[i].bytes > chans[j].bytes
-			}
-			return chans[i].ch < chans[j].ch
-		})
-		if len(chans) > topN {
-			chans = chans[:topN]
-		}
-		line := fmt.Sprintf("%s bytes=%.0fk backlog=%v chans=%d top:", id, total/1e3,
-			srv.egress.QueueDelay(s.eng.Now()).Round(time.Millisecond), len(srv.subs))
-		for _, c := range chans {
-			line += fmt.Sprintf(" %s(%.0fk/%dsub)", c.ch, c.bytes/1e3, c.subs)
-		}
-		out = append(out, line)
-		srv.debugBytes = make(map[string]float64)
-		srv.deliverFIFO = make(map[uint32]time.Time)
-	}
-	return out
 }

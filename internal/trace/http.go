@@ -89,7 +89,7 @@ func (r *Recorder) RebalancesHandler() http.Handler {
 // ValidateJSONL checks a /debug/events payload: every line must be a JSON
 // object matching the wire schema, with known kind names, positive
 // timestamps, and strictly increasing sequence numbers. It returns the
-// number of valid events. Used by tests and the CI schema check.
+// number of valid events.
 func ValidateJSONL(rd io.Reader) (int, error) {
 	sc := bufio.NewScanner(rd)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)

@@ -189,16 +189,6 @@ func (c *memConn) Publish(channel string, payload []byte) error {
 // out before returning, so callers may immediately reuse its buffer.
 func (c *memConn) PublishNonRetaining() bool { return true }
 
-// DeclareRegion implements RegionDeclarer straight against the broker
-// session (no wire round trip in-process).
-func (c *memConn) DeclareRegion(region string) error {
-	if region == "" {
-		return nil
-	}
-	c.session.SetRegion(region)
-	return nil
-}
-
 // SubscribeCursor implements CursorSubscriber straight against the broker
 // session: subscribe, then replay the cursor's gap from the channel's ring.
 func (c *memConn) SubscribeCursor(channel string, cur message.Cursor) (ReplayResult, error) {

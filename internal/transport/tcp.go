@@ -209,26 +209,6 @@ func (c *tcpConn) subCommand(cmd string, channels []string) error {
 	// dropped there; Redis semantics make them informational only.
 }
 
-// DeclareRegion implements RegionDeclarer over the subscriber socket — the
-// session whose deliveries the broker attributes. The server's +OK reply is
-// consumed (and ignored) by the read loop like subscribe acks.
-func (c *tcpConn) DeclareRegion(region string) error {
-	if region == "" {
-		return nil
-	}
-	select {
-	case <-c.done:
-		return ErrClosed
-	default:
-	}
-	c.subMu.Lock()
-	defer c.subMu.Unlock()
-	if err := c.subW.WriteCommandStrings("REGION", region); err != nil {
-		return err
-	}
-	return c.subW.Flush()
-}
-
 // subscribeCursorAckTimeout bounds how long SubscribeCursor waits for the
 // server's csubscribe ack before giving up (the caller falls back to a plain
 // Subscribe).

@@ -73,14 +73,6 @@ type CursorSubscriber interface {
 	SubscribeCursor(channel string, cursor message.Cursor) (ReplayResult, error)
 }
 
-// RegionDeclarer is optionally implemented by Conns that can announce the
-// client's subscriber region to the server (the RESP REGION command), so
-// the broker can attribute delivery latency per region in its LLA reports.
-// Conns without it simply go unattributed.
-type RegionDeclarer interface {
-	DeclareRegion(region string) error
-}
-
 // Dialer opens connections to pub/sub servers by ID.
 type Dialer interface {
 	Dial(server plan.ServerID, h Handler) (Conn, error)

@@ -2,6 +2,10 @@ package workload
 
 import "time"
 
+// FDHeadroom is the descriptor slack kept free for the driver's own files,
+// epoll instance, and the publisher connection (a target nearer the limit is capped).
+const FDHeadroom = 256
+
 // ConnBenchOptions configures the C100k connection-scale driver: one process
 // holding tens of thousands of subscriber connections against a broker, all
 // multiplexed on the driver's own epoll loop (a goroutine-per-connection

@@ -15,10 +15,6 @@ import (
 	"github.com/dynamoth/dynamoth/internal/transport"
 )
 
-// fdHeadroom is the descriptor slack kept free for the driver's own files,
-// epoll instance, and the publisher connection.
-const fdHeadroom = 256
-
 // benchConn is one multiplexed subscriber connection.
 type benchConn struct {
 	fd     int
@@ -57,10 +53,10 @@ func RunConnBench(opts ConnBenchOptions) (*ConnBenchResult, error) {
 	}
 
 	res := &ConnBenchResult{Target: opts.Conns}
-	limit, _ := transport.RaiseFDLimit(uint64(opts.Conns) + fdHeadroom)
+	limit, _ := transport.RaiseFDLimit(uint64(opts.Conns) + FDHeadroom)
 	res.FDLimit = limit
 	conns := opts.Conns
-	if budget := int(limit) - fdHeadroom; limit > 0 && conns > budget {
+	if budget := int(limit) - FDHeadroom; limit > 0 && conns > budget {
 		conns = budget
 	}
 	if conns <= 0 {

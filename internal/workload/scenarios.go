@@ -11,8 +11,8 @@ import (
 // traffic shape the open-loop harness (cmd/experiments -run scenarios) drives
 // against a real dynamoth-node. The four stock shapes cover the quadrants the
 // paper's workloads span — fan-in, fan-out, churn-heavy, and a blend — so a
-// regression in any one delivery path shows up in its own BENCH json instead
-// of averaging away.
+// regression in any one delivery path fails its own scenario instead of
+// averaging away.
 type Scenario struct {
 	Name        string
 	Description string

@@ -230,6 +230,105 @@ func TestFailoverSubscriptionRepair(t *testing.T) {
 			t.Fatalf("received %d/%d post-repair messages", len(got), n)
 		}
 	}
+
+	// Unsubscribing must reach the stand-in that actually holds the
+	// subscription, not the crashed home the plan still names.
+	if err := sub.Unsubscribe(ch); err != nil {
+		t.Fatal(err)
+	}
+	deadline = time.Now().Add(3 * time.Second)
+	for d.brokers["s2"].Subscribers(ch) != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("s2 still holds %d subscriber(s) after Unsubscribe", d.brokers["s2"].Subscribers(ch))
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestFailoverRepairsAStandIn crashes the home of a subscription — a channel
+// or the redirect inbox — waits for it to move to a stand-in, then crashes
+// the stand-in: the subscription must move again, onto the third broker. A
+// client that remembered where the plan put a subscription instead of where
+// it was would never notice the second crash, leaving it stranded for good.
+func TestFailoverRepairsAStandIn(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		inbox bool
+	}{
+		{name: "channel"},
+		{name: "inbox", inbox: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			manual := clock.NewManual(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
+			d := newTestDeployment(t, "s1", "s2", "s3")
+			p := plan.New(d.servers...)
+			node, ch := uint32(900), fallbackChannel(t, p, "s1")
+			if tc.inbox {
+				node = inboxOn(t, p, "s1")
+				ch = plan.InboxChannel(node)
+			}
+			cl, err := ConnectWithDialer(d.dialer, d.servers, Config{NodeID: node, Clock: manual})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			if !tc.inbox {
+				if _, err := cl.Subscribe(ch); err != nil {
+					t.Fatal(err)
+				}
+			}
+			heldOn := func() plan.ServerID {
+				for _, s := range d.servers {
+					if d.brokers[s].Subscribers(ch) > 0 {
+						return s
+					}
+				}
+				return ""
+			}
+			// waitFor advances virtual time too, so redial backoffs and
+			// maintenance sweeps run while the test waits.
+			waitFor := func(what string, cond func() bool) {
+				t.Helper()
+				deadline := time.Now().Add(3 * time.Second)
+				for !cond() {
+					if time.Now().After(deadline) {
+						t.Fatalf("%s: %s held on %q", what, ch, heldOn())
+					}
+					manual.Advance(100 * time.Millisecond)
+					time.Sleep(5 * time.Millisecond)
+				}
+			}
+			waitFor("not placed on its home", func() bool { return heldOn() == "s1" })
+
+			d.brokers["s1"].Close()
+			var standIn plan.ServerID
+			waitFor("not re-homed after the home crashed", func() bool {
+				standIn = heldOn()
+				return standIn != "" && standIn != "s1"
+			})
+
+			d.brokers[standIn].Close()
+			third := "s2"
+			if standIn == "s2" {
+				third = "s3"
+			}
+			waitFor("not re-homed after the stand-in crashed", func() bool {
+				return d.brokers[third].Subscribers(ch) > 0
+			})
+		})
+	}
+}
+
+// inboxOn returns a node ID whose redirect inbox hashes to server.
+func inboxOn(t *testing.T, p *plan.Plan, server plan.ServerID) uint32 {
+	t.Helper()
+	for id := uint32(700); id < 10000; id++ {
+		if p.Home(plan.InboxChannel(id)) == server {
+			return id
+		}
+	}
+	t.Fatalf("no node ID homes its inbox on %s", server)
+	return 0
 }
 
 // TestFailoverRepairInbox crashes the broker hosting the client's redirect
@@ -240,17 +339,7 @@ func TestFailoverRepairInbox(t *testing.T) {
 	d := newTestDeployment(t, "s1", "s2")
 	p := plan.New(d.servers...)
 
-	// Find a node ID whose inbox hashes to s1.
-	var nodeID uint32
-	for id := uint32(700); id < 10000; id++ {
-		if p.Home(plan.InboxChannel(id)) == "s1" {
-			nodeID = id
-			break
-		}
-	}
-	if nodeID == 0 {
-		t.Fatal("no node ID homes its inbox on s1")
-	}
+	nodeID := inboxOn(t, p, "s1")
 	cl, err := ConnectWithDialer(d.dialer, d.servers, Config{NodeID: nodeID, Clock: manual})
 	if err != nil {
 		t.Fatal(err)

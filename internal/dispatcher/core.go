@@ -12,6 +12,7 @@
 package dispatcher
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -270,7 +271,7 @@ func (c *Core) OnLocalSubscribe(channel string, _ int, now time.Time) []Action {
 		return nil
 	}
 	entry, _ := c.plan.Lookup(channel)
-	if containsServer(entry.Servers, c.self) && len(entry.Servers) == 1 {
+	if slices.Contains(entry.Servers, c.self) && len(entry.Servers) == 1 {
 		return nil
 	}
 	if !c.switchAllowed(channel, now) {
@@ -420,13 +421,4 @@ func serverSet(list []plan.ServerID) map[plan.ServerID]struct{} {
 		m[s] = struct{}{}
 	}
 	return m
-}
-
-func containsServer(list []plan.ServerID, s plan.ServerID) bool {
-	for _, have := range list {
-		if have == s {
-			return true
-		}
-	}
-	return false
 }

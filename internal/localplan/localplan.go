@@ -1,17 +1,20 @@
-// Package localplan implements the client-specific partial plan P(C) of the
-// paper (§II-C, §IV-A5): a bounded cache of channel→servers entries learned
-// lazily from switch and wrong-server notifications, with per-entry timers
-// that return forgotten channels to consistent hashing.
+// Package localplan is a client's partial plan P(C) of the paper (§II-C,
+// §IV-A5) and the routing decided over it.
 //
-// Both the live client library and the discrete-event simulator use this
-// exact state machine, so client routing behaves identically in both modes.
+// Store holds the learned channel→servers entries — taught lazily by SWITCH
+// and WRONG-SERVER notifications, forgotten by per-entry timers so idle
+// channels return to consistent hashing — over the fallback ring. It is
+// backed by a bounded hotstate cache: an entry evicted under capacity
+// pressure falls back to consistent hashing exactly as if its timer had
+// fired, subscribed channels are pinned so their routes survive any churn,
+// and the idle sweep is incremental (a quarter of the shards per call).
 //
-// The store is backed by a hotstate cache: learned entries are capped (a
-// channel evicted under capacity pressure simply falls back to consistent
-// hashing — the same behavior as its §IV-A5 timer firing), subscribed
-// channels are pinned so their learned routes survive any churn, and the
-// idle-entry sweep is incremental (a few shards per call) instead of the old
-// O(entries) full-map scan.
+// Router is the subscription table over a Store and every placement
+// decision — subscribe, unsubscribe, switch, ring move, failover repair,
+// stand-ins for unreachable servers. It is single-threaded and pure: time and
+// reachability are arguments, servers to subscribe on and leave are results.
+// The live client and the discrete-event simulator both drive this one
+// Router, so client routing is the same code in both.
 package localplan
 
 import (
@@ -26,7 +29,7 @@ import (
 // DefaultTimeout is the per-entry timer of §IV-A5.
 const DefaultTimeout = 30 * time.Second
 
-// DefaultCap bounds the learned-entry cache when no explicit cap is given.
+// DefaultCap bounds the learned-entry cache.
 // A real client publishes/subscribes on far fewer channels than this; the cap
 // only bites for IoT-style clients touching an unbounded channel namespace,
 // where evicted channels transparently fall back to consistent hashing.
@@ -70,11 +73,11 @@ type Store struct {
 // New creates a local plan over the bootstrap server set (the consistent-
 // hash fallback ring) with DefaultCap learned entries.
 func New(bootstrap []plan.ServerID, timeout time.Duration) *Store {
-	return NewWithCap(bootstrap, timeout, DefaultCap)
+	return newStore(bootstrap, timeout, DefaultCap)
 }
 
-// NewWithCap is New with an explicit learned-entry bound (<=0 = unbounded).
-func NewWithCap(bootstrap []plan.ServerID, timeout time.Duration, cap int) *Store {
+// newStore is New with another learned-entry bound (tests shrink it).
+func newStore(bootstrap []plan.ServerID, timeout time.Duration, cap int) *Store {
 	if timeout <= 0 {
 		timeout = DefaultTimeout
 	}
@@ -200,34 +203,18 @@ func (s *Store) Pin(channel string, pinned bool) bool {
 func (s *Store) Forget(channel string) { s.entries.Delete(channel) }
 
 // Sweep incrementally removes entries idle past the timeout, except pinned
-// channels and channels where keep returns true. Each call covers a quarter
-// of the shards (rotating), so a sweep cadence of timeout/4 still visits
-// every entry within one timeout period at O(entries/4) per call. It returns
-// the number of entries dropped.
-func (s *Store) Sweep(now time.Time, keep func(channel string) bool) int {
-	return s.sweep(now, keep, s.entries.ShardCount()/4)
-}
-
-// SweepAll is Sweep over every shard at once (tests and shutdown paths).
-func (s *Store) SweepAll(now time.Time, keep func(channel string) bool) int {
-	return s.sweep(now, keep, 0)
-}
-
-func (s *Store) sweep(now time.Time, keep func(channel string) bool, maxShards int) int {
+// (subscribed) channels. Each call covers a quarter of the shards (rotating),
+// so a sweep cadence of timeout/4 still visits every entry within one timeout
+// period at O(entries/4) per call. It returns the number of entries dropped.
+func (s *Store) Sweep(now time.Time) int {
 	cutoff := now.Add(-s.timeout).UnixNano()
-	return s.entries.Sweep(maxShards, func(ch string, le *Learned) bool {
-		if keep != nil && keep(ch) {
-			return false
-		}
+	return s.entries.Sweep(s.entries.ShardCount()/4, func(_ string, le *Learned) bool {
 		return le.lastUsed.Load() < cutoff
 	})
 }
 
 // Len returns the number of learned entries (the paper's "local plan size").
 func (s *Store) Len() int { return s.entries.Len() }
-
-// Timeout returns the entry timeout.
-func (s *Store) Timeout() time.Duration { return s.timeout }
 
 // CacheStats snapshots the learned-entry cache counters for metric export.
 func (s *Store) CacheStats() hotstate.Stats { return s.entries.Stats() }

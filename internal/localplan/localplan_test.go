@@ -12,6 +12,15 @@ import (
 
 var epoch = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 
+// sweepAll runs one full rotation of the incremental sweep.
+func sweepAll(s *Store, now time.Time) int {
+	dropped := 0
+	for i := 0; i < 4; i++ {
+		dropped += s.Sweep(now)
+	}
+	return dropped
+}
+
 func mkEntry(strategy plan.Strategy, servers ...string) plan.Entry {
 	return plan.Entry{Strategy: strategy, Servers: servers}
 }
@@ -86,7 +95,8 @@ func TestSweepExpiry(t *testing.T) {
 	s.Update("fresh", mkEntry(plan.StrategySingle, "s2"), 1, epoch.Add(8*time.Second))
 	s.Update("kept", mkEntry(plan.StrategySingle, "s2"), 1, epoch)
 
-	dropped := s.SweepAll(epoch.Add(11*time.Second), func(ch string) bool { return ch == "kept" })
+	s.Pin("kept", true)
+	dropped := sweepAll(s, epoch.Add(11*time.Second))
 	if dropped != 1 {
 		t.Fatalf("dropped=%d, want 1", dropped)
 	}
@@ -108,10 +118,10 @@ func TestTouchAndLookupResetTimer(t *testing.T) {
 	// Touch "a" (receive), Lookup "b" (send) at t=9s: both timers reset.
 	s.Touch("a", epoch.Add(9*time.Second))
 	s.Lookup("b", epoch.Add(9*time.Second))
-	if dropped := s.SweepAll(epoch.Add(15*time.Second), nil); dropped != 0 {
+	if dropped := sweepAll(s, epoch.Add(15*time.Second)); dropped != 0 {
 		t.Fatalf("dropped=%d after timer resets", dropped)
 	}
-	if dropped := s.SweepAll(epoch.Add(25*time.Second), nil); dropped != 2 {
+	if dropped := sweepAll(s, epoch.Add(25*time.Second)); dropped != 2 {
 		t.Fatalf("dropped=%d, want 2", dropped)
 	}
 }
@@ -127,8 +137,12 @@ func TestForget(t *testing.T) {
 
 func TestDefaultTimeout(t *testing.T) {
 	s := New([]string{"s1"}, 0)
-	if s.Timeout() != DefaultTimeout {
-		t.Fatalf("timeout=%v", s.Timeout())
+	s.Update("a", mkEntry(plan.StrategySingle, "s1"), 1, epoch)
+	if dropped := sweepAll(s, epoch.Add(DefaultTimeout-time.Second)); dropped != 0 {
+		t.Fatalf("dropped=%d inside the default timeout", dropped)
+	}
+	if dropped := sweepAll(s, epoch.Add(DefaultTimeout+time.Second)); dropped != 1 {
+		t.Fatalf("dropped=%d past the default timeout, want 1", dropped)
 	}
 }
 
@@ -187,7 +201,7 @@ func TestIncrementalSweepCoversStoreOverFullRotation(t *testing.T) {
 	later := epoch.Add(time.Minute)
 	total := 0
 	for i := 0; i < 4; i++ {
-		total += s.Sweep(later, nil)
+		total += s.Sweep(later)
 	}
 	if total != 100 || s.Len() != 0 {
 		t.Fatalf("4 incremental sweeps dropped %d, len=%d", total, s.Len())
@@ -197,7 +211,7 @@ func TestIncrementalSweepCoversStoreOverFullRotation(t *testing.T) {
 func TestCapEvictionFallsBackToRing(t *testing.T) {
 	// Cap 16 = one entry per shard: flooding learned routes must evict, and
 	// evicted channels must resolve through consistent hashing again.
-	s := NewWithCap([]string{"s1", "s2"}, 0, 16)
+	s := newStore([]string{"s1", "s2"}, 0, 16)
 	for i := 0; i < 500; i++ {
 		s.Update(fmt.Sprintf("flood-%d", i), mkEntry(plan.StrategySingle, "s2"), 1, epoch)
 	}
@@ -231,7 +245,7 @@ func TestCapEvictionFallsBackToRing(t *testing.T) {
 func TestPinnedSubscriptionSurvivesEvictionAndSweep(t *testing.T) {
 	// Regression: a subscribed channel's learned route must survive both
 	// capacity churn from unbounded channel floods and idle sweeps.
-	s := NewWithCap([]string{"s1", "s2"}, 5*time.Second, 16)
+	s := newStore([]string{"s1", "s2"}, 5*time.Second, 16)
 	s.Update("subscribed", mkEntry(plan.StrategySingle, "s2"), 7, epoch)
 	if !s.Pin("subscribed", true) {
 		t.Fatal("pin rejected")
@@ -242,8 +256,8 @@ func TestPinnedSubscriptionSurvivesEvictionAndSweep(t *testing.T) {
 	if e, v := s.Lookup("subscribed", epoch); v != 7 || e.Servers[0] != "s2" {
 		t.Fatalf("pinned route lost to capacity churn: %+v v=%d", e, v)
 	}
-	// Idle far past the timeout with no keep function: still retained.
-	if s.SweepAll(epoch.Add(time.Hour), nil) == 0 {
+	// Idle far past the timeout: still retained.
+	if sweepAll(s, epoch.Add(time.Hour)) == 0 {
 		t.Fatal("sweep dropped nothing (flood entries should go)")
 	}
 	if _, v := s.Lookup("subscribed", epoch); v != 7 {
@@ -251,7 +265,7 @@ func TestPinnedSubscriptionSurvivesEvictionAndSweep(t *testing.T) {
 	}
 	// Unsubscribe: unpin, and the entry ages out normally.
 	s.Pin("subscribed", false)
-	s.SweepAll(epoch.Add(2*time.Hour), nil)
+	sweepAll(s, epoch.Add(2*time.Hour))
 	if _, _, ok := s.Peek("subscribed"); ok {
 		t.Fatal("unpinned idle route survived sweep")
 	}
@@ -281,7 +295,7 @@ func TestUpdateRingDoesNotAllocatePerComparison(t *testing.T) {
 // store: routing snapshots Touch learned entries while the owner updates,
 // sweeps, pins and rebuilds concurrently.
 func TestConcurrentTouchSweepUpdateRace(t *testing.T) {
-	s := NewWithCap([]string{"s1", "s2"}, 50*time.Millisecond, 128)
+	s := newStore([]string{"s1", "s2"}, 50*time.Millisecond, 128)
 	channels := make([]string, 256)
 	for i := range channels {
 		channels[i] = fmt.Sprintf("ch-%d", i)
@@ -303,7 +317,7 @@ func TestConcurrentTouchSweepUpdateRace(t *testing.T) {
 	run(func(i int) {
 		s.Update(channels[i%256], mkEntry(plan.StrategySingle, "s1"), uint64(i), now())
 	})
-	run(func(i int) { s.Sweep(now(), func(ch string) bool { return ch == channels[0] }) })
+	run(func(i int) { s.Sweep(now()) })
 	run(func(i int) { s.Pin(channels[i%256], i%2 == 0) })
 	run(func(i int) {
 		s.UpdateRing([]string{"s1", "s2", fmt.Sprintf("s%d", i%4)}, uint64(i))

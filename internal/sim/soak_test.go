@@ -124,8 +124,9 @@ func soakOnce(t *testing.T, seed int64) {
 						subs += " " + id
 					}
 				}
+				held, _ := m.c.routes.Servers(m.channel)
 				t.Fatalf("seed %d phase %d: client %d on %q stopped receiving (servers=%d, plan v%d, clientSubs=%v, serverSide=%s)",
-					seed, phase, m.c.ID(), m.channel, s.ActiveServers(), s.PlanVersion(), m.c.subs[m.channel], subs)
+					seed, phase, m.c.ID(), m.channel, s.ActiveServers(), s.PlanVersion(), held, subs)
 			}
 		}
 		// Plan sanity: every explicit entry names only live servers.

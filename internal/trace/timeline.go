@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"slices"
 	"sort"
 	"time"
 )
@@ -230,7 +231,7 @@ func buildOne(plan uint64, evs []Event) Rebalance {
 		}
 		ph.Count++
 		ph.Value += ev.Value
-		if ev.Subject != "" && len(ph.Subjects) < phaseSubjectCap && !contains(ph.Subjects, ev.Subject) {
+		if ev.Subject != "" && len(ph.Subjects) < phaseSubjectCap && !slices.Contains(ph.Subjects, ev.Subject) {
 			ph.Subjects = append(ph.Subjects, ev.Subject)
 		}
 	}
@@ -240,15 +241,6 @@ func buildOne(plan uint64, evs []Event) Rebalance {
 	}
 	sort.SliceStable(rb.Phases, func(i, j int) bool { return rb.Phases[i].Start < rb.Phases[j].Start })
 	return rb
-}
-
-func contains(ss []string, s string) bool {
-	for _, v := range ss {
-		if v == s {
-			return true
-		}
-	}
-	return false
 }
 
 // Timelines is a convenience wrapper building timelines straight from the

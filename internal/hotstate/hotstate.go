@@ -13,18 +13,15 @@
 //     reference bit; the eviction hand clears bits until it finds a cold
 //     entry. One extra bit per entry buys near-LRU behavior without list
 //     maintenance on the hot path.
-//   - Optional TTL: entries carry an expiry deadline refreshed on Put;
-//     expired entries are dropped lazily on Get and by Sweep.
 //   - Pinning: pinned entries (a client's subscribed channels) are never
 //     capacity-evicted and never swept; if every entry in a shard is pinned
 //     the shard grows past its share of the cap rather than deadlocking.
-//   - Eviction callback: capacity evictions, TTL expiries and sweep drops
-//     invoke OnEvict *after* the shard lock is released, so callbacks may
-//     take caller-side locks (the client flushes dedup-window accounting
-//     from it) without lock-order risk.
-//   - Size-hinted batch ops: Snapshot and AppendKeys reuse caller-provided
-//     storage so periodic full reads (routing-table rebuilds, top-K scrapes)
-//     do not allocate a fresh map per call.
+//   - Eviction callback: capacity evictions and sweep drops invoke OnEvict
+//     *after* the shard lock is released, so callbacks may take caller-side
+//     locks (the client flushes dedup-window accounting from it) without
+//     lock-order risk.
+//   - AppendKeys reuses caller-provided storage, so periodic full reads do
+//     not allocate a fresh slice per call.
 //
 // The package depends only on the standard library; metric families over
 // Stats are registered by internal/obs (RegisterCaches) to avoid a cycle.
@@ -33,7 +30,6 @@ package hotstate
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // DefaultShards is the shard count when Config.Shards is 0: wide enough that
@@ -65,7 +61,7 @@ type Stats struct {
 	Hits     uint64
 	Misses   uint64
 	// Evictions counts capacity evictions (CLOCK victims); Expirations
-	// counts TTL/sweep drops. Explicit Deletes are neither.
+	// counts sweep drops. Explicit Deletes are neither.
 	Evictions   uint64
 	Expirations uint64
 }
@@ -83,15 +79,11 @@ type Config[K comparable, V any] struct {
 	Capacity int
 	// Shards is rounded up to a power of two (default DefaultShards).
 	Shards int
-	// TTL, when positive, expires entries that long after their last Put.
-	TTL time.Duration
 	// Hash maps a key to its shard and must be supplied for non-string keys.
 	Hash func(K) uint64
-	// OnEvict observes capacity evictions, TTL expiries and sweep drops —
-	// not explicit Deletes. It runs outside all shard locks.
+	// OnEvict observes capacity evictions and sweep drops — not explicit
+	// Deletes. It runs outside all shard locks.
 	OnEvict func(K, V)
-	// Now supplies time for TTL (default time.Now). Unused when TTL is 0.
-	Now func() time.Time
 }
 
 // entry is one cached item; slot is its position in the shard's CLOCK ring.
@@ -99,8 +91,7 @@ type entry[K comparable, V any] struct {
 	key    K
 	val    V
 	slot   int
-	expire int64 // unixnano deadline; 0 = no TTL
-	ref    bool  // CLOCK reference bit
+	ref    bool // CLOCK reference bit
 	pinned bool
 }
 
@@ -119,8 +110,6 @@ type Cache[K comparable, V any] struct {
 	hash     func(K) uint64
 	perShard int // capacity per shard (0 = unbounded)
 	capacity int
-	ttl      time.Duration
-	now      func() time.Time
 	onEvict  func(K, V)
 
 	hits        atomic.Uint64
@@ -148,8 +137,6 @@ func New[K comparable, V any](cfg Config[K, V]) *Cache[K, V] {
 		mask:     uint64(pow - 1),
 		hash:     cfg.Hash,
 		capacity: cfg.Capacity,
-		ttl:      cfg.TTL,
-		now:      cfg.Now,
 		onEvict:  cfg.OnEvict,
 	}
 	if c.hash == nil {
@@ -159,9 +146,6 @@ func New[K comparable, V any](cfg Config[K, V]) *Cache[K, V] {
 		} else {
 			panic("hotstate: Config.Hash required for non-string keys")
 		}
-	}
-	if c.now == nil {
-		c.now = time.Now
 	}
 	if cfg.Capacity > 0 {
 		c.perShard = (cfg.Capacity + pow - 1) / pow
@@ -177,18 +161,6 @@ func New[K comparable, V any](cfg Config[K, V]) *Cache[K, V] {
 
 func (c *Cache[K, V]) shardFor(k K) *shard[K, V] {
 	return &c.shards[c.hash(k)&c.mask]
-}
-
-// nowNano returns the TTL clock reading, 0 when TTL is disabled.
-func (c *Cache[K, V]) nowNano() int64 {
-	if c.ttl <= 0 {
-		return 0
-	}
-	return c.now().UnixNano()
-}
-
-func (e *entry[K, V]) expired(nowNano int64) bool {
-	return e.expire != 0 && nowNano != 0 && nowNano > e.expire
 }
 
 // removeLocked unlinks e from the shard (map + ring). Caller holds s.mu.
@@ -208,27 +180,14 @@ func (s *shard[K, V]) removeLocked(e *entry[K, V]) {
 	}
 }
 
-// Get returns the value for k, marking the entry recently used. A TTL-expired
-// entry counts as a miss and is dropped (OnEvict fires).
+// Get returns the value for k, marking the entry recently used.
 func (c *Cache[K, V]) Get(k K) (V, bool) {
 	s := c.shardFor(k)
-	nowN := c.nowNano()
 	s.mu.Lock()
 	e, ok := s.items[k]
 	if !ok {
 		s.mu.Unlock()
 		c.misses.Add(1)
-		var zero V
-		return zero, false
-	}
-	if e.expired(nowN) {
-		s.removeLocked(e)
-		s.mu.Unlock()
-		c.expirations.Add(1)
-		c.misses.Add(1)
-		if c.onEvict != nil {
-			c.onEvict(e.key, e.val)
-		}
 		var zero V
 		return zero, false
 	}
@@ -240,7 +199,7 @@ func (c *Cache[K, V]) Get(k K) (V, bool) {
 }
 
 // Peek returns the value for k without touching the reference bit or the
-// hit/miss counters (and without expiring TTL entries).
+// hit/miss counters.
 func (c *Cache[K, V]) Peek(k K) (V, bool) {
 	s := c.shardFor(k)
 	s.mu.Lock()
@@ -258,55 +217,26 @@ func (c *Cache[K, V]) Peek(k K) (V, bool) {
 // Put inserts or replaces k's value, evicting a cold entry if the shard is at
 // capacity. It reports whether an existing entry was replaced.
 func (c *Cache[K, V]) Put(k K, v V) bool {
-	replaced, ek, ev, evicted := c.put(k, v, false)
-	if evicted && c.onEvict != nil {
-		c.onEvict(ek, ev)
-	}
-	return replaced
-}
-
-// PutPinned is Put with the entry pinned from birth (never evicted or swept
-// until unpinned).
-func (c *Cache[K, V]) PutPinned(k K, v V) bool {
-	replaced, ek, ev, evicted := c.put(k, v, true)
-	if evicted && c.onEvict != nil {
-		c.onEvict(ek, ev)
-	}
-	return replaced
-}
-
-func (c *Cache[K, V]) put(k K, v V, pin bool) (replaced bool, evictedKey K, evictedVal V, evicted bool) {
 	s := c.shardFor(k)
-	var expire int64
-	if c.ttl > 0 {
-		expire = c.now().Add(c.ttl).UnixNano()
-	}
 	s.mu.Lock()
 	if e, ok := s.items[k]; ok {
 		e.val = v
 		e.ref = true
-		e.expire = expire
-		if pin && !e.pinned {
-			e.pinned = true
-			s.pinned++
-		}
 		s.mu.Unlock()
-		return true, evictedKey, evictedVal, false
+		return true
 	}
-	if victim := c.evictLocked(s); victim != nil {
-		evictedKey, evictedVal, evicted = victim.key, victim.val, true
-	}
-	e := &entry[K, V]{key: k, val: v, ref: true, pinned: pin, expire: expire, slot: len(s.ring)}
-	if pin {
-		s.pinned++
-	}
+	victim := c.evictLocked(s)
+	e := &entry[K, V]{key: k, val: v, ref: true, slot: len(s.ring)}
 	s.items[k] = e
 	s.ring = append(s.ring, e)
 	s.mu.Unlock()
-	if evicted {
+	if victim != nil {
 		c.evictions.Add(1)
+		if c.onEvict != nil {
+			c.onEvict(victim.key, victim.val)
+		}
 	}
-	return false, evictedKey, evictedVal, evicted
+	return false
 }
 
 // evictLocked frees one slot via CLOCK when the shard is at capacity. Pinned
@@ -345,10 +275,6 @@ func (c *Cache[K, V]) evictLocked(s *shard[K, V]) *entry[K, V] {
 // cache. Returns whether a write happened.
 func (c *Cache[K, V]) Upsert(k K, fn func(old V, exists bool) (v V, write bool)) bool {
 	s := c.shardFor(k)
-	var expire int64
-	if c.ttl > 0 {
-		expire = c.now().Add(c.ttl).UnixNano()
-	}
 	var evictedKey K
 	var evictedVal V
 	evicted := false
@@ -358,7 +284,6 @@ func (c *Cache[K, V]) Upsert(k K, fn func(old V, exists bool) (v V, write bool))
 		if write {
 			e.val = v
 			e.ref = true
-			e.expire = expire
 		}
 		s.mu.Unlock()
 		return write
@@ -372,7 +297,7 @@ func (c *Cache[K, V]) Upsert(k K, fn func(old V, exists bool) (v V, write bool))
 	if victim := c.evictLocked(s); victim != nil {
 		evictedKey, evictedVal, evicted = victim.key, victim.val, true
 	}
-	e := &entry[K, V]{key: k, val: v, ref: true, expire: expire, slot: len(s.ring)}
+	e := &entry[K, V]{key: k, val: v, ref: true, slot: len(s.ring)}
 	s.items[k] = e
 	s.ring = append(s.ring, e)
 	s.mu.Unlock()
@@ -435,22 +360,6 @@ func (c *Cache[K, V]) Range(f func(k K, v V) bool) {
 	}
 }
 
-// Snapshot copies the cache into dst (allocated with the current size as the
-// hint when nil), clearing dst first. The size-hinted reuse keeps periodic
-// full reads allocation-free once dst has grown to working-set size.
-func (c *Cache[K, V]) Snapshot(dst map[K]V) map[K]V {
-	if dst == nil {
-		dst = make(map[K]V, c.Len())
-	} else {
-		clear(dst)
-	}
-	c.Range(func(k K, v V) bool {
-		dst[k] = v
-		return true
-	})
-	return dst
-}
-
 // AppendKeys appends every key to dst (reusing its capacity) and returns it.
 func (c *Cache[K, V]) AppendKeys(dst []K) []K {
 	c.Range(func(k K, _ V) bool {
@@ -461,7 +370,7 @@ func (c *Cache[K, V]) AppendKeys(dst []K) []K {
 }
 
 // Sweep visits up to maxShards shards (rotating across calls; <=0 means all)
-// and drops entries for which drop returns true, plus TTL-expired entries.
+// and drops entries for which drop returns true.
 // Pinned entries are never dropped. drop runs under the shard lock; OnEvict
 // fires after it is released. Returns the number of entries dropped.
 //
@@ -475,7 +384,6 @@ func (c *Cache[K, V]) Sweep(maxShards int, drop func(k K, v V) bool) int {
 		maxShards = n
 	}
 	start := c.sweepCursor.Add(uint64(maxShards)) - uint64(maxShards)
-	nowN := c.nowNano()
 	dropped := 0
 	var victims []*entry[K, V]
 	for i := 0; i < maxShards; i++ {
@@ -487,7 +395,7 @@ func (c *Cache[K, V]) Sweep(maxShards int, drop func(k K, v V) bool) int {
 				j++
 				continue
 			}
-			if !e.expired(nowN) && (drop == nil || !drop(e.key, e.val)) {
+			if !drop(e.key, e.val) {
 				j++
 				continue
 			}

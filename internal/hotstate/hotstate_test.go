@@ -91,7 +91,8 @@ func TestClockPrefersColdVictims(t *testing.T) {
 
 func TestPinnedNeverEvicted(t *testing.T) {
 	c := New[string, int](Config[string, int]{Capacity: 4, Shards: 1})
-	c.PutPinned("pin", 99)
+	c.Put("pin", 99)
+	c.Pin("pin", true)
 	for i := 0; i < 50; i++ {
 		c.Put(fmt.Sprintf("k%d", i), i)
 	}
@@ -114,49 +115,14 @@ func TestPinnedNeverEvicted(t *testing.T) {
 func TestAllPinnedOverflowsInsteadOfDeadlock(t *testing.T) {
 	c := New[string, int](Config[string, int]{Capacity: 2, Shards: 1})
 	for i := 0; i < 10; i++ {
-		c.PutPinned(fmt.Sprintf("p%d", i), i)
+		c.Put(fmt.Sprintf("p%d", i), i)
+		c.Pin(fmt.Sprintf("p%d", i), true)
 	}
 	if c.Len() != 10 {
 		t.Fatalf("len=%d: pinned entries must overflow the cap, not vanish", c.Len())
 	}
 	if st := c.Stats(); st.Pinned != 10 {
 		t.Fatalf("pinned=%d", st.Pinned)
-	}
-}
-
-func TestTTLExpiry(t *testing.T) {
-	now := time.Unix(0, 0)
-	clk := func() time.Time { return now }
-	var expired []string
-	c := New[string, int](Config[string, int]{
-		Capacity: 0, Shards: 1, TTL: 10 * time.Second, Now: clk,
-		OnEvict: func(k string, _ int) { expired = append(expired, k) },
-	})
-	c.Put("a", 1)
-	now = now.Add(5 * time.Second)
-	if _, ok := c.Get("a"); !ok {
-		t.Fatal("entry expired early")
-	}
-	now = now.Add(6 * time.Second)
-	if _, ok := c.Get("a"); ok {
-		t.Fatal("expired entry returned")
-	}
-	if len(expired) != 1 || expired[0] != "a" {
-		t.Fatalf("expired=%v", expired)
-	}
-	// Put refreshes the deadline.
-	c.Put("b", 2)
-	now = now.Add(8 * time.Second)
-	c.Put("b", 3)
-	now = now.Add(8 * time.Second)
-	if _, ok := c.Get("b"); !ok {
-		t.Fatal("Put did not refresh TTL")
-	}
-	// Sweep drops expired entries without a drop predicate.
-	c.Put("c", 4)
-	now = now.Add(11 * time.Second)
-	if dropped := c.Sweep(0, nil); dropped != 2 {
-		t.Fatalf("sweep dropped=%d, want 2 (b and c)", dropped)
 	}
 }
 
@@ -205,23 +171,16 @@ func TestUpsert(t *testing.T) {
 	}
 }
 
-func TestSnapshotReuse(t *testing.T) {
+func TestAppendKeysReuse(t *testing.T) {
 	c := newCache(0, 4)
 	for i := 0; i < 32; i++ {
 		c.Put(fmt.Sprintf("k%d", i), i)
 	}
-	m := c.Snapshot(nil)
-	if len(m) != 32 {
-		t.Fatalf("snapshot=%d", len(m))
-	}
 	c.Delete("k0")
-	m2 := c.Snapshot(m)
-	if len(m2) != 31 {
-		t.Fatalf("reused snapshot=%d (stale entries not cleared?)", len(m2))
-	}
-	keys := c.AppendKeys(make([]string, 0, 31))
-	if len(keys) != 31 {
-		t.Fatalf("keys=%d", len(keys))
+	buf := make([]string, 0, 31)
+	keys := c.AppendKeys(buf)
+	if len(keys) != 31 || &keys[0] != &buf[:1][0] {
+		t.Fatalf("keys=%d (reused caller storage: %v)", len(keys), &keys[0] == &buf[:1][0])
 	}
 }
 
@@ -241,7 +200,7 @@ func TestOnEvictRunsOutsideShardLock(t *testing.T) {
 // under -race it is the package's data-race gate.
 func TestConcurrentStress(t *testing.T) {
 	c := New[string, int](Config[string, int]{
-		Capacity: 256, Shards: 8, TTL: time.Millisecond,
+		Capacity: 256, Shards: 8,
 		OnEvict: func(string, int) {},
 	})
 	keys := make([]string, 512)

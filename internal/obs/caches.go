@@ -40,6 +40,6 @@ func (r *Registry) RegisterCaches(prefix string, caches ...hotstate.NamedStats) 
 		vec(func(s hotstate.Stats) float64 { return float64(s.Misses) }))
 	r.CounterVec(prefix+"_hotstate_evictions_total", "Capacity evictions (or cap-overflow folds) per cache.", "cache",
 		vec(func(s hotstate.Stats) float64 { return float64(s.Evictions) }))
-	r.CounterVec(prefix+"_hotstate_expirations_total", "TTL/sweep drops per cache.", "cache",
+	r.CounterVec(prefix+"_hotstate_expirations_total", "Sweep drops per cache.", "cache",
 		vec(func(s hotstate.Stats) float64 { return float64(s.Expirations) }))
 }

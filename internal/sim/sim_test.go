@@ -350,6 +350,49 @@ func TestSimClientChurn(t *testing.T) {
 	}
 }
 
+// TestSimInboxFollowsItsStandIn crashes the server holding a client's
+// redirect inbox, then the stand-in the inbox moved to: the inbox must move
+// again, and a leaving client must unsubscribe it where it is, not at the
+// dead home its ring still names.
+func TestSimInboxFollowsItsStandIn(t *testing.T) {
+	servers := []string{"pub1", "pub2", "pub3"}
+	s := fixedSim(t, Config{Mode: ModeNone, InitialServers: servers})
+	id := uint32(1)
+	for plan.New(servers...).Home(plan.InboxChannel(id)) != "pub2" {
+		id++
+	}
+	inbox := plan.InboxChannel(id)
+	holders := func() []string {
+		var out []string
+		for _, sv := range s.serverIDs {
+			if _, ok := s.servers[sv].subs[inbox][id]; ok {
+				out = append(out, sv)
+			}
+		}
+		return out
+	}
+	s.AddClient(id)
+	s.RunFor(time.Second)
+
+	s.killServer("pub2")
+	s.RunFor(time.Second)
+	standIn := holders()
+	if len(standIn) != 1 {
+		t.Fatalf("inbox held on %v after its home crashed, want one stand-in", standIn)
+	}
+	s.killServer(standIn[0])
+	s.RunFor(time.Second)
+	if got := holders(); len(got) != 1 {
+		t.Fatalf("inbox held on %v after its stand-in %s crashed, want the last server", got, standIn[0])
+	}
+
+	s.RemoveClient(id)
+	s.RunFor(time.Second)
+	if got := holders(); len(got) != 0 {
+		t.Fatalf("inbox still held on %v after the client left", got)
+	}
+}
+
 func TestSimClientsSurviveServerRelease(t *testing.T) {
 	// Scale up under load, stop the load, and verify that after the
 	// balancer releases servers the surviving subscriptions still work.

@@ -9,6 +9,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -166,6 +167,17 @@ func TestAdminEndpointIntegration(t *testing.T) {
 	// The latency waterfall, after real traffic: 30 stamped publications
 	// from a real client to its own subscription.
 	const published = 30
+	channels := func() int {
+		_, body := get("/metrics")
+		for _, line := range strings.Split(body, "\n") {
+			if v, ok := strings.CutPrefix(line, "dynamoth_broker_channels "); ok {
+				n, _ := strconv.Atoi(v)
+				return n
+			}
+		}
+		return 0
+	}
+	idle := channels()
 	client, err := dynamoth.Connect(dynamoth.Config{Addrs: map[string]string{"pub1": respAddr}, NodeID: 7})
 	if err != nil {
 		t.Fatalf("connecting client to %s: %v", respAddr, err)
@@ -174,6 +186,13 @@ func TestAdminEndpointIntegration(t *testing.T) {
 	msgs, err := client.Subscribe("arena")
 	if err != nil {
 		t.Fatal(err)
+	}
+	// SUBSCRIBE and PUBLISH travel on different sockets: wait until the node
+	// holds both of the client's channels (inbox and arena) before sending.
+	for deadline := time.Now().Add(5 * time.Second); channels() < idle+2; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("node never registered the client's subscriptions (channels %d → %d)", idle, channels())
+		}
 	}
 	for i := 0; i < published; i++ {
 		if err := client.Publish("arena", []byte("tick")); err != nil {

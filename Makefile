@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race chaos replay obs latency conns channels scenarios bench experiments examples vet clean
+.PHONY: all build test test-short race chaos replay obs latency conns channels bench experiments examples vet clean
 
 # Build identity baked into binaries and the dynamoth_build_info metric.
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
@@ -48,14 +48,14 @@ replay:
 
 # The packages holding the observability and latency-waterfall code: the one
 # histogram, the registry/admin/top-K layer, the flight recorder, the node's
-# observers, the LLA, the stage-stamp wire format, the harness recorder, the
-# in-process scrape and waterfall cross-checks, and the CLI/daemon endpoints
+# observers, the LLA, the stage-stamp wire format, the in-process scrape and
+# waterfall cross-checks, and the CLI/daemon endpoints
 # (the exec-based admin test included: it boots a node, validates /metrics,
 # the flight-recorder stream and its ?since= cursor, and after 30
 # publications the /debug/latency waterfall). Selected by package, so a
 # renamed or moved test cannot leave the gate.
 OBS_PKGS := ./internal/metrics/ ./internal/obs/ ./internal/trace/ ./internal/server/ \
-	./internal/lla/ ./internal/message/ ./internal/loadgen/ \
+	./internal/lla/ ./internal/message/ \
 	./cluster/ ./cmd/dynamoth-cli/ ./cmd/dynamoth-node/
 
 # Observability suite: every package above under the race detector.
@@ -95,19 +95,6 @@ CHANNELS ?= 1000000
 channels:
 	$(GO) test -race ./internal/hotstate/ ./internal/localplan/ ./internal/lla/
 	$(GO) run ./cmd/experiments -run channels -channels $(CHANNELS)
-
-# Scenario suite: the open-loop load-generator and scenario-library packages
-# under the race detector, then every scenario (IoT fan-in, market fan-out,
-# chat churn, mixed multi-tenant) against a real dynamoth-node subprocess.
-# Latency is measured from intended send instants (coordinated-omission-safe);
-# each scenario judges itself (sent, delivered, no send or stamp error,
-# intended p99 >= actual p99) and writes nothing. SCENARIO_SCALE shrinks the
-# load shape-preserving; SCENARIO selects one by name.
-SCENARIO_SCALE ?= 1.0
-SCENARIO ?=
-scenarios:
-	$(GO) test -race ./internal/loadgen/ ./internal/workload/
-	$(GO) run ./cmd/experiments -run scenarios -scenario '$(SCENARIO)' -scenario-scale $(SCENARIO_SCALE)
 
 # Reduced-scale figure benches + substrate microbenches.
 bench:

@@ -54,12 +54,12 @@ const (
 // node's hotstate families are scraped: every cache must be bounded and at or
 // under its capacity, and the top-K tracker must have evicted.
 func runChannels(target int) error {
-	fmt.Println("=== Channel soak — bounded hot-state caches under an unbounded namespace ===")
-	fmt.Printf("target %d distinct channels; node caps: lla=%d topk=%d replay=%d; RSS checkpoints at %d and %d\n\n",
-		target, soakLLACap, soakTopKCap, soakReplayCap, target/10, target)
 	if target < 10 {
 		return fmt.Errorf("-channels must be at least 10, got %d", target)
 	}
+	fmt.Println("=== Channel soak — bounded hot-state caches under an unbounded namespace ===")
+	fmt.Printf("target %d distinct channels; node caps: lla=%d topk=%d replay=%d; RSS checkpoints at %d and %d\n\n",
+		target, soakLLACap, soakTopKCap, soakReplayCap, target/10, target)
 
 	binDir, err := os.MkdirTemp("", "dynamoth-channels-*")
 	if err != nil {

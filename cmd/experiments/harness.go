@@ -1,7 +1,7 @@
 package main
 
-// Shared harness plumbing for the subprocess benchmarks (conns, channels,
-// scenarios): building and booting a real dynamoth-node, reading its RSS,
+// Shared harness plumbing for the two subprocess soaks (conns, channels):
+// building and booting a real dynamoth-node, reading its RSS,
 // scraping its /metrics, and — instead of sleeping guessed intervals —
 // polling scraped state until the condition the sleep was standing in for
 // actually holds.
@@ -171,31 +171,25 @@ func scrapeValue(adminAddr, name string) (float64, bool) {
 	return v, ok
 }
 
-// awaitMetric polls /metrics until pred accepts the named family's value, at
-// a cadence that keeps the admin endpoint unbothered. It replaces the fixed
-// sleeps these harnesses used to guess settle intervals with: the wait ends
-// the moment the condition the sleep stood in for is actually true, and a
-// condition that never comes is a loud error instead of a silently
-// under-slept measurement.
-func awaitMetric(adminAddr, name string, timeout time.Duration, pred func(float64) bool) error {
+// awaitCounterAdvance polls /metrics until the named counter exceeds from by
+// at least delta — e.g. "the node has built delta more LLA reports than it
+// had at from" — at a cadence that keeps the admin endpoint unbothered. It
+// replaces the fixed sleeps the soaks used to guess settle intervals with:
+// the wait ends the moment the condition the sleep stood in for is actually
+// true, and a condition that never comes is a loud error instead of a
+// silently under-slept measurement.
+func awaitCounterAdvance(adminAddr, name string, from, delta float64, timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for {
-		if v, ok := scrapeValue(adminAddr, name); ok && pred(v) {
+		v, ok := scrapeValue(adminAddr, name)
+		if ok && v >= from+delta {
 			return nil
 		}
 		if time.Now().After(deadline) {
-			v, _ := scrapeValue(adminAddr, name)
-			return fmt.Errorf("timed out after %v waiting on %s (last %v)", timeout, name, v)
+			return fmt.Errorf("timed out after %v waiting on %s to reach %v (last %v)", timeout, name, from+delta, v)
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-}
-
-// awaitCounterAdvance waits until the named counter exceeds from by at least
-// delta — e.g. "the node has built delta more LLA reports than it had at
-// from".
-func awaitCounterAdvance(adminAddr, name string, from, delta float64, timeout time.Duration) error {
-	return awaitMetric(adminAddr, name, timeout, func(v float64) bool { return v >= from+delta })
 }
 
 // forceNodeGC makes the node subprocess run a GC and return freed pages to

@@ -1,15 +1,19 @@
 // Command experiments regenerates every table and figure of the paper's
 // evaluation (§V) from the deterministic simulator and prints the series the
-// figures plot, plus the headline claims.
+// figures plot, plus the headline claims. It also runs the two soaks that
+// boot a real dynamoth-node and judge themselves.
 //
 // Usage:
 //
-//	experiments -run all            # everything (several minutes)
+//	experiments -run all            # every figure and the ablations (several minutes)
 //	experiments -run fig4a          # Experiment 1, all-publishers replication
 //	experiments -run fig4b          # Experiment 1, all-subscribers replication
 //	experiments -run fig5           # Experiment 2, Dynamoth vs consistent hashing
 //	experiments -run fig6           # Experiment 2, load ratios (Dynamoth run)
 //	experiments -run fig7           # Experiment 3, elasticity
+//	experiments -run ablation       # Algorithm 1 unaided; T_wait sweep
+//	experiments -run conns          # C100k connection soak (-conns N)
+//	experiments -run channels       # million-channel soak (-channels N)
 //	experiments -run fig5 -scale 0.5 -seed 7
 //
 // -scale shrinks the workloads proportionally (0.5 → half the players /
@@ -28,13 +32,11 @@ import (
 
 func main() {
 	var (
-		run           = flag.String("run", "all", "fig4a|fig4b|fig5|fig6|fig7|conns|channels|scenarios|all")
-		scale         = flag.Float64("scale", 1.0, "workload scale factor (1.0 = paper scale)")
-		seed          = flag.Int64("seed", 1, "simulation seed")
-		conns         = flag.Int("conns", 100_000, "target connection count for -run conns")
-		channels      = flag.Int("channels", 1_000_000, "target distinct channel count for -run channels")
-		scenario      = flag.String("scenario", "", "run one scenario by name for -run scenarios ("+scenarioNames()+"; empty = all)")
-		scenarioScale = flag.Float64("scenario-scale", 1.0, "scenario load scale factor for -run scenarios")
+		run      = flag.String("run", "all", "fig4a|fig4b|fig5|fig6|fig7|ablation|conns|channels|all")
+		scale    = flag.Float64("scale", 1.0, "workload scale factor (1.0 = paper scale)")
+		seed     = flag.Int64("seed", 1, "simulation seed")
+		conns    = flag.Int("conns", 100_000, "target connection count for -run conns")
+		channels = flag.Int("channels", 1_000_000, "target distinct channel count for -run channels")
 	)
 	flag.Parse()
 	if *scale <= 0 || *scale > 4 {
@@ -64,11 +66,6 @@ func main() {
 	case "channels":
 		if err := runChannels(*channels); err != nil {
 			fmt.Fprintln(os.Stderr, "experiments: channels:", err)
-			os.Exit(1)
-		}
-	case "scenarios":
-		if err := runScenarios(*scenario, *scenarioScale, *seed); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments: scenarios:", err)
 			os.Exit(1)
 		}
 	case "all":
@@ -187,11 +184,4 @@ func runAblations(seed int64) {
 	fmt.Println("longer T_wait → fewer plan changes; the default (10s) balances")
 	fmt.Println("reaction speed against plan churn.")
 	fmt.Println()
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -6,6 +6,7 @@ import (
 	"net"
 	"os"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -85,6 +86,7 @@ func TestConnCoreConformance(t *testing.T) {
 		{"shutdown", conformShutdown},
 		{"large fan-out", conformLargeFanout},
 		{"churn", conformChurn},
+		{"pattern under churn", conformPatternUnderChurn},
 		{"lost wake-up", conformLostWakeup},
 	}
 	for _, core := range testCores() {
@@ -611,6 +613,142 @@ func conformChurn(t *testing.T, core connCore) {
 	}
 	if st := cs.Stats(); st.Closes != st.Accepts {
 		t.Fatalf("closes %d != accepts %d after churn", st.Closes, st.Accepts)
+	}
+}
+
+// conformPatternUnderChurn: a PSUBSCRIBE reader gets every publication its
+// pattern matches exactly once, in per-channel order, while another
+// connection keeps subscribing to and unsubscribing from those same channels
+// and every one of its acks arrives. A sentinel published after the last
+// message bounds the stream, so the count is exact, not "at least".
+func conformPatternUnderChurn(t *testing.T, core connCore) {
+	addr, _, _ := startCore(t, core, Options{}, ServeOptions{})
+
+	const channels, batch = 64, 64
+	n := 2048
+	if testing.Short() {
+		n = 512
+	}
+	psub := dialRESP(t, addr)
+	if v := psub.cmd(t, "PSUBSCRIBE", "room.*"); v.Kind != resp.KindArray || string(v.Array[0].Str) != "psubscribe" {
+		t.Fatalf("psubscribe ack %+v", v)
+	}
+	churn, pub := dialRESP(t, addr), dialRESP(t, addr)
+
+	// The churn connection cycles SUBSCRIBE/UNSUBSCRIBE pairs over the
+	// pattern's channels until the pattern reader is done. It holds one
+	// channel at a time, so its acks count 1 then 0; the messages it receives
+	// while subscribed are skipped.
+	stop, churning := make(chan struct{}), make(chan struct{})
+	var wg sync.WaitGroup
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			ch := "room." + strconv.Itoa(i%channels)
+			churn.w.WriteCommand([]byte("SUBSCRIBE"), []byte(ch))   //nolint:errcheck // Flush reports it
+			churn.w.WriteCommand([]byte("UNSUBSCRIBE"), []byte(ch)) //nolint:errcheck
+			if err := churn.w.Flush(); err != nil {
+				t.Errorf("churn cycle %d: %v", i, err)
+				return
+			}
+			for _, want := range []struct {
+				kind  string
+				count int64
+			}{{"subscribe", 1}, {"unsubscribe", 0}} {
+				churn.conn.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
+				v, err := churn.r.ReadValue()
+				for err == nil && len(v.Array) == 3 && string(v.Array[0].Str) == "message" {
+					v, err = churn.r.ReadValue()
+				}
+				if err != nil {
+					t.Errorf("churn cycle %d: %s ack never arrived: %v", i, want.kind, err)
+					return
+				}
+				if len(v.Array) != 3 || string(v.Array[0].Str) != want.kind ||
+					string(v.Array[1].Str) != ch || v.Array[2].Int != want.count {
+					t.Errorf("churn cycle %d: got %+v, want %s %s %d", i, v, want.kind, ch, want.count)
+					return
+				}
+			}
+			if i == 0 {
+				close(churning)
+			}
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}()
+
+	// The publisher starts once churn is under way and pipelines the
+	// sequence-numbered messages round-robin over the channels in batches,
+	// reading each batch's receiver counts (the pattern reader, plus the
+	// churn connection when it holds the channel), then a sentinel on a
+	// channel the pattern matches.
+	go func() {
+		defer wg.Done()
+		select {
+		case <-churning:
+		case <-stop:
+			return
+		}
+		for from := 0; from <= n; from += batch {
+			to := min(from+batch, n+1)
+			for seq := from; seq < to; seq++ {
+				ch, payload := "room."+strconv.Itoa(seq%channels), strconv.Itoa(seq)
+				if seq == n {
+					ch, payload = "room.end", "end"
+				}
+				pub.w.WriteCommand([]byte("PUBLISH"), []byte(ch), []byte(payload)) //nolint:errcheck // Flush reports it
+			}
+			if err := pub.w.Flush(); err != nil {
+				t.Errorf("publish batch at %d: %v", from, err)
+				return
+			}
+			for seq := from; seq < to; seq++ {
+				pub.conn.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
+				v, err := pub.r.ReadValue()
+				if err != nil || v.Kind != resp.KindInteger || v.Int < 1 || v.Int > 2 {
+					t.Errorf("PUBLISH %d => %+v, %v", seq, v, err)
+					return
+				}
+			}
+		}
+	}()
+
+	last := make([]int, channels)
+	for i := range last {
+		last[i] = -1
+	}
+	for got := 0; ; got++ {
+		v := psub.read(t)
+		if len(v.Array) != 4 || string(v.Array[0].Str) != "pmessage" || string(v.Array[1].Str) != "room.*" {
+			t.Fatalf("pattern frame %d: %+v", got, v)
+		}
+		if string(v.Array[2].Str) == "room.end" {
+			if got != n {
+				t.Fatalf("pattern reader got %d of %d messages", got, n)
+			}
+			return
+		}
+		seq, err := strconv.Atoi(string(v.Array[3].Str))
+		if err != nil || seq < 0 || seq >= n {
+			t.Fatalf("pattern frame %d: payload %q", got, v.Array[3].Str)
+		}
+		ch := seq % channels
+		if want := "room." + strconv.Itoa(ch); string(v.Array[2].Str) != want {
+			t.Fatalf("message %d arrived on %s, want %s", seq, v.Array[2].Str, want)
+		}
+		if seq <= last[ch] {
+			t.Fatalf("room.%d: message %d after %d", ch, seq, last[ch])
+		}
+		last[ch] = seq
 	}
 }
 

@@ -250,7 +250,7 @@ func (g *gameDriver) addPlayer() {
 	// second evenly (3/s lost ~1 update per player-hour).
 	period := time.Duration(float64(time.Second) / g.opts.World.UpdatesPerSec)
 	offset := time.Duration(g.sim.Rand().Float64() * float64(period))
-	sched := loadgen.NewSchedule(loadgen.ArrivalPeriodic, g.opts.World.UpdatesPerSec, offset, 0)
+	sched := loadgen.NewSchedule(g.opts.World.UpdatesPerSec, offset)
 	joined := g.sim.Now()
 	var tick uint64
 	var loop func()

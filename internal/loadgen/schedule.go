@@ -1,7 +1,8 @@
-// Package loadgen is Dynamoth's open-loop load generator. Every message a
-// publisher sends has an *intended* send instant fixed in advance by a
-// deterministic arrival schedule; latency is measured from that instant, not
-// from whenever the publisher actually managed to write the message. A
+// Package loadgen holds the two pieces of an open-loop load generator that
+// more than one driver shares: the periodic tick schedule and the payload
+// stamp. Every message a publisher sends has an *intended* send instant fixed
+// in advance by the schedule; latency is measured from that instant, not from
+// whenever the publisher actually managed to write the message. A
 // closed-loop harness that stamps at actual send time silently forgives its
 // own backpressure — when the system under test makes the publisher late,
 // the queueing delay it caused vanishes from the histogram (coordinated
@@ -9,117 +10,32 @@
 // and Pulsar studies both say throughput-at-bounded-p99 must be read.
 package loadgen
 
-import (
-	"math"
-	"time"
-)
+import "time"
 
-// Arrival selects the arrival process of a schedule.
-type Arrival int
-
-const (
-	// ArrivalPeriodic spaces ticks exactly 1/rate apart (a paced sensor, a
-	// market-data feed handler).
-	ArrivalPeriodic Arrival = iota
-	// ArrivalPoisson draws exponential inter-arrival gaps with mean 1/rate
-	// from a seeded generator (independent human-ish publishers).
-	ArrivalPoisson
-)
-
-func (a Arrival) String() string {
-	if a == ArrivalPoisson {
-		return "poisson"
-	}
-	return "periodic"
-}
-
-// Schedule is one publisher's deterministic tick plan: the i-th tick's
-// intended send instant as an offset from the schedule epoch. The same
-// (kind, rate, phase, seed) always yields the same plan, so a run is
-// reproducible and two processes can agree on the schedule without
-// communicating.
+// Schedule is one publisher's periodic tick plan: the i-th tick's intended
+// send instant as an offset from the schedule epoch. The same (rate, phase)
+// always yields the same plan, so a run is reproducible and two processes
+// can agree on the schedule without communicating.
 type Schedule struct {
-	kind  Arrival
 	rate  float64
 	phase time.Duration
-	seed  uint64
 }
 
 // NewSchedule builds a tick plan. rate is ticks per second (must be > 0);
 // phase offsets the whole plan (stagger publishers so their ticks do not
-// align); seed drives the Poisson gap sequence and is ignored for periodic
-// plans.
-func NewSchedule(kind Arrival, rate float64, phase time.Duration, seed int64) Schedule {
+// align).
+func NewSchedule(rate float64, phase time.Duration) Schedule {
 	if rate <= 0 {
 		panic("loadgen: schedule rate must be positive")
 	}
-	return Schedule{kind: kind, rate: rate, phase: phase, seed: uint64(seed)}
+	return Schedule{rate: rate, phase: phase}
 }
 
-// At returns the intended instant of tick i for a periodic schedule,
-// computed multiplicatively — phase + i/rate in one float operation — so no
-// truncation accumulates. The obvious alternative, adding a
-// time.Duration(float64(time.Second)/rate) period per tick, loses the
-// sub-nanosecond remainder every tick and under-schedules long runs; that
-// exact bug lived in the RGame player loop. Poisson schedules have no random
-// access; iterate with Ticks.
+// At returns the intended instant of tick i, computed multiplicatively —
+// phase + i/rate in one float operation — so no truncation accumulates. The
+// obvious alternative, adding a time.Duration(float64(time.Second)/rate)
+// period per tick, loses the sub-nanosecond remainder every tick and
+// under-schedules long runs; that exact bug lived in the RGame player loop.
 func (s Schedule) At(i uint64) time.Duration {
-	if s.kind != ArrivalPeriodic {
-		panic("loadgen: At is only defined for periodic schedules; use Ticks")
-	}
 	return s.phase + time.Duration(float64(i)*float64(time.Second)/s.rate)
-}
-
-// Ticks returns an iterator over the schedule's intended instants.
-func (s Schedule) Ticks() *Ticks {
-	return &Ticks{s: s, rng: s.seed}
-}
-
-// Ticks iterates a schedule's intended send instants in order.
-type Ticks struct {
-	s   Schedule
-	i   uint64
-	t   float64 // accumulated Poisson offset, seconds
-	rng uint64
-}
-
-// Next returns the next intended instant (an offset from the schedule
-// epoch). The sequence is strictly increasing for periodic schedules and
-// non-decreasing for Poisson ones.
-func (t *Ticks) Next() time.Duration {
-	switch t.s.kind {
-	case ArrivalPoisson:
-		// Exponential gap with mean 1/rate; u is in (0, 1] so Log never
-		// sees zero.
-		t.rng += 0x9e3779b97f4a7c15
-		u := (float64(splitmix64(t.rng)>>11) + 1) / (1 << 53)
-		t.t += -math.Log(u) / t.s.rate
-		t.i++
-		return t.s.phase + time.Duration(t.t*float64(time.Second))
-	default:
-		at := t.s.At(t.i)
-		t.i++
-		return at
-	}
-}
-
-// CountThrough reports how many ticks land at or before horizon — the
-// schedule's offered message count for a window of that length.
-func (s Schedule) CountThrough(horizon time.Duration) uint64 {
-	ticks := s.Ticks()
-	var n uint64
-	for ticks.Next() <= horizon {
-		n++
-	}
-	return n
-}
-
-// splitmix64 is the SplitMix64 output mix over a golden-gamma counter
-// stream: a tiny, seedable, allocation-free PRNG good enough for arrival
-// jitter (not cryptography).
-func splitmix64(x uint64) uint64 {
-	z := x
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
 }

@@ -109,8 +109,14 @@ func RunConnBench(opts ConnBenchOptions) (*ConnBenchResult, error) {
 	res.Samples = int(d.latency.Count())
 	res.StampErrors = d.stampErrs
 	res.BehindSchedule = d.behind
-	res.DeliveryP50us, res.DeliveryP99us, _, res.DeliveryMaxus = loadgen.QuantilesUs(d.latency)
+	res.DeliveryP50us, res.DeliveryP99us, res.DeliveryMaxus = quantilesUs(d.latency)
 	return res, nil
+}
+
+// quantilesUs digests a histogram into microsecond p50, p99 and max.
+func quantilesUs(h *metrics.Histogram) (p50, p99, peak float64) {
+	us := func(d time.Duration) float64 { return float64(d) / 1e3 }
+	return us(h.Quantile(0.5)), us(h.Quantile(0.99)), us(h.Max())
 }
 
 func resolveTCP(addr string) (*syscall.SockaddrInet4, error) {
@@ -438,9 +444,9 @@ func (d *connDriver) measure(window time.Duration) error {
 	measureStart := time.Now()
 	end := measureStart.Add(window)
 	pubEvery := time.Second / time.Duration(d.opts.PublishRate)
-	sched := loadgen.NewSchedule(loadgen.ArrivalPeriodic, float64(d.opts.PublishRate), 0, 0)
-	ticks := sched.Ticks()
-	nextPub := measureStart.Add(ticks.Next())
+	sched := loadgen.NewSchedule(float64(d.opts.PublishRate), 0)
+	var tick uint64
+	nextPub := measureStart.Add(sched.At(tick))
 	var nextChurn time.Time
 	var churnEvery time.Duration
 	if d.opts.ChurnPerSec > 0 {
@@ -467,7 +473,8 @@ func (d *connDriver) measure(window time.Duration) error {
 			if d.pubConn.state == stDead {
 				return fmt.Errorf("workload: publisher connection died")
 			}
-			nextPub = measureStart.Add(ticks.Next())
+			tick++
+			nextPub = measureStart.Add(sched.At(tick))
 		}
 		if churnEvery > 0 && now.After(nextChurn) {
 			if c := d.nextUp(&churnCursor); c != nil {

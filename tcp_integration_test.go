@@ -150,11 +150,15 @@ func TestTCPDeploymentEndToEnd(t *testing.T) {
 	defer pub.Close()
 
 	// Channels routed across both servers, over real sockets.
+	var steady <-chan dynamoth.Message
 	for i := 0; i < 6; i++ {
 		ch := fmt.Sprintf("wire-%d", i)
 		msgs, err := sub.Subscribe(ch)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if i == 0 {
+			steady = msgs
 		}
 		// TCP subscriptions land asynchronously; retry until delivery.
 		deadline := time.Now().Add(3 * time.Second)
@@ -174,6 +178,63 @@ func TestTCPDeploymentEndToEnd(t *testing.T) {
 				continue
 			}
 			break
+		}
+	}
+
+	// The publisher subscribes to and unsubscribes from side channels on
+	// another goroutine while it publishes: the steady subscriber must still
+	// get every publication, in order.
+	const n = 200
+	stop, churning := make(chan struct{}), make(chan struct{})
+	churned := make(chan struct{})
+	go func() {
+		defer close(churned)
+		for i := 0; ; i++ {
+			ch := fmt.Sprintf("side-%d", i%16)
+			if _, err := pub.Subscribe(ch); err != nil {
+				t.Errorf("churn subscribe %s: %v", ch, err)
+				return
+			}
+			if err := pub.Unsubscribe(ch); err != nil {
+				t.Errorf("churn unsubscribe %s: %v", ch, err)
+				return
+			}
+			if i == 0 {
+				close(churning)
+			}
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		<-churned
+	}()
+	select {
+	case <-churning:
+	case <-churned:
+		t.Fatal("churn stopped before its first cycle")
+	}
+	for i := 0; i < n; i++ {
+		if err := pub.Publish("wire-0", []byte(fmt.Sprintf("steady-%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < n; {
+		select {
+		case m := <-steady:
+			if string(m.Payload) == "wire-0" {
+				continue // a late warm-up publication
+			}
+			if want := fmt.Sprintf("steady-%d", i); string(m.Payload) != want {
+				t.Fatalf("steady subscriber got %q, want %q", m.Payload, want)
+			}
+			i++
+		case <-time.After(5 * time.Second):
+			t.Fatalf("steady subscriber got %d of %d publications", i, n)
 		}
 	}
 }

@@ -19,4 +19,10 @@ func TestFullScaleFig5(t *testing.T) {
 	t.Logf("CH:\n%s", ch.Series.Table())
 	t.Logf("ch maxHealthy=%d peak=%d rebal=%d meanRT=%.1f",
 		ch.MaxHealthyPlayers, ch.PeakServers, ch.Rebalances, ch.MeanRTms)
+	// The paper's headline (§V-D): Dynamoth serves more players within
+	// 150 ms than consistent hashing.
+	if dyn.MaxHealthyPlayers <= ch.MaxHealthyPlayers {
+		t.Fatalf("Dynamoth serves %d players within 150 ms, consistent hashing %d: want Dynamoth ahead",
+			dyn.MaxHealthyPlayers, ch.MaxHealthyPlayers)
+	}
 }

@@ -823,6 +823,8 @@ func (s *Sim) finishSpawn() {
 	// unmapped channels over the active server set (§II-C).
 	next.AddRingServer(id)
 	s.plan = next
+	// A join is a plan change: it restarts T_wait, as it does live.
+	s.lastPlan = s.eng.Now()
 	s.rebalances = append(s.rebalances, Rebalance{Time: s.eng.Now(), Reason: "server " + id + " joined"})
 	s.publishPlan()
 }

@@ -110,8 +110,8 @@ func (d *Detector) Misses(server string) int {
 }
 
 // Dead evaluates every tracked server at now and returns those considered
-// dead, sorted deterministically by the map's insertion-independent order
-// (callers treat it as a set).
+// dead, sorted by name: servers that die together are repaired in the same
+// order, with the same intermediate plan versions, on every run.
 func (d *Detector) Dead(now time.Time) []string {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -126,6 +126,7 @@ func (d *Detector) Dead(now time.Time) []string {
 			out = append(out, name)
 		}
 	}
+	sort.Strings(out)
 	return out
 }
 

@@ -83,6 +83,21 @@ func TestDetectorStickyUntilForget(t *testing.T) {
 	}
 }
 
+func TestDetectorDeadIsSorted(t *testing.T) {
+	d := NewDetector(DetectorConfig{StaleAfter: time.Hour, ProbeMisses: 1})
+	t0 := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+	for _, s := range []string{"s9", "s3", "s1", "s7", "s5"} {
+		d.Track(s, t0)
+	}
+	d.ObserveProbe("s7", false)
+	d.ObserveProbe("s3", false)
+	for i := 0; i < 50; i++ {
+		if dead := d.Dead(t0); len(dead) != 2 || dead[0] != "s3" || dead[1] != "s7" {
+			t.Fatalf("call %d: dead=%v, want [s3 s7]", i, dead)
+		}
+	}
+}
+
 func TestDetectorUntrackedProbesIgnored(t *testing.T) {
 	d := NewDetector(DetectorConfig{ProbeMisses: 1})
 	d.ObserveProbe("ghost", false)

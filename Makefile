@@ -31,7 +31,7 @@ race:
 # packages holding the chaos, failover, detector-repair and crash-billing
 # tests, twice under the race detector. Selected by package, so a renamed or
 # moved test cannot leave the gate.
-CHAOS_PKGS := . ./cluster/ ./internal/balancer/ ./internal/cloud/ ./internal/trace/
+CHAOS_PKGS := . ./cluster/ ./internal/balancer/ ./internal/cloud/ ./internal/lla/ ./internal/trace/
 chaos:
 	$(GO) test -race -count=2 $(CHAOS_PKGS)
 

@@ -226,16 +226,15 @@ func Start(opts Options) (*Cluster, error) {
 			gen = balancer.NewPlanner(cfg, plan.IsControlChannel, pinned, opts.MaxOutgoingBps)
 		}
 		orchOpts := balancer.OrchestratorOptions{
-			Planner:       gen,
-			Config:        cfg,
-			Initial:       initial,
-			Reports:       c.reports,
-			PublishPlan:   c.publishPlan,
-			Cloud:         clusterCloud{c},
-			Clock:         opts.Clock,
-			DefaultMaxBps: opts.MaxOutgoingBps,
-			Recorder:      c.rec,
-			Logger:        opts.Logger,
+			Planner:     gen,
+			Config:      cfg,
+			Initial:     initial,
+			Reports:     c.reports,
+			PublishPlan: c.publishPlan,
+			Cloud:       clusterCloud{c},
+			Clock:       opts.Clock,
+			Recorder:    c.rec,
+			Logger:      opts.Logger,
 		}
 		if !opts.DisableFailureDetection {
 			reportEvery := opts.ReportEvery
@@ -430,8 +429,8 @@ func (c *Cluster) currentPlanLocked() *plan.Plan {
 
 // teardownNode fences one node: endpoint removed from the dialer, the LB's
 // report watch closed, the broker shut down (dropping every client session).
-// Used by Crash and as the balancer's OnServerDead fence — idempotent, so a
-// detected crash after an explicit Crash is a no-op.
+// Used by Crash, by a release and as the balancer's OnServerDead fence —
+// idempotent, so a detected crash after an explicit Crash is a no-op.
 func (c *Cluster) teardownNode(id plan.ServerID) bool {
 	c.mu.Lock()
 	n := c.nodes[id]
@@ -587,15 +586,7 @@ func (cc clusterCloud) Spawn(ctx context.Context) (plan.ServerID, error) {
 	if err != nil {
 		return "", err
 	}
-	var initial *plan.Plan
-	if cc.c.orch != nil {
-		initial = cc.c.orch.Plan()
-	} else {
-		cc.c.mu.Lock()
-		initial = cc.c.currentPlanLocked()
-		cc.c.mu.Unlock()
-	}
-	if err := cc.c.startNode(id, initial); err != nil {
+	if err := cc.c.startNode(id, cc.c.orch.Plan()); err != nil {
 		_ = cc.c.provider.Release(id)
 		return "", err
 	}
@@ -604,17 +595,6 @@ func (cc clusterCloud) Spawn(ctx context.Context) (plan.ServerID, error) {
 
 // Release implements balancer.CloudProvider.
 func (cc clusterCloud) Release(id plan.ServerID) error {
-	cc.c.mu.Lock()
-	n := cc.c.nodes[id]
-	delete(cc.c.nodes, id)
-	if w, ok := cc.c.watched[id]; ok {
-		w.sess.Close()
-		delete(cc.c.watched, id)
-	}
-	cc.c.mu.Unlock()
-	cc.c.dialer.RemoveServer(id)
-	if n != nil {
-		n.Close()
-	}
+	cc.c.teardownNode(id)
 	return cc.c.provider.Release(id)
 }

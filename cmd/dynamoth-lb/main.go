@@ -154,14 +154,13 @@ func run() error {
 	}
 
 	orchOpts := balancer.OrchestratorOptions{
-		Planner:       planner,
-		Config:        cfg,
-		Initial:       initial,
-		Reports:       reports,
-		PublishPlan:   publishPlan,
-		DefaultMaxBps: *maxBps,
-		Recorder:      rec,
-		Logger:        logger,
+		Planner:     planner,
+		Config:      cfg,
+		Initial:     initial,
+		Reports:     reports,
+		PublishPlan: publishPlan,
+		Recorder:    rec,
+		Logger:      logger,
 	}
 	if *detect {
 		orchOpts.Detect = &lla.DetectorConfig{StaleAfter: *staleAfter, ProbeMisses: 3}

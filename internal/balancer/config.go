@@ -6,8 +6,10 @@
 // server-release pass the paper describes in prose). It also contains the
 // consistent-hashing baseline that Experiment 2 compares against.
 //
-// All planning logic is pure (metrics in, plan out) so that the live
-// balancer loop and the discrete-event simulator execute identical
+// Planning is pure (metrics in, plan out), and so is the loop around it:
+// Core folds reports, gates rounds on T_wait, coalesces spawns and repairs
+// failures without goroutines or clocks. The live Orchestrator and the
+// discrete-event simulator both drive a Core, so they execute identical
 // decisions.
 package balancer
 

@@ -9,20 +9,20 @@ import (
 )
 
 // Loads snapshots the balancer's per-server metric state (the aggregated LLA
-// view the planner sees), sorted by server name for stable output.
+// view the planner sees), sorted by server name.
 func (o *Orchestrator) Loads() []ServerLoad {
-	loads := o.state.Snapshot()
-	sort.Slice(loads, func(i, j int) bool { return loads[i].Server < loads[j].Server })
-	return loads
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.core.state.Snapshot()
 }
 
 // DetectorStatus reports the failure detector's per-server view. It returns
 // nil when detection is disabled.
 func (o *Orchestrator) DetectorStatus() []lla.ServerStatus {
-	if o.detector == nil {
+	if o.core.detector == nil {
 		return nil
 	}
-	return o.detector.Status()
+	return o.core.detector.Status()
 }
 
 // BalancerStatus is the load balancer's /statusz document.

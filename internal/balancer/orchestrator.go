@@ -46,16 +46,13 @@ type OrchestratorOptions struct {
 	// Cloud provisions and releases servers. May be nil (fixed pool).
 	Cloud CloudProvider
 	// OnServerReady is called after a spawned server booted and joined the
-	// plan — the cluster uses it to start the node's broker/LLA/dispatcher
-	// before traffic arrives. May be nil.
+	// plan, before that plan is published. May be nil.
 	OnServerReady func(plan.ServerID)
 	// ReleaseGrace delays the despawn of a released server so in-flight
 	// forwarding can finish (default = 2×DrainTimeout analog, 20 s).
 	ReleaseGrace time.Duration
 	// Clock provides time (default real).
 	Clock clock.Clock
-	// DefaultMaxBps is assumed for servers that have not reported yet.
-	DefaultMaxBps float64
 
 	// Detect enables broker failure detection and automatic plan repair
 	// with the given thresholds. Nil disables the failure tolerance layer
@@ -83,22 +80,18 @@ type OrchestratorOptions struct {
 	Logger *slog.Logger
 }
 
-// Orchestrator runs the live load-balancer loop: it folds LLA reports into
-// the metric state, invokes the planner at most once per T_wait, publishes
-// resulting plans, and drives the cloud provider for spawns and releases.
+// Orchestrator runs the live load-balancer loop: the IO shell around a Core.
+// Its goroutines feed the core reports, ticks and probe outcomes under mu,
+// and it carries out what the core decides (plan publication, cloud spawns
+// and releases, fencing) outside mu, because those callbacks may call back
+// into Plan.
 type Orchestrator struct {
-	opts     OrchestratorOptions
-	state    *State
-	detector *lla.Detector // nil when detection is disabled
-	rec      *trace.Recorder
-	log      *slog.Logger
+	opts OrchestratorOptions
+	rec  *trace.Recorder
+	log  *slog.Logger
 
-	mu           sync.Mutex
-	current      *plan.Plan
-	lastPlanTime time.Time
-	spawning     bool
-	rebalances   int
-	failures     int
+	mu   sync.Mutex
+	core *Core
 
 	stop chan struct{}
 	done chan struct{}
@@ -114,33 +107,24 @@ func NewOrchestrator(opts OrchestratorOptions) *Orchestrator {
 	if opts.ReleaseGrace <= 0 {
 		opts.ReleaseGrace = 20 * time.Second
 	}
-	if opts.DefaultMaxBps <= 0 {
-		opts.DefaultMaxBps = 1.25e6
-	}
 	if opts.ProbeInterval <= 0 {
 		opts.ProbeInterval = 2 * time.Second
 	}
-	o := &Orchestrator{
-		opts:  opts,
-		state: NewState(opts.Config.Window),
-		rec:   opts.Recorder,
-		log:   trace.Component(opts.Logger, "balancer"),
-		// Publishing plan 0 is unnecessary: every component boots with it.
-		current: opts.Initial,
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
+	return &Orchestrator{
+		opts: opts,
+		rec:  opts.Recorder,
+		log:  trace.Component(opts.Logger, "balancer"),
+		core: NewCore(opts.Planner, opts.Config, opts.Initial, opts.Detect),
+		stop: make(chan struct{}),
+		done: make(chan struct{}),
 	}
-	if opts.Detect != nil {
-		o.detector = lla.NewDetector(*opts.Detect)
-	}
-	return o
 }
 
 // Plan returns the current plan.
 func (o *Orchestrator) Plan() *plan.Plan {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	return o.current
+	return o.core.Plan()
 }
 
 // Rebalances returns how many plan changes were published (the paper's
@@ -148,7 +132,7 @@ func (o *Orchestrator) Plan() *plan.Plan {
 func (o *Orchestrator) Rebalances() int {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	return o.rebalances
+	return o.core.rebalances
 }
 
 // Failures returns how many servers the detector declared dead and the
@@ -156,14 +140,14 @@ func (o *Orchestrator) Rebalances() int {
 func (o *Orchestrator) Failures() int {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	return o.failures
+	return o.core.failures
 }
 
 // Run processes reports and ticks until Stop. It blocks; start it in a
 // goroutine.
 func (o *Orchestrator) Run() {
 	defer close(o.done)
-	if o.detector != nil {
+	if o.opts.Detect != nil {
 		o.wg.Add(1)
 		go o.detectLoop()
 	}
@@ -176,13 +160,12 @@ func (o *Orchestrator) Run() {
 				return
 			}
 			if r != nil {
-				o.state.AddReport(r)
-				if o.detector != nil {
-					o.detector.ObserveReport(r.Server, o.opts.Clock.Now())
-				}
+				o.mu.Lock()
+				o.core.Report(r, o.opts.Clock.Now())
+				o.mu.Unlock()
 			}
 		case <-ticker.C():
-			o.maybeRebalance()
+			o.rebalance()
 		case <-o.stop:
 			return
 		}
@@ -200,112 +183,50 @@ func (o *Orchestrator) Stop() {
 	o.wg.Wait()
 }
 
-func (o *Orchestrator) maybeRebalance() {
-	now := o.opts.Clock.Now()
-	o.mu.Lock()
-	if !o.lastPlanTime.IsZero() && now.Sub(o.lastPlanTime) < o.opts.Config.TWait {
-		o.mu.Unlock()
-		return
-	}
-	current := o.current
-	o.mu.Unlock()
-
-	loads := o.loadsFor(current)
+func (o *Orchestrator) rebalance() {
 	compute := o.rec.StartSpan(trace.KindPlanCompute, 0, "")
-	decision := o.opts.Planner.GeneratePlan(current, loads)
-	if !decision.Changed() {
+	o.mu.Lock()
+	r, ok := o.core.Tick(o.opts.Clock.Now())
+	o.mu.Unlock()
+	if !ok {
 		return
 	}
-	nextVersion := current.Version
-	if decision.Plan != nil {
-		nextVersion = decision.Plan.Version
-	}
-	compute.EndAt(nextVersion, decision.Reason, int64(len(loads)))
+	compute.EndAt(r.Version, r.Reason, int64(len(r.Loads)))
 
 	// The trigger carries the planner's reason and the worst load ratio it
 	// saw; each LLA reading behind the decision is recorded alongside (ratio
 	// in millionths, measured bytes/sec in Aux).
 	var lrMax float64
-	for _, l := range loads {
-		r := l.RatioCPUAware()
-		if r > lrMax {
-			lrMax = r
-		}
-		o.rec.Record(trace.KindLoad, nextVersion, l.Server, "", int64(r*1e6), int64(l.MeasuredBps))
+	for _, l := range r.Loads {
+		ratio := l.RatioCPUAware()
+		lrMax = max(lrMax, ratio)
+		o.rec.Record(trace.KindLoad, r.Version, l.Server, "", int64(ratio*1e6), int64(l.MeasuredBps))
 	}
-	o.rec.Record(trace.KindTrigger, nextVersion, "", decision.Reason, int64(lrMax*1e6), int64(len(loads)))
+	o.rec.Record(trace.KindTrigger, r.Version, "", r.Reason, int64(lrMax*1e6), int64(len(r.Loads)))
 	o.log.Info("rebalance triggered",
-		slog.String("reason", decision.Reason),
-		slog.Uint64("plan", nextVersion),
+		slog.String("reason", r.Reason),
+		slog.Uint64("plan", r.Version),
 		slog.Float64("lrMax", lrMax),
-		slog.Int("servers", len(loads)))
+		slog.Int("servers", len(r.Loads)))
+	if r.SinceLast > 0 {
+		o.rec.Record(trace.KindTWait, r.Version, "", "", r.SinceLast.Nanoseconds(), 0)
+	}
 
-	o.mu.Lock()
-	var sinceLast time.Duration
-	if !o.lastPlanTime.IsZero() {
-		sinceLast = now.Sub(o.lastPlanTime)
+	if r.Plan != nil && o.opts.PublishPlan != nil {
+		o.opts.PublishPlan(r.Plan)
 	}
-	o.lastPlanTime = now
-	o.rebalances++
-	if decision.Plan != nil {
-		o.current = decision.Plan
-	}
-	alreadySpawning := o.spawning
-	if decision.Spawn > 0 && !alreadySpawning {
-		o.spawning = true
-	}
-	o.mu.Unlock()
-
-	if sinceLast > 0 {
-		o.rec.Record(trace.KindTWait, nextVersion, "", "", sinceLast.Nanoseconds(), 0)
-	}
-	if decision.Plan != nil && o.opts.PublishPlan != nil {
-		o.opts.PublishPlan(decision.Plan)
-	}
-	if decision.Spawn > 0 && !alreadySpawning && o.opts.Cloud != nil {
+	if r.StartSpawn && o.opts.Cloud != nil {
 		o.wg.Add(1)
 		go o.spawnOne()
 	}
-	if decision.Release != "" {
-		o.rec.Record(trace.KindRelease, nextVersion, string(decision.Release), "graceful", 0, 0)
-		o.log.Info("releasing server", slog.String("server", string(decision.Release)))
-		o.state.Forget(decision.Release)
-		if o.detector != nil {
-			// Gracefully released — its silence is not a failure.
-			o.detector.Forget(decision.Release)
-		}
+	if r.Release != "" {
+		o.rec.Record(trace.KindRelease, r.Version, r.Release, "graceful", 0, 0)
+		o.log.Info("releasing server", slog.String("server", r.Release))
 		if o.opts.Cloud != nil {
 			o.wg.Add(1)
-			go o.releaseAfterGrace(decision.Release)
+			go o.releaseAfterGrace(r.Release)
 		}
 	}
-}
-
-// loadsFor snapshots the metric state, synthesizing idle entries for plan
-// servers that have not reported yet (fresh boots).
-func (o *Orchestrator) loadsFor(current *plan.Plan) []ServerLoad {
-	loads := o.state.Snapshot()
-	have := make(map[string]struct{}, len(loads))
-	for _, l := range loads {
-		have[l.Server] = struct{}{}
-	}
-	for _, s := range current.Servers {
-		if _, ok := have[s]; !ok {
-			loads = append(loads, ServerLoad{
-				Server:   s,
-				MaxBps:   o.opts.DefaultMaxBps,
-				Channels: map[string]ChannelLoad{},
-			})
-		}
-	}
-	// Drop reports from servers no longer in the plan.
-	kept := loads[:0]
-	for _, l := range loads {
-		if current.HasServer(l.Server) {
-			kept = append(kept, l)
-		}
-	}
-	return kept
 }
 
 func (o *Orchestrator) spawnOne() {
@@ -322,28 +243,20 @@ func (o *Orchestrator) spawnOne() {
 
 	boot := o.rec.StartSpan(trace.KindSpawn, 0, "")
 	id, err := o.opts.Cloud.Spawn(ctx)
-
-	o.mu.Lock()
-	o.spawning = false
 	if err != nil {
+		o.mu.Lock()
+		o.core.SpawnFailed()
 		o.mu.Unlock()
 		o.log.Warn("spawn failed", slog.Any("err", err))
 		return
 	}
-	next := o.current.Clone()
-	next.Version = o.current.Version + 1
-	// New servers join the fallback ring: clients hash unmapped channels
-	// over the active server set (§II-C), learning the membership lazily
-	// from switch/redirect notifications.
-	next.AddRingServer(id)
-	o.current = next
-	o.rebalances++
-	o.lastPlanTime = o.opts.Clock.Now()
+	o.mu.Lock()
+	next := o.core.Joined(id, o.opts.Clock.Now())
 	o.mu.Unlock()
 
-	boot.SetSubject(string(id))
+	boot.SetSubject(id)
 	boot.EndAt(next.Version, "ready", 0)
-	o.log.Info("server spawned", slog.String("server", string(id)), slog.Uint64("plan", next.Version))
+	o.log.Info("server spawned", slog.String("server", id), slog.Uint64("plan", next.Version))
 	if o.opts.OnServerReady != nil {
 		o.opts.OnServerReady(id)
 	}
@@ -353,8 +266,8 @@ func (o *Orchestrator) spawnOne() {
 }
 
 // detectLoop is the failure-detection side of the balancer: it probes every
-// plan server on ProbeInterval, folds outcomes into the detector (reports
-// arrive through Run), and triggers plan repair for servers declared dead.
+// plan server on ProbeInterval, feeds the outcomes to the core (reports
+// arrive through Run), and carries out the repairs the core decides.
 func (o *Orchestrator) detectLoop() {
 	defer o.wg.Done()
 	ticker := o.opts.Clock.NewTicker(o.opts.ProbeInterval)
@@ -365,11 +278,9 @@ func (o *Orchestrator) detectLoop() {
 		case <-o.stop:
 			return
 		}
-		now := o.opts.Clock.Now()
-		servers := o.Plan().Servers
-		for _, s := range servers {
-			o.detector.Track(s, now)
-		}
+		o.mu.Lock()
+		servers := o.core.Track(o.opts.Clock.Now())
+		o.mu.Unlock()
 		if o.opts.Probe != nil {
 			// Probe concurrently: each probe carries its own deadline, and a
 			// dead server must not delay the liveness verdict of the rest.
@@ -378,86 +289,47 @@ func (o *Orchestrator) detectLoop() {
 				pw.Add(1)
 				go func(s plan.ServerID) {
 					defer pw.Done()
-					err := o.opts.Probe(s)
-					o.detector.ObserveProbe(s, err == nil)
+					ok := o.opts.Probe(s) == nil
+					o.mu.Lock()
+					o.core.ObserveProbe(s, ok)
+					o.mu.Unlock()
 				}(s)
 			}
 			pw.Wait()
 		}
-		verdictAt := o.opts.Clock.Now()
-		deadServers := o.detector.Dead(verdictAt)
-		if len(deadServers) == 0 {
-			continue
+		o.mu.Lock()
+		repairs := o.core.Detect(o.opts.Clock.Now())
+		replace := len(repairs) > 0 && o.opts.ReplaceFailed && o.opts.Cloud != nil && o.core.ReserveSpawn()
+		o.mu.Unlock()
+		for _, rp := range repairs {
+			o.repaired(rp)
 		}
-		// Snapshot the verdict evidence (consecutive probe misses, report
-		// staleness) before repair forgets the server.
-		evidence := make(map[string]lla.ServerStatus, len(deadServers))
-		for _, st := range o.detector.Status() {
-			evidence[st.Server] = st
-		}
-		for _, dead := range deadServers {
-			st := evidence[dead]
-			o.repairFailure(dead, st.Misses, verdictAt.Sub(st.LastReport))
+		if replace {
+			o.wg.Add(1)
+			go o.spawnOne()
 		}
 	}
 }
 
-// repairFailure evacuates a dead server: it publishes a repaired plan (ring
-// successors take over its channels), forgets its metrics, fences the node
-// via OnServerDead, and optionally spawns a replacement. Repair is exempt
-// from the T_wait throttle — recovery latency, not plan churn, dominates
-// tail latency during failures.
-func (o *Orchestrator) repairFailure(dead plan.ServerID, probeMisses int, staleness time.Duration) {
-	repair := o.rec.StartSpan(trace.KindRepair, 0, dead)
-	o.mu.Lock()
-	// Count the channels the repair will evacuate before the plan is
-	// rewritten — the timeline's "evacuation set" evidence.
-	evacuated := 0
-	for _, e := range o.current.Channels {
-		for _, s := range e.Servers {
-			if s == dead {
-				evacuated++
-				break
-			}
-		}
-	}
-	next, changed := RepairPlan(o.current, dead)
-	if !changed {
-		o.mu.Unlock()
-		o.detector.Forget(dead)
-		return
-	}
-	o.current = next
-	o.rebalances++
-	o.failures++
-	o.lastPlanTime = o.opts.Clock.Now()
-	wantReplacement := o.opts.ReplaceFailed && o.opts.Cloud != nil && !o.spawning
-	if wantReplacement {
-		o.spawning = true
-	}
-	o.mu.Unlock()
-
-	o.rec.Record(trace.KindDetect, next.Version, dead, "verdict:dead", int64(probeMisses), staleness.Nanoseconds())
+// repaired carries out one repair: it fences the dead node via
+// OnServerDead and publishes the repaired plan (ring successors take over
+// its channels).
+func (o *Orchestrator) repaired(rp Repair) {
+	span := o.rec.StartSpan(trace.KindRepair, 0, rp.Server)
+	o.rec.Record(trace.KindDetect, rp.Plan.Version, rp.Server, "verdict:dead", int64(rp.Misses), rp.Staleness.Nanoseconds())
 	o.log.Warn("server declared dead",
-		slog.String("server", dead),
-		slog.Int("probeMisses", probeMisses),
-		slog.Duration("staleness", staleness),
-		slog.Uint64("repairPlan", next.Version),
-		slog.Int("evacuatedChannels", evacuated))
-
-	o.state.Forget(dead)
-	o.detector.Forget(dead)
+		slog.String("server", rp.Server),
+		slog.Int("probeMisses", rp.Misses),
+		slog.Duration("staleness", rp.Staleness),
+		slog.Uint64("repairPlan", rp.Plan.Version),
+		slog.Int("evacuatedChannels", rp.Evacuated))
 	if o.opts.OnServerDead != nil {
-		o.opts.OnServerDead(dead)
+		o.opts.OnServerDead(rp.Server)
 	}
 	if o.opts.PublishPlan != nil {
-		o.opts.PublishPlan(next)
+		o.opts.PublishPlan(rp.Plan)
 	}
-	repair.EndAt(next.Version, "evacuated", int64(evacuated))
-	if wantReplacement {
-		o.wg.Add(1)
-		go o.spawnOne()
-	}
+	span.EndAt(rp.Plan.Version, "evacuated", int64(rp.Evacuated))
 }
 
 func (o *Orchestrator) releaseAfterGrace(id plan.ServerID) {

@@ -87,42 +87,6 @@ func TestOrchestratorProbeFailureRepairsPlan(t *testing.T) {
 	}
 }
 
-func TestOrchestratorStalenessRepairsSilentPartition(t *testing.T) {
-	// No probes at all: only pub2's report silence gives it away.
-	reports := make(chan *lla.Report, 16)
-	o, _ := startDetectingOrchestrator(t, OrchestratorOptions{
-		Detect:        &lla.DetectorConfig{StaleAfter: 100 * time.Millisecond, ProbeMisses: 1 << 30},
-		ProbeInterval: 5 * time.Millisecond,
-		Reports:       reports,
-	})
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		seq := uint64(0)
-		for {
-			select {
-			case <-stop:
-				return
-			case <-time.After(5 * time.Millisecond):
-				seq++
-				select {
-				case reports <- &lla.Report{Server: "pub1", Seq: seq, MaxOutgoingBps: 1000}:
-				default:
-				}
-			}
-		}
-	}()
-
-	waitFor(t, "staleness repair", func() bool { return o.Failures() == 1 })
-	p := o.Plan()
-	if p.HasServer("pub2") {
-		t.Fatalf("silent server still in plan: %v", p.Servers)
-	}
-	if !p.HasServer("pub1") {
-		t.Fatalf("reporting server evacuated: %v", p.Servers)
-	}
-}
-
 func TestOrchestratorReplacesFailedServer(t *testing.T) {
 	cloud := &fakeCloud{}
 	o, _ := startDetectingOrchestrator(t, OrchestratorOptions{

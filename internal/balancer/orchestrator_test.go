@@ -41,17 +41,18 @@ func (f *fakeCloud) counts() (int, int) {
 	return f.spawned, len(f.released)
 }
 
-// scriptedPlanner returns queued decisions, then no-ops.
+// scriptedPlanner returns queued decisions, then no-ops, and records the
+// loads of every call.
 type scriptedPlanner struct {
 	mu        sync.Mutex
 	decisions []Decision
-	calls     int
+	seen      [][]ServerLoad
 }
 
-func (s *scriptedPlanner) GeneratePlan(current *plan.Plan, _ []ServerLoad) Decision {
+func (s *scriptedPlanner) GeneratePlan(current *plan.Plan, loads []ServerLoad) Decision {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.calls++
+	s.seen = append(s.seen, loads)
 	if len(s.decisions) == 0 {
 		return Decision{}
 	}
@@ -63,35 +64,46 @@ func (s *scriptedPlanner) GeneratePlan(current *plan.Plan, _ []ServerLoad) Decis
 	return d
 }
 
-func startOrchestrator(t *testing.T, planner PlanGenerator, cfg Config, cloud CloudProvider, clk clock.Clock) (*Orchestrator, chan *lla.Report, func() []uint64) {
+// inputs returns the loads of every call so far.
+func (s *scriptedPlanner) inputs() [][]ServerLoad {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([][]ServerLoad(nil), s.seen...)
+}
+
+// startOrchestrator runs an orchestrator over plan 0 = {pub1} and returns
+// the callbacks it made, in order: "ready <id>" for OnServerReady and
+// "publish v<version>" for PublishPlan.
+func startOrchestrator(t *testing.T, planner PlanGenerator, cfg Config, cloud CloudProvider) (*Orchestrator, chan *lla.Report, func() []string) {
 	t.Helper()
 	reports := make(chan *lla.Report, 16)
 	initial := plan.New("pub1")
 	initial.Version = 1
 	var mu sync.Mutex
-	var published []uint64
+	var events []string
+	event := func(e string) {
+		mu.Lock()
+		events = append(events, e)
+		mu.Unlock()
+	}
 	o := NewOrchestrator(OrchestratorOptions{
-		Planner: planner,
-		Config:  cfg,
-		Initial: initial,
-		Reports: reports,
-		PublishPlan: func(p *plan.Plan) {
-			mu.Lock()
-			published = append(published, p.Version)
-			mu.Unlock()
-		},
-		Cloud:        cloud,
-		Clock:        clk,
-		ReleaseGrace: 50 * time.Millisecond,
+		Planner:       planner,
+		Config:        cfg,
+		Initial:       initial,
+		Reports:       reports,
+		PublishPlan:   func(p *plan.Plan) { event(fmt.Sprintf("publish v%d", p.Version)) },
+		OnServerReady: func(id plan.ServerID) { event("ready " + id) },
+		Cloud:         cloud,
+		Clock:         clock.NewReal(),
+		ReleaseGrace:  50 * time.Millisecond,
 	})
 	go o.Run()
 	t.Cleanup(o.Stop)
-	getPublished := func() []uint64 {
+	return o, reports, func() []string {
 		mu.Lock()
 		defer mu.Unlock()
-		return append([]uint64(nil), published...)
+		return append([]string(nil), events...)
 	}
-	return o, reports, getPublished
 }
 
 func waitFor(t *testing.T, what string, cond func() bool) {
@@ -111,11 +123,11 @@ func TestOrchestratorPublishesPlans(t *testing.T) {
 	next := plan.New("pub1")
 	next.Set("c", plan.Entry{Strategy: plan.StrategySingle, Servers: []plan.ServerID{"pub1"}})
 	planner := &scriptedPlanner{decisions: []Decision{{Plan: next}}}
-	o, _, published := startOrchestrator(t, planner, cfg, nil, clock.NewReal())
+	o, _, events := startOrchestrator(t, planner, cfg, nil)
 
-	waitFor(t, "plan publication", func() bool { return len(published()) == 1 })
-	if got := published(); got[0] != 2 {
-		t.Fatalf("published version %d, want 2", got[0])
+	waitFor(t, "plan publication", func() bool { return len(events()) == 1 })
+	if got := events(); got[0] != "publish v2" {
+		t.Fatalf("callbacks %v, want [publish v2]", got)
 	}
 	if o.Plan().Version != 2 {
 		t.Fatalf("current plan version %d", o.Plan().Version)
@@ -130,10 +142,13 @@ func TestOrchestratorSpawnAddsRingServer(t *testing.T) {
 	cfg.TWait = time.Millisecond
 	cloud := &fakeCloud{}
 	planner := &scriptedPlanner{decisions: []Decision{{Spawn: 1}}}
-	o, _, published := startOrchestrator(t, planner, cfg, cloud, clock.NewReal())
+	o, _, events := startOrchestrator(t, planner, cfg, cloud)
 
-	waitFor(t, "spawn", func() bool { s, _ := cloud.counts(); return s == 1 })
-	waitFor(t, "post-spawn plan", func() bool { return len(published()) >= 1 })
+	waitFor(t, "post-spawn plan", func() bool { return len(events()) == 2 })
+	// The node is started before the plan that names it goes out.
+	if got := events(); got[0] != "ready new1" || got[1] != "publish v2" {
+		t.Fatalf("callbacks %v, want [ready new1, publish v2]", got)
+	}
 	p := o.Plan()
 	if !p.HasServer("new1") {
 		t.Fatalf("spawned server not in plan: %v", p.Servers)
@@ -150,33 +165,13 @@ func TestOrchestratorSpawnAddsRingServer(t *testing.T) {
 	}
 }
 
-func TestOrchestratorSingleSpawnInFlight(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.TWait = time.Millisecond
-	cloud := &fakeCloud{}
-	// Two consecutive spawn decisions; the second must be coalesced while
-	// the first is in flight... with an instant cloud the first completes
-	// quickly, so instead check total spawns stay bounded by decisions.
-	planner := &scriptedPlanner{decisions: []Decision{{Spawn: 1}, {Spawn: 1}}}
-	_, _, _ = startOrchestrator(t, planner, cfg, cloud, clock.NewReal())
-	waitFor(t, "both spawn decisions consumed", func() bool {
-		planner.mu.Lock()
-		defer planner.mu.Unlock()
-		return len(planner.decisions) == 0
-	})
-	time.Sleep(50 * time.Millisecond)
-	if s, _ := cloud.counts(); s > 2 {
-		t.Fatalf("spawned %d servers for 2 decisions", s)
-	}
-}
-
 func TestOrchestratorReleaseAfterGrace(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.TWait = time.Millisecond
 	cloud := &fakeCloud{}
 	next := plan.New("pub1") // pub2 removed
 	planner := &scriptedPlanner{decisions: []Decision{{Plan: next, Release: "pub2"}}}
-	startOrchestrator(t, planner, cfg, cloud, clock.NewReal())
+	startOrchestrator(t, planner, cfg, cloud)
 
 	waitFor(t, "release", func() bool { _, r := cloud.counts(); return r == 1 })
 	cloud.mu.Lock()
@@ -186,99 +181,27 @@ func TestOrchestratorReleaseAfterGrace(t *testing.T) {
 	}
 }
 
-func TestOrchestratorTWaitGatesPlans(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.TWait = time.Hour // nothing after the first decision
-	mk := func() *plan.Plan {
-		p := plan.New("pub1")
-		p.Set("c", plan.Entry{Strategy: plan.StrategySingle, Servers: []plan.ServerID{"pub1"}})
-		return p
-	}
-	planner := &scriptedPlanner{decisions: []Decision{{Plan: mk()}, {Plan: mk()}}}
-	_, _, published := startOrchestrator(t, planner, cfg, nil, clock.NewReal())
-
-	waitFor(t, "first plan", func() bool { return len(published()) == 1 })
-	time.Sleep(100 * time.Millisecond)
-	if got := published(); len(got) != 1 {
-		t.Fatalf("second plan published despite T_wait: %v", got)
-	}
-}
-
 func TestOrchestratorFoldsReports(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.TWait = time.Millisecond
-	recorded := make(chan []ServerLoad, 1)
-	planner := &capturePlanner{out: recorded}
-	_, reports, _ := startOrchestrator(t, planner, cfg, nil, clock.NewReal())
+	planner := &scriptedPlanner{}
+	_, reports, _ := startOrchestrator(t, planner, cfg, nil)
 
 	reports <- &lla.Report{Server: "pub1", Seq: 1, MaxOutgoingBps: 1000, MeasuredOutgoingBps: 700}
-	var loads []ServerLoad
 	waitFor(t, "report folded into planning input", func() bool {
-		select {
-		case loads = <-recorded:
-			return loads[0].MeasuredBps == 700
-		default:
+		in := planner.inputs()
+		if len(in) == 0 {
 			return false
 		}
+		loads := in[len(in)-1]
+		return len(loads) == 1 && loads[0].Server == "pub1" && loads[0].Ratio() == 0.7
 	})
-	if loads[0].Server != "pub1" || loads[0].Ratio() != 0.7 {
-		t.Fatalf("loads=%+v", loads)
-	}
-}
-
-type capturePlanner struct{ out chan []ServerLoad }
-
-func (c *capturePlanner) GeneratePlan(_ *plan.Plan, loads []ServerLoad) Decision {
-	select {
-	case c.out <- loads:
-	default:
-	}
-	return Decision{}
-}
-
-func TestOrchestratorSynthesizesIdleServers(t *testing.T) {
-	// A plan server that never reported must appear as an idle load entry.
-	cfg := DefaultConfig()
-	cfg.TWait = time.Millisecond
-	recorded := make(chan []ServerLoad, 1)
-	planner := &capturePlanner{out: recorded}
-
-	reports := make(chan *lla.Report, 1)
-	initial := plan.New("pub1", "pub2")
-	o := NewOrchestrator(OrchestratorOptions{
-		Planner:       planner,
-		Config:        cfg,
-		Initial:       initial,
-		Reports:       reports,
-		DefaultMaxBps: 5555,
-		Clock:         clock.NewReal(),
-	})
-	go o.Run()
-	defer o.Stop()
-
-	var loads []ServerLoad
-	waitFor(t, "planning round", func() bool {
-		select {
-		case loads = <-recorded:
-			return true
-		default:
-			return false
-		}
-	})
-	if len(loads) != 2 {
-		t.Fatalf("loads=%+v", loads)
-	}
-	for _, l := range loads {
-		if l.MaxBps != 5555 || l.MeasuredBps != 0 {
-			t.Fatalf("idle synthesis wrong: %+v", l)
-		}
-	}
 }
 
 func TestOrchestratorStopIdempotent(t *testing.T) {
 	cfg := DefaultConfig()
 	planner := &scriptedPlanner{}
-	o, _, _ := startOrchestrator(t, planner, cfg, nil, clock.NewReal())
+	o, _, _ := startOrchestrator(t, planner, cfg, nil)
 	o.Stop()
 	o.Stop()
 }

@@ -263,6 +263,24 @@ func TestGeneratePlanHighLoadMigratesBusiestChannel(t *testing.T) {
 	}
 }
 
+func TestGeneratePlanUnreportedServerIsIdle(t *testing.T) {
+	// s2 is in the plan but has not reported yet (a fresh boot): the
+	// planner counts it idle at its default capacity and moves load to it.
+	pl := NewPlanner(testConfig(), nil, nil, 1e6)
+	current := plan.New("s1", "s2")
+	big := channelsHomedOn(current, "s1", 1)[0]
+	loads := []ServerLoad{
+		load("s1", 1e6, 9.6e5, map[string]ChannelLoad{big: {BytesOut: 5e5}}),
+	}
+	d := pl.GeneratePlan(current, loads)
+	if d.Plan == nil || d.Spawn != 0 {
+		t.Fatalf("decision=%+v, want a migration and no spawn", d)
+	}
+	if e, explicit := d.Plan.Lookup(big); !explicit || e.Servers[0] != "s2" {
+		t.Fatalf("%s: %+v explicit=%t, want it on s2", big, e, explicit)
+	}
+}
+
 func TestGeneratePlanHighLoadStopsBelowSafe(t *testing.T) {
 	cfg := testConfig()
 	pl := NewPlanner(cfg, nil, nil, 1e6)

@@ -1,6 +1,8 @@
 package balancer
 
 import (
+	"slices"
+
 	"github.com/dynamoth/dynamoth/internal/plan"
 )
 
@@ -19,46 +21,28 @@ import (
 // arrive, and the in-flight SWITCH/dedup machinery absorbs the overlap
 // exactly-once as in any other migration.
 //
-// The returned plan carries Version = current.Version + 1. changed reports
-// whether the dead server actually appeared anywhere in the current plan.
-func RepairPlan(current *plan.Plan, dead plan.ServerID) (next *plan.Plan, changed bool) {
-	inServers := current.HasServer(dead)
-	inRing := false
-	for _, s := range current.RingServers {
-		if s == dead {
-			inRing = true
-			break
-		}
-	}
+// The returned plan carries Version = current.Version + 1. evacuated counts
+// the explicit entries that named the dead server; changed reports whether
+// it appeared anywhere in the current plan.
+func RepairPlan(current *plan.Plan, dead plan.ServerID) (next *plan.Plan, evacuated int, changed bool) {
 	next = current.Clone()
 	next.Version = current.Version + 1
-	if !inServers && !inRing {
-		// Not a member: still scrub stray channel references defensively.
-		changed = scrubChannels(current, next, dead)
-		return next, changed
-	}
 	next.RemoveServer(dead)
-	scrubChannels(current, next, dead)
-	return next, true
+	evacuated = scrubChannels(current, next, dead)
+	changed = evacuated > 0 || len(next.Servers) < len(current.Servers) || len(next.RingServers) < len(current.RingServers)
+	return next, evacuated, changed
 }
 
 // scrubChannels rewrites every explicit entry of next that references dead,
 // substituting ring successors drawn from next's (survivor-only) ring. It
-// reports whether any entry referenced the dead server.
-func scrubChannels(current, next *plan.Plan, dead plan.ServerID) bool {
-	touched := false
+// returns how many entries referenced the dead server.
+func scrubChannels(current, next *plan.Plan, dead plan.ServerID) int {
+	touched := 0
 	for ch, e := range current.Channels {
-		idx := -1
-		for i, s := range e.Servers {
-			if s == dead {
-				idx = i
-				break
-			}
-		}
-		if idx < 0 {
+		if !slices.Contains(e.Servers, dead) {
 			continue
 		}
-		touched = true
+		touched++
 		survivors := make([]plan.ServerID, 0, len(e.Servers))
 		for _, s := range e.Servers {
 			if s != dead {

@@ -12,9 +12,9 @@ func TestRepairPlanEvacuatesToRingSuccessor(t *testing.T) {
 	p.Set("alpha", plan.Entry{Strategy: plan.StrategySingle, Servers: []plan.ServerID{"s2"}})
 	p.Set("beta", plan.Entry{Strategy: plan.StrategySingle, Servers: []plan.ServerID{"s1"}})
 
-	next, changed := RepairPlan(p, "s2")
-	if !changed {
-		t.Fatal("repair of a plan member reported unchanged")
+	next, evacuated, changed := RepairPlan(p, "s2")
+	if !changed || evacuated != 1 {
+		t.Fatalf("changed=%t evacuated=%d, want true and 1 (alpha)", changed, evacuated)
 	}
 	if next.Version != 5 {
 		t.Fatalf("version=%d, want 5", next.Version)
@@ -56,7 +56,7 @@ func TestRepairPlanPreservesReplication(t *testing.T) {
 		Strategy: plan.StrategyAllSubscribers,
 		Servers:  []plan.ServerID{"s1", "s2"},
 	})
-	next, changed := RepairPlan(p, "s2")
+	next, _, changed := RepairPlan(p, "s2")
 	if !changed {
 		t.Fatal("unchanged")
 	}
@@ -84,7 +84,7 @@ func TestRepairPlanPreservesReplication(t *testing.T) {
 
 func TestRepairPlanNonMemberNoChange(t *testing.T) {
 	p := plan.New("s1", "s2")
-	next, changed := RepairPlan(p, "ghost")
+	next, _, changed := RepairPlan(p, "ghost")
 	if changed {
 		t.Fatal("repair of a non-member reported changed")
 	}
@@ -96,7 +96,7 @@ func TestRepairPlanNonMemberNoChange(t *testing.T) {
 func TestRepairPlanLastServerDropsEntries(t *testing.T) {
 	p := plan.New("s1")
 	p.Set("only", plan.Entry{Strategy: plan.StrategySingle, Servers: []plan.ServerID{"s1"}})
-	next, changed := RepairPlan(p, "s1")
+	next, _, changed := RepairPlan(p, "s1")
 	if !changed {
 		t.Fatal("unchanged")
 	}

@@ -2,7 +2,6 @@ package balancer
 
 import (
 	"sort"
-	"sync"
 
 	"github.com/dynamoth/dynamoth/internal/lla"
 )
@@ -64,9 +63,9 @@ func (s ServerLoad) BusiestChannel(skip func(string) bool) (string, float64, boo
 }
 
 // State aggregates LLA reports into per-server load views. It keeps a
-// sliding window of time units per server and is safe for concurrent use.
+// sliding window of time units per server. It is not safe for concurrent
+// use; the Core that owns it is serialized by its caller.
 type State struct {
-	mu      sync.Mutex
 	window  int
 	servers map[string]*serverState
 }
@@ -90,8 +89,6 @@ func NewState(window int) *State {
 // AddReport folds one LLA report into the state. Stale (out-of-order)
 // reports are ignored.
 func (st *State) AddReport(r *lla.Report) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	s := st.servers[r.Server]
 	if s == nil {
 		s = &serverState{}
@@ -112,15 +109,11 @@ func (st *State) AddReport(r *lla.Report) {
 
 // Forget removes a server from the state (after it is despawned).
 func (st *State) Forget(server string) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	delete(st.servers, server)
 }
 
 // Servers returns the servers present in the state, sorted.
 func (st *State) Servers() []string {
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	out := make([]string, 0, len(st.servers))
 	for s := range st.servers {
 		out = append(out, s)
@@ -132,8 +125,6 @@ func (st *State) Servers() []string {
 // Snapshot computes the averaged per-server loads. Servers that have
 // reported at least once are included even if idle.
 func (st *State) Snapshot() []ServerLoad {
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	out := make([]ServerLoad, 0, len(st.servers))
 	names := make([]string, 0, len(st.servers))
 	for name := range st.servers {

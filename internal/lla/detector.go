@@ -110,12 +110,13 @@ func (d *Detector) Misses(server string) int {
 }
 
 // Dead evaluates every tracked server at now and returns those considered
-// dead, sorted by name: servers that die together are repaired in the same
-// order, with the same intermediate plan versions, on every run.
-func (d *Detector) Dead(now time.Time) []string {
+// dead with the evidence behind each verdict, sorted by name: servers that
+// die together are repaired in the same order, with the same intermediate
+// plan versions, on every run.
+func (d *Detector) Dead(now time.Time) []ServerStatus {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	var out []string
+	var out []ServerStatus
 	for name, h := range d.servers {
 		if !h.dead {
 			if h.misses >= d.cfg.ProbeMisses || now.Sub(h.lastReport) > d.cfg.StaleAfter {
@@ -123,10 +124,10 @@ func (d *Detector) Dead(now time.Time) []string {
 			}
 		}
 		if h.dead {
-			out = append(out, name)
+			out = append(out, h.status(name))
 		}
 	}
-	sort.Strings(out)
+	sort.Slice(out, func(i, j int) bool { return out[i].Server < out[j].Server })
 	return out
 }
 
@@ -146,15 +147,14 @@ func (d *Detector) Status() []ServerStatus {
 	defer d.mu.Unlock()
 	out := make([]ServerStatus, 0, len(d.servers))
 	for name, h := range d.servers {
-		out = append(out, ServerStatus{
-			Server:     name,
-			LastReport: h.lastReport,
-			Misses:     h.misses,
-			Dead:       h.dead,
-		})
+		out = append(out, h.status(name))
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Server < out[j].Server })
 	return out
+}
+
+func (h *serverHealth) status(name string) ServerStatus {
+	return ServerStatus{Server: name, LastReport: h.lastReport, Misses: h.misses, Dead: h.dead}
 }
 
 // Forget drops a server from the detector (after evacuation, or a graceful

@@ -25,7 +25,7 @@ func TestDetectorProbeMisses(t *testing.T) {
 	d.ObserveProbe("s1", false)
 	d.ObserveProbe("s1", false)
 	dead := d.Dead(t0)
-	if len(dead) != 1 || dead[0] != "s1" {
+	if len(dead) != 1 || dead[0].Server != "s1" {
 		t.Fatalf("dead=%v, want [s1]", dead)
 	}
 }
@@ -39,7 +39,7 @@ func TestDetectorReportStaleness(t *testing.T) {
 		t.Fatalf("dead with fresh report: %v", dead)
 	}
 	dead := d.Dead(t0.Add(16 * time.Second))
-	if len(dead) != 1 || dead[0] != "s1" {
+	if len(dead) != 1 || dead[0].Server != "s1" {
 		t.Fatalf("dead=%v, want [s1]", dead)
 	}
 }
@@ -92,7 +92,7 @@ func TestDetectorDeadIsSorted(t *testing.T) {
 	d.ObserveProbe("s7", false)
 	d.ObserveProbe("s3", false)
 	for i := 0; i < 50; i++ {
-		if dead := d.Dead(t0); len(dead) != 2 || dead[0] != "s3" || dead[1] != "s7" {
+		if dead := d.Dead(t0); len(dead) != 2 || dead[0].Server != "s3" || dead[1].Server != "s7" {
 			t.Fatalf("call %d: dead=%v, want [s3 s7]", i, dead)
 		}
 	}

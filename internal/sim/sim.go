@@ -48,8 +48,8 @@ type Config struct {
 	Path *netsim.PathModel
 	// Mode selects the balancer (default ModeDynamoth).
 	Mode Mode
-	// Balancer carries the planner thresholds (default DefaultConfig with
-	// MaxServers 8).
+	// Balancer carries the planner thresholds and the plan spacing
+	// (default DefaultConfig with MaxServers 8).
 	Balancer balancer.Config
 	// BootDelay is the cloud boot time for spawned servers (default 10 s).
 	BootDelay time.Duration
@@ -161,11 +161,7 @@ type Sim struct {
 	clients   map[uint32]*Client
 	nextSpawn int
 
-	plan            *plan.Plan
-	planner         balancer.PlanGenerator
-	state           *balancer.State
-	lastPlan        time.Time
-	spawning        bool
+	lb              *balancer.Core // the live load balancer's decision loop
 	rebalances      []Rebalance
 	instanceSeconds float64 // accumulated by dead servers; live ones add at read
 
@@ -183,27 +179,25 @@ func New(cfg Config) *Sim {
 		servers: make(map[plan.ServerID]*Server),
 		clients: make(map[uint32]*Client),
 	}
-	s.plan = plan.New(cfg.InitialServers...)
-	s.plan.Version = 1
+	var planner balancer.PlanGenerator
+	switch cfg.Mode {
+	case ModeConsistentHashing:
+		planner = balancer.NewCHPlanner(cfg.Balancer)
+	case ModeNone: // a fixed pool: nothing ticks the balancer
+	default:
+		pinned := func(id string) bool { return id == cfg.InitialServers[0] }
+		planner = balancer.NewPlanner(cfg.Balancer, plan.IsControlChannel, pinned, cfg.MaxOutgoingBps)
+	}
+	initial := plan.New(cfg.InitialServers...)
+	initial.Version = 1
+	s.lb = balancer.NewCore(planner, cfg.Balancer, initial, nil)
 	for i, id := range cfg.InitialServers {
 		s.addServer(id, uint32(0xD000+i))
 	}
 
-	bcfg := cfg.Balancer
-	switch cfg.Mode {
-	case ModeConsistentHashing:
-		s.planner = balancer.NewCHPlanner(bcfg)
-	case ModeNone:
-		s.planner = nil
-	default:
-		pinned := func(id string) bool { return id == cfg.InitialServers[0] }
-		s.planner = balancer.NewPlanner(bcfg, plan.IsControlChannel, pinned, cfg.MaxOutgoingBps)
-	}
-	s.state = balancer.NewState(bcfg.Window)
-
 	// Periodic machinery.
 	s.eng.Every(cfg.Unit, s.unitTick)
-	if s.planner != nil {
+	if planner != nil {
 		s.eng.Every(cfg.Unit, s.lbTick)
 	}
 	s.eng.Every(cfg.EntryTimeout/4, s.sweepClients)
@@ -245,16 +239,16 @@ func (s *Sim) Rebalances() []Rebalance {
 }
 
 // PlanVersion returns the LB's current plan version.
-func (s *Sim) PlanVersion() uint64 { return s.plan.Version }
+func (s *Sim) PlanVersion() uint64 { return s.lb.Plan().Version }
 
 // CurrentPlan returns a copy of the LB's current plan (for assertions).
-func (s *Sim) CurrentPlan() *plan.Plan { return s.plan.Clone() }
+func (s *Sim) CurrentPlan() *plan.Plan { return s.lb.Plan().Clone() }
 
 // SetPlan force-installs a plan on the LB and every dispatcher — used by the
 // micro-benchmarks of Experiment 1, where the paper configures replication
 // manually rather than through Algorithm 1.
 func (s *Sim) SetPlan(p *plan.Plan) {
-	s.plan = p
+	s.lb.Install(p, s.eng.Now())
 	for _, id := range s.serverIDs {
 		s.servers[id].core.OnPlan(p.Clone(), s.eng.Now())
 	}
@@ -300,7 +294,7 @@ func (s *Sim) addServer(id plan.ServerID, node uint32) *Server {
 		egress:  netsim.NewPipe(s.cfg.MaxOutgoingBps),
 		conns:   make(map[uint32]*netsim.ConnQueue),
 		subs:    make(map[string]map[uint32]struct{}),
-		core:    dispatcher.NewCore(id, node, s.plan.Clone(), s.cfg.EntryTimeout),
+		core:    dispatcher.NewCore(id, node, s.lb.Plan().Clone(), s.cfg.EntryTimeout),
 		accum:   lla.NewAccumulator(),
 		alive:   true,
 	}
@@ -335,7 +329,7 @@ func (s *Sim) addServer(id plan.ServerID, node uint32) *Server {
 		}
 		srv.pendingUnits = nil
 		srv.windowBytes = 0
-		s.state.AddReport(r)
+		s.lb.Report(r, s.eng.Now())
 		s.eng.After(s.cfg.ReportEvery, reportLoop)
 	}
 	s.eng.After(s.cfg.ReportEvery, reportLoop)
@@ -784,87 +778,46 @@ func (c *Client) unsubscribeOn(server plan.ServerID, channel string) {
 // ---------------------------------------------------------------------------
 // Load balancer loop
 
+// lbTick drives the balancer core once per unit, as the orchestrator's
+// ticker does, and carries out what it decides on the engine: plans reach
+// the dispatchers after a LAN hop, a spawn boots for BootDelay, and a
+// released server is killed after ReleaseGrace.
 func (s *Sim) lbTick() {
-	now := s.eng.Now()
-	if !s.lastPlan.IsZero() && now.Sub(s.lastPlan) < s.cfg.Balancer.TWait {
+	r, ok := s.lb.Tick(s.eng.Now())
+	if !ok {
 		return
 	}
-	loads := s.loadsFor()
-	decision := s.planner.GeneratePlan(s.plan, loads)
-	if !decision.Changed() {
-		return
-	}
-	s.lastPlan = now
-	s.rebalances = append(s.rebalances, Rebalance{Time: now, Reason: decision.Reason})
-
-	if decision.Plan != nil {
-		s.plan = decision.Plan
+	s.rebalances = append(s.rebalances, Rebalance{Time: s.eng.Now(), Reason: r.Reason})
+	if r.Plan != nil {
 		s.publishPlan()
 	}
-	if decision.Spawn > 0 && !s.spawning {
-		s.spawning = true
+	if r.StartSpawn {
 		s.eng.After(s.cfg.BootDelay, s.finishSpawn)
 	}
-	if decision.Release != "" {
-		s.state.Forget(decision.Release)
-		victim := decision.Release
-		s.eng.After(s.cfg.ReleaseGrace, func() { s.killServer(victim) })
+	if r.Release != "" {
+		s.eng.After(s.cfg.ReleaseGrace, func() { s.killServer(r.Release) })
 	}
 }
 
 func (s *Sim) finishSpawn() {
-	s.spawning = false
 	s.nextSpawn++
 	id := fmt.Sprintf("pub-x%d", s.nextSpawn)
 	s.addServer(id, uint32(0xE000+s.nextSpawn))
-	next := s.plan.Clone()
-	next.Version = s.plan.Version + 1
-	// New servers join the fallback ring in every mode: clients hash
-	// unmapped channels over the active server set (§II-C).
-	next.AddRingServer(id)
-	s.plan = next
-	// A join is a plan change: it restarts T_wait, as it does live.
-	s.lastPlan = s.eng.Now()
+	s.lb.Joined(id, s.eng.Now())
 	s.rebalances = append(s.rebalances, Rebalance{Time: s.eng.Now(), Reason: "server " + id + " joined"})
 	s.publishPlan()
 }
 
 func (s *Sim) publishPlan() {
 	for _, id := range s.serverIDs {
-		srv := s.servers[id]
-		p := s.plan.Clone()
-		target := srv
+		target := s.servers[id]
+		p := s.lb.Plan().Clone()
 		s.eng.After(s.cfg.Path.LAN, func() {
 			if target.alive {
 				target.core.OnPlan(p, s.eng.Now())
 			}
 		})
 	}
-}
-
-// loadsFor mirrors the live orchestrator's snapshot synthesis.
-func (s *Sim) loadsFor() []balancer.ServerLoad {
-	loads := s.state.Snapshot()
-	have := make(map[string]struct{}, len(loads))
-	for _, l := range loads {
-		have[l.Server] = struct{}{}
-	}
-	for _, id := range s.plan.Servers {
-		if _, ok := have[id]; !ok {
-			loads = append(loads, balancer.ServerLoad{
-				Server:   id,
-				MaxBps:   s.cfg.MaxOutgoingBps,
-				Channels: map[string]balancer.ChannelLoad{},
-			})
-		}
-	}
-	kept := loads[:0]
-	for _, l := range loads {
-		if s.plan.HasServer(l.Server) {
-			kept = append(kept, l)
-		}
-	}
-	return kept
 }
 
 // ---------------------------------------------------------------------------

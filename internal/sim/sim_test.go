@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/dynamoth/dynamoth/internal/balancer"
 	"github.com/dynamoth/dynamoth/internal/message"
 	"github.com/dynamoth/dynamoth/internal/netsim"
 	"github.com/dynamoth/dynamoth/internal/plan"
@@ -72,6 +73,14 @@ func fixedSim(t *testing.T, cfg Config) *Sim {
 		cfg.Path = &netsim.PathModel{WAN: netsim.Fixed(30 * time.Millisecond), LAN: time.Millisecond}
 	}
 	return New(cfg)
+}
+
+// fastBalancer is the default balancer with a 5 s T_wait. It is a whole
+// Config because New replaces one whose LRHigh is 0.
+func fastBalancer() balancer.Config {
+	cfg := balancer.DefaultConfig()
+	cfg.TWait = 5 * time.Second
+	return cfg
 }
 
 func TestSimSelfDeliveryRTT(t *testing.T) {
@@ -201,12 +210,12 @@ func TestSimMigrationKeepsSelfDelivery(t *testing.T) {
 		c.PublishTimed("game", 64)
 		s.RunFor(time.Second)
 	}
-	from := s.plan.Home("game")
+	from := s.lb.Plan().Home("game")
 	to := "pub1"
 	if from == "pub1" {
 		to = "pub2"
 	}
-	next := s.plan.Clone()
+	next := s.lb.Plan().Clone()
 	next.Version = 2
 	next.Set("game", plan.Entry{Strategy: plan.StrategySingle, Servers: []plan.ServerID{to}})
 	s.SetPlan(next)
@@ -235,7 +244,7 @@ func TestSimAllSubscribersReplication(t *testing.T) {
 	}
 	s.RunFor(time.Second)
 
-	next := s.plan.Clone()
+	next := s.lb.Plan().Clone()
 	next.Version = 2
 	next.Set("hot", plan.Entry{Strategy: plan.StrategyAllSubscribers, Servers: []plan.ServerID{"pub1", "pub2", "pub3"}})
 	s.SetPlan(next)
@@ -278,8 +287,8 @@ func TestSimDynamothSpawnsUnderOverload(t *testing.T) {
 		Mode:           ModeDynamoth,
 		MaxOutgoingBps: 50_000, // small capacity so a few clients overload it
 		BootDelay:      5 * time.Second,
+		Balancer:       fastBalancer(),
 	})
-	s.cfg.Balancer.TWait = 5 * time.Second
 
 	// 20 clients all in one busy area across 4 channels.
 	for i := 0; i < 20; i++ {
@@ -402,8 +411,8 @@ func TestSimClientsSurviveServerRelease(t *testing.T) {
 		MaxOutgoingBps: 60_000,
 		BootDelay:      5 * time.Second,
 		ReleaseGrace:   5 * time.Second,
+		Balancer:       fastBalancer(),
 	})
-	s.cfg.Balancer.TWait = 5 * time.Second
 
 	clients := make([]*Client, 12)
 	received := make([]int, len(clients))
@@ -454,8 +463,8 @@ func TestSimConsistentHashingModeSpawns(t *testing.T) {
 		Mode:           ModeConsistentHashing,
 		MaxOutgoingBps: 40_000,
 		BootDelay:      5 * time.Second,
+		Balancer:       fastBalancer(),
 	})
-	s.cfg.Balancer.TWait = 5 * time.Second
 	for i := 0; i < 16; i++ {
 		c := s.AddClient(uint32(100 + i))
 		c.Subscribe(fmt.Sprintf("t-%d", i%4))

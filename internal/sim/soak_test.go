@@ -38,8 +38,8 @@ func soakOnce(t *testing.T, seed int64) {
 		MaxOutgoingBps: 80_000,
 		BootDelay:      5 * time.Second,
 		ReleaseGrace:   5 * time.Second,
+		Balancer:       fastBalancer(),
 	})
-	s.cfg.Balancer.TWait = 5 * time.Second
 	rng := rand.New(rand.NewSource(seed * 97))
 
 	type member struct {

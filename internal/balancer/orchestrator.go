@@ -32,7 +32,8 @@ type CloudProvider interface {
 
 // OrchestratorOptions wires a live load-balancer loop.
 type OrchestratorOptions struct {
-	// Planner decides plans (Dynamoth or CH baseline).
+	// Planner decides plans (Dynamoth or CH baseline). It runs under the
+	// orchestrator's lock and must not call back into the Orchestrator.
 	Planner PlanGenerator
 	// Config supplies T_wait and window parameters.
 	Config Config

@@ -401,10 +401,9 @@ func (srv *Server) receive(channel string, env *message.Envelope) {
 		return
 	}
 
-	// Metrics (the LLA observer sees every publication, §III-A).
-	if env.Type == message.TypeData || env.Type == message.TypeForwarded {
-		srv.accum.OnPublish(channel, env.ID.Node, int(wire), receivers)
-	}
+	// Metrics: the LLA observer sees every publication, control frames
+	// included, as the live broker's observer does (§III-A).
+	srv.accum.OnPublish(channel, env.ID.Node, int(wire), receivers)
 
 	// Fan out through the egress link and per-connection buffers.
 	if receivers > 0 {

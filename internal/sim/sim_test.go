@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/dynamoth/dynamoth/internal/balancer"
+	"github.com/dynamoth/dynamoth/internal/lla"
 	"github.com/dynamoth/dynamoth/internal/message"
 	"github.com/dynamoth/dynamoth/internal/netsim"
 	"github.com/dynamoth/dynamoth/internal/plan"
@@ -229,6 +230,39 @@ func TestSimMigrationKeepsSelfDelivery(t *testing.T) {
 	// The client converged onto the new server.
 	if subs := s.servers[from].subs["game"]; len(subs) != 0 {
 		t.Fatalf("client still subscribed on old server: %v", subs)
+	}
+}
+
+// TestSimLLACountsSwitchFrames: the simulated LLA sees every publication its
+// server fans out, as the live broker observer does. A publisher with a stale
+// mapping makes the old holder fan a SWITCH out on the channel; that SWITCH
+// must show in the channel's next unit beside the data publication.
+func TestSimLLACountsSwitchFrames(t *testing.T) {
+	s := fixedSim(t, Config{Mode: ModeNone, InitialServers: []string{"pub1", "pub2"}})
+	c := s.AddClient(42)
+	c.Subscribe("game")
+	s.RunFor(time.Second)
+
+	from := s.lb.Plan().Home("game")
+	to := "pub1"
+	if from == "pub1" {
+		to = "pub2"
+	}
+	next := s.lb.Plan().Clone()
+	next.Version = 2
+	next.Set("game", plan.Entry{Strategy: plan.StrategySingle, Servers: []plan.ServerID{to}})
+	s.SetPlan(next)
+	c.PublishTimed("game", 64)
+	s.RunFor(100 * time.Millisecond) // the publication and the SWITCH land; no unit seals
+
+	var got lla.ChannelStats
+	for _, cs := range s.servers[from].accum.Seal().Channels {
+		if cs.Channel == "game" {
+			got = cs
+		}
+	}
+	if got.Publications != 2 || got.MessagesSent != 2 {
+		t.Fatalf("old holder's unit for game: %+v, want the data publication and the SWITCH", got)
 	}
 }
 

@@ -59,12 +59,6 @@ type Config struct {
 	// Window is how many recent time units of metrics the planner
 	// averages over.
 	Window int
-
-	// UseCPU folds the reported CPU utilization into the load ratio
-	// (LR = max(bandwidth, CPU)) — the paper's §VII future-work extension
-	// for vCPU-constrained clouds. Off by default because the paper's
-	// measurements showed outgoing bandwidth saturates first (§III-A).
-	UseCPU bool
 }
 
 // DefaultConfig returns the calibrated defaults (DESIGN.md §5).

@@ -9,11 +9,8 @@ import "sort"
 type estimator struct {
 	maxBps  map[string]float64
 	estBps  map[string]float64
-	origBps map[string]float64            // measured bytes at snapshot time
-	cpu     map[string]float64            // reported CPU utilization (UseCPU extension)
 	perChan map[string]map[string]float64 // server -> channel -> bytes/s
 	servers []string
-	useCPU  bool
 }
 
 // newEstimator seeds an estimator from a load snapshot. Servers in active
@@ -23,8 +20,6 @@ func newEstimator(loads []ServerLoad, active []string, defaultMaxBps float64) *e
 	e := &estimator{
 		maxBps:  make(map[string]float64, len(active)),
 		estBps:  make(map[string]float64, len(active)),
-		origBps: make(map[string]float64, len(active)),
-		cpu:     make(map[string]float64, len(active)),
 		perChan: make(map[string]map[string]float64, len(active)),
 	}
 	for _, s := range active {
@@ -40,8 +35,6 @@ func newEstimator(loads []ServerLoad, active []string, defaultMaxBps float64) *e
 			e.maxBps[l.Server] = l.MaxBps
 		}
 		e.estBps[l.Server] = l.MeasuredBps
-		e.origBps[l.Server] = l.MeasuredBps
-		e.cpu[l.Server] = l.CPUUtil
 		for ch, cl := range l.Channels {
 			e.perChan[l.Server][ch] = cl.BytesOut
 		}
@@ -51,26 +44,13 @@ func newEstimator(loads []ServerLoad, active []string, defaultMaxBps float64) *e
 	return e
 }
 
-// ratio returns the estimated load ratio of a server. With the CPU
-// extension enabled it is max(bandwidth ratio, CPU estimate), where the CPU
-// estimate scales proportionally with the byte estimate as channels migrate
-// (deliveries — the CPU driver — track bytes).
+// ratio returns the estimated load ratio of a server.
 func (e *estimator) ratio(server string) float64 {
 	max := e.maxBps[server]
 	if max <= 0 {
 		return 0
 	}
-	r := e.estBps[server] / max
-	if e.useCPU {
-		cpu := e.cpu[server]
-		if orig := e.origBps[server]; orig > 0 {
-			cpu *= e.estBps[server] / orig
-		}
-		if cpu > r {
-			return cpu
-		}
-	}
-	return r
+	return e.estBps[server] / max
 }
 
 // maxRatio returns the server with the highest estimated load ratio.

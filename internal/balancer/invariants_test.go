@@ -172,47 +172,3 @@ func TestPlannerCooldownPreventsPingPong(t *testing.T) {
 		}
 	}
 }
-
-// TestCPUAwareRatioTriggersRebalance: with UseCPU enabled, a CPU-hot but
-// bandwidth-cold server must still trigger high-load rebalancing (§VII
-// future work).
-func TestCPUAwareRatioTriggersRebalance(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.UseCPU = true
-	pl := NewPlanner(cfg, nil, nil, 1e6)
-	current := plan.New("s1", "s2")
-	names := channelsHomedOn(current, "s1", 1)
-
-	loads := []ServerLoad{
-		{Server: "s1", MaxBps: 1e6, MeasuredBps: 5.5e5, CPUUtil: 0.97,
-			Channels: map[string]ChannelLoad{names[0]: {BytesOut: 3e5}}},
-		{Server: "s2", MaxBps: 1e6, MeasuredBps: 5e5, CPUUtil: 0.1,
-			Channels: map[string]ChannelLoad{}},
-	}
-	d := pl.GeneratePlan(current, loads)
-	if d.Plan == nil {
-		t.Fatal("CPU-hot server did not trigger a plan")
-	}
-	if e, _ := d.Plan.Lookup(names[0]); e.Servers[0] != "s2" {
-		t.Fatalf("channel not migrated off the CPU-hot server: %v", e.Servers)
-	}
-
-	// Without UseCPU the same state sits in the comfortable middle band:
-	// no high-load migration, no release.
-	cfg2 := DefaultConfig()
-	pl2 := NewPlanner(cfg2, nil, nil, 1e6)
-	if d2 := pl2.GeneratePlan(current, loads); d2.Changed() {
-		t.Fatalf("bandwidth-only planner reacted to CPU: %+v", d2)
-	}
-}
-
-func TestRatioCPUAware(t *testing.T) {
-	s := ServerLoad{MaxBps: 1e6, MeasuredBps: 5e5, CPUUtil: 0.8}
-	if got := s.RatioCPUAware(); got != 0.8 {
-		t.Fatalf("RatioCPUAware=%f", got)
-	}
-	s.CPUUtil = 0.2
-	if got := s.RatioCPUAware(); got != 0.5 {
-		t.Fatalf("RatioCPUAware=%f", got)
-	}
-}

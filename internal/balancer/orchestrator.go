@@ -199,7 +199,7 @@ func (o *Orchestrator) rebalance() {
 	// in millionths, measured bytes/sec in Aux).
 	var lrMax float64
 	for _, l := range r.Loads {
-		ratio := l.RatioCPUAware()
+		ratio := l.Ratio()
 		lrMax = max(lrMax, ratio)
 		o.rec.Record(trace.KindLoad, r.Version, l.Server, "", int64(ratio*1e6), int64(l.MeasuredBps))
 	}

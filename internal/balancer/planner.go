@@ -84,7 +84,6 @@ func (pl *Planner) GeneratePlan(current *plan.Plan, loads []ServerLoad) Decision
 	pl.round++
 	next := current.Clone()
 	est := newEstimator(loads, next.Servers, pl.defaultMaxBps)
-	est.useCPU = pl.cfg.UseCPU
 
 	// A channel is untouchable if it is control-plane traffic or still in
 	// its post-migration cooldown (metrics have not settled yet).

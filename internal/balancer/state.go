@@ -21,10 +21,7 @@ type ServerLoad struct {
 	Server      string
 	MaxBps      float64 // T_i
 	MeasuredBps float64 // M_i (from the LLA's NIC measurement)
-	// CPUUtil is the node's reported CPU busy fraction (0 when the
-	// deployment does not report CPU).
-	CPUUtil  float64
-	Channels map[string]ChannelLoad
+	Channels    map[string]ChannelLoad
 }
 
 // Ratio returns the server's load ratio LR_i = M_i / T_i (eq. 1).
@@ -33,16 +30,6 @@ func (s ServerLoad) Ratio() float64 {
 		return 0
 	}
 	return s.MeasuredBps / s.MaxBps
-}
-
-// RatioCPUAware returns max(LR_i, CPU): the paper's §VII extension for
-// environments where (virtual) CPU, not bandwidth, is the scarce resource.
-func (s ServerLoad) RatioCPUAware() float64 {
-	r := s.Ratio()
-	if s.CPUUtil > r {
-		return s.CPUUtil
-	}
-	return r
 }
 
 // BusiestChannel returns the channel with the highest outgoing byte rate and
@@ -73,7 +60,6 @@ type State struct {
 type serverState struct {
 	maxBps   float64
 	measured float64
-	cpu      float64
 	units    []lla.UnitStats // most recent last
 	lastSeq  uint64
 }
@@ -100,7 +86,6 @@ func (st *State) AddReport(r *lla.Report) {
 	s.lastSeq = r.Seq
 	s.maxBps = r.MaxOutgoingBps
 	s.measured = r.MeasuredOutgoingBps
-	s.cpu = r.CPUUtilization
 	s.units = append(s.units, r.Units...)
 	if over := len(s.units) - st.window; over > 0 {
 		s.units = append([]lla.UnitStats(nil), s.units[over:]...)
@@ -137,7 +122,6 @@ func (st *State) Snapshot() []ServerLoad {
 			Server:      name,
 			MaxBps:      s.maxBps,
 			MeasuredBps: s.measured,
-			CPUUtil:     s.cpu,
 			Channels:    make(map[string]ChannelLoad),
 		}
 		n := len(s.units)

@@ -71,12 +71,6 @@ type Report struct {
 	// MeasuredOutgoingBps is the measured outgoing bandwidth on the
 	// network interface, averaged over the report window (M_i).
 	MeasuredOutgoingBps float64 `json:"measuredOutgoingBps"`
-	// CPUUtilization estimates the node's CPU busy fraction over the
-	// window (0..1+). The paper's future work (§VII) proposes integrating
-	// CPU into the balancing decision for vCPU-constrained environments;
-	// the LLA models it as per-delivery processing cost against the
-	// node's delivery-rate capacity.
-	CPUUtilization float64 `json:"cpuUtilization,omitempty"`
 }
 
 // Marshal encodes the report for the control plane.
@@ -361,11 +355,6 @@ type Config struct {
 	Server string
 	// MaxOutgoingBps is the node's theoretical max outgoing bandwidth T_i.
 	MaxOutgoingBps float64
-	// MaxDeliveriesPerSec is the node's CPU capacity expressed as
-	// deliveries/second; 0 disables CPU reporting (the paper's §III-A
-	// observation is that bandwidth saturates first, so this is an
-	// opt-in extension).
-	MaxDeliveriesPerSec float64
 	// Unit is the metric time unit (default 1 s, as in the paper).
 	Unit time.Duration
 	// ReportEvery is the aggregate-update interval (default 3 units).
@@ -408,10 +397,9 @@ type Analyzer struct {
 	accum *Accumulator
 	log   *slog.Logger
 
-	// bytesOut/deliveries are atomics, not mu-guarded: OnPublish is the
-	// broker's fan-out hot path and must not serialize on the report mutex.
-	bytesOut   atomic.Int64 // bytes sent during current report window
-	deliveries atomic.Int64 // per-subscriber deliveries during current window
+	// bytesOut is an atomic, not mu-guarded: OnPublish is the broker's
+	// fan-out hot path and must not serialize on the report mutex.
+	bytesOut atomic.Int64 // bytes sent during current report window
 
 	mu      sync.Mutex
 	pending []UnitStats
@@ -472,7 +460,6 @@ func (an *Analyzer) OnPublish(ch string, payload []byte, receivers int) {
 	publisher, _ := message.PeekNode(payload)
 	an.accum.OnPublish(ch, publisher, len(payload), receivers)
 	an.bytesOut.Add(int64(len(payload)) * int64(receivers))
-	an.deliveries.Add(int64(receivers))
 }
 
 // Accumulator exposes the analyzer's accumulation core (for cache-stat
@@ -555,7 +542,6 @@ func (an *Analyzer) buildReport() *Report {
 	units := an.pending
 	an.pending = nil
 	bytes := an.bytesOut.Swap(0)
-	deliveries := an.deliveries.Swap(0)
 	an.seq++
 	seq := an.seq
 	window := now.Sub(an.windowStart).Seconds()
@@ -570,9 +556,6 @@ func (an *Analyzer) buildReport() *Report {
 		Units:               units,
 		MaxOutgoingBps:      an.cfg.MaxOutgoingBps,
 		MeasuredOutgoingBps: float64(bytes) / window,
-	}
-	if an.cfg.MaxDeliveriesPerSec > 0 {
-		r.CPUUtilization = float64(deliveries) / window / an.cfg.MaxDeliveriesPerSec
 	}
 	an.log.Debug("load report",
 		slog.String("server", an.cfg.Server),

@@ -64,23 +64,3 @@ func TestBuildReportZeroElapsedFallsBack(t *testing.T) {
 		t.Fatalf("zero-elapsed Bps = %v, want %v (ReportEvery fallback)", r.MeasuredOutgoingBps, want)
 	}
 }
-
-// TestBuildReportCPUWindow checks the CPU estimate uses the same elapsed
-// window as the bandwidth measurement.
-func TestBuildReportCPUWindow(t *testing.T) {
-	clk := clock.NewManual(time.Unix(1000, 0))
-	an := NewAnalyzer(Config{
-		Server:              "pub1",
-		MaxDeliveriesPerSec: 100,
-		Unit:                time.Second,
-		ReportEvery:         3 * time.Second,
-		Clock:               clk,
-	})
-	defer an.Stop()
-	an.OnPublish("game", make([]byte, 10), 300) // 300 deliveries
-	clk.Advance(6 * time.Second)                // late window again
-	r := an.buildReport()
-	if want := 300.0 / 6.0 / 100.0; r.CPUUtilization != want {
-		t.Fatalf("CPUUtilization = %v, want %v", r.CPUUtilization, want)
-	}
-}

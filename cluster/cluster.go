@@ -495,7 +495,6 @@ func (c *Cluster) startNode(id plan.ServerID, initial *plan.Plan) error {
 		OutputBuffer:   c.opts.OutputBuffer,
 		ReplayDepth:    c.opts.ReplayDepth,
 		ReplayChannels: c.opts.ReplayChannels,
-		PublishReports: true,
 		Recorder:       c.rec,
 		Logger:         c.opts.Logger,
 	})

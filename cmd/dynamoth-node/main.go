@@ -110,7 +110,6 @@ func run() error {
 		TopKCap:        *topkCap,
 		ReplayDepth:    *rcap,
 		ReplayChannels: *rchans,
-		PublishReports: true,
 		Recorder:       rec,
 		Logger:         logger,
 	})

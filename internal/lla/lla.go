@@ -11,9 +11,12 @@
 // (per-subscriber deliveries) and bytes in/out — exactly the metric set
 // listed in the paper.
 //
-// The aggregation core (Accumulator) is pure state so the discrete-event
-// simulator reuses it unchanged; Analyzer adds the live clock/ticker
-// plumbing and report emission.
+// Accumulator is the whole LLA loop as a pure core: publications,
+// subscriptions and `now` go in; sealed units and Reports come out. It reads
+// no clock and starts no goroutine. The live Analyzer drives it from two
+// tickers and the discrete-event simulator from engine events, so M_i — the
+// measured egress every rebalance decision divides by — is computed by the
+// same code on the node and in the figures.
 package lla
 
 import (
@@ -22,7 +25,6 @@ import (
 	"log/slog"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/dynamoth/dynamoth/internal/broker"
@@ -124,38 +126,52 @@ type accumStripe struct {
 	current     map[string]*channelAccum
 	subscribers map[string]int
 	overflow    channelAccum // cap overflow (publishers not tracked)
+	windowOut   int64        // delivery bytes since the last report (M_i's numerator)
 	hits        uint64       // publishes on channels already tracked this unit
 	misses      uint64       // channel-entry creations
 	folds       uint64       // publications folded into overflow
 	subEvicts   uint64       // subscriber-map entries displaced at cap
 }
 
-// Accumulator gathers per-channel metrics for the current time unit and
-// seals units on demand. It is safe for concurrent use (the broker invokes
-// observer callbacks from many goroutines); state is striped AccumStripes
-// ways by channel hash, and both per-channel maps are capacity-bounded.
+// Accumulator is the LLA core. Observer inputs (OnPublish, OnSubscribe,
+// OnUnsubscribe) are safe for concurrent use — the broker invokes them from
+// many goroutines — and are striped AccumStripes ways by channel hash, with
+// both per-channel maps capacity-bounded. Seal and Report are driven by one
+// caller with explicit times: Seal closes a time unit and queues it, Report
+// drains the queue into the next aggregate report.
 type Accumulator struct {
 	stripes      [AccumStripes]accumStripe
 	perStripeCap int // per-unit channel share per stripe (0 = unbounded)
 	channelCap   int
+	server       string
+	maxBps       float64
+	interval     time.Duration // ReportEvery: the window when none elapsed
 
-	sealMu sync.Mutex // serializes Seal and guards unit
-	unit   int64
+	mu      sync.Mutex // serializes Seal and Report; guards the fields below
+	unit    int64
+	pending []UnitStats // sealed units not yet reported
+	seq     uint64
+	// windowStart is when the current report window opened: M_i divides by
+	// the time that actually elapsed, not the configured interval, so a late
+	// report cannot overstate the rate and mask an overload.
+	windowStart time.Time
 }
 
-// NewAccumulator creates an accumulator with DefaultChannelCap.
-func NewAccumulator() *Accumulator { return NewAccumulatorWithCap(DefaultChannelCap) }
-
-// NewAccumulatorWithCap creates an accumulator tracking at most channelCap
-// distinct channels per unit (<=0 means unbounded). The same cap bounds the
-// persistent subscriber-count map.
-func NewAccumulatorWithCap(channelCap int) *Accumulator {
-	a := &Accumulator{channelCap: channelCap}
-	if channelCap > 0 {
-		a.perStripeCap = (channelCap + AccumStripes - 1) / AccumStripes
-		if a.perStripeCap < 1 {
-			a.perStripeCap = 1
-		}
+// NewAccumulator creates the LLA core for cfg.Server with its first report
+// window opening at start. cfg.ChannelCap bounds the distinct channels
+// tracked per unit and the persistent subscriber-count map; cfg.Clock and
+// cfg.Unit are the driver's business and are not read.
+func NewAccumulator(cfg Config, start time.Time) *Accumulator {
+	cfg.fillDefaults()
+	a := &Accumulator{
+		channelCap:  cfg.ChannelCap,
+		server:      cfg.Server,
+		maxBps:      cfg.MaxOutgoingBps,
+		interval:    cfg.ReportEvery,
+		windowStart: start,
+	}
+	if a.channelCap > 0 {
+		a.perStripeCap = (a.channelCap + AccumStripes - 1) / AccumStripes
 	}
 	for i := range a.stripes {
 		a.stripes[i].current = make(map[string]*channelAccum)
@@ -191,6 +207,7 @@ func (a *Accumulator) channelLocked(st *accumStripe, ch string) *channelAccum {
 func (a *Accumulator) OnPublish(ch string, publisher uint32, size, receivers int) {
 	st := a.stripe(ch)
 	st.mu.Lock()
+	st.windowOut += int64(size) * int64(receivers)
 	if c := st.current[ch]; c != nil {
 		st.hits++
 		c.add(publisher, size, receivers)
@@ -235,11 +252,12 @@ func (a *Accumulator) OnUnsubscribe(ch string, count int) {
 	st.mu.Unlock()
 }
 
-// Seal closes the current time unit and returns its stats, merging all
-// stripes. Channels with no activity and no subscribers are omitted.
+// Seal closes the current time unit, queues it for the next report and
+// returns it, merging all stripes. Channels with no activity and no
+// subscribers are omitted.
 func (a *Accumulator) Seal() UnitStats {
-	a.sealMu.Lock()
-	defer a.sealMu.Unlock()
+	a.mu.Lock()
+	defer a.mu.Unlock()
 	u := UnitStats{Unit: a.unit}
 	a.unit++
 
@@ -308,7 +326,48 @@ func (a *Accumulator) Seal() UnitStats {
 			BytesOut:     overflow.bytesOut,
 		}
 	}
+	a.pending = append(a.pending, u)
 	return u
+}
+
+// Report drains the queued units into the next aggregate report. M_i is the
+// window's delivery bytes over the time since the previous report (since
+// start for the first), or over the configured interval when none elapsed.
+func (a *Accumulator) Report(now time.Time) *Report {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	var bytes int64
+	for i := range a.stripes {
+		st := &a.stripes[i]
+		st.mu.Lock()
+		bytes += st.windowOut
+		st.windowOut = 0
+		st.mu.Unlock()
+	}
+	window := now.Sub(a.windowStart).Seconds()
+	if window <= 0 {
+		window = a.interval.Seconds()
+	}
+	a.windowStart = now
+	a.seq++
+	r := &Report{
+		Server:              a.server,
+		Seq:                 a.seq,
+		Units:               a.pending,
+		MaxOutgoingBps:      a.maxBps,
+		MeasuredOutgoingBps: float64(bytes) / window,
+	}
+	a.pending = nil
+	return r
+}
+
+// ReportsBuilt returns how many reports the core has built so far.
+// Exported as a counter so harnesses can poll "one full LLA cycle has
+// elapsed" off /metrics instead of sleeping a guessed interval.
+func (a *Accumulator) ReportsBuilt() uint64 {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.seq
 }
 
 // Subscribers returns the live subscriber count for a channel.
@@ -349,7 +408,7 @@ func (a *Accumulator) SubscriberCacheStats() hotstate.Stats {
 	return s
 }
 
-// Config configures an Analyzer.
+// Config configures an Analyzer and its core.
 type Config struct {
 	// Server is the pub/sub server (node) this LLA monitors.
 	Server string
@@ -390,66 +449,32 @@ func (c *Config) fillDefaults() {
 	}
 }
 
-// Analyzer is the live LLA: a broker observer plus a ticking loop that seals
-// time units and emits Reports.
+// Analyzer is the live LLA: a broker observer feeding the core, and two
+// tickers driving it. It owns no report state of its own.
 type Analyzer struct {
 	cfg   Config
 	accum *Accumulator
 	log   *slog.Logger
 
-	// bytesOut is an atomic, not mu-guarded: OnPublish is the broker's
-	// fan-out hot path and must not serialize on the report mutex.
-	bytesOut atomic.Int64 // bytes sent during current report window
-
-	mu      sync.Mutex
-	pending []UnitStats
-	seq     uint64
-	// windowStart stamps when the current report window opened so rates are
-	// divided by the time that actually elapsed, not the configured
-	// ReportEvery: a ticker firing late (CPU contention, coarse simulated
-	// clocks) would otherwise overstate Bps and mask an overload.
-	windowStart time.Time
-
-	unitTicker   clock.Ticker
-	reportTicker clock.Ticker
-
-	reports chan *Report
-	stop    chan struct{}
-	done    chan struct{}
-	started bool
+	start    sync.Once // the loop starts, or Stop rules out that it ever will
+	stopOnce sync.Once
+	stop     chan struct{}
+	done     chan struct{}
 }
 
 var _ broker.Observer = (*Analyzer)(nil)
 
 // NewAnalyzer creates an LLA for a node. Attach it with
-// broker.AddObserver(analyzer), then Start it. The unit and report tickers
-// are armed here, synchronously, so virtual-clock tests can advance time
-// immediately after Start without racing ticker registration.
+// broker.AddObserver(analyzer), then Start it.
 func NewAnalyzer(cfg Config) *Analyzer {
 	cfg.fillDefaults()
 	return &Analyzer{
-		cfg:          cfg,
-		accum:        NewAccumulatorWithCap(cfg.ChannelCap),
-		log:          trace.Component(cfg.Logger, "lla"),
-		windowStart:  cfg.Clock.Now(),
-		unitTicker:   cfg.Clock.NewTicker(cfg.Unit),
-		reportTicker: cfg.Clock.NewTicker(cfg.ReportEvery),
-		reports:      make(chan *Report, 16),
-		stop:         make(chan struct{}),
-		done:         make(chan struct{}),
+		cfg:   cfg,
+		accum: NewAccumulator(cfg, cfg.Clock.Now()),
+		log:   trace.Component(cfg.Logger, "lla"),
+		stop:  make(chan struct{}),
+		done:  make(chan struct{}),
 	}
-}
-
-// Reports returns the channel on which aggregate updates are delivered.
-func (an *Analyzer) Reports() <-chan *Report { return an.reports }
-
-// ReportsBuilt returns how many reports the analyzer has built so far.
-// Exported as a counter so harnesses can poll "one full LLA cycle has
-// elapsed" off /metrics instead of sleeping a guessed interval.
-func (an *Analyzer) ReportsBuilt() uint64 {
-	an.mu.Lock()
-	defer an.mu.Unlock()
-	return an.seq
 }
 
 // OnPublish implements broker.Observer. The publisher identity is recovered
@@ -459,10 +484,9 @@ func (an *Analyzer) ReportsBuilt() uint64 {
 func (an *Analyzer) OnPublish(ch string, payload []byte, receivers int) {
 	publisher, _ := message.PeekNode(payload)
 	an.accum.OnPublish(ch, publisher, len(payload), receivers)
-	an.bytesOut.Add(int64(len(payload)) * int64(receivers))
 }
 
-// Accumulator exposes the analyzer's accumulation core (for cache-stat
+// Accumulator exposes the analyzer's core (for cache-stat and report-count
 // scraping by the node's /metrics registry).
 func (an *Analyzer) Accumulator() *Accumulator { return an.accum }
 
@@ -476,92 +500,46 @@ func (an *Analyzer) OnUnsubscribe(ch, _ string, subscribers int) {
 	an.accum.OnUnsubscribe(ch, subscribers)
 }
 
-// Start launches the unit/report loop. Call Stop to terminate it.
-func (an *Analyzer) Start() {
-	an.mu.Lock()
-	already := an.started
-	an.started = true
-	an.mu.Unlock()
-	if already {
-		return
-	}
-	go an.run()
+// Start arms the unit and report tickers and launches the loop that drives
+// the core; sink receives every report, on the loop's goroutine. The tickers
+// are armed before Start returns, so virtual-clock tests can advance time
+// right away. Call Stop to end the loop.
+func (an *Analyzer) Start(sink func(*Report)) {
+	an.start.Do(func() {
+		unit := an.cfg.Clock.NewTicker(an.cfg.Unit)
+		report := an.cfg.Clock.NewTicker(an.cfg.ReportEvery)
+		go an.run(unit, report, sink)
+	})
 }
 
-// Stop terminates the loop and closes the report channel.
+// Stop ends the loop; no report reaches the sink after it returns. It is
+// idempotent, and on an analyzer that was never started it only makes a
+// later Start a no-op.
 func (an *Analyzer) Stop() {
-	select {
-	case <-an.stop:
-		// already stopped
-	default:
-		close(an.stop)
-	}
-	an.mu.Lock()
-	started := an.started
-	an.mu.Unlock()
-	if started {
-		<-an.done
-	} else {
-		an.unitTicker.Stop()
-		an.reportTicker.Stop()
-	}
+	an.start.Do(func() { close(an.done) })
+	an.stopOnce.Do(func() { close(an.stop) })
+	<-an.done
 }
 
-func (an *Analyzer) run() {
+func (an *Analyzer) run(unit, report clock.Ticker, sink func(*Report)) {
 	defer close(an.done)
-	defer close(an.reports)
-	defer an.unitTicker.Stop()
-	defer an.reportTicker.Stop()
+	defer unit.Stop()
+	defer report.Stop()
 	for {
 		select {
-		case <-an.unitTicker.C():
-			u := an.accum.Seal()
-			an.mu.Lock()
-			an.pending = append(an.pending, u)
-			an.mu.Unlock()
-		case <-an.reportTicker.C():
-			r := an.buildReport()
-			select {
-			case an.reports <- r:
-			default:
-				// Receiver lagging: drop rather than block the loop; the
-				// next report supersedes this one anyway.
-			}
+		case <-unit.C():
+			an.accum.Seal()
+		case <-report.C():
+			r := an.accum.Report(an.cfg.Clock.Now())
+			an.log.Debug("load report",
+				slog.String("server", r.Server),
+				slog.Uint64("seq", r.Seq),
+				slog.Int("units", len(r.Units)),
+				slog.Float64("measuredBps", r.MeasuredOutgoingBps),
+				slog.Float64("maxBps", r.MaxOutgoingBps))
+			sink(r)
 		case <-an.stop:
 			return
 		}
 	}
-}
-
-// buildReport drains pending units into a Report. Rates are computed over
-// the wall-clock (or virtual-clock) time since the previous report, not the
-// configured interval, so a late-firing ticker cannot inflate them.
-func (an *Analyzer) buildReport() *Report {
-	now := an.cfg.Clock.Now()
-	an.mu.Lock()
-	units := an.pending
-	an.pending = nil
-	bytes := an.bytesOut.Swap(0)
-	an.seq++
-	seq := an.seq
-	window := now.Sub(an.windowStart).Seconds()
-	an.windowStart = now
-	an.mu.Unlock()
-	if window <= 0 {
-		window = an.cfg.ReportEvery.Seconds()
-	}
-	r := &Report{
-		Server:              an.cfg.Server,
-		Seq:                 seq,
-		Units:               units,
-		MaxOutgoingBps:      an.cfg.MaxOutgoingBps,
-		MeasuredOutgoingBps: float64(bytes) / window,
-	}
-	an.log.Debug("load report",
-		slog.String("server", an.cfg.Server),
-		slog.Uint64("seq", seq),
-		slog.Int("units", len(units)),
-		slog.Float64("measuredBps", r.MeasuredOutgoingBps),
-		slog.Float64("maxBps", r.MaxOutgoingBps))
-	return r
 }

@@ -321,12 +321,12 @@ func (n *Node) buildRegistry() {
 		"Waterfall stage: fan-out enqueue to connection write buffer (sampled).",
 		n.stages.flush, 0.5, 0.99)
 	buildinfo.Register(r)
+	accum := n.LLA.Accumulator()
 	r.Counter("dynamoth_node_lla_reports_total",
 		"LLA reports built since startup. Harnesses poll this to wait out a full LLA cycle instead of sleeping a guessed interval.",
-		n.LLA.ReportsBuilt)
+		accum.ReportsBuilt)
 	// Bounded hot-state caches: every per-channel map on this node with its
 	// size/capacity/eviction counters, scrapeable at /metrics.
-	accum := n.LLA.Accumulator()
 	caches := []hotstate.NamedStats{
 		{Name: "lla_units", Stats: accum.UnitCacheStats},
 		{Name: "lla_subscribers", Stats: accum.SubscriberCacheStats},

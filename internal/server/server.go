@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net"
+	"sync"
 	"time"
 
 	"github.com/dynamoth/dynamoth/internal/broker"
@@ -65,9 +66,6 @@ type Options struct {
 	ReplayChannels int
 	// DrainTimeout bounds dispatcher transitions.
 	DrainTimeout time.Duration
-	// PublishReports, when true (the default for cluster nodes), pumps
-	// LLA reports onto the local ReportChannel for the load balancer.
-	PublishReports bool
 	// Recorder receives the node's reconfiguration events (plan applies,
 	// SWITCH sends, drains) and backs its /debug/events endpoint. Nil
 	// records nothing.
@@ -95,9 +93,8 @@ type Node struct {
 	log     *slog.Logger
 	connSrv *broker.ConnServer
 
-	gen  *message.Generator
-	stop chan struct{}
-	done chan struct{}
+	gen       *message.Generator
+	closeOnce sync.Once
 }
 
 // New builds and starts a node.
@@ -135,7 +132,6 @@ func New(opts Options) (*Node, error) {
 		Logger:         opts.Logger,
 	})
 	b.AddObserver(analyzer)
-	analyzer.Start()
 
 	disp, err := dispatcher.New(dispatcher.Options{
 		Self:         opts.ID,
@@ -166,8 +162,6 @@ func New(opts Options) (*Node, error) {
 		rec:        opts.Recorder,
 		log:        trace.Component(opts.Logger, "server"),
 		gen:        message.NewGenerator(opts.NodeNum),
-		stop:       make(chan struct{}),
-		done:       make(chan struct{}),
 	}
 	n.connSrv = broker.NewConnServer(b, broker.ServeOptions{
 		Observer: &connTracer{rec: opts.Recorder},
@@ -183,7 +177,7 @@ func New(opts Options) (*Node, error) {
 		latTopk: n.latTopk,
 	})
 	n.buildRegistry()
-	go n.pumpReports(opts.PublishReports)
+	analyzer.Start(n.publishReport)
 	return n, nil
 }
 
@@ -199,33 +193,20 @@ func topKCap(v int) int {
 	return v
 }
 
-// pumpReports publishes LLA reports on the local control channel.
-func (n *Node) pumpReports(publish bool) {
-	defer close(n.done)
-	for {
-		select {
-		case r, ok := <-n.LLA.Reports():
-			if !ok {
-				return
-			}
-			if !publish || r == nil {
-				continue
-			}
-			data, err := r.Marshal()
-			if err != nil {
-				continue
-			}
-			env := &message.Envelope{
-				Type:    message.TypeLoadReport,
-				ID:      n.gen.Next(),
-				Channel: plan.ReportChannel,
-				Payload: data,
-			}
-			n.Broker.Publish(plan.ReportChannel, env.Marshal())
-		case <-n.stop:
-			return
-		}
+// publishReport puts one LLA report on the local control channel, where
+// the load balancer subscribes. It runs on the analyzer's loop.
+func (n *Node) publishReport(r *lla.Report) {
+	data, err := r.Marshal()
+	if err != nil {
+		return
 	}
+	env := &message.Envelope{
+		Type:    message.TypeLoadReport,
+		ID:      n.gen.Next(),
+		Channel: plan.ReportChannel,
+		Payload: data,
+	}
+	n.Broker.Publish(plan.ReportChannel, env.Marshal())
 }
 
 // ServeTCP serves the node's broker over RESP on ln (blocking), using the
@@ -261,14 +242,9 @@ func (t *connTracer) OnBackpressure(addr string, buffered int) {
 
 // Close stops all node components.
 func (n *Node) Close() {
-	select {
-	case <-n.stop:
-		return
-	default:
-		close(n.stop)
-	}
-	n.Dispatcher.Close()
-	n.LLA.Stop()
-	n.Broker.Close()
-	<-n.done
+	n.closeOnce.Do(func() {
+		n.Dispatcher.Close()
+		n.LLA.Stop()
+		n.Broker.Close()
+	})
 }

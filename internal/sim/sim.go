@@ -273,15 +273,13 @@ type Server struct {
 	subs   map[string]map[uint32]struct{}
 
 	core  *dispatcher.Core
-	accum *lla.Accumulator
+	accum *lla.Accumulator // the live LLA core, driven by engine events
 	// deliverFIFO keeps per-connection downlink ordering (TCP FIFO).
 	deliverFIFO map[uint32]time.Time
 
-	reportSeq    uint64
-	pendingUnits []lla.UnitStats
-	windowBytes  float64 // bytes since last LLA report
-	unitBytes    float64 // bytes in current stats unit
-	unitMsgs     int64
+	// Figure instrumentation (UnitSnapshot), not the LLA: egress this unit.
+	unitBytes float64
+	unitMsgs  int64
 
 	alive bool
 }
@@ -295,21 +293,26 @@ func (s *Sim) addServer(id plan.ServerID, node uint32) *Server {
 		conns:   make(map[uint32]*netsim.ConnQueue),
 		subs:    make(map[string]map[uint32]struct{}),
 		core:    dispatcher.NewCore(id, node, s.lb.Plan().Clone(), s.cfg.EntryTimeout),
-		accum:   lla.NewAccumulator(),
-		alive:   true,
+		accum: lla.NewAccumulator(lla.Config{
+			Server:         id,
+			MaxOutgoingBps: s.cfg.MaxOutgoingBps,
+			ReportEvery:    s.cfg.ReportEvery,
+		}, s.eng.Now()),
+		alive: true,
 	}
 	srv.deliverFIFO = make(map[uint32]time.Time)
 	s.servers[id] = srv
 	s.serverIDs = append(s.serverIDs, id)
 	sort.Strings(s.serverIDs)
 
-	// Per-server LLA loop.
+	// Per-server LLA loop: the engine's timers stand in for the Analyzer's
+	// tickers.
 	var unitLoop func()
 	unitLoop = func() {
 		if !srv.alive {
 			return
 		}
-		srv.pendingUnits = append(srv.pendingUnits, srv.accum.Seal())
+		srv.accum.Seal()
 		s.eng.After(s.cfg.Unit, unitLoop)
 	}
 	s.eng.After(s.cfg.Unit, unitLoop)
@@ -319,17 +322,7 @@ func (s *Sim) addServer(id plan.ServerID, node uint32) *Server {
 		if !srv.alive {
 			return
 		}
-		srv.reportSeq++
-		r := &lla.Report{
-			Server:              srv.id,
-			Seq:                 srv.reportSeq,
-			Units:               srv.pendingUnits,
-			MaxOutgoingBps:      s.cfg.MaxOutgoingBps,
-			MeasuredOutgoingBps: srv.windowBytes / s.cfg.ReportEvery.Seconds(),
-		}
-		srv.pendingUnits = nil
-		srv.windowBytes = 0
-		s.lb.Report(r, s.eng.Now())
+		s.lb.Report(srv.accum.Report(s.eng.Now()), s.eng.Now())
 		s.eng.After(s.cfg.ReportEvery, reportLoop)
 	}
 	s.eng.After(s.cfg.ReportEvery, reportLoop)
@@ -417,7 +410,6 @@ func (srv *Server) receive(channel string, env *message.Envelope) {
 			if conn == nil {
 				continue // connection died; subscription cleanup is pending
 			}
-			srv.windowBytes += wire
 			srv.unitBytes += wire
 			// Saturated egress sheds bulk data instead of queueing
 			// unboundedly (socket buffers are finite; Redis disconnects

@@ -58,7 +58,6 @@ func startTCPDeployment(t *testing.T, n int) *tcpDeployment {
 			Forwarder:      fwd,
 			MaxOutgoingBps: 1.25e6,
 			ReportEvery:    time.Second,
-			PublishReports: true,
 		})
 		if err != nil {
 			t.Fatal(err)

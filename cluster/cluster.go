@@ -63,7 +63,7 @@ type Options struct {
 	// path, as the paper's testbed did.
 	WANLatency bool
 	// MaxOutgoingBps is each server's egress capacity T_i
-	// (default 1.25 MB/s, the DESIGN.md calibration).
+	// (default lla.DefaultMaxOutgoingBps).
 	MaxOutgoingBps float64
 	// Clock provides time; a scaled clock accelerates everything
 	// coherently (default real).
@@ -147,7 +147,7 @@ func Start(opts Options) (*Cluster, error) {
 		opts.Balancer = BalancerDynamoth
 	}
 	if opts.MaxOutgoingBps <= 0 {
-		opts.MaxOutgoingBps = 1.25e6
+		opts.MaxOutgoingBps = lla.DefaultMaxOutgoingBps
 	}
 	if opts.Clock == nil {
 		opts.Clock = clock.NewReal()

@@ -65,7 +65,7 @@ func run() error {
 	nodes := nodeList{}
 	var (
 		twait      = flag.Duration("twait", 10*time.Second, "minimum time between plan generations")
-		maxBps     = flag.Float64("max-bps", 1.25e6, "assumed server capacity for unreported nodes")
+		maxBps     = flag.Float64("max-bps", lla.DefaultMaxOutgoingBps, "assumed server capacity for unreported nodes")
 		dialTO     = flag.Duration("dial-timeout", 5*time.Second, "deadline for dialing nodes")
 		detect     = flag.Bool("detect", true, "detect node failures (PING probes + report staleness) and repair the plan")
 		probeEvery = flag.Duration("probe-interval", 2*time.Second, "liveness probe interval")

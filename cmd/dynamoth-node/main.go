@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"github.com/dynamoth/dynamoth/internal/buildinfo"
+	"github.com/dynamoth/dynamoth/internal/lla"
 	"github.com/dynamoth/dynamoth/internal/obs"
 	"github.com/dynamoth/dynamoth/internal/plan"
 	"github.com/dynamoth/dynamoth/internal/server"
@@ -65,7 +66,7 @@ func run() error {
 		listen  = flag.String("listen", ":6379", "RESP listen address")
 		servers = flag.String("servers", "pub1", "comma-separated bootstrap server IDs (plan 0)")
 		nodeNum = flag.Uint("node", 0xD001, "unique numeric node ID for control envelopes")
-		maxBps  = flag.Float64("max-bps", 1.25e6, "theoretical max outgoing bandwidth T_i (bytes/s)")
+		maxBps  = flag.Float64("max-bps", lla.DefaultMaxOutgoingBps, "theoretical max outgoing bandwidth T_i (bytes/s)")
 		dialTO  = flag.Duration("dial-timeout", 5*time.Second, "deadline for dialing peer nodes (forwarding)")
 		admin   = flag.String("admin-addr", "", "admin HTTP listen address for /metrics, /healthz, /statusz, /debug/pprof, /debug/events, /debug/rebalances, /debug/latency, /debug/freemem (empty = disabled)")
 		logLvl  = flag.String("log-level", "warn", "structured log level on stderr (debug, info, warn, error)")

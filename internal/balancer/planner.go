@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"github.com/dynamoth/dynamoth/internal/lla"
 	"github.com/dynamoth/dynamoth/internal/plan"
 )
 
@@ -61,7 +62,7 @@ const cooldownRounds = 2
 // NewPlanner creates a planner. isControl and pinned may be nil.
 func NewPlanner(cfg Config, isControl func(string) bool, pinned func(string) bool, defaultMaxBps float64) *Planner {
 	if defaultMaxBps <= 0 {
-		defaultMaxBps = 1.25e6
+		defaultMaxBps = lla.DefaultMaxOutgoingBps
 	}
 	return &Planner{
 		cfg:           cfg,

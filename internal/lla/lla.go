@@ -75,6 +75,11 @@ type Report struct {
 	MeasuredOutgoingBps float64 `json:"measuredOutgoingBps"`
 }
 
+// DefaultMaxOutgoingBps is T_i when none is configured: the node's
+// theoretical maximum outgoing bandwidth in bytes/second, calibrated in
+// DESIGN.md §4.
+const DefaultMaxOutgoingBps = 1.25e6
+
 // Marshal encodes the report for the control plane.
 func (r *Report) Marshal() ([]byte, error) { return json.Marshal(r) }
 
@@ -412,7 +417,8 @@ func (a *Accumulator) SubscriberCacheStats() hotstate.Stats {
 type Config struct {
 	// Server is the pub/sub server (node) this LLA monitors.
 	Server string
-	// MaxOutgoingBps is the node's theoretical max outgoing bandwidth T_i.
+	// MaxOutgoingBps is the node's theoretical max outgoing bandwidth T_i
+	// (default DefaultMaxOutgoingBps).
 	MaxOutgoingBps float64
 	// Unit is the metric time unit (default 1 s, as in the paper).
 	Unit time.Duration
@@ -440,7 +446,7 @@ func (c *Config) fillDefaults() {
 		c.Clock = clock.NewReal()
 	}
 	if c.MaxOutgoingBps <= 0 {
-		c.MaxOutgoingBps = 1.25e6 // DESIGN.md §4 calibration
+		c.MaxOutgoingBps = DefaultMaxOutgoingBps
 	}
 	if c.ChannelCap == 0 {
 		c.ChannelCap = DefaultChannelCap

@@ -36,7 +36,7 @@ type Config struct {
 	// InitialServers is the bootstrap pool (default ["pub1"]).
 	InitialServers []string
 	// MaxOutgoingBps is the per-server egress capacity T_i
-	// (default 1.25 MB/s — DESIGN.md calibration).
+	// (default lla.DefaultMaxOutgoingBps).
 	MaxOutgoingBps float64
 	// ConnDrainPerSec is the per-connection drain rate in messages/second
 	// (default 2000 — Redis output-buffer drain analog).
@@ -80,7 +80,7 @@ func (c Config) fillDefaults() Config {
 		c.InitialServers = []string{"pub1"}
 	}
 	if c.MaxOutgoingBps <= 0 {
-		c.MaxOutgoingBps = 1.25e6
+		c.MaxOutgoingBps = lla.DefaultMaxOutgoingBps
 	}
 	if c.ConnDrainPerSec <= 0 {
 		c.ConnDrainPerSec = 2000

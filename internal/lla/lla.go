@@ -165,7 +165,7 @@ type Accumulator struct {
 // NewAccumulator creates the LLA core for cfg.Server with its first report
 // window opening at start. cfg.ChannelCap bounds the distinct channels
 // tracked per unit and the persistent subscriber-count map; cfg.Clock and
-// cfg.Unit are the driver's business and are not read.
+// cfg.Unit belong to whoever calls Seal and Report, and are not read.
 func NewAccumulator(cfg Config, start time.Time) *Accumulator {
 	cfg.fillDefaults()
 	a := &Accumulator{

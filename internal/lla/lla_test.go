@@ -342,7 +342,7 @@ func TestAccumulatorConcurrentObserversRace(t *testing.T) {
 			}
 		}(g)
 	}
-	// The driver seals and reports while the observers run. Reports one
+	// This goroutine seals and reports while the observers run. Reports one
 	// second apart make each M_i the window's bytes, so their sum must be
 	// every publication's: 8 goroutines × 1000 publications × 64 B × 3.
 	sealed := 0

@@ -36,8 +36,8 @@ chaos:
 	$(GO) test -race -count=2 $(CHAOS_PKGS)
 
 # Zero-loss delivery suite: the packages holding the cursor encoding, seq
-# tracker and replay ring property tests and the dedup-window interop
-# regressions (selected by package), and the chaos zero-loss scenarios, all
+# tracker and replay ring property tests and the replayed-duplicate
+# accounting regressions (selected by package), and the chaos zero-loss scenarios, all
 # under the race detector — then a RESP PUBLISH on the assembled node (replay
 # rings, stage stamping and every observer on) must still allocate nothing.
 REPLAY_PKGS := . ./cluster/ ./cmd/dynamoth-cli/ ./internal/broker/ ./internal/message/ ./internal/trace/

@@ -51,11 +51,6 @@ type Config struct {
 	// for this long (and not subscribed) revert to consistent hashing.
 	// Default 30 s.
 	EntryTimeout time.Duration
-	// DedupWindowCap bounds concurrently open dedup windows. An evicted
-	// window is flushed — its suppressed count is recorded to the flight
-	// recorder — so exactly-once accounting survives eviction. 0 means
-	// DefaultDedupWindowCap; negative means unbounded.
-	DedupWindowCap int
 	// SubscribeBuffer is the per-subscription delivery buffer; when full,
 	// new messages are dropped (slow application). Default 256.
 	SubscribeBuffer int
@@ -75,7 +70,7 @@ type Config struct {
 	RedialMin time.Duration
 	RedialMax time.Duration
 	// Recorder receives the client's reconfiguration events (switch
-	// receipts, migrations, dedup windows, redials, substitutions). Nil
+	// receipts, migrations, suppressed duplicates, redials, substitutions). Nil
 	// records nothing; the publish and delivery hot paths are untouched
 	// either way.
 	Recorder *trace.Recorder
@@ -91,19 +86,9 @@ type Config struct {
 	Logger *slog.Logger
 }
 
-// DefaultDedupWindowCap bounds concurrently open dedup windows when
-// Config.DedupWindowCap is 0. Windows exist only during migration overlap,
-// so the cap is generous; eviction flushes the window's accounting.
-const DefaultDedupWindowCap = 4096
-
 func (c *Config) fillDefaults() error {
 	if c.EntryTimeout <= 0 {
 		c.EntryTimeout = 30 * time.Second
-	}
-	if c.DedupWindowCap == 0 {
-		c.DedupWindowCap = DefaultDedupWindowCap
-	} else if c.DedupWindowCap < 0 {
-		c.DedupWindowCap = 0 // unbounded
 	}
 	if c.SubscribeBuffer <= 0 {
 		c.SubscribeBuffer = 256
@@ -142,17 +127,16 @@ var (
 
 // Stats are client-side counters.
 type Stats struct {
-	Published  uint64 // publications sent (per target server)
-	Received   uint64 // data messages delivered to the application
-	Duplicates uint64 // messages suppressed by deduplication
-	// DuplicatesSuppressed counts duplicates absorbed inside an open dedup
-	// window (a migration's overlap period) — the subset of Duplicates that
-	// the reconfiguration machinery predicted and accounted to a rebalance.
-	DuplicatesSuppressed uint64
-	Dropped              uint64 // messages dropped on full subscription buffers
-	Redirects            uint64 // wrong-server/switch notifications processed
-	DialFailures         uint64 // failed dial attempts (each arms redial backoff)
-	Redials              uint64 // successful reconnections after a failure or disconnect
+	Published uint64 // publications sent (per target server)
+	Received  uint64 // data messages delivered to the application
+	// Duplicates counts messages suppressed by deduplication. Each one is
+	// also recorded once as a trace.KindDuplicate event, which the rebalance
+	// timelines attribute to the migration that caused it.
+	Duplicates   uint64
+	Dropped      uint64 // messages dropped on full subscription buffers
+	Redirects    uint64 // wrong-server/switch notifications processed
+	DialFailures uint64 // failed dial attempts (each arms redial backoff)
+	Redials      uint64 // successful reconnections after a failure or disconnect
 	// ReplayRequests counts cursor-based resubscribes issued when a
 	// subscription was re-homed; ReplayedFrames is how many retained frames
 	// brokers replayed to fill the resulting gaps. ReplayGapFrames counts
@@ -199,17 +183,11 @@ type Client struct {
 	// repairs holds the subscriptions (the inbox included) lost with a
 	// server and not yet re-homed; maintain retries them until one succeeds.
 	repairs map[string]struct{}
-	// windows holds open dedup windows by channel, capacity-bounded; its
-	// eviction callback flushes the evicted window's suppressed count to the
-	// recorder so exactly-once accounting survives eviction. All mutations
-	// happen under c.mu.
-	windows *hotstate.Cache[string, *dedupWindow]
 	closed  bool
 
 	published    atomic.Uint64
 	received     atomic.Uint64
 	duplicates   atomic.Uint64
-	suppressed   atomic.Uint64 // duplicates absorbed inside a dedup window
 	dropped      atomic.Uint64
 	redirects    atomic.Uint64
 	dialFailures atomic.Uint64
@@ -247,18 +225,6 @@ type Client struct {
 	done chan struct{}
 }
 
-// dedupWindow tracks one channel's duplicate-suppression window: opened when
-// a migration creates delivery overlap (a switch-driven resubscribe or a
-// failover repair), closed by the sweep once the overlap has aged out. The
-// counters feed the per-rebalance timeline, matching the total suppressed
-// duplicates against the client's counter. Guarded by Client.mu; duplicates
-// are rare, so the lock never sits on the steady-state delivery path.
-type dedupWindow struct {
-	openedAt   time.Time
-	plan       uint64 // plan version that triggered the window (0 = failover)
-	suppressed int64
-}
-
 // dialBackoff is the sticky "server dead" state for one server: while
 // Clock.Now() < nextTry every dial to it fails fast with lastErr, so
 // publish and repair paths substitute a ring successor instead of
@@ -292,9 +258,8 @@ type subscription struct {
 
 	// track is the channel's delivery-continuity state: it turns the
 	// (epoch, seq) stamps on arriving frames into the resume cursor a
-	// re-homing presents to the new broker. It has its own lock and is never
-	// replaced for the life of the subscription.
-	track *seqTracker
+	// re-homing presents to the new broker. It has its own lock.
+	track seqTracker
 }
 
 // closeOut closes the delivery stream exactly once.
@@ -369,17 +334,6 @@ func ConnectWithDialer(dialer transport.Dialer, servers []string, cfg Config) (*
 		stop:         make(chan struct{}),
 		done:         make(chan struct{}),
 	}
-	// A window evicted under cap pressure flushes like a close: its
-	// suppressed count reaches the recorder, keeping timeline sums equal to
-	// the suppressed counter. The callback runs outside the cache's shard
-	// locks (and takes no client lock, so it is safe under c.mu).
-	c.windows = hotstate.New[string, *dedupWindow](hotstate.Config[string, *dedupWindow]{
-		Capacity: cfg.DedupWindowCap,
-		OnEvict: func(ch string, w *dedupWindow) {
-			now := cfg.Clock.Now()
-			c.rec.Record(trace.KindDedupClose, w.plan, ch, "evicted", w.suppressed, now.Sub(w.openedAt).Nanoseconds())
-		},
-	})
 	// Backoff jitter uses its own per-client seeded source (no global rand
 	// lock); Delay is only called under c.mu, so the unlocked source is safe.
 	c.backoff = transport.Backoff{Min: cfg.RedialMin, Max: cfg.RedialMax, Rand: transport.NewJitter(cfg.Seed)}
@@ -397,7 +351,7 @@ func ConnectWithDialer(dialer transport.Dialer, servers []string, cfg Config) (*
 		c.mu.Unlock()
 		return nil, fmt.Errorf("dynamoth: connecting to bootstrap servers: %w", dialErr)
 	}
-	if err := c.subscribeOnLocked(inbox, home); err != nil {
+	if _, err := c.subscribeOnLocked(inbox, home, nil); err != nil {
 		c.mu.Unlock()
 		return nil, fmt.Errorf("dynamoth: subscribing inbox: %w", err)
 	}
@@ -413,17 +367,16 @@ func (c *Client) NodeID() uint32 { return c.cfg.NodeID }
 // Stats returns a snapshot of client counters.
 func (c *Client) Stats() Stats {
 	return Stats{
-		Published:            c.published.Load(),
-		Received:             c.received.Load(),
-		Duplicates:           c.duplicates.Load(),
-		DuplicatesSuppressed: c.suppressed.Load(),
-		Dropped:              c.dropped.Load(),
-		Redirects:            c.redirects.Load(),
-		DialFailures:         c.dialFailures.Load(),
-		Redials:              c.redials.Load(),
-		ReplayRequests:       c.replayRequests.Load(),
-		ReplayedFrames:       c.replayedFrames.Load(),
-		ReplayGapFrames:      c.replayGaps.Load(),
+		Published:       c.published.Load(),
+		Received:        c.received.Load(),
+		Duplicates:      c.duplicates.Load(),
+		Dropped:         c.dropped.Load(),
+		Redirects:       c.redirects.Load(),
+		DialFailures:    c.dialFailures.Load(),
+		Redials:         c.redials.Load(),
+		ReplayRequests:  c.replayRequests.Load(),
+		ReplayedFrames:  c.replayedFrames.Load(),
+		ReplayGapFrames: c.replayGaps.Load(),
 	}
 }
 
@@ -457,9 +410,6 @@ func (c *Client) RegisterMetrics(r *obs.Registry) {
 	r.Counter("dynamoth_client_duplicates_total",
 		"Messages suppressed by deduplication.",
 		c.duplicates.Load)
-	r.Counter("dynamoth_client_duplicates_suppressed_total",
-		"Duplicates absorbed inside an open dedup window (a migration's overlap period).",
-		c.suppressed.Load)
 	r.Counter("dynamoth_client_dropped_total",
 		"Messages dropped on full subscription buffers.",
 		c.dropped.Load)
@@ -498,7 +448,6 @@ func (c *Client) RegisterMetrics(r *obs.Registry) {
 		c.stageDeliver, 0.5, 0.99)
 	r.RegisterCaches("dynamoth_client",
 		hotstate.NamedStats{Name: "local_plan", Stats: c.local.CacheStats},
-		hotstate.NamedStats{Name: "dedup_windows", Stats: c.windows.Stats},
 	)
 }
 
@@ -662,12 +611,12 @@ func (c *Client) Subscribe(channel string) (<-chan Message, error) {
 		c.rebuildRouteLocked() // placing may have dialed
 		return nil, fmt.Errorf("dynamoth: subscribe %q: %w", channel, dialErr)
 	}
-	if err := c.subscribeOnLocked(channel, servers); err != nil {
+	if _, err := c.subscribeOnLocked(channel, servers, nil); err != nil {
 		c.routes.Unsubscribe(channel)
 		c.rebuildRouteLocked()
 		return nil, err
 	}
-	sub := &subscription{out: make(chan Message, c.cfg.SubscribeBuffer), track: &seqTracker{}}
+	sub := &subscription{out: make(chan Message, c.cfg.SubscribeBuffer)}
 	c.subs[channel] = sub
 	c.rebuildRouteLocked()
 	return sub.out, nil
@@ -708,14 +657,6 @@ func (c *Client) Close() error {
 	for ch, sub := range c.subs {
 		sub.closeOut()
 		delete(c.subs, ch)
-	}
-	// Flush open dedup windows so their suppressed counts reach the flight
-	// recorder (timeline sums stay equal to the suppressed counter).
-	now := c.cfg.Clock.Now()
-	for _, ch := range c.windows.AppendKeys(nil) {
-		if w, ok := c.windows.Peek(ch); ok {
-			c.closeWindowLocked(ch, w, now)
-		}
 	}
 	c.rebuildRouteLocked()
 	c.mu.Unlock()
@@ -856,14 +797,57 @@ func (c *Client) armBackoffLocked(server plan.ServerID, cause error) {
 	ds.attempts++
 }
 
-// subscribeOnLocked subscribes channel on the servers the routing table
-// placed it on. It fails only when no server took the subscription.
-func (c *Client) subscribeOnLocked(channel string, servers []plan.ServerID) error {
+// replayOutcome summarizes one subscribe's cursor replays so the caller can
+// record traces and fire the gap callback after releasing c.mu.
+type replayOutcome struct {
+	attempted bool   // at least one cursor subscribe was issued
+	replayed  int    // frames brokers queued to fill our gaps
+	missed    uint64 // frames declared unrecoverable
+}
+
+// subscribeOnLocked is the one way a subscription lands on servers, first
+// placement and every move alike. When track has consumed frames, each server
+// that supports cursor subscribes is handed its resume cursor and replays the
+// frames we are owed before live flow; otherwise — a new subscription, the
+// inbox (nil track), a transport without cursors, a cursor the server refused
+// — it is a plain Subscribe. A gap the broker declares overwritten is forgiven
+// in the tracker (asking again can never succeed) and surfaced in the
+// outcome. It fails only when no server took the subscription.
+func (c *Client) subscribeOnLocked(channel string, servers []plan.ServerID, track *seqTracker) (replayOutcome, error) {
+	var out replayOutcome
+	var cur message.Cursor
+	var sent map[uint64]uint64
+	resume := false
+	if track != nil {
+		cur, sent, resume = track.cursor()
+	}
 	var firstErr error
 	okCount := 0
 	for _, s := range servers {
 		conn, err := c.connLocked(s)
 		if err == nil {
+			if cs, ok := conn.conn.(transport.CursorSubscriber); ok && resume {
+				res, cerr := cs.SubscribeCursor(channel, cur)
+				if cerr == nil {
+					okCount++
+					out.attempted = true
+					out.replayed += res.Replayed
+					c.replayRequests.Add(1)
+					c.replayedFrames.Add(uint64(res.Replayed))
+					if res.Missed > 0 {
+						// Missed is relative to the contiguous sequence we
+						// claimed for the matched epoch: everything up to
+						// sent+missed is gone.
+						track.forgive(res.Epoch, sent[res.Epoch]+res.Missed)
+						out.missed += res.Missed
+						c.replayGaps.Add(res.Missed)
+					}
+					continue
+				}
+				// The cursor was rejected or the ack lost: the plain subscribe
+				// below keeps live flow alive, and the gap, if any, stays open
+				// in the tracker for the next move to claim.
+			}
 			err = conn.conn.Subscribe(channel)
 		}
 		if err != nil {
@@ -875,87 +859,24 @@ func (c *Client) subscribeOnLocked(channel string, servers []plan.ServerID) erro
 		okCount++
 	}
 	if okCount == 0 && firstErr != nil {
-		return fmt.Errorf("dynamoth: subscribe %q: %w", channel, firstErr)
-	}
-	return nil
-}
-
-// replayOutcome summarizes one re-homing's cursor resubscribes so the caller
-// can record traces and fire the gap callback after releasing c.mu.
-type replayOutcome struct {
-	attempted bool   // at least one cursor subscribe was issued
-	replayed  int    // frames brokers queued to fill our gaps
-	missed    uint64 // frames declared unrecoverable
-}
-
-// resubscribeOnLocked re-homes channel's subscription onto servers with the
-// subscription's resume cursor: each server that supports cursor subscribes
-// replays the frames we are owed before live flow; anything else (or a
-// subscription with nothing to resume, such as the inbox) degrades to a plain
-// Subscribe. When a broker reports part of the cursor's range already
-// overwritten, the gap is forgiven in the tracker — asking again can never
-// succeed — and surfaced in the outcome.
-func (c *Client) resubscribeOnLocked(channel string, servers []plan.ServerID, sub *subscription) (replayOutcome, error) {
-	var out replayOutcome
-	if sub == nil || sub.track == nil {
-		return out, c.subscribeOnLocked(channel, servers)
-	}
-	cur, sent, ok := sub.track.cursor()
-	if !ok {
-		return out, c.subscribeOnLocked(channel, servers)
-	}
-	var firstErr error
-	okCount := 0
-	for _, s := range servers {
-		conn, err := c.connLocked(s)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		cs, can := conn.conn.(transport.CursorSubscriber)
-		if !can {
-			if err := conn.conn.Subscribe(channel); err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				continue
-			}
-			okCount++
-			continue
-		}
-		res, err := cs.SubscribeCursor(channel, cur)
-		if err != nil {
-			// The cursor was rejected or the ack lost; a plain subscribe on
-			// the same connection keeps live flow alive (the gap, if any,
-			// stays open in the tracker for the next re-home to claim).
-			if err2 := conn.conn.Subscribe(channel); err2 != nil {
-				if firstErr == nil {
-					firstErr = err2
-				}
-				continue
-			}
-			okCount++
-			continue
-		}
-		okCount++
-		out.attempted = true
-		out.replayed += res.Replayed
-		c.replayRequests.Add(1)
-		c.replayedFrames.Add(uint64(res.Replayed))
-		if res.Missed > 0 {
-			// Missed is relative to the contiguous sequence we claimed for
-			// the matched epoch: everything up to sent+missed is gone.
-			sub.track.forgive(res.Epoch, sent[res.Epoch]+res.Missed)
-			out.missed += res.Missed
-			c.replayGaps.Add(res.Missed)
-		}
-	}
-	if okCount == 0 && firstErr != nil {
 		return out, fmt.Errorf("dynamoth: subscribe %q: %w", channel, firstErr)
 	}
 	return out, nil
+}
+
+// moveLocked carries out a routing decision for a subscription that already
+// exists — a SWITCH, a failover repair, the inbox following the ring: it
+// subscribes channel on add, resuming from its cursor, then leaves drop. drop
+// is left even when the subscribe failed: the routing table no longer records
+// it, so no later decision would.
+func (c *Client) moveLocked(channel string, add, drop []plan.ServerID) (replayOutcome, error) {
+	var track *seqTracker
+	if sub := c.subs[channel]; sub != nil {
+		track = &sub.track
+	}
+	out, err := c.subscribeOnLocked(channel, add, track)
+	c.leaveLocked(channel, drop)
+	return out, err
 }
 
 // recordReplay emits the trace/log/callback side of a re-homing's replay,
@@ -978,18 +899,6 @@ func (c *Client) recordReplay(channel, detail string, planVersion uint64, out re
 	}
 }
 
-// observeSeq consumes an arriving frame's (epoch, seq) for gap accounting
-// without delivering it (the dedup-suppressed path).
-func (c *Client) observeSeq(channel string, env *message.Envelope) {
-	rt := c.route.Load()
-	if rt == nil {
-		return
-	}
-	if sub := rt.subs[channel]; sub != nil && sub.track != nil {
-		sub.track.observe(env.Epoch, env.ChannelSeq, env.Stamp)
-	}
-}
-
 // ReplayGaps reports the subscriptions' current open sequence holes: frames
 // the replay machinery still expects a broker to replay or declare lost. At
 // quiescence it is zero; the chaos suite asserts that.
@@ -998,9 +907,7 @@ func (c *Client) ReplayGaps() int {
 	defer c.mu.Unlock()
 	n := 0
 	for _, sub := range c.subs {
-		if sub.track != nil {
-			n += sub.track.openGaps()
-		}
+		n += sub.track.openGaps()
 	}
 	return n
 }
@@ -1013,13 +920,22 @@ func (c *Client) handleMessage(channel string, payload []byte) {
 	}
 	switch env.Type {
 	case message.TypeData, message.TypeForwarded:
+		rt := c.route.Load()
+		var sub *subscription
+		if rt != nil { // nil only before the bootstrap snapshot
+			sub = rt.subs[channel]
+		}
+		if sub != nil {
+			// Every copy consumes its broker's (epoch, seq), a suppressed
+			// duplicate too: a forwarded frame re-stamped by another broker
+			// would otherwise leave a phantom hole in that broker's sequence.
+			sub.track.observe(env.Epoch, env.ChannelSeq, env.Stamp)
+		}
 		if c.dedup.Observe(env.ID) {
+			// The one record of a duplicate: the counter, and one event the
+			// rebalance timelines attribute to the move that caused it.
 			c.duplicates.Add(1)
-			// The suppressed copy still consumes its broker's (epoch, seq):
-			// a forwarded frame re-stamped by another broker would otherwise
-			// leave a phantom hole in that broker's sequence.
-			c.observeSeq(channel, env)
-			c.noteDuplicate(channel)
+			c.rec.Record(trace.KindDuplicate, 0, channel, "", 1, 0)
 			return
 		}
 		if env.Stamp != 0 {
@@ -1042,8 +958,17 @@ func (c *Client) handleMessage(channel string, payload []byte) {
 				}
 			}
 		}
-		c.touch(channel)
-		c.deliver(channel, env)
+		if rt == nil {
+			return
+		}
+		// §IV-A5: receiving a publication resets the channel's entry timer
+		// (atomic, so the snapshot suffices).
+		if le, ok := rt.entries[channel]; ok {
+			le.Touch(c.cfg.Clock.Now())
+		}
+		if sub != nil { // nil: already unsubscribed, a late delivery
+			c.deliver(sub, channel, env)
+		}
 	case message.TypeSwitch:
 		c.redirects.Add(1)
 		c.rec.Record(trace.KindSwitchRecv, env.PlanVersion, env.Channel, "", 0, int64(len(env.Servers)))
@@ -1057,18 +982,8 @@ func (c *Client) handleMessage(channel string, payload []byte) {
 	}
 }
 
-func (c *Client) deliver(channel string, env *message.Envelope) {
-	rt := c.route.Load()
-	if rt == nil {
-		return // bootstrap window; nothing subscribed yet
-	}
-	sub := rt.subs[channel]
-	if sub == nil {
-		return // already unsubscribed; late delivery
-	}
-	if sub.track != nil {
-		sub.track.observe(env.Epoch, env.ChannelSeq, env.Stamp)
-	}
+// deliver hands one data message to its subscription's stream.
+func (c *Client) deliver(sub *subscription, channel string, env *message.Envelope) {
 	msg := Message{
 		Channel: channel,
 		// The transport transferred payload ownership to us (Handler docs)
@@ -1097,25 +1012,13 @@ func (c *Client) deliver(channel string, env *message.Envelope) {
 	}
 }
 
-// touch resets the plan-entry timer for a channel (§IV-A5: "the timer is
-// reset whenever the client sends or receives a publication"). Entry timers
-// are atomic, so the snapshot suffices — no lock.
-func (c *Client) touch(channel string) {
-	rt := c.route.Load()
-	if rt == nil {
-		return
-	}
-	if le, ok := rt.entries[channel]; ok {
-		le.Touch(c.cfg.Clock.Now())
-	}
-}
-
 // applyControl folds a SWITCH (move) or WRONG-SERVER notification into the
 // routing table: the ring it carries, which may re-home the inbox, and the
 // channel's new mapping. A SWITCH on a subscribed channel moves the
 // subscription: the new servers first, presenting the resume cursor so they
 // replay anything the drain window would lose, then the abandoned ones; the
-// dedup window absorbs the overlap.
+// deduper absorbs the overlap. A failed subscribe surfaces as a disconnect,
+// which repairs it.
 func (c *Client) applyControl(env *message.Envelope, move bool) {
 	channel := env.Channel
 	c.mu.Lock()
@@ -1125,8 +1028,7 @@ func (c *Client) applyControl(env *message.Envelope, move bool) {
 	}
 	inbox := plan.InboxChannel(c.cfg.NodeID)
 	add, drop := c.routes.Ring(env.RingServers, env.PlanVersion, c.reachLocked(inbox, nil))
-	_ = c.subscribeOnLocked(inbox, add) // a failed subscribe surfaces as a disconnect, which repairs it
-	c.leaveLocked(inbox, drop)
+	_, _ = c.moveLocked(inbox, add, drop)
 	e := plan.Entry{Strategy: plan.Strategy(env.Strategy), Servers: env.Servers}
 	add, drop, moved := c.routes.Learn(channel, e, env.PlanVersion, move, c.cfg.Clock.Now(), c.reachLocked(channel, nil))
 	if !moved {
@@ -1134,9 +1036,7 @@ func (c *Client) applyControl(env *message.Envelope, move bool) {
 		c.mu.Unlock()
 		return
 	}
-	replay, _ := c.resubscribeOnLocked(channel, add, c.subs[channel])
-	c.leaveLocked(channel, drop)
-	c.openWindowLocked(channel, env.PlanVersion, "switch")
+	replay, _ := c.moveLocked(channel, add, drop)
 	c.rebuildRouteLocked()
 	servers, _ := c.routes.Servers(channel)
 	c.mu.Unlock()
@@ -1146,47 +1046,6 @@ func (c *Client) applyControl(env *message.Envelope, move bool) {
 		slog.String("channel", channel),
 		slog.Uint64("plan", env.PlanVersion),
 		slog.Int("targets", len(servers)))
-}
-
-// noteDuplicate attributes one suppressed duplicate to the channel's open
-// dedup window. Duplicates only occur during migration overlap, so taking
-// the client lock here never touches the steady-state delivery path.
-func (c *Client) noteDuplicate(channel string) {
-	c.mu.Lock()
-	// Get (not Peek) marks the window recently used, so a window actively
-	// absorbing duplicates is the last candidate for capacity eviction.
-	if w, ok := c.windows.Get(channel); ok {
-		w.suppressed++
-		c.suppressed.Add(1)
-	}
-	c.mu.Unlock()
-	c.rec.Record(trace.KindDuplicate, 0, channel, "", 1, 0)
-}
-
-// openWindowLocked opens (or rolls over) the channel's dedup window. A
-// window already tracking the same plan version keeps accumulating; a new
-// plan version closes the previous window first so each rebalance gets its
-// own suppressed count.
-func (c *Client) openWindowLocked(channel string, planVersion uint64, detail string) {
-	now := c.cfg.Clock.Now()
-	if w, ok := c.windows.Get(channel); ok {
-		if w.plan == planVersion {
-			return
-		}
-		c.closeWindowLocked(channel, w, now)
-	}
-	// Put may evict a cold window at capacity; the cache's OnEvict flushes
-	// it to the recorder, so no suppressed count is ever silently dropped.
-	c.windows.Put(channel, &dedupWindow{openedAt: now, plan: planVersion})
-	c.rec.Record(trace.KindDedupOpen, planVersion, channel, detail, 0, 0)
-}
-
-// closeWindowLocked closes a dedup window, recording how many duplicates it
-// absorbed (Value) and how long it was open (Aux, nanoseconds). Delete does
-// not fire OnEvict, so the window is recorded exactly once.
-func (c *Client) closeWindowLocked(channel string, w *dedupWindow, now time.Time) {
-	c.windows.Delete(channel)
-	c.rec.Record(trace.KindDedupClose, w.plan, channel, "", w.suppressed, now.Sub(w.openedAt).Nanoseconds())
 }
 
 // errConnLost is the backoff cause when a connection died without a more
@@ -1228,9 +1087,8 @@ func (c *Client) handleDisconnectedConn(cc *clientConn, cause error) {
 	}
 }
 
-// sweepInterval is the maintenance cadence: entry-timer sweeps, repair, and
-// dedup-window expiry all run on it. It also bounds how long a dedup window
-// stays open past its migration.
+// sweepInterval is the maintenance cadence: entry-timer sweeps and repair
+// run on it.
 func (c *Client) sweepInterval() time.Duration {
 	interval := c.cfg.EntryTimeout / 4
 	if interval < time.Second {
@@ -1278,43 +1136,20 @@ func (c *Client) sweep() {
 		// The resume cursor turns the failover from "hope the overlap covered
 		// it" into an explicit replay of the crash window from the successor's
 		// ring (or, after a redial, from the same broker's ring).
-		sub := c.subs[ch] // nil for the inbox
-		replay, err := c.resubscribeOnLocked(ch, add, sub)
+		replay, err := c.moveLocked(ch, add, drop)
 		if err != nil {
 			continue // retry next sweep
 		}
 		delete(c.repairs, ch)
-		c.leaveLocked(ch, drop)
-		if sub == nil {
-			continue // the inbox: no stream to resume, no overlap to account
+		if _, ok := c.subs[ch]; !ok {
+			continue // the inbox: no stream to resume
 		}
 		replays = append(replays, repairedReplay{ch, replay})
-		// Failover re-homing can overlap with the old server's tail or the
-		// repaired plan's forwarding: open a dedup window for the transition
-		// (plan 0 — the timeline attributes it to the enclosing repair).
-		c.openWindowLocked(ch, 0, "failover")
+		// Plan 0: the timeline attributes a failover to the enclosing repair.
 		c.rec.Record(trace.KindMigrate, 0, ch, "failover", 1, int64(len(add)))
 		c.log.Info("subscription repaired",
 			slog.String("channel", ch),
 			slog.Int("targets", len(add)))
-	}
-	// Expire dedup windows whose migration overlap has aged out. Expired
-	// windows are collected first (Range must not re-enter the cache), then
-	// closed so each flush is recorded.
-	windowTTL := c.sweepInterval()
-	type expired struct {
-		ch string
-		w  *dedupWindow
-	}
-	var expiredWindows []expired
-	c.windows.Range(func(ch string, w *dedupWindow) bool {
-		if now.Sub(w.openedAt) >= windowTTL {
-			expiredWindows = append(expiredWindows, expired{ch, w})
-		}
-		return true
-	})
-	for _, e := range expiredWindows {
-		c.closeWindowLocked(e.ch, e.w, now)
 	}
 	if swept > 0 || len(repairs) > 0 {
 		c.rebuildRouteLocked()

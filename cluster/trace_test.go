@@ -165,11 +165,9 @@ func TestChaosRepairTimeline(t *testing.T) {
 		t.Fatal("post-repair publication never delivered")
 	}
 
-	// Closing the clients flushes their open dedup windows into the recorder,
-	// so the timeline's Suppressed total is complete.
-	wantSuppressed := int64(sub.Stats().DuplicatesSuppressed + pub.Stats().DuplicatesSuppressed)
 	sub.Close()
 	pub.Close()
+	wantSuppressed := int64(sub.Stats().Duplicates + pub.Stats().Duplicates)
 
 	timelines := c.Timelines()
 	var repair *trace.Rebalance
@@ -214,8 +212,8 @@ func TestChaosRepairTimeline(t *testing.T) {
 		prev = ph.Start
 	}
 
-	// The timeline's suppressed total must equal the clients' own counters —
-	// the dedup windows and the Stats counter are two views of one event.
+	// The timelines' suppressed total must equal the clients' own counters:
+	// each duplicate is one event, counted once and attributed once.
 	var total int64
 	for _, rb := range timelines {
 		total += rb.Suppressed
@@ -225,16 +223,11 @@ func TestChaosRepairTimeline(t *testing.T) {
 	}
 }
 
-// TestDedupWindowEvictionReplayInterop pins the Σ dedup_close ==
-// DuplicatesSuppressed invariant against the replay machinery under window
-// eviction pressure: with DedupWindowCap 1, every migration in a rebalance
-// evicts the previous channel's window (flushed by OnEvict), and replayed
-// duplicates arriving after their channel's window is gone must be counted
-// in neither view — not silently added to DuplicatesSuppressed without a
-// window to flush them, and not double-flushed when the window is later
-// reopened. The two sums must stay equal through evictions, expiries, and
-// the close-time flush.
-func TestDedupWindowEvictionReplayInterop(t *testing.T) {
+// TestRebalanceReplayDuplicatesInTimelines pins duplicate accounting against
+// the replay machinery under a real scale-up rebalance: several channels
+// migrate while cursor subscribes replay overlap, and every duplicate the
+// clients suppressed must land in exactly one rebalance timeline.
+func TestRebalanceReplayDuplicatesInTimelines(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos test is seconds-long")
 	}
@@ -255,7 +248,7 @@ func TestDedupWindowEvictionReplayInterop(t *testing.T) {
 	defer c.Stop()
 
 	const channels = 6
-	sub, err := c.NewClient(dynamoth.Config{NodeID: 950, Clock: clk, DedupWindowCap: 1})
+	sub, err := c.NewClient(dynamoth.Config{NodeID: 950, Clock: clk})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,8 +270,7 @@ func TestDedupWindowEvictionReplayInterop(t *testing.T) {
 	defer pub.Close()
 
 	// Enough sustained load to trigger a scale-up rebalance, so several
-	// channels migrate (each opening a window that evicts its predecessor)
-	// while replay resubscribes deliver overlap duplicates.
+	// channels migrate while replay resubscribes deliver overlap duplicates.
 	stopLoad := make(chan struct{})
 	loadDone := make(chan struct{})
 	go func() {
@@ -312,21 +304,19 @@ func TestDedupWindowEvictionReplayInterop(t *testing.T) {
 		t.Fatal("no cursor resubscribes issued: the migration path did not exercise replay")
 	}
 
-	// Closing flushes every still-open window; after this the recorder holds
-	// the complete suppressed history.
 	sub.Close()
 	pub.Close()
-	wantSuppressed := int64(sub.Stats().DuplicatesSuppressed + pub.Stats().DuplicatesSuppressed)
+	wantSuppressed := int64(sub.Stats().Duplicates + pub.Stats().Duplicates)
 
 	var total int64
 	for _, rb := range c.Timelines() {
 		total += rb.Suppressed
 	}
 	if total != wantSuppressed {
-		t.Errorf("timeline suppressed=%d, client counters=%d (windows lost or double-counted across eviction)",
+		t.Errorf("timeline suppressed=%d, client counters=%d (duplicates lost or double-counted)",
 			total, wantSuppressed)
 	}
 	st := sub.Stats()
-	t.Logf("duplicates=%d suppressed=%d replayRequests=%d replayed=%d",
-		st.Duplicates, st.DuplicatesSuppressed, st.ReplayRequests, st.ReplayedFrames)
+	t.Logf("duplicates=%d replayRequests=%d replayed=%d",
+		st.Duplicates, st.ReplayRequests, st.ReplayedFrames)
 }

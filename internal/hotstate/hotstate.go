@@ -1,6 +1,6 @@
 // Package hotstate provides the bounded, lock-striped cache behind every
-// per-channel hot-state map in Dynamoth (client local plans, dedup windows,
-// the LLA accumulator's stripes, the top-K tracker). At IoT-style
+// per-channel hot-state map in Dynamoth (client local plans, replay rings,
+// the LLA accumulator's stripes, the top-K trackers). At IoT-style
 // topic-per-device scale the channel namespace is effectively unbounded;
 // hotstate turns each of those maps from O(channels) into O(cap).
 //
@@ -18,8 +18,8 @@
 //     the shard grows past its share of the cap rather than deadlocking.
 //   - Eviction callback: capacity evictions and sweep drops invoke OnEvict
 //     *after* the shard lock is released, so callbacks may take caller-side
-//     locks (the client flushes dedup-window accounting from it) without
-//     lock-order risk.
+//     locks (the broker's replay store retires an evicted ring's bytes from
+//     it) without lock-order risk.
 //   - AppendKeys reuses caller-provided storage, so periodic full reads do
 //     not allocate a fresh slice per call.
 //

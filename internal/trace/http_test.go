@@ -81,7 +81,10 @@ func TestRebalancesHandler(t *testing.T) {
 	sp := r.StartSpan(KindPlanCompute, 0, "")
 	sp.EndAt(2, "high-load:1 moves", 1)
 	r.Record(KindPlanPush, 2, "pub1", "", int64(time.Millisecond), 0)
-	r.Record(KindDedupClose, 2, "game", "", 5, 0)
+	r.Record(KindMigrate, 2, "game", "switch", 1, 2)
+	for i := 0; i < 5; i++ {
+		r.Record(KindDuplicate, 0, "game", "", 1, 0)
+	}
 
 	srv := httptest.NewServer(r.RebalancesHandler())
 	defer srv.Close()

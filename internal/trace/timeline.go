@@ -20,7 +20,7 @@ type Phase struct {
 	// Count is the number of events aggregated into this phase.
 	Count int `json:"count"`
 	// Value sums the events' kind-specific values (duration ns for spans,
-	// suppressed duplicates for dedup_close, load ratio for triggers).
+	// one per suppressed duplicate, load ratio for triggers).
 	Value int64 `json:"value"`
 	// Subjects lists the distinct servers/channels the events touched,
 	// capped at phaseSubjectCap.
@@ -33,7 +33,7 @@ const phaseSubjectCap = 32
 
 // Rebalance is a reconstructed reconfiguration timeline: every recorded
 // phase of one plan generation, from trigger (or failure detection) through
-// migration and dedup-window close.
+// migration and the duplicates its overlap produced.
 type Rebalance struct {
 	// Plan is the plan version this rebalance installed.
 	Plan uint64 `json:"plan"`
@@ -45,8 +45,8 @@ type Rebalance struct {
 	End   int64 `json:"end"`
 	// Phases are ordered by start time.
 	Phases []Phase `json:"phases"`
-	// Suppressed is the total duplicates suppressed by client dedup windows
-	// attributed to this rebalance.
+	// Suppressed counts the duplicates clients suppressed on channels this
+	// rebalance migrated, up to the channel's next migration.
 	Suppressed int64 `json:"suppressed"`
 }
 
@@ -74,14 +74,13 @@ func eventBounds(ev Event) (int64, int64) {
 }
 
 // failurePath reports whether a version-less event belongs to the client
-// failure path. Switch-driven migrations and dedup windows always carry the
-// plan version of the SWITCH that caused them, so a version-less event of
-// these kinds was born from a broken connection — part of a failure incident,
-// not of whatever rebalance happened to precede it.
+// failure path. Switch-driven migrations always carry the plan version of the
+// SWITCH that caused them, so a version-less event of these kinds was born
+// from a broken connection — part of a failure incident, not of whatever
+// rebalance happened to precede it.
 func failurePath(k Kind) bool {
 	switch k {
-	case KindDialFail, KindRedial, KindSubstitute, KindMigrate, KindDedupOpen, KindDedupClose,
-		KindReplay, KindReplayGap:
+	case KindDialFail, KindRedial, KindSubstitute, KindMigrate, KindReplay, KindReplayGap:
 		return true
 	}
 	return false
@@ -98,13 +97,15 @@ func connLayer(k Kind) bool {
 }
 
 // BuildTimelines reconstructs per-rebalance timelines from a recorder event
-// stream. Events carrying a plan version are grouped by it; version-less
-// client events (migrations, dedup windows, redials, substitutions) are
+// stream, oldest first. Events carrying a plan version are grouped by it;
+// version-less client events (migrations, redials, substitutions) are
 // attributed to the most recent rebalance that started before them — except
 // failure-path events, which attach forward to the next repair when one
 // follows: clients fail over the moment a connection breaks, while the
 // balancer's verdict lags a detection window behind, and the incident
-// timeline must span both. Results are ordered by plan version.
+// timeline must span both. A duplicate belongs to the rebalance that last
+// migrated its channel: the overlap of that move produced it. Results are
+// ordered by plan version.
 func BuildTimelines(events []Event) []Rebalance {
 	if len(events) == 0 {
 		return nil
@@ -168,23 +169,33 @@ func BuildTimelines(events []Event) []Rebalance {
 		}
 		return 0
 	}
+	// movedBy maps a channel to the rebalance its latest migration belongs to.
+	movedBy := make(map[string]uint64)
 	for _, ev := range events {
-		if ev.Plan != 0 || connLayer(ev.Kind) {
+		if connLayer(ev.Kind) {
 			// Connection-layer events (accepts, closes, backpressure) are
 			// steady-state traffic, not reconfiguration steps; attributing
 			// them to whatever rebalance happened to precede them would
 			// pollute every timeline on a busy broker.
 			continue
 		}
-		start, _ := eventBounds(ev)
-		var plan uint64
-		if failurePath(ev.Kind) {
-			plan = nextRepair(start)
-		}
+		plan := ev.Plan
 		if plan == 0 {
-			plan = attribute(start)
+			start, _ := eventBounds(ev)
+			if ev.Kind == KindDuplicate {
+				plan = movedBy[ev.Subject]
+			}
+			if plan == 0 && failurePath(ev.Kind) {
+				plan = nextRepair(start)
+			}
+			if plan == 0 {
+				plan = attribute(start)
+			}
+			byPlan[plan] = append(byPlan[plan], ev)
 		}
-		byPlan[plan] = append(byPlan[plan], ev)
+		if ev.Kind == KindMigrate {
+			movedBy[ev.Subject] = plan
+		}
 	}
 
 	out := make([]Rebalance, 0, len(byPlan))
@@ -207,7 +218,7 @@ func buildOne(plan uint64, evs []Event) Rebalance {
 			if rb.Kind == "rebalance" {
 				rb.Kind = "spawn"
 			}
-		case KindDedupClose:
+		case KindDuplicate:
 			rb.Suppressed += ev.Value
 		}
 		start, end := eventBounds(ev)

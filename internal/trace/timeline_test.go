@@ -25,8 +25,9 @@ func TestTimelineSingleRebalance(t *testing.T) {
 		// Plan-less client events attributed by time window.
 		mkEvent(7, ms(12), KindSwitchRecv, 0, "game", 0, 0),
 		mkEvent(8, ms(13), KindMigrate, 0, "game", 1, 0),
-		mkEvent(9, ms(14), KindDedupOpen, 0, "game", 0, 0),
-		mkEvent(10, ms(40), KindDedupClose, 0, "game", 3, int64(ms(26))),
+		mkEvent(9, ms(14), KindDuplicate, 0, "game", 1, 0),
+		mkEvent(10, ms(20), KindDuplicate, 0, "game", 1, 0),
+		mkEvent(11, ms(40), KindDuplicate, 0, "game", 1, 0),
 	}
 	timelines := BuildTimelines(events)
 	if len(timelines) != 1 {
@@ -39,7 +40,7 @@ func TestTimelineSingleRebalance(t *testing.T) {
 	if rb.Suppressed != 3 {
 		t.Fatalf("suppressed = %d, want 3", rb.Suppressed)
 	}
-	for _, phase := range []string{"trigger", "load", "plan_compute", "plan_push", "switch_send", "switch_recv", "migrate", "dedup_open", "dedup_close"} {
+	for _, phase := range []string{"trigger", "load", "plan_compute", "plan_push", "switch_send", "switch_recv", "migrate", "duplicate"} {
 		if rb.Phase(phase) == nil {
 			t.Fatalf("missing phase %q in %+v", phase, rb.Phases)
 		}
@@ -123,9 +124,10 @@ func TestTimelineFailoverForwardAttribution(t *testing.T) {
 		mkEvent(3, ms(50), KindDialFail, 0, "pub3", 0, 0),
 		mkEvent(4, ms(51), KindSubstitute, 0, "pub2", 0, 0),
 		mkEvent(5, ms(52), KindMigrate, 0, "game", 1, 0),
-		mkEvent(6, ms(53), KindDedupClose, 0, "game", 2, 0),
-		mkEvent(7, ms(2050), KindDetect, 3, "pub3", 3, 0),
-		mkEvent(8, ms(2052), KindRepair, 3, "pub3", int64(ms(1)), 1),
+		mkEvent(6, ms(53), KindDuplicate, 0, "game", 1, 0),
+		mkEvent(7, ms(54), KindDuplicate, 0, "game", 1, 0),
+		mkEvent(8, ms(2050), KindDetect, 3, "pub3", 3, 0),
+		mkEvent(9, ms(2052), KindRepair, 3, "pub3", int64(ms(1)), 1),
 	}
 	timelines := BuildTimelines(events)
 	if len(timelines) != 2 {
@@ -135,7 +137,7 @@ func TestTimelineFailoverForwardAttribution(t *testing.T) {
 	if repair.Kind != "repair" {
 		t.Fatalf("plan 3 kind = %q, want repair", repair.Kind)
 	}
-	for _, phase := range []string{"dial_fail", "substitute", "migrate", "dedup_close"} {
+	for _, phase := range []string{"dial_fail", "substitute", "migrate", "duplicate"} {
 		if repair.Phase(phase) == nil {
 			t.Errorf("repair missing forward-attributed %q phase: %+v", phase, repair.Phases)
 		}
@@ -147,12 +149,48 @@ func TestTimelineFailoverForwardAttribution(t *testing.T) {
 		t.Errorf("non-failure plan-less event left plan 2: %+v", rebalance.Phases)
 	}
 	if repair.Suppressed != 2 {
-		t.Errorf("repair suppressed = %d, want 2 (failover window's count)", repair.Suppressed)
+		t.Errorf("repair suppressed = %d, want 2 (the failover's duplicates)", repair.Suppressed)
 	}
 	// The incident starts at the first failover, so detection lag is visible
 	// as the gap between the timeline start and the detect phase.
 	if repair.Start != events[2].Time {
 		t.Errorf("repair start = %d, want first failover event %d", repair.Start, events[2].Time)
+	}
+}
+
+// TestTimelineDuplicateFollowsItsChannelsMigration pins how a duplicate is
+// attributed: to the rebalance that last migrated its channel, however late
+// it arrives, and by time only when its channel never moved.
+func TestTimelineDuplicateFollowsItsChannelsMigration(t *testing.T) {
+	ms := func(d int) time.Duration { return time.Duration(d) * time.Millisecond }
+	events := []Event{
+		mkEvent(1, ms(0), KindTrigger, 2, "", 0, 0),
+		mkEvent(2, ms(5), KindMigrate, 2, "a", 1, 0),
+		mkEvent(3, ms(100), KindTrigger, 3, "", 0, 0),
+		mkEvent(4, ms(105), KindMigrate, 3, "b", 1, 0),
+		mkEvent(5, ms(110), KindDuplicate, 0, "a", 1, 0), // plan 2 moved a
+		mkEvent(6, ms(111), KindDuplicate, 0, "b", 1, 0), // plan 3 moved b
+		mkEvent(7, ms(112), KindDuplicate, 0, "c", 1, 0), // never moved: by time
+		// A failover moves a again; the repair that follows owns it and the
+		// duplicates after it.
+		mkEvent(8, ms(200), KindMigrate, 0, "a", 1, 0),
+		mkEvent(9, ms(201), KindDuplicate, 0, "a", 1, 0),
+		mkEvent(10, ms(900), KindDetect, 4, "pub3", 3, 0),
+	}
+	want := map[uint64]int64{2: 1, 3: 2, 4: 1}
+	timelines := BuildTimelines(events)
+	if len(timelines) != len(want) {
+		t.Fatalf("got %d timelines, want %d", len(timelines), len(want))
+	}
+	var total int64
+	for _, rb := range timelines {
+		if rb.Suppressed != want[rb.Plan] {
+			t.Errorf("plan %d suppressed = %d, want %d", rb.Plan, rb.Suppressed, want[rb.Plan])
+		}
+		total += rb.Suppressed
+	}
+	if total != 4 {
+		t.Errorf("timelines hold %d duplicates, want all 4", total)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package trace is Dynamoth's control-plane flight recorder: a fixed-capacity
 // lock-free ring buffer of reconfiguration events (plan triggers, pushes,
-// switches, migrations, dedup windows, failure detection and repair) with a
+// switches, migrations, duplicates, failure detection and repair) with a
 // span API for timed phases, derived dynamoth_reconfig_* metrics, and a
 // per-rebalance timeline view served on the admin endpoints.
 //
@@ -60,12 +60,6 @@ const (
 	// KindDrained marks a channel transition completing on a dispatcher
 	// (old-holder forwarding can stop).
 	KindDrained
-	// KindDedupOpen marks a client opening a duplicate-suppression window
-	// for a channel after a migration.
-	KindDedupOpen
-	// KindDedupClose closes a dedup window; Value is the number of
-	// duplicates suppressed inside it, Aux the window duration (ns).
-	KindDedupClose
 	// KindDetect is a failure-detector verdict: Subject the dead server,
 	// Detail the evidence (probe misses, report staleness).
 	KindDetect
@@ -84,7 +78,8 @@ const (
 	// (Subject = substitute server, Detail = channel).
 	KindSubstitute
 	// KindDuplicate marks one duplicate suppressed by a client's deduper
-	// (Subject = channel).
+	// (Subject = channel, Value = 1). Timelines attribute it to the rebalance
+	// that last migrated its channel.
 	KindDuplicate
 	// KindConnAccept marks one accepted broker connection (Subject =
 	// remote address). Connection-layer kinds carry no plan ID and are
@@ -133,8 +128,6 @@ var kinds = [kindCount]kindInfo{
 	KindSwitchRecv:   {name: "switch_recv", component: "client", level: slog.LevelDebug, metric: "dynamoth_reconfig_switch_received"},
 	KindMigrate:      {name: "migrate", component: "client", level: slog.LevelInfo, metric: "dynamoth_reconfig_migrations"},
 	KindDrained:      {name: "drained", component: "dispatcher", level: slog.LevelDebug, metric: "dynamoth_reconfig_drains"},
-	KindDedupOpen:    {name: "dedup_open", component: "client", level: slog.LevelDebug, metric: "dynamoth_reconfig_dedup_windows"},
-	KindDedupClose:   {name: "dedup_close", component: "client", level: slog.LevelInfo, metric: "dynamoth_reconfig_dedup_suppressed", sum: true},
 	KindDetect:       {name: "detect", component: "balancer", level: slog.LevelWarn, metric: "dynamoth_reconfig_failures_detected"},
 	KindRepair:       {name: "repair", component: "balancer", level: slog.LevelWarn, span: true, metric: "dynamoth_reconfig_repair"},
 	KindSpawn:        {name: "spawn", component: "balancer", level: slog.LevelInfo, span: true, metric: "dynamoth_reconfig_spawn"},
@@ -463,8 +456,8 @@ func (r *Recorder) Count(k Kind) uint64 {
 	return r.counts[k].Load()
 }
 
-// Sum returns the lifetime Value sum for kind k (e.g. total duplicates
-// suppressed across all dedup windows for KindDedupClose).
+// Sum returns the lifetime Value sum for kind k (e.g. total frames replayed
+// for KindReplay).
 func (r *Recorder) Sum(k Kind) int64 {
 	if r == nil || k >= kindCount {
 		return 0

@@ -29,7 +29,7 @@ func TestTraceRecordAndRead(t *testing.T) {
 	r.SetNow(testNow())
 	r.Record(KindTrigger, 2, "", "high-load:3 moves", 1_500_000, 0)
 	r.Record(KindPlanPush, 2, "pub1", "", int64(3*time.Millisecond), 0)
-	r.Record(KindDedupClose, 2, "game", "", 4, int64(time.Second))
+	r.Record(KindReplay, 2, "game", "switch", 4, 0)
 
 	evs := r.Events(0)
 	if len(evs) != 3 {
@@ -49,8 +49,8 @@ func TestTraceRecordAndRead(t *testing.T) {
 			t.Fatalf("timestamps not monotone: %d then %d", evs[i-1].Time, evs[i].Time)
 		}
 	}
-	if got := r.Sum(KindDedupClose); got != 4 {
-		t.Fatalf("Sum(KindDedupClose) = %d, want 4", got)
+	if got := r.Sum(KindReplay); got != 4 {
+		t.Fatalf("Sum(KindReplay) = %d, want 4", got)
 	}
 	if got := r.Count(KindPlanPush); got != 1 {
 		t.Fatalf("Count(KindPlanPush) = %d, want 1", got)
@@ -264,16 +264,16 @@ func TestTraceRegisterMetrics(t *testing.T) {
 	r := NewRecorder(32)
 	r.SetNow(testNow())
 	r.Record(KindTrigger, 2, "", "spawn:1", 0, 0)
-	r.Record(KindDedupClose, 2, "game", "", 7, 0)
+	r.Record(KindReplay, 2, "game", "switch", 7, 0)
 	sp := r.StartSpan(KindRepair, 3, "pub1")
 	sp.End("evacuate", 5)
 	reg := obs.NewRegistry()
 	r.RegisterMetrics(reg)
 	text := reg.String()
 	checks := map[string]string{
-		"dynamoth_reconfig_triggers_total":         "dynamoth_reconfig_triggers_total 1",
-		"dynamoth_reconfig_dedup_suppressed_total": "dynamoth_reconfig_dedup_suppressed_total 7",
-		"dynamoth_reconfig_repair_seconds":         "dynamoth_reconfig_repair_seconds_count 1",
+		"dynamoth_reconfig_triggers_total": "dynamoth_reconfig_triggers_total 1",
+		"dynamoth_replay_served_total":     "dynamoth_replay_served_total 7",
+		"dynamoth_reconfig_repair_seconds": "dynamoth_reconfig_repair_seconds_count 1",
 	}
 	for name, want := range checks {
 		if !strings.Contains(text, want) {

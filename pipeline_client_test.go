@@ -114,16 +114,12 @@ func TestClientPipelineSwitchOverlapDedup(t *testing.T) {
 			if d := c.Stats().Duplicates; d != 1 {
 				t.Fatalf("Duplicates=%d, want 1", d)
 			}
-			// The switch opened a dedup window, so the duplicate is not just
-			// dropped — it is accounted to the migration, both in Stats and in
-			// the exported dynamoth_client_duplicates_suppressed_total family.
-			if s := c.Stats().DuplicatesSuppressed; s != 1 {
-				t.Fatalf("DuplicatesSuppressed=%d, want 1", s)
-			}
+			// The duplicate is accounted, not just dropped: the exported
+			// dynamoth_client_duplicates_total family carries the counter.
 			reg := obs.NewRegistry()
 			c.RegisterMetrics(reg)
-			if text := reg.String(); !strings.Contains(text, "dynamoth_client_duplicates_suppressed_total 1") {
-				t.Fatalf("exposition missing suppressed counter:\n%s", text)
+			if text := reg.String(); !strings.Contains(text, "dynamoth_client_duplicates_total 1") {
+				t.Fatalf("exposition missing duplicates counter:\n%s", text)
 			}
 			return
 		}

@@ -83,9 +83,6 @@ type Options struct {
 	// ReplayDepth overrides each broker's per-channel replay ring depth
 	// (0 = server.DefaultReplayDepth, negative = replay disabled).
 	ReplayDepth int
-	// ReplayChannels bounds how many channels may hold a replay ring per
-	// broker (0 = broker default, negative = unbounded).
-	ReplayChannels int
 	// DisableFailureDetection turns off the balancer's broker failure
 	// detector and automatic plan repair (on by default whenever a
 	// balancer runs; thresholds derive from ReportEvery — see DESIGN.md
@@ -494,7 +491,6 @@ func (c *Cluster) startNode(id plan.ServerID, initial *plan.Plan) error {
 		ReportEvery:    c.opts.ReportEvery,
 		OutputBuffer:   c.opts.OutputBuffer,
 		ReplayDepth:    c.opts.ReplayDepth,
-		ReplayChannels: c.opts.ReplayChannels,
 		Recorder:       c.rec,
 		Logger:         c.opts.Logger,
 	})

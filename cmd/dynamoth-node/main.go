@@ -71,10 +71,9 @@ func run() error {
 		admin   = flag.String("admin-addr", "", "admin HTTP listen address for /metrics, /healthz, /statusz, /debug/pprof, /debug/events, /debug/rebalances, /debug/latency, /debug/freemem (empty = disabled)")
 		logLvl  = flag.String("log-level", "warn", "structured log level on stderr (debug, info, warn, error)")
 		reuse   = flag.Bool("reuseport", false, "set SO_REUSEPORT on the RESP listener (linux; lets several nodes share one address)")
-		llaCap  = flag.Int("lla-channel-cap", 0, "distinct channels the LLA tracks per time unit; overflow folds into an aggregate bucket (0 = default, negative = unbounded)")
 		topkCap = flag.Int("topk-cap", 0, "channels held by the hot-channel tracker (0 = default, negative = unbounded)")
 		rcap    = flag.Int("replay-cap", 0, "per-channel replay ring depth for cursor-based resumable subscription (0 = default, negative = disabled)")
-		rchans  = flag.Int("replay-channels", 0, "channels that may hold a replay ring at once (0 = default, negative = unbounded)")
+		chanCap = flag.Int("channel-cap", 0, "channels the node keeps a record (replay ring, LLA counters) for at once; subscribed ones always, LLA traffic past it folds into an aggregate bucket (0 = default, negative = unbounded)")
 	)
 	flag.Var(peers, "peer", "peer node as id=host:port (repeatable)")
 	flag.Parse()
@@ -107,10 +106,9 @@ func run() error {
 		Initial:        initial,
 		Forwarder:      fwd,
 		MaxOutgoingBps: *maxBps,
-		LLAChannelCap:  *llaCap,
 		TopKCap:        *topkCap,
 		ReplayDepth:    *rcap,
-		ReplayChannels: *rchans,
+		ChannelCap:     *chanCap,
 		Recorder:       rec,
 		Logger:         logger,
 	})

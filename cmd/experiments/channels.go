@@ -18,9 +18,8 @@ import (
 // so both checkpoints land after every cache is full: any RSS growth between
 // them is a per-channel leak, not a cache filling to its bound.
 const (
-	soakLLACap       = 4096 // -lla-channel-cap
 	soakTopKCap      = 4096 // -topk-cap
-	soakReplayCap    = 8192 // -replay-channels
+	soakChannelCap   = 8192 // -channel-cap
 	soakWorkingSet   = 1024 // channels in the steady-state publish loop
 	soakSteadyOps    = 50_000
 	soakPayloadBytes = 64
@@ -35,7 +34,7 @@ const (
 	// Bounds the run must meet: RSS flat from the first checkpoint to the
 	// second, and the node's RSS at the target under an absolute ceiling —
 	// about 1.5× the 31–36 MiB this configuration measures, and far under what
-	// it would cost to size each of the soakReplayCap one-frame rings ahead of
+	// it would cost to size each of the soakChannelCap one-frame rings ahead of
 	// its contents (10 KiB of empty slots apiece, +80 MiB), which a ratio of
 	// two readings that both include it cannot see.
 	soakMaxRSSRatio    = 1.10
@@ -58,8 +57,8 @@ func runChannels(target int) error {
 		return fmt.Errorf("-channels must be at least 10, got %d", target)
 	}
 	fmt.Println("=== Channel soak — bounded hot-state caches under an unbounded namespace ===")
-	fmt.Printf("target %d distinct channels; node caps: lla=%d topk=%d replay=%d; RSS checkpoints at %d and %d\n\n",
-		target, soakLLACap, soakTopKCap, soakReplayCap, target/10, target)
+	fmt.Printf("target %d distinct channels; node caps: channels=%d topk=%d; RSS checkpoints at %d and %d\n\n",
+		target, soakChannelCap, soakTopKCap, target/10, target)
 
 	binDir, err := os.MkdirTemp("", "dynamoth-channels-*")
 	if err != nil {
@@ -72,9 +71,8 @@ func runChannels(target int) error {
 	}
 
 	node, err := startNode(nodeBin,
-		"-lla-channel-cap", strconv.Itoa(soakLLACap),
 		"-topk-cap", strconv.Itoa(soakTopKCap),
-		"-replay-channels", strconv.Itoa(soakReplayCap))
+		"-channel-cap", strconv.Itoa(soakChannelCap))
 	if err != nil {
 		return err
 	}

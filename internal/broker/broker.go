@@ -18,9 +18,10 @@
 //     modifying the broker (§III-A).
 //
 // The delivery pipeline is engineered to be allocation- and contention-free
-// in steady state (see DESIGN.md "Hot path"): the subscription registry is
-// lock-striped across shards so publishes to different channels never
-// contend, the per-publish scratch is pooled, and a TCP session's deliveries
+// in steady state (see DESIGN.md "Hot path"): a publication resolves its
+// channel once, to the channel's record in a lock-striped table, and reads
+// everything per-channel from there — the copy-on-write subscriber list, the
+// replay ring, and each SlotObserver's state. A TCP session's deliveries
 // accumulate in one output buffer that its connection core writes out in as
 // few syscalls as the socket allows.
 package broker
@@ -28,6 +29,7 @@ package broker
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -88,6 +90,19 @@ type Observer interface {
 	OnUnsubscribe(channel, session string, subscribers int)
 }
 
+// maxSlots is how many SlotObservers a channel record has room for (the LLA
+// and the dispatcher); one registered past it is called as a plain Observer.
+const maxSlots = 2
+
+// SlotObserver is an Observer that keeps per-channel state in the broker's
+// channel records: OnPublishSlot, called instead of OnPublish, is handed its
+// slot in the channel's record — empty (nil) at first, one concrete type,
+// gone with the record when the record is evicted.
+type SlotObserver interface {
+	Observer
+	OnPublishSlot(slot *atomic.Value, channel string, payload []byte, receivers int)
+}
+
 // FlushObserver is optionally implemented by Observers that also want the
 // writer-flush stage of the latency waterfall: OnFlush fires once per
 // delivery as the frame enters the connection's write buffer (the last
@@ -127,10 +142,10 @@ type Options struct {
 	// each channel in a replay ring and serves cursor-based resubscribes
 	// (Session.SubscribeFrom / the CSUBSCRIBE command). 0 disables replay.
 	ReplayDepth int
-	// ReplayChannels bounds how many channels may hold a replay ring
-	// (0 = DefaultReplayChannels, negative = unbounded). Rings of currently
-	// subscribed channels are pinned against eviction.
-	ReplayChannels int
+	// ChannelCap bounds the channel records (subscribers, replay ring,
+	// observer slots; 0 = DefaultChannelCap, negative = unbounded). Past it
+	// the coldest unsubscribed record is evicted; subscribed ones are pinned.
+	ChannelCap int
 	// NowNanos, when set, enables stage stamping: Publish writes the
 	// broker-ingress and fanout-enqueue marks of the latency waterfall into
 	// every stamped data envelope in place (message.StampStages) while it
@@ -139,16 +154,36 @@ type Options struct {
 	NowNanos func() int64
 }
 
-// shard is one stripe of the channel→subscribers registry. Padded so two
-// shards never share a cache line under concurrent publishes.
+// DefaultChannelCap bounds the channel records when Options.ChannelCap is 0.
+const DefaultChannelCap = 65536
+
+// record is what the broker keeps for one channel: the one place a
+// publication resolves its channel, once. It holds the interned name, the
+// subscriber list, the replay ring and one slot per SlotObserver.
+type record struct {
+	name string
+	// subs is copy-on-write (replaced under the shard's write lock, never
+	// mutated), so a publication fans out lock-free.
+	subs  atomic.Pointer[[]*Session]
+	ring  replayRing
+	slots [maxSlots]atomic.Value
+	ref   atomic.Bool // CLOCK reference bit
+	clock int         // index in the shard's CLOCK ring; under the write lock
+}
+
+// shard is one stripe of the channel-record table. Padded so two shards'
+// locks never share a cache line under concurrent publishes.
 type shard struct {
-	mu       sync.RWMutex
-	channels map[string]map[*Session]struct{}
-	_        [32]byte // pad to 64 bytes
+	mu    sync.RWMutex
+	recs  map[string]*record
+	clock []*record // CLOCK ring over recs
+	hand  int
+	live  int // records with at least one subscriber
+	_     [56]byte
 }
 
 // shardIndex hashes a channel name with FNV-1a onto a stripe.
-func shardIndex(channel string) uint32 {
+func shardIndex[T string | []byte](channel T) uint32 {
 	h := uint32(2166136261)
 	for i := 0; i < len(channel); i++ {
 		h ^= uint32(channel[i])
@@ -174,9 +209,10 @@ type Broker struct {
 	// observers is copy-on-write: registration is rare, reads happen on
 	// every publish. flushObs holds the observers that additionally
 	// implement FlushObserver, extracted at registration so the flush path
-	// pays one pointer load, not a type switch.
-	observers atomic.Pointer[[]Observer]
+	// pays one pointer load, not a type switch. slotted counts slots given.
+	observers atomic.Pointer[[]observer]
 	flushObs  atomic.Pointer[[]FlushObserver]
+	slotted   int
 
 	// nowNanos enables in-place stage stamping on Publish (nil = disabled).
 	nowNanos func() int64
@@ -187,9 +223,11 @@ type Broker struct {
 
 	closed atomic.Bool
 
-	// replay holds the per-channel sequenced frame rings (nil when replay
-	// is disabled).
-	replay *replayStore
+	perShard    int // record cap per shard (0 = unbounded)
+	capacity    int
+	replayDepth int // 0 = replay disabled
+	replay      replayStats
+	evictions   atomic.Uint64
 
 	published atomic.Uint64
 	delivered atomic.Uint64
@@ -210,14 +248,109 @@ func New(opts Options) *Broker {
 		nowNanos:  opts.NowNanos,
 		patterns:  make(map[string]map[*Session]struct{}),
 		sessions:  make(map[*Session]struct{}),
+		capacity:  max(opts.ChannelCap, 0), // negative: unbounded
 	}
+	if opts.ChannelCap == 0 {
+		b.capacity = DefaultChannelCap
+	}
+	b.perShard = (b.capacity + numShards - 1) / numShards
 	for i := range b.shards {
-		b.shards[i].channels = make(map[string]map[*Session]struct{})
+		b.shards[i].recs = make(map[string]*record)
 	}
-	if opts.ReplayDepth > 0 {
-		b.replay = newReplayStore(opts.ReplayDepth, opts.ReplayChannels)
-	}
+	b.replayDepth = max(opts.ReplayDepth, 0)
 	return b
+}
+
+// lookup returns name's record, creating it on first use. name may be the
+// bytes a command was parsed into: a map index by string(name) does not
+// allocate, and the name is copied only into a new record.
+func lookup[T string | []byte](b *Broker, name T) *record {
+	sh := &b.shards[shardIndex(name)]
+	sh.mu.RLock()
+	rec := sh.recs[string(name)]
+	sh.mu.RUnlock()
+	if rec == nil {
+		sh.mu.Lock()
+		rec, victim := b.recordLocked(sh, string(name))
+		sh.mu.Unlock()
+		b.retire(victim)
+		return rec
+	}
+	if !rec.ref.Load() {
+		rec.ref.Store(true)
+	}
+	return rec
+}
+
+// peek returns name's record without creating it or marking it used.
+func (b *Broker) peek(name string) *record {
+	sh := &b.shards[shardIndex(name)]
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	return sh.recs[name]
+}
+
+// recordLocked returns name's record, creating it when there is none — at the
+// shard's share of the cap, after evicting victim by CLOCK. Caller holds sh.mu.
+func (b *Broker) recordLocked(sh *shard, name string) (rec, victim *record) {
+	if rec = sh.recs[name]; rec != nil {
+		return rec, nil
+	}
+	if b.perShard > 0 && len(sh.clock) >= b.perShard {
+		// Two laps always find a victim unless every record is subscribed;
+		// then the shard grows past its share rather than refuse.
+		for i := 0; i < 2*len(sh.clock) && victim == nil; i++ {
+			if sh.hand >= len(sh.clock) {
+				sh.hand = 0
+			}
+			v := sh.clock[sh.hand]
+			sh.hand++
+			if len(*v.subs.Load()) > 0 {
+				continue
+			} else if v.ref.Load() {
+				v.ref.Store(false)
+				continue
+			}
+			last := sh.clock[len(sh.clock)-1]
+			sh.clock[v.clock], last.clock = last, v.clock
+			sh.clock = sh.clock[:len(sh.clock)-1]
+			delete(sh.recs, v.name)
+			victim = v
+		}
+	}
+	rec = &record{name: name, clock: len(sh.clock)}
+	rec.subs.Store(new([]*Session))
+	if b.replayDepth > 0 {
+		rec.ring.epoch = newEpoch()
+	}
+	sh.recs[name] = rec
+	sh.clock = append(sh.clock, rec)
+	return rec, victim
+}
+
+// retire takes an evicted record's ring out of the replay totals; a
+// publication still holding the record finishes on it harmlessly.
+func (b *Broker) retire(rec *record) {
+	if rec == nil {
+		return
+	}
+	b.evictions.Add(1)
+	r := &rec.ring
+	r.mu.Lock()
+	r.evicted = true
+	b.replay.bytes.Add(-r.bytes)
+	r.mu.Unlock()
+}
+
+// setSubs replaces rec's subscriber list, keeping the shard's count of
+// subscribed records. Caller holds sh.mu.
+func (sh *shard) setSubs(rec *record, subs []*Session) {
+	if was := len(*rec.subs.Load()) > 0; was && len(subs) == 0 {
+		sh.live--
+	} else if !was && len(subs) > 0 {
+		sh.live++
+	}
+	rec.subs.Store(&subs)
 }
 
 // Name returns the broker's name.
@@ -231,11 +364,16 @@ func (b *Broker) AddObserver(o Observer) {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	var obs []Observer
+	var obs []observer
 	if cur := b.observers.Load(); cur != nil {
 		obs = append(obs, *cur...)
 	}
-	obs = append(obs, o)
+	ob := observer{o: o}
+	if so, ok := o.(SlotObserver); ok && b.slotted < maxSlots {
+		ob.so, ob.slot = so, b.slotted
+		b.slotted++
+	}
+	obs = append(obs, ob)
 	b.observers.Store(&obs)
 	if fo, ok := o.(FlushObserver); ok {
 		var fos []FlushObserver
@@ -258,26 +396,37 @@ func (b *Broker) observeFlush(payload []byte) {
 	}
 }
 
-func (b *Broker) notifyPublish(channel string, payload []byte, receivers int) {
+// observer is one registration: a SlotObserver given a slot has so set.
+type observer struct {
+	o    Observer
+	so   SlotObserver
+	slot int
+}
+
+func (b *Broker) notifyPublish(rec *record, payload []byte, receivers int) {
 	if obs := b.observers.Load(); obs != nil {
-		for _, o := range *obs {
-			o.OnPublish(channel, payload, receivers)
+		for i := range *obs {
+			if ob := &(*obs)[i]; ob.so != nil {
+				ob.so.OnPublishSlot(&rec.slots[ob.slot], rec.name, payload, receivers)
+			} else {
+				ob.o.OnPublish(rec.name, payload, receivers)
+			}
 		}
 	}
 }
 
 func (b *Broker) notifySubscribe(channel, session string, n int) {
 	if obs := b.observers.Load(); obs != nil {
-		for _, o := range *obs {
-			o.OnSubscribe(channel, session, n)
+		for _, ob := range *obs {
+			ob.o.OnSubscribe(channel, session, n)
 		}
 	}
 }
 
 func (b *Broker) notifyUnsubscribe(channel, session string, n int) {
 	if obs := b.observers.Load(); obs != nil {
-		for _, o := range *obs {
-			o.OnUnsubscribe(channel, session, n)
+		for _, ob := range *obs {
+			ob.o.OnUnsubscribe(channel, session, n)
 		}
 	}
 }
@@ -324,19 +473,6 @@ func (b *Broker) Connect(name string, sink Sink) (*Session, error) {
 	return s, nil
 }
 
-// target pairs a destination session with the pattern that matched it
-// (empty for direct channel subscriptions). One slice of pairs replaces the
-// parallel receivers/targets slices the fan-out used to build, so the two
-// can never drift apart.
-type target struct {
-	s       *Session
-	pattern string
-}
-
-// targetPool recycles the per-publish fan-out scratch so steady-state
-// Publish performs zero allocations.
-var targetPool = sync.Pool{New: func() any { return new([]target) }}
-
 // Publish fans payload out to every subscriber of channel and returns the
 // number of sessions it was queued for (the Redis PUBLISH reply). Sessions
 // whose output buffer is full are disconnected, not blocked on.
@@ -348,7 +484,7 @@ var targetPool = sync.Pool{New: func() any { return new([]target) }}
 // payload over: in-process sessions queue the slice itself, so it must not be
 // touched again.
 func (b *Broker) Publish(channel string, payload []byte) int {
-	return b.publish(channel, payload, false)
+	return b.publish(lookup(b, channel), payload, false)
 }
 
 // publish is Publish for either ownership: lent says payload is only borrowed
@@ -356,7 +492,7 @@ func (b *Broker) Publish(channel string, payload []byte) int {
 // down the publish path are borrowed; whoever keeps them copies them — the
 // replay ring and every connection's write buffer do anyway, so a lent payload
 // is copied here only for in-process queues, once, if there are any.
-func (b *Broker) publish(channel string, payload []byte, lent bool) int {
+func (b *Broker) publish(rec *record, payload []byte, lent bool) int {
 	if b.closed.Load() {
 		return 0
 	}
@@ -364,47 +500,14 @@ func (b *Broker) publish(channel string, payload []byte, lent bool) int {
 	if b.nowNanos != nil {
 		ingressNs = b.nowNanos()
 	}
-	if b.replay != nil {
-		// Retain (and sequence-stamp) before reading the subscriber set:
+	if b.replayDepth > 0 {
+		// Retain (and sequence-stamp) before reading the subscriber list:
 		// SubscribeFrom registers the subscription before snapshotting the
 		// ring, so a concurrent publication is always seen by the replay,
 		// the live flow, or both — never neither.
-		b.replay.retain(channel, payload)
+		b.retain(&rec.ring, payload)
 	}
-	hasPatterns := b.patternSubs.Load() > 0
-	sh := &b.shards[shardIndex(channel)]
-	sh.mu.RLock()
-	subs := sh.channels[channel]
-	if len(subs) == 0 && !hasPatterns {
-		// Early exit: nobody could possibly receive this. No slice work.
-		sh.mu.RUnlock()
-		if ingressNs != 0 {
-			message.StampStages(payload, ingressNs, b.nowNanos())
-		}
-		b.published.Add(1)
-		b.notifyPublish(channel, payload, 0)
-		return 0
-	}
-	tp := targetPool.Get().(*[]target)
-	ts := (*tp)[:0]
-	for s := range subs {
-		ts = append(ts, target{s: s})
-	}
-	sh.mu.RUnlock()
-
-	if hasPatterns {
-		b.mu.RLock()
-		for pattern, set := range b.patterns {
-			if !globMatch(pattern, channel) {
-				continue
-			}
-			for s := range set {
-				ts = append(ts, target{s: s, pattern: pattern})
-			}
-		}
-		b.mu.RUnlock()
-	}
-
+	subs := *rec.subs.Load()
 	// Stage-stamp while the frame is still exclusively ours: ingress at
 	// Publish entry, fanout now — the last instant before a subscriber
 	// queue (and its concurrently-reading writer) can see the bytes.
@@ -415,10 +518,9 @@ func (b *Broker) publish(channel string, payload []byte, lent bool) int {
 	delivered := 0
 	var overflowed []*Session
 	var owned []byte // the in-process queues' copy of a lent payload
-	for i := range ts {
-		s := ts[i].s
+	enqueue := func(s *Session, pattern string) {
 		if s.closed.Load() {
-			continue // session is gone; skip
+			return // session is gone; skip
 		}
 		p := payload
 		if lent && s.queued {
@@ -427,16 +529,27 @@ func (b *Broker) publish(channel string, payload []byte, lent bool) int {
 			}
 			p = owned
 		}
-		if !s.sink.Enqueue(channel, ts[i].pattern, p) {
+		if !s.sink.Enqueue(rec.name, pattern, p) {
 			// Output buffer full: slow consumer, disconnect it.
 			overflowed = append(overflowed, s)
-			continue
+			return
 		}
 		delivered++
 	}
-	clear(ts) // drop *Session references so the pool does not pin them
-	*tp = ts[:0]
-	targetPool.Put(tp)
+	for _, s := range subs {
+		enqueue(s, "")
+	}
+	if b.patternSubs.Load() > 0 {
+		b.mu.RLock()
+		for pattern, set := range b.patterns {
+			if globMatch(pattern, rec.name) {
+				for s := range set {
+					enqueue(s, pattern)
+				}
+			}
+		}
+		b.mu.RUnlock()
+	}
 
 	for _, s := range overflowed {
 		b.dropped.Add(1)
@@ -445,16 +558,16 @@ func (b *Broker) publish(channel string, payload []byte, lent bool) int {
 
 	b.published.Add(1)
 	b.delivered.Add(uint64(delivered))
-	b.notifyPublish(channel, payload, delivered)
+	b.notifyPublish(rec, payload, delivered)
 	return delivered
 }
 
 // Subscribers returns the current subscriber count of a channel.
 func (b *Broker) Subscribers(channel string) int {
-	sh := &b.shards[shardIndex(channel)]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return len(sh.channels[channel])
+	if rec := b.peek(channel); rec != nil {
+		return len(*rec.subs.Load())
+	}
+	return 0
 }
 
 // Channels returns the names of channels with at least one subscriber.
@@ -463,8 +576,10 @@ func (b *Broker) Channels() []string {
 	for i := range b.shards {
 		sh := &b.shards[i]
 		sh.mu.RLock()
-		for ch := range sh.channels {
-			out = append(out, ch)
+		for _, rec := range sh.clock {
+			if len(*rec.subs.Load()) > 0 {
+				out = append(out, rec.name)
+			}
 		}
 		sh.mu.RUnlock()
 	}
@@ -493,22 +608,16 @@ func (b *Broker) Stats() Stats {
 	b.mu.RLock()
 	sessions := len(b.sessions)
 	b.mu.RUnlock()
-	channels := 0
-	for i := range b.shards {
-		sh := &b.shards[i]
-		sh.mu.RLock()
-		channels += len(sh.channels)
-		sh.mu.RUnlock()
-	}
+	cs := b.ChannelStats()
 	st := Stats{
 		Sessions:  sessions,
-		Channels:  channels,
+		Channels:  cs.Pinned,
 		Published: b.published.Load(),
 		Delivered: b.delivered.Load(),
 		Dropped:   b.dropped.Load(),
 	}
-	if b.replay != nil {
-		st.ReplayRings = b.replay.rings.Len()
+	if b.replayDepth > 0 {
+		st.ReplayRings = cs.Size
 		st.ReplayBytes = b.replay.bytes.Load()
 		st.ReplayRetained = b.replay.retained.Load()
 		st.ReplayRequests = b.replay.requests.Load()
@@ -519,30 +628,34 @@ func (b *Broker) Stats() Stats {
 }
 
 // ReplayEnabled reports whether this broker keeps replay rings.
-func (b *Broker) ReplayEnabled() bool { return b.replay != nil }
+func (b *Broker) ReplayEnabled() bool { return b.replayDepth > 0 }
 
-// ReplayCacheStats snapshots the replay-ring bounding cache's counters for
-// metric export (zero when replay is disabled).
-func (b *Broker) ReplayCacheStats() hotstate.Stats {
-	if b.replay == nil {
-		return hotstate.Stats{}
+// ChannelStats snapshots the channel-record table for metric export: Size
+// records, Pinned of them subscribed, Evictions so far. Hits and misses are
+// not counted: a counter per publication is what the table exists to save.
+func (b *Broker) ChannelStats() hotstate.Stats {
+	st := hotstate.Stats{Capacity: b.capacity, Evictions: b.evictions.Load()}
+	for i := range b.shards {
+		sh := &b.shards[i]
+		sh.mu.RLock()
+		st.Size += len(sh.clock)
+		st.Pinned += sh.live
+		sh.mu.RUnlock()
 	}
-	return b.replay.rings.Stats()
+	return st
 }
 
 // ReplayHead reports channel's current ring position — its epoch and the
 // last sequence stamped — so a dispatcher handing a channel off at drain
 // completion can record how far the old holder's replay window reaches. ok
-// is false when replay is disabled or the channel has no ring (Peek: the
+// is false when replay is disabled or the channel has no record (a peek: the
 // probe must not disturb eviction order).
 func (b *Broker) ReplayHead(channel string) (epoch, head uint64, ok bool) {
-	if b.replay == nil {
+	rec := b.peek(channel)
+	if b.replayDepth == 0 || rec == nil {
 		return 0, 0, false
 	}
-	r, found := b.replay.rings.Peek(channel)
-	if !found {
-		return 0, 0, false
-	}
+	r := &rec.ring
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.epoch, r.head, true
@@ -588,28 +701,42 @@ func (b *Broker) removeSession(s *Session, subs, psubs []string) {
 	delete(b.sessions, s)
 	b.mu.Unlock()
 	for _, ch := range subs {
-		sh := &b.shards[shardIndex(ch)]
-		sh.mu.Lock()
-		set := sh.channels[ch]
-		if set == nil {
-			sh.mu.Unlock()
-			continue
+		if count, had := b.unsubscribe(s, ch); had {
+			b.notifyUnsubscribe(ch, s.name, count)
 		}
-		if _, ok := set[s]; !ok {
-			sh.mu.Unlock()
-			continue
-		}
-		delete(set, s)
-		count := len(set)
-		if count == 0 {
-			delete(sh.channels, ch)
-			if b.replay != nil {
-				b.replay.pin(ch, false)
-			}
-		}
-		sh.mu.Unlock()
-		b.notifyUnsubscribe(ch, s.name, count)
 	}
+}
+
+// subscribe adds s to channel's subscriber list and returns its length.
+func (b *Broker) subscribe(s *Session, channel string) int {
+	sh := &b.shards[shardIndex(channel)]
+	sh.mu.Lock()
+	rec, victim := b.recordLocked(sh, channel)
+	subs := append(slices.Clip(*rec.subs.Load()), s) // a new array: readers keep the old
+	sh.setSubs(rec, subs)
+	sh.mu.Unlock()
+	b.retire(victim)
+	return len(subs)
+}
+
+// unsubscribe takes s off channel's subscriber list: the count left, and
+// whether s was on it.
+func (b *Broker) unsubscribe(s *Session, channel string) (int, bool) {
+	sh := &b.shards[shardIndex(channel)]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	rec := sh.recs[channel]
+	if rec == nil {
+		return 0, false
+	}
+	subs := *rec.subs.Load()
+	i := slices.Index(subs, s)
+	if i < 0 {
+		return len(subs), false
+	}
+	subs = slices.Delete(slices.Clone(subs), i, i+1)
+	sh.setSubs(rec, subs)
+	return len(subs), true
 }
 
 // delivery is one message queued for a plain Sink. pattern is non-empty for
@@ -717,36 +844,13 @@ func (s *Session) Subscribe(channels ...string) (int, error) {
 		if already {
 			continue
 		}
-		sh := &b.shards[shardIndex(ch)]
-		sh.mu.Lock()
-		set := sh.channels[ch]
-		if set == nil {
-			set = make(map[*Session]struct{})
-			sh.channels[ch] = set
-		}
-		set[s] = struct{}{}
-		count := len(set)
-		if count == 1 && b.replay != nil {
-			// First subscriber: pin the channel's replay ring against
-			// eviction (under the shard lock so pin/unpin transitions for
-			// one channel are serialized).
-			b.replay.pin(ch, true)
-		}
-		sh.mu.Unlock()
+		// A subscribed channel's record is pinned: its replay ring buffers
+		// from the subscription on and keeps its epoch.
+		count := b.subscribe(s, ch)
 		if s.closed.Load() {
 			// Lost the race against close(): its registry sweep may have
 			// run before our insert. Undo; removal is idempotent.
-			sh.mu.Lock()
-			if set := sh.channels[ch]; set != nil {
-				delete(set, s)
-				if len(set) == 0 {
-					delete(sh.channels, ch)
-					if b.replay != nil {
-						b.replay.pin(ch, false)
-					}
-				}
-			}
-			sh.mu.Unlock()
+			b.unsubscribe(s, ch)
 			return s.subscriptionCount(), ErrSessionClosed
 		}
 		b.notifySubscribe(ch, s.name, count)
@@ -777,21 +881,7 @@ func (s *Session) Unsubscribe(channels ...string) (int, error) {
 		if !had {
 			continue
 		}
-		sh := &b.shards[shardIndex(ch)]
-		sh.mu.Lock()
-		set := sh.channels[ch]
-		var count int
-		if set != nil {
-			delete(set, s)
-			count = len(set)
-			if count == 0 {
-				delete(sh.channels, ch)
-				if b.replay != nil {
-					b.replay.pin(ch, false)
-				}
-			}
-		}
-		sh.mu.Unlock()
+		count, _ := b.unsubscribe(s, ch)
 		b.notifyUnsubscribe(ch, s.name, count)
 	}
 	return s.subscriptionCount(), nil

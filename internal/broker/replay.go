@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"github.com/dynamoth/dynamoth/internal/hotstate"
 	"github.com/dynamoth/dynamoth/internal/message"
 )
 
@@ -19,14 +18,10 @@ import (
 //
 // Sequencing contract: the broker stamps every data envelope it retains with
 // (epoch, channelSeq) — epoch names one ring incarnation on one broker,
-// channelSeq is dense within it. A ring evicted by the bounding cache and
-// later recreated gets a NEW epoch, so clients can never mistake the
-// recreated ring's restarting sequence for stale duplicates of the old one.
-
-// DefaultReplayChannels bounds how many channels may hold a replay ring at
-// once (rings of subscribed channels are pinned and don't count against
-// eviction pressure).
-const DefaultReplayChannels = 65536
+// channelSeq is dense within it. A ring lives in its channel's record; a
+// record evicted from the table and later recreated gets a NEW epoch, so
+// clients can never mistake the recreated ring's restarting sequence for
+// stale duplicates of the old one.
 
 // ReplayResult reports what a cursor subscribe replayed.
 type ReplayResult struct {
@@ -60,17 +55,14 @@ type replayRing struct {
 	head    uint64
 	slots   []replaySlot
 	bytes   int64 // frame bytes held across slots
-	evicted bool  // dropped from the store; its bytes left the store's total
+	evicted bool  // its record was evicted; its bytes left the broker's total
 }
 
-func newReplayRing() *replayRing {
+// newEpoch names a new ring incarnation.
+func newEpoch() uint64 {
 	// 63 bits so the epoch survives a round trip through a RESP integer
 	// (int64); 0 is reserved — on the wire it means "never stamped".
-	e := rand.Uint64() >> 1
-	if e == 0 {
-		e = 1
-	}
-	return &replayRing{epoch: e}
+	return max(rand.Uint64()>>1, 1)
 }
 
 // slot returns the slot of sequence seq, growing the array geometrically (and
@@ -88,56 +80,13 @@ func (r *replayRing) slot(seq uint64, depth int) *replaySlot {
 	return &r.slots[i]
 }
 
-// replayStore is the broker's channel→ring table, bounded by a hotstate
-// cache: unsubscribed channels' rings are evictable, subscribed ones are
-// pinned (best-effort — a pin lost to a concurrent eviction only costs a
-// fresh epoch, never correctness).
-type replayStore struct {
-	depth int
-	rings *hotstate.Cache[string, *replayRing]
-
-	bytes    atomic.Int64  // frame bytes currently held by rings in the store
+// replayStats are the broker's replay counters, across every ring.
+type replayStats struct {
+	bytes    atomic.Int64  // frame bytes currently held by rings of live records
 	retained atomic.Uint64 // frames appended to rings
 	requests atomic.Uint64 // cursor subscribes served
 	replayed atomic.Uint64 // frames replayed to sessions
 	missed   atomic.Uint64 // frames requested but already overwritten
-}
-
-func newReplayStore(depth, channels int) *replayStore {
-	if channels == 0 {
-		channels = DefaultReplayChannels
-	}
-	if channels < 0 {
-		channels = 0 // unbounded
-	}
-	st := &replayStore{depth: depth}
-	st.rings = hotstate.New(hotstate.Config[string, *replayRing]{
-		Capacity: channels,
-		OnEvict: func(_ string, r *replayRing) {
-			r.mu.Lock()
-			r.evicted = true
-			st.bytes.Add(-r.bytes)
-			r.mu.Unlock()
-		},
-	})
-	return st
-}
-
-// ring returns channel's ring, creating it (with a fresh epoch) on first use.
-func (st *replayStore) ring(channel string) *replayRing {
-	if r, ok := st.rings.Get(channel); ok {
-		return r
-	}
-	var out *replayRing
-	st.rings.Upsert(channel, func(old *replayRing, exists bool) (*replayRing, bool) {
-		if exists {
-			out = old
-			return old, false
-		}
-		out = newReplayRing()
-		return out, true
-	})
-	return out
 }
 
 // retain assigns the channel's next sequence, stamps payload in place with
@@ -147,36 +96,25 @@ func (st *replayStore) ring(channel string) *replayRing {
 // be the caller's to write for the duration of the call; the ring keeps its
 // own copy. Steady state is allocation-free: slot buffers are reused once the
 // ring has wrapped.
-func (st *replayStore) retain(channel string, payload []byte) {
+func (b *Broker) retain(r *replayRing, payload []byte) {
 	t, stamp, ok := message.PeekStamp(payload)
 	if !ok || (t != message.TypeData && t != message.TypeForwarded) {
 		return
 	}
-	r := st.ring(channel)
 	r.mu.Lock()
 	r.head++
 	message.StampChannelSeq(payload, r.epoch, r.head)
-	s := r.slot(r.head, st.depth)
+	s := r.slot(r.head, b.replayDepth)
 	delta := int64(len(payload) - len(s.buf))
 	s.seq = r.head
 	s.stamp = stamp
 	s.buf = append(s.buf[:0], payload...)
 	r.bytes += delta
 	if !r.evicted {
-		st.bytes.Add(delta)
+		b.replay.bytes.Add(delta)
 	}
 	r.mu.Unlock()
-	st.retained.Add(1)
-}
-
-// pin marks channel's ring exempt from eviction while subscribed (creating
-// it if needed, so the window starts buffering no later than the
-// subscription).
-func (st *replayStore) pin(channel string, pinned bool) {
-	if pinned {
-		st.ring(channel)
-	}
-	st.rings.Pin(channel, pinned)
+	b.replay.retained.Add(1)
 }
 
 // collect copies the frames a cursor is owed out of channel's ring. Frames
@@ -187,16 +125,18 @@ func (st *replayStore) pin(channel string, pinned bool) {
 // a recreated ring): replay retained frames stamped at or after
 // cur.SinceStamp — the overlap is suppressed by client-side dedup, and the
 // client baselines the new epoch from the first sequence it sees.
-func (st *replayStore) collect(channel string, cur message.Cursor) (frames [][]byte, missed, epoch uint64) {
+func (b *Broker) collect(channel string, cur message.Cursor) (frames [][]byte, missed, epoch uint64) {
+	st := &b.replay
 	st.requests.Add(1)
-	r, ok := st.rings.Get(channel)
-	if !ok {
+	rec := b.peek(channel)
+	if rec == nil {
 		return nil, 0, 0
 	}
+	r := &rec.ring
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	epoch = r.epoch
-	depth := uint64(st.depth)
+	depth := uint64(b.replayDepth)
 	tail := uint64(1)
 	if r.head > depth {
 		tail = r.head - depth + 1
@@ -248,11 +188,10 @@ func (s *Session) SubscribeFrom(channel string, cur message.Cursor) (ReplayResul
 	if _, err := s.Subscribe(channel); err != nil {
 		return ReplayResult{}, err
 	}
-	st := s.broker.replay
-	if st == nil {
+	if !s.broker.ReplayEnabled() {
 		return ReplayResult{}, nil
 	}
-	frames, missed, epoch := st.collect(channel, cur)
+	frames, missed, epoch := s.broker.collect(channel, cur)
 	res := ReplayResult{Missed: missed, Epoch: epoch}
 	for _, f := range frames {
 		if s.closed.Load() {

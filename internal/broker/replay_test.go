@@ -7,20 +7,18 @@ import (
 	"testing"
 	"time"
 
-	"github.com/dynamoth/dynamoth/internal/hotstate"
 	"github.com/dynamoth/dynamoth/internal/message"
 )
 
 // sameShardChannels returns n channel names that land in base's shard of the
-// replay store's bounding cache — eviction pressure is per shard, so only
-// same-shard channels contend for ring slots.
+// channel-record table — eviction pressure is per shard, so only same-shard
+// channels contend for records.
 func sameShardChannels(base string, n int) []string {
-	const mask = hotstate.DefaultShards - 1 // DefaultShards is a power of two
-	want := hotstate.StringHash(base) & mask
+	want := shardIndex(base)
 	var out []string
 	for i := 0; len(out) < n; i++ {
 		name := fmt.Sprintf("evict%d", i)
-		if hotstate.StringHash(name)&mask == want {
+		if shardIndex(name) == want {
 			out = append(out, name)
 		}
 	}
@@ -162,7 +160,7 @@ func TestReplayEpochMissStampFallback(t *testing.T) {
 // epoch, so a stale cursor can never mistake the restarted sequence for a
 // continuation of the old one.
 func TestReplayEvictedRingGetsNewEpoch(t *testing.T) {
-	b := New(Options{ReplayDepth: 4, ReplayChannels: 1})
+	b := New(Options{ReplayDepth: 4, ChannelCap: 1})
 	b.Publish("a", dataFrame("a", "m1", 10))
 	b.Publish("a", dataFrame("a", "m2", 20))
 	epoch1, head1, ok := b.ReplayHead("a")
@@ -210,7 +208,7 @@ func TestReplayEvictedRingGetsNewEpoch(t *testing.T) {
 // A subscribed channel's ring is pinned: eviction pressure from other
 // channels must not reset its epoch or sequence.
 func TestReplayPinnedRingSurvivesEviction(t *testing.T) {
-	b := New(Options{ReplayDepth: 4, ReplayChannels: 1, OutputBuffer: 64})
+	b := New(Options{ReplayDepth: 4, ChannelCap: 1, OutputBuffer: 64})
 	sink := newChanSink(64)
 	s, err := b.Connect("c1", sink)
 	if err != nil {
@@ -305,7 +303,7 @@ func TestReplayConcurrentPublishNeverLost(t *testing.T) {
 // sequences restart only under fresh epochs and nothing panics. Run under
 // -race this doubles as a locking test for the store's Get/Upsert/Pin paths.
 func TestReplayEvictionChurnRace(t *testing.T) {
-	b := New(Options{ReplayDepth: 4, ReplayChannels: 2, OutputBuffer: 4096})
+	b := New(Options{ReplayDepth: 4, ChannelCap: 2, OutputBuffer: 4096})
 	channels := sameShardChannels("a", 5) // same shard, so rings actually churn
 
 	var wg sync.WaitGroup
@@ -350,7 +348,8 @@ func TestReplayRingGrowthBoundaries(t *testing.T) {
 			b.Publish("ch", dataFrame("ch", fmt.Sprintf("m%d", i), int64(i)))
 		}
 		slots := 0
-		if r, ok := b.replay.rings.Peek("ch"); ok {
+		if rec := b.peek("ch"); rec != nil {
+			r := &rec.ring
 			slots = len(r.slots)
 			if cap(r.slots) > depth {
 				t.Fatalf("n=%d: slot array grew to %d, past depth %d", n, cap(r.slots), depth)
@@ -368,7 +367,7 @@ func TestReplayRingGrowthBoundaries(t *testing.T) {
 			tail = uint64(n-depth) + 1
 		}
 		for _, cursor := range []uint64{0, uint64(n / 2), uint64(n)} {
-			frames, missed, _ := b.replay.collect("ch", message.Cursor{Seen: []message.EpochSeq{{Epoch: epoch, Seq: cursor}}})
+			frames, missed, _ := b.collect("ch", message.Cursor{Seen: []message.EpochSeq{{Epoch: epoch, Seq: cursor}}})
 			from := max(cursor+1, tail)
 			if want := from - (cursor + 1); missed != want {
 				t.Fatalf("n=%d cursor=%d: %d missed, want %d", n, cursor, missed, want)
@@ -432,7 +431,7 @@ func TestReplayFootprint(t *testing.T) {
 // once slots are overwritten by frames of the same size, down by a ring's
 // whole holding when the bounding cache evicts it.
 func TestReplayBytesGauge(t *testing.T) {
-	b := New(Options{ReplayDepth: 2, ReplayChannels: 1})
+	b := New(Options{ReplayDepth: 2, ChannelCap: 1})
 	frame := dataFrame("a", "m", 1)
 	size := int64(len(frame))
 	for i, want := range []int64{size, 2 * size, 2 * size} {

@@ -2,7 +2,6 @@ package broker
 
 import (
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -22,11 +21,9 @@ type respConn struct {
 	cs   *ConnServer
 	name string // remote address
 	sess *Session
-	// parser carries partial frames across reads and names interns the
-	// channels this connection publishes to (channelName); both are only
-	// touched by the goroutine that reads the socket.
+	// parser carries partial frames across reads; only the goroutine that
+	// reads the socket touches it.
 	parser resp.CommandParser
-	names  map[string]string
 	// wake is called with mu held when the buffer goes from clean to dirty.
 	// It must not block.
 	wake func()
@@ -128,34 +125,6 @@ func (c *respConn) end(reason error) {
 		reason = ErrSessionClosed
 	}
 	c.sess.close(reason)
-}
-
-// internCap bounds a connection's channel-name table, which is emptied when
-// full; names over internMaxName bytes are not worth pinning there.
-const (
-	internCap     = 1024
-	internMaxName = 128
-)
-
-// channelName returns the channel a PUBLISH names as a string of its own —
-// the replay store, the LLA and the top-K trackers keep channel strings, so it
-// can never alias the read buffer — allocated once per name a connection
-// publishes to, not once per publication.
-func (c *respConn) channelName(b []byte) string {
-	if s, ok := c.names[string(b)]; ok {
-		return s
-	}
-	s := string(b)
-	if len(s) > internMaxName {
-		return s
-	}
-	if c.names == nil {
-		c.names = make(map[string]string)
-	} else if len(c.names) >= internCap {
-		clear(c.names)
-	}
-	c.names[s] = s
-	return s
 }
 
 // feed runs one read's worth of bytes through the parser and executes every
@@ -297,11 +266,24 @@ func appendInfo(dst []byte, name string, st Stats) []byte {
 
 // dispatch executes one command; it reports whether the connection should
 // close. args alias a read buffer that is reused after dispatch returns, so
-// anything retained is copied: channel names through string conversion here,
-// a PUBLISH payload by whoever down the publish path keeps it.
+// anything retained is copied: channel names through string conversion here
+// (or into a new channel record), a PUBLISH payload by whoever down the
+// publish path keeps it.
 func dispatch(b *Broker, session *Session, sink *respConn, args [][]byte) bool {
-	cmd := strings.ToUpper(string(args[0]))
-	switch cmd {
+	// Command names match in any letter case (redis-cli and go-redis send
+	// lower case), upper-cased on the stack: no allocation. A name longer
+	// than any command matches none.
+	var cmd [len("PUNSUBSCRIBE")]byte
+	n := 0
+	if len(args[0]) <= len(cmd) {
+		n = copy(cmd[:], args[0])
+	}
+	for i, c := range cmd[:n] {
+		if 'a' <= c && c <= 'z' {
+			cmd[i] = c - ('a' - 'A')
+		}
+	}
+	switch string(cmd[:n]) {
 	case "SUBSCRIBE":
 		if len(args) < 2 {
 			sink.writeErr("ERR wrong number of arguments for 'subscribe'") //nolint:errcheck
@@ -388,7 +370,7 @@ func dispatch(b *Broker, session *Session, sink *respConn, args [][]byte) bool {
 			sink.writeErr("ERR wrong number of arguments for 'publish'") //nolint:errcheck
 			return false
 		}
-		n := b.publish(sink.channelName(args[1]), args[2], true)
+		n := b.publish(lookup(b, args[1]), args[2], true)
 		if err := sink.writeInt(int64(n)); err != nil {
 			return true
 		}

@@ -144,8 +144,9 @@ func TestRESPMultiChannelSubscribe(t *testing.T) {
 func TestRESPErrors(t *testing.T) {
 	addr, _ := startTCP(t)
 	c := dialRESP(t, addr)
-	// REGION is what a client older than the command's removal still sends.
-	for _, unknown := range [][]string{{"NOPE"}, {"REGION", "eu-west"}} {
+	// REGION is what a client older than the command's removal still sends;
+	// an empty name and one running past a command's end match nothing.
+	for _, unknown := range [][]string{{"NOPE"}, {"REGION", "eu-west"}, {""}, {"punsubscribeX"}} {
 		if v := c.cmd(t, unknown...); v.Kind != resp.KindError || !strings.Contains(string(v.Str), "unknown command") {
 			t.Fatalf("%v => %+v", unknown, v)
 		}
@@ -159,8 +160,8 @@ func TestRESPErrors(t *testing.T) {
 	if v := c.cmd(t, "ECHO"); v.Kind != resp.KindError {
 		t.Fatalf("bare echo => %+v", v)
 	}
-	// Connection still usable after errors.
-	if v := c.cmd(t, "PING"); string(v.Str) != "PONG" {
+	// Connection still usable after errors; names match in any case.
+	if v := c.cmd(t, "pInG"); string(v.Str) != "PONG" {
 		t.Fatalf("PING after errors => %+v", v)
 	}
 	if ack := c.cmd(t, "SUBSCRIBE", "news"); ack.Kind != resp.KindArray || string(ack.Array[0].Str) != "subscribe" {

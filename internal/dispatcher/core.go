@@ -117,9 +117,7 @@ func (c *Core) OnPlan(p *plan.Plan, now time.Time) []Action {
 		return nil
 	}
 	changes := p.Diff(c.plan)
-	old := c.plan
 	c.plan = p
-	var actions []Action
 	for _, ch := range changes {
 		if plan.IsControlChannel(ch.Channel) {
 			continue
@@ -144,8 +142,7 @@ func (c *Core) OnPlan(p *plan.Plan, now time.Time) []Action {
 		}
 		c.transitions[ch.Channel] = tr
 	}
-	_ = old
-	return actions
+	return nil
 }
 
 // OnLocalPublish reacts to a publication observed on the local broker. frame
@@ -258,6 +255,19 @@ func (c *Core) OnLocalPublish(channel string, frame []byte, localSubs int, now t
 		}
 	}
 	return actions
+}
+
+// Steady reports whether, until the plan changes, OnLocalPublish on channel
+// acts only on a data publication stamped with an older plan version, and
+// only if explicit (plan.Holds'): so for control channels, and for ones held
+// here with no transition draining them — transitions open with a plan.
+func (c *Core) Steady(channel string) (explicit, ok bool) {
+	if plan.IsControlChannel(channel) {
+		return false, true
+	}
+	selfIn, explicit := c.plan.Holds(channel, c.self)
+	tr := c.transitions[channel]
+	return explicit, selfIn && (tr == nil || len(tr.draining) == 0)
 }
 
 // OnLocalSubscribe reacts to a subscription on the local broker: a client

@@ -3,6 +3,7 @@ package dispatcher
 import (
 	"log/slog"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/dynamoth/dynamoth/internal/broker"
@@ -39,8 +40,9 @@ type Dispatcher struct {
 	rec         *trace.Recorder
 	log         *slog.Logger
 
-	mu   sync.Mutex
-	core *Core
+	mu      sync.Mutex
+	core    *Core
+	version atomic.Uint64 // the core's plan version, for OnPublishSlot; written under mu
 
 	session *broker.Session
 	ticker  clock.Ticker
@@ -48,7 +50,7 @@ type Dispatcher struct {
 	done    chan struct{}
 }
 
-var _ broker.Observer = (*Dispatcher)(nil)
+var _ broker.SlotObserver = (*Dispatcher)(nil)
 
 // Options configures a live Dispatcher.
 type Options struct {
@@ -97,6 +99,7 @@ func New(opts Options) (*Dispatcher, error) {
 		return nil, err
 	}
 	d.session = session
+	d.version.Store(opts.Initial.Version)
 	if _, err := session.Subscribe(plan.DispatchChannel(opts.Self), plan.PlanChannel); err != nil {
 		session.Close()
 		return nil, err
@@ -119,6 +122,7 @@ func (d *Dispatcher) Plan() *plan.Plan {
 func (d *Dispatcher) ApplyPlan(p *plan.Plan) {
 	d.mu.Lock()
 	actions := d.core.OnPlan(p, d.clk.Now())
+	d.version.Store(d.core.Plan().Version)
 	d.mu.Unlock()
 	d.rec.Record(trace.KindPlanApply, p.Version, d.self, "", 0, int64(len(actions)))
 	d.log.Info("plan applied", slog.Uint64("plan", p.Version), slog.Int("actions", len(actions)))
@@ -162,13 +166,37 @@ func (d *Dispatcher) closed() bool {
 	}
 }
 
-// OnPublish implements broker.Observer.
+// OnPublish implements broker.Observer: OnPublishSlot with no verdict kept.
 func (d *Dispatcher) OnPublish(channel string, payload []byte, receivers int) {
+	var slot atomic.Value
+	d.OnPublishSlot(&slot, channel, payload, receivers)
+}
+
+// verdict is what a channel record's slot keeps for the dispatcher: Core.Steady
+// held at plan version.
+type verdict struct {
+	version  uint64
+	explicit bool
+}
+
+// OnPublishSlot implements broker.SlotObserver. While the slot's verdict is
+// for the current plan, a publication that cannot need an action returns
+// after one header peek: no lock, no clock read, no plan lookup.
+func (d *Dispatcher) OnPublishSlot(slot *atomic.Value, channel string, payload []byte, receivers int) {
+	if v, _ := slot.Load().(*verdict); v != nil && v.version == d.version.Load() {
+		typ, version, _, ok := message.PeekRouting(payload)
+		if !ok || typ != message.TypeData || !v.explicit || version >= v.version {
+			return
+		}
+	}
 	if d.closed() {
 		return
 	}
 	d.mu.Lock()
 	actions := d.core.OnLocalPublish(channel, payload, receivers, d.clk.Now())
+	if explicit, ok := d.core.Steady(channel); ok {
+		slot.Store(&verdict{version: d.core.Plan().Version, explicit: explicit})
+	}
 	d.mu.Unlock()
 	d.execute(actions)
 }

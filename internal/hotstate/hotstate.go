@@ -1,8 +1,8 @@
-// Package hotstate provides the bounded, lock-striped cache behind every
-// per-channel hot-state map in Dynamoth (client local plans, replay rings,
-// the LLA accumulator's stripes, the top-K trackers). At IoT-style
-// topic-per-device scale the channel namespace is effectively unbounded;
-// hotstate turns each of those maps from O(channels) into O(cap).
+// Package hotstate provides the bounded, lock-striped cache behind the
+// per-channel hot-state maps in Dynamoth (client local plans, the top-K
+// trackers). At IoT-style topic-per-device scale the channel namespace is
+// effectively unbounded; hotstate turns each of those maps from O(channels)
+// into O(cap).
 //
 // Design:
 //
@@ -18,10 +18,7 @@
 //     the shard grows past its share of the cap rather than deadlocking.
 //   - Eviction callback: capacity evictions and sweep drops invoke OnEvict
 //     *after* the shard lock is released, so callbacks may take caller-side
-//     locks (the broker's replay store retires an evicted ring's bytes from
-//     it) without lock-order risk.
-//   - AppendKeys reuses caller-provided storage, so periodic full reads do
-//     not allocate a fresh slice per call.
+//     locks without lock-order risk.
 //
 // The package depends only on the standard library; metric families over
 // Stats are registered by internal/obs (RegisterCaches) to avoid a cycle.
@@ -358,15 +355,6 @@ func (c *Cache[K, V]) Range(f func(k K, v V) bool) {
 		}
 		s.mu.Unlock()
 	}
-}
-
-// AppendKeys appends every key to dst (reusing its capacity) and returns it.
-func (c *Cache[K, V]) AppendKeys(dst []K) []K {
-	c.Range(func(k K, _ V) bool {
-		dst = append(dst, k)
-		return true
-	})
-	return dst
 }
 
 // Sweep visits up to maxShards shards (rotating across calls; <=0 means all)

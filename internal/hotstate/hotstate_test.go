@@ -171,19 +171,6 @@ func TestUpsert(t *testing.T) {
 	}
 }
 
-func TestAppendKeysReuse(t *testing.T) {
-	c := newCache(0, 4)
-	for i := 0; i < 32; i++ {
-		c.Put(fmt.Sprintf("k%d", i), i)
-	}
-	c.Delete("k0")
-	buf := make([]string, 0, 31)
-	keys := c.AppendKeys(buf)
-	if len(keys) != 31 || &keys[0] != &buf[:1][0] {
-		t.Fatalf("keys=%d (reused caller storage: %v)", len(keys), &keys[0] == &buf[:1][0])
-	}
-}
-
 func TestOnEvictRunsOutsideShardLock(t *testing.T) {
 	// The callback re-enters the cache: deadlock if fired under the lock.
 	var c *Cache[string, int]

@@ -23,8 +23,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"log/slog"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/dynamoth/dynamoth/internal/broker"
@@ -92,9 +94,18 @@ func UnmarshalReport(data []byte) (*Report, error) {
 	return &r, nil
 }
 
-// channelAccum accumulates one channel's stats inside the current unit.
+// channelAccum is one channel's record in the accumulator: its subscriber
+// count and its counters for the current unit, which Seal reads and resets in
+// place. It lives while the channel is subscribed or was active in the last
+// unit; the stripe whose lock guards it is st, so a holder of the pointer (a
+// broker channel record's slot) reaches it without hashing the name.
 type channelAccum struct {
-	publishers   map[uint32]struct{}
+	st           *accumStripe
+	gone         bool // dropped from st.chans; a holder resolves the name again
+	touched      bool // published or subscribed to this unit
+	subscribers  int
+	first        uint32              // the unit's first publisher
+	more         map[uint32]struct{} // its others: made once, cleared per unit
 	publications int
 	messagesSent int
 	bytesIn      int64
@@ -103,8 +114,16 @@ type channelAccum struct {
 
 // add folds one publication into the accumulation.
 func (c *channelAccum) add(publisher uint32, size, receivers int) {
-	if publisher != 0 && c.publishers != nil {
-		c.publishers[publisher] = struct{}{}
+	c.touched = true
+	switch {
+	case publisher == 0 || publisher == c.first:
+	case c.first == 0:
+		c.first = publisher
+	default:
+		if c.more == nil {
+			c.more = make(map[uint32]struct{})
+		}
+		c.more[publisher] = struct{}{}
 	}
 	c.publications++
 	c.messagesSent += receivers
@@ -112,38 +131,54 @@ func (c *channelAccum) add(publisher uint32, size, receivers int) {
 	c.bytesOut += int64(size) * int64(receivers)
 }
 
+// fold moves c's unit counters into o (the overflow bucket) and zeroes them.
+func (c *channelAccum) fold(o *channelAccum) {
+	o.publications += c.publications
+	o.messagesSent += c.messagesSent
+	o.bytesIn += c.bytesIn
+	o.bytesOut += c.bytesOut
+	c.reset()
+}
+
+// reset opens a new unit on c.
+func (c *channelAccum) reset() {
+	c.touched, c.first = false, 0
+	clear(c.more)
+	c.publications, c.messagesSent, c.bytesIn, c.bytesOut = 0, 0, 0, 0
+}
+
 // AccumStripes is the accumulator's stripe count (power of two). OnPublish
 // locks only the stripe its channel hashes to, so the broker's concurrent
 // fan-out goroutines stop serializing on one global mutex.
 const AccumStripes = 32
 
-// DefaultChannelCap bounds the distinct channels tracked per time unit (and
-// the persistent subscriber-count map) when no explicit cap is given. Under
-// normal workloads it is never reached; at IoT-style topic-per-device scale
-// it is what keeps the accumulator O(cap) instead of O(channels).
+// DefaultChannelCap bounds the channels tracked when no explicit cap is
+// given. Under normal workloads it is never reached; at IoT-style
+// topic-per-device scale it is what keeps the accumulator O(cap) instead of
+// O(channels). The node sets it to its channel-record table's bound.
 const DefaultChannelCap = 65536
 
-// accumStripe is one lock stripe: a share of the per-unit channel map and of
-// the persistent subscriber-count map, plus the stripe-local overflow bucket
-// publications fold into once the unit's channel share is full.
+// accumStripe is one lock stripe: a share of the channel records, plus the
+// stripe-local overflow bucket publications fold into once that share is
+// full.
 type accumStripe struct {
-	mu          sync.Mutex
-	current     map[string]*channelAccum
-	subscribers map[string]int
-	overflow    channelAccum // cap overflow (publishers not tracked)
-	windowOut   int64        // delivery bytes since the last report (M_i's numerator)
-	hits        uint64       // publishes on channels already tracked this unit
-	misses      uint64       // channel-entry creations
-	folds       uint64       // publications folded into overflow
-	subEvicts   uint64       // subscriber-map entries displaced at cap
+	mu        sync.Mutex
+	chans     map[string]*channelAccum
+	overflow  channelAccum // cap overflow (publishers not tracked)
+	windowOut int64        // delivery bytes since the last report (M_i's numerator)
+	hits      uint64       // publishes on channels already tracked
+	misses    uint64       // channel-record creations
+	folds     uint64       // publications folded into overflow
+	subEvicts uint64       // records displaced at cap by a subscription
 }
 
 // Accumulator is the LLA core. Observer inputs (OnPublish, OnSubscribe,
 // OnUnsubscribe) are safe for concurrent use — the broker invokes them from
 // many goroutines — and are striped AccumStripes ways by channel hash, with
-// both per-channel maps capacity-bounded. Seal and Report are driven by one
-// caller with explicit times: Seal closes a time unit and queues it, Report
-// drains the queue into the next aggregate report.
+// the channel records capacity-bounded; a kept record pointer skips the hash
+// (Analyzer.OnPublishSlot). Seal and Report are driven by one caller with
+// explicit times: Seal closes a time unit and queues it, Report drains the
+// queue into the next aggregate report.
 type Accumulator struct {
 	stripes      [AccumStripes]accumStripe
 	perStripeCap int // per-unit channel share per stripe (0 = unbounded)
@@ -163,9 +198,9 @@ type Accumulator struct {
 }
 
 // NewAccumulator creates the LLA core for cfg.Server with its first report
-// window opening at start. cfg.ChannelCap bounds the distinct channels
-// tracked per unit and the persistent subscriber-count map; cfg.Clock and
-// cfg.Unit belong to whoever calls Seal and Report, and are not read.
+// window opening at start. cfg.ChannelCap bounds the channels tracked;
+// cfg.Clock and cfg.Unit belong to whoever calls Seal and Report, and are not
+// read.
 func NewAccumulator(cfg Config, start time.Time) *Accumulator {
 	cfg.fillDefaults()
 	a := &Accumulator{
@@ -179,8 +214,7 @@ func NewAccumulator(cfg Config, start time.Time) *Accumulator {
 		a.perStripeCap = (a.channelCap + AccumStripes - 1) / AccumStripes
 	}
 	for i := range a.stripes {
-		a.stripes[i].current = make(map[string]*channelAccum)
-		a.stripes[i].subscribers = make(map[string]int)
+		a.stripes[i].chans = make(map[string]*channelAccum)
 	}
 	return a
 }
@@ -189,19 +223,24 @@ func (a *Accumulator) stripe(ch string) *accumStripe {
 	return &a.stripes[hotstate.StringHash(ch)&(AccumStripes-1)]
 }
 
-// channelLocked returns the channel's accumulation, or nil when the stripe's
-// share of the per-unit cap is exhausted (the caller folds into overflow).
-// Caller holds st.mu.
-func (a *Accumulator) channelLocked(st *accumStripe, ch string) *channelAccum {
-	c := st.current[ch]
-	if c != nil {
+// channelLocked returns ch's record, reviving prev (a record dropped from
+// this stripe) or creating one when there is none, or nil when the stripe's
+// share of the cap is full (the caller folds into overflow). Caller holds
+// st.mu.
+func (a *Accumulator) channelLocked(st *accumStripe, ch string, prev *channelAccum) *channelAccum {
+	if c := st.chans[ch]; c != nil {
+		st.hits++
 		return c
 	}
-	if a.perStripeCap > 0 && len(st.current) >= a.perStripeCap {
+	if a.perStripeCap > 0 && len(st.chans) >= a.perStripeCap {
 		return nil
 	}
-	c = &channelAccum{publishers: make(map[uint32]struct{})}
-	st.current[ch] = c
+	c := prev
+	if c == nil {
+		c = &channelAccum{st: st}
+	}
+	c.gone = false
+	st.chans[ch] = c
 	st.misses++
 	return c
 }
@@ -210,38 +249,57 @@ func (a *Accumulator) channelLocked(st *accumStripe, ch string) *channelAccum {
 // extracted from the envelope (0 if unknown), size the payload bytes,
 // receivers the fan-out count.
 func (a *Accumulator) OnPublish(ch string, publisher uint32, size, receivers int) {
-	st := a.stripe(ch)
+	a.publish(nil, ch, publisher, size, receivers)
+}
+
+// publish records one publication on c, ch's record as last resolved (nil
+// when none was), and returns the record that now holds ch — c itself unless
+// c had been dropped — or nil when the publication folded into overflow.
+func (a *Accumulator) publish(c *channelAccum, ch string, publisher uint32, size, receivers int) *channelAccum {
+	var st *accumStripe
+	if c != nil {
+		st = c.st // no hash, no probe
+	} else {
+		st = a.stripe(ch)
+	}
 	st.mu.Lock()
-	st.windowOut += int64(size) * int64(receivers)
-	if c := st.current[ch]; c != nil {
+	if c == nil || c.gone {
+		c = a.channelLocked(st, ch, c)
+	} else {
 		st.hits++
-		c.add(publisher, size, receivers)
-	} else if c := a.channelLocked(st, ch); c != nil {
+	}
+	st.windowOut += int64(size) * int64(receivers)
+	if c != nil {
 		c.add(publisher, size, receivers)
 	} else {
 		st.folds++
 		st.overflow.add(0, size, receivers)
 	}
 	st.mu.Unlock()
+	return c
 }
 
 // OnSubscribe records a subscription; count is the channel's subscriber
 // count after the operation (as reported by the broker). At the cap, a new
-// channel displaces an arbitrary tracked one: the broker re-reports counts
-// on every subscribe/unsubscribe, so displaced channels self-heal on their
-// next subscription event.
+// channel displaces an arbitrary tracked one, whose unit counters fold into
+// overflow: the broker re-reports counts on every subscribe/unsubscribe, so
+// displaced channels self-heal on their next subscription event.
 func (a *Accumulator) OnSubscribe(ch string, count int) {
 	st := a.stripe(ch)
 	st.mu.Lock()
-	if _, ok := st.subscribers[ch]; !ok && a.perStripeCap > 0 && len(st.subscribers) >= a.perStripeCap {
-		for victim := range st.subscribers {
-			delete(st.subscribers, victim)
+	c := a.channelLocked(st, ch, nil)
+	if c == nil {
+		for victim, v := range st.chans {
+			delete(st.chans, victim)
+			v.fold(&st.overflow)
+			v.gone, v.subscribers = true, 0
 			st.subEvicts++
 			break
 		}
+		c = a.channelLocked(st, ch, nil)
 	}
-	st.subscribers[ch] = count
-	a.channelLocked(st, ch) // make the channel visible even before traffic flows
+	c.subscribers = count
+	c.touched = true // visible in the unit even before traffic flows
 	st.mu.Unlock()
 }
 
@@ -249,79 +307,50 @@ func (a *Accumulator) OnSubscribe(ch string, count int) {
 func (a *Accumulator) OnUnsubscribe(ch string, count int) {
 	st := a.stripe(ch)
 	st.mu.Lock()
-	if count <= 0 {
-		delete(st.subscribers, ch)
-	} else {
-		st.subscribers[ch] = count
+	if c := st.chans[ch]; c != nil {
+		c.subscribers = max(count, 0)
 	}
 	st.mu.Unlock()
 }
 
 // Seal closes the current time unit, queues it for the next report and
-// returns it, merging all stripes. Channels with no activity and no
-// subscribers are omitted.
+// returns it. Every channel record is read and reset in place; records with
+// no activity in the unit and no subscribers are omitted and dropped.
 func (a *Accumulator) Seal() UnitStats {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	u := UnitStats{Unit: a.unit}
 	a.unit++
 
-	// Drain every stripe under its own lock; channels are hash-partitioned
-	// so the per-stripe maps never overlap and merging is concatenation.
-	current := make(map[string]*channelAccum)
-	subs := make(map[string]int)
 	var overflow channelAccum
 	for i := range a.stripes {
 		st := &a.stripes[i]
 		st.mu.Lock()
-		cur := st.current
-		st.current = make(map[string]*channelAccum, len(cur))
-		overflow.publications += st.overflow.publications
-		overflow.messagesSent += st.overflow.messagesSent
-		overflow.bytesIn += st.overflow.bytesIn
-		overflow.bytesOut += st.overflow.bytesOut
-		st.overflow = channelAccum{}
-		for ch, n := range st.subscribers {
-			subs[ch] = n
+		st.overflow.fold(&overflow)
+		for ch, c := range st.chans {
+			switch {
+			case c.touched:
+				u.Channels = append(u.Channels, ChannelStats{
+					Channel:      ch,
+					Publishers:   min(int(c.first), 1) + len(c.more),
+					Publications: c.publications,
+					Subscribers:  c.subscribers,
+					MessagesSent: c.messagesSent,
+					BytesIn:      c.bytesIn,
+					BytesOut:     c.bytesOut,
+				})
+				c.reset()
+			case c.subscribers > 0:
+				u.Channels = append(u.Channels, ChannelStats{Channel: ch, Subscribers: c.subscribers})
+			default:
+				delete(st.chans, ch)
+				c.gone = true
+			}
 		}
 		st.mu.Unlock()
-		for ch, c := range cur {
-			current[ch] = c
-		}
 	}
-
-	names := make([]string, 0, len(current)+len(subs))
-	seen := make(map[string]struct{}, len(current)+len(subs))
-	for ch := range current {
-		names = append(names, ch)
-		seen[ch] = struct{}{}
-	}
-	for ch := range subs {
-		if _, dup := seen[ch]; !dup {
-			names = append(names, ch)
-		}
-	}
-	sort.Strings(names)
-	for _, ch := range names {
-		c := current[ch]
-		nsubs := subs[ch]
-		if c == nil {
-			if nsubs == 0 {
-				continue
-			}
-			u.Channels = append(u.Channels, ChannelStats{Channel: ch, Subscribers: nsubs})
-			continue
-		}
-		u.Channels = append(u.Channels, ChannelStats{
-			Channel:      ch,
-			Publishers:   len(c.publishers),
-			Publications: c.publications,
-			Subscribers:  nsubs,
-			MessagesSent: c.messagesSent,
-			BytesIn:      c.bytesIn,
-			BytesOut:     c.bytesOut,
-		})
-	}
+	// Channels are hash-partitioned across stripes, so names are unique.
+	slices.SortFunc(u.Channels, func(x, y ChannelStats) int { return strings.Compare(x.Channel, y.Channel) })
 	if overflow.publications > 0 {
 		u.Overflow = &ChannelStats{
 			Channel:      "+overflow",
@@ -380,17 +409,20 @@ func (a *Accumulator) Subscribers(ch string) int {
 	st := a.stripe(ch)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return st.subscribers[ch]
+	if c := st.chans[ch]; c != nil {
+		return c.subscribers
+	}
+	return 0
 }
 
-// UnitCacheStats snapshots the per-unit channel map's bounded-cache counters
+// UnitCacheStats snapshots the channel records' bounded-cache counters
 // (Evictions = publications folded into the overflow bucket).
 func (a *Accumulator) UnitCacheStats() hotstate.Stats {
 	s := hotstate.Stats{Capacity: a.channelCap}
 	for i := range a.stripes {
 		st := &a.stripes[i]
 		st.mu.Lock()
-		s.Size += len(st.current)
+		s.Size += len(st.chans)
 		s.Hits += st.hits
 		s.Misses += st.misses
 		s.Evictions += st.folds
@@ -399,14 +431,16 @@ func (a *Accumulator) UnitCacheStats() hotstate.Stats {
 	return s
 }
 
-// SubscriberCacheStats snapshots the subscriber-count map's bounded-cache
-// counters (Evictions = entries displaced at the cap).
+// SubscriberCacheStats snapshots the subscribed channel records
+// (Evictions = records displaced at the cap by a subscription).
 func (a *Accumulator) SubscriberCacheStats() hotstate.Stats {
 	s := hotstate.Stats{Capacity: a.channelCap}
 	for i := range a.stripes {
 		st := &a.stripes[i]
 		st.mu.Lock()
-		s.Size += len(st.subscribers)
+		for _, c := range st.chans {
+			s.Size += min(c.subscribers, 1)
+		}
 		s.Evictions += st.subEvicts
 		st.mu.Unlock()
 	}
@@ -424,9 +458,9 @@ type Config struct {
 	Unit time.Duration
 	// ReportEvery is the aggregate-update interval (default 3 units).
 	ReportEvery time.Duration
-	// ChannelCap bounds the distinct channels the accumulator tracks per
-	// time unit (and the persistent subscriber-count map). 0 means
-	// DefaultChannelCap; negative means unbounded.
+	// ChannelCap bounds the channels the accumulator tracks; traffic past
+	// it folds into the unit's overflow bucket. 0 means DefaultChannelCap;
+	// negative means unbounded.
 	ChannelCap int
 	// Clock provides time (default: real clock).
 	Clock clock.Clock
@@ -468,7 +502,7 @@ type Analyzer struct {
 	done     chan struct{}
 }
 
-var _ broker.Observer = (*Analyzer)(nil)
+var _ broker.SlotObserver = (*Analyzer)(nil)
 
 // NewAnalyzer creates an LLA for a node. Attach it with
 // broker.AddObserver(analyzer), then Start it.
@@ -490,6 +524,16 @@ func NewAnalyzer(cfg Config) *Analyzer {
 func (an *Analyzer) OnPublish(ch string, payload []byte, receivers int) {
 	publisher, _ := message.PeekNode(payload)
 	an.accum.OnPublish(ch, publisher, len(payload), receivers)
+}
+
+// OnPublishSlot implements broker.SlotObserver: OnPublish with the channel's
+// record kept in the slot, so the steady state neither hashes nor probes.
+func (an *Analyzer) OnPublishSlot(slot *atomic.Value, ch string, payload []byte, receivers int) {
+	publisher, _ := message.PeekNode(payload)
+	c, _ := slot.Load().(*channelAccum)
+	if got := an.accum.publish(c, ch, publisher, len(payload), receivers); got != c && got != nil {
+		slot.Store(got)
+	}
 }
 
 // Accumulator exposes the analyzer's core (for cache-stat and report-count

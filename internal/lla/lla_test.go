@@ -214,6 +214,80 @@ func TestAnalyzerIsBrokerObserver(t *testing.T) {
 	}
 }
 
+// TestRecordEvictionConservesUnit drives the analyzer through a broker whose
+// channel-record table is far smaller than the channels published to within
+// one unit: records are evicted and recreated mid-unit, so the analyzer's
+// record slots go stale and its own cap folds traffic into overflow. The
+// sealed unit must still account for every byte published and delivered, and
+// a channel whose record was evicted must come back on a new replay epoch.
+func TestRecordEvictionConservesUnit(t *testing.T) {
+	const capacity = 32 // one record per broker shard
+	an := NewAnalyzer(Config{Server: "pub1", ChannelCap: capacity, Clock: clock.NewManual(epoch)})
+	defer an.Stop()
+	b := broker.New(broker.Options{ReplayDepth: 4, ChannelCap: capacity, OutputBuffer: 1 << 14})
+	defer b.Close()
+	b.AddObserver(an)
+	s, err := b.Connect("sub", discardSink{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Subscribe("hot"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.PSubscribe("dev.1*"); err != nil { // receivers on evictable records
+		t.Fatal(err)
+	}
+
+	var bytesIn, bytesOut int64
+	publish := func(ch string) {
+		frame := (&message.Envelope{Type: message.TypeData, ID: message.ID{Node: 5}, Channel: ch, Payload: make([]byte, 40)}).Marshal()
+		n := b.Publish(ch, frame)
+		bytesIn += int64(len(frame))
+		bytesOut += int64(len(frame)) * int64(n)
+	}
+	publish("dev.0")
+	first, _, ok := b.ReplayHead("dev.0")
+	if !ok {
+		t.Fatal("no ring after the first publication")
+	}
+	for round := 0; round < 2; round++ {
+		for i := 1; i < 1000; i++ {
+			publish(fmt.Sprintf("dev.%d", i))
+			publish("hot")
+		}
+	}
+	if b.ChannelStats().Evictions == 0 {
+		t.Fatal("no record was evicted")
+	}
+	if _, _, ok := b.ReplayHead("dev.0"); ok {
+		t.Fatal("dev.0's record survived 1998 other channels in 32 shards of one")
+	}
+	publish("dev.0")
+	if again, head, _ := b.ReplayHead("dev.0"); again == first || head != 1 {
+		t.Fatalf("recreated ring: epoch %d (was %d), head %d; want a new epoch from 1", again, first, head)
+	}
+
+	u := an.Accumulator().Seal()
+	var in, out int64
+	for _, c := range u.Channels {
+		in, out = in+c.BytesIn, out+c.BytesOut
+	}
+	if u.Overflow != nil {
+		in, out = in+u.Overflow.BytesIn, out+u.Overflow.BytesOut
+	}
+	if in != bytesIn || out != bytesOut {
+		t.Fatalf("unit carries %d bytes in / %d out, published %d / delivered %d", in, out, bytesIn, bytesOut)
+	}
+	if u.Overflow == nil || len(u.Channels) > capacity {
+		t.Fatalf("%d channels tracked, overflow %+v: the cap did not bind", len(u.Channels), u.Overflow)
+	}
+}
+
+type discardSink struct{}
+
+func (discardSink) Deliver(string, []byte) {}
+func (discardSink) Closed(error)           {}
+
 type sinkChan chan struct{}
 
 func (s sinkChan) Deliver(string, []byte) { s <- struct{}{} }

@@ -405,8 +405,8 @@ func PeekStamp(data []byte) (t Type, stamp int64, ok bool) {
 	t = Type(data[1])
 	rest := data[envelopeHeaderLen:]
 	for i := 0; i < 3; i++ { // skip planVersion, node, seq
-		_, n := binary.Uvarint(rest)
-		if n <= 0 {
+		u, n := binary.Uvarint(rest)
+		if n <= 0 || i == 1 && u > math.MaxUint32 { // a node ID Unmarshal rejects
 			return 0, 0, false
 		}
 		rest = rest[n:]

@@ -332,9 +332,7 @@ func (n *Node) buildRegistry() {
 		{Name: "lla_subscribers", Stats: accum.SubscriberCacheStats},
 		{Name: "topk", Stats: n.topk.CacheStats},
 		{Name: "latency_topk", Stats: n.latTopk.CacheStats},
-	}
-	if n.Broker.ReplayEnabled() {
-		caches = append(caches, hotstate.NamedStats{Name: "replay_rings", Stats: n.Broker.ReplayCacheStats})
+		{Name: "channels", Stats: n.Broker.ChannelStats},
 	}
 	r.RegisterCaches("dynamoth_node", caches...)
 	// Derived reconfiguration families from the node's flight recorder

@@ -46,10 +46,6 @@ type Options struct {
 	MaxOutgoingBps float64
 	// Unit and ReportEvery configure the LLA (defaults 1 s / 3 s).
 	Unit, ReportEvery time.Duration
-	// LLAChannelCap bounds the distinct channels the LLA tracks per time
-	// unit (0 = lla.DefaultChannelCap, negative = unbounded); traffic beyond
-	// the cap folds into the report's overflow bucket.
-	LLAChannelCap int
 	// TopKCap bounds the hot-channel tracker's channel set
 	// (0 = obs.DefaultTopKCap, negative = unbounded).
 	TopKCap int
@@ -61,9 +57,12 @@ type Options struct {
 	// cursor-based resumable subscription. 0 selects DefaultReplayDepth;
 	// negative disables replay.
 	ReplayDepth int
-	// ReplayChannels bounds how many channels may hold a replay ring
-	// (0 = broker.DefaultReplayChannels, negative = unbounded).
-	ReplayChannels int
+	// ChannelCap bounds the channels the node keeps a record for — replay
+	// ring, LLA counters, dispatcher verdict — (0 = broker.DefaultChannelCap,
+	// negative = unbounded). Subscribed channels' records are pinned; LLA
+	// traffic on channels past the cap folds into the report's overflow
+	// bucket.
+	ChannelCap int
 	// DrainTimeout bounds dispatcher transitions.
 	DrainTimeout time.Duration
 	// Recorder receives the node's reconfiguration events (plan applies,
@@ -112,12 +111,16 @@ func New(opts Options) (*Node, error) {
 	case replayDepth < 0:
 		replayDepth = 0 // disabled
 	}
+	channelCap := opts.ChannelCap
+	if channelCap == 0 {
+		channelCap = broker.DefaultChannelCap
+	}
 	clk := opts.Clock
 	b := broker.New(broker.Options{
-		Name:           opts.ID,
-		OutputBuffer:   opts.OutputBuffer,
-		ReplayDepth:    replayDepth,
-		ReplayChannels: opts.ReplayChannels,
+		Name:         opts.ID,
+		OutputBuffer: opts.OutputBuffer,
+		ReplayDepth:  replayDepth,
+		ChannelCap:   channelCap,
 		// Stage stamping on: the broker marks ingress and fanout-enqueue on
 		// every stamped data frame, in place and allocation-free.
 		NowNanos: func() int64 { return clk.Now().UnixNano() },
@@ -127,7 +130,7 @@ func New(opts Options) (*Node, error) {
 		MaxOutgoingBps: opts.MaxOutgoingBps,
 		Unit:           opts.Unit,
 		ReportEvery:    opts.ReportEvery,
-		ChannelCap:     opts.LLAChannelCap,
+		ChannelCap:     channelCap,
 		Clock:          opts.Clock,
 		Logger:         opts.Logger,
 	})

@@ -482,11 +482,11 @@ func BenchmarkClientPublish(b *testing.B) {
 }
 
 // BenchmarkClientPublishThroughput measures the client's publish hot path
-// over real TCP: routing-snapshot lookup, envelope encoding into a pooled
+// over real TCP: lock-free route lookup, envelope encoding into a pooled
 // buffer, and the pipelined PUBLISH write. The clock stops only once the
 // broker has accepted every publication, so ops/s is true throughput rather
 // than local buffer-stuffing speed. The goroutines=4 variant hammers one
-// client from four publishers — the case the lock-free snapshot exists for.
+// client from four publishers — the case lock-free routing exists for.
 func BenchmarkClientPublishThroughput(b *testing.B) {
 	for _, gs := range []int{1, 4} {
 		b.Run(fmt.Sprintf("goroutines=%d", gs), func(b *testing.B) {
@@ -508,7 +508,7 @@ func BenchmarkClientPublishThroughput(b *testing.B) {
 			}
 			defer client.Close()
 			payload := make([]byte, 200)
-			// Warm the route: dial the target and publish the snapshot.
+			// Warm the route: dial the target and publish the connection snapshot.
 			if err := client.Publish("bench", payload); err != nil {
 				b.Fatal(err)
 			}

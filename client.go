@@ -150,11 +150,13 @@ type Stats struct {
 // Client is a Dynamoth pub/sub client: a standard publish/subscribe API
 // backed by a lazily maintained partial plan (§II-C).
 //
-// The steady-state hot paths — Publish and message delivery — run against an
-// immutable routing snapshot behind an atomic pointer and take no
-// client-wide lock; c.mu serializes only control-plane mutations (plan
-// updates, subscription changes, dialing, repair), each of which republishes
-// the snapshot.
+// The steady-state hot paths — Publish and message delivery — take no
+// client-wide lock: they read learned routes from the concurrent-safe local
+// plan, subscriptions from a concurrent map, and connections from an
+// immutable snapshot behind an atomic pointer. c.mu serializes only
+// control-plane mutations (plan updates, subscription changes, dialing,
+// repair); none of them copies the subscriptions or the learned routes, so
+// a mutation costs the same however many the client holds.
 type Client struct {
 	cfg    Config
 	dialer transport.Dialer
@@ -165,8 +167,11 @@ type Client struct {
 	// replicated channels) — lock-free, seeded from cfg.Seed.
 	rngState atomic.Uint64
 
-	// route is the copy-on-write snapshot read by Publish/deliver/touch.
+	// route is the copy-on-write connection snapshot read by Publish.
 	route atomic.Pointer[routeTable]
+	// subs maps a channel to its *subscription: read lock-free by delivery,
+	// written under mu.
+	subs sync.Map
 
 	// backoff computes redial delays; dials (under c.mu) holds the sticky
 	// per-server failure state that gates connLocked.
@@ -179,7 +184,6 @@ type Client struct {
 	routes *localplan.Router
 	conns  map[plan.ServerID]*clientConn
 	dials  map[plan.ServerID]*dialBackoff
-	subs   map[string]*subscription
 	// repairs holds the subscriptions (the inbox included) lost with a
 	// server and not yet re-homed; maintain retries them until one succeeds.
 	repairs map[string]struct{}
@@ -236,16 +240,12 @@ type dialBackoff struct {
 	lastErr  error
 }
 
-// routeTable is an immutable snapshot of everything the lock-free paths
-// need: learned plan entries (whose timers stay touchable through the shared
-// *Learned values), the fallback ring, the dialed connection table, and the
-// live subscriptions. Rebuilt under c.mu on every control-plane change.
+// routeTable is an immutable snapshot of the dialed connection table for the
+// lock-free publish path, republished under c.mu whenever a connection is
+// added or dropped and at Close.
 type routeTable struct {
-	base    *plan.Plan
-	entries map[string]*localplan.Learned
-	conns   map[plan.ServerID]*clientConn
-	subs    map[string]*subscription
-	closed  bool
+	conns  map[plan.ServerID]*clientConn
+	closed bool
 }
 
 type subscription struct {
@@ -320,7 +320,6 @@ func ConnectWithDialer(dialer transport.Dialer, servers []string, cfg Config) (*
 		routes:  localplan.NewRouter(local, inbox),
 		conns:   make(map[plan.ServerID]*clientConn),
 		dials:   make(map[plan.ServerID]*dialBackoff),
-		subs:    make(map[string]*subscription),
 		repairs: make(map[string]struct{}),
 		rec:     cfg.Recorder,
 		log:     trace.Component(cfg.Logger, "client"),
@@ -355,7 +354,6 @@ func ConnectWithDialer(dialer transport.Dialer, servers []string, cfg Config) (*
 		c.mu.Unlock()
 		return nil, fmt.Errorf("dynamoth: subscribing inbox: %w", err)
 	}
-	c.rebuildRouteLocked()
 	c.mu.Unlock()
 	go c.maintain()
 	return c, nil
@@ -486,9 +484,9 @@ func (c *Client) Flush(timeout time.Duration) error {
 // Publish sends payload on channel, routed by the client's current plan
 // knowledge (explicit entry, else consistent hashing).
 //
-// The steady-state path reads the routing snapshot and touches no
-// client-wide lock; it falls back to the locked slow path only when a target
-// server has no dialed connection yet.
+// The steady-state path reads the local plan and the connection snapshot and
+// touches no client-wide lock; it falls back to the locked slow path only
+// when a target server has no dialed connection yet.
 func (c *Client) Publish(channel string, payload []byte) error {
 	rt := c.route.Load()
 	if rt == nil {
@@ -500,13 +498,13 @@ func (c *Client) Publish(channel string, payload []byte) error {
 	var version uint64
 	var targetArr [1]plan.ServerID
 	var targets []plan.ServerID
-	if le, ok := rt.entries[channel]; ok {
+	if le, ok := c.local.Learned(channel); ok {
 		le.Touch(c.cfg.Clock.Now())
 		version = le.Version()
 		targets = plan.PublishTargets(le.Entry(), c.pick)
 	} else {
 		// Consistent-hash fallback: one target, no Entry allocation.
-		targetArr[0] = rt.base.Home(channel)
+		targetArr[0] = c.local.Base().Home(channel)
 		targets = targetArr[:]
 	}
 	var connArr [4]*clientConn
@@ -522,8 +520,8 @@ func (c *Client) Publish(channel string, payload []byte) error {
 }
 
 // publishSlow is the locked publish path: it resolves (dialing or
-// substituting) connections for the channel's targets and republishes the
-// routing snapshot so the next Publish takes the fast path.
+// substituting) connections for the channel's targets; a dial republishes
+// the connection snapshot, so the next Publish takes the fast path.
 func (c *Client) publishSlow(channel string, payload []byte) error {
 	c.mu.Lock()
 	if c.closed {
@@ -536,7 +534,6 @@ func (c *Client) publishSlow(channel string, payload []byte) error {
 	for _, s := range targets {
 		conns = append(conns, c.conns[s])
 	}
-	c.rebuildRouteLocked()
 	c.mu.Unlock()
 
 	if len(conns) == 0 {
@@ -602,23 +599,20 @@ func (c *Client) Subscribe(channel string) (<-chan Message, error) {
 	if c.closed {
 		return nil, ErrClosed
 	}
-	if sub, ok := c.subs[channel]; ok {
+	if sub := c.sub(channel); sub != nil {
 		return sub.out, nil
 	}
 	dialErr := errUnreachable
 	servers := c.routes.Subscribe(channel, c.cfg.Clock.Now(), c.reachLocked(channel, &dialErr))
 	if len(servers) == 0 {
-		c.rebuildRouteLocked() // placing may have dialed
 		return nil, fmt.Errorf("dynamoth: subscribe %q: %w", channel, dialErr)
 	}
 	if _, err := c.subscribeOnLocked(channel, servers, nil); err != nil {
 		c.routes.Unsubscribe(channel)
-		c.rebuildRouteLocked()
 		return nil, err
 	}
 	sub := &subscription{out: make(chan Message, c.cfg.SubscribeBuffer)}
-	c.subs[channel] = sub
-	c.rebuildRouteLocked()
+	c.subs.Store(channel, sub)
 	return sub.out, nil
 }
 
@@ -629,14 +623,13 @@ func (c *Client) Unsubscribe(channel string) error {
 	if c.closed {
 		return ErrClosed
 	}
-	sub, ok := c.subs[channel]
-	if !ok {
+	sub := c.sub(channel)
+	if sub == nil {
 		return ErrNotSubscribed
 	}
-	delete(c.subs, channel)
+	c.subs.Delete(channel)
 	delete(c.repairs, channel)
 	c.leaveLocked(channel, c.routes.Unsubscribe(channel))
-	c.rebuildRouteLocked()
 	sub.closeOut()
 	return nil
 }
@@ -654,10 +647,11 @@ func (c *Client) Close() error {
 		conns = append(conns, conn)
 	}
 	c.conns = make(map[plan.ServerID]*clientConn)
-	for ch, sub := range c.subs {
-		sub.closeOut()
-		delete(c.subs, ch)
-	}
+	c.subs.Range(func(ch, sub any) bool {
+		sub.(*subscription).closeOut()
+		c.subs.Delete(ch)
+		return true
+	})
 	c.rebuildRouteLocked()
 	c.mu.Unlock()
 
@@ -687,25 +681,24 @@ func (c *Client) pick(n int) int {
 	}
 }
 
-// rebuildRouteLocked republishes the routing snapshot read by the lock-free
-// paths. Must be called under c.mu at the end of every control-plane
-// mutation (plan/ring updates, subscription changes, dialing, teardown).
+// rebuildRouteLocked republishes the connection snapshot read by Publish.
+// Must be called under c.mu whenever c.conns or c.closed changes.
 func (c *Client) rebuildRouteLocked() {
 	rt := &routeTable{
-		base:    c.local.Base(),
-		entries: make(map[string]*localplan.Learned, c.local.Len()),
-		conns:   make(map[plan.ServerID]*clientConn, len(c.conns)),
-		subs:    make(map[string]*subscription, len(c.subs)),
-		closed:  c.closed,
+		conns:  make(map[plan.ServerID]*clientConn, len(c.conns)),
+		closed: c.closed,
 	}
-	c.local.Each(func(ch string, l *localplan.Learned) { rt.entries[ch] = l })
 	for id, cc := range c.conns {
 		rt.conns[id] = cc
 	}
-	for ch, sub := range c.subs {
-		rt.subs[ch] = sub
-	}
 	c.route.Store(rt)
+}
+
+// sub returns channel's subscription, nil when there is none.
+func (c *Client) sub(channel string) *subscription {
+	sub, _ := c.subs.Load(channel)
+	s, _ := sub.(*subscription)
+	return s
 }
 
 // errUnreachable is the cause reported when routing found no server to use
@@ -781,6 +774,7 @@ func (c *Client) connLocked(server plan.ServerID) (*clientConn, error) {
 		cc.noRetain = true
 	}
 	c.conns[server] = cc
+	c.rebuildRouteLocked()
 	return cc, nil
 }
 
@@ -871,7 +865,7 @@ func (c *Client) subscribeOnLocked(channel string, servers []plan.ServerID, trac
 // it, so no later decision would.
 func (c *Client) moveLocked(channel string, add, drop []plan.ServerID) (replayOutcome, error) {
 	var track *seqTracker
-	if sub := c.subs[channel]; sub != nil {
+	if sub := c.sub(channel); sub != nil {
 		track = &sub.track
 	}
 	out, err := c.subscribeOnLocked(channel, add, track)
@@ -906,9 +900,10 @@ func (c *Client) ReplayGaps() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := 0
-	for _, sub := range c.subs {
-		n += sub.track.openGaps()
-	}
+	c.subs.Range(func(_, sub any) bool {
+		n += sub.(*subscription).track.openGaps()
+		return true
+	})
 	return n
 }
 
@@ -920,11 +915,7 @@ func (c *Client) handleMessage(channel string, payload []byte) {
 	}
 	switch env.Type {
 	case message.TypeData, message.TypeForwarded:
-		rt := c.route.Load()
-		var sub *subscription
-		if rt != nil { // nil only before the bootstrap snapshot
-			sub = rt.subs[channel]
-		}
+		sub := c.sub(channel)
 		if sub != nil {
 			// Every copy consumes its broker's (epoch, seq), a suppressed
 			// duplicate too: a forwarded frame re-stamped by another broker
@@ -958,12 +949,9 @@ func (c *Client) handleMessage(channel string, payload []byte) {
 				}
 			}
 		}
-		if rt == nil {
-			return
-		}
 		// §IV-A5: receiving a publication resets the channel's entry timer
-		// (atomic, so the snapshot suffices).
-		if le, ok := rt.entries[channel]; ok {
+		// (atomic, so no lock beyond the store's own).
+		if le, ok := c.local.Learned(channel); ok {
 			le.Touch(c.cfg.Clock.Now())
 		}
 		if sub != nil { // nil: already unsubscribed, a late delivery
@@ -1032,12 +1020,10 @@ func (c *Client) applyControl(env *message.Envelope, move bool) {
 	e := plan.Entry{Strategy: plan.Strategy(env.Strategy), Servers: env.Servers}
 	add, drop, moved := c.routes.Learn(channel, e, env.PlanVersion, move, c.cfg.Clock.Now(), c.reachLocked(channel, nil))
 	if !moved {
-		c.rebuildRouteLocked()
 		c.mu.Unlock()
 		return
 	}
 	replay, _ := c.moveLocked(channel, add, drop)
-	c.rebuildRouteLocked()
 	servers, _ := c.routes.Servers(channel)
 	c.mu.Unlock()
 	c.recordReplay(channel, "switch", env.PlanVersion, replay)
@@ -1117,7 +1103,7 @@ func (c *Client) maintain() {
 func (c *Client) sweep() {
 	now := c.cfg.Clock.Now()
 	c.mu.Lock()
-	swept := c.local.Sweep(now)
+	c.local.Sweep(now)
 	repairs := make([]string, 0, len(c.repairs))
 	for ch := range c.repairs {
 		repairs = append(repairs, ch)
@@ -1141,7 +1127,7 @@ func (c *Client) sweep() {
 			continue // retry next sweep
 		}
 		delete(c.repairs, ch)
-		if _, ok := c.subs[ch]; !ok {
+		if c.sub(ch) == nil {
 			continue // the inbox: no stream to resume
 		}
 		replays = append(replays, repairedReplay{ch, replay})
@@ -1150,9 +1136,6 @@ func (c *Client) sweep() {
 		c.log.Info("subscription repaired",
 			slog.String("channel", ch),
 			slog.Int("targets", len(add)))
-	}
-	if swept > 0 || len(repairs) > 0 {
-		c.rebuildRouteLocked()
 	}
 	c.mu.Unlock()
 	for _, r := range replays {

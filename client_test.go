@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
+	"strconv"
 	"testing"
 	"time"
 
@@ -575,7 +577,7 @@ func TestReplayedDuplicateRecordedOnce(t *testing.T) {
 	recvMsg(t, msgs)
 
 	c.mu.Lock()
-	sub := c.subs["replayed"]
+	sub := c.sub("replayed")
 	c.mu.Unlock()
 	for n := uint64(1); n <= 2; n++ {
 		// Forget that the frame was consumed, so the cursor subscribe asks the
@@ -614,5 +616,39 @@ func TestReplayedDuplicateRecordedOnce(t *testing.T) {
 	}
 	if st := c.Stats(); st.ReplayRequests != 2 || st.ReplayedFrames != 2 || st.Duplicates != 2 {
 		t.Errorf("stats %+v, want 2 requests / 2 frames / 2 duplicates", st)
+	}
+}
+
+// A subscription costs the same however many the client already holds: the
+// bytes allocated per Subscribe with 8 000 subscriptions in place stay
+// within 1.5× the figure with 1 000.
+func TestSubscribeCostIndependentOfCount(t *testing.T) {
+	d := newTestDeployment(t, "s1")
+	c, err := ConnectWithDialer(d.dialer, d.servers, Config{NodeID: 610, SubscribeBuffer: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	n := 0
+	subscribe := func(k int) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < k; i++ {
+			if _, err := c.Subscribe("flat." + strconv.Itoa(n)); err != nil {
+				t.Fatal(err)
+			}
+			n++
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / uint64(k)
+	}
+	const window = 500
+	subscribe(1000)
+	at1k := subscribe(window)
+	subscribe(8000 - n)
+	at8k := subscribe(window)
+	t.Logf("bytes per Subscribe: %d at 1 000 subscriptions, %d at 8 000", at1k, at8k)
+	if float64(at8k) > 1.5*float64(at1k) {
+		t.Fatalf("Subscribe allocates %d B at 8 000 subscriptions, %d B at 1 000: cost grows with the count", at8k, at1k)
 	}
 }

@@ -37,24 +37,20 @@ type ReplayResult struct {
 	Epoch uint64
 }
 
-// replaySlot is one retained frame. buf is reused across ring wraps, so a
-// channel at steady state retains its window with zero allocations.
-type replaySlot struct {
-	seq   uint64
-	stamp int64
-	buf   []byte
-}
-
 // replayRing is one channel's bounded frame history. head is the last
-// assigned sequence; sequence s lives in slots[(s-1) % depth]. The slot array
-// grows with the frames retained on the first lap and stops at depth, so a
-// ring costs what it holds: a channel that saw one frame has one slot.
+// assigned sequence; sequence s lives in slots[(s-1) % depth], stripped of
+// what replay rebuilds (message.AppendStripped): the position implies the
+// sequence, the ring the epoch, and a retained frame's stage block is zero.
+// A slot's buffer is reused across ring wraps, so a channel at steady state
+// retains its window with zero allocations. The slot array grows by about a
+// quarter with the frames retained on the first lap and stops at depth, so
+// a ring costs what it holds: a channel that saw one frame has one slot.
 type replayRing struct {
 	mu      sync.Mutex
 	epoch   uint64
 	head    uint64
-	slots   []replaySlot
-	bytes   int64 // frame bytes held across slots
+	slots   [][]byte
+	bytes   int64 // frame bytes a replay of every slot would hand out
 	evicted bool  // its record was evicted; its bytes left the broker's total
 }
 
@@ -65,19 +61,26 @@ func newEpoch() uint64 {
 	return max(rand.Uint64()>>1, 1)
 }
 
-// slot returns the slot of sequence seq, growing the array geometrically (and
+// slot returns the slot of sequence seq, growing the array by a quarter (and
 // never past depth) when seq is the first to reach it.
-func (r *replayRing) slot(seq uint64, depth int) *replaySlot {
+func (r *replayRing) slot(seq uint64, depth int) *[]byte {
 	i := int((seq - 1) % uint64(depth))
 	if i == len(r.slots) {
 		if i == cap(r.slots) {
-			grown := make([]replaySlot, i, min(max(2*i, 1), depth))
+			grown := make([][]byte, i, min(i+i/4+1, depth))
 			copy(grown, r.slots)
 			r.slots = grown
 		}
 		r.slots = r.slots[:i+1]
 	}
 	return &r.slots[i]
+}
+
+// frame rebuilds retained sequence q as a fresh copy: slots are reused and
+// must never escape the lock.
+func (r *replayRing) frame(q, depth uint64) []byte {
+	body := r.slots[(q-1)%depth]
+	return message.AppendRestamped(make([]byte, 0, len(body)+message.StrippedLen), body, r.epoch, q)
 }
 
 // replayStats are the broker's replay counters, across every ring.
@@ -90,14 +93,14 @@ type replayStats struct {
 }
 
 // retain assigns the channel's next sequence, stamps payload in place with
-// (epoch, seq), and copies the stamped frame into the ring — only data
+// (epoch, seq), and copies the frame's body into the ring — only data
 // envelopes, told by one peek of the fixed header (raw payloads and control
 // envelopes pass through the broker unstamped and unretained). payload must
 // be the caller's to write for the duration of the call; the ring keeps its
 // own copy. Steady state is allocation-free: slot buffers are reused once the
 // ring has wrapped.
 func (b *Broker) retain(r *replayRing, payload []byte) {
-	t, stamp, ok := message.PeekStamp(payload)
+	t, _, ok := message.PeekStamp(payload)
 	if !ok || (t != message.TypeData && t != message.TypeForwarded) {
 		return
 	}
@@ -105,10 +108,11 @@ func (b *Broker) retain(r *replayRing, payload []byte) {
 	r.head++
 	message.StampChannelSeq(payload, r.epoch, r.head)
 	s := r.slot(r.head, b.replayDepth)
-	delta := int64(len(payload) - len(s.buf))
-	s.seq = r.head
-	s.stamp = stamp
-	s.buf = append(s.buf[:0], payload...)
+	delta := int64(len(payload))
+	if len(*s) > 0 {
+		delta -= int64(len(*s) + message.StrippedLen)
+	}
+	*s = message.AppendStripped((*s)[:0], payload)
 	r.bytes += delta
 	if !r.evicted {
 		b.replay.bytes.Add(delta)
@@ -117,8 +121,7 @@ func (b *Broker) retain(r *replayRing, payload []byte) {
 	b.replay.retained.Add(1)
 }
 
-// collect copies the frames a cursor is owed out of channel's ring. Frames
-// are fresh copies — ring slots are reused and must never escape the lock.
+// collect rebuilds the frames a cursor is owed out of channel's ring.
 //
 // Epoch match: replay exactly (cursorSeq, head]; anything below the ring
 // tail is counted missed. Epoch miss (client arrives from another broker or
@@ -152,11 +155,7 @@ func (b *Broker) collect(channel string, cur message.Cursor) (frames [][]byte, m
 			from = tail
 		}
 		for q := from; q <= r.head; q++ {
-			s := &r.slots[(q-1)%depth]
-			if s.seq != q {
-				continue
-			}
-			frames = append(frames, append([]byte(nil), s.buf...))
+			frames = append(frames, r.frame(q, depth))
 		}
 		st.replayed.Add(uint64(len(frames)))
 		return frames, missed, epoch
@@ -165,11 +164,10 @@ func (b *Broker) collect(channel string, cur message.Cursor) (frames [][]byte, m
 		return nil, 0, epoch
 	}
 	for q := tail; q <= r.head; q++ {
-		s := &r.slots[(q-1)%depth]
-		if s.seq != q || s.stamp < cur.SinceStamp {
-			continue
+		f := r.frame(q, depth)
+		if _, stamp, _ := message.PeekStamp(f); stamp >= cur.SinceStamp {
+			frames = append(frames, f)
 		}
-		frames = append(frames, append([]byte(nil), s.buf...))
 	}
 	st.replayed.Add(uint64(len(frames)))
 	return frames, 0, epoch

@@ -2,7 +2,9 @@ package broker
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"runtime"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -445,5 +447,65 @@ func TestReplayBytesGauge(t *testing.T) {
 	b.Publish(other, frame)
 	if got := b.Stats().ReplayBytes; got != size {
 		t.Fatalf("after a's ring was evicted: ReplayBytes = %d, want %d", got, size)
+	}
+}
+
+// A retained frame costs about its own bytes: over a seeded Zipf(1.0) stream
+// of ~175-byte frames on 8192 channels, the live heap the replay rings add
+// stays within 1.15× the frame bytes they would hand out (ReplayBytes) —
+// slot arrays, buffer rounding and ring bookkeeping included.
+func TestReplayHeapPerFrame(t *testing.T) {
+	const (
+		channels = 8192
+		draws    = 300_000
+	)
+	names := make([]string, channels)
+	frames := make([][]byte, channels)
+	for i := range frames {
+		names[i] = fmt.Sprintf("z.%d", i)
+		frames[i] = dataFrame(names[i], string(make([]byte, 135)), int64(i+1))
+	}
+	cdf := make([]float64, channels)
+	sum := 0.0
+	for i := range cdf {
+		sum += 1 / float64(i+1)
+		cdf[i] = sum
+	}
+	rng := rand.New(rand.NewPCG(7, 11))
+	seq := make([]int, draws)
+	for i := range seq {
+		seq[i] = sort.SearchFloat64s(cdf, rng.Float64()*sum)
+	}
+	heap := func() int64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	scratch := make([]byte, 0, 256)
+	// fill returns the live heap with the filled broker still held.
+	fill := func(depth int) (live, replayBytes int64) {
+		b := New(Options{ReplayDepth: depth})
+		for _, k := range seq {
+			scratch = append(scratch[:0], frames[k]...)
+			b.Publish(names[k], scratch)
+		}
+		live = heap()
+		replayBytes = b.Stats().ReplayBytes
+		runtime.KeepAlive(b)
+		return live, replayBytes
+	}
+	on, replayBytes := fill(256)
+	off, _ := fill(0)
+	runtime.KeepAlive(frames) // live through both measurements
+	runtime.KeepAlive(names)
+	runtime.KeepAlive(seq)
+	if replayBytes == 0 {
+		t.Fatal("no frame retained")
+	}
+	ratio := float64(on-off) / float64(replayBytes)
+	t.Logf("replay heap %d KiB for %d KiB of frames: ×%.3f", (on-off)>>10, replayBytes>>10, ratio)
+	if ratio > 1.15 {
+		t.Fatalf("replay rings cost ×%.3f their frame bytes, want ≤ ×1.15", ratio)
 	}
 }

@@ -36,9 +36,9 @@ const DefaultTimeout = 30 * time.Second
 const DefaultCap = 4096
 
 // Learned is one channel's learned mapping. The struct itself is immutable
-// after creation except for the entry timer, which is atomic so that holders
-// of a routing snapshot (the client's lock-free publish/delivery paths) can
-// touch it without coordinating with the store.
+// after creation except for the entry timer, which is atomic so that the
+// client's publish and delivery paths can touch it without coordinating with
+// the store.
 type Learned struct {
 	e        plan.Entry
 	version  uint64
@@ -58,7 +58,7 @@ func (l *Learned) Touch(now time.Time) { l.lastUsed.Store(now.UnixNano()) }
 
 // Store is a client's local plan. It is safe for concurrent use: entries
 // live in a lock-striped bounded cache, and the fallback ring is swapped
-// atomically. Learned entries handed out by Lookup or Each may be touched
+// atomically. Learned entries handed out by Learned may be touched
 // concurrently.
 type Store struct {
 	base    atomic.Pointer[plan.Plan]
@@ -143,14 +143,11 @@ func (s *Store) Lookup(channel string, now time.Time) (plan.Entry, uint64) {
 	return e, 0
 }
 
-// Each visits every learned entry. The *Learned references remain valid (and
-// touchable) after the call — routing snapshots are built from them. f runs
-// under a shard lock and must not call back into the store.
-func (s *Store) Each(f func(channel string, l *Learned)) {
-	s.entries.Range(func(ch string, le *Learned) bool {
-		f(ch, le)
-		return true
-	})
+// Learned returns channel's learned entry, if any, without marking it used
+// or counting a cache hit: the client's publish and delivery paths read
+// their routes here and touch the entry timer themselves.
+func (s *Store) Learned(channel string) (*Learned, bool) {
+	return s.entries.Peek(channel)
 }
 
 // Peek is Lookup without touching the timer.

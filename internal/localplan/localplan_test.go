@@ -292,8 +292,8 @@ func TestUpdateRingDoesNotAllocatePerComparison(t *testing.T) {
 }
 
 // TestConcurrentTouchSweepUpdateRace is the -race gate over the striped
-// store: routing snapshots Touch learned entries while the owner updates,
-// sweeps, pins and rebuilds concurrently.
+// store: publish and delivery paths read and Touch learned entries while the
+// owner updates, sweeps, pins and re-rings concurrently.
 func TestConcurrentTouchSweepUpdateRace(t *testing.T) {
 	s := newStore([]string{"s1", "s2"}, 50*time.Millisecond, 128)
 	channels := make([]string, 256)
@@ -324,7 +324,7 @@ func TestConcurrentTouchSweepUpdateRace(t *testing.T) {
 		s.Base().Home(channels[i%256])
 	})
 	run(func(i int) {
-		s.Each(func(string, *Learned) {})
+		s.Learned(channels[(i*3)%256])
 		s.CacheStats()
 	})
 	time.Sleep(150 * time.Millisecond)

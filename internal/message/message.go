@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -529,6 +530,29 @@ func StampChannelSeq(data []byte, epoch, seq uint64) bool {
 	binary.LittleEndian.PutUint64(data[2:10], epoch)
 	binary.LittleEndian.PutUint64(data[10:18], seq)
 	return true
+}
+
+// StrippedLen is how many bytes AppendStripped drops from a frame: the
+// replay coordinates and the stage block.
+const StrippedLen = seqHeaderLen + stageHeaderLen
+
+// AppendStripped appends frame to dst without its fixed [2,30) region — the
+// replay coordinates and stage block, which a replay ring writes back with
+// AppendRestamped rather than stores. frame must open with a complete header.
+func AppendStripped(dst, frame []byte) []byte {
+	dst = slices.Grow(dst, len(frame)-StrippedLen)
+	dst = append(dst, frame[:2]...)
+	return append(dst, frame[envelopeHeaderLen:]...)
+}
+
+// AppendRestamped is the inverse of AppendStripped: it appends the frame
+// body was stripped from, stamped with (epoch, seq) and a zero stage block.
+func AppendRestamped(dst, body []byte, epoch, seq uint64) []byte {
+	dst = append(dst, body[:2]...)
+	dst = binary.LittleEndian.AppendUint64(dst, epoch)
+	dst = binary.LittleEndian.AppendUint64(dst, seq)
+	dst = append(dst, make([]byte, stageHeaderLen)...)
+	return append(dst, body[2:]...)
 }
 
 // PeekChannelSeq extracts the replay coordinates from an encoded envelope

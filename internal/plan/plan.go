@@ -17,6 +17,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -396,7 +397,9 @@ func (p *Plan) Marshal() ([]byte, error) {
 	return json.Marshal(p)
 }
 
-// Unmarshal decodes a plan from JSON.
+// Unmarshal decodes a plan from JSON. It rejects an entry without a valid
+// strategy or servers, and the empty server ID anywhere: a ring member ""
+// would make Lookup answer "no server" for the slice of channels it owns.
 func Unmarshal(data []byte) (*Plan, error) {
 	var p Plan
 	if err := json.Unmarshal(data, &p); err != nil {
@@ -405,8 +408,11 @@ func Unmarshal(data []byte) (*Plan, error) {
 	if p.Channels == nil {
 		p.Channels = make(map[string]Entry)
 	}
+	if slices.Contains(p.Servers, "") || slices.Contains(p.RingServers, "") {
+		return nil, errors.New("plan: empty server ID")
+	}
 	for ch, e := range p.Channels {
-		if !e.Strategy.Valid() || len(e.Servers) == 0 {
+		if !e.Strategy.Valid() || len(e.Servers) == 0 || slices.Contains(e.Servers, "") {
 			return nil, fmt.Errorf("plan: invalid entry for channel %q", ch)
 		}
 	}

@@ -335,6 +335,9 @@ func TestUnmarshalRejectsInvalid(t *testing.T) {
 	tests := []string{
 		`{"version":1,"servers":["s1"],"channels":{"c":{"strategy":0,"servers":["s1"]}}}`,
 		`{"version":1,"servers":["s1"],"channels":{"c":{"strategy":1,"servers":[]}}}`,
+		`{"version":1,"servers":["s1"],"channels":{"c":{"strategy":1,"servers":["s1",""]}}}`,
+		`{"version":1,"servers":["s1",""],"ringServers":["s1"]}`,
+		`{"version":1,"servers":["s1"],"ringServers":["s1",""]}`,
 		`not json`,
 	}
 	for _, data := range tests {

@@ -308,8 +308,8 @@ func BenchmarkBrokerPublishParallel(b *testing.B) {
 
 // BenchmarkBrokerPublishReplay isolates the replay retain path: stamped data
 // envelopes published to a channel whose ring has wrapped, so every publish
-// assigns a sequence, stamps the frame in place, and copies it into a reused
-// ring slot. Steady state must be zero allocations per publish — the ring is
+// assigns a sequence, stamps the frame in place, and copies its body into
+// the ring's laid-out buffer. Steady state must be zero allocations per publish — the ring is
 // on the hot path of every replay-enabled broker. (No subscribers: each
 // published buffer is stamped in place and the bench reuses it, which a
 // concurrent fan-out reader must never observe.) Stage stamping is on, so
@@ -331,7 +331,7 @@ func BenchmarkBrokerPublishReplay(b *testing.B) {
 	}
 	frame := env.Marshal()
 	// Wrap the ring before the clock starts so the timed region measures
-	// slot-buffer reuse, not first-lap growth.
+	// writes into the laid-out buffer, not first-lap growth.
 	for i := 0; i < 512; i++ {
 		br.Publish("bench", frame)
 	}

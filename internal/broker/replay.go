@@ -1,7 +1,9 @@
 package broker
 
 import (
+	"math"
 	"math/rand/v2"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -38,21 +40,45 @@ type ReplayResult struct {
 }
 
 // replayRing is one channel's bounded frame history. head is the last
-// assigned sequence; sequence s lives in slots[(s-1) % depth], stripped of
+// assigned sequence; sequence s lives in slot (s-1) % depth, stripped of
 // what replay rebuilds (message.AppendStripped): the position implies the
 // sequence, the ring the epoch, and a retained frame's stage block is zero.
-// A slot's buffer is reused across ring wraps, so a channel at steady state
-// retains its window with zero allocations. The slot array grows by about a
-// quarter with the frames retained on the first lap and stops at depth, so
-// a ring costs what it holds: a channel that saw one frame has one slot.
+//
+// A ring has two forms, told apart by whether it has wrapped. On its first
+// lap each body has a buffer of its own in slots, an array that grows by
+// about a quarter with the frames retained and stops at depth, so a ring
+// costs what it holds: a channel that saw one frame has one slot. When the
+// first lap is complete, the next retain lays the bodies out, in sequence
+// order, in one buffer of their sum plus replayHeadroom; from then on buf
+// holds every body back to back and circularly, offs[i] is where slot i's
+// body begins, and a new body goes where the newest one ended, over the
+// headroom and then the oldest's bytes. The buffer is laid out anew only when a
+// body no longer fits. Either form retains a warm window with zero
+// allocations. Only rings that wrap are laid out because the layout's
+// growth copies, paid by every ring from its first frame, fragment the heap
+// of a node with thousands of barely-used rings (DESIGN §16).
 type replayRing struct {
 	mu      sync.Mutex
 	epoch   uint64
 	head    uint64
-	slots   [][]byte
-	bytes   int64 // frame bytes a replay of every slot would hand out
-	evicted bool  // its record was evicted; its bytes left the broker's total
+	slots   [][]byte // first lap: one buffer per body
+	buf     []byte   // wrapped: every body, back to back and circularly
+	offs    []uint32 // wrapped: where each slot's body begins in buf
+	end     uint32   // wrapped: where the newest body ends in buf
+	bytes   int64    // frame bytes a replay of every slot would hand out
+	evicted bool     // its record was evicted; its bytes left the broker's total
 }
+
+// replayHeadroom is the slack a laid-out buffer keeps past its bodies' sum
+// (more comes free when the allocation rounds up to a size class), so a
+// window whose frames vary by a few bytes is not laid out again each time
+// one of them grows. DESIGN §16 has the sweep that chose it.
+const replayHeadroom = 256
+
+// maxLaidOut bounds a laid-out buffer so uint32 offsets index all of it; a
+// ring that would need more keeps, or goes back to, one buffer per body. A
+// variable only so a test can lower it.
+var maxLaidOut int64 = math.MaxUint32
 
 // newEpoch names a new ring incarnation.
 func newEpoch() uint64 {
@@ -61,10 +87,9 @@ func newEpoch() uint64 {
 	return max(rand.Uint64()>>1, 1)
 }
 
-// slot returns the slot of sequence seq, growing the array by a quarter (and
-// never past depth) when seq is the first to reach it.
-func (r *replayRing) slot(seq uint64, depth int) *[]byte {
-	i := int((seq - 1) % uint64(depth))
+// slot returns first-lap slot i, growing the array by a quarter (and never
+// past depth) when i is the first to reach it.
+func (r *replayRing) slot(i, depth int) *[]byte {
 	if i == len(r.slots) {
 		if i == cap(r.slots) {
 			grown := make([][]byte, i, min(i+i/4+1, depth))
@@ -76,11 +101,87 @@ func (r *replayRing) slot(seq uint64, depth int) *[]byte {
 	return &r.slots[i]
 }
 
-// frame rebuilds retained sequence q as a fresh copy: slots are reused and
+// body returns slot i's body; laid out, in the two pieces it straddles the
+// end of buf in (tail is empty when it does not). A body never has length 0,
+// so start == stop means one that fills the whole buffer.
+func (r *replayRing) body(i int) (head, tail []byte) {
+	if r.buf == nil {
+		return r.slots[i], nil
+	}
+	start, stop := r.offs[i], r.end
+	if newest := int((r.head - 1) % uint64(len(r.offs))); i != newest {
+		stop = r.offs[(i+1)%len(r.offs)]
+	}
+	if start < stop {
+		return r.buf[start:stop], nil
+	}
+	return r.buf[start:], r.buf[:stop]
+}
+
+// put stores frame's body as sequence r.head+1 in slot i, replacing old
+// bytes of body there (0 on the first lap); the caller then advances head
+// and bytes.
+func (r *replayRing) put(frame []byte, i, old, depth int) {
+	n := len(frame) - message.StrippedLen
+	if r.head >= uint64(depth) {
+		// Wrapped: the body takes the oldest's place.
+		need := r.bytes - int64(depth*message.StrippedLen) - int64(old) + int64(n)
+		if (r.buf != nil && need <= int64(len(r.buf))) || r.layOut(i, need, depth) {
+			start := int(r.end)
+			stop := start + n
+			wrap := max(stop-len(r.buf), 0)
+			message.PutStrippedSplit(r.buf[start:stop-wrap], r.buf[:wrap], frame)
+			r.offs[i], r.end = r.end, uint32(stop%len(r.buf))
+			return
+		}
+	}
+	s := r.slot(i, depth)
+	*s = message.AppendStripped((*s)[:0], frame)
+}
+
+// layOut moves every body but slot i's — the oldest, which the next body
+// replaces — into a new buffer of need bytes plus replayHeadroom, oldest
+// first, leaving end where the next body goes. When the buffer would
+// outgrow its offsets it declines, and a laid-out ring goes back to one
+// buffer per body.
+func (r *replayRing) layOut(i int, need int64, depth int) bool {
+	if need+replayHeadroom > maxLaidOut {
+		if r.buf != nil {
+			slots := make([][]byte, depth)
+			for j := range slots {
+				head, tail := r.body(j)
+				slots[j] = append(append([]byte(nil), head...), tail...)
+			}
+			r.slots, r.buf, r.offs = slots, nil, nil
+		}
+		return false
+	}
+	buf := slices.Grow([]byte(nil), int(need)+replayHeadroom)
+	buf = buf[:min(int64(cap(buf)), maxLaidOut)]
+	offs := r.offs
+	if offs == nil {
+		offs = make([]uint32, depth)
+	}
+	at := 0
+	for k := 1; k < depth; k++ {
+		// body(j) reads offs[j] and its successor's, so slot j's offset
+		// may be rewritten once its body is copied.
+		j := (i + k) % depth
+		head, tail := r.body(j)
+		offs[j] = uint32(at)
+		at += copy(buf[at:], head)
+		at += copy(buf[at:], tail)
+	}
+	r.slots, r.buf, r.offs, r.end = nil, buf, offs, uint32(at)
+	return true
+}
+
+// frame rebuilds retained sequence q as a fresh copy: bodies are reused and
 // must never escape the lock.
 func (r *replayRing) frame(q, depth uint64) []byte {
-	body := r.slots[(q-1)%depth]
-	return message.AppendRestamped(make([]byte, 0, len(body)+message.StrippedLen), body, r.epoch, q)
+	head, tail := r.body(int((q - 1) % depth))
+	dst := make([]byte, 0, len(head)+len(tail)+message.StrippedLen)
+	return message.AppendRestamped(dst, head, tail, r.epoch, q)
 }
 
 // replayStats are the broker's replay counters, across every ring.
@@ -97,22 +198,25 @@ type replayStats struct {
 // envelopes, told by one peek of the fixed header (raw payloads and control
 // envelopes pass through the broker unstamped and unretained). payload must
 // be the caller's to write for the duration of the call; the ring keeps its
-// own copy. Steady state is allocation-free: slot buffers are reused once the
-// ring has wrapped.
+// own copy. Steady state is allocation-free: a wrapped ring writes into the
+// buffer it laid out, or the slot buffers it is reusing.
 func (b *Broker) retain(r *replayRing, payload []byte) {
 	t, _, ok := message.PeekStamp(payload)
 	if !ok || (t != message.TypeData && t != message.TypeForwarded) {
 		return
 	}
+	depth := b.replayDepth
 	r.mu.Lock()
-	r.head++
-	message.StampChannelSeq(payload, r.epoch, r.head)
-	s := r.slot(r.head, b.replayDepth)
+	message.StampChannelSeq(payload, r.epoch, r.head+1)
+	i, old := int(r.head%uint64(depth)), 0
 	delta := int64(len(payload))
-	if len(*s) > 0 {
-		delta -= int64(len(*s) + message.StrippedLen)
+	if r.head >= uint64(depth) {
+		head, tail := r.body(i)
+		old = len(head) + len(tail)
+		delta -= int64(old + message.StrippedLen)
 	}
-	*s = message.AppendStripped((*s)[:0], payload)
+	r.put(payload, i, old, depth)
+	r.head++
 	r.bytes += delta
 	if !r.evicted {
 		b.replay.bytes.Add(delta)

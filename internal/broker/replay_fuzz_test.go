@@ -66,6 +66,28 @@ func FuzzReplayRing(f *testing.F) {
 	f.Add([]byte{7, 0, 0, 0, 200, 1, 0, 0, 1, 200, 2, 0, 0, 2, 9, 3, 0, 0, 3, 50, 4, 2, 0, 3, 2, 3, 2, 2, 0, 3, 0, 2, 3, 0, 1})
 	f.Add([]byte{1, 0, 1, 5, 60, 8, 0, 2, 6, 60, 9, 1, 3, 7, 0, 0, 3, 1, 9, 2, 1, 1, 2, 2, 3})
 	f.Add(bytes.Repeat([]byte{0, 1, 4, 33, 7}, 40))
+	// Depth 3: a lap and one more frame lay the ring out; then cursors
+	// below the tail, at the head and from a foreign epoch.
+	f.Add(ringOps(2, fuzzPub(3, 10, 1), fuzzPub(3, 10, 2), fuzzPub(3, 10, 3), fuzzPub(3, 10, 4),
+		fuzzCursor(3, 0), fuzzCursor(3, 1), fuzzSince(3, 2)))
+	// Depth 2, same-size frames: the write position walks round the
+	// laid-out buffer until a body straddles its end; a cursor after each.
+	var walk [][]byte
+	for k := byte(1); k <= 24; k++ {
+		walk = append(walk, fuzzPub(3, 5, k), fuzzCursor(3, 0))
+	}
+	f.Add(ringOps(1, walk...))
+	// Depth 3, laid out on small frames, then a body larger than the whole
+	// buffer: the ring is laid out again around it.
+	f.Add(ringOps(2, fuzzPub(3, 10, 1), fuzzPub(3, 10, 2), fuzzPub(3, 10, 3), fuzzPub(3, 10, 4),
+		fuzzPub(3, 255, 5), fuzzCursor(3, 0), fuzzPub(3, 10, 6), fuzzCursor(3, 0)))
+	// Depth 2: the lap's largest body is the one the layout drops, so the
+	// buffer is sized to the survivors alone.
+	f.Add(ringOps(1, fuzzPub(3, 250, 1), fuzzPub(3, 2, 2), fuzzPub(3, 2, 3), fuzzCursor(3, 0), fuzzPub(3, 2, 4), fuzzCursor(3, 0)))
+	// Depth 2: a laid-out record evicted by a same-shard channel, then
+	// recreated.
+	f.Add(ringOps(1, fuzzPub(0, 8, 1), fuzzPub(0, 8, 2), fuzzPub(0, 8, 3), fuzzCursor(0, 1),
+		fuzzPub(1, 8, 4), fuzzCursor(0, 0), fuzzPub(0, 8, 5), fuzzCursor(0, 0)))
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 512 {
 			ops = ops[:512] // enough operations to wrap, evict and resume; keeps minimizing fast
@@ -231,3 +253,19 @@ func FuzzReplayRing(f *testing.F) {
 // envelopeHeaderOffset cuts a frame somewhere inside its fixed header, so
 // what remains is a raw payload the broker must neither stamp nor retain.
 func envelopeHeaderOffset(form byte) int { return 1 + int(form>>3)%16 }
+
+// ringOps spells a FuzzReplayRing input: the depth byte (depth 1 + d%8),
+// then the operations in order.
+func ringOps(d byte, ops ...[]byte) []byte {
+	return append([]byte{d}, bytes.Join(ops, nil)...)
+}
+
+// fuzzPub publishes a data frame with a 4×size-byte payload on channel ch.
+func fuzzPub(ch, size, stamp byte) []byte { return []byte{0, ch, 0, size, stamp} }
+
+// fuzzCursor subscribes to ch with a cursor at the ring's epoch: sel 0 asks
+// from sequence 1, sel 1 from the head.
+func fuzzCursor(ch, sel byte) []byte { return []byte{2, ch, sel} }
+
+// fuzzSince subscribes to ch from a foreign epoch, since stamp.
+func fuzzSince(ch, stamp byte) []byte { return []byte{3, ch, stamp} }

@@ -5,6 +5,7 @@ import (
 	"math/rand/v2"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -338,10 +339,12 @@ func TestReplayEvictionChurnRace(t *testing.T) {
 	wg.Wait()
 }
 
-// A ring's slot array follows the frames it has retained up to depth, and at
-// every fill level — empty, one frame, one short of a lap, exactly a lap, one
-// past it, several laps — a cursor is owed exactly (cursor, head], less what
-// the ring has overwritten.
+// A ring keeps one buffer per body on its first lap, in a slot array that
+// follows the frames it has retained up to depth, and from its first wrap on
+// holds them in one laid-out buffer indexed by depth offsets. At every fill
+// level — empty, one frame, one short of a lap, exactly a lap, one past it,
+// several laps — a cursor is owed exactly (cursor, head], less what the ring
+// has overwritten.
 func TestReplayRingGrowthBoundaries(t *testing.T) {
 	const depth = 8
 	for _, n := range []int{0, 1, depth - 1, depth, depth + 1, 3 * depth} {
@@ -349,16 +352,23 @@ func TestReplayRingGrowthBoundaries(t *testing.T) {
 		for i := 1; i <= n; i++ {
 			b.Publish("ch", dataFrame("ch", fmt.Sprintf("m%d", i), int64(i)))
 		}
-		slots := 0
+		var r *replayRing
 		if rec := b.peek("ch"); rec != nil {
-			r := &rec.ring
-			slots = len(r.slots)
-			if cap(r.slots) > depth {
-				t.Fatalf("n=%d: slot array grew to %d, past depth %d", n, cap(r.slots), depth)
-			}
+			r = &rec.ring
+		} else {
+			r = &replayRing{}
 		}
-		if want := min(n, depth); slots != want {
-			t.Fatalf("n=%d: ring holds %d slots, want %d", n, slots, want)
+		if cap(r.slots) > depth || cap(r.offs) > depth {
+			t.Fatalf("n=%d: %d slots, %d offsets: past depth %d", n, cap(r.slots), cap(r.offs), depth)
+		}
+		if n <= depth {
+			if len(r.slots) != n || r.buf != nil || r.offs != nil {
+				t.Fatalf("n=%d: %d slots, %d-byte buffer, %d offsets; want %d slots and no buffer",
+					n, len(r.slots), len(r.buf), len(r.offs), n)
+			}
+		} else if r.slots != nil || r.buf == nil || len(r.offs) != depth {
+			t.Fatalf("n=%d: %d slots, %d-byte buffer, %d offsets; want no slots, a buffer and %d offsets",
+				n, len(r.slots), len(r.buf), len(r.offs), depth)
 		}
 		epoch, head, _ := b.ReplayHead("ch")
 		if head != uint64(n) {
@@ -388,8 +398,8 @@ func TestReplayRingGrowthBoundaries(t *testing.T) {
 			}
 		}
 		if n > depth {
-			// Wrapped: slots and their buffers are reused, so retaining
-			// costs no allocation (what BenchmarkBrokerPublishReplay times).
+			// Wrapped: the laid-out buffer is reused, so retaining costs
+			// no allocation (what BenchmarkBrokerPublishReplay times).
 			frame := dataFrame("ch", "mX", 1)
 			if allocs := testing.AllocsPerRun(100, func() { b.Publish("ch", frame) }); allocs != 0 {
 				t.Fatalf("n=%d: publish into a wrapped ring allocates %v times", n, allocs)
@@ -507,5 +517,134 @@ func TestReplayHeapPerFrame(t *testing.T) {
 	t.Logf("replay heap %d KiB for %d KiB of frames: ×%.3f", (on-off)>>10, replayBytes>>10, ratio)
 	if ratio > 1.15 {
 		t.Fatalf("replay rings cost ×%.3f their frame bytes, want ≤ ×1.15", ratio)
+	}
+}
+
+// A wrapped ring costs about its frame bytes whatever their size: eight
+// channels cycled through 20 000 uniform frames at depth 256 (each ring laps
+// about ten times) add a live heap within 1.10× ReplayBytes, for payloads
+// from 64 B to 4 KiB. One buffer per body would pay a 24-byte slot and the
+// body's size-class rounding — up to 19% at a power-of-two payload.
+func TestReplayWrappedHeapPerFrame(t *testing.T) {
+	const (
+		channels = 8
+		frames   = 20_000
+	)
+	heap := func() int64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	names := make([]string, channels)
+	for i := range names {
+		names[i] = fmt.Sprintf("w.%d", i)
+	}
+	for _, size := range []int{64, 200, 4096} {
+		wire := make([][]byte, channels)
+		for i, ch := range names {
+			wire[i] = dataFrame(ch, string(make([]byte, size)), 1)
+		}
+		scratch := make([]byte, 0, len(wire[0])+16)
+		fill := func(depth int) (live, replayBytes int64) {
+			b := New(Options{ReplayDepth: depth})
+			for k := 0; k < frames; k++ {
+				scratch = append(scratch[:0], wire[k%channels]...)
+				b.Publish(names[k%channels], scratch)
+			}
+			live = heap()
+			replayBytes = b.Stats().ReplayBytes
+			runtime.KeepAlive(b)
+			return live, replayBytes
+		}
+		on, replayBytes := fill(256)
+		off, _ := fill(0)
+		runtime.KeepAlive(wire)
+		if want := int64(channels * 256 * len(wire[0])); replayBytes != want {
+			t.Fatalf("%d B payloads: ReplayBytes = %d, want %d", size, replayBytes, want)
+		}
+		ratio := float64(on-off) / float64(replayBytes)
+		t.Logf("%d B payloads: replay heap %d KiB for %d KiB of frames: ×%.3f", size, (on-off)>>10, replayBytes>>10, ratio)
+		if ratio > 1.10 {
+			t.Errorf("%d B payloads: wrapped rings cost ×%.3f their frame bytes, want ≤ ×1.10", size, ratio)
+		}
+	}
+}
+
+// A ring whose laid-out buffer would outgrow its offsets keeps one buffer
+// per body: lowering the bound, a large frame sends a laid-out ring back to
+// slots, and once that frame is overwritten the ring is laid out again —
+// with every replay exact throughout.
+func TestReplayRingDeclinesUnindexableLayout(t *testing.T) {
+	defer func(was int64) { maxLaidOut = was }(maxLaidOut)
+	maxLaidOut = 1 << 10
+	const depth = 4
+	b := New(Options{ReplayDepth: depth})
+	var sent []string
+	form := func() string {
+		r := &b.peek("ch").ring
+		switch {
+		case r.buf != nil && r.slots == nil:
+			return "laid out"
+		case r.buf == nil && r.offs == nil && len(r.slots) == depth:
+			return "slots"
+		}
+		return fmt.Sprintf("%d slots, %d-byte buffer, %d offsets", len(r.slots), len(r.buf), len(r.offs))
+	}
+	for k, step := range []struct {
+		size int
+		want string
+	}{
+		{10, ""}, {10, ""}, {10, ""}, {10, ""}, {10, "laid out"}, {10, "laid out"},
+		{2000, "slots"}, {10, "slots"}, {10, "slots"}, {10, "slots"}, {10, "laid out"},
+	} {
+		payload := fmt.Sprintf("%d:%s", k, strings.Repeat("x", step.size))
+		sent = append(sent, payload)
+		b.Publish("ch", dataFrame("ch", payload, 1))
+		if step.want != "" {
+			if got := form(); got != step.want {
+				t.Fatalf("frame %d (%d B): ring is %s, want %s", k+1, step.size, got, step.want)
+			}
+		}
+		epoch, head, _ := b.ReplayHead("ch")
+		frames, _, _ := b.collect("ch", message.Cursor{Seen: []message.EpochSeq{{Epoch: epoch}}})
+		from := max(int(head), depth) - depth + 1
+		if len(frames) != int(head)-from+1 {
+			t.Fatalf("frame %d: replayed %d frames, want %d", k+1, len(frames), int(head)-from+1)
+		}
+		for i, f := range frames {
+			env, err := message.Unmarshal(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if seq := from + i; env.ChannelSeq != uint64(seq) || string(env.Payload) != sent[seq-1] {
+				t.Fatalf("frame %d: replay %d is seq %d %.8q, want seq %d %.8q", k+1, i, env.ChannelSeq, env.Payload, seq, sent[seq-1])
+			}
+		}
+	}
+}
+
+// A body may fill a laid-out buffer exactly: it is written in place, not
+// laid out again, and it reads back whole — as does the small body after it.
+func TestReplayRingBodyFillsBuffer(t *testing.T) {
+	b := New(Options{ReplayDepth: 1})
+	b.Publish("ch", dataFrame("ch", "a", 1))
+	b.Publish("ch", dataFrame("ch", "b", 1)) // wraps: laid out
+	r := &b.peek("ch").ring
+	buf := r.buf
+	overhead := len(dataFrame("ch", "", 1)) - message.StrippedLen
+	for _, payload := range []string{strings.Repeat("x", len(buf)-overhead), "c"} {
+		b.Publish("ch", dataFrame("ch", payload, 1))
+		if &r.buf[0] != &buf[0] {
+			t.Fatalf("%d-byte payload: the ring was laid out again", len(payload))
+		}
+		epoch, head, _ := b.ReplayHead("ch")
+		frames, _, _ := b.collect("ch", message.Cursor{Seen: []message.EpochSeq{{Epoch: epoch, Seq: head - 1}}})
+		if len(frames) != 1 {
+			t.Fatalf("%d-byte payload: replayed %d frames, want 1", len(payload), len(frames))
+		}
+		if env, err := message.Unmarshal(frames[0]); err != nil || string(env.Payload) != payload || env.ChannelSeq != head {
+			t.Fatalf("%d-byte payload: replayed %v, err %v", len(payload), env, err)
+		}
 	}
 }

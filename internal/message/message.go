@@ -545,14 +545,37 @@ func AppendStripped(dst, frame []byte) []byte {
 	return append(dst, frame[envelopeHeaderLen:]...)
 }
 
-// AppendRestamped is the inverse of AppendStripped: it appends the frame
-// body was stripped from, stamped with (epoch, seq) and a zero stage block.
-func AppendRestamped(dst, body []byte, epoch, seq uint64) []byte {
-	dst = append(dst, body[:2]...)
+// PutStrippedSplit is AppendStripped into space a buffer hands out in two
+// pieces — the run to its end, then the rest from its start: it writes
+// frame's stripped body across head and then tail, which together must be
+// exactly len(frame)-StrippedLen bytes long.
+func PutStrippedSplit(head, tail, frame []byte) {
+	putAt(head, tail, 0, frame[:2])
+	putAt(head, tail, 2, frame[envelopeHeaderLen:])
+}
+
+// putAt copies src to position at of the concatenation head+tail.
+func putAt(head, tail []byte, at int, src []byte) {
+	if at < len(head) {
+		n := copy(head[at:], src)
+		src, at = src[n:], len(head)
+	}
+	copy(tail[at-len(head):], src)
+}
+
+// AppendRestamped is the inverse of AppendStripped and PutStrippedSplit: it
+// appends the frame the body head+tail was stripped from, stamped with
+// (epoch, seq) and a zero stage block. tail is empty unless the body is
+// stored in two pieces.
+func AppendRestamped(dst, head, tail []byte, epoch, seq uint64) []byte {
+	k := min(len(head), 2)
+	dst = append(dst, head[:k]...)
+	dst = append(dst, tail[:2-k]...)
 	dst = binary.LittleEndian.AppendUint64(dst, epoch)
 	dst = binary.LittleEndian.AppendUint64(dst, seq)
 	dst = append(dst, make([]byte, stageHeaderLen)...)
-	return append(dst, body[2:]...)
+	dst = append(dst, head[k:]...)
+	return append(dst, tail[2-k:]...)
 }
 
 // PeekChannelSeq extracts the replay coordinates from an encoded envelope

@@ -70,6 +70,15 @@ const MaxBulkLen = 64 << 20
 // maxArrayLen bounds array element counts.
 const maxArrayLen = 1 << 20
 
+// maxArrayDepth bounds how deeply ReadValue nests arrays. The deepest reply
+// a node sends is one level (an array of scalars); the bound keeps a stream
+// of "*1\r\n" from growing the reading goroutine's stack without end.
+const maxArrayDepth = 8
+
+// arrayRoom bounds the elements an array reserves on the word of its length
+// prefix alone; a longer array grows as its elements really arrive.
+const arrayRoom = 16
+
 // ---------------------------------------------------------------------------
 // Reader
 
@@ -88,8 +97,13 @@ func NewReader(r io.Reader) *Reader {
 	return &Reader{br: bufio.NewReaderSize(r, 16<<10)}
 }
 
-// ReadValue reads one complete RESP value.
-func (r *Reader) ReadValue() (Value, error) {
+// ReadValue reads one complete RESP value. What it allocates follows the
+// bytes that arrive, not the lengths they declare: an array or a bulk body
+// past the read window grows as its contents come in.
+func (r *Reader) ReadValue() (Value, error) { return r.readValue(0) }
+
+// readValue reads one value inside depth enclosing arrays.
+func (r *Reader) readValue(depth int) (Value, error) {
 	t, err := r.br.ReadByte()
 	if err != nil {
 		return Value{}, err
@@ -116,7 +130,7 @@ func (r *Reader) ReadValue() (Value, error) {
 	case '$':
 		return r.readBulk()
 	case '*':
-		return r.readArray()
+		return r.readArray(depth)
 	default:
 		return Value{}, fmt.Errorf("%w: unexpected type byte %q", ErrProtocol, t)
 	}
@@ -240,9 +254,21 @@ func (r *Reader) readBulk() (Value, error) {
 		r.br.Discard(int(n) + 2) //nolint:errcheck // cannot fail after Peek
 		return Value{Kind: KindBulkString, Str: buf}, nil
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r.br, buf); err != nil {
-		return Value{}, unexpectedEOF(err)
+	// Past the window the body doubles as it arrives, from the window's
+	// size, so a length prefix alone reserves no more than that; the last
+	// step sizes it to n exactly.
+	buf := make([]byte, 0, min(int(n), r.br.Size()))
+	for len(buf) < int(n) {
+		if len(buf) == cap(buf) {
+			grown := make([]byte, len(buf), min(int(n), 2*cap(buf)))
+			copy(grown, buf)
+			buf = grown
+		}
+		m, err := io.ReadFull(r.br, buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+m]
+		if err != nil {
+			return Value{}, unexpectedEOF(err)
+		}
 	}
 	var crlf [2]byte
 	if _, err := io.ReadFull(r.br, crlf[:]); err != nil {
@@ -254,7 +280,12 @@ func (r *Reader) readBulk() (Value, error) {
 	return Value{Kind: KindBulkString, Str: buf}, nil
 }
 
-func (r *Reader) readArray() (Value, error) {
+// readArray reads an array's length and elements, inside depth enclosing
+// arrays.
+func (r *Reader) readArray(depth int) (Value, error) {
+	if depth >= maxArrayDepth {
+		return Value{}, fmt.Errorf("%w: arrays nested deeper than %d", ErrProtocol, maxArrayDepth)
+	}
 	n, err := r.readInt()
 	if err != nil {
 		return Value{}, err
@@ -267,13 +298,13 @@ func (r *Reader) readArray() (Value, error) {
 	}
 	v := Value{Kind: KindArray}
 	if n > 0 {
-		v.Array = make([]Value, n)
-		for i := range v.Array {
-			elem, err := r.ReadValue()
+		v.Array = make([]Value, 0, min(n, arrayRoom))
+		for ; n > 0; n-- {
+			elem, err := r.readValue(depth + 1)
 			if err != nil {
-				return Value{}, err
+				return Value{}, unexpectedEOF(err) // cut short inside the array
 			}
-			v.Array[i] = elem
+			v.Array = append(v.Array, elem)
 		}
 	}
 	return v, nil

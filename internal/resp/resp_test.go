@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -246,6 +247,55 @@ func TestKindString(t *testing.T) {
 	for k, want := range names {
 		if got := k.String(); got != want {
 			t.Fatalf("Kind(%d).String()=%q want %q", k, got, want)
+		}
+	}
+}
+
+// What ReadValue allocates follows the bytes that arrive, not the lengths
+// they declare: a header claiming a huge array or bulk body, alone or
+// nested, costs under 1 MiB, and arrays nested past maxArrayDepth are a
+// protocol error rather than a stack that grows with the input.
+func TestReaderAllocatesWhatArrives(t *testing.T) {
+	allocated := func(input string) (uint64, error) {
+		r := NewReader(strings.NewReader(input))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := r.ReadValue()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc, err
+	}
+	for _, tt := range []struct {
+		name, input string
+		want        error
+	}{
+		{"array header", "*1048576\r\n", io.ErrUnexpectedEOF},
+		{"nested array headers", strings.Repeat("*1048576\r\n", 4), io.ErrUnexpectedEOF},
+		{"bulk header", "$67108864\r\n", io.ErrUnexpectedEOF},
+		{"deep nesting", strings.Repeat("*1\r\n", 100_000), ErrProtocol},
+	} {
+		n, err := allocated(tt.input)
+		if !errors.Is(err, tt.want) {
+			t.Errorf("%s: err = %v, want %v", tt.name, err, tt.want)
+		}
+		if n >= 1<<20 {
+			t.Errorf("%s: %d input bytes allocated %d KiB, want under 1 MiB", tt.name, len(tt.input), n>>10)
+		}
+	}
+
+	// A body past the window still arrives whole, in a buffer of its size:
+	// 1 MiB, and 1 MiB and 3 bytes (no power-of-two multiple of the window).
+	for _, size := range []int{1 << 20, 1<<20 + 3} {
+		body := bytes.Repeat([]byte("0123456789abcdef"), size/16+1)[:size]
+		var buf bytes.Buffer
+		w := NewWriter(&buf)
+		w.WriteBulk(body) //nolint:errcheck // checked at Flush
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		v, err := NewReader(&buf).ReadValue()
+		if err != nil || v.Kind != KindBulkString || !bytes.Equal(v.Str, body) || cap(v.Str) != len(body) {
+			t.Fatalf("%d-byte bulk: kind %s, %d bytes (cap %d), err %v; want the %d bytes exactly",
+				size, v.Kind, len(v.Str), cap(v.Str), err, len(body))
 		}
 	}
 }

@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race chaos replay obs latency conns channels bench experiments examples vet clean
+.PHONY: all build test test-short race chaos replay obs latency conns channels bench experiments examples vet loc clean
 
 # Build identity baked into binaries and the dynamoth_build_info metric.
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
@@ -110,6 +110,16 @@ examples:
 	$(GO) run ./examples/chat
 	$(GO) run ./examples/game
 	$(GO) run ./examples/elastic
+
+# Non-test Go lines per package and their total, counted as ROADMAP.md
+# counts them: every .go file except tests and bench/ (and the benchmark's
+# build directory, which holds no source). A report, not a gate.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -print0 \
+		| xargs -0 wc -l \
+		| awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); sub(/^\.\/?/, "", d); if (d == "") d = "."; \
+			n[d] += $$1; sum += $$1 } \
+			END { for (d in n) printf "%6d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%6d  total\n", sum }'
 
 clean:
 	$(GO) clean ./...

@@ -275,9 +275,6 @@ func (s *subscription) closeOut() {
 type clientConn struct {
 	conn   transport.Conn
 	server plan.ServerID
-	// noRetain records that conn.Publish consumes the payload before
-	// returning, so publications may be encoded into pooled buffers.
-	noRetain bool
 }
 
 // Connect dials a Dynamoth deployment over TCP using the bootstrap servers
@@ -542,9 +539,8 @@ func (c *Client) publishSlow(channel string, payload []byte) error {
 	return c.sendToConns(channel, payload, version, conns)
 }
 
-// sendToConns encodes the publication once and sends it to every target.
-// When every target connection consumes the payload before Publish returns
-// (transport.NonRetaining), the envelope is encoded into a pooled buffer.
+// sendToConns encodes the publication once, into a pooled buffer, and sends
+// it to every target; Publish consumes the bytes before it returns.
 func (c *Client) sendToConns(channel string, payload []byte, version uint64, conns []*clientConn) error {
 	env := message.Envelope{
 		Type:    message.TypeData,
@@ -558,21 +554,8 @@ func (c *Client) sendToConns(channel string, payload []byte, version uint64, con
 		// delivery) observe end-to-end latency.
 		Stamp: c.cfg.Clock.Now().UnixNano(),
 	}
-	pooled := true
-	for _, cc := range conns {
-		if !cc.noRetain {
-			pooled = false
-			break
-		}
-	}
-	var data []byte
-	var buf *[]byte
-	if pooled {
-		buf = message.GetBuffer()
-		data = env.AppendMarshal((*buf)[:0])
-	} else {
-		data = env.Marshal()
-	}
+	buf := message.GetBuffer()
+	data := env.AppendMarshal((*buf)[:0])
 	var firstErr error
 	for _, cc := range conns {
 		if err := cc.conn.Publish(channel, data); err != nil {
@@ -584,10 +567,8 @@ func (c *Client) sendToConns(channel string, payload []byte, version uint64, con
 		}
 		c.published.Add(1)
 	}
-	if buf != nil {
-		*buf = data[:0]
-		message.PutBuffer(buf)
-	}
+	*buf = data[:0]
+	message.PutBuffer(buf)
 	return firstErr
 }
 
@@ -770,9 +751,6 @@ func (c *Client) connLocked(server plan.ServerID) (*clientConn, error) {
 		c.log.Info("reconnected", slog.String("server", server), slog.Int("attempts", ds.attempts))
 	}
 	cc.conn = conn
-	if nr, ok := conn.(transport.NonRetaining); ok && nr.PublishNonRetaining() {
-		cc.noRetain = true
-	}
 	c.conns[server] = cc
 	c.rebuildRouteLocked()
 	return cc, nil
@@ -801,12 +779,12 @@ type replayOutcome struct {
 
 // subscribeOnLocked is the one way a subscription lands on servers, first
 // placement and every move alike. When track has consumed frames, each server
-// that supports cursor subscribes is handed its resume cursor and replays the
-// frames we are owed before live flow; otherwise — a new subscription, the
-// inbox (nil track), a transport without cursors, a cursor the server refused
-// — it is a plain Subscribe. A gap the broker declares overwritten is forgiven
-// in the tracker (asking again can never succeed) and surfaced in the
-// outcome. It fails only when no server took the subscription.
+// is handed its resume cursor and replays the frames we are owed before live
+// flow; otherwise — a new subscription, the inbox (nil track), a cursor the
+// server refused — it is a plain Subscribe. A gap the broker declares
+// overwritten is forgiven in the tracker (asking again can never succeed) and
+// surfaced in the outcome. It fails only when no server took the
+// subscription.
 func (c *Client) subscribeOnLocked(channel string, servers []plan.ServerID, track *seqTracker) (replayOutcome, error) {
 	var out replayOutcome
 	var cur message.Cursor
@@ -820,8 +798,8 @@ func (c *Client) subscribeOnLocked(channel string, servers []plan.ServerID, trac
 	for _, s := range servers {
 		conn, err := c.connLocked(s)
 		if err == nil {
-			if cs, ok := conn.conn.(transport.CursorSubscriber); ok && resume {
-				res, cerr := cs.SubscribeCursor(channel, cur)
+			if resume {
+				res, cerr := conn.conn.SubscribeCursor(channel, cur)
 				if cerr == nil {
 					okCount++
 					out.attempted = true

@@ -74,8 +74,6 @@ type Options struct {
 	TWait time.Duration
 	// BootDelay overrides the cloud boot latency (default 10 s).
 	BootDelay time.Duration
-	// UnitInterval overrides the LLA time unit (default 1 s).
-	UnitInterval time.Duration
 	// ReportEvery overrides the LLA report interval (default 3 s).
 	ReportEvery time.Duration
 	// OutputBuffer overrides the broker per-session output buffer.
@@ -83,20 +81,12 @@ type Options struct {
 	// ReplayDepth overrides each broker's per-channel replay ring depth
 	// (0 = server.DefaultReplayDepth, negative = replay disabled).
 	ReplayDepth int
-	// DisableFailureDetection turns off the balancer's broker failure
-	// detector and automatic plan repair (on by default whenever a
-	// balancer runs; thresholds derive from ReportEvery — see DESIGN.md
-	// §11).
-	DisableFailureDetection bool
 	// ReplaceFailedServers asks the cloud for a replacement node after
 	// each failure evacuation (default: the pool just shrinks).
 	ReplaceFailedServers bool
 	// Logger receives structured logs from every component (balancer,
 	// servers, clients), component-tagged. Nil discards.
 	Logger *slog.Logger
-	// TraceCapacity sizes the shared flight recorder's ring (<= 0 selects
-	// trace.DefaultCapacity).
-	TraceCapacity int
 }
 
 // Cluster is a running deployment.
@@ -164,7 +154,7 @@ func Start(opts Options) (*Cluster, error) {
 	// One shared flight recorder for the whole deployment: every component
 	// appends into the same ring, so the timeline view sees a rebalance
 	// end-to-end (trigger on the balancer through migration on the clients).
-	c.rec = trace.NewRecorder(opts.TraceCapacity)
+	c.rec = trace.NewRecorder(trace.DefaultCapacity)
 	c.rec.SetNow(c.clk.Now)
 	if opts.Logger != nil {
 		c.rec.SetLogger(trace.Component(opts.Logger, "reconfig"))
@@ -177,7 +167,6 @@ func Start(opts Options) (*Cluster, error) {
 			Latency: netsim.NewPathModel(),
 			Clock:   opts.Clock,
 			Seed:    opts.Seed,
-			Class:   netsim.Client,
 			Faults:  c.faults,
 		}
 	} else {
@@ -200,10 +189,8 @@ func Start(opts Options) (*Cluster, error) {
 	}
 
 	c.provider = cloud.NewSimulator(cloud.Config{
-		BootDelay:    opts.BootDelay,
-		Clock:        opts.Clock,
-		NamePrefix:   "pub-x",
-		MaxInstances: 0,
+		BootDelay: opts.BootDelay,
+		Clock:     opts.Clock,
 	})
 
 	// Load balancer.
@@ -222,7 +209,11 @@ func Start(opts Options) (*Cluster, error) {
 			pinned := func(s string) bool { return s == names[0] }
 			gen = balancer.NewPlanner(cfg, plan.IsControlChannel, pinned, opts.MaxOutgoingBps)
 		}
-		orchOpts := balancer.OrchestratorOptions{
+		reportEvery := opts.ReportEvery
+		if reportEvery <= 0 {
+			reportEvery = 3 * time.Second // the server.Options default
+		}
+		c.orch = balancer.NewOrchestrator(balancer.OrchestratorOptions{
 			Planner:     gen,
 			Config:      cfg,
 			Initial:     initial,
@@ -232,25 +223,18 @@ func Start(opts Options) (*Cluster, error) {
 			Clock:       opts.Clock,
 			Recorder:    c.rec,
 			Logger:      opts.Logger,
-		}
-		if !opts.DisableFailureDetection {
-			reportEvery := opts.ReportEvery
-			if reportEvery <= 0 {
-				reportEvery = 3 * time.Second // the server.Options default
-			}
 			// Staleness threshold: a few missed report intervals. Probes run
 			// at report cadence, so K=3 misses and staleness agree on the
 			// detection window (~4×ReportEvery) for a hard crash.
-			orchOpts.Detect = &lla.DetectorConfig{
+			Detect: &lla.DetectorConfig{
 				StaleAfter:  4 * reportEvery,
 				ProbeMisses: 3,
-			}
-			orchOpts.Probe = c.probe
-			orchOpts.ProbeInterval = reportEvery
-			orchOpts.OnServerDead = func(id plan.ServerID) { c.teardownNode(id) }
-			orchOpts.ReplaceFailed = opts.ReplaceFailedServers
-		}
-		c.orch = balancer.NewOrchestrator(orchOpts)
+			},
+			Probe:         c.probe,
+			ProbeInterval: reportEvery,
+			OnServerDead:  func(id plan.ServerID) { c.teardownNode(id) },
+			ReplaceFailed: opts.ReplaceFailedServers,
+		})
 		go c.orch.Run()
 	}
 	return c, nil
@@ -360,14 +344,12 @@ func (c *Cluster) PartitionServer(id string) error {
 		return fmt.Errorf("cluster: no node %s", id)
 	}
 	c.faults.Blackhole(id)
-	_ = c.provider.Partition(id)
 	return nil
 }
 
 // HealServer reconnects a partitioned node's endpoint.
 func (c *Cluster) HealServer(id string) {
 	c.faults.Heal(id)
-	_ = c.provider.Heal(id)
 }
 
 // SetDropRate makes a fraction p (0..1) of packets to and from the node
@@ -487,7 +469,6 @@ func (c *Cluster) startNode(id plan.ServerID, initial *plan.Plan) error {
 		Forwarder:      dispatcher.ForwarderFunc(c.forward),
 		Clock:          c.clk,
 		MaxOutgoingBps: c.opts.MaxOutgoingBps,
-		Unit:           c.opts.UnitInterval,
 		ReportEvery:    c.opts.ReportEvery,
 		OutputBuffer:   c.opts.OutputBuffer,
 		ReplayDepth:    c.opts.ReplayDepth,

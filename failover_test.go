@@ -8,8 +8,10 @@ import (
 	"testing"
 	"time"
 
+	"github.com/dynamoth/dynamoth/internal/broker"
 	"github.com/dynamoth/dynamoth/internal/clock"
 	"github.com/dynamoth/dynamoth/internal/plan"
+	"github.com/dynamoth/dynamoth/internal/trace"
 	"github.com/dynamoth/dynamoth/internal/transport"
 )
 
@@ -22,6 +24,7 @@ type flakyDialer struct {
 	mu       sync.Mutex
 	dead     map[plan.ServerID]bool
 	attempts map[plan.ServerID][]time.Time
+	handlers map[plan.ServerID][]transport.Handler
 }
 
 func newFlakyDialer(inner transport.Dialer, clk clock.Clock) *flakyDialer {
@@ -30,6 +33,19 @@ func newFlakyDialer(inner transport.Dialer, clk clock.Clock) *flakyDialer {
 		clk:      clk,
 		dead:     make(map[plan.ServerID]bool),
 		attempts: make(map[plan.ServerID][]time.Time),
+		handlers: make(map[plan.ServerID][]transport.Handler),
+	}
+}
+
+// cut reports every connection dialed to server as dropped, the way a reset
+// link surfaces: the client closes the connection and must redial.
+func (f *flakyDialer) cut(server plan.ServerID) {
+	f.mu.Lock()
+	hs := f.handlers[server]
+	f.handlers[server] = nil
+	f.mu.Unlock()
+	for _, h := range hs {
+		h.OnDisconnect(errors.New("link reset"))
 	}
 }
 
@@ -53,6 +69,9 @@ func (f *flakyDialer) Dial(server plan.ServerID, h transport.Handler) (transport
 	if dead {
 		return nil, errors.New("dial refused: server down")
 	}
+	f.mu.Lock()
+	f.handlers[server] = append(f.handlers[server], h)
+	f.mu.Unlock()
 	return f.inner.Dial(server, h)
 }
 
@@ -401,5 +420,113 @@ func TestFailoverNoGoroutineLeak(t *testing.T) {
 			t.Fatalf("goroutines: before=%d after=%d", before, runtime.NumGoroutine())
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestFailoverReplayGapReported cuts a subscriber off while more frames are
+// published than its broker's ring holds. When the redial re-homes the
+// subscription with its resume cursor, the broker replays what the ring still
+// has and declares the rest overwritten: the gap must reach the application
+// once, with the exact count, in the stats and in the flight recorder.
+func TestFailoverReplayGapReported(t *testing.T) {
+	const depth, cutOff = 4, 20
+	b := broker.New(broker.Options{Name: "s1", ReplayDepth: depth})
+	defer b.Close()
+	inner := transport.NewMemDialer(map[plan.ServerID]*broker.Broker{"s1": b}, transport.MemDialerOptions{})
+	defer inner.Close()
+	manual := clock.NewManual(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
+	flaky := newFlakyDialer(inner, manual)
+
+	var gapMu sync.Mutex
+	var gaps []uint64
+	rec := trace.NewRecorder(4096)
+	sub, err := ConnectWithDialer(flaky, []string{"s1"}, Config{
+		NodeID:   700,
+		Clock:    manual,
+		Recorder: rec,
+		OnReplayGap: func(channel string, missed uint64) {
+			gapMu.Lock()
+			gaps = append(gaps, missed)
+			gapMu.Unlock()
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	pub, err := ConnectWithDialer(inner, []string{"s1"}, Config{NodeID: 701})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pub.Close()
+
+	const ch = "arena"
+	msgs, err := sub.Subscribe(ch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pub.Publish(ch, []byte("m0")); err != nil {
+		t.Fatal(err)
+	}
+	if m := recvMsg(t, msgs); string(m.Payload) != "m0" {
+		t.Fatalf("payload=%q", m.Payload)
+	}
+
+	flaky.cut("s1")
+	deadline := time.Now().Add(2 * time.Second)
+	for b.Subscribers(ch) != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the cut connection still holds its subscription")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for i := 1; i <= cutOff; i++ {
+		if err := pub.Publish(ch, []byte(fmt.Sprintf("m%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Past the redial backoff, the repair sweep redials s1 and resumes by
+	// cursor: m1..m16 are overwritten, m17..m20 are still in the ring.
+	const missed = cutOff - depth
+	for i := depth; i >= 1; i-- {
+		want := fmt.Sprintf("m%d", cutOff-i+1)
+		deadline := time.Now().Add(5 * time.Second)
+		var m Message
+		for got := false; !got; {
+			select {
+			case m = <-msgs:
+				got = true
+			case <-time.After(10 * time.Millisecond):
+				if time.Now().After(deadline) {
+					t.Fatalf("%s never arrived after the redial", want)
+				}
+				manual.Advance(time.Second)
+			}
+		}
+		if string(m.Payload) != want {
+			t.Fatalf("got %q, want %q", m.Payload, want)
+		}
+	}
+	select {
+	case m := <-msgs:
+		t.Fatalf("unexpected extra delivery %q", m.Payload)
+	case <-time.After(50 * time.Millisecond):
+	}
+
+	gapMu.Lock()
+	defer gapMu.Unlock()
+	if len(gaps) != 1 || gaps[0] != missed {
+		t.Fatalf("OnReplayGap calls %v, want one of %d", gaps, missed)
+	}
+	if st := sub.Stats(); st.ReplayGapFrames != missed || st.ReplayedFrames != depth {
+		t.Fatalf("stats: %d gap frames, %d replayed; want %d and %d",
+			st.ReplayGapFrames, st.ReplayedFrames, missed, depth)
+	}
+	if n := rec.Count(trace.KindReplayGap); n != 1 {
+		t.Fatalf("%d replay-gap events recorded, want 1", n)
+	}
+	if n := sub.ReplayGaps(); n != 0 {
+		t.Fatalf("%d frames still owed after the gap was declared", n)
 	}
 }

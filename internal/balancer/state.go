@@ -32,23 +32,6 @@ func (s ServerLoad) Ratio() float64 {
 	return s.MeasuredBps / s.MaxBps
 }
 
-// BusiestChannel returns the channel with the highest outgoing byte rate and
-// that rate; ok is false if the server hosts no channels. skip channels for
-// which skip returns true (e.g. control channels).
-func (s ServerLoad) BusiestChannel(skip func(string) bool) (string, float64, bool) {
-	best := ""
-	var bestOut float64
-	for ch, cl := range s.Channels {
-		if skip != nil && skip(ch) {
-			continue
-		}
-		if best == "" || cl.BytesOut > bestOut {
-			best, bestOut = ch, cl.BytesOut
-		}
-	}
-	return best, bestOut, best != ""
-}
-
 // State aggregates LLA reports into per-server load views. It keeps a
 // sliding window of time units per server. It is not safe for concurrent
 // use; the Core that owns it is serialized by its caller.

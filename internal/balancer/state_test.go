@@ -104,24 +104,6 @@ func TestStateForgetAndServers(t *testing.T) {
 	}
 }
 
-func TestServerLoadBusiestChannel(t *testing.T) {
-	s := ServerLoad{
-		Channels: map[string]ChannelLoad{
-			"small":   {BytesOut: 10},
-			"big":     {BytesOut: 1000},
-			"control": {BytesOut: 99999},
-		},
-	}
-	ch, out, ok := s.BusiestChannel(func(c string) bool { return c == "control" })
-	if !ok || ch != "big" || out != 1000 {
-		t.Fatalf("BusiestChannel=%q/%f/%t", ch, out, ok)
-	}
-	empty := ServerLoad{Channels: map[string]ChannelLoad{}}
-	if _, _, ok := empty.BusiestChannel(nil); ok {
-		t.Fatal("empty server reported a busiest channel")
-	}
-}
-
 func TestTotalChannelLoad(t *testing.T) {
 	loads := []ServerLoad{
 		{Server: "s1", Channels: map[string]ChannelLoad{"c": {Publications: 10, Subscribers: 5, BytesOut: 100}}},

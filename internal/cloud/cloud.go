@@ -1,23 +1,18 @@
 // Package cloud simulates the IaaS provider the paper deploys pub/sub
-// servers on: instances take time to boot, accrue cost while running, and
-// can be released. The load balancer's elasticity decisions (§III-B2) are
-// exercised — and their cost consequences measured — against this provider.
+// servers on: instances take time to boot, accrue instance-hours while
+// running, and can be released. The load balancer's elasticity decisions
+// (§III-B2) are exercised — and their cost consequences measured — against
+// this provider.
 //
-// Beyond the paper's assumptions, the simulator also injects the failures
-// production clouds exhibit: instances can crash (Crash, or automatically on
-// a configurable MTBF schedule) and can be network-partitioned without dying
-// (Partition/Heal). A crashed instance stops accruing instance-hours at the
-// moment of the crash; a partitioned one keeps billing — it is still
-// running, just unreachable — which is exactly the distinction the failure
-// detector upstairs has to cope with.
+// Beyond the paper's assumptions, an instance can also crash (Crash). A
+// crashed instance stops accruing instance-hours at the moment of the crash;
+// the failure detector upstairs has to notice it.
 package cloud
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
-	"sort"
 	"sync"
 	"time"
 
@@ -27,7 +22,6 @@ import (
 // Errors returned by the simulator.
 var (
 	ErrUnknownInstance = errors.New("cloud: unknown instance")
-	ErrAtCapacity      = errors.New("cloud: provider at capacity")
 	// ErrNotRunning is returned when an operation targets an instance that
 	// was already released or crashed. It is distinct from
 	// ErrUnknownInstance so callers can tell "never existed" from "already
@@ -36,56 +30,22 @@ var (
 	ErrNotRunning = errors.New("cloud: instance not running")
 )
 
+// namePrefix prefixes generated instance IDs, keeping them apart from the
+// bootstrap pool's "pub1", "pub2", ….
+const namePrefix = "pub-x"
+
 // Config configures a Simulator.
 type Config struct {
 	// BootDelay is how long an instance takes from request to ready
 	// (default 10 s — EC2-ish at the scale of the paper's experiments).
 	BootDelay time.Duration
-	// MaxInstances caps concurrently running instances (0 = unlimited).
-	MaxInstances int
-	// CostPerHour is the price of one instance-hour (for cost reports).
-	CostPerHour float64
 	// Clock provides time (default real).
 	Clock clock.Clock
-	// NamePrefix prefixes generated instance IDs (default "pub").
-	NamePrefix string
-
-	// MTBF, when positive, enables the crash schedule: instances fail with
-	// exponentially distributed inter-arrival times whose mean is MTBF
-	// (per provider, not per instance). Each event crashes one running
-	// instance chosen uniformly at random.
-	MTBF time.Duration
-	// Seed seeds the crash schedule's RNG (0 picks a fixed default, so
-	// chaos runs are reproducible unless the caller opts out).
-	Seed int64
-	// OnCrash is invoked (from the scheduler goroutine) after each
-	// scheduled crash with the victim's ID. May be nil.
-	OnCrash func(id string)
-}
-
-func (c *Config) fillDefaults() {
-	if c.BootDelay <= 0 {
-		c.BootDelay = 10 * time.Second
-	}
-	if c.Clock == nil {
-		c.Clock = clock.NewReal()
-	}
-	if c.CostPerHour <= 0 {
-		c.CostPerHour = 0.10
-	}
-	if c.NamePrefix == "" {
-		c.NamePrefix = "pub"
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
 }
 
 type instance struct {
-	started     time.Time
-	stopped     time.Time // zero while running
-	crashed     bool
-	partitioned bool
+	started time.Time
+	stopped time.Time // zero while running
 }
 
 // Simulator is an in-process cloud provider. It is safe for concurrent use.
@@ -95,49 +55,25 @@ type Simulator struct {
 	mu        sync.Mutex
 	instances map[string]*instance
 	nextID    int
-	running   int
-
-	closeOnce sync.Once
-	stop      chan struct{}
-	done      chan struct{}
 }
 
-// NewSimulator creates a provider. When cfg.MTBF is positive the crash
-// scheduler starts immediately; call Close to stop it.
+// NewSimulator creates a provider.
 func NewSimulator(cfg Config) *Simulator {
-	cfg.fillDefaults()
-	s := &Simulator{
-		cfg:       cfg,
-		instances: make(map[string]*instance),
-		stop:      make(chan struct{}),
-		done:      make(chan struct{}),
+	if cfg.BootDelay <= 0 {
+		cfg.BootDelay = 10 * time.Second
 	}
-	if cfg.MTBF > 0 {
-		go s.crashSchedule()
-	} else {
-		close(s.done)
+	if cfg.Clock == nil {
+		cfg.Clock = clock.NewReal()
 	}
-	return s
-}
-
-// Close stops the MTBF crash scheduler (if any). Instances are left as they
-// are; Close is about the simulator's own goroutine, not the fleet.
-func (s *Simulator) Close() {
-	s.closeOnce.Do(func() { close(s.stop) })
-	<-s.done
+	return &Simulator{cfg: cfg, instances: make(map[string]*instance)}
 }
 
 // Spawn requests a new instance and blocks until it is booted (BootDelay on
 // the provider's clock) or ctx is cancelled. It returns the instance ID.
 func (s *Simulator) Spawn(ctx context.Context) (string, error) {
 	s.mu.Lock()
-	if s.cfg.MaxInstances > 0 && s.running >= s.cfg.MaxInstances {
-		s.mu.Unlock()
-		return "", ErrAtCapacity
-	}
 	s.nextID++
-	id := fmt.Sprintf("%s%d", s.cfg.NamePrefix, s.nextID)
-	s.running++
+	id := fmt.Sprintf("%s%d", namePrefix, s.nextID)
 	s.mu.Unlock()
 
 	// Boot.
@@ -146,9 +82,6 @@ func (s *Simulator) Spawn(ctx context.Context) (string, error) {
 	case <-timer.C():
 	case <-ctx.Done():
 		timer.Stop()
-		s.mu.Lock()
-		s.running--
-		s.mu.Unlock()
 		return "", ctx.Err()
 	}
 
@@ -162,30 +95,20 @@ func (s *Simulator) Spawn(ctx context.Context) (string, error) {
 // ErrUnknownInstance; releasing one that already stopped (released or
 // crashed) returns ErrNotRunning.
 func (s *Simulator) Release(id string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	inst, ok := s.instances[id]
-	if !ok {
-		return ErrUnknownInstance
-	}
-	if !inst.stopped.IsZero() {
-		return ErrNotRunning
-	}
-	inst.stopped = s.cfg.Clock.Now()
-	s.running--
-	return nil
+	return s.stop(id)
 }
 
 // Crash kills a running instance abruptly: it stops accruing instance-hours
 // at the crash time and is unreachable afterwards. Crashing an unknown
 // instance returns ErrUnknownInstance; an already-stopped one, ErrNotRunning.
 func (s *Simulator) Crash(id string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.crashLocked(id)
+	return s.stop(id)
 }
 
-func (s *Simulator) crashLocked(id string) error {
+// stop ends a running instance's billing at the current time.
+func (s *Simulator) stop(id string) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	inst, ok := s.instances[id]
 	if !ok {
 		return ErrUnknownInstance
@@ -194,72 +117,7 @@ func (s *Simulator) crashLocked(id string) error {
 		return ErrNotRunning
 	}
 	inst.stopped = s.cfg.Clock.Now()
-	inst.crashed = true
-	inst.partitioned = false
-	s.running--
 	return nil
-}
-
-// Crashed reports whether the instance ended by crashing.
-func (s *Simulator) Crashed(id string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	inst, ok := s.instances[id]
-	return ok && inst.crashed
-}
-
-// Partition cuts a running instance off the network without stopping it: it
-// keeps accruing instance-hours (it is still up, just unreachable) until
-// Heal, Release, or Crash.
-func (s *Simulator) Partition(id string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	inst, ok := s.instances[id]
-	if !ok {
-		return ErrUnknownInstance
-	}
-	if !inst.stopped.IsZero() {
-		return ErrNotRunning
-	}
-	inst.partitioned = true
-	return nil
-}
-
-// Heal reconnects a partitioned instance.
-func (s *Simulator) Heal(id string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	inst, ok := s.instances[id]
-	if !ok {
-		return ErrUnknownInstance
-	}
-	if !inst.stopped.IsZero() {
-		return ErrNotRunning
-	}
-	inst.partitioned = false
-	return nil
-}
-
-// Partitioned reports whether the instance is currently network-partitioned.
-func (s *Simulator) Partitioned(id string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	inst, ok := s.instances[id]
-	return ok && inst.partitioned && inst.stopped.IsZero()
-}
-
-// Running returns the number of booted, unreleased instances (partitioned
-// instances count: they are up, just unreachable).
-func (s *Simulator) Running() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for _, inst := range s.instances {
-		if inst.stopped.IsZero() {
-			n++
-		}
-	}
-	return n
 }
 
 // InstanceHours returns the cumulative instance-hours consumed so far.
@@ -277,51 +135,4 @@ func (s *Simulator) InstanceHours() float64 {
 		total += end.Sub(inst.started).Hours()
 	}
 	return total
-}
-
-// Cost returns the cumulative cost in currency units.
-func (s *Simulator) Cost() float64 { return s.InstanceHours() * s.cfg.CostPerHour }
-
-// crashSchedule fails one random running instance per exponential
-// inter-arrival with mean MTBF, until Close.
-func (s *Simulator) crashSchedule() {
-	defer close(s.done)
-	rng := rand.New(rand.NewSource(s.cfg.Seed))
-	for {
-		wait := time.Duration(rng.ExpFloat64() * float64(s.cfg.MTBF))
-		if wait < time.Millisecond {
-			wait = time.Millisecond
-		}
-		timer := s.cfg.Clock.NewTimer(wait)
-		select {
-		case <-timer.C():
-		case <-s.stop:
-			timer.Stop()
-			return
-		}
-		if id, ok := s.crashRandom(rng); ok && s.cfg.OnCrash != nil {
-			s.cfg.OnCrash(id)
-		}
-	}
-}
-
-// crashRandom crashes one uniformly chosen running instance, if any.
-// Victims are drawn from a sorted ID list so a fixed seed yields a fixed
-// crash sequence regardless of map iteration order.
-func (s *Simulator) crashRandom(rng *rand.Rand) (string, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	alive := make([]string, 0, len(s.instances))
-	for id, inst := range s.instances {
-		if inst.stopped.IsZero() {
-			alive = append(alive, id)
-		}
-	}
-	if len(alive) == 0 {
-		return "", false
-	}
-	sort.Strings(alive)
-	id := alive[rng.Intn(len(alive))]
-	_ = s.crashLocked(id) // cannot fail: id is running and we hold the lock
-	return id, true
 }

@@ -66,8 +66,6 @@ type Options struct {
 	Forwarder Forwarder
 	// Clock provides time (default real).
 	Clock clock.Clock
-	// DrainTimeout bounds transition lifetime (default 30s).
-	DrainTimeout time.Duration
 	// Recorder receives reconfiguration events (plan applies, SWITCH sends,
 	// drains). Nil records nothing; the publish hot path is untouched either
 	// way — only control actions are recorded.
@@ -89,7 +87,7 @@ func New(opts Options) (*Dispatcher, error) {
 		self:        opts.Self,
 		rec:         opts.Recorder,
 		log:         trace.Component(opts.Logger, "dispatcher"),
-		core:        NewCore(opts.Self, opts.Node, opts.Initial, opts.DrainTimeout),
+		core:        NewCore(opts.Self, opts.Node, opts.Initial, DefaultDrainTimeout),
 		stop:        make(chan struct{}),
 		done:        make(chan struct{}),
 		ticker:      opts.Clock.NewTicker(5 * time.Second),

@@ -11,6 +11,9 @@ import (
 	"github.com/dynamoth/dynamoth/internal/workload"
 )
 
+// snapshotEvery is the series row granularity.
+const snapshotEvery = 10 * time.Second
+
 // GameOptions parameterizes the RGame experiments (Experiments 2 and 3).
 type GameOptions struct {
 	// Mode selects Dynamoth or the consistent-hashing baseline.
@@ -23,8 +26,6 @@ type GameOptions struct {
 	World workload.Config
 	// MaxServers caps the pool (default 8, as in the paper).
 	MaxServers int
-	// SnapshotEvery sets the series row granularity (default 10 s).
-	SnapshotEvery time.Duration
 	// Seed drives the run (default 1).
 	Seed int64
 	// TWait overrides the balancer's plan spacing (0 keeps the default);
@@ -39,9 +40,6 @@ func (o GameOptions) fill() GameOptions {
 	o.World = o.World.FillDefaults()
 	if o.MaxServers <= 0 {
 		o.MaxServers = 8
-	}
-	if o.SnapshotEvery <= 0 {
-		o.SnapshotEvery = 10 * time.Second
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
@@ -97,7 +95,7 @@ func RunGame(opts GameOptions) *GameResult {
 	res := &GameResult{Series: series}
 	var lastSnap sim.UnitSnapshot
 
-	// Aggregate unit snapshots into SnapshotEvery rows.
+	// Aggregate unit snapshots into snapshotEvery rows.
 	var winOut int64
 	var winUnits int
 	var winAvgLR, winMaxLR float64
@@ -116,7 +114,7 @@ func RunGame(opts GameOptions) *GameResult {
 		if u.ActiveServers > res.PeakServers {
 			res.PeakServers = u.ActiveServers
 		}
-		if u.Elapsed%opts.SnapshotEvery != 0 {
+		if u.Elapsed%snapshotEvery != 0 {
 			return
 		}
 		t := u.Elapsed.Seconds()

@@ -16,13 +16,14 @@ import (
 	"github.com/dynamoth/dynamoth/internal/sim"
 )
 
+// pubRate is each publisher's publication rate (§V-C).
+const pubRate = 10.0
+
 // MicroOptions parameterizes the Experiment 1 micro-benchmarks.
 type MicroOptions struct {
 	// Steps are the client counts swept on the X axis (default
 	// 100..800 step 100, as in Fig. 4).
 	Steps []int
-	// PubRate is each publisher's publication rate (default 10/s, §V-C).
-	PubRate float64
 	// PayloadBytes is the publication payload (default 200).
 	PayloadBytes int
 	// Replicas is the replica count of the replicated configuration
@@ -38,9 +39,6 @@ type MicroOptions struct {
 func (o MicroOptions) fill() MicroOptions {
 	if len(o.Steps) == 0 {
 		o.Steps = []int{100, 200, 300, 400, 500, 600, 700, 800}
-	}
-	if o.PubRate <= 0 {
-		o.PubRate = 10
 	}
 	if o.PayloadBytes <= 0 {
 		o.PayloadBytes = 200
@@ -70,7 +68,7 @@ type MicroResult struct {
 }
 
 // RunFig4a reproduces Figure 4a (§V-C1, "All Publishers"): one publisher at
-// PubRate on one channel, 100..800 subscribers, with and without
+// pubRate on one channel, 100..800 subscribers, with and without
 // all-publishers replication over Replicas servers.
 func RunFig4a(opts MicroOptions) *MicroResult {
 	opts = opts.fill()
@@ -115,7 +113,7 @@ func runAllPublishersStep(opts MicroOptions, n int, replicated bool) (rtMs, deli
 	pub := s.AddClient(999)
 	s.RunFor(2 * time.Second) // subscriptions land; switches propagate
 
-	period := time.Duration(float64(time.Second) / opts.PubRate)
+	period := time.Duration(float64(time.Second) / pubRate)
 	s.Engine().Every(period, func() {
 		pub.PublishTimed(channel, opts.PayloadBytes)
 	})
@@ -124,12 +122,12 @@ func runAllPublishersStep(opts MicroOptions, n int, replicated bool) (rtMs, deli
 	rt.reset()
 	s.RunFor(opts.Measure)
 
-	expected := float64(n) * opts.PubRate * opts.Measure.Seconds()
+	expected := float64(n) * pubRate * opts.Measure.Seconds()
 	return rt.meanMs(), rt.fraction(expected)
 }
 
 // RunFig4b reproduces Figure 4b (§V-C2, "All Subscribers"): 100..800
-// publishers at PubRate each on one channel, a single subscriber, with and
+// publishers at pubRate each on one channel, a single subscriber, with and
 // without all-subscribers replication over Replicas servers.
 func RunFig4b(opts MicroOptions) *MicroResult {
 	opts = opts.fill()
@@ -168,7 +166,7 @@ func runAllSubscribersStep(opts MicroOptions, n int, replicated bool) (rtMs, del
 	subC.OnData = rt.observe(s)
 	subC.Subscribe(channel)
 
-	period := time.Duration(float64(time.Second) / opts.PubRate)
+	period := time.Duration(float64(time.Second) / pubRate)
 	for i := 0; i < n; i++ {
 		pub := s.AddClient(uint32(1000 + i))
 		// Stagger each publisher's clock: clients are independent
@@ -187,7 +185,7 @@ func runAllSubscribersStep(opts MicroOptions, n int, replicated bool) (rtMs, del
 	rt.reset()
 	s.RunFor(opts.Measure)
 
-	expected := float64(n) * opts.PubRate * opts.Measure.Seconds()
+	expected := float64(n) * pubRate * opts.Measure.Seconds()
 	return rt.meanMs(), rt.fraction(expected)
 }
 

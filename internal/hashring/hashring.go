@@ -90,24 +90,6 @@ func (r *Ring) addLocked(server string) {
 	}
 }
 
-// Remove deletes a server and all its virtual nodes. Removing an absent
-// server is a no-op.
-func (r *Ring) Remove(server string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.servers[server]; !ok {
-		return
-	}
-	delete(r.servers, server)
-	kept := r.vnodes[:0]
-	for _, v := range r.vnodes {
-		if v.server != server {
-			kept = append(kept, v)
-		}
-	}
-	r.vnodes = kept
-}
-
 // Lookup returns the server responsible for key, or "" if the ring is empty.
 func (r *Ring) Lookup(key string) string {
 	r.mu.RLock()

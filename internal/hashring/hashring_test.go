@@ -78,33 +78,13 @@ func TestAddOnlyStealsForNewServer(t *testing.T) {
 	}
 }
 
-func TestRemoveOnlyMovesVictimKeys(t *testing.T) {
-	r := New(128, "s1", "s2", "s3", "s4")
-	before := make(map[string]string)
-	for _, k := range keys(1000) {
-		before[k] = r.Lookup(k)
-	}
-	r.Remove("s2")
-	for k, old := range before {
-		now := r.Lookup(k)
-		if old == "s2" {
-			if now == "s2" || now == "" {
-				t.Fatalf("key %q still maps to removed server", k)
-			}
-		} else if now != old {
-			t.Fatalf("key %q moved from surviving server %q to %q", k, old, now)
-		}
-	}
-}
-
-func TestAddExistingAndRemoveAbsentNoop(t *testing.T) {
+func TestAddExistingNoop(t *testing.T) {
 	r := New(32, "s1", "s2")
 	before := make(map[string]string)
 	for _, k := range keys(100) {
 		before[k] = r.Lookup(k)
 	}
 	r.Add("s1")
-	r.Remove("nope")
 	for k, old := range before {
 		if got := r.Lookup(k); got != old {
 			t.Fatalf("no-op mutation changed mapping of %q", k)
@@ -157,8 +137,8 @@ func TestLookupNDistinctAndStable(t *testing.T) {
 func TestCloneIndependent(t *testing.T) {
 	r := New(32, "s1", "s2")
 	c := r.Clone()
-	r.Remove("s1")
-	if !c.Contains("s1") {
+	r.Add("s3")
+	if c.Contains("s3") {
 		t.Fatal("clone mutated by change to original")
 	}
 	if c.Lookup("k") == "" {
@@ -179,9 +159,8 @@ func TestConcurrentAccess(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		for i := 0; i < 500; i++ {
-			r.Add(fmt.Sprintf("x%d", i%7))
-			r.Remove(fmt.Sprintf("x%d", (i+3)%7))
+		for i := 0; i < 100; i++ {
+			r.Add(fmt.Sprintf("x%d", i))
 		}
 	}()
 	for i := 0; i < 5000; i++ {

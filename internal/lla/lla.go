@@ -21,8 +21,10 @@ package lla
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -85,13 +87,46 @@ const DefaultMaxOutgoingBps = 1.25e6
 // Marshal encodes the report for the control plane.
 func (r *Report) Marshal() ([]byte, error) { return json.Marshal(r) }
 
-// UnmarshalReport decodes a control-plane report.
+// UnmarshalReport decodes a control-plane report. Any RESP client can
+// publish on the report channel, so it rejects a report that names no server
+// or carries a negative count, byte total or bandwidth, or a load ratio too
+// large to represent: each would reach the balancer's ratios unchecked.
 func UnmarshalReport(data []byte) (*Report, error) {
 	var r Report
 	if err := json.Unmarshal(data, &r); err != nil {
 		return nil, fmt.Errorf("lla: decode report: %w", err)
 	}
+	if err := r.validate(); err != nil {
+		return nil, fmt.Errorf("lla: bad report: %w", err)
+	}
 	return &r, nil
+}
+
+func (r *Report) validate() error {
+	switch {
+	case r.Server == "":
+		return errors.New("no server")
+	case r.MaxOutgoingBps < 0 || r.MeasuredOutgoingBps < 0:
+		return errors.New("negative bandwidth")
+	case r.MaxOutgoingBps > 0 && math.IsInf(r.MeasuredOutgoingBps/r.MaxOutgoingBps, 0):
+		return errors.New("load ratio out of range")
+	}
+	for _, u := range r.Units {
+		for i := range u.Channels {
+			if u.Channels[i].negative() {
+				return fmt.Errorf("negative count on channel %q", u.Channels[i].Channel)
+			}
+		}
+		if u.Overflow != nil && u.Overflow.negative() {
+			return errors.New("negative count in overflow")
+		}
+	}
+	return nil
+}
+
+func (c *ChannelStats) negative() bool {
+	return c.Publishers < 0 || c.Publications < 0 || c.Subscribers < 0 ||
+		c.MessagesSent < 0 || c.BytesIn < 0 || c.BytesOut < 0
 }
 
 // channelAccum is one channel's record in the accumulator: its subscriber

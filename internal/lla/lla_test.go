@@ -380,7 +380,7 @@ func TestAccumulatorSubscriberMapBounded(t *testing.T) {
 }
 
 func TestAccumulatorOverflowRoundTripsJSON(t *testing.T) {
-	r := &Report{Units: []UnitStats{{
+	r := &Report{Server: "pub1", Units: []UnitStats{{
 		Overflow: &ChannelStats{Channel: "+overflow", Publications: 7, BytesIn: 70},
 	}}}
 	data, err := r.Marshal()

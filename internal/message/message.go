@@ -129,9 +129,9 @@ type Envelope struct {
 	// frame crossed broker ingress (Publish entry), fanout enqueue (handed to
 	// the first subscriber queue) and writer flush. Publishers encode zeros;
 	// the home broker stamps ingress and fanout in place (StampStages) while
-	// it still exclusively owns the frame. The flush slot exists for sinks
-	// that own a private copy of the frame; the shared-fanout cores instead
-	// observe flush age broker-side. 0 means "not stamped"; real marks are
+	// it still exclusively owns the frame. Nothing writes the flush slot:
+	// the shared-fanout cores observe flush age broker-side, so it reads 0
+	// on every frame the node sends. 0 means "not stamped"; real marks are
 	// clamped to >= 1µs. Like the replay coordinates they live in a
 	// fixed-width header region so stamping never shifts the encoding.
 	StageIngressUs uint32
@@ -494,24 +494,6 @@ func StampStages(data []byte, ingressNanos, fanoutNanos int64) (stamp int64, ok 
 	binary.LittleEndian.PutUint32(data[stageIngressOff:], stageDeltaUs(stamp, ingressNanos))
 	binary.LittleEndian.PutUint32(data[stageFanoutOff:], stageDeltaUs(stamp, fanoutNanos))
 	return stamp, true
-}
-
-// StampFlush writes the writer-flush mark into a data envelope in place. It is only safe on frames the caller exclusively owns (a sink's
-// private copy); the shared-fanout delivery cores must not call it and
-// instead observe flush age broker-side.
-func StampFlush(data []byte, flushNanos int64) bool {
-	if !peekHeader(data) {
-		return false
-	}
-	if t := Type(data[1]); t != TypeData && t != TypeForwarded {
-		return false
-	}
-	_, stamp, ok := PeekStamp(data)
-	if !ok || stamp == 0 {
-		return false
-	}
-	binary.LittleEndian.PutUint32(data[stageFlushOff:], stageDeltaUs(stamp, flushNanos))
-	return true
 }
 
 // StampChannelSeq writes the broker-assigned replay coordinates into an

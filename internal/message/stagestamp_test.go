@@ -30,9 +30,6 @@ func TestStageStampRoundTrip(t *testing.T) {
 	if !ok || gotStamp != stamp {
 		t.Fatalf("StampStages = (%d, %v), want (%d, true)", gotStamp, ok, stamp)
 	}
-	if !StampFlush(data, stamp+1500*int64(time.Microsecond)) {
-		t.Fatal("StampFlush refused a staged data frame")
-	}
 
 	s, ok := PeekStageStamp(data)
 	if !ok {
@@ -41,8 +38,8 @@ func TestStageStampRoundTrip(t *testing.T) {
 	if s.Type != TypeData || s.Stamp != stamp {
 		t.Fatalf("peeked type/stamp = %v/%d, want %v/%d", s.Type, s.Stamp, TypeData, stamp)
 	}
-	if s.IngressUs != 250 || s.FanoutUs != 900 || s.FlushUs != 1500 {
-		t.Fatalf("stage offsets = %d/%d/%d, want 250/900/1500", s.IngressUs, s.FanoutUs, s.FlushUs)
+	if s.IngressUs != 250 || s.FanoutUs != 900 || s.FlushUs != 0 {
+		t.Fatalf("stage offsets = %d/%d/%d, want 250/900/0", s.IngressUs, s.FanoutUs, s.FlushUs)
 	}
 	if s.FanoutAt() != fanout {
 		t.Fatalf("absolute fanout instant does not reconstruct: %d want %d", s.FanoutAt(), fanout)
@@ -53,8 +50,8 @@ func TestStageStampRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Unmarshal: %v", err)
 	}
-	if env.StageIngressUs != 250 || env.StageFanoutUs != 900 || env.StageFlushUs != 1500 {
-		t.Fatalf("unmarshaled stage fields = %d/%d/%d, want 250/900/1500",
+	if env.StageIngressUs != 250 || env.StageFanoutUs != 900 || env.StageFlushUs != 0 {
+		t.Fatalf("unmarshaled stage fields = %d/%d/%d, want 250/900/0",
 			env.StageIngressUs, env.StageFanoutUs, env.StageFlushUs)
 	}
 	if env.Channel != "tile.3.4" || string(env.Payload) != "pos-update" {
@@ -111,9 +108,6 @@ func TestStageStampRefusals(t *testing.T) {
 	cdata := control.Marshal()
 	if _, ok := StampStages(cdata, now, now); ok {
 		t.Fatal("StampStages stamped a control envelope")
-	}
-	if StampFlush(cdata, now) {
-		t.Fatal("StampFlush stamped a control envelope")
 	}
 
 	unstamped := &Envelope{Type: TypeData, Channel: "c", Payload: []byte("p")}
@@ -172,9 +166,6 @@ func TestOldMagicRejected(t *testing.T) {
 	if _, ok := StampStages(data, 987655321, 987656321); ok {
 		t.Fatal("StampStages accepted the old magic")
 	}
-	if StampFlush(data, 987657321) {
-		t.Fatal("StampFlush accepted the old magic")
-	}
 	if StampChannelSeq(data, 4, 17) {
 		t.Fatal("StampChannelSeq accepted the old magic")
 	}
@@ -207,7 +198,6 @@ func FuzzStageStamp(f *testing.F) {
 				t.Fatalf("stamped frame does not peek back: %+v ok=%v", s2, ok2)
 			}
 		}
-		StampFlush(data, 3_000_000)
 	})
 }
 
@@ -262,10 +252,8 @@ func TestStageBlockLayout(t *testing.T) {
 	if got := binary.LittleEndian.Uint32(data[22:26]); got != 13 {
 		t.Fatalf("fanout at [22,26) = %d, want 13", got)
 	}
-	if !StampFlush(data, 1_000_000+21000) {
-		t.Fatal("StampFlush failed")
-	}
-	if got := binary.LittleEndian.Uint32(data[26:30]); got != 21 {
+	flushed := (&Envelope{Type: TypeData, Channel: "c", Stamp: 1_000_000, StageFlushUs: 21}).Marshal()
+	if got := binary.LittleEndian.Uint32(flushed[26:30]); got != 21 {
 		t.Fatalf("flush at [26,30) = %d, want 21", got)
 	}
 }

@@ -117,15 +117,6 @@ func TestPipeIdleGapResets(t *testing.T) {
 	}
 }
 
-func TestPipeSetCapacity(t *testing.T) {
-	p := NewPipe(1000)
-	p.SetCapacity(2000)
-	dep := p.Send(epoch, 1)
-	if want := epoch.Add(500 * time.Microsecond); !dep.Equal(want) {
-		t.Fatalf("departure %v want %v", dep, want)
-	}
-}
-
 func TestPipePanicsOnBadCapacity(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -61,15 +61,6 @@ func (p *Pipe) Backlogged(now time.Time) bool { return p.nextFree.After(now) }
 // measured outgoing traffic M_i of eq. 1, before capacity clipping).
 func (p *Pipe) SentUnits() float64 { return p.sentUnits }
 
-// SetCapacity changes the link capacity (e.g. heterogeneous servers).
-// Pending backlog keeps its already-computed departure times.
-func (p *Pipe) SetCapacity(capacity float64) {
-	if capacity <= 0 {
-		panic("netsim: pipe capacity must be positive")
-	}
-	p.capacity = capacity
-}
-
 // ConnQueue models a bounded per-connection output buffer, the analog of
 // Redis' client-output-buffer-limit for pub/sub clients: if the server
 // queues more than Limit messages for one connection, the connection is

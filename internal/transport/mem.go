@@ -15,8 +15,9 @@ import (
 
 // MemDialer connects to in-process brokers, optionally injecting sampled
 // WAN latency in both directions the way the paper's testbed did (§V-B).
-// It is safe for concurrent use and supports servers joining at runtime
-// (elasticity).
+// Its dialing endpoints are clients (netsim.Client), which selects the
+// paper's 1-vs-2-sample rule. It is safe for concurrent use and supports
+// servers joining at runtime (elasticity).
 type MemDialer struct {
 	mu      sync.RWMutex
 	brokers map[plan.ServerID]*broker.Broker
@@ -31,8 +32,6 @@ type MemDialer struct {
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
-
-	class netsim.NodeClass // the class of the dialing endpoint
 }
 
 // MemDialerOptions configures a MemDialer.
@@ -44,10 +43,6 @@ type MemDialerOptions struct {
 	Clock clock.Clock
 	// Seed seeds the latency sampler (0 picks a fixed default).
 	Seed int64
-	// Class is the node class of endpoints dialing through this dialer
-	// (clients vs infra); it selects the paper's 1-vs-2-sample rule.
-	// Defaults to Client.
-	Class netsim.NodeClass
 	// Faults, when set, drops packets to/from blackholed or lossy servers
 	// on both legs (publish and delivery) without closing connections —
 	// partitions look like silence, not like errors.
@@ -62,16 +57,12 @@ func NewMemDialer(brokers map[plan.ServerID]*broker.Broker, opts MemDialerOption
 	if opts.Seed == 0 {
 		opts.Seed = 1
 	}
-	if opts.Class == 0 {
-		opts.Class = netsim.Client
-	}
 	d := &MemDialer{
 		brokers: make(map[plan.ServerID]*broker.Broker, len(brokers)),
 		path:    opts.Latency,
 		clk:     opts.Clock,
 		faults:  opts.Faults,
 		rng:     rand.New(rand.NewSource(opts.Seed)),
-		class:   opts.Class,
 	}
 	for id, b := range brokers {
 		d.brokers[id] = b
@@ -180,17 +171,13 @@ func (c *memConn) Publish(channel string, payload []byte) error {
 		}
 		return nil
 	}
-	delay := d.sampleDelay(d.class, netsim.Infra)
+	delay := d.sampleDelay(netsim.Client, netsim.Infra)
 	d.dq.ScheduleAfter(delay, func() { c.publishNow(channel, owned) })
 	return nil
 }
 
-// PublishNonRetaining implements NonRetaining: Publish copies the payload
-// out before returning, so callers may immediately reuse its buffer.
-func (c *memConn) PublishNonRetaining() bool { return true }
-
-// SubscribeCursor implements CursorSubscriber straight against the broker
-// session: subscribe, then replay the cursor's gap from the channel's ring.
+// SubscribeCursor runs straight against the broker session: subscribe, then
+// replay the cursor's gap from the channel's ring.
 func (c *memConn) SubscribeCursor(channel string, cur message.Cursor) (ReplayResult, error) {
 	res, err := c.session.SubscribeFrom(channel, cur)
 	return ReplayResult{Replayed: res.Replayed, Missed: res.Missed, Epoch: res.Epoch}, err
@@ -227,7 +214,7 @@ func (s memSink) Deliver(channel string, payload []byte) {
 		c.handler.OnMessage(channel, owned)
 		return
 	}
-	delay := d.sampleDelay(netsim.Infra, d.class)
+	delay := d.sampleDelay(netsim.Infra, netsim.Client)
 	d.dq.ScheduleAfter(delay, func() { c.handler.OnMessage(channel, owned) })
 }
 

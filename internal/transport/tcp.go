@@ -174,13 +174,6 @@ type cack struct {
 }
 
 var _ Conn = (*tcpConn)(nil)
-var _ NonRetaining = (*tcpConn)(nil)
-var _ CursorSubscriber = (*tcpConn)(nil)
-
-// PublishNonRetaining implements NonRetaining: WritePublish copies the
-// payload into the buffered writer (or writes it through to the socket)
-// before returning, so callers may immediately reuse the payload buffer.
-func (c *tcpConn) PublishNonRetaining() bool { return true }
 
 func (c *tcpConn) Subscribe(channels ...string) error {
 	return c.subCommand("SUBSCRIBE", channels)
@@ -214,8 +207,7 @@ func (c *tcpConn) subCommand(cmd string, channels []string) error {
 // Subscribe).
 const subscribeCursorAckTimeout = 5 * time.Second
 
-// SubscribeCursor implements CursorSubscriber over the subscriber socket: it
-// writes a CSUBSCRIBE command and waits for the server's ack, while replayed
+// SubscribeCursor runs over the subscriber socket: it writes a CSUBSCRIBE command and waits for the server's ack, while replayed
 // frames stream in as ordinary message pushes on the read loop.
 func (c *tcpConn) SubscribeCursor(channel string, cur message.Cursor) (ReplayResult, error) {
 	select {

@@ -30,24 +30,20 @@ type Conn interface {
 	Subscribe(channels ...string) error
 	// Unsubscribe removes subscriptions.
 	Unsubscribe(channels ...string) error
+	// SubscribeCursor is the resumable subscribe: it subscribes to channel
+	// and has the server replay, from its per-channel replay ring, the
+	// frames the cursor's position misses, before live flow.
+	SubscribeCursor(channel string, cursor message.Cursor) (ReplayResult, error)
 	// Publish sends a payload on a channel. Implementations may pipeline:
 	// a nil return means the publish was accepted for delivery, and a
-	// server-side failure may instead surface on a later call. Publish may
-	// retain payload after returning unless the Conn also implements
-	// NonRetaining.
+	// server-side failure may instead surface on a later call. Publish
+	// consumes payload before returning (it is copied or written out), so
+	// the caller may reuse its buffer at once — the client publishes from
+	// pooled envelope buffers.
 	Publish(channel string, payload []byte) error
 	// Close tears the connection down. OnDisconnect is not called for
 	// explicit closes.
 	Close() error
-}
-
-// NonRetaining is implemented by Conns whose Publish fully consumes the
-// payload before returning (the bytes are copied into an internal buffer or
-// written to the socket synchronously). Callers may then reuse the payload's
-// backing buffer immediately — the client library publishes from pooled
-// envelope buffers when every target connection reports true.
-type NonRetaining interface {
-	PublishNonRetaining() bool
 }
 
 // ReplayResult reports what a cursor subscribe replayed (the broker's
@@ -62,15 +58,6 @@ type ReplayResult struct {
 	// Epoch is the server ring's current epoch (0 when the channel has no
 	// ring), so the client can attribute Missed to the right sequence track.
 	Epoch uint64
-}
-
-// CursorSubscriber is optionally implemented by Conns that support
-// cursor-based resumable subscription: subscribe plus a replay of the frames
-// the cursor's position misses from the server's per-channel replay ring.
-// Conns without it (or servers without replay rings) degrade to plain
-// Subscribe.
-type CursorSubscriber interface {
-	SubscribeCursor(channel string, cursor message.Cursor) (ReplayResult, error)
 }
 
 // Dialer opens connections to pub/sub servers by ID.

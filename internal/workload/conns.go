@@ -6,6 +6,9 @@ import "time"
 // epoll instance, and the publisher connection (a target nearer the limit is capped).
 const FDHeadroom = 256
 
+// connectBatch bounds the driver's concurrent non-blocking connects.
+const connectBatch = 256
+
 // ConnBenchOptions configures the C100k connection-scale driver: one process
 // holding tens of thousands of subscriber connections against a broker, all
 // multiplexed on the driver's own epoll loop (a goroutine-per-connection
@@ -36,8 +39,6 @@ type ConnBenchOptions struct {
 	// resubscribe during the window (default 100) — the harness must show
 	// delivery latency holding under subscription churn, not just at rest.
 	ChurnPerSec int
-	// ConnectBatch bounds concurrent non-blocking connects (default 256).
-	ConnectBatch int
 	// OnEstablished, when non-nil, runs after the ramp completes and
 	// before the measurement window, with every connection still held —
 	// the orchestrator's chance to sample server-side memory.

@@ -48,9 +48,6 @@ func RunConnBench(opts ConnBenchOptions) (*ConnBenchResult, error) {
 	} else if opts.ChurnPerSec == 0 {
 		opts.ChurnPerSec = 100
 	}
-	if opts.ConnectBatch <= 0 {
-		opts.ConnectBatch = 256
-	}
 
 	res := &ConnBenchResult{Target: opts.Conns}
 	limit, _ := transport.RaiseFDLimit(uint64(opts.Conns) + FDHeadroom)
@@ -256,7 +253,7 @@ func (d *connDriver) flush(c *benchConn) {
 	}
 }
 
-// ramp establishes total connections with at most opts.ConnectBatch
+// ramp establishes total connections with at most connectBatch
 // connects in flight.
 func (d *connDriver) ramp(total int) error {
 	started, failed := 0, 0
@@ -267,7 +264,7 @@ func (d *connDriver) ramp(total int) error {
 		d.rbuf = make([]byte, 64<<10)
 	}
 	for d.up < total-failed {
-		for inflight < d.opts.ConnectBatch && started < total {
+		for inflight < connectBatch && started < total {
 			c, err := d.dial(started % d.opts.Groups)
 			if err != nil {
 				// Out of ports or fds: everything still in flight counts;

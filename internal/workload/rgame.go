@@ -18,6 +18,9 @@ import (
 	"time"
 )
 
+// pauseMean is the mean break at a waypoint.
+const pauseMean = 2 * time.Second
+
 // Config describes the game world.
 type Config struct {
 	// TilesX and TilesY give the tile grid dimensions (default 8×8).
@@ -26,8 +29,6 @@ type Config struct {
 	WorldSize float64
 	// Speed is player movement speed in world units/second (default 50).
 	Speed float64
-	// PauseMean is the mean break at a waypoint (default 2 s).
-	PauseMean time.Duration
 	// UpdatesPerSec is the state-update publication rate (default 3, §V-D).
 	UpdatesPerSec float64
 	// Hotspots places popular attractors in the world (towns, quest hubs):
@@ -58,9 +59,6 @@ func (c Config) FillDefaults() Config {
 	}
 	if c.Speed <= 0 {
 		c.Speed = 50
-	}
-	if c.PauseMean <= 0 {
-		c.PauseMean = 2 * time.Second
 	}
 	if c.UpdatesPerSec <= 0 {
 		c.UpdatesPerSec = 3
@@ -176,7 +174,7 @@ func (p *Player) Advance(elapsed, dt time.Duration, rng *rand.Rand) (tileChanged
 	if dist <= step {
 		// Waypoint reached: take a break, then pick a new one.
 		p.x, p.y = p.tx, p.ty
-		pause := time.Duration((0.5 + rng.Float64()) * float64(p.cfg.PauseMean))
+		pause := time.Duration((0.5 + rng.Float64()) * float64(pauseMean))
 		p.pausedUntil = elapsed + pause
 		p.pickWaypoint(rng)
 	} else {

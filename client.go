@@ -51,8 +51,13 @@ type Config struct {
 	// for this long (and not subscribed) revert to consistent hashing.
 	// Default 30 s.
 	EntryTimeout time.Duration
-	// SubscribeBuffer is the per-subscription delivery buffer; when full,
-	// new messages are dropped (slow application). Default 256.
+	// SubscribeBuffer bounds the messages waiting, unread, on one
+	// subscription's stream; when that many wait, the newest message is
+	// dropped (slow application) and counted in Stats.Dropped. Default 256.
+	// It is not preallocated: the stream's channel holds at most 32 and a
+	// backlog holds the rest only while they wait. Unsubscribe and Close
+	// leave at most 32 unread messages readable on the closed stream; the
+	// rest are dropped.
 	SubscribeBuffer int
 	// Clock provides time (default real). Accelerated tests inject a
 	// scaled clock.
@@ -133,7 +138,7 @@ type Stats struct {
 	// also recorded once as a trace.KindDuplicate event, which the rebalance
 	// timelines attribute to the migration that caused it.
 	Duplicates   uint64
-	Dropped      uint64 // messages dropped on full subscription buffers
+	Dropped      uint64 // messages dropped on full streams, or discarded as they closed
 	Redirects    uint64 // wrong-server/switch notifications processed
 	DialFailures uint64 // failed dial attempts (each arms redial backoff)
 	Redials      uint64 // successful reconnections after a failure or disconnect
@@ -249,12 +254,10 @@ type routeTable struct {
 }
 
 type subscription struct {
-	// outMu guards out against the send-vs-close race between lock-free
-	// delivery and Unsubscribe/Close; it is per-subscription, so deliveries
-	// on different channels never contend.
-	outMu  sync.Mutex
-	closed bool
-	out    chan Message
+	// stream is the application's delivery stream. It has its own lock, so
+	// deliveries on different channels never contend, and a delivery cannot
+	// race Unsubscribe/Close closing it.
+	stream stream
 
 	// track is the channel's delivery-continuity state: it turns the
 	// (epoch, seq) stamps on arriving frames into the resume cursor a
@@ -262,14 +265,10 @@ type subscription struct {
 	track seqTracker
 }
 
-// closeOut closes the delivery stream exactly once.
-func (s *subscription) closeOut() {
-	s.outMu.Lock()
-	if !s.closed {
-		s.closed = true
-		close(s.out)
-	}
-	s.outMu.Unlock()
+// closeOut closes sub's delivery stream exactly once, counting what it
+// discards in Dropped.
+func (c *Client) closeOut(sub *subscription) {
+	sub.stream.close(&c.received, &c.dropped)
 }
 
 type clientConn struct {
@@ -406,7 +405,7 @@ func (c *Client) RegisterMetrics(r *obs.Registry) {
 		"Messages suppressed by deduplication.",
 		c.duplicates.Load)
 	r.Counter("dynamoth_client_dropped_total",
-		"Messages dropped on full subscription buffers.",
+		"Messages dropped on full subscription streams, or discarded as they closed.",
 		c.dropped.Load)
 	r.Counter("dynamoth_client_redirects_total",
 		"Wrong-server and switch notifications processed.",
@@ -581,23 +580,29 @@ func (c *Client) Subscribe(channel string) (<-chan Message, error) {
 		return nil, ErrClosed
 	}
 	if sub := c.sub(channel); sub != nil {
-		return sub.out, nil
+		return sub.stream.out, nil
 	}
 	dialErr := errUnreachable
 	servers := c.routes.Subscribe(channel, c.cfg.Clock.Now(), c.reachLocked(channel, &dialErr))
 	if len(servers) == 0 {
 		return nil, fmt.Errorf("dynamoth: subscribe %q: %w", channel, dialErr)
 	}
+	// The stream is in place before SUBSCRIBE goes out: a server may fan
+	// out to us as soon as it has registered the subscription.
+	sub := &subscription{}
+	sub.stream.init(c.cfg.SubscribeBuffer)
+	c.subs.Store(channel, sub)
 	if _, err := c.subscribeOnLocked(channel, servers, nil); err != nil {
+		c.subs.Delete(channel)
+		c.closeOut(sub)
 		c.routes.Unsubscribe(channel)
 		return nil, err
 	}
-	sub := &subscription{out: make(chan Message, c.cfg.SubscribeBuffer)}
-	c.subs.Store(channel, sub)
-	return sub.out, nil
+	return sub.stream.out, nil
 }
 
-// Unsubscribe drops interest in channel and closes its stream.
+// Unsubscribe drops interest in channel and closes its stream, which keeps
+// at most 32 unread messages readable (Config.SubscribeBuffer).
 func (c *Client) Unsubscribe(channel string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -611,7 +616,7 @@ func (c *Client) Unsubscribe(channel string) error {
 	c.subs.Delete(channel)
 	delete(c.repairs, channel)
 	c.leaveLocked(channel, c.routes.Unsubscribe(channel))
-	sub.closeOut()
+	c.closeOut(sub)
 	return nil
 }
 
@@ -629,7 +634,7 @@ func (c *Client) Close() error {
 	}
 	c.conns = make(map[plan.ServerID]*clientConn)
 	c.subs.Range(func(ch, sub any) bool {
-		sub.(*subscription).closeOut()
+		c.closeOut(sub.(*subscription))
 		c.subs.Delete(ch)
 		return true
 	})
@@ -960,22 +965,7 @@ func (c *Client) deliver(sub *subscription, channel string, env *message.Envelop
 		ChannelEpoch: env.Epoch,
 		ChannelSeq:   env.ChannelSeq,
 	}
-	// The non-blocking send happens under the subscription's own mutex so it
-	// cannot race closeOut in Unsubscribe/Close; deliveries on different
-	// channels do not contend.
-	sub.outMu.Lock()
-	if sub.closed {
-		sub.outMu.Unlock()
-		return
-	}
-	select {
-	case sub.out <- msg:
-		sub.outMu.Unlock()
-		c.received.Add(1)
-	default:
-		sub.outMu.Unlock()
-		c.dropped.Add(1)
-	}
+	sub.stream.deliver(msg, &c.received, &c.dropped)
 }
 
 // applyControl folds a SWITCH (move) or WRONG-SERVER notification into the

@@ -25,7 +25,7 @@ type testDeployment struct {
 	servers     []string
 }
 
-func newTestDeployment(t *testing.T, servers ...string) *testDeployment {
+func newTestDeployment(t testing.TB, servers ...string) *testDeployment {
 	t.Helper()
 	d := &testDeployment{
 		brokers:     make(map[plan.ServerID]*broker.Broker),
@@ -621,34 +621,58 @@ func TestReplayedDuplicateRecordedOnce(t *testing.T) {
 
 // A subscription costs the same however many the client already holds: the
 // bytes allocated per Subscribe with 8 000 subscriptions in place stay
-// within 1.5× the figure with 1 000.
+// within 1.5× the figure with 1 000. At the default SubscribeBuffer a
+// subscription also holds at most 4 KiB of live heap, client and broker
+// together: its stream allocates what waits, not what may wait.
 func TestSubscribeCostIndependentOfCount(t *testing.T) {
-	d := newTestDeployment(t, "s1")
-	c, err := ConnectWithDialer(d.dialer, d.servers, Config{NodeID: 610, SubscribeBuffer: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	n := 0
-	subscribe := func(k int) uint64 {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < k; i++ {
-			if _, err := c.Subscribe("flat." + strconv.Itoa(n)); err != nil {
+	for _, tc := range []struct {
+		name    string
+		buffer  int // 0: the default
+		maxLive uint64
+	}{
+		{name: "buffer=1", buffer: 1},
+		{name: "buffer=default", maxLive: 4 << 10},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := newTestDeployment(t, "s1")
+			c, err := ConnectWithDialer(d.dialer, d.servers, Config{NodeID: 610, SubscribeBuffer: tc.buffer})
+			if err != nil {
 				t.Fatal(err)
 			}
-			n++
-		}
-		runtime.ReadMemStats(&after)
-		return (after.TotalAlloc - before.TotalAlloc) / uint64(k)
-	}
-	const window = 500
-	subscribe(1000)
-	at1k := subscribe(window)
-	subscribe(8000 - n)
-	at8k := subscribe(window)
-	t.Logf("bytes per Subscribe: %d at 1 000 subscriptions, %d at 8 000", at1k, at8k)
-	if float64(at8k) > 1.5*float64(at1k) {
-		t.Fatalf("Subscribe allocates %d B at 8 000 subscriptions, %d B at 1 000: cost grows with the count", at8k, at1k)
+			defer c.Close()
+			n := 0
+			subscribe := func(k int) uint64 {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				for i := 0; i < k; i++ {
+					if _, err := c.Subscribe("flat." + strconv.Itoa(n)); err != nil {
+						t.Fatal(err)
+					}
+					n++
+				}
+				runtime.ReadMemStats(&after)
+				return (after.TotalAlloc - before.TotalAlloc) / uint64(k)
+			}
+			liveHeap := func() uint64 {
+				var ms runtime.MemStats
+				runtime.GC()
+				runtime.ReadMemStats(&ms)
+				return ms.HeapAlloc
+			}
+			const window = 500
+			live0 := liveHeap()
+			subscribe(1000)
+			at1k := subscribe(window)
+			subscribe(8000 - n)
+			at8k := subscribe(window)
+			live := (liveHeap() - live0) / uint64(n)
+			t.Logf("bytes per Subscribe: %d at 1 000 subscriptions, %d at 8 000; live heap per subscription %d", at1k, at8k, live)
+			if float64(at8k) > 1.5*float64(at1k) {
+				t.Fatalf("Subscribe allocates %d B at 8 000 subscriptions, %d B at 1 000: cost grows with the count", at8k, at1k)
+			}
+			if tc.maxLive > 0 && live > tc.maxLive {
+				t.Fatalf("a subscription holds %d B of live heap, want at most %d", live, tc.maxLive)
+			}
+		})
 	}
 }

@@ -93,7 +93,7 @@ conns:
 # overrides the target.
 CHANNELS ?= 1000000
 channels:
-	$(GO) test -race ./internal/hotstate/ ./internal/localplan/ ./internal/lla/
+	$(GO) test -race ./internal/hotstate/ ./internal/localplan/ ./internal/lla/ ./internal/obs/
 	$(GO) run ./cmd/experiments -run channels -channels $(CHANNELS)
 
 # Reduced-scale figure benches + substrate microbenches.

@@ -71,7 +71,6 @@ func run() error {
 		admin   = flag.String("admin-addr", "", "admin HTTP listen address for /metrics, /healthz, /statusz, /debug/pprof, /debug/events, /debug/rebalances, /debug/latency, /debug/freemem (empty = disabled)")
 		logLvl  = flag.String("log-level", "warn", "structured log level on stderr (debug, info, warn, error)")
 		reuse   = flag.Bool("reuseport", false, "set SO_REUSEPORT on the RESP listener (linux; lets several nodes share one address)")
-		topkCap = flag.Int("topk-cap", 0, "channels held by the hot-channel tracker (0 = default, negative = unbounded)")
 		rcap    = flag.Int("replay-cap", 0, "per-channel replay ring depth for cursor-based resumable subscription (0 = default, negative = disabled)")
 		chanCap = flag.Int("channel-cap", 0, "channels the node keeps a record (replay ring, LLA counters) for at once; subscribed ones always, LLA traffic past it folds into an aggregate bucket (0 = default, negative = unbounded)")
 	)
@@ -106,7 +105,6 @@ func run() error {
 		Initial:        initial,
 		Forwarder:      fwd,
 		MaxOutgoingBps: *maxBps,
-		TopKCap:        *topkCap,
 		ReplayDepth:    *rcap,
 		ChannelCap:     *chanCap,
 		Recorder:       rec,

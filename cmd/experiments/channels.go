@@ -18,16 +18,16 @@ import (
 // so both checkpoints land after every cache is full: any RSS growth between
 // them is a per-channel leak, not a cache filling to its bound.
 const (
-	soakTopKCap      = 4096 // -topk-cap
+	soakTopKCap      = obs.DefaultLatencyTopKCap
 	soakChannelCap   = 8192 // -channel-cap
 	soakWorkingSet   = 1024 // channels in the steady-state publish loop
 	soakSteadyOps    = 50_000
 	soakPayloadBytes = 64
 	// The warmup fills every working-set replay ring to its depth, then
-	// sweeps throwaway channels until the trackers that only sample
-	// publications (top-K and latency top-K, soakTopKCap channels each) are
-	// full too — twice what that takes: the first checkpoint's own sweep is
-	// too short for it at CI scale.
+	// sweeps throwaway channels until the table that only samples
+	// publications (soakTopKCap channels) is full too — twice what that
+	// takes: the first checkpoint's own sweep is too short for it at CI
+	// scale.
 	soakWarmupOps   = soakWorkingSet * server.DefaultReplayDepth
 	soakWarmupSweep = 2 * soakTopKCap << obs.DefaultSampleShift
 
@@ -51,7 +51,7 @@ const (
 // Steady-state publish throughput and allocations are measured at both
 // checkpoints over a fixed working set (the rate must be positive), and the
 // node's hotstate families are scraped: every cache must be bounded and at or
-// under its capacity, and the top-K tracker must have evicted.
+// under its capacity, and the sampled channel table must have evicted.
 func runChannels(target int) error {
 	if target < 10 {
 		return fmt.Errorf("-channels must be at least 10, got %d", target)
@@ -70,9 +70,7 @@ func runChannels(target int) error {
 		return err
 	}
 
-	node, err := startNode(nodeBin,
-		"-topk-cap", strconv.Itoa(soakTopKCap),
-		"-channel-cap", strconv.Itoa(soakChannelCap))
+	node, err := startNode(nodeBin, "-channel-cap", strconv.Itoa(soakChannelCap))
 	if err != nil {
 		return err
 	}
@@ -183,7 +181,7 @@ func runChannels(target int) error {
 		return fmt.Errorf("node exports no dynamoth_node_hotstate_capacity family")
 	}
 	if topkEvictions <= 0 {
-		return fmt.Errorf("top-K tracker never evicted: the sweep did not pass its capacity")
+		return fmt.Errorf("channel table never evicted: the sweep did not pass its capacity")
 	}
 	if atFull.SteadyPublishPerSec <= 0 {
 		return fmt.Errorf("steady publish rate %.0f msg/s at %d channels", atFull.SteadyPublishPerSec, target)

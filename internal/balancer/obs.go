@@ -113,5 +113,5 @@ func (o *Orchestrator) RegisterMetrics(r *obs.Registry) {
 	buildinfo.Register(r)
 	// The flight recorder's derived dynamoth_reconfig_* families ride on the
 	// same registry (no-op when the orchestrator has no recorder).
-	o.rec.RegisterMetrics(r)
+	o.rec.RegisterMetrics(r, "balancer")
 }

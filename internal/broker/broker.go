@@ -49,16 +49,6 @@ type Sink interface {
 	Closed(reason error)
 }
 
-// PatternSink is optionally implemented by sinks that want pattern
-// subscription deliveries attributed to the matching pattern (the Redis
-// "pmessage" frame). Sinks without it receive pattern matches through
-// Deliver like ordinary messages.
-type PatternSink interface {
-	// DeliverPattern hands the session a publication that matched one of
-	// its pattern subscriptions.
-	DeliverPattern(pattern, channel string, payload []byte)
-}
-
 // EnqueueSink is the one sink shape a Session delivers into: a sink that does
 // its own output queueing and flushing. TCP connections implement it with a
 // per-connection write buffer their connection core flushes; Connect wraps a
@@ -448,7 +438,6 @@ func (b *Broker) Connect(name string, sink Sink) (*Session, error) {
 			out:  make(chan delivery, b.outBuffer),
 			done: make(chan struct{}),
 		}
-		q.psink, _ = sink.(PatternSink)
 		es = q
 	}
 	s := &Session{
@@ -739,12 +728,10 @@ func (b *Broker) unsubscribe(s *Session, channel string) (int, bool) {
 	return len(subs), true
 }
 
-// delivery is one message queued for a plain Sink. pattern is non-empty for
-// pattern-subscription matches.
+// delivery is one message queued for a plain Sink.
 type delivery struct {
 	channel string
 	payload []byte
-	pattern string
 }
 
 // queueSink is the EnqueueSink Connect puts in front of a plain Sink: a
@@ -752,16 +739,17 @@ type delivery struct {
 // in-process counterpart of a connection's write buffer and flusher. A full
 // queue is the slow-consumer signal.
 type queueSink struct {
-	b     *Broker
-	sink  Sink
-	psink PatternSink // sink's pmessage side; nil when it has none
-	out   chan delivery
-	done  chan struct{} // closed by Closed; stops the writer
+	b    *Broker
+	sink Sink
+	out  chan delivery
+	done chan struct{} // closed by Closed; stops the writer
 }
 
-func (q *queueSink) Enqueue(channel, pattern string, payload []byte) bool {
+// Enqueue queues one delivery; a plain Sink receives pattern matches through
+// Deliver like ordinary messages.
+func (q *queueSink) Enqueue(channel, _ string, payload []byte) bool {
 	select {
-	case q.out <- delivery{channel: channel, payload: payload, pattern: pattern}:
+	case q.out <- delivery{channel: channel, payload: payload}:
 		return true
 	default:
 		return false
@@ -791,11 +779,7 @@ func (q *queueSink) writer() {
 			// observation point of the latency waterfall (queue wait is the
 			// dominant broker-side delay this stage exists to expose).
 			q.b.observeFlush(d.payload)
-			if d.pattern != "" && q.psink != nil {
-				q.psink.DeliverPattern(d.pattern, d.channel, d.payload)
-			} else {
-				q.sink.Deliver(d.channel, d.payload)
-			}
+			q.sink.Deliver(d.channel, d.payload)
 		case <-q.done:
 			return
 		}

@@ -114,17 +114,24 @@ func TestPSubscribePatternSinkAttribution(t *testing.T) {
 	}
 }
 
+// patternSink is an EnqueueSink, as a TCP connection is: it receives each
+// delivery with the pattern that matched it (empty for a direct
+// subscription).
 type patternSink struct {
 	frames chan [3]string
 }
 
-func (p *patternSink) Deliver(channel string, payload []byte) {
-	p.frames <- [3]string{"", channel, string(payload)}
+func (p *patternSink) Enqueue(channel, pattern string, payload []byte) bool {
+	select {
+	case p.frames <- [3]string{pattern, channel, string(payload)}:
+		return true
+	default:
+		return false
+	}
 }
 
-func (p *patternSink) DeliverPattern(pattern, channel string, payload []byte) {
-	p.frames <- [3]string{pattern, channel, string(payload)}
-}
+// Deliver implements Sink; the broker only ever calls Enqueue.
+func (p *patternSink) Deliver(string, []byte) {}
 
 func (p *patternSink) Closed(error) {}
 

@@ -10,9 +10,8 @@ import (
 // swallowingSink accepts every delivery (message or pmessage) and counts it.
 type swallowingSink struct{ n atomic.Int64 }
 
-func (s *swallowingSink) Deliver(string, []byte)                { s.n.Add(1) }
-func (s *swallowingSink) DeliverPattern(string, string, []byte) { s.n.Add(1) }
-func (s *swallowingSink) Closed(error)                          {}
+func (s *swallowingSink) Deliver(string, []byte) { s.n.Add(1) }
+func (s *swallowingSink) Closed(error)           {}
 
 // TestConcurrentStress exercises the sharded registry and the queueing
 // writer under everything at once: parallel publishers across the channel

@@ -1,8 +1,8 @@
-// Package hotstate provides the bounded, lock-striped cache behind the
-// per-channel hot-state maps in Dynamoth (client local plans, the top-K
-// trackers). At IoT-style topic-per-device scale the channel namespace is
-// effectively unbounded; hotstate turns each of those maps from O(channels)
-// into O(cap).
+// Package hotstate provides the bounded, lock-striped, string-keyed cache
+// behind the per-channel hot-state maps in Dynamoth (client local plans, the
+// node's sampled channel table). At IoT-style topic-per-device scale the
+// channel namespace is effectively unbounded; hotstate turns each of those
+// maps from O(channels) into O(cap).
 //
 // Design:
 //
@@ -16,9 +16,6 @@
 //   - Pinning: pinned entries (a client's subscribed channels) are never
 //     capacity-evicted and never swept; if every entry in a shard is pinned
 //     the shard grows past its share of the cap rather than deadlocking.
-//   - Eviction callback: capacity evictions and sweep drops invoke OnEvict
-//     *after* the shard lock is released, so callbacks may take caller-side
-//     locks without lock-order risk.
 //
 // The package depends only on the standard library; metric families over
 // Stats are registered by internal/obs (RegisterCaches) to avoid a cycle.
@@ -70,21 +67,16 @@ type NamedStats struct {
 }
 
 // Config configures a Cache.
-type Config[K comparable, V any] struct {
+type Config[K ~string, V any] struct {
 	// Capacity bounds the total entry count across shards (rounded up to at
 	// least one per shard). 0 or negative means unbounded.
 	Capacity int
 	// Shards is rounded up to a power of two (default DefaultShards).
 	Shards int
-	// Hash maps a key to its shard and must be supplied for non-string keys.
-	Hash func(K) uint64
-	// OnEvict observes capacity evictions and sweep drops — not explicit
-	// Deletes. It runs outside all shard locks.
-	OnEvict func(K, V)
 }
 
 // entry is one cached item; slot is its position in the shard's CLOCK ring.
-type entry[K comparable, V any] struct {
+type entry[K ~string, V any] struct {
 	key    K
 	val    V
 	slot   int
@@ -92,7 +84,7 @@ type entry[K comparable, V any] struct {
 	pinned bool
 }
 
-type shard[K comparable, V any] struct {
+type shard[K ~string, V any] struct {
 	mu     sync.Mutex
 	items  map[K]*entry[K, V]
 	ring   []*entry[K, V]
@@ -101,13 +93,11 @@ type shard[K comparable, V any] struct {
 }
 
 // Cache is a bounded, lock-striped map safe for concurrent use.
-type Cache[K comparable, V any] struct {
+type Cache[K ~string, V any] struct {
 	shards   []shard[K, V]
 	mask     uint64
-	hash     func(K) uint64
 	perShard int // capacity per shard (0 = unbounded)
 	capacity int
-	onEvict  func(K, V)
 
 	hits        atomic.Uint64
 	misses      atomic.Uint64
@@ -117,9 +107,8 @@ type Cache[K comparable, V any] struct {
 	sweepCursor atomic.Uint64 // next shard index for incremental Sweep
 }
 
-// New creates a cache. Panics if no hash is configured for a non-string key
-// type (string keys default to StringHash).
-func New[K comparable, V any](cfg Config[K, V]) *Cache[K, V] {
+// New creates a cache.
+func New[K ~string, V any](cfg Config[K, V]) *Cache[K, V] {
 	n := cfg.Shards
 	if n <= 0 {
 		n = DefaultShards
@@ -132,17 +121,7 @@ func New[K comparable, V any](cfg Config[K, V]) *Cache[K, V] {
 	c := &Cache[K, V]{
 		shards:   make([]shard[K, V], pow),
 		mask:     uint64(pow - 1),
-		hash:     cfg.Hash,
 		capacity: cfg.Capacity,
-		onEvict:  cfg.OnEvict,
-	}
-	if c.hash == nil {
-		var k K
-		if _, ok := any(k).(string); ok {
-			c.hash = func(key K) uint64 { return StringHash(any(key).(string)) }
-		} else {
-			panic("hotstate: Config.Hash required for non-string keys")
-		}
 	}
 	if cfg.Capacity > 0 {
 		c.perShard = (cfg.Capacity + pow - 1) / pow
@@ -157,7 +136,7 @@ func New[K comparable, V any](cfg Config[K, V]) *Cache[K, V] {
 }
 
 func (c *Cache[K, V]) shardFor(k K) *shard[K, V] {
-	return &c.shards[c.hash(k)&c.mask]
+	return &c.shards[StringHash(string(k))&c.mask]
 }
 
 // removeLocked unlinks e from the shard (map + ring). Caller holds s.mu.
@@ -222,29 +201,31 @@ func (c *Cache[K, V]) Put(k K, v V) bool {
 		s.mu.Unlock()
 		return true
 	}
-	victim := c.evictLocked(s)
-	e := &entry[K, V]{key: k, val: v, ref: true, slot: len(s.ring)}
-	s.items[k] = e
-	s.ring = append(s.ring, e)
+	c.insertLocked(s, k, v)
 	s.mu.Unlock()
-	if victim != nil {
-		c.evictions.Add(1)
-		if c.onEvict != nil {
-			c.onEvict(victim.key, victim.val)
-		}
-	}
 	return false
 }
 
-// evictLocked frees one slot via CLOCK when the shard is at capacity. Pinned
-// entries are skipped; if everything is pinned the shard is allowed to grow.
-// Caller holds s.mu.
-func (c *Cache[K, V]) evictLocked(s *shard[K, V]) *entry[K, V] {
+// insertLocked adds a new entry for k, first evicting a cold one if the
+// shard is at capacity. Caller holds s.mu.
+func (c *Cache[K, V]) insertLocked(s *shard[K, V], k K, v V) {
+	if c.evictLocked(s) {
+		c.evictions.Add(1)
+	}
+	e := &entry[K, V]{key: k, val: v, ref: true, slot: len(s.ring)}
+	s.items[k] = e
+	s.ring = append(s.ring, e)
+}
+
+// evictLocked frees one slot via CLOCK when the shard is at capacity and
+// reports whether it did. Pinned entries are skipped; if everything is pinned
+// the shard is allowed to grow. Caller holds s.mu.
+func (c *Cache[K, V]) evictLocked(s *shard[K, V]) bool {
 	if c.perShard <= 0 || len(s.ring) < c.perShard {
-		return nil
+		return false
 	}
 	if s.pinned >= len(s.ring) {
-		return nil // all pinned: overflow rather than deadlock
+		return false // all pinned: overflow rather than deadlock
 	}
 	// Two full laps guarantee a victim: the first lap clears reference bits,
 	// the second finds a cleared, unpinned entry.
@@ -262,9 +243,9 @@ func (c *Cache[K, V]) evictLocked(s *shard[K, V]) *entry[K, V] {
 			continue
 		}
 		s.removeLocked(e)
-		return e
+		return true
 	}
-	return nil
+	return false
 }
 
 // Upsert atomically examines k's current value under the shard lock and
@@ -272,9 +253,6 @@ func (c *Cache[K, V]) evictLocked(s *shard[K, V]) *entry[K, V] {
 // cache. Returns whether a write happened.
 func (c *Cache[K, V]) Upsert(k K, fn func(old V, exists bool) (v V, write bool)) bool {
 	s := c.shardFor(k)
-	var evictedKey K
-	var evictedVal V
-	evicted := false
 	s.mu.Lock()
 	if e, ok := s.items[k]; ok {
 		v, write := fn(e.val, true)
@@ -291,24 +269,12 @@ func (c *Cache[K, V]) Upsert(k K, fn func(old V, exists bool) (v V, write bool))
 		s.mu.Unlock()
 		return false
 	}
-	if victim := c.evictLocked(s); victim != nil {
-		evictedKey, evictedVal, evicted = victim.key, victim.val, true
-	}
-	e := &entry[K, V]{key: k, val: v, ref: true, slot: len(s.ring)}
-	s.items[k] = e
-	s.ring = append(s.ring, e)
+	c.insertLocked(s, k, v)
 	s.mu.Unlock()
-	if evicted {
-		c.evictions.Add(1)
-		if c.onEvict != nil {
-			c.onEvict(evictedKey, evictedVal)
-		}
-	}
 	return true
 }
 
-// Delete removes k, returning its value. OnEvict does not fire: the caller
-// initiated the removal and owns any flush logic.
+// Delete removes k, returning its value.
 func (c *Cache[K, V]) Delete(k K) (V, bool) {
 	s := c.shardFor(k)
 	s.mu.Lock()
@@ -359,8 +325,8 @@ func (c *Cache[K, V]) Range(f func(k K, v V) bool) {
 
 // Sweep visits up to maxShards shards (rotating across calls; <=0 means all)
 // and drops entries for which drop returns true.
-// Pinned entries are never dropped. drop runs under the shard lock; OnEvict
-// fires after it is released. Returns the number of entries dropped.
+// Pinned entries are never dropped. drop runs under the shard lock. Returns
+// the number of entries dropped.
 //
 // A full scan of an N-entry cache costs O(N); calling Sweep with a shard
 // budget amortizes that to O(N/shards) per call while still covering the
@@ -373,7 +339,6 @@ func (c *Cache[K, V]) Sweep(maxShards int, drop func(k K, v V) bool) int {
 	}
 	start := c.sweepCursor.Add(uint64(maxShards)) - uint64(maxShards)
 	dropped := 0
-	var victims []*entry[K, V]
 	for i := 0; i < maxShards; i++ {
 		s := &c.shards[(start+uint64(i))&c.mask]
 		s.mu.Lock()
@@ -389,15 +354,9 @@ func (c *Cache[K, V]) Sweep(maxShards int, drop func(k K, v V) bool) int {
 			}
 			s.removeLocked(e) // moves the last entry into slot j; revisit j
 			c.expirations.Add(1)
-			victims = append(victims, e)
 			dropped++
 		}
 		s.mu.Unlock()
-	}
-	if c.onEvict != nil {
-		for _, e := range victims {
-			c.onEvict(e.key, e.val)
-		}
 	}
 	return dropped
 }

@@ -231,3 +231,29 @@ func TestValidateExpositionRejectsMalformed(t *testing.T) {
 		t.Errorf("valid histogram rejected: %v", err)
 	}
 }
+
+func TestRegistryInfo(t *testing.T) {
+	r := NewRegistry()
+	r.Info("dynamoth_build_info",
+		"Build identity; value is always 1.",
+		[2]string{"version", "v1.2.3-test"},
+		[2]string{"go_version", "go1.22"},
+	)
+	out := r.String()
+	want := `dynamoth_build_info{version="v1.2.3-test",go_version="go1.22"} 1`
+	if !strings.Contains(out, want) {
+		t.Fatalf("rendered exposition missing %q:\n%s", want, out)
+	}
+	if _, err := ValidateExposition(out); err != nil {
+		t.Fatalf("info family fails exposition validation: %v", err)
+	}
+}
+
+func TestRegistryInfoBadLabelPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Info accepted an invalid label name")
+		}
+	}()
+	NewRegistry().Info("x_info", "h", [2]string{"bad-label", "v"})
+}

@@ -7,105 +7,149 @@ import (
 	"time"
 
 	"github.com/dynamoth/dynamoth/internal/hotstate"
+	"github.com/dynamoth/dynamoth/internal/metrics"
 )
 
-// DefaultSampleShift makes the tracker count every 16th publication: a
-// compromise between rate fidelity on hot channels (the ones top-K exists to
-// surface) and per-publish cost on the fan-out path.
+// DefaultSampleShift makes the table count every 16th publication: a
+// compromise between fidelity on hot channels (the ones the read-outs exist
+// to surface) and per-publish cost on the fan-out path.
 const DefaultSampleShift = 4
 
-// DefaultTopKCap bounds the distinct channels the tracker holds between
-// scrapes. CLOCK eviction keeps the hot ones — exactly the set top-K exists
-// to surface — so the cap costs accuracy only on channels too cold to rank.
-const DefaultTopKCap = 16384
+// DefaultLatencyTopKCap bounds the distinct channels the table holds. CLOCK
+// eviction keeps the hot ones — exactly the set both read-outs exist to
+// surface — so the cap costs accuracy only on channels too cold to rank.
+const DefaultLatencyTopKCap = 4096
 
-// TopK tracks the hottest channels by publish rate with sampled counting.
-// Record is safe on the publish hot path: it is one atomic add plus, on the
-// sampled subset (every 2^shift-th publication), one sharded cache hit and
-// counter increment — no allocation once a channel has been seen.
+// channelBuckets is the per-channel histogram resolution: 28 factor-two
+// buckets from 1µs to ~4.5min — coarse quantiles, but per-channel state stays
+// at 28 counters, which is what lets the table hold thousands of channels.
+const channelBuckets = 28
+
+// TopK is the node's one sampled per-channel table. Every 2^shift-th
+// publication lands in its channel's entry: Record counts it, Observe counts
+// it and records its delivery latency. Two read-outs rank the entries, each
+// over the window since its own previous call: Top by publish rate (the hot
+// channels) and Slowest by p99 contribution (the slow channels).
 //
-// The channel set is capacity-bounded: at IoT-style channel cardinality cold
-// channels are evicted (and idle channels dropped every scrape), so the
-// tracker holds O(cap) state regardless of namespace size.
-//
-// It implements the broker Observer shape (OnPublish/OnSubscribe/
-// OnUnsubscribe) so it can be attached with broker.AddObserver without obs
-// importing broker.
+// Record and Observe are safe on the publish hot path: one atomic add plus,
+// on the sampled subset, one sharded cache hit and a counter (and bucket)
+// increment — no allocation once a channel has an entry. The channel set is
+// capacity-bounded: cold channels are evicted and idle ones dropped at
+// read-out, so the table holds O(cap) state regardless of namespace size.
 type TopK struct {
-	shift uint64 // count every 2^shift-th publication
-	n     atomic.Uint64
-	// counts maps channel → sampled cumulative publication count.
-	counts *hotstate.Cache[string, *atomic.Uint64]
+	shift   uint64 // sample every 2^shift-th publication
+	n       atomic.Uint64
+	entries *hotstate.Cache[string, *channelEntry]
 
-	// snapMu guards the snapshot state used to turn cumulative counts into
-	// rates between consecutive Top calls. prev holds the previous scrape's
-	// cumulative counts; cur is the scratch map the current scrape fills.
-	// Both are reused (cleared, never reallocated) so a steady-state scrape
-	// performs zero map allocations.
+	// snapMu serialises the read-outs: they move the window baselines kept
+	// in the entries and drop idle entries. idleScratch is reused so a
+	// steady-state Top allocates nothing.
 	snapMu      sync.Mutex
-	prev, cur   map[string]uint64
 	idleScratch []string
-	lastTime    time.Time
+	lastTop     time.Time // start of Top's window
 	now         func() time.Time
 }
 
-// NewTopK creates a tracker sampling every 2^sampleShift-th publication
-// (DefaultSampleShift when negative) holding at most DefaultTopKCap channels.
-// now supplies time for rate windows (nil = wall clock).
-func NewTopK(sampleShift int, now func() time.Time) *TopK {
-	return NewTopKWithCap(sampleShift, DefaultTopKCap, now)
+// channelEntry is one channel's row in the table.
+type channelEntry struct {
+	pubs atomic.Uint64      // sampled publications, stamped or not
+	lat  *metrics.Histogram // sampled latencies of stamped publications
+
+	// Where each read-out's previous call left this entry (guarded by
+	// snapMu). A channel evicted and re-created starts both from zero.
+	topBase  uint64
+	slowBase metrics.Counts
 }
 
-// NewTopKWithCap is NewTopK with an explicit channel bound (<=0 = unbounded).
-func NewTopKWithCap(sampleShift, cap int, now func() time.Time) *TopK {
+// idle reports whether neither read-out has anything left to report for e.
+// An entry with no count yet is still being created, not idle.
+func (e *channelEntry) idle() bool {
+	p := e.pubs.Load()
+	return p != 0 && p == e.topBase && e.lat.Count() == e.slowBase.Count()
+}
+
+// NewTopK creates a table sampling every 2^sampleShift-th publication
+// (DefaultSampleShift when negative) holding at most DefaultLatencyTopKCap
+// channels. now supplies time for rate windows (nil = wall clock).
+func NewTopK(sampleShift int, now func() time.Time) *TopK {
+	return newTopK(sampleShift, DefaultLatencyTopKCap, now)
+}
+
+// NewLatencyTopK is NewTopK: it returns the same table, whose Observe feeds
+// both read-outs.
+func NewLatencyTopK(sampleShift int, now func() time.Time) *TopK {
+	return NewTopK(sampleShift, now)
+}
+
+// newTopK is NewTopK with an explicit channel bound (<=0 = unbounded).
+func newTopK(sampleShift, cap int, now func() time.Time) *TopK {
 	if sampleShift < 0 {
 		sampleShift = DefaultSampleShift
 	}
 	if now == nil {
 		now = time.Now
 	}
-	t := &TopK{
-		shift: uint64(sampleShift),
-		now:   now,
-		counts: hotstate.New[string, *atomic.Uint64](hotstate.Config[string, *atomic.Uint64]{
-			Capacity: cap,
-		}),
-		prev: make(map[string]uint64),
-		cur:  make(map[string]uint64),
+	return &TopK{
+		shift:   uint64(sampleShift),
+		now:     now,
+		entries: hotstate.New[string, *channelEntry](hotstate.Config[string, *channelEntry]{Capacity: cap}),
+		lastTop: now(),
 	}
-	t.lastTime = now()
-	return t
 }
 
-// Record notes one publication on channel (sampled).
+// Record notes one publication on channel that carries no latency (sampled).
 func (t *TopK) Record(channel string) {
-	n := t.n.Add(1)
-	if n&(1<<t.shift-1) != 0 {
-		return
+	if e := t.sample(channel); e != nil {
+		e.pubs.Add(1)
 	}
-	if c, ok := t.counts.Get(channel); ok {
-		c.Add(1)
-		return
+}
+
+// Observe notes one publication on channel delivered d after it was sent
+// (sampled).
+func (t *TopK) Observe(channel string, d time.Duration) {
+	if e := t.sample(channel); e != nil {
+		e.lat.Observe(d)
+		e.pubs.Add(1)
 	}
-	c := new(atomic.Uint64)
-	t.counts.Upsert(channel, func(old *atomic.Uint64, exists bool) (*atomic.Uint64, bool) {
+}
+
+// sample returns channel's entry, creating it on first sight, for every
+// 2^shift-th publication, and nil for the others.
+func (t *TopK) sample(channel string) *channelEntry {
+	if t.n.Add(1)&(1<<t.shift-1) != 0 {
+		return nil
+	}
+	if e, ok := t.entries.Get(channel); ok {
+		return e
+	}
+	e := &channelEntry{lat: metrics.NewHistogram(time.Microsecond, time.Microsecond<<channelBuckets, channelBuckets)}
+	t.entries.Upsert(channel, func(old *channelEntry, exists bool) (*channelEntry, bool) {
 		if exists {
-			c = old
+			e = old
 			return old, false
 		}
-		return c, true
+		return e, true
 	})
-	c.Add(1)
+	return e
 }
 
-// OnPublish implements the broker observer hook.
-func (t *TopK) OnPublish(channel string, _ []byte, _ int) { t.Record(channel) }
-
-// OnSubscribe implements the broker observer hook (ignored).
-func (t *TopK) OnSubscribe(string, string, int) {}
-
-// OnUnsubscribe implements the broker observer hook (ignored).
-func (t *TopK) OnUnsubscribe(string, string, int) {}
+// readOut visits every entry under snapMu with visit, which reports whether
+// the entry is idle, then drops the idle ones. Deletion is deferred — Range
+// holds the shard lock. A publication racing the delete just re-creates the
+// entry.
+func (t *TopK) readOut(visit func(ch string, e *channelEntry) (idle bool)) {
+	idle := t.idleScratch[:0]
+	t.entries.Range(func(ch string, e *channelEntry) bool {
+		if visit(ch, e) {
+			idle = append(idle, ch)
+		}
+		return true
+	})
+	for _, ch := range idle {
+		t.entries.Delete(ch)
+	}
+	t.idleScratch = idle[:0]
+}
 
 // ChannelRate is one channel's estimated publish rate.
 type ChannelRate struct {
@@ -114,55 +158,33 @@ type ChannelRate struct {
 }
 
 // Top returns up to k channels ordered by publish rate since the previous
-// scrape. See TopInto.
+// Top. See TopInto.
 func (t *TopK) Top(k int) []ChannelRate { return t.TopInto(k, nil) }
 
 // TopInto is Top reusing dst's capacity for the result — the allocation-free
 // form for periodic scrape loops. Rates are measured since the previous
-// Top/TopInto call (since tracker start on the first). Sampled counts are
-// scaled back up by the sampling factor. Channels idle for a full window are
-// dropped from the tracker so a long scrape loop cannot grow it even toward
-// the cap.
+// Top/TopInto call (since table start on the first) over every publication,
+// stamped or not, and scaled back up by the sampling factor.
 func (t *TopK) TopInto(k int, dst []ChannelRate) []ChannelRate {
 	t.snapMu.Lock()
 	defer t.snapMu.Unlock()
 	now := t.now()
-	elapsed := now.Sub(t.lastTime).Seconds()
+	elapsed := now.Sub(t.lastTop).Seconds()
 	if elapsed <= 0 {
 		elapsed = 1
 	}
+	t.lastTop = now
 	scale := float64(uint64(1) << t.shift)
 	rates := dst[:0]
-	clear(t.cur)
-	idle := t.idleScratch[:0]
-	t.counts.Range(func(ch string, c *atomic.Uint64) bool {
-		cum := c.Load()
-		last, seen := t.prev[ch]
-		if cum < last {
-			// The channel was evicted and re-created since the last scrape:
-			// its counter restarted, so the full count is this window's.
-			last = 0
+	t.readOut(func(ch string, e *channelEntry) bool {
+		p := e.pubs.Load()
+		if p == e.topBase {
+			return e.idle()
 		}
-		delta := cum - last
-		if delta == 0 && seen {
-			// Idle for the whole window: forget the channel. Deletion is
-			// deferred — Range holds the shard lock. A publication racing
-			// the delete just re-creates the entry.
-			idle = append(idle, ch)
-			return true
-		}
-		t.cur[ch] = cum
-		if delta > 0 {
-			rates = append(rates, ChannelRate{Channel: ch, Rate: float64(delta) * scale / elapsed})
-		}
-		return true
+		rates = append(rates, ChannelRate{Channel: ch, Rate: float64(p-e.topBase) * scale / elapsed})
+		e.topBase = p
+		return false
 	})
-	for _, ch := range idle {
-		t.counts.Delete(ch)
-	}
-	t.idleScratch = idle[:0]
-	t.prev, t.cur = t.cur, t.prev
-	t.lastTime = now
 	slices.SortFunc(rates, func(a, b ChannelRate) int {
 		switch {
 		case a.Rate > b.Rate:
@@ -182,5 +204,61 @@ func (t *TopK) TopInto(k int, dst []ChannelRate) []ChannelRate {
 	return rates
 }
 
+// ChannelLatency is one channel's delivery-latency summary over the
+// read-out window, ranked by Contribution.
+type ChannelLatency struct {
+	Channel string  `json:"channel"`
+	Count   uint64  `json:"count"` // observations in the window (sample-scaled)
+	P99     float64 `json:"p99Seconds"`
+	// Contribution is P99 × Count: the tail-latency mass the channel adds to
+	// the node, which ranks a moderately slow hot channel above a glacially
+	// slow idle one.
+	Contribution float64 `json:"contribution"`
+}
+
+// Slowest returns up to k channels ordered by p99 contribution since the
+// previous Slowest call. Only Observe'd publications count; counts are
+// scaled back up by the sampling factor.
+func (t *TopK) Slowest(k int) []ChannelLatency {
+	t.snapMu.Lock()
+	defer t.snapMu.Unlock()
+	scale := float64(uint64(1) << t.shift)
+	var out []ChannelLatency
+	t.readOut(func(ch string, e *channelEntry) bool {
+		if e.lat.Count() == e.slowBase.Count() {
+			return e.idle()
+		}
+		cum := e.lat.Counts()
+		window := cum.Sub(e.slowBase)
+		e.slowBase = cum
+		p99 := window.Quantile(0.99).Seconds()
+		count := uint64(float64(window.Count()) * scale)
+		out = append(out, ChannelLatency{
+			Channel:      ch,
+			Count:        count,
+			P99:          p99,
+			Contribution: p99 * float64(count),
+		})
+		return false
+	})
+	slices.SortFunc(out, func(a, b ChannelLatency) int {
+		switch {
+		case a.Contribution > b.Contribution:
+			return -1
+		case a.Contribution < b.Contribution:
+			return 1
+		case a.Channel < b.Channel:
+			return -1
+		case a.Channel > b.Channel:
+			return 1
+		}
+		return 0
+	})
+	if len(out) > k {
+		out = out[:k]
+	}
+	return out
+}
+
 // CacheStats snapshots the channel-cache counters for metric export.
-func (t *TopK) CacheStats() hotstate.Stats { return t.counts.Stats() }
+func (t *TopK) CacheStats() hotstate.Stats { return t.entries.Stats() }

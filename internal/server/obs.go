@@ -54,16 +54,17 @@ func newStageHistograms() *stageHistograms {
 	}
 }
 
-// latencyObserver is the node's one latency observer: every stamped data
-// envelope's publish→fan-out age with its per-stage split (OnPublish), and
-// the writer-flush leg (OnFlush). It reads everything OnPublish needs from
-// the marks the broker has just stamped into the frame — a header peek, no
+// latencyObserver is the node's one latency observer: every publication
+// into the sampled channel table, every stamped data envelope's
+// publish→fan-out age with its per-stage split (OnPublish), and the
+// writer-flush leg (OnFlush). It reads everything OnPublish needs from the
+// marks the broker has just stamped into the frame — a header peek, no
 // decoding, no allocation, no clock read, no lock.
 type latencyObserver struct {
 	clk     clock.Clock
 	hist    *metrics.Histogram
 	stages  *stageHistograms
-	latTopk *obs.LatencyTopK
+	topk    *obs.TopK
 	flushes atomic.Uint64
 }
 
@@ -71,16 +72,15 @@ type latencyObserver struct {
 // itself, so ingress + fanout sum to e2e exactly, observation by observation.
 func (o *latencyObserver) OnPublish(ch string, payload []byte, _ int) {
 	s, ok := message.PeekStageStamp(payload)
-	if !ok || s.Stamp == 0 || s.FanoutUs == 0 {
-		return
-	}
-	if s.Type != message.TypeData && s.Type != message.TypeForwarded {
+	if !ok || s.Stamp == 0 || s.FanoutUs == 0 ||
+		(s.Type != message.TypeData && s.Type != message.TypeForwarded) {
+		o.topk.Record(ch)
 		return
 	}
 	age := time.Duration(s.FanoutUs) * time.Microsecond
 	ingress := time.Duration(min(s.IngressUs, s.FanoutUs)) * time.Microsecond // min: a clock stepped back between the marks
 	o.hist.Observe(age)
-	o.latTopk.Observe(ch, age)
+	o.topk.Observe(ch, age)
 	o.stages.ingress.Observe(ingress)
 	o.stages.fanout.Observe(age - ingress)
 }
@@ -226,7 +226,7 @@ func (n *Node) Waterfall() Waterfall {
 			{Stage: "fanout", LatencySummary: summarize(n.stages.fanout)},
 			{Stage: "flush", LatencySummary: summarize(n.stages.flush)},
 		},
-		SlowChannels: n.latTopk.Top(10),
+		SlowChannels: n.topk.Slowest(10),
 	}
 }
 
@@ -331,12 +331,11 @@ func (n *Node) buildRegistry() {
 		{Name: "lla_units", Stats: accum.UnitCacheStats},
 		{Name: "lla_subscribers", Stats: accum.SubscriberCacheStats},
 		{Name: "topk", Stats: n.topk.CacheStats},
-		{Name: "latency_topk", Stats: n.latTopk.CacheStats},
 		{Name: "channels", Stats: n.Broker.ChannelStats},
 	}
 	r.RegisterCaches("dynamoth_node", caches...)
 	// Derived reconfiguration families from the node's flight recorder
 	// (no-op when the node runs without one).
-	n.rec.RegisterMetrics(r)
+	n.rec.RegisterMetrics(r, "dispatcher")
 	n.reg = r
 }

@@ -1,14 +1,18 @@
 package server
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/dynamoth/dynamoth/internal/clock"
+	"github.com/dynamoth/dynamoth/internal/dispatcher"
 	"github.com/dynamoth/dynamoth/internal/message"
 	"github.com/dynamoth/dynamoth/internal/obs"
+	"github.com/dynamoth/dynamoth/internal/plan"
+	"github.com/dynamoth/dynamoth/internal/trace"
 )
 
 type dropSink struct{}
@@ -183,5 +187,74 @@ func TestStagesDecomposeE2EExactly(t *testing.T) {
 	}
 	if fanout.Sum == 0 {
 		t.Fatal("fanout leg never measured a clock step")
+	}
+}
+
+// TestNodeRegistryExportsOnlyDispatcherKinds: a node's flight recorder sees
+// only the dispatcher's reconfiguration kinds, so its registry carries those
+// families and no balancer or client one, nor a second copy of the broker's
+// connection counters.
+func TestNodeRegistryExportsOnlyDispatcherKinds(t *testing.T) {
+	n, err := New(Options{
+		ID:        "pub1",
+		NodeNum:   0xD001,
+		Initial:   plan.New("pub1"),
+		Forwarder: dispatcher.ForwarderFunc(func(plan.ServerID, string, []byte) error { return nil }),
+		Recorder:  trace.NewRecorder(0),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	var reconfig []string
+	for _, line := range strings.Split(n.Registry().String(), "\n") {
+		name, ok := strings.CutPrefix(line, "# TYPE ")
+		if !ok {
+			continue
+		}
+		name = strings.Fields(name)[0]
+		switch {
+		case strings.HasPrefix(name, "dynamoth_reconfig_"):
+			reconfig = append(reconfig, name)
+		case strings.HasPrefix(name, "dynamoth_conn_"), strings.HasPrefix(name, "dynamoth_replay_"):
+			t.Errorf("node exports recorder family %s", name)
+		}
+	}
+	slices.Sort(reconfig)
+	want := []string{"dynamoth_reconfig_drains_total", "dynamoth_reconfig_plan_applies_total", "dynamoth_reconfig_switch_sent_total"}
+	if !slices.Equal(reconfig, want) {
+		t.Fatalf("node reconfig families = %v, want the dispatcher's %v", reconfig, want)
+	}
+}
+
+// TestNodeChannelTableSeesEveryPublication: the latency observer feeds the
+// node's one channel table — every publication counts toward the hot
+// channels, and only stamped data toward the slow ones.
+func TestNodeChannelTableSeesEveryPublication(t *testing.T) {
+	clk := clock.NewManual(epoch)
+	n := newNode(t, clk)
+	const pubs = 4 << obs.DefaultSampleShift
+	// One channel after the other: interleaved one-to-one, every sampled
+	// publication would fall on the same channel.
+	for i := 0; i < pubs; i++ {
+		plain := message.Envelope{Type: message.TypeData, ID: message.ID{Node: 1, Seq: uint64(i)}, Channel: "plain"}
+		n.Broker.Publish("plain", plain.Marshal())
+	}
+	for i := 0; i < pubs; i++ {
+		stamped := message.Envelope{Type: message.TypeData, ID: message.ID{Node: 2, Seq: uint64(i)}, Channel: "stamped", Stamp: epoch.UnixNano()}
+		n.Broker.Publish("stamped", stamped.Marshal())
+	}
+	clk.Advance(time.Second)
+	var hot []string
+	for _, c := range n.Status().(Status).HotChannels {
+		hot = append(hot, c.Channel)
+	}
+	slices.Sort(hot)
+	if !slices.Equal(hot, []string{"plain", "stamped"}) {
+		t.Fatalf("hot channels = %v, want [plain stamped]", hot)
+	}
+	slow := n.Waterfall().SlowChannels
+	if len(slow) != 1 || slow[0].Channel != "stamped" {
+		t.Fatalf("slow channels = %+v, want [stamped]", slow)
 	}
 }

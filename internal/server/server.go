@@ -46,9 +46,6 @@ type Options struct {
 	MaxOutgoingBps float64
 	// Unit and ReportEvery configure the LLA (defaults 1 s / 3 s).
 	Unit, ReportEvery time.Duration
-	// TopKCap bounds the hot-channel tracker's channel set
-	// (0 = obs.DefaultTopKCap, negative = unbounded).
-	TopKCap int
 	// OutputBuffer is the broker's output limit, in messages, for
 	// in-process sessions.
 	OutputBuffer int
@@ -73,7 +70,7 @@ type Options struct {
 }
 
 // Node is one pub/sub server machine: broker + LLA + dispatcher, plus the
-// observability surface (metric registry, hot-channel tracker, end-to-end
+// observability surface (metric registry, sampled channel table, end-to-end
 // latency histogram) the admin endpoint exposes.
 type Node struct {
 	ID         plan.ServerID
@@ -83,7 +80,6 @@ type Node struct {
 
 	reg     *obs.Registry
 	topk    *obs.TopK
-	latTopk *obs.LatencyTopK
 	e2e     *metrics.Histogram
 	stages  *stageHistograms
 	rec     *trace.Recorder
@@ -155,8 +151,7 @@ func New(opts Options) (*Node, error) {
 		Broker:     b,
 		LLA:        analyzer,
 		Dispatcher: disp,
-		topk:       obs.NewTopKWithCap(-1, topKCap(opts.TopKCap), opts.Clock.Now),
-		latTopk:    obs.NewLatencyTopK(-1, opts.Clock.Now),
+		topk:       obs.NewTopK(-1, opts.Clock.Now),
 		e2e:        newE2EHistogram(),
 		stages:     newStageHistograms(),
 		rec:        opts.Recorder,
@@ -166,31 +161,18 @@ func New(opts Options) (*Node, error) {
 	n.connSrv = broker.NewConnServer(b, broker.ServeOptions{
 		Observer: &connTracer{rec: opts.Recorder},
 	})
-	// Observability observers: both are allocation-free in steady state (the
-	// latency observer peeks the envelope header once; the top-K trackers and
-	// its flush leg sample).
-	b.AddObserver(n.topk)
+	// The observability observer is allocation-free in steady state: it
+	// peeks the envelope header once; the channel table and the flush leg
+	// sample.
 	b.AddObserver(&latencyObserver{
-		clk:     opts.Clock,
-		hist:    n.e2e,
-		stages:  n.stages,
-		latTopk: n.latTopk,
+		clk:    opts.Clock,
+		hist:   n.e2e,
+		stages: n.stages,
+		topk:   n.topk,
 	})
 	n.buildRegistry()
 	analyzer.Start(n.publishReport)
 	return n, nil
-}
-
-// topKCap maps the Options convention (0 = default, negative = unbounded) to
-// the tracker's (positive = cap, <=0 = unbounded).
-func topKCap(v int) int {
-	switch {
-	case v == 0:
-		return obs.DefaultTopKCap
-	case v < 0:
-		return 0
-	}
-	return v
 }
 
 // publishReport puts one LLA report on the local control channel, where

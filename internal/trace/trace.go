@@ -106,14 +106,13 @@ const (
 
 // kindInfo is per-kind metadata: the JSON name, the emitting component, the
 // log level of the slog twin, whether Value is a span duration, and the
-// derived metric (if any).
+// derived metric (if any) that the component's registry exports.
 type kindInfo struct {
 	name      string
 	component string
 	level     slog.Level
 	span      bool   // Value holds a duration; export a histogram
 	metric    string // base metric name ("" = no derived metric)
-	sum       bool   // counter exports the Value sum, not the event count
 }
 
 var kinds = [kindCount]kindInfo{
@@ -125,8 +124,8 @@ var kinds = [kindCount]kindInfo{
 	KindTWait:        {name: "t_wait", component: "balancer", level: slog.LevelInfo, span: true, metric: "dynamoth_reconfig_t_wait"},
 	KindPlanApply:    {name: "plan_apply", component: "dispatcher", level: slog.LevelInfo, metric: "dynamoth_reconfig_plan_applies"},
 	KindSwitchSend:   {name: "switch_send", component: "dispatcher", level: slog.LevelDebug, metric: "dynamoth_reconfig_switch_sent"},
-	KindSwitchRecv:   {name: "switch_recv", component: "client", level: slog.LevelDebug, metric: "dynamoth_reconfig_switch_received"},
-	KindMigrate:      {name: "migrate", component: "client", level: slog.LevelInfo, metric: "dynamoth_reconfig_migrations"},
+	KindSwitchRecv:   {name: "switch_recv", component: "client", level: slog.LevelDebug},
+	KindMigrate:      {name: "migrate", component: "client", level: slog.LevelInfo},
 	KindDrained:      {name: "drained", component: "dispatcher", level: slog.LevelDebug, metric: "dynamoth_reconfig_drains"},
 	KindDetect:       {name: "detect", component: "balancer", level: slog.LevelWarn, metric: "dynamoth_reconfig_failures_detected"},
 	KindRepair:       {name: "repair", component: "balancer", level: slog.LevelWarn, span: true, metric: "dynamoth_reconfig_repair"},
@@ -136,11 +135,11 @@ var kinds = [kindCount]kindInfo{
 	KindRedial:       {name: "redial", component: "client", level: slog.LevelInfo},
 	KindSubstitute:   {name: "substitute", component: "client", level: slog.LevelInfo},
 	KindDuplicate:    {name: "duplicate", component: "client", level: slog.LevelDebug},
-	KindConnAccept:   {name: "conn_accept", component: "broker", level: slog.LevelDebug, metric: "dynamoth_conn_accepts"},
-	KindConnClose:    {name: "conn_close", component: "broker", level: slog.LevelDebug, metric: "dynamoth_conn_closes"},
-	KindBackpressure: {name: "backpressure", component: "broker", level: slog.LevelWarn, metric: "dynamoth_conn_backpressure"},
-	KindReplay:       {name: "replay", component: "client", level: slog.LevelInfo, metric: "dynamoth_replay_served", sum: true},
-	KindReplayGap:    {name: "replay_gap", component: "client", level: slog.LevelWarn, metric: "dynamoth_replay_gap_frames", sum: true},
+	KindConnAccept:   {name: "conn_accept", component: "broker", level: slog.LevelDebug},
+	KindConnClose:    {name: "conn_close", component: "broker", level: slog.LevelDebug},
+	KindBackpressure: {name: "backpressure", component: "broker", level: slog.LevelWarn},
+	KindReplay:       {name: "replay", component: "client", level: slog.LevelInfo},
+	KindReplayGap:    {name: "replay_gap", component: "client", level: slog.LevelWarn},
 }
 
 // String returns the kind's JSON name.
@@ -229,10 +228,9 @@ type Recorder struct {
 	internMap atomic.Pointer[map[string]uint64]
 	internTab atomic.Pointer[[]string]
 
-	// derived metrics, updated on every Record: per-kind event counts and
-	// Value sums, plus span-duration histograms for span kinds.
+	// derived metrics, updated on every Record: per-kind event counts, plus
+	// span-duration histograms for span kinds.
 	counts [kindCount]atomic.Uint64
-	sums   [kindCount]atomic.Int64
 	hists  [kindCount]*metrics.Histogram
 
 	logger atomic.Pointer[slog.Logger]
@@ -363,7 +361,6 @@ func (r *Recorder) Record(k Kind, planVersion uint64, subject, detail string, va
 		k = KindUnknown
 	}
 	r.counts[k].Add(1)
-	r.sums[k].Add(value)
 	if h := r.hists[k]; h != nil {
 		h.Observe(time.Duration(value))
 	}
@@ -456,15 +453,6 @@ func (r *Recorder) Count(k Kind) uint64 {
 	return r.counts[k].Load()
 }
 
-// Sum returns the lifetime Value sum for kind k (e.g. total frames replayed
-// for KindReplay).
-func (r *Recorder) Sum(k Kind) int64 {
-	if r == nil || k >= kindCount {
-		return 0
-	}
-	return r.sums[k].Load()
-}
-
 // Events returns the recorded events with Seq > since that are still in the
 // ring, oldest first. Events overwritten by wraparound are gone; the caller
 // can detect the gap by comparing the first returned Seq against since+1.
@@ -514,33 +502,24 @@ func (r *Recorder) Events(since uint64) []Event {
 	return out
 }
 
-// RegisterMetrics exports the recorder's derived reconfiguration metrics on
-// reg: per-kind counters (dynamoth_reconfig_*_total) and span-duration
-// histograms (dynamoth_reconfig_*_seconds). Reads happen on scrape only.
-func (r *Recorder) RegisterMetrics(reg *obs.Registry) {
+// RegisterMetrics exports on reg the derived reconfiguration metrics of the
+// kinds component emits ("dispatcher" on a node, "balancer" on the load
+// balancer): per-kind counters (dynamoth_reconfig_*_total) and span-duration
+// histograms (dynamoth_reconfig_*_seconds). A registry carries no family
+// its owner never records. Reads happen on scrape only.
+func (r *Recorder) RegisterMetrics(reg *obs.Registry, component string) {
 	if r == nil || reg == nil {
 		return
 	}
 	for k := Kind(1); k < kindCount; k++ {
 		info := kinds[k]
-		if info.metric == "" {
+		if info.metric == "" || info.component != component {
 			continue
 		}
 		k := k
-		if info.sum {
-			reg.Counter(info.metric+"_total",
-				"Lifetime value sum of "+info.name+" flight-recorder events.",
-				func() uint64 {
-					if v := r.sums[k].Load(); v > 0 {
-						return uint64(v)
-					}
-					return 0
-				})
-		} else {
-			reg.Counter(info.metric+"_total",
-				"Flight-recorder "+info.name+" events observed by the "+info.component+".",
-				func() uint64 { return r.counts[k].Load() })
-		}
+		reg.Counter(info.metric+"_total",
+			"Flight-recorder "+info.name+" events observed by the "+info.component+".",
+			func() uint64 { return r.counts[k].Load() })
 		if info.span {
 			reg.Histogram(info.metric+"_seconds",
 				"Duration of "+info.name+" reconfiguration phases.",

@@ -49,9 +49,6 @@ func TestTraceRecordAndRead(t *testing.T) {
 			t.Fatalf("timestamps not monotone: %d then %d", evs[i-1].Time, evs[i].Time)
 		}
 	}
-	if got := r.Sum(KindReplay); got != 4 {
-		t.Fatalf("Sum(KindReplay) = %d, want 4", got)
-	}
 	if got := r.Count(KindPlanPush); got != 1 {
 		t.Fatalf("Count(KindPlanPush) = %d, want 1", got)
 	}
@@ -195,7 +192,7 @@ func TestTraceNilRecorderSafe(t *testing.T) {
 	}
 	r.SetNow(time.Now)
 	r.SetLogger(slog.Default())
-	r.RegisterMetrics(obs.NewRegistry())
+	r.RegisterMetrics(obs.NewRegistry(), "balancer")
 }
 
 func TestTraceSpan(t *testing.T) {
@@ -265,19 +262,26 @@ func TestTraceRegisterMetrics(t *testing.T) {
 	r.SetNow(testNow())
 	r.Record(KindTrigger, 2, "", "spawn:1", 0, 0)
 	r.Record(KindReplay, 2, "game", "switch", 7, 0)
+	r.Record(KindPlanApply, 2, "pub1", "", 0, 0)
 	sp := r.StartSpan(KindRepair, 3, "pub1")
 	sp.End("evacuate", 5)
 	reg := obs.NewRegistry()
-	r.RegisterMetrics(reg)
+	r.RegisterMetrics(reg, "balancer")
 	text := reg.String()
 	checks := map[string]string{
 		"dynamoth_reconfig_triggers_total": "dynamoth_reconfig_triggers_total 1",
-		"dynamoth_replay_served_total":     "dynamoth_replay_served_total 7",
 		"dynamoth_reconfig_repair_seconds": "dynamoth_reconfig_repair_seconds_count 1",
 	}
 	for name, want := range checks {
 		if !strings.Contains(text, want) {
 			t.Fatalf("exposition missing %q for %s:\n%s", want, name, text)
+		}
+	}
+	// Only the registry owner's kinds: no dispatcher, client or broker
+	// family on the balancer's registry.
+	for _, absent := range []string{"dynamoth_reconfig_plan_applies", "dynamoth_replay_", "dynamoth_conn_"} {
+		if strings.Contains(text, absent) {
+			t.Fatalf("balancer exposition carries %q:\n%s", absent, text)
 		}
 	}
 	if _, err := obs.ValidateExposition(text); err != nil {

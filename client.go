@@ -450,8 +450,7 @@ func (c *Client) RegisterMetrics(r *obs.Registry) {
 // pipelined (writes are acked asynchronously), so "Publish returned" does not
 // mean "the broker has the message" — callers that need that barrier (a CLI
 // about to exit, a harness about to tear the broker down) previously guessed
-// with a sleep. Transports that do not report outstanding writes are treated
-// as already flushed.
+// with a sleep.
 func (c *Client) Flush(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for {
@@ -462,9 +461,7 @@ func (c *Client) Flush(timeout time.Duration) error {
 		}
 		pending := int64(0)
 		for _, cc := range c.conns {
-			if o, ok := cc.conn.(interface{ Outstanding() int64 }); ok {
-				pending += o.Outstanding()
-			}
+			pending += cc.conn.Outstanding()
 		}
 		c.mu.Unlock()
 		if pending == 0 {

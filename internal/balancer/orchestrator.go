@@ -46,9 +46,6 @@ type OrchestratorOptions struct {
 	PublishPlan func(*plan.Plan)
 	// Cloud provisions and releases servers. May be nil (fixed pool).
 	Cloud CloudProvider
-	// OnServerReady is called after a spawned server booted and joined the
-	// plan, before that plan is published. May be nil.
-	OnServerReady func(plan.ServerID)
 	// ReleaseGrace delays the despawn of a released server so in-flight
 	// forwarding can finish (default = 2×DrainTimeout analog, 20 s).
 	ReleaseGrace time.Duration
@@ -258,9 +255,6 @@ func (o *Orchestrator) spawnOne() {
 	boot.SetSubject(id)
 	boot.EndAt(next.Version, "ready", 0)
 	o.log.Info("server spawned", slog.String("server", id), slog.Uint64("plan", next.Version))
-	if o.opts.OnServerReady != nil {
-		o.opts.OnServerReady(id)
-	}
 	if o.opts.PublishPlan != nil {
 		o.opts.PublishPlan(next)
 	}

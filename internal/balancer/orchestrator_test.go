@@ -19,13 +19,18 @@ type fakeCloud struct {
 	mu       sync.Mutex
 	spawned  int
 	released []plan.ServerID
+	onSpawn  func(plan.ServerID) // set by startOrchestrator
 }
 
 func (f *fakeCloud) Spawn(context.Context) (plan.ServerID, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.spawned++
-	return fmt.Sprintf("new%d", f.spawned), nil
+	id := fmt.Sprintf("new%d", f.spawned)
+	if f.onSpawn != nil {
+		f.onSpawn(id)
+	}
+	return id, nil
 }
 
 func (f *fakeCloud) Release(id plan.ServerID) error {
@@ -72,8 +77,8 @@ func (s *scriptedPlanner) inputs() [][]ServerLoad {
 }
 
 // startOrchestrator runs an orchestrator over plan 0 = {pub1} and returns
-// the callbacks it made, in order: "ready <id>" for OnServerReady and
-// "publish v<version>" for PublishPlan.
+// what it did, in order: "spawn <id>" for a fakeCloud spawn and
+// "publish v<version> <servers>" for PublishPlan.
 func startOrchestrator(t *testing.T, planner PlanGenerator, cfg Config, cloud CloudProvider) (*Orchestrator, chan *lla.Report, func() []string) {
 	t.Helper()
 	reports := make(chan *lla.Report, 16)
@@ -86,16 +91,18 @@ func startOrchestrator(t *testing.T, planner PlanGenerator, cfg Config, cloud Cl
 		events = append(events, e)
 		mu.Unlock()
 	}
+	if fc, ok := cloud.(*fakeCloud); ok {
+		fc.onSpawn = func(id plan.ServerID) { event("spawn " + id) }
+	}
 	o := NewOrchestrator(OrchestratorOptions{
-		Planner:       planner,
-		Config:        cfg,
-		Initial:       initial,
-		Reports:       reports,
-		PublishPlan:   func(p *plan.Plan) { event(fmt.Sprintf("publish v%d", p.Version)) },
-		OnServerReady: func(id plan.ServerID) { event("ready " + id) },
-		Cloud:         cloud,
-		Clock:         clock.NewReal(),
-		ReleaseGrace:  50 * time.Millisecond,
+		Planner:      planner,
+		Config:       cfg,
+		Initial:      initial,
+		Reports:      reports,
+		PublishPlan:  func(p *plan.Plan) { event(fmt.Sprintf("publish v%d %v", p.Version, p.Servers)) },
+		Cloud:        cloud,
+		Clock:        clock.NewReal(),
+		ReleaseGrace: 50 * time.Millisecond,
 	})
 	go o.Run()
 	t.Cleanup(o.Stop)
@@ -126,8 +133,8 @@ func TestOrchestratorPublishesPlans(t *testing.T) {
 	o, _, events := startOrchestrator(t, planner, cfg, nil)
 
 	waitFor(t, "plan publication", func() bool { return len(events()) == 1 })
-	if got := events(); got[0] != "publish v2" {
-		t.Fatalf("callbacks %v, want [publish v2]", got)
+	if got := events(); got[0] != "publish v2 [pub1]" {
+		t.Fatalf("events %v, want [publish v2 [pub1]]", got)
 	}
 	if o.Plan().Version != 2 {
 		t.Fatalf("current plan version %d", o.Plan().Version)
@@ -145,9 +152,9 @@ func TestOrchestratorSpawnAddsRingServer(t *testing.T) {
 	o, _, events := startOrchestrator(t, planner, cfg, cloud)
 
 	waitFor(t, "post-spawn plan", func() bool { return len(events()) == 2 })
-	// The node is started before the plan that names it goes out.
-	if got := events(); got[0] != "ready new1" || got[1] != "publish v2" {
-		t.Fatalf("callbacks %v, want [ready new1, publish v2]", got)
+	// The node is spawned before the plan that names it goes out.
+	if got := events(); got[0] != "spawn new1" || got[1] != "publish v2 [pub1 new1]" {
+		t.Fatalf("events %v, want [spawn new1, publish v2 [pub1 new1]]", got)
 	}
 	p := o.Plan()
 	if !p.HasServer("new1") {

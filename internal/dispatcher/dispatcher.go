@@ -28,6 +28,9 @@ func (f ForwarderFunc) ForwardPublish(server plan.ServerID, channel string, payl
 	return f(server, channel, payload)
 }
 
+// tickEvery is how often Core.OnTick expires drained transitions.
+const tickEvery = 5 * time.Second
+
 // Dispatcher is the live reconfiguration agent for one node: a broker
 // observer that drives a Core and executes its actions against the local
 // broker and the Forwarder. It also listens on its dispatch control channel
@@ -90,7 +93,7 @@ func New(opts Options) (*Dispatcher, error) {
 		core:        NewCore(opts.Self, opts.Node, opts.Initial, DefaultDrainTimeout),
 		stop:        make(chan struct{}),
 		done:        make(chan struct{}),
-		ticker:      opts.Clock.NewTicker(5 * time.Second),
+		ticker:      opts.Clock.NewTicker(tickEvery),
 	}
 	session, err := opts.Broker.Connect("dispatcher:"+opts.Self, controlSink{d})
 	if err != nil {

@@ -1,7 +1,9 @@
 package obs
 
 import (
+	"cmp"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -10,7 +12,7 @@ import (
 	"github.com/dynamoth/dynamoth/internal/metrics"
 )
 
-// DefaultSampleShift makes the table count every 16th publication: a
+// DefaultSampleShift makes the table count one publication in 16: a
 // compromise between fidelity on hot channels (the ones the read-outs exist
 // to surface) and per-publish cost on the fan-out path.
 const DefaultSampleShift = 4
@@ -20,16 +22,27 @@ const DefaultSampleShift = 4
 // surface — so the cap costs accuracy only on channels too cold to rank.
 const DefaultLatencyTopKCap = 4096
 
+// Sampled reports whether call n (from 0) of a shared counter is sampled at
+// one in 2^shift: one n in every block of 2^shift values, at an offset that a
+// splitmix64 mix of the block index picks, so traffic that cycles channels in
+// step with the blocks cannot put every sample on one channel.
+func Sampled(n, shift uint64) bool {
+	z := n>>shift + 0x9e3779b97f4a7c15
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return n&(1<<shift-1) == (z^z>>31)>>(64-shift)
+}
+
 // channelBuckets is the per-channel histogram resolution: 28 factor-two
 // buckets from 1µs to ~4.5min — coarse quantiles, but per-channel state stays
 // at 28 counters, which is what lets the table hold thousands of channels.
 const channelBuckets = 28
 
-// TopK is the node's one sampled per-channel table. Every 2^shift-th
-// publication lands in its channel's entry: Record counts it, Observe counts
-// it and records its delivery latency. Two read-outs rank the entries, each
-// over the window since its own previous call: Top by publish rate (the hot
-// channels) and Slowest by p99 contribution (the slow channels).
+// TopK is the node's one sampled per-channel table. One publication in
+// 2^shift (Sampled) lands in its channel's entry: Record counts it, Observe
+// counts it and records its delivery latency. Two read-outs rank the
+// entries, each over the window since its own previous call: Top by publish
+// rate (the hot channels) and Slowest by p99 contribution (the slow channels).
 //
 // Record and Observe are safe on the publish hot path: one atomic add plus,
 // on the sampled subset, one sharded cache hit and a counter (and bucket)
@@ -37,7 +50,7 @@ const channelBuckets = 28
 // capacity-bounded: cold channels are evicted and idle ones dropped at
 // read-out, so the table holds O(cap) state regardless of namespace size.
 type TopK struct {
-	shift   uint64 // sample every 2^shift-th publication
+	shift   uint64 // sample one publication in 2^shift
 	n       atomic.Uint64
 	entries *hotstate.Cache[string, *channelEntry]
 
@@ -68,7 +81,7 @@ func (e *channelEntry) idle() bool {
 	return p != 0 && p == e.topBase && e.lat.Count() == e.slowBase.Count()
 }
 
-// NewTopK creates a table sampling every 2^sampleShift-th publication
+// NewTopK creates a table sampling one publication in 2^sampleShift
 // (DefaultSampleShift when negative) holding at most DefaultLatencyTopKCap
 // channels. now supplies time for rate windows (nil = wall clock).
 func NewTopK(sampleShift int, now func() time.Time) *TopK {
@@ -113,10 +126,10 @@ func (t *TopK) Observe(channel string, d time.Duration) {
 	}
 }
 
-// sample returns channel's entry, creating it on first sight, for every
-// 2^shift-th publication, and nil for the others.
+// sample returns channel's entry, creating it on first sight, for one
+// publication in 2^shift, and nil for the others.
 func (t *TopK) sample(channel string) *channelEntry {
-	if t.n.Add(1)&(1<<t.shift-1) != 0 {
+	if !Sampled(t.n.Add(1)-1, t.shift) {
 		return nil
 	}
 	if e, ok := t.entries.Get(channel); ok {
@@ -186,17 +199,7 @@ func (t *TopK) TopInto(k int, dst []ChannelRate) []ChannelRate {
 		return false
 	})
 	slices.SortFunc(rates, func(a, b ChannelRate) int {
-		switch {
-		case a.Rate > b.Rate:
-			return -1
-		case a.Rate < b.Rate:
-			return 1
-		case a.Channel < b.Channel:
-			return -1
-		case a.Channel > b.Channel:
-			return 1
-		}
-		return 0
+		return cmp.Or(cmp.Compare(b.Rate, a.Rate), strings.Compare(a.Channel, b.Channel))
 	})
 	if len(rates) > k {
 		rates = rates[:k]
@@ -242,17 +245,7 @@ func (t *TopK) Slowest(k int) []ChannelLatency {
 		return false
 	})
 	slices.SortFunc(out, func(a, b ChannelLatency) int {
-		switch {
-		case a.Contribution > b.Contribution:
-			return -1
-		case a.Contribution < b.Contribution:
-			return 1
-		case a.Channel < b.Channel:
-			return -1
-		case a.Channel > b.Channel:
-			return 1
-		}
-		return 0
+		return cmp.Or(cmp.Compare(b.Contribution, a.Contribution), strings.Compare(a.Channel, b.Channel))
 	})
 	if len(out) > k {
 		out = out[:k]

@@ -49,6 +49,72 @@ func TestTopKSamplingScalesRates(t *testing.T) {
 	}
 }
 
+// cycledRates publishes rounds rounds of channels in strict rotation on a
+// table sampling one in 16 and returns each channel's ranked rate over one
+// second, against the true rate of rounds per second.
+func cycledRates(t *testing.T, channels, rounds int) map[string]float64 {
+	t.Helper()
+	now := time.Unix(0, 0)
+	tk := NewTopK(4, func() time.Time { return now })
+	for r := 0; r < rounds; r++ {
+		for c := 0; c < channels; c++ {
+			tk.Record(fmt.Sprintf("ch-%d", c))
+		}
+	}
+	now = now.Add(time.Second)
+	rates := map[string]float64{}
+	for _, c := range tk.Top(channels) {
+		rates[c.Channel] = c.Rate
+	}
+	return rates
+}
+
+// TestTopKSamplingAlternatedChannels: two channels published strictly
+// alternately are each ranked within 10% of their true rate. A sample taken
+// at a fixed offset in every block of 16 would see only one of them.
+func TestTopKSamplingAlternatedChannels(t *testing.T) {
+	const rounds = 16000
+	rates := cycledRates(t, 2, rounds)
+	for c := 0; c < 2; c++ {
+		ch := fmt.Sprintf("ch-%d", c)
+		if r := rates[ch]; r < 0.9*rounds || r > 1.1*rounds {
+			t.Errorf("%s ranked at %v/s, true rate %d/s (all: %v)", ch, r, rounds, rates)
+		}
+	}
+}
+
+// TestTopKSamplingRoundRobin: sixteen channels in round-robin are each ranked
+// within 15% of their true rate, where a fixed sampling offset ranks one of
+// them at 16 times its rate and hides the rest.
+func TestTopKSamplingRoundRobin(t *testing.T) {
+	const rounds = 16000
+	rates := cycledRates(t, 16, rounds)
+	for c := 0; c < 16; c++ {
+		ch := fmt.Sprintf("ch-%d", c)
+		if r := rates[ch]; r < 0.85*rounds || r > 1.15*rounds {
+			t.Errorf("%s ranked at %v/s, true rate %d/s (all: %v)", ch, r, rounds, rates)
+		}
+	}
+}
+
+// TestSampledOnePerBlock: N blocks of 2^shift consecutive calls give exactly
+// N samples, one in each block.
+func TestSampledOnePerBlock(t *testing.T) {
+	for _, shift := range []uint64{0, 1, 4, 7} {
+		for block := uint64(0); block < 1000; block++ {
+			hits := 0
+			for i := uint64(0); i < 1<<shift; i++ {
+				if Sampled(block<<shift+i, shift) {
+					hits++
+				}
+			}
+			if hits != 1 {
+				t.Fatalf("shift %d block %d: %d samples, want 1", shift, block, hits)
+			}
+		}
+	}
+}
+
 func TestTopKDropsIdleChannels(t *testing.T) {
 	now := time.Unix(0, 0)
 	tk := NewTopK(0, func() time.Time { return now })

@@ -94,10 +94,10 @@ func (o *latencyObserver) OnUnsubscribe(string, string, int) {}
 // OnFlush implements broker.FlushObserver: the age of a frame past its
 // fanout-enqueue mark at the moment it leaves the broker's output queue for
 // a connection write buffer. It runs once per delivery on the dispatch path,
-// so it samples (every 2^shift-th delivery) and peeks only on the sampled
+// so it samples (one delivery in 2^shift) and peeks only on the sampled
 // subset.
 func (o *latencyObserver) OnFlush(payload []byte) {
-	if o.flushes.Add(1)&(1<<obs.DefaultSampleShift-1) != 0 {
+	if !obs.Sampled(o.flushes.Add(1)-1, obs.DefaultSampleShift) {
 		return
 	}
 	s, ok := message.PeekStageStamp(payload)

@@ -234,13 +234,11 @@ func TestNodeChannelTableSeesEveryPublication(t *testing.T) {
 	clk := clock.NewManual(epoch)
 	n := newNode(t, clk)
 	const pubs = 4 << obs.DefaultSampleShift
-	// One channel after the other: interleaved one-to-one, every sampled
-	// publication would fall on the same channel.
+	// Interleaved one-to-one: the table samples one publication in every
+	// block of 2^shift at a varying offset, so both channels are seen.
 	for i := 0; i < pubs; i++ {
 		plain := message.Envelope{Type: message.TypeData, ID: message.ID{Node: 1, Seq: uint64(i)}, Channel: "plain"}
 		n.Broker.Publish("plain", plain.Marshal())
-	}
-	for i := 0; i < pubs; i++ {
 		stamped := message.Envelope{Type: message.TypeData, ID: message.ID{Node: 2, Seq: uint64(i)}, Channel: "stamped", Stamp: epoch.UnixNano()}
 		n.Broker.Publish("stamped", stamped.Marshal())
 	}

@@ -183,6 +183,9 @@ func (c *memConn) SubscribeCursor(channel string, cur message.Cursor) (ReplayRes
 	return ReplayResult{Replayed: res.Replayed, Missed: res.Missed, Epoch: res.Epoch}, err
 }
 
+// Outstanding is 0: Publish hands the frame over before it returns.
+func (c *memConn) Outstanding() int64 { return 0 }
+
 func (c *memConn) publishNow(channel string, payload []byte) {
 	c.session.Broker().Publish(channel, payload)
 }

@@ -41,6 +41,8 @@ type Conn interface {
 	// the caller may reuse its buffer at once — the client publishes from
 	// pooled envelope buffers.
 	Publish(channel string, payload []byte) error
+	// Outstanding is how many publishes await the server's acknowledgement.
+	Outstanding() int64
 	// Close tears the connection down. OnDisconnect is not called for
 	// explicit closes.
 	Close() error

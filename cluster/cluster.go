@@ -28,7 +28,6 @@ import (
 	"github.com/dynamoth/dynamoth/internal/cloud"
 	"github.com/dynamoth/dynamoth/internal/dispatcher"
 	"github.com/dynamoth/dynamoth/internal/lla"
-	"github.com/dynamoth/dynamoth/internal/message"
 	"github.com/dynamoth/dynamoth/internal/netsim"
 	"github.com/dynamoth/dynamoth/internal/obs"
 	"github.com/dynamoth/dynamoth/internal/plan"
@@ -96,12 +95,11 @@ type Cluster struct {
 
 	mu      sync.Mutex
 	nodes   map[plan.ServerID]*server.Node
-	watched map[plan.ServerID]*watcher
 	nextNum uint32
 
 	dialer   *transport.MemDialer // client-facing (WAN latency if enabled)
-	faults   *netsim.Faults       // fault injection on the client↔server path
-	reports  chan *lla.Report
+	lan      *transport.MemDialer // the balancer's links: no WAN latency
+	faults   *netsim.Faults       // fault injection on every path to a node
 	orch     *balancer.Orchestrator
 	provider *cloud.Simulator
 	rec      *trace.Recorder // shared flight recorder (every component appends)
@@ -112,11 +110,6 @@ type Cluster struct {
 	lbReg     *obs.Registry
 
 	stopOnce sync.Once
-}
-
-// watcher holds the LB's report subscription on one node.
-type watcher struct {
-	sess interface{ Close() }
 }
 
 // Start boots a cluster.
@@ -144,11 +137,9 @@ func Start(opts Options) (*Cluster, error) {
 	}
 
 	c := &Cluster{
-		opts:    opts,
-		clk:     opts.Clock,
-		nodes:   make(map[plan.ServerID]*server.Node),
-		watched: make(map[plan.ServerID]*watcher),
-		reports: make(chan *lla.Report, 256),
+		opts:  opts,
+		clk:   opts.Clock,
+		nodes: make(map[plan.ServerID]*server.Node),
 	}
 
 	// One shared flight recorder for the whole deployment: every component
@@ -161,16 +152,12 @@ func Start(opts Options) (*Cluster, error) {
 	}
 
 	c.faults = netsim.NewFaults(opts.Seed)
-	var dialerOpts transport.MemDialerOptions
+	lanOpts := transport.MemDialerOptions{Clock: opts.Clock, Faults: c.faults}
+	c.lan = transport.NewMemDialer(nil, lanOpts)
+	dialerOpts := lanOpts
 	if opts.WANLatency {
-		dialerOpts = transport.MemDialerOptions{
-			Latency: netsim.NewPathModel(),
-			Clock:   opts.Clock,
-			Seed:    opts.Seed,
-			Faults:  c.faults,
-		}
-	} else {
-		dialerOpts = transport.MemDialerOptions{Clock: opts.Clock, Faults: c.faults}
+		dialerOpts.Latency = netsim.NewPathModel()
+		dialerOpts.Seed = opts.Seed
 	}
 	c.dialer = transport.NewMemDialer(nil, dialerOpts)
 
@@ -211,30 +198,31 @@ func Start(opts Options) (*Cluster, error) {
 		}
 		reportEvery := opts.ReportEvery
 		if reportEvery <= 0 {
-			reportEvery = 3 * time.Second // the server.Options default
+			reportEvery = lla.DefaultReportEvery
 		}
-		c.orch = balancer.NewOrchestrator(balancer.OrchestratorOptions{
-			Planner:     gen,
-			Config:      cfg,
-			Initial:     initial,
-			Reports:     c.reports,
-			PublishPlan: c.publishPlan,
-			Cloud:       clusterCloud{c},
-			Clock:       opts.Clock,
-			Recorder:    c.rec,
-			Logger:      opts.Logger,
+		orch, err := balancer.NewOrchestrator(balancer.OrchestratorOptions{
+			Planner:  gen,
+			Config:   cfg,
+			Initial:  initial,
+			Dialer:   c.lan,
+			Cloud:    clusterCloud{c},
+			Clock:    opts.Clock,
+			Recorder: c.rec,
+			Logger:   opts.Logger,
 			// Staleness threshold: a few missed report intervals. Probes run
-			// at report cadence, so K=3 misses and staleness agree on the
-			// detection window (~4×ReportEvery) for a hard crash.
-			Detect: &lla.DetectorConfig{
-				StaleAfter:  4 * reportEvery,
-				ProbeMisses: 3,
-			},
-			Probe:         c.probe,
+			// at report cadence, so K=3 misses (the default) and staleness
+			// agree on the detection window (~4×ReportEvery) for a hard
+			// crash.
+			Detect:        &lla.DetectorConfig{StaleAfter: 4 * reportEvery},
 			ProbeInterval: reportEvery,
 			OnServerDead:  func(id plan.ServerID) { c.teardownNode(id) },
 			ReplaceFailed: opts.ReplaceFailedServers,
 		})
+		if err != nil {
+			c.Stop()
+			return nil, err
+		}
+		c.orch = orch
 		go c.orch.Run()
 	}
 	return c, nil
@@ -334,8 +322,9 @@ func (c *Cluster) Crash(id string) error {
 }
 
 // PartitionServer blackholes a node's endpoint: connections stay up while
-// publishes, deliveries, and load reports silently vanish — the failure
-// mode probes and report staleness exist to catch. Undo with HealServer.
+// publishes, deliveries, load reports and plan pushes silently vanish — the
+// failure mode probes and report staleness exist to catch. Undo with
+// HealServer.
 func (c *Cluster) PartitionServer(id string) error {
 	c.mu.Lock()
 	_, ok := c.nodes[id]
@@ -353,7 +342,8 @@ func (c *Cluster) HealServer(id string) {
 }
 
 // SetDropRate makes a fraction p (0..1) of packets to and from the node
-// vanish, in both the publish and delivery direction.
+// vanish, in both the publish and delivery direction (load reports and plan
+// pushes included).
 func (c *Cluster) SetDropRate(id string, p float64) {
 	c.faults.SetDropRate(id, p)
 }
@@ -378,15 +368,12 @@ func (c *Cluster) Stop() {
 			nodes = append(nodes, n)
 		}
 		c.nodes = make(map[plan.ServerID]*server.Node)
-		for _, w := range c.watched {
-			w.sess.Close()
-		}
-		c.watched = make(map[plan.ServerID]*watcher)
 		c.mu.Unlock()
 		for _, n := range nodes {
 			n.Close()
 		}
 		c.dialer.Close()
+		c.lan.Close()
 	})
 }
 
@@ -406,41 +393,21 @@ func (c *Cluster) currentPlanLocked() *plan.Plan {
 	return p
 }
 
-// teardownNode fences one node: endpoint removed from the dialer, the LB's
-// report watch closed, the broker shut down (dropping every client session).
+// teardownNode fences one node: endpoint removed from both dialers, the
+// broker shut down (dropping every session, the balancer's link included).
 // Used by Crash, by a release and as the balancer's OnServerDead fence —
 // idempotent, so a detected crash after an explicit Crash is a no-op.
 func (c *Cluster) teardownNode(id plan.ServerID) bool {
 	c.mu.Lock()
 	n := c.nodes[id]
 	delete(c.nodes, id)
-	w := c.watched[id]
-	delete(c.watched, id)
 	c.mu.Unlock()
 	c.dialer.RemoveServer(id)
-	if w != nil {
-		w.sess.Close()
-	}
+	c.lan.RemoveServer(id)
 	if n != nil {
 		n.Close()
 	}
 	return n != nil
-}
-
-// probe models the balancer's RESP PING with a deadline against one node.
-// In-process there is no socket to time out on, so liveness is membership
-// (the node still exists) plus reachability (its endpoint not blackholed).
-func (c *Cluster) probe(id plan.ServerID) error {
-	if c.faults.Blackholed(id) {
-		return fmt.Errorf("cluster: probe %s: timeout (blackholed)", id)
-	}
-	c.mu.Lock()
-	n := c.nodes[id]
-	c.mu.Unlock()
-	if n == nil {
-		return fmt.Errorf("cluster: probe %s: connection refused", id)
-	}
-	return nil
 }
 
 // forward implements dispatcher forwarding across nodes (cloud LAN).
@@ -455,7 +422,7 @@ func (c *Cluster) forward(serverID plan.ServerID, channel string, payload []byte
 	return nil
 }
 
-// startNode creates and registers one node, wiring the report collector.
+// startNode creates one node and registers it with both dialers.
 func (c *Cluster) startNode(id plan.ServerID, initial *plan.Plan) error {
 	c.mu.Lock()
 	c.nextNum++
@@ -479,78 +446,13 @@ func (c *Cluster) startNode(id plan.ServerID, initial *plan.Plan) error {
 		return fmt.Errorf("cluster: starting node %s: %w", id, err)
 	}
 
-	// The LB's report subscription on this node's broker.
-	sess, err := n.Broker.Connect("lb-collector", reportSink{c})
-	if err != nil {
-		n.Close()
-		return err
-	}
-	if _, err := sess.Subscribe(plan.ReportChannel); err != nil {
-		n.Close()
-		return err
-	}
-
 	c.mu.Lock()
 	c.nodes[id] = n
-	c.watched[id] = &watcher{sess: sess}
 	c.mu.Unlock()
 	c.dialer.AddServer(id, n.Broker)
+	c.lan.AddServer(id, n.Broker)
 	return nil
 }
-
-// publishPlan distributes a plan to every node's dispatcher over the
-// control plane.
-func (c *Cluster) publishPlan(p *plan.Plan) {
-	data, err := p.Marshal()
-	if err != nil {
-		return
-	}
-	env := &message.Envelope{
-		Type:    message.TypePlan,
-		ID:      message.ID{Node: 0xDB, Seq: p.Version},
-		Channel: plan.PlanChannel,
-		Payload: data,
-	}
-	payload := env.Marshal()
-	c.mu.Lock()
-	nodes := make([]*server.Node, 0, len(c.nodes))
-	for _, n := range c.nodes {
-		nodes = append(nodes, n)
-	}
-	c.mu.Unlock()
-	for _, n := range nodes {
-		push := c.rec.StartSpan(trace.KindPlanPush, p.Version, string(n.ID))
-		n.Broker.Publish(plan.PlanChannel, payload)
-		push.End("", int64(len(nodes)))
-	}
-}
-
-// reportSink feeds LLA reports from any node into the LB.
-type reportSink struct{ c *Cluster }
-
-// Deliver implements broker.Sink.
-func (s reportSink) Deliver(_ string, payload []byte) {
-	env, err := message.Unmarshal(payload)
-	if err != nil || env.Type != message.TypeLoadReport {
-		return
-	}
-	r, err := lla.UnmarshalReport(env.Payload)
-	if err != nil {
-		return
-	}
-	// The in-process report hop bypasses the dialer, so apply the partition
-	// model here: a blackholed node's reports never reach the balancer.
-	if s.c.faults.Blackholed(r.Server) {
-		return
-	}
-	select {
-	case s.c.reports <- r:
-	default: // LB lagging; a newer report will follow
-	}
-}
-
-// Closed implements broker.Sink.
-func (reportSink) Closed(error) {}
 
 // clusterCloud adapts the cluster to balancer.CloudProvider: spawning boots
 // a cloud instance and then starts a full node on it.

@@ -17,18 +17,15 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log/slog"
 	"os"
 	"os/signal"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
 	"github.com/dynamoth/dynamoth/internal/balancer"
 	"github.com/dynamoth/dynamoth/internal/buildinfo"
 	"github.com/dynamoth/dynamoth/internal/lla"
-	"github.com/dynamoth/dynamoth/internal/message"
 	"github.com/dynamoth/dynamoth/internal/obs"
 	"github.com/dynamoth/dynamoth/internal/plan"
 	"github.com/dynamoth/dynamoth/internal/trace"
@@ -69,7 +66,7 @@ func run() error {
 		dialTO     = flag.Duration("dial-timeout", 5*time.Second, "deadline for dialing nodes")
 		detect     = flag.Bool("detect", true, "detect node failures (PING probes + report staleness) and repair the plan")
 		probeEvery = flag.Duration("probe-interval", 2*time.Second, "liveness probe interval")
-		staleAfter = flag.Duration("stale-after", 12*time.Second, "report silence that marks a node dead")
+		staleAfter = flag.Duration("stale-after", 4*lla.DefaultReportEvery, "report silence that marks a node dead")
 		admin      = flag.String("admin-addr", "", "admin HTTP listen address for /metrics, /healthz, /statusz, /debug/pprof, /debug/events, /debug/rebalances (empty = disabled)")
 		logLvl     = flag.String("log-level", "info", "structured log level on stderr (debug, info, warn, error)")
 	)
@@ -84,7 +81,6 @@ func run() error {
 		return fmt.Errorf("parsing -log-level: %w", err)
 	}
 	logger := trace.NewStderrLogger(level)
-	log := trace.Component(logger, "lb")
 	rec := trace.NewRecorder(0)
 
 	ids := make([]string, 0, len(nodes))
@@ -98,24 +94,6 @@ func run() error {
 
 	dialer := transport.NewTCPDialer(addrs)
 	dialer.DialTimeout = *dialTO
-	reports := make(chan *lla.Report, 256)
-
-	// One subscription per node for its report channel; plan publications
-	// reuse the same connections. connsMu covers the plan-publish and
-	// failure-fence goroutines.
-	var connsMu sync.Mutex
-	conns := make(map[plan.ServerID]transport.Conn, len(ids))
-	for _, id := range ids {
-		conn, err := dialer.Dial(id, reportHandler{reports: reports, log: log})
-		if err != nil {
-			return fmt.Errorf("connecting to node %s: %w", id, err)
-		}
-		defer conn.Close()
-		if err := conn.Subscribe(plan.ReportChannel); err != nil {
-			return fmt.Errorf("subscribing reports on %s: %w", id, err)
-		}
-		conns[id] = conn
-	}
 
 	cfg := balancer.DefaultConfig()
 	cfg.TWait = *twait
@@ -124,61 +102,22 @@ func run() error {
 	pinned := func(s string) bool { return s == ids[0] }
 	planner := balancer.NewPlanner(cfg, plan.IsControlChannel, pinned, *maxBps)
 
-	gen := message.NewGenerator(0xB1B)
-	publishPlan := func(p *plan.Plan) {
-		data, err := p.Marshal()
-		if err != nil {
-			return
-		}
-		env := &message.Envelope{
-			Type:    message.TypePlan,
-			ID:      gen.Next(),
-			Channel: plan.PlanChannel,
-			Payload: data,
-		}
-		payload := env.Marshal()
-		connsMu.Lock()
-		for id, conn := range conns {
-			push := rec.StartSpan(trace.KindPlanPush, p.Version, id)
-			if err := conn.Publish(plan.PlanChannel, payload); err != nil {
-				push.End("error", 0)
-				log.Warn("plan publish failed",
-					slog.Uint64("plan", p.Version), slog.String("node", id), slog.Any("err", err))
-				continue
-			}
-			push.End("", 0)
-		}
-		connsMu.Unlock()
-		log.Info("plan published",
-			slog.Uint64("plan", p.Version), slog.Int("channels", len(p.Channels)))
-	}
-
 	orchOpts := balancer.OrchestratorOptions{
-		Planner:     planner,
-		Config:      cfg,
-		Initial:     initial,
-		Reports:     reports,
-		PublishPlan: publishPlan,
-		Recorder:    rec,
-		Logger:      logger,
+		Planner:       planner,
+		Config:        cfg,
+		Initial:       initial,
+		Dialer:        dialer,
+		ProbeInterval: *probeEvery,
+		Recorder:      rec,
+		Logger:        logger,
 	}
 	if *detect {
-		orchOpts.Detect = &lla.DetectorConfig{StaleAfter: *staleAfter, ProbeMisses: 3}
-		orchOpts.Probe = func(id plan.ServerID) error {
-			return dialer.Probe(id, 2*time.Second)
-		}
-		orchOpts.ProbeInterval = *probeEvery
-		orchOpts.OnServerDead = func(id plan.ServerID) {
-			log.Warn("node fenced", slog.String("node", id))
-			connsMu.Lock()
-			if conn, ok := conns[id]; ok {
-				conn.Close()
-				delete(conns, id)
-			}
-			connsMu.Unlock()
-		}
+		orchOpts.Detect = &lla.DetectorConfig{StaleAfter: *staleAfter}
 	}
-	orch := balancer.NewOrchestrator(orchOpts)
+	orch, err := balancer.NewOrchestrator(orchOpts)
+	if err != nil {
+		return err
+	}
 	go orch.Run()
 	defer orch.Stop()
 
@@ -200,29 +139,4 @@ func run() error {
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	<-sigc
 	return nil
-}
-
-// reportHandler feeds LLA reports into the orchestrator.
-type reportHandler struct {
-	reports chan<- *lla.Report
-	log     *slog.Logger
-}
-
-func (h reportHandler) OnMessage(_ string, payload []byte) {
-	env, err := message.Unmarshal(payload)
-	if err != nil || env.Type != message.TypeLoadReport {
-		return
-	}
-	r, err := lla.UnmarshalReport(env.Payload)
-	if err != nil {
-		return
-	}
-	select {
-	case h.reports <- r:
-	default:
-	}
-}
-
-func (h reportHandler) OnDisconnect(err error) {
-	h.log.Warn("node connection lost", slog.Any("err", err))
 }

@@ -2,14 +2,18 @@ package balancer
 
 import (
 	"context"
+	"fmt"
 	"log/slog"
+	"maps"
 	"sync"
 	"time"
 
 	"github.com/dynamoth/dynamoth/internal/clock"
 	"github.com/dynamoth/dynamoth/internal/lla"
+	"github.com/dynamoth/dynamoth/internal/message"
 	"github.com/dynamoth/dynamoth/internal/plan"
 	"github.com/dynamoth/dynamoth/internal/trace"
+	"github.com/dynamoth/dynamoth/internal/transport"
 )
 
 // PlanGenerator is the planning strategy: the Dynamoth Planner or the
@@ -30,6 +34,15 @@ type CloudProvider interface {
 	Release(id plan.ServerID) error
 }
 
+// Dialer reaches the plan servers: Dial opens the orchestrator's control link
+// to one (its LLA reports in, plans out) and Probe checks its liveness, the
+// probe enforcing timeout itself. transport.TCPDialer and
+// transport.MemDialer satisfy it.
+type Dialer interface {
+	Dial(server plan.ServerID, h transport.Handler) (transport.Conn, error)
+	Probe(server plan.ServerID, timeout time.Duration) error
+}
+
 // OrchestratorOptions wires a live load-balancer loop.
 type OrchestratorOptions struct {
 	// Planner decides plans (Dynamoth or CH baseline). It runs under the
@@ -39,11 +52,10 @@ type OrchestratorOptions struct {
 	Config Config
 	// Initial is the bootstrap plan ("plan 0").
 	Initial *plan.Plan
-	// Reports delivers LLA aggregate updates.
-	Reports <-chan *lla.Report
-	// PublishPlan distributes a new plan to all dispatchers (and clients,
-	// lazily). Called from the orchestrator goroutine.
-	PublishPlan func(*plan.Plan)
+	// Dialer reaches the plan servers (required): the orchestrator holds
+	// one link per server, reads its LLA reports off plan.ReportChannel,
+	// pushes every plan on plan.PlanChannel and probes through it.
+	Dialer Dialer
 	// Cloud provisions and releases servers. May be nil (fixed pool).
 	Cloud CloudProvider
 	// ReleaseGrace delays the despawn of a released server so in-flight
@@ -56,15 +68,13 @@ type OrchestratorOptions struct {
 	// with the given thresholds. Nil disables the failure tolerance layer
 	// (the paper's fault-free model).
 	Detect *lla.DetectorConfig
-	// Probe checks one server's liveness (e.g. a RESP PING with a
-	// deadline; the probe itself must enforce its timeout). Nil restricts
-	// detection to report staleness.
-	Probe func(plan.ServerID) error
-	// ProbeInterval is how often every plan server is probed (default 2 s).
+	// ProbeInterval is how often every plan server is probed, and each
+	// probe's deadline (default 2 s).
 	ProbeInterval time.Duration
 	// OnServerDead is called (from the detection goroutine) after a dead
-	// server was evacuated from the plan — deployments use it to fence the
-	// node (tear it down, stop routing to it). May be nil.
+	// server was evacuated from the plan and its link closed — deployments
+	// use it to fence the node (tear it down, stop routing to it). May be
+	// nil.
 	OnServerDead func(plan.ServerID)
 	// ReplaceFailed, when true and Cloud is set, spawns a replacement
 	// server after each failure evacuation.
@@ -79,26 +89,37 @@ type OrchestratorOptions struct {
 }
 
 // Orchestrator runs the live load-balancer loop: the IO shell around a Core.
-// Its goroutines feed the core reports, ticks and probe outcomes under mu,
-// and it carries out what the core decides (plan publication, cloud spawns
-// and releases, fencing) outside mu, because those callbacks may call back
-// into Plan.
+// It holds one link per plan server, the LB side of the control protocol:
+// report envelopes come in and are decoded here, plan envelopes are built
+// here and go out to every link. Its goroutines feed the core reports, ticks
+// and probe outcomes under mu, and it carries out what the core decides
+// (plan pushes, cloud spawns and releases, fencing) outside mu, because
+// those callbacks may call back into Plan.
 type Orchestrator struct {
 	opts OrchestratorOptions
 	rec  *trace.Recorder
 	log  *slog.Logger
+	ids  *message.Generator // plan envelope IDs
 
 	mu   sync.Mutex
 	core *Core
+
+	// reports carries decoded reports to Run. A link drops a report rather
+	// than wait while Run is busy; 256 is 32 report rounds of a full
+	// default pool (MaxServers 8).
+	reports chan *lla.Report
+	linksMu sync.Mutex
+	links   map[plan.ServerID]transport.Conn
 
 	stop chan struct{}
 	done chan struct{}
 	wg   sync.WaitGroup
 }
 
-// NewOrchestrator creates a live balancer loop. Call Run (usually in a
+// NewOrchestrator creates a live balancer loop and links it to every server
+// of opts.Initial; it fails if one cannot be reached. Call Run (usually in a
 // goroutine) and Stop.
-func NewOrchestrator(opts OrchestratorOptions) *Orchestrator {
+func NewOrchestrator(opts OrchestratorOptions) (*Orchestrator, error) {
 	if opts.Clock == nil {
 		opts.Clock = clock.NewReal()
 	}
@@ -108,14 +129,24 @@ func NewOrchestrator(opts OrchestratorOptions) *Orchestrator {
 	if opts.ProbeInterval <= 0 {
 		opts.ProbeInterval = 2 * time.Second
 	}
-	return &Orchestrator{
-		opts: opts,
-		rec:  opts.Recorder,
-		log:  trace.Component(opts.Logger, "balancer"),
-		core: NewCore(opts.Planner, opts.Config, opts.Initial, opts.Detect),
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
+	o := &Orchestrator{
+		opts:    opts,
+		rec:     opts.Recorder,
+		log:     trace.Component(opts.Logger, "balancer"),
+		ids:     message.NewGenerator(0xB1B),
+		core:    NewCore(opts.Planner, opts.Config, opts.Initial, opts.Detect),
+		reports: make(chan *lla.Report, 256),
+		links:   make(map[plan.ServerID]transport.Conn, len(opts.Initial.Servers)),
+		stop:    make(chan struct{}),
+		done:    make(chan struct{}),
 	}
+	for _, id := range opts.Initial.Servers {
+		if err := o.connect(id); err != nil {
+			o.closeLinks()
+			return nil, err
+		}
+	}
+	return o, nil
 }
 
 // Plan returns the current plan.
@@ -153,15 +184,10 @@ func (o *Orchestrator) Run() {
 	defer ticker.Stop()
 	for {
 		select {
-		case r, ok := <-o.opts.Reports:
-			if !ok {
-				return
-			}
-			if r != nil {
-				o.mu.Lock()
-				o.core.Report(r, o.opts.Clock.Now())
-				o.mu.Unlock()
-			}
+		case r := <-o.reports:
+			o.mu.Lock()
+			o.core.Report(r, o.opts.Clock.Now())
+			o.mu.Unlock()
 		case <-ticker.C():
 			o.rebalance()
 		case <-o.stop:
@@ -170,7 +196,8 @@ func (o *Orchestrator) Run() {
 	}
 }
 
-// Stop terminates Run and waits for in-flight spawn/release goroutines.
+// Stop terminates Run, waits for in-flight spawn/release goroutines and
+// closes every link.
 func (o *Orchestrator) Stop() {
 	select {
 	case <-o.stop:
@@ -179,6 +206,98 @@ func (o *Orchestrator) Stop() {
 	}
 	<-o.done
 	o.wg.Wait()
+	o.closeLinks()
+}
+
+// connect dials id and subscribes the link to its LLA reports.
+func (o *Orchestrator) connect(id plan.ServerID) error {
+	conn, err := o.opts.Dialer.Dial(id, link{o: o, id: id})
+	if err != nil {
+		return fmt.Errorf("balancer: connecting to node %s: %w", id, err)
+	}
+	if err := conn.Subscribe(plan.ReportChannel); err != nil {
+		conn.Close()
+		return fmt.Errorf("balancer: subscribing reports on %s: %w", id, err)
+	}
+	o.linksMu.Lock()
+	o.links[id] = conn
+	o.linksMu.Unlock()
+	return nil
+}
+
+// drop closes and forgets id's link, if it still has one.
+func (o *Orchestrator) drop(id plan.ServerID) {
+	o.linksMu.Lock()
+	conn := o.links[id]
+	delete(o.links, id)
+	o.linksMu.Unlock()
+	if conn != nil {
+		conn.Close()
+	}
+}
+
+func (o *Orchestrator) closeLinks() {
+	o.linksMu.Lock()
+	links := o.links
+	o.links = make(map[plan.ServerID]transport.Conn)
+	o.linksMu.Unlock()
+	for _, conn := range links {
+		conn.Close()
+	}
+}
+
+// push sends p to every linked server as one TypePlan envelope on
+// plan.PlanChannel, recording one plan_push span per server.
+func (o *Orchestrator) push(p *plan.Plan) {
+	data, err := p.Marshal()
+	if err != nil {
+		return
+	}
+	env := &message.Envelope{Type: message.TypePlan, ID: o.ids.Next(), Channel: plan.PlanChannel, Payload: data}
+	payload := env.Marshal()
+	o.linksMu.Lock()
+	links := maps.Clone(o.links)
+	o.linksMu.Unlock()
+	for id, conn := range links {
+		span := o.rec.StartSpan(trace.KindPlanPush, p.Version, id)
+		if err := conn.Publish(plan.PlanChannel, payload); err != nil {
+			span.End("error", 0)
+			o.log.Warn("plan push failed",
+				slog.Uint64("plan", p.Version), slog.String("node", id), slog.Any("err", err))
+			continue
+		}
+		span.End("", 0)
+	}
+	o.log.Info("plan published", slog.Uint64("plan", p.Version), slog.Int("channels", len(p.Channels)))
+}
+
+// link is the transport.Handler of one server's link: it decodes the
+// server's LLA reports into the report queue, dropping malformed ones and,
+// when the LB lags, new ones (a newer report follows), and forgets the link
+// when its connection dies.
+type link struct {
+	o  *Orchestrator
+	id plan.ServerID
+}
+
+func (l link) OnMessage(_ string, payload []byte) {
+	env, err := message.Unmarshal(payload)
+	if err != nil || env.Type != message.TypeLoadReport {
+		return
+	}
+	r, err := lla.UnmarshalReport(env.Payload)
+	if err != nil {
+		return
+	}
+	select {
+	case l.o.reports <- r:
+	default:
+	}
+}
+
+func (l link) OnDisconnect(err error) {
+	l.o.log.Warn("node connection lost", slog.String("node", l.id), slog.Any("err", err))
+	l.o.drop(l.id)
 }
 
 func (o *Orchestrator) rebalance() {
@@ -210,8 +329,8 @@ func (o *Orchestrator) rebalance() {
 		o.rec.Record(trace.KindTWait, r.Version, "", "", r.SinceLast.Nanoseconds(), 0)
 	}
 
-	if r.Plan != nil && o.opts.PublishPlan != nil {
-		o.opts.PublishPlan(r.Plan)
+	if r.Plan != nil {
+		o.push(r.Plan)
 	}
 	if r.StartSpawn && o.opts.Cloud != nil {
 		o.wg.Add(1)
@@ -255,9 +374,10 @@ func (o *Orchestrator) spawnOne() {
 	boot.SetSubject(id)
 	boot.EndAt(next.Version, "ready", 0)
 	o.log.Info("server spawned", slog.String("server", id), slog.Uint64("plan", next.Version))
-	if o.opts.PublishPlan != nil {
-		o.opts.PublishPlan(next)
+	if err := o.connect(id); err != nil {
+		o.log.Warn("spawned server unreachable", slog.String("server", id), slog.Any("err", err))
 	}
+	o.push(next)
 }
 
 // detectLoop is the failure-detection side of the balancer: it probes every
@@ -276,22 +396,20 @@ func (o *Orchestrator) detectLoop() {
 		o.mu.Lock()
 		servers := o.core.Track(o.opts.Clock.Now())
 		o.mu.Unlock()
-		if o.opts.Probe != nil {
-			// Probe concurrently: each probe carries its own deadline, and a
-			// dead server must not delay the liveness verdict of the rest.
-			var pw sync.WaitGroup
-			for _, s := range servers {
-				pw.Add(1)
-				go func(s plan.ServerID) {
-					defer pw.Done()
-					ok := o.opts.Probe(s) == nil
-					o.mu.Lock()
-					o.core.ObserveProbe(s, ok)
-					o.mu.Unlock()
-				}(s)
-			}
-			pw.Wait()
+		// Probe concurrently: each probe carries its own deadline, and a
+		// dead server must not delay the liveness verdict of the rest.
+		var pw sync.WaitGroup
+		for _, s := range servers {
+			pw.Add(1)
+			go func(s plan.ServerID) {
+				defer pw.Done()
+				ok := o.opts.Dialer.Probe(s, o.opts.ProbeInterval) == nil
+				o.mu.Lock()
+				o.core.ObserveProbe(s, ok)
+				o.mu.Unlock()
+			}(s)
 		}
+		pw.Wait()
 		o.mu.Lock()
 		repairs := o.core.Detect(o.opts.Clock.Now())
 		replace := len(repairs) > 0 && o.opts.ReplaceFailed && o.opts.Cloud != nil && o.core.ReserveSpawn()
@@ -306,9 +424,9 @@ func (o *Orchestrator) detectLoop() {
 	}
 }
 
-// repaired carries out one repair: it fences the dead node via
-// OnServerDead and publishes the repaired plan (ring successors take over
-// its channels).
+// repaired carries out one repair: it closes the dead node's link, fences
+// the node via OnServerDead and pushes the repaired plan (ring successors
+// take over its channels).
 func (o *Orchestrator) repaired(rp Repair) {
 	span := o.rec.StartSpan(trace.KindRepair, 0, rp.Server)
 	o.rec.Record(trace.KindDetect, rp.Plan.Version, rp.Server, "verdict:dead", int64(rp.Misses), rp.Staleness.Nanoseconds())
@@ -318,12 +436,11 @@ func (o *Orchestrator) repaired(rp Repair) {
 		slog.Duration("staleness", rp.Staleness),
 		slog.Uint64("repairPlan", rp.Plan.Version),
 		slog.Int("evacuatedChannels", rp.Evacuated))
+	o.drop(rp.Server)
 	if o.opts.OnServerDead != nil {
 		o.opts.OnServerDead(rp.Server)
 	}
-	if o.opts.PublishPlan != nil {
-		o.opts.PublishPlan(rp.Plan)
-	}
+	o.push(rp.Plan)
 	span.EndAt(rp.Plan.Version, "evacuated", int64(rp.Evacuated))
 }
 
@@ -336,5 +453,6 @@ func (o *Orchestrator) releaseAfterGrace(id plan.ServerID) {
 		timer.Stop()
 		// Shutting down: release immediately.
 	}
+	o.drop(id)
 	_ = o.opts.Cloud.Release(id) // unknown instance on shutdown is fine
 }

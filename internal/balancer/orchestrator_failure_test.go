@@ -2,6 +2,7 @@ package balancer
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -12,30 +13,34 @@ import (
 )
 
 // startDetectingOrchestrator runs an orchestrator with failure detection over
-// a pub1+pub2 plan where "room" is explicitly mapped to pub2.
-func startDetectingOrchestrator(t *testing.T, opts OrchestratorOptions) (*Orchestrator, func() []*plan.Plan) {
+// a pub1+pub2 plan where "room" is explicitly mapped to pub2, linked through
+// d. It returns the plans pushed to pub1.
+func startDetectingOrchestrator(t *testing.T, opts OrchestratorOptions, d *fakeDialer) (*Orchestrator, func() []*plan.Plan) {
 	t.Helper()
 	initial := plan.New("pub1", "pub2")
 	initial.Version = 1
 	initial.Set("room", plan.Entry{Strategy: plan.StrategySingle, Servers: []plan.ServerID{"pub2"}})
 	var mu sync.Mutex
 	var published []*plan.Plan
+	d.onPush = func(id plan.ServerID, p *plan.Plan) {
+		if id == "pub1" {
+			mu.Lock()
+			published = append(published, p)
+			mu.Unlock()
+		}
+	}
 	opts.Planner = &scriptedPlanner{}
 	opts.Config = DefaultConfig()
 	opts.Config.TWait = time.Hour // prove repair is exempt from the throttle
 	opts.Initial = initial
-	if opts.Reports == nil {
-		opts.Reports = make(chan *lla.Report, 16)
-	}
-	opts.PublishPlan = func(p *plan.Plan) {
-		mu.Lock()
-		published = append(published, p)
-		mu.Unlock()
-	}
+	opts.Dialer = d
 	if opts.Clock == nil {
 		opts.Clock = clock.NewReal()
 	}
-	o := NewOrchestrator(opts)
+	o, err := NewOrchestrator(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	go o.Run()
 	t.Cleanup(o.Stop)
 	return o, func() []*plan.Plan {
@@ -48,21 +53,24 @@ func startDetectingOrchestrator(t *testing.T, opts OrchestratorOptions) (*Orches
 func TestOrchestratorProbeFailureRepairsPlan(t *testing.T) {
 	var deadMu sync.Mutex
 	var fenced []plan.ServerID
+	d := newFakeDialer()
+	d.probe = func(id plan.ServerID) error {
+		if id == "pub2" {
+			return errors.New("connection refused")
+		}
+		return nil
+	}
+	linkOpen := false // pub2's link still open when OnServerDead ran
 	o, published := startDetectingOrchestrator(t, OrchestratorOptions{
 		Detect:        &lla.DetectorConfig{StaleAfter: time.Hour, ProbeMisses: 3},
 		ProbeInterval: 5 * time.Millisecond,
-		Probe: func(id plan.ServerID) error {
-			if id == "pub2" {
-				return errors.New("connection refused")
-			}
-			return nil
-		},
 		OnServerDead: func(id plan.ServerID) {
 			deadMu.Lock()
 			fenced = append(fenced, id)
+			linkOpen = !d.conn(id).isClosed()
 			deadMu.Unlock()
 		},
-	})
+	}, d)
 
 	waitFor(t, "failure repair", func() bool { return o.Failures() == 1 })
 	p := o.Plan()
@@ -81,6 +89,15 @@ func TestOrchestratorProbeFailureRepairsPlan(t *testing.T) {
 	if len(fenced) != 1 || fenced[0] != "pub2" {
 		t.Fatalf("fenced=%v", fenced)
 	}
+	if linkOpen {
+		t.Fatal("pub2's link was still open when OnServerDead ran")
+	}
+	// The repaired plan reached the survivor only.
+	for _, e := range d.events() {
+		if strings.HasPrefix(e, "push pub2") {
+			t.Fatalf("dead server got a plan push: %q", d.events())
+		}
+	}
 	// The healthy server must not be collateral damage.
 	if o.Failures() != 1 {
 		t.Fatalf("failures=%d", o.Failures())
@@ -89,18 +106,19 @@ func TestOrchestratorProbeFailureRepairsPlan(t *testing.T) {
 
 func TestOrchestratorReplacesFailedServer(t *testing.T) {
 	cloud := &fakeCloud{}
+	d := newFakeDialer()
+	d.probe = func(id plan.ServerID) error {
+		if id == "pub2" {
+			return errors.New("down")
+		}
+		return nil
+	}
 	o, _ := startDetectingOrchestrator(t, OrchestratorOptions{
 		Detect:        &lla.DetectorConfig{StaleAfter: time.Hour, ProbeMisses: 2},
 		ProbeInterval: 5 * time.Millisecond,
-		Probe: func(id plan.ServerID) error {
-			if id == "pub2" {
-				return errors.New("down")
-			}
-			return nil
-		},
 		Cloud:         cloud,
 		ReplaceFailed: true,
-	})
+	}, d)
 	waitFor(t, "replacement spawn", func() bool {
 		s, _ := cloud.counts()
 		return s == 1 && o.Plan().HasServer("new1")

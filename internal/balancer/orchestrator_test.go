@@ -3,13 +3,17 @@ package balancer
 import (
 	"context"
 	"fmt"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/dynamoth/dynamoth/internal/clock"
 	"github.com/dynamoth/dynamoth/internal/lla"
+	"github.com/dynamoth/dynamoth/internal/message"
 	"github.com/dynamoth/dynamoth/internal/plan"
+	"github.com/dynamoth/dynamoth/internal/transport"
 )
 
 var epoch = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
@@ -76,12 +80,142 @@ func (s *scriptedPlanner) inputs() [][]ServerLoad {
 	return append([][]ServerLoad(nil), s.seen...)
 }
 
+// fakeDialer is an in-memory Dialer. Each Dial hands out a fakeConn, and
+// every dial, subscription, close and plan push is logged in order as
+// "dial <id>", "subscribe <id> <channel>", "close <id>" and
+// "push <id> v<version> <servers>". A push that is not one TypePlan
+// envelope on plan.PlanChannel is logged as "bad push <id>".
+type fakeDialer struct {
+	mu     sync.Mutex
+	conns  map[plan.ServerID]*fakeConn
+	log    []string
+	refuse map[plan.ServerID]bool          // Dial fails
+	probe  func(plan.ServerID) error       // nil: every probe succeeds
+	onPush func(plan.ServerID, *plan.Plan) // called after a push is logged
+}
+
+func newFakeDialer() *fakeDialer {
+	return &fakeDialer{conns: make(map[plan.ServerID]*fakeConn), refuse: make(map[plan.ServerID]bool)}
+}
+
+func (d *fakeDialer) Dial(id plan.ServerID, h transport.Handler) (transport.Conn, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.refuse[id] {
+		return nil, transport.ErrUnknownServer
+	}
+	d.log = append(d.log, "dial "+id)
+	c := &fakeConn{d: d, id: id, h: h}
+	d.conns[id] = c
+	return c, nil
+}
+
+func (d *fakeDialer) Probe(id plan.ServerID, _ time.Duration) error {
+	if d.probe == nil {
+		return nil
+	}
+	return d.probe(id)
+}
+
+// events returns the log so far.
+func (d *fakeDialer) events() []string {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return append([]string(nil), d.log...)
+}
+
+// conn returns the last conn dialed to id.
+func (d *fakeDialer) conn(id plan.ServerID) *fakeConn {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.conns[id]
+}
+
+// deliver hands payload to id's link as a publication on the report channel.
+func (d *fakeDialer) deliver(id plan.ServerID, payload []byte) {
+	d.conn(id).h.OnMessage(plan.ReportChannel, payload)
+}
+
+// report delivers r to id's link the way a node's LLA publishes it.
+func (d *fakeDialer) report(id plan.ServerID, r *lla.Report) {
+	data, err := r.Marshal()
+	if err != nil {
+		panic(err)
+	}
+	env := &message.Envelope{Type: message.TypeLoadReport, ID: message.ID{Node: 1, Seq: r.Seq}, Payload: data}
+	d.deliver(id, env.Marshal())
+}
+
+type fakeConn struct {
+	d      *fakeDialer
+	id     plan.ServerID
+	h      transport.Handler
+	closed bool // under d.mu
+}
+
+func (c *fakeConn) Subscribe(channels ...string) error {
+	c.d.mu.Lock()
+	defer c.d.mu.Unlock()
+	for _, ch := range channels {
+		c.d.log = append(c.d.log, "subscribe "+c.id+" "+ch)
+	}
+	return nil
+}
+
+func (c *fakeConn) Unsubscribe(...string) error { return nil }
+
+func (c *fakeConn) SubscribeCursor(string, message.Cursor) (transport.ReplayResult, error) {
+	return transport.ReplayResult{}, nil
+}
+
+func (c *fakeConn) Publish(channel string, payload []byte) error {
+	c.d.mu.Lock()
+	if c.closed {
+		c.d.mu.Unlock()
+		return transport.ErrClosed
+	}
+	env, err := message.Unmarshal(payload)
+	var p *plan.Plan
+	if err == nil && channel == plan.PlanChannel && env.Type == message.TypePlan && env.Channel == plan.PlanChannel {
+		p, err = plan.Unmarshal(env.Payload)
+	}
+	if p == nil || err != nil {
+		c.d.log = append(c.d.log, "bad push "+c.id)
+		c.d.mu.Unlock()
+		return nil
+	}
+	c.d.log = append(c.d.log, fmt.Sprintf("push %s v%d %v", c.id, p.Version, p.Servers))
+	onPush := c.d.onPush
+	c.d.mu.Unlock()
+	if onPush != nil {
+		onPush(c.id, p)
+	}
+	return nil
+}
+
+func (c *fakeConn) Outstanding() int64 { return 0 }
+
+func (c *fakeConn) Close() error {
+	c.d.mu.Lock()
+	defer c.d.mu.Unlock()
+	if !c.closed {
+		c.closed = true
+		c.d.log = append(c.d.log, "close "+c.id)
+	}
+	return nil
+}
+
+func (c *fakeConn) isClosed() bool {
+	c.d.mu.Lock()
+	defer c.d.mu.Unlock()
+	return c.closed
+}
+
 // startOrchestrator runs an orchestrator over plan 0 = {pub1} and returns
 // what it did, in order: "spawn <id>" for a fakeCloud spawn and
-// "publish v<version> <servers>" for PublishPlan.
-func startOrchestrator(t *testing.T, planner PlanGenerator, cfg Config, cloud CloudProvider) (*Orchestrator, chan *lla.Report, func() []string) {
+// "publish v<version> <servers>" for each plan pushed to pub1.
+func startOrchestrator(t *testing.T, planner PlanGenerator, cfg Config, cloud CloudProvider) (*Orchestrator, *fakeDialer, func() []string) {
 	t.Helper()
-	reports := make(chan *lla.Report, 16)
 	initial := plan.New("pub1")
 	initial.Version = 1
 	var mu sync.Mutex
@@ -94,19 +228,27 @@ func startOrchestrator(t *testing.T, planner PlanGenerator, cfg Config, cloud Cl
 	if fc, ok := cloud.(*fakeCloud); ok {
 		fc.onSpawn = func(id plan.ServerID) { event("spawn " + id) }
 	}
-	o := NewOrchestrator(OrchestratorOptions{
+	d := newFakeDialer()
+	d.onPush = func(id plan.ServerID, p *plan.Plan) {
+		if id == "pub1" {
+			event(fmt.Sprintf("publish v%d %v", p.Version, p.Servers))
+		}
+	}
+	o, err := NewOrchestrator(OrchestratorOptions{
 		Planner:      planner,
 		Config:       cfg,
 		Initial:      initial,
-		Reports:      reports,
-		PublishPlan:  func(p *plan.Plan) { event(fmt.Sprintf("publish v%d %v", p.Version, p.Servers)) },
+		Dialer:       d,
 		Cloud:        cloud,
 		Clock:        clock.NewReal(),
 		ReleaseGrace: 50 * time.Millisecond,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	go o.Run()
 	t.Cleanup(o.Stop)
-	return o, reports, func() []string {
+	return o, d, func() []string {
 		mu.Lock()
 		defer mu.Unlock()
 		return append([]string(nil), events...)
@@ -192,9 +334,9 @@ func TestOrchestratorFoldsReports(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.TWait = time.Millisecond
 	planner := &scriptedPlanner{}
-	_, reports, _ := startOrchestrator(t, planner, cfg, nil)
+	_, d, _ := startOrchestrator(t, planner, cfg, nil)
 
-	reports <- &lla.Report{Server: "pub1", Seq: 1, MaxOutgoingBps: 1000, MeasuredOutgoingBps: 700}
+	d.report("pub1", &lla.Report{Server: "pub1", Seq: 1, MaxOutgoingBps: 1000, MeasuredOutgoingBps: 700})
 	waitFor(t, "report folded into planning input", func() bool {
 		in := planner.inputs()
 		if len(in) == 0 {
@@ -211,4 +353,118 @@ func TestOrchestratorStopIdempotent(t *testing.T) {
 	o, _, _ := startOrchestrator(t, planner, cfg, nil)
 	o.Stop()
 	o.Stop()
+}
+
+// TestOrchestratorIgnoresMalformedReports: bytes that are no envelope, an
+// envelope of another type, and report envelopes whose body does not decode
+// or fails validation are all dropped at the link. Each bad report carries a
+// higher Seq than the good one that follows, so one that got through would
+// make State drop the good one as stale.
+func TestOrchestratorIgnoresMalformedReports(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.TWait = time.Millisecond
+	planner := &scriptedPlanner{}
+	_, d, _ := startOrchestrator(t, planner, cfg, nil)
+
+	envelope := func(typ message.Type, body string) []byte {
+		env := &message.Envelope{Type: typ, ID: message.ID{Node: 1, Seq: 1}, Payload: []byte(body)}
+		return env.Marshal()
+	}
+	d.deliver("pub1", []byte("not an envelope"))
+	d.deliver("pub1", envelope(message.TypePlan, `{"server":"pub1","seq":9,"maxOutgoingBps":1000,"measuredOutgoingBps":900}`))
+	d.deliver("pub1", envelope(message.TypeLoadReport, `{"server":`))
+	d.deliver("pub1", envelope(message.TypeLoadReport, `{"server":"pub1","seq":9,"maxOutgoingBps":1000,"measuredOutgoingBps":-1}`))
+	d.report("pub1", &lla.Report{Server: "pub1", Seq: 1, MaxOutgoingBps: 1000, MeasuredOutgoingBps: 700})
+
+	waitFor(t, "the valid report folded into planning input", func() bool {
+		in := planner.inputs()
+		return len(in) > 0 && len(in[len(in)-1]) == 1 && in[len(in)-1][0].Ratio() == 0.7
+	})
+	for _, loads := range planner.inputs() {
+		for _, l := range loads {
+			if l.Server != "pub1" || l.Ratio() != 0.7 {
+				t.Fatalf("planner saw %+v, which only a malformed report could carry", l)
+			}
+		}
+	}
+}
+
+// TestOrchestratorPushesPlanToEveryLink: a plan goes to every linked server
+// as one TypePlan envelope on plan.PlanChannel (fakeConn logs anything else
+// as a bad push), after each link was dialed and subscribed to reports.
+func TestOrchestratorPushesPlanToEveryLink(t *testing.T) {
+	initial := plan.New("pub1", "pub2", "pub3")
+	initial.Version = 1
+	cfg := DefaultConfig()
+	cfg.TWait = time.Millisecond
+	next := initial.Clone()
+	next.Set("c", plan.Entry{Strategy: plan.StrategySingle, Servers: []plan.ServerID{"pub2"}})
+	d := newFakeDialer()
+	o, err := NewOrchestrator(OrchestratorOptions{
+		Planner: &scriptedPlanner{decisions: []Decision{{Plan: next}}},
+		Config:  cfg,
+		Initial: initial,
+		Dialer:  d,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	go o.Run()
+	t.Cleanup(o.Stop)
+
+	waitFor(t, "plan pushed to every server", func() bool { return o.Rebalances() == 1 && len(d.events()) == 9 })
+	got := d.events()
+	for _, id := range initial.Servers {
+		want := []string{"dial " + id, "subscribe " + id + " " + plan.ReportChannel, "push " + id + " v2 [pub1 pub2 pub3]"}
+		var seen []string
+		for _, e := range got {
+			if strings.Fields(e)[1] == id {
+				seen = append(seen, e)
+			}
+		}
+		if fmt.Sprint(seen) != fmt.Sprint(want) {
+			t.Fatalf("%s: events %q, want %q (all: %q)", id, seen, want, got)
+		}
+	}
+}
+
+// TestOrchestratorDialsSpawnedServerBeforePush: a spawned server is dialed
+// and subscribed to reports before the plan naming it is pushed, so that
+// plan reaches it too.
+func TestOrchestratorDialsSpawnedServerBeforePush(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.TWait = time.Millisecond
+	planner := &scriptedPlanner{decisions: []Decision{{Spawn: 1}}}
+	_, d, _ := startOrchestrator(t, planner, cfg, &fakeCloud{})
+
+	want := []string{
+		"dial pub1", "subscribe pub1 " + plan.ReportChannel,
+		"dial new1", "subscribe new1 " + plan.ReportChannel,
+	}
+	waitFor(t, "post-spawn plan on both servers", func() bool { return len(d.events()) == len(want)+2 })
+	got := d.events()
+	if fmt.Sprint(got[:len(want)]) != fmt.Sprint(want) {
+		t.Fatalf("events %q, want %q then the two pushes", got, want)
+	}
+	pushes := got[len(want):]
+	sort.Strings(pushes)
+	if pushes[0] != "push new1 v2 [pub1 new1]" || pushes[1] != "push pub1 v2 [pub1 new1]" {
+		t.Fatalf("pushes %q", pushes)
+	}
+}
+
+// TestOrchestratorFailsOnUnreachableServer: a server of plan 0 that cannot
+// be dialed fails construction, and the links already opened are closed.
+func TestOrchestratorFailsOnUnreachableServer(t *testing.T) {
+	initial := plan.New("pub1", "pub2")
+	initial.Version = 1
+	d := newFakeDialer()
+	d.refuse["pub2"] = true
+	_, err := NewOrchestrator(OrchestratorOptions{Planner: &scriptedPlanner{}, Config: DefaultConfig(), Initial: initial, Dialer: d})
+	if err == nil || !strings.Contains(err.Error(), "pub2") {
+		t.Fatalf("err=%v, want a dial error naming pub2", err)
+	}
+	if c := d.conn("pub1"); c == nil || !c.isClosed() {
+		t.Fatal("pub1's link left open after a failed construction")
+	}
 }

@@ -117,9 +117,9 @@ func (d *Dispatcher) Plan() *plan.Plan {
 	return d.core.Plan()
 }
 
-// ApplyPlan installs a new plan directly (used by in-process clusters where
-// the load balancer hands plans over function calls; the pub/sub path via
-// PlanChannel does the same for distributed deployments).
+// ApplyPlan installs a new plan. Deployments reach it through the
+// dispatcher's subscription to plan.PlanChannel, on which the load balancer
+// pushes every plan; tests call it directly.
 func (d *Dispatcher) ApplyPlan(p *plan.Plan) {
 	d.mu.Lock()
 	actions := d.core.OnPlan(p, d.clk.Now())

@@ -9,7 +9,7 @@ import (
 // DetectorConfig tunes the failure detector.
 type DetectorConfig struct {
 	// StaleAfter declares a server suspect when no LLA report arrived for
-	// this long (default 10 s — a few report intervals). Healthy LLAs
+	// this long (default 4 × DefaultReportEvery, 12 s). Healthy LLAs
 	// report unconditionally every ReportEvery, even when idle, so report
 	// silence is a strong signal.
 	StaleAfter time.Duration
@@ -20,7 +20,7 @@ type DetectorConfig struct {
 
 func (c *DetectorConfig) fillDefaults() {
 	if c.StaleAfter <= 0 {
-		c.StaleAfter = 10 * time.Second
+		c.StaleAfter = 4 * DefaultReportEvery
 	}
 	if c.ProbeMisses <= 0 {
 		c.ProbeMisses = 3

@@ -84,6 +84,10 @@ type Report struct {
 // DESIGN.md §4.
 const DefaultMaxOutgoingBps = 1.25e6
 
+// DefaultReportEvery is the LLA's report interval when none is configured.
+// The failure detector's default staleness threshold is four of them.
+const DefaultReportEvery = 3 * time.Second
+
 // Marshal encodes the report for the control plane.
 func (r *Report) Marshal() ([]byte, error) { return json.Marshal(r) }
 
@@ -491,7 +495,8 @@ type Config struct {
 	MaxOutgoingBps float64
 	// Unit is the metric time unit (default 1 s, as in the paper).
 	Unit time.Duration
-	// ReportEvery is the aggregate-update interval (default 3 units).
+	// ReportEvery is the aggregate-update interval (default
+	// DefaultReportEvery).
 	ReportEvery time.Duration
 	// ChannelCap bounds the channels the accumulator tracks; traffic past
 	// it folds into the unit's overflow bucket. 0 means DefaultChannelCap;
@@ -509,7 +514,7 @@ func (c *Config) fillDefaults() {
 		c.Unit = time.Second
 	}
 	if c.ReportEvery <= 0 {
-		c.ReportEvery = 3 * c.Unit
+		c.ReportEvery = DefaultReportEvery
 	}
 	if c.Clock == nil {
 		c.Clock = clock.NewReal()

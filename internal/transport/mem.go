@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -86,6 +87,22 @@ func (d *MemDialer) RemoveServer(id plan.ServerID) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	delete(d.brokers, id)
+}
+
+// Probe is the in-process liveness probe: there is no socket to time out
+// on, so an unregistered server is ErrUnknownServer and a blackholed one
+// fails as if no reply came within timeout.
+func (d *MemDialer) Probe(server plan.ServerID, timeout time.Duration) error {
+	d.mu.RLock()
+	b := d.brokers[server]
+	d.mu.RUnlock()
+	if b == nil {
+		return ErrUnknownServer
+	}
+	if d.faults != nil && d.faults.Blackholed(string(server)) {
+		return fmt.Errorf("transport: probe %s: no reply within %v", server, timeout)
+	}
+	return nil
 }
 
 // Close stops the latency machinery. Connections must be closed by their

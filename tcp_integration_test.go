@@ -8,7 +8,6 @@ import (
 
 	dynamoth "github.com/dynamoth/dynamoth"
 	"github.com/dynamoth/dynamoth/internal/balancer"
-	"github.com/dynamoth/dynamoth/internal/lla"
 	"github.com/dynamoth/dynamoth/internal/message"
 	"github.com/dynamoth/dynamoth/internal/plan"
 	"github.com/dynamoth/dynamoth/internal/server"
@@ -76,63 +75,33 @@ func startTCPDeployment(t *testing.T, n int) *tcpDeployment {
 		})
 	}
 
-	// The load balancer, wired exactly like cmd/dynamoth-lb.
-	reports := make(chan *lla.Report, 64)
-	conns := make(map[plan.ServerID]transport.Conn)
-	for _, id := range d.ids {
-		conn, err := d.dialer.Dial(id, tcpReportHandler{reports})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { conn.Close() })
-		if err := conn.Subscribe(plan.ReportChannel); err != nil {
-			t.Fatal(err)
-		}
-		conns[id] = conn
-	}
+	// The load balancer, built with cmd/dynamoth-lb's options (detection
+	// off).
 	cfg := balancer.DefaultConfig()
 	cfg.TWait = time.Second
 	cfg.MaxServers = n
 	cfg.MinServers = n
 	pinned := func(s string) bool { return s == d.ids[0] }
-	gen := message.NewGenerator(0xB1B)
-	d.orch = balancer.NewOrchestrator(balancer.OrchestratorOptions{
+	orch, err := balancer.NewOrchestrator(balancer.OrchestratorOptions{
 		Planner: balancer.NewPlanner(cfg, plan.IsControlChannel, pinned, 1.25e6),
 		Config:  cfg,
 		Initial: initial,
-		Reports: reports,
-		PublishPlan: func(p *plan.Plan) {
-			data, err := p.Marshal()
-			if err != nil {
-				return
-			}
-			env := &message.Envelope{Type: message.TypePlan, ID: gen.Next(), Payload: data}
-			payload := env.Marshal()
-			for _, conn := range conns {
-				_ = conn.Publish(plan.PlanChannel, payload)
-			}
-		},
+		Dialer:  d.dialer,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.orch = orch
 	go d.orch.Run()
 	t.Cleanup(d.orch.Stop)
 	return d
 }
 
-type tcpReportHandler struct{ reports chan<- *lla.Report }
+// nopHandler ignores a connection's deliveries.
+type nopHandler struct{}
 
-func (h tcpReportHandler) OnMessage(_ string, payload []byte) {
-	env, err := message.Unmarshal(payload)
-	if err != nil || env.Type != message.TypeLoadReport {
-		return
-	}
-	if r, err := lla.UnmarshalReport(env.Payload); err == nil {
-		select {
-		case h.reports <- r:
-		default:
-		}
-	}
-}
-func (tcpReportHandler) OnDisconnect(error) {}
+func (nopHandler) OnMessage(string, []byte) {}
+func (nopHandler) OnDisconnect(error)       {}
 
 func TestTCPDeploymentEndToEnd(t *testing.T) {
 	d := startTCPDeployment(t, 2)
@@ -324,13 +293,13 @@ func TestTCPDeploymentMigrationUnderTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 	env := &message.Envelope{Type: message.TypePlan, ID: message.ID{Node: 9, Seq: 1}, Payload: data}
-	conn, err := d.dialer.Dial(home, tcpReportHandler{})
+	conn, err := d.dialer.Dial(home, nopHandler{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
 	for _, id := range d.ids {
-		c2, err := d.dialer.Dial(id, tcpReportHandler{})
+		c2, err := d.dialer.Dial(id, nopHandler{})
 		if err != nil {
 			t.Fatal(err)
 		}

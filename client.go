@@ -93,7 +93,7 @@ type Config struct {
 
 func (c *Config) fillDefaults() error {
 	if c.EntryTimeout <= 0 {
-		c.EntryTimeout = 30 * time.Second
+		c.EntryTimeout = localplan.DefaultTimeout
 	}
 	if c.SubscribeBuffer <= 0 {
 		c.SubscribeBuffer = 256

@@ -2,12 +2,13 @@ package cluster
 
 import (
 	"fmt"
-	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	dynamoth "github.com/dynamoth/dynamoth"
 	"github.com/dynamoth/dynamoth/internal/clock"
+	"github.com/dynamoth/dynamoth/internal/deliverycheck"
 )
 
 // TestChaosBrokerCrashMidPublishStorm kills one of four brokers in the
@@ -53,74 +54,20 @@ func TestChaosBrokerCrashMidPublishStorm(t *testing.T) {
 	}
 	defer pub.Close()
 
-	// Drain every subscription into a shared payload→count map.
-	var recvMu sync.Mutex
-	received := make(map[string]int)
-	var drainers sync.WaitGroup
+	// Every subscription drains into the ledger.
+	l := deliverycheck.New()
 	for i := 0; i < channels; i++ {
 		msgs, err := sub.Subscribe(chName(i))
 		if err != nil {
 			t.Fatal(err)
 		}
-		drainers.Add(1)
-		go func(msgs <-chan dynamoth.Message) {
-			defer drainers.Done()
-			for m := range msgs {
-				recvMu.Lock()
-				received[string(m.Payload)]++
-				recvMu.Unlock()
-			}
-		}(msgs)
+		deliverycheck.Drain(l, "sub", chName(i), msgs, payloadKey)
 	}
 
-	// Sequenced storm: every message is unique, every accepted publish is
-	// recorded, and a publish that errors (dead home mid-failover) retries
-	// until a live home accepts it — so the delivered set can be compared
-	// against the accepted set exactly.
-	var pubMu sync.Mutex
-	published := make(map[string]bool)
+	// Sequenced storm: every message is unique, and a publish that errors
+	// (dead home mid-failover) retries until a live home accepts it.
 	publishOne := func(i int) error {
-		payload := fmt.Sprintf("storm-%d", i)
-		deadline := time.Now().Add(20 * time.Second)
-		for {
-			if err := pub.Publish(chName(i%channels), []byte(payload)); err == nil {
-				pubMu.Lock()
-				published[payload] = true
-				pubMu.Unlock()
-				return nil
-			}
-			if time.Now().After(deadline) {
-				return fmt.Errorf("publish %s never accepted", payload)
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-	}
-	waitDelivered := func(stage string) {
-		t.Helper()
-		deadline := time.Now().Add(15 * time.Second)
-		for {
-			pubMu.Lock()
-			want := make([]string, 0, len(published))
-			for p := range published {
-				want = append(want, p)
-			}
-			pubMu.Unlock()
-			missing := 0
-			recvMu.Lock()
-			for _, p := range want {
-				if received[p] == 0 {
-					missing++
-				}
-			}
-			recvMu.Unlock()
-			if missing == 0 {
-				return
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("%s: %d/%d accepted publishes undelivered", stage, missing, len(want))
-			}
-			time.Sleep(20 * time.Millisecond)
-		}
+		return publishAccepted(l, pub, chName(i%channels), fmt.Sprintf("storm-%d", i), 20*time.Second)
 	}
 
 	// Phase 1: pre-crash storm across every channel, fully delivered before
@@ -133,7 +80,9 @@ func TestChaosBrokerCrashMidPublishStorm(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	waitDelivered("pre-crash")
+	if err := l.Wait(15 * time.Second); err != nil {
+		t.Fatalf("pre-crash: %v", err)
+	}
 
 	// Kill a non-pinned broker abruptly, and resume the storm immediately —
 	// phase 2 races the detection and repair windows: publishes to channels
@@ -157,12 +106,8 @@ func TestChaosBrokerCrashMidPublishStorm(t *testing.T) {
 
 	// Bounded recovery window: detection (~4 s virtual = 400 ms real at
 	// ×10) plus repair must complete well within the deadline.
-	deadline := time.Now().Add(15 * time.Second)
-	for c.Failures() < 1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("failure never detected: failures=%d servers=%d", c.Failures(), c.ActiveServers())
-		}
-		time.Sleep(20 * time.Millisecond)
+	if !waitUntil(15*time.Second, func() bool { return c.Failures() >= 1 }) {
+		t.Fatalf("failure never detected: failures=%d servers=%d", c.Failures(), c.ActiveServers())
 	}
 	if err := <-stormErr; err != nil {
 		t.Fatal(err)
@@ -175,24 +120,11 @@ func TestChaosBrokerCrashMidPublishStorm(t *testing.T) {
 		t.Fatalf("plan not repaired: version=%d", v)
 	}
 
-	// Zero loss: every accepted publish — pre-crash and racing the repair —
-	// delivered.
-	waitDelivered("post-crash")
-
-	// Exactly once: nothing delivered twice, nothing delivered that was
-	// never accepted.
-	recvMu.Lock()
-	pubMu.Lock()
-	for payload, n := range received {
-		if n != 1 {
-			t.Fatalf("payload %q delivered %d times", payload, n)
-		}
-		if !published[payload] {
-			t.Fatalf("payload %q delivered but never accepted", payload)
-		}
+	// Zero loss, exactly once: every accepted publish — pre-crash and racing
+	// the repair — delivered once, and nothing that was never accepted.
+	if err := l.Wait(15 * time.Second); err != nil {
+		t.Fatalf("post-crash: %v", err)
 	}
-	pubMu.Unlock()
-	recvMu.Unlock()
 
 	// Zero gaps: the cursor machinery owes nothing (every hole was replayed
 	// or never existed), and with 256-deep rings against a handful of frames
@@ -209,16 +141,6 @@ func TestChaosBrokerCrashMidPublishStorm(t *testing.T) {
 	if ss.ReplayRequests == 0 {
 		t.Fatalf("no cursor resubscribes issued across a broker crash; stats %+v", ss)
 	}
-
-	// The publisher observed the crash and failed over: it either hit a
-	// publish error or redialed; both are counted.
-	s := pub.Stats()
-	if s.DialFailures == 0 && s.Redials == 0 && sub.Stats().DialFailures == 0 && sub.Stats().Redials == 0 {
-		t.Logf("note: no dial failures recorded (crash landed between publishes); stats pub=%+v sub=%+v", s, sub.Stats())
-	}
-
-	sub.Close()
-	drainers.Wait()
 }
 
 // TestChaosRebalanceDrainZeroLoss drives enough load through a one-broker
@@ -253,12 +175,9 @@ func TestChaosRebalanceDrainZeroLoss(t *testing.T) {
 	// Two independent subscribers over every channel (doubling egress toward
 	// the overload threshold); each must observe the full sequence exactly
 	// once.
-	var recvMu sync.Mutex
-	receivedA := make(map[string]int)
-	receivedB := make(map[string]int)
-	var drainers sync.WaitGroup
+	l := deliverycheck.New()
 	subs := make([]*dynamoth.Client, 0, 2)
-	for si, counts := range []map[string]int{receivedA, receivedB} {
+	for si, name := range []string{"A", "B"} {
 		sub, err := c.NewClient(dynamoth.Config{NodeID: uint32(2000 + si), Clock: clk, Seed: int64(si + 1)})
 		if err != nil {
 			t.Fatal(err)
@@ -270,15 +189,7 @@ func TestChaosRebalanceDrainZeroLoss(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			drainers.Add(1)
-			go func(msgs <-chan dynamoth.Message, counts map[string]int) {
-				defer drainers.Done()
-				for m := range msgs {
-					recvMu.Lock()
-					counts[string(m.Payload)]++
-					recvMu.Unlock()
-				}
-			}(msgs, counts)
+			deliverycheck.Drain(l, name, chName(i), msgs, payloadKey)
 		}
 	}
 	pub, err := c.NewClient(dynamoth.Config{NodeID: 2002, Clock: clk, Seed: 9})
@@ -289,92 +200,39 @@ func TestChaosRebalanceDrainZeroLoss(t *testing.T) {
 
 	// Sequenced 120-byte payloads at 2 ms: ~60 kB/s real = 6 kB/s virtual at
 	// ×10, comfortably past the 4 kB/s cap once doubled by fan-out.
-	var pubMu sync.Mutex
-	published := make(map[string]bool)
-	stopLoad := make(chan struct{})
+	var stopLoad atomic.Bool
 	loadErr := make(chan error, 1)
 	go func() {
 		pad := make([]byte, 120)
-		for i := 0; ; i++ {
-			select {
-			case <-stopLoad:
-				loadErr <- nil
+		for i := 0; !stopLoad.Load(); i++ {
+			copy(pad, fmt.Sprintf("drain-%05d", i))
+			if err := publishAccepted(l, pub, chName(i%channels), string(pad), 4*time.Second); err != nil {
+				loadErr <- err
 				return
-			default:
 			}
-			payload := fmt.Sprintf("drain-%05d", i)
-			copy(pad, payload)
-			for retry := 0; ; retry++ {
-				if err := pub.Publish(chName(i%channels), pad); err == nil {
-					break
-				}
-				if retry > 2000 {
-					loadErr <- fmt.Errorf("publish %s never accepted", payload)
-					return
-				}
-				time.Sleep(2 * time.Millisecond)
-			}
-			pubMu.Lock()
-			published[string(pad)] = true
-			pubMu.Unlock()
 			time.Sleep(2 * time.Millisecond)
 		}
+		loadErr <- nil
 	}()
 
 	// Wait for the scale-up rebalance (spawn + T_wait drain + switch), then
 	// keep the storm running through the post-switch window before stopping.
-	deadline := time.Now().Add(30 * time.Second)
-	for c.ActiveServers() < 2 || c.Rebalances() < 1 {
-		if time.Now().After(deadline) {
-			close(stopLoad)
-			<-loadErr
-			t.Fatalf("no rebalance: servers=%d rebalances=%d", c.ActiveServers(), c.Rebalances())
-		}
-		time.Sleep(50 * time.Millisecond)
+	if !waitUntil(30*time.Second, func() bool { return c.ActiveServers() >= 2 && c.Rebalances() >= 1 }) {
+		stopLoad.Store(true)
+		<-loadErr
+		t.Fatalf("no rebalance: servers=%d rebalances=%d", c.ActiveServers(), c.Rebalances())
 	}
 	time.Sleep(500 * time.Millisecond)
-	close(stopLoad)
+	stopLoad.Store(true)
 	if err := <-loadErr; err != nil {
 		t.Fatal(err)
 	}
 
-	// Zero loss across the drain: both subscribers converge on the full
-	// accepted set.
-	pubMu.Lock()
-	want := make([]string, 0, len(published))
-	for p := range published {
-		want = append(want, p)
+	// Zero loss across the drain: both subscribers receive the full accepted
+	// set, exactly once.
+	if err := l.Wait(15 * time.Second); err != nil {
+		t.Fatalf("after rebalance: %v", err)
 	}
-	pubMu.Unlock()
-	deadline = time.Now().Add(15 * time.Second)
-	for {
-		missing := 0
-		recvMu.Lock()
-		for _, p := range want {
-			if receivedA[p] == 0 || receivedB[p] == 0 {
-				missing++
-			}
-		}
-		recvMu.Unlock()
-		if missing == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%d/%d accepted publishes undelivered after rebalance", missing, len(want))
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-
-	// Exactly once, per subscriber.
-	recvMu.Lock()
-	for name, counts := range map[string]map[string]int{"A": receivedA, "B": receivedB} {
-		for payload, n := range counts {
-			if n != 1 {
-				t.Fatalf("subscriber %s: payload %q delivered %d times", name, payload, n)
-			}
-		}
-	}
-	recvMu.Unlock()
 
 	// Zero gaps, and the migration actually exercised cursor resubscribes.
 	var replayRequests uint64
@@ -391,11 +249,31 @@ func TestChaosRebalanceDrainZeroLoss(t *testing.T) {
 	if replayRequests == 0 {
 		t.Fatal("no cursor resubscribes issued across a rebalance migration")
 	}
+}
 
-	for _, sub := range subs {
-		sub.Close()
+func payloadKey(m dynamoth.Message) string { return string(m.Payload) }
+
+// publishAccepted publishes payload on channel, retrying every 2 ms until
+// the client accepts it, and records it in l; it gives up after within.
+func publishAccepted(l *deliverycheck.Ledger, pub *dynamoth.Client, channel, payload string, within time.Duration) error {
+	for deadline := time.Now().Add(within); pub.Publish(channel, []byte(payload)) != nil; time.Sleep(2 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			return fmt.Errorf("publish %q never accepted", payload)
+		}
 	}
-	drainers.Wait()
+	l.Published(channel, payload)
+	return nil
+}
+
+// waitUntil polls cond every 20 ms for up to timeout and reports whether it
+// came true.
+func waitUntil(timeout time.Duration, cond func() bool) bool {
+	for deadline := time.Now().Add(timeout); !cond(); time.Sleep(20 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			return false
+		}
+	}
+	return true
 }
 
 // TestChaosPartitionDetectedBySilence blackholes a broker (connections stay
@@ -422,12 +300,8 @@ func TestChaosPartitionDetectedBySilence(t *testing.T) {
 	if err := c.PartitionServer("pub2"); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(15 * time.Second)
-	for c.Failures() < 1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("silent partition never detected: failures=%d", c.Failures())
-		}
-		time.Sleep(20 * time.Millisecond)
+	if !waitUntil(15*time.Second, func() bool { return c.Failures() >= 1 }) {
+		t.Fatalf("silent partition never detected: failures=%d", c.Failures())
 	}
 	if got := c.ActiveServers(); got != 1 {
 		t.Fatalf("ActiveServers=%d, want 1 after fencing", got)
@@ -475,15 +349,9 @@ func TestChaosReplacementSpawn(t *testing.T) {
 	if err := c.Crash("pub2"); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(20 * time.Second)
-	for {
-		if c.Failures() >= 1 && c.ActiveServers() == 2 {
-			break // crashed node fenced, replacement node running
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("no replacement: failures=%d servers=%v", c.Failures(), c.Servers())
-		}
-		time.Sleep(20 * time.Millisecond)
+	// The crashed node is fenced and a replacement node is running.
+	if !waitUntil(20*time.Second, func() bool { return c.Failures() >= 1 && c.ActiveServers() == 2 }) {
+		t.Fatalf("no replacement: failures=%d servers=%v", c.Failures(), c.Servers())
 	}
 	for _, id := range c.Servers() {
 		if id == "pub2" {

@@ -26,7 +26,6 @@ import (
 	"github.com/dynamoth/dynamoth/internal/balancer"
 	"github.com/dynamoth/dynamoth/internal/clock"
 	"github.com/dynamoth/dynamoth/internal/cloud"
-	"github.com/dynamoth/dynamoth/internal/dispatcher"
 	"github.com/dynamoth/dynamoth/internal/lla"
 	"github.com/dynamoth/dynamoth/internal/netsim"
 	"github.com/dynamoth/dynamoth/internal/obs"
@@ -97,9 +96,10 @@ type Cluster struct {
 	nodes   map[plan.ServerID]*server.Node
 	nextNum uint32
 
-	dialer   *transport.MemDialer // client-facing (WAN latency if enabled)
-	lan      *transport.MemDialer // the balancer's links: no WAN latency
-	faults   *netsim.Faults       // fault injection on every path to a node
+	dialer   *transport.MemDialer       // client-facing (WAN latency if enabled)
+	lan      *transport.MemDialer       // the balancer's links and forwarding: no WAN latency
+	fwd      *transport.PooledForwarder // node-to-node forwarding over lan
+	faults   *netsim.Faults             // fault injection on every path to a node
 	orch     *balancer.Orchestrator
 	provider *cloud.Simulator
 	rec      *trace.Recorder // shared flight recorder (every component appends)
@@ -154,6 +154,7 @@ func Start(opts Options) (*Cluster, error) {
 	c.faults = netsim.NewFaults(opts.Seed)
 	lanOpts := transport.MemDialerOptions{Clock: opts.Clock, Faults: c.faults}
 	c.lan = transport.NewMemDialer(nil, lanOpts)
+	c.fwd = transport.NewPooledForwarder(c.lan)
 	dialerOpts := lanOpts
 	if opts.WANLatency {
 		dialerOpts.Latency = netsim.NewPathModel()
@@ -372,6 +373,7 @@ func (c *Cluster) Stop() {
 		for _, n := range nodes {
 			n.Close()
 		}
+		c.fwd.Close()
 		c.dialer.Close()
 		c.lan.Close()
 	})
@@ -410,18 +412,6 @@ func (c *Cluster) teardownNode(id plan.ServerID) bool {
 	return n != nil
 }
 
-// forward implements dispatcher forwarding across nodes (cloud LAN).
-func (c *Cluster) forward(serverID plan.ServerID, channel string, payload []byte) error {
-	c.mu.Lock()
-	n := c.nodes[serverID]
-	c.mu.Unlock()
-	if n == nil {
-		return fmt.Errorf("cluster: no node %s", serverID)
-	}
-	n.Broker.Publish(channel, payload)
-	return nil
-}
-
 // startNode creates one node and registers it with both dialers.
 func (c *Cluster) startNode(id plan.ServerID, initial *plan.Plan) error {
 	c.mu.Lock()
@@ -433,7 +423,7 @@ func (c *Cluster) startNode(id plan.ServerID, initial *plan.Plan) error {
 		ID:             id,
 		NodeNum:        num,
 		Initial:        initial.Clone(),
-		Forwarder:      dispatcher.ForwarderFunc(c.forward),
+		Forwarder:      c.fwd,
 		Clock:          c.clk,
 		MaxOutgoingBps: c.opts.MaxOutgoingBps,
 		ReportEvery:    c.opts.ReportEvery,

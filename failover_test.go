@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/dynamoth/dynamoth/internal/broker"
 	"github.com/dynamoth/dynamoth/internal/clock"
+	"github.com/dynamoth/dynamoth/internal/deliverycheck"
 	"github.com/dynamoth/dynamoth/internal/plan"
 	"github.com/dynamoth/dynamoth/internal/trace"
 	"github.com/dynamoth/dynamoth/internal/transport"
@@ -218,36 +220,20 @@ func TestFailoverSubscriptionRepair(t *testing.T) {
 	// Crash s1. The subscriber's prompt repair sweep (woken by the
 	// disconnect, not the timer) must move the subscription to s2.
 	d.brokers["s1"].Close()
-	deadline := time.Now().Add(3 * time.Second)
-	for d.brokers["s2"].Subscribers(ch) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("subscription not re-homed onto the survivor")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitHeld(t, d.brokers["s2"], ch, true, "subscription not re-homed onto the survivor")
 
 	// Post-repair publishes flow again, exactly once each.
-	const n = 20
-	go func() {
-		for i := 0; i < n; i++ {
-			_ = pub.Publish(ch, []byte(fmt.Sprintf("msg-%d", i)))
+	l := deliverycheck.New()
+	deliverycheck.Drain(l, "sub", ch, msgs, func(m Message) string { return string(m.Payload) })
+	for i := 0; i < 20; i++ {
+		payload := fmt.Sprintf("msg-%d", i)
+		if err := pub.Publish(ch, []byte(payload)); err != nil {
+			t.Fatal(err)
 		}
-	}()
-	got := make(map[string]int, n)
-	timeout := time.After(5 * time.Second)
-	for len(got) < n {
-		select {
-		case m, ok := <-msgs:
-			if !ok {
-				t.Fatal("stream closed mid-recovery")
-			}
-			got[string(m.Payload)]++
-			if got[string(m.Payload)] > 1 {
-				t.Fatalf("duplicate delivery of %q", m.Payload)
-			}
-		case <-timeout:
-			t.Fatalf("received %d/%d post-repair messages", len(got), n)
-		}
+		l.Published(ch, payload)
+	}
+	if err := l.Wait(5 * time.Second); err != nil {
+		t.Fatal(err)
 	}
 
 	// Unsubscribing must reach the stand-in that actually holds the
@@ -255,10 +241,17 @@ func TestFailoverSubscriptionRepair(t *testing.T) {
 	if err := sub.Unsubscribe(ch); err != nil {
 		t.Fatal(err)
 	}
-	deadline = time.Now().Add(3 * time.Second)
-	for d.brokers["s2"].Subscribers(ch) != 0 {
+	waitHeld(t, d.brokers["s2"], ch, false, "s2 still holds the subscription after Unsubscribe")
+}
+
+// waitHeld waits up to 3 s until b holds a subscription to ch, or with held
+// false until it holds none, and fails with what otherwise.
+func waitHeld(t *testing.T, b *broker.Broker, ch string, held bool, what string) {
+	t.Helper()
+	deadline := time.Now().Add(3 * time.Second)
+	for (b.Subscribers(ch) > 0) != held {
 		if time.Now().After(deadline) {
-			t.Fatalf("s2 still holds %d subscriber(s) after Unsubscribe", d.brokers["s2"].Subscribers(ch))
+			t.Fatalf("%s: %d subscriber(s) on %s", what, b.Subscribers(ch), ch)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -370,13 +363,7 @@ func TestFailoverRepairInbox(t *testing.T) {
 	}
 
 	d.brokers["s1"].Close()
-	deadline := time.Now().Add(3 * time.Second)
-	for d.brokers["s2"].Subscribers(inbox) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("inbox not re-homed after crash")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitHeld(t, d.brokers["s2"], inbox, true, "inbox not re-homed after crash")
 }
 
 // TestFailoverNoGoroutineLeak runs a crash/repair cycle and verifies client
@@ -399,13 +386,7 @@ func TestFailoverNoGoroutineLeak(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.brokers["s1"].Close()
-	deadline := time.Now().Add(3 * time.Second)
-	for d.brokers["s2"].Subscribers(ch) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("no repair")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitHeld(t, d.brokers["s2"], ch, true, "no repair")
 	if err := cl.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +395,7 @@ func TestFailoverNoGoroutineLeak(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	deadline = time.Now().Add(3 * time.Second)
+	deadline := time.Now().Add(3 * time.Second)
 	for runtime.NumGoroutine() > before+2 {
 		if time.Now().After(deadline) {
 			t.Fatalf("goroutines: before=%d after=%d", before, runtime.NumGoroutine())
@@ -437,17 +418,16 @@ func TestFailoverReplayGapReported(t *testing.T) {
 	manual := clock.NewManual(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
 	flaky := newFlakyDialer(inner, manual)
 
-	var gapMu sync.Mutex
-	var gaps []uint64
+	l := deliverycheck.New()
+	var gapCalls atomic.Int32
 	rec := trace.NewRecorder(4096)
 	sub, err := ConnectWithDialer(flaky, []string{"s1"}, Config{
 		NodeID:   700,
 		Clock:    manual,
 		Recorder: rec,
 		OnReplayGap: func(channel string, missed uint64) {
-			gapMu.Lock()
-			gaps = append(gaps, missed)
-			gapMu.Unlock()
+			gapCalls.Add(1)
+			l.Gap("sub", channel, missed)
 		},
 	})
 	if err != nil {
@@ -465,12 +445,15 @@ func TestFailoverReplayGapReported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pub.Publish(ch, []byte("m0")); err != nil {
-		t.Fatal(err)
+	l.Subscribed("sub", ch)
+	publish := func(payload string) {
+		if err := pub.Publish(ch, []byte(payload)); err != nil {
+			t.Fatal(err)
+		}
+		l.Published(ch, payload)
 	}
-	if m := recvMsg(t, msgs); string(m.Payload) != "m0" {
-		t.Fatalf("payload=%q", m.Payload)
-	}
+	publish("m0")
+	l.Delivered("sub", ch, string(recvMsg(t, msgs).Payload))
 
 	flaky.cut("s1")
 	deadline := time.Now().Add(2 * time.Second)
@@ -481,43 +464,42 @@ func TestFailoverReplayGapReported(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	for i := 1; i <= cutOff; i++ {
-		if err := pub.Publish(ch, []byte(fmt.Sprintf("m%d", i))); err != nil {
-			t.Fatal(err)
-		}
+		publish(fmt.Sprintf("m%d", i))
 	}
 
 	// Past the redial backoff, the repair sweep redials s1 and resumes by
 	// cursor: m1..m16 are overwritten, m17..m20 are still in the ring.
 	const missed = cutOff - depth
-	for i := depth; i >= 1; i-- {
-		want := fmt.Sprintf("m%d", cutOff-i+1)
-		deadline := time.Now().Add(5 * time.Second)
-		var m Message
-		for got := false; !got; {
-			select {
-			case m = <-msgs:
-				got = true
-			case <-time.After(10 * time.Millisecond):
-				if time.Now().After(deadline) {
-					t.Fatalf("%s never arrived after the redial", want)
-				}
-				manual.Advance(time.Second)
+	var got []string
+	for deadline := time.Now().Add(5 * time.Second); len(got) < depth; {
+		select {
+		case m := <-msgs:
+			got = append(got, string(m.Payload))
+			l.Delivered("sub", ch, string(m.Payload))
+			deadline = time.Now().Add(5 * time.Second)
+		case <-time.After(10 * time.Millisecond):
+			if time.Now().After(deadline) {
+				t.Fatalf("after the redial, only %q arrived", got)
 			}
+			manual.Advance(time.Second)
 		}
-		if string(m.Payload) != want {
-			t.Fatalf("got %q, want %q", m.Payload, want)
-		}
+	}
+	if fmt.Sprint(got) != "[m17 m18 m19 m20]" {
+		t.Fatalf("after the redial got %q, want m17..m20 in order", got)
 	}
 	select {
 	case m := <-msgs:
-		t.Fatalf("unexpected extra delivery %q", m.Payload)
+		l.Delivered("sub", ch, string(m.Payload))
 	case <-time.After(50 * time.Millisecond):
 	}
 
-	gapMu.Lock()
-	defer gapMu.Unlock()
-	if len(gaps) != 1 || gaps[0] != missed {
-		t.Fatalf("OnReplayGap calls %v, want one of %d", gaps, missed)
+	// m0 and m17..m20 once each, nothing else, and the 16 undelivered frames
+	// are exactly what the one OnReplayGap call reported.
+	if err := l.Check(); err != nil {
+		t.Fatal(err)
+	}
+	if n := gapCalls.Load(); n != 1 {
+		t.Fatalf("%d OnReplayGap calls, want one of %d", n, missed)
 	}
 	if st := sub.Stats(); st.ReplayGapFrames != missed || st.ReplayedFrames != depth {
 		t.Fatalf("stats: %d gap frames, %d replayed; want %d and %d",

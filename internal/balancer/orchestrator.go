@@ -272,9 +272,9 @@ func (o *Orchestrator) push(p *plan.Plan) {
 }
 
 // link is the transport.Handler of one server's link: it decodes the
-// server's LLA reports into the report queue, dropping malformed ones and,
-// when the LB lags, new ones (a newer report follows), and forgets the link
-// when its connection dies.
+// server's LLA reports into the report queue, dropping malformed ones, ones
+// that name another server and, when the LB lags, new ones (a newer report
+// follows), and forgets the link when its connection dies.
 type link struct {
 	o  *Orchestrator
 	id plan.ServerID
@@ -286,7 +286,7 @@ func (l link) OnMessage(_ string, payload []byte) {
 		return
 	}
 	r, err := lla.UnmarshalReport(env.Payload)
-	if err != nil {
+	if err != nil || r.Server != l.id {
 		return
 	}
 	select {

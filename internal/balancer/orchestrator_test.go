@@ -355,25 +355,45 @@ func TestOrchestratorStopIdempotent(t *testing.T) {
 	o.Stop()
 }
 
-// TestOrchestratorIgnoresMalformedReports: bytes that are no envelope, an
-// envelope of another type, and report envelopes whose body does not decode
-// or fails validation are all dropped at the link. Each bad report carries a
-// higher Seq than the good one that follows, so one that got through would
-// make State drop the good one as stale.
+// malformedReports are payloads a link must drop: bytes that are no
+// envelope, an envelope of another type, report envelopes whose body does
+// not decode or fails validation, and a valid report naming another server.
+// Each carries a higher Seq than the good report sent after them, so one
+// that got through would make State drop the good one as stale. They also
+// seed FuzzOrchestratorLink.
+var malformedReports = [][]byte{
+	[]byte("not an envelope"),
+	reportEnvelope(message.TypePlan, `{"server":"pub1","seq":9,"maxOutgoingBps":1000,"measuredOutgoingBps":900}`),
+	reportEnvelope(message.TypeLoadReport, `{"server":`),
+	reportEnvelope(message.TypeLoadReport, `{"server":"pub1","seq":9,"maxOutgoingBps":1000,"measuredOutgoingBps":-1}`),
+	reportEnvelope(message.TypeLoadReport, `{"server":"pub2","seq":9,"maxOutgoingBps":1000,"measuredOutgoingBps":900}`),
+}
+
+func reportEnvelope(typ message.Type, body string) []byte {
+	env := &message.Envelope{Type: typ, ID: message.ID{Node: 1, Seq: 1}, Payload: []byte(body)}
+	return env.Marshal()
+}
+
+// TestOrchestratorIgnoresMalformedReports delivers every malformed report
+// on pub1's link, then a good one: the planner sees only the good one, and
+// pub2, which never reports on its own link, stays absent.
 func TestOrchestratorIgnoresMalformedReports(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.TWait = time.Millisecond
 	planner := &scriptedPlanner{}
-	_, d, _ := startOrchestrator(t, planner, cfg, nil)
-
-	envelope := func(typ message.Type, body string) []byte {
-		env := &message.Envelope{Type: typ, ID: message.ID{Node: 1, Seq: 1}, Payload: []byte(body)}
-		return env.Marshal()
+	initial := plan.New("pub1", "pub2")
+	initial.Version = 1
+	d := newFakeDialer()
+	o, err := NewOrchestrator(OrchestratorOptions{Planner: planner, Config: cfg, Initial: initial, Dialer: d})
+	if err != nil {
+		t.Fatal(err)
 	}
-	d.deliver("pub1", []byte("not an envelope"))
-	d.deliver("pub1", envelope(message.TypePlan, `{"server":"pub1","seq":9,"maxOutgoingBps":1000,"measuredOutgoingBps":900}`))
-	d.deliver("pub1", envelope(message.TypeLoadReport, `{"server":`))
-	d.deliver("pub1", envelope(message.TypeLoadReport, `{"server":"pub1","seq":9,"maxOutgoingBps":1000,"measuredOutgoingBps":-1}`))
+	go o.Run()
+	t.Cleanup(o.Stop)
+
+	for _, payload := range malformedReports {
+		d.deliver("pub1", payload)
+	}
 	d.report("pub1", &lla.Report{Server: "pub1", Seq: 1, MaxOutgoingBps: 1000, MeasuredOutgoingBps: 700})
 
 	waitFor(t, "the valid report folded into planning input", func() bool {
@@ -387,6 +407,41 @@ func TestOrchestratorIgnoresMalformedReports(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzOrchestratorLink feeds arbitrary bytes to a link's OnMessage: it never
+// panics, and anything it queues came from a TypeLoadReport envelope whose
+// body passes validation and names the link's own node.
+func FuzzOrchestratorLink(f *testing.F) {
+	for _, payload := range malformedReports {
+		f.Add(payload)
+	}
+	f.Add(reportEnvelope(message.TypeLoadReport, `{"server":"pub1","seq":1,"maxOutgoingBps":1000,"measuredOutgoingBps":700}`))
+	initial := plan.New("pub1")
+	initial.Version = 1
+	d := newFakeDialer()
+	o, err := NewOrchestrator(OrchestratorOptions{Planner: &scriptedPlanner{}, Config: DefaultConfig(), Initial: initial, Dialer: d})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(o.closeLinks)
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		d.deliver("pub1", append([]byte(nil), payload...))
+		select {
+		case r := <-o.reports:
+			env, err := message.Unmarshal(payload)
+			if err != nil || env.Type != message.TypeLoadReport {
+				t.Fatalf("queued %+v from a payload that is no report envelope (%v)", r, err)
+			}
+			if _, err := lla.UnmarshalReport(env.Payload); err != nil {
+				t.Fatalf("queued %+v from a report body that fails validation: %v", r, err)
+			}
+			if r.Server != "pub1" {
+				t.Fatalf("pub1's link queued a report naming %q", r.Server)
+			}
+		default:
+		}
+	})
 }
 
 // TestOrchestratorPushesPlanToEveryLink: a plan goes to every linked server

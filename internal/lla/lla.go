@@ -191,12 +191,6 @@ func (c *channelAccum) reset() {
 // fan-out goroutines stop serializing on one global mutex.
 const AccumStripes = 32
 
-// DefaultChannelCap bounds the channels tracked when no explicit cap is
-// given. Under normal workloads it is never reached; at IoT-style
-// topic-per-device scale it is what keeps the accumulator O(cap) instead of
-// O(channels). The node sets it to its channel-record table's bound.
-const DefaultChannelCap = 65536
-
 // accumStripe is one lock stripe: a share of the channel records, plus the
 // stripe-local overflow bucket publications fold into once that share is
 // full.
@@ -499,7 +493,8 @@ type Config struct {
 	// DefaultReportEvery).
 	ReportEvery time.Duration
 	// ChannelCap bounds the channels the accumulator tracks; traffic past
-	// it folds into the unit's overflow bucket. 0 means DefaultChannelCap;
+	// it folds into the unit's overflow bucket. 0 means
+	// broker.DefaultChannelCap, the node's channel-record bound;
 	// negative means unbounded.
 	ChannelCap int
 	// Clock provides time (default: real clock).
@@ -523,7 +518,7 @@ func (c *Config) fillDefaults() {
 		c.MaxOutgoingBps = DefaultMaxOutgoingBps
 	}
 	if c.ChannelCap == 0 {
-		c.ChannelCap = DefaultChannelCap
+		c.ChannelCap = broker.DefaultChannelCap
 	} else if c.ChannelCap < 0 {
 		c.ChannelCap = 0 // unbounded
 	}

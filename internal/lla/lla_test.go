@@ -315,7 +315,7 @@ func TestConfigDefaults(t *testing.T) {
 	if c.Clock == nil || c.MaxOutgoingBps <= 0 {
 		t.Fatal("defaults missing")
 	}
-	if c.ChannelCap != DefaultChannelCap {
+	if c.ChannelCap != broker.DefaultChannelCap {
 		t.Fatalf("channelCap default=%d", c.ChannelCap)
 	}
 	c = Config{ChannelCap: -1}

@@ -108,7 +108,7 @@ func (c Config) fillDefaults() Config {
 		c.ReportEvery = 3 * c.Unit
 	}
 	if c.EntryTimeout <= 0 {
-		c.EntryTimeout = 30 * time.Second
+		c.EntryTimeout = localplan.DefaultTimeout
 	}
 	if c.ReleaseGrace <= 0 {
 		c.ReleaseGrace = 20 * time.Second

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -83,9 +84,10 @@ type Config struct {
 	// asked for frames the broker's replay ring had already overwritten — a
 	// definite, unrecoverable delivery gap of missed frames on channel. Nil
 	// means the gap is only counted (Stats.ReplayGapFrames and the
-	// dynamoth_client_replay_gap_unrecoverable_total metric). Called from the
-	// client's control plane; implementations must not call back into the
-	// client synchronously.
+	// dynamoth_client_replay_gap_unrecoverable_total metric). It runs on a
+	// transport goroutine holding no client lock, so it may call into the
+	// client; over TCP, that server's deliveries wait until it returns. A
+	// gap answered after Close is not reported.
 	OnReplayGap func(channel string, missed uint64)
 	// Logger receives structured client logs. Nil discards.
 	Logger *slog.Logger
@@ -346,7 +348,7 @@ func ConnectWithDialer(dialer transport.Dialer, servers []string, cfg Config) (*
 		c.mu.Unlock()
 		return nil, fmt.Errorf("dynamoth: connecting to bootstrap servers: %w", dialErr)
 	}
-	if _, err := c.subscribeOnLocked(inbox, home, nil); err != nil {
+	if err := c.moveLocked(&move{channel: inbox, add: home}); err != nil {
 		c.mu.Unlock()
 		return nil, fmt.Errorf("dynamoth: subscribing inbox: %w", err)
 	}
@@ -589,7 +591,7 @@ func (c *Client) Subscribe(channel string) (<-chan Message, error) {
 	sub := &subscription{}
 	sub.stream.init(c.cfg.SubscribeBuffer)
 	c.subs.Store(channel, sub)
-	if _, err := c.subscribeOnLocked(channel, servers, nil); err != nil {
+	if err := c.moveLocked(&move{channel: channel, add: servers}); err != nil {
 		c.subs.Delete(channel)
 		c.closeOut(sub)
 		c.routes.Unsubscribe(channel)
@@ -713,10 +715,12 @@ func (c *Client) reachLocked(channel string, dialErr *error) localplan.Reach {
 }
 
 // leaveLocked unsubscribes channel on whichever of servers are still
-// connected (best effort: a connection may be dying).
+// connected (best effort: a connection may be dying) and not where the
+// routing table places it.
 func (c *Client) leaveLocked(channel string, servers []plan.ServerID) {
+	held, _ := c.routes.Servers(channel)
 	for _, s := range servers {
-		if conn, ok := c.conns[s]; ok {
+		if conn, ok := c.conns[s]; ok && !slices.Contains(held, s) {
 			_ = conn.conn.Unsubscribe(channel)
 		}
 	}
@@ -771,58 +775,54 @@ func (c *Client) armBackoffLocked(server plan.ServerID, cause error) {
 	ds.attempts++
 }
 
-// replayOutcome summarizes one subscribe's cursor replays so the caller can
-// record traces and fire the gap callback after releasing c.mu.
-type replayOutcome struct {
-	attempted bool   // at least one cursor subscribe was issued
-	replayed  int    // frames brokers queued to fill our gaps
-	missed    uint64 // frames declared unrecoverable
+// move is one routing decision carried out: channel subscribed on add, then
+// left on drop. why and planVersion label its replay events.
+type move struct {
+	channel     string
+	add, drop   []plan.ServerID
+	why         string
+	planVersion uint64
+
+	// What the resume cursor claimed, for the servers' answers.
+	track *seqTracker
+	sent  map[uint64]uint64
+	// waiting counts the cursor subscribes not yet answered, plus one while
+	// they are being sent; drop is left when it reaches zero.
+	waiting atomic.Int32
 }
 
-// subscribeOnLocked is the one way a subscription lands on servers, first
-// placement and every move alike. When track has consumed frames, each server
-// is handed its resume cursor and replays the frames we are owed before live
-// flow; otherwise — a new subscription, the inbox (nil track), a cursor the
-// server refused — it is a plain Subscribe. A gap the broker declares
-// overwritten is forgiven in the tracker (asking again can never succeed) and
-// surfaced in the outcome. It fails only when no server took the
-// subscription.
-func (c *Client) subscribeOnLocked(channel string, servers []plan.ServerID, track *seqTracker) (replayOutcome, error) {
-	var out replayOutcome
+// moveLocked is the one way a subscription lands on servers, first placement
+// and every move alike. When the channel's tracker has consumed frames, each
+// server in add is handed its resume cursor and replays the frames we are
+// owed before live flow; otherwise — a new subscription, the inbox — it is a
+// plain Subscribe. Nothing waits for a server's answer (see replayed). drop
+// is left once every cursor subscribe is answered, so the old servers deliver
+// until the new ones hold the subscription, and even when the subscribe
+// failed: the routing table no longer records it, so no later decision would.
+// It fails only when no server took the subscription.
+func (c *Client) moveLocked(m *move) error {
 	var cur message.Cursor
-	var sent map[uint64]uint64
 	resume := false
-	if track != nil {
-		cur, sent, resume = track.cursor()
+	if sub := c.sub(m.channel); sub != nil {
+		m.track = &sub.track
+		cur, m.sent, resume = m.track.cursor()
 	}
+	m.waiting.Store(1)
 	var firstErr error
 	okCount := 0
-	for _, s := range servers {
-		conn, err := c.connLocked(s)
+	for _, s := range m.add {
+		cc, err := c.connLocked(s)
 		if err == nil {
 			if resume {
-				res, cerr := conn.conn.SubscribeCursor(channel, cur)
-				if cerr == nil {
-					okCount++
-					out.attempted = true
-					out.replayed += res.Replayed
-					c.replayRequests.Add(1)
-					c.replayedFrames.Add(uint64(res.Replayed))
-					if res.Missed > 0 {
-						// Missed is relative to the contiguous sequence we
-						// claimed for the matched epoch: everything up to
-						// sent+missed is gone.
-						track.forgive(res.Epoch, sent[res.Epoch]+res.Missed)
-						out.missed += res.Missed
-						c.replayGaps.Add(res.Missed)
-					}
-					continue
+				m.waiting.Add(1)
+				if err = cc.conn.SubscribeCursor(m.channel, cur, func(res transport.ReplayResult, err error) {
+					c.replayed(m, cc, res, err)
+				}); err != nil {
+					m.waiting.Add(-1)
 				}
-				// The cursor was rejected or the ack lost: the plain subscribe
-				// below keeps live flow alive, and the gap, if any, stays open
-				// in the tracker for the next move to claim.
+			} else {
+				err = cc.conn.Subscribe(m.channel)
 			}
-			err = conn.conn.Subscribe(channel)
 		}
 		if err != nil {
 			if firstErr == nil {
@@ -832,44 +832,62 @@ func (c *Client) subscribeOnLocked(channel string, servers []plan.ServerID, trac
 		}
 		okCount++
 	}
+	if m.waiting.Add(-1) == 0 {
+		c.leaveLocked(m.channel, m.drop)
+	}
 	if okCount == 0 && firstErr != nil {
-		return out, fmt.Errorf("dynamoth: subscribe %q: %w", channel, firstErr)
+		return fmt.Errorf("dynamoth: subscribe %q: %w", m.channel, firstErr)
 	}
-	return out, nil
+	return nil
 }
 
-// moveLocked carries out a routing decision for a subscription that already
-// exists — a SWITCH, a failover repair, the inbox following the ring: it
-// subscribes channel on add, resuming from its cursor, then leaves drop. drop
-// is left even when the subscribe failed: the routing table no longer records
-// it, so no later decision would.
-func (c *Client) moveLocked(channel string, add, drop []plan.ServerID) (replayOutcome, error) {
-	var track *seqTracker
-	if sub := c.sub(channel); sub != nil {
-		track = &sub.track
-	}
-	out, err := c.subscribeOnLocked(channel, add, track)
-	c.leaveLocked(channel, drop)
-	return out, err
-}
-
-// recordReplay emits the trace/log/callback side of a re-homing's replay,
-// outside c.mu (OnReplayGap is user code).
-func (c *Client) recordReplay(channel, detail string, planVersion uint64, out replayOutcome) {
-	if !out.attempted {
+// replayed is where a server's answer to one of m's cursor subscribes lands,
+// on a transport goroutine and outside c.mu (OnReplayGap is user code). A
+// refused cursor left the channel unsubscribed on cc, so it is subscribed
+// plainly while the routing table still places it there; the gap, if any,
+// stays open in the tracker for the next move to claim. A closed connection
+// leaves the channel to the repair of cc's server. The last answer leaves
+// m.drop. A gap the broker declares overwritten is forgiven in the tracker
+// (asking again can never succeed); what the tracker gave up is counted,
+// recorded and reported. An answer that lands after Close is dropped.
+func (c *Client) replayed(m *move, cc *clientConn, res transport.ReplayResult, err error) {
+	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
 		return
 	}
-	c.rec.Record(trace.KindReplay, planVersion, channel, detail, int64(out.replayed), int64(out.missed))
-	if out.missed == 0 {
+	if err != nil && !errors.Is(err, transport.ErrClosed) {
+		if servers, _ := c.routes.Servers(m.channel); c.conns[cc.server] == cc && slices.Contains(servers, cc.server) {
+			_ = cc.conn.Subscribe(m.channel) // a failure surfaces as a disconnect
+		}
+	}
+	if m.waiting.Add(-1) == 0 {
+		c.leaveLocked(m.channel, m.drop)
+	}
+	c.mu.Unlock()
+	if err != nil {
 		return
 	}
-	c.rec.Record(trace.KindReplayGap, planVersion, channel, detail, int64(out.missed), 0)
+	c.replayRequests.Add(1)
+	c.replayedFrames.Add(uint64(res.Replayed))
+	var missed uint64
+	if res.Missed > 0 {
+		// Missed is relative to the contiguous sequence we claimed for the
+		// matched epoch: everything up to sent+missed is gone.
+		missed = m.track.forgive(res.Epoch, m.sent[res.Epoch]+res.Missed)
+	}
+	c.rec.Record(trace.KindReplay, m.planVersion, m.channel, m.why, int64(res.Replayed), int64(missed))
+	if missed == 0 {
+		return
+	}
+	c.replayGaps.Add(missed)
+	c.rec.Record(trace.KindReplayGap, m.planVersion, m.channel, m.why, int64(missed), 0)
 	c.log.Warn("unrecoverable replay gap",
-		slog.String("channel", channel),
-		slog.String("reason", detail),
-		slog.Uint64("missed", out.missed))
+		slog.String("channel", m.channel),
+		slog.String("reason", m.why),
+		slog.Uint64("missed", missed))
 	if c.cfg.OnReplayGap != nil {
-		c.cfg.OnReplayGap(channel, out.missed)
+		c.cfg.OnReplayGap(m.channel, missed)
 	}
 }
 
@@ -965,14 +983,14 @@ func (c *Client) deliver(sub *subscription, channel string, env *message.Envelop
 	sub.stream.deliver(msg, &c.received, &c.dropped)
 }
 
-// applyControl folds a SWITCH (move) or WRONG-SERVER notification into the
+// applyControl folds a SWITCH (isSwitch) or WRONG-SERVER notification into the
 // routing table: the ring it carries, which may re-home the inbox, and the
 // channel's new mapping. A SWITCH on a subscribed channel moves the
 // subscription: the new servers first, presenting the resume cursor so they
 // replay anything the drain window would lose, then the abandoned ones; the
 // deduper absorbs the overlap. A failed subscribe surfaces as a disconnect,
 // which repairs it.
-func (c *Client) applyControl(env *message.Envelope, move bool) {
+func (c *Client) applyControl(env *message.Envelope, isSwitch bool) {
 	channel := env.Channel
 	c.mu.Lock()
 	if c.closed {
@@ -981,17 +999,16 @@ func (c *Client) applyControl(env *message.Envelope, move bool) {
 	}
 	inbox := plan.InboxChannel(c.cfg.NodeID)
 	add, drop := c.routes.Ring(env.RingServers, env.PlanVersion, c.reachLocked(inbox, nil))
-	_, _ = c.moveLocked(inbox, add, drop)
+	_ = c.moveLocked(&move{channel: inbox, add: add, drop: drop})
 	e := plan.Entry{Strategy: plan.Strategy(env.Strategy), Servers: env.Servers}
-	add, drop, moved := c.routes.Learn(channel, e, env.PlanVersion, move, c.cfg.Clock.Now(), c.reachLocked(channel, nil))
+	add, drop, moved := c.routes.Learn(channel, e, env.PlanVersion, isSwitch, c.cfg.Clock.Now(), c.reachLocked(channel, nil))
 	if !moved {
 		c.mu.Unlock()
 		return
 	}
-	replay, _ := c.moveLocked(channel, add, drop)
+	_ = c.moveLocked(&move{channel: channel, add: add, drop: drop, why: "switch", planVersion: env.PlanVersion})
 	servers, _ := c.routes.Servers(channel)
 	c.mu.Unlock()
-	c.recordReplay(channel, "switch", env.PlanVersion, replay)
 	c.rec.Record(trace.KindMigrate, env.PlanVersion, channel, "switch", 1, int64(len(servers)))
 	c.log.Info("subscription migrated",
 		slog.String("channel", channel),
@@ -1074,11 +1091,6 @@ func (c *Client) sweep() {
 		repairs = append(repairs, ch)
 	}
 	sort.Strings(repairs)
-	type repairedReplay struct {
-		ch  string
-		out replayOutcome
-	}
-	var replays []repairedReplay
 	for _, ch := range repairs {
 		add, drop := c.routes.Repair(ch, c.reachLocked(ch, nil))
 		if len(add) == 0 {
@@ -1087,15 +1099,13 @@ func (c *Client) sweep() {
 		// The resume cursor turns the failover from "hope the overlap covered
 		// it" into an explicit replay of the crash window from the successor's
 		// ring (or, after a redial, from the same broker's ring).
-		replay, err := c.moveLocked(ch, add, drop)
-		if err != nil {
+		if err := c.moveLocked(&move{channel: ch, add: add, drop: drop, why: "failover"}); err != nil {
 			continue // retry next sweep
 		}
 		delete(c.repairs, ch)
 		if c.sub(ch) == nil {
 			continue // the inbox: no stream to resume
 		}
-		replays = append(replays, repairedReplay{ch, replay})
 		// Plan 0: the timeline attributes a failover to the enclosing repair.
 		c.rec.Record(trace.KindMigrate, 0, ch, "failover", 1, int64(len(add)))
 		c.log.Info("subscription repaired",
@@ -1103,9 +1113,6 @@ func (c *Client) sweep() {
 			slog.Int("targets", len(add)))
 	}
 	c.mu.Unlock()
-	for _, r := range replays {
-		c.recordReplay(r.ch, "failover", 0, r.out)
-	}
 }
 
 // connHandler routes transport events back into the client.

@@ -590,15 +590,21 @@ func TestReplayedDuplicateRecordedOnce(t *testing.T) {
 		}
 		sub.track.mu.Unlock()
 		c.mu.Lock()
-		out, err := c.moveLocked("replayed", []plan.ServerID{"s1"}, nil)
+		err := c.moveLocked(&move{channel: "replayed", add: []plan.ServerID{"s1"}})
 		c.mu.Unlock()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !out.attempted || out.replayed != 1 {
-			t.Fatalf("replay outcome %+v, want 1 frame replayed", out)
-		}
 		deadline := time.Now().Add(2 * time.Second)
+		for st := c.Stats(); st.ReplayRequests < n || st.ReplayedFrames < n; st = c.Stats() {
+			if time.Now().After(deadline) {
+				t.Fatalf("after cursor subscribe %d: %d replay requests, %d frames replayed; want 1 frame replayed each", n, st.ReplayRequests, st.ReplayedFrames)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		if st := c.Stats(); st.ReplayRequests != n || st.ReplayedFrames != n {
+			t.Fatalf("after cursor subscribe %d: %d replay requests, %d frames replayed; want exactly %d of each", n, st.ReplayRequests, st.ReplayedFrames, n)
+		}
 		for c.Stats().Duplicates < n || rec.Count(trace.KindDuplicate) < n {
 			if time.Now().After(deadline) {
 				t.Fatalf("duplicates=%d events=%d, want %d", c.Stats().Duplicates, rec.Count(trace.KindDuplicate), n)

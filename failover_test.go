@@ -3,6 +3,7 @@ package dynamoth
 import (
 	"errors"
 	"fmt"
+	"net"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -492,6 +493,10 @@ func TestFailoverReplayGapReported(t *testing.T) {
 		l.Delivered("sub", ch, string(m.Payload))
 	case <-time.After(50 * time.Millisecond):
 	}
+	// The broker's answer to the cursor lands after the call that sent it.
+	for deadline := time.Now().Add(5 * time.Second); gapCalls.Load() == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 
 	// m0 and m17..m20 once each, nothing else, and the 16 undelivered frames
 	// are exactly what the one OnReplayGap call reported.
@@ -510,5 +515,106 @@ func TestFailoverReplayGapReported(t *testing.T) {
 	}
 	if n := sub.ReplayGaps(); n != 0 {
 		t.Fatalf("%d frames still owed after the gap was declared", n)
+	}
+}
+
+// TestReplayGapCallbackMaySubscribe: OnReplayGap runs holding no client
+// lock, so a callback that subscribes to another channel returns, over the
+// in-process and the TCP transport alike.
+func TestReplayGapCallbackMaySubscribe(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		inner func(t *testing.T, b *broker.Broker) transport.Dialer
+	}{
+		{name: "mem", inner: func(t *testing.T, b *broker.Broker) transport.Dialer {
+			d := transport.NewMemDialer(map[plan.ServerID]*broker.Broker{"s1": b}, transport.MemDialerOptions{})
+			t.Cleanup(d.Close)
+			return d
+		}},
+		{name: "tcp", inner: func(t *testing.T, b *broker.Broker) transport.Dialer {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			served := make(chan struct{})
+			go func() {
+				defer close(served)
+				broker.Serve(ln, b) //nolint:errcheck // ends on close
+			}()
+			t.Cleanup(func() {
+				ln.Close()
+				<-served
+			})
+			return transport.NewTCPDialer(map[plan.ServerID]string{"s1": ln.Addr().String()})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := broker.New(broker.Options{Name: "s1", ReplayDepth: 4})
+			defer b.Close()
+			inner := tc.inner(t, b)
+			flaky := newFlakyDialer(inner, clock.NewReal())
+
+			var sub *Client
+			subscribed := make(chan error, 1)
+			sub, err := ConnectWithDialer(flaky, []string{"s1"}, Config{
+				NodeID: 710,
+				// Repair sweeps every second (a quarter of the entry
+				// timeout), and the redial is due by the first of them.
+				EntryTimeout: 4 * time.Second,
+				RedialMin:    time.Millisecond,
+				RedialMax:    10 * time.Millisecond,
+				OnReplayGap: func(string, uint64) {
+					_, err := sub.Subscribe("after-gap")
+					subscribed <- err
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sub.Close()
+			pub, err := ConnectWithDialer(inner, []string{"s1"}, Config{NodeID: 711})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer pub.Close()
+
+			const ch = "arena"
+			msgs, err := sub.Subscribe(ch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for deadline := time.Now().Add(3 * time.Second); b.Subscribers(ch) == 0; {
+				if time.Now().After(deadline) {
+					t.Fatal("subscription never reached the broker")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			if err := pub.Publish(ch, []byte("m0")); err != nil {
+				t.Fatal(err)
+			}
+			recvMsg(t, msgs)
+			// Cut off, and kept off while more is published than the ring
+			// holds; the repair after that resumes by cursor into a gap.
+			flaky.setDead("s1", true)
+			flaky.cut("s1")
+			waitHeld(t, b, ch, false, "the cut connection still holds its subscription")
+			for i := 1; i <= 20; i++ {
+				if err := pub.Publish(ch, []byte(fmt.Sprintf("m%d", i))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := pub.Flush(5 * time.Second); err != nil {
+				t.Fatal(err)
+			}
+			flaky.setDead("s1", false)
+			select {
+			case err := <-subscribed:
+				if err != nil {
+					t.Fatalf("Subscribe from OnReplayGap: %v", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("Subscribe called from OnReplayGap never returned; stats %+v", sub.Stats())
+			}
+		})
 	}
 }

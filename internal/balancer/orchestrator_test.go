@@ -2,6 +2,7 @@ package balancer
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -164,8 +165,8 @@ func (c *fakeConn) Subscribe(channels ...string) error {
 
 func (c *fakeConn) Unsubscribe(...string) error { return nil }
 
-func (c *fakeConn) SubscribeCursor(string, message.Cursor) (transport.ReplayResult, error) {
-	return transport.ReplayResult{}, nil
+func (c *fakeConn) SubscribeCursor(string, message.Cursor, func(transport.ReplayResult, error)) error {
+	return errors.ErrUnsupported
 }
 
 func (c *fakeConn) Publish(channel string, payload []byte) error {

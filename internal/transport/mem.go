@@ -194,10 +194,14 @@ func (c *memConn) Publish(channel string, payload []byte) error {
 }
 
 // SubscribeCursor runs straight against the broker session: subscribe, then
-// replay the cursor's gap from the channel's ring.
-func (c *memConn) SubscribeCursor(channel string, cur message.Cursor) (ReplayResult, error) {
+// replay the cursor's gap from the channel's ring. The answer reaches onAck
+// after the call returns, as deliveries do.
+func (c *memConn) SubscribeCursor(channel string, cur message.Cursor, onAck func(ReplayResult, error)) error {
 	res, err := c.session.SubscribeFrom(channel, cur)
-	return ReplayResult{Replayed: res.Replayed, Missed: res.Missed, Epoch: res.Epoch}, err
+	if err == nil {
+		go onAck(res, nil)
+	}
+	return err
 }
 
 // Outstanding is 0: Publish hands the frame over before it returns.

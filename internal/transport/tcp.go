@@ -155,22 +155,18 @@ type tcpConn struct {
 	// await a flush.
 	flushCh chan struct{}
 
-	// cackMu serializes SubscribeCursor calls; cackCh holds the waiter the
-	// readLoop routes the next csubscribe ack to.
-	cackMu sync.Mutex
-	cackCh atomic.Pointer[chan cack]
+	// acks holds, oldest first, the callbacks of the CSUBSCRIBE commands the
+	// server has not answered yet; it answers in command order. Appended
+	// under subMu, in write order; ackMu alone guards it, so the read loop
+	// never waits on a writer. acksEnded: the read loop has ended, and
+	// answered every callback left with ErrClosed.
+	ackMu     sync.Mutex
+	acks      []func(ReplayResult, error)
+	acksEnded bool
 
 	closeOnce sync.Once
 	done      chan struct{}
 	explicit  atomic.Bool
-}
-
-// cack is a decoded csubscribe ack: frames replayed, frames missed, and the
-// server ring's epoch.
-type cack struct {
-	replayed int64
-	missed   int64
-	epoch    int64
 }
 
 var _ Conn = (*tcpConn)(nil)
@@ -202,45 +198,29 @@ func (c *tcpConn) subCommand(cmd string, channels []string) error {
 	// dropped there; Redis semantics make them informational only.
 }
 
-// subscribeCursorAckTimeout bounds how long SubscribeCursor waits for the
-// server's csubscribe ack before giving up (the caller falls back to a plain
-// Subscribe).
-const subscribeCursorAckTimeout = 5 * time.Second
-
-// SubscribeCursor runs over the subscriber socket: it writes a CSUBSCRIBE command and waits for the server's ack, while replayed
-// frames stream in as ordinary message pushes on the read loop.
-func (c *tcpConn) SubscribeCursor(channel string, cur message.Cursor) (ReplayResult, error) {
-	select {
-	case <-c.done:
-		return ReplayResult{}, ErrClosed
-	default:
-	}
-	c.cackMu.Lock()
-	defer c.cackMu.Unlock()
-	ch := make(chan cack, 1)
-	c.cackCh.Store(&ch)
-	defer c.cackCh.Store(nil)
+// SubscribeCursor writes a CSUBSCRIBE command on the subscriber socket and
+// queues onAck for its answer; replayed frames stream in ahead of it as
+// ordinary message pushes on the read loop.
+func (c *tcpConn) SubscribeCursor(channel string, cur message.Cursor, onAck func(ReplayResult, error)) error {
 	blob := message.MarshalCursor(cur)
 	c.subMu.Lock()
+	defer c.subMu.Unlock()
+	c.ackMu.Lock()
+	if c.acksEnded {
+		c.ackMu.Unlock()
+		return ErrClosed
+	}
+	c.acks = append(c.acks, onAck)
+	c.ackMu.Unlock()
 	err := c.subW.WriteCommand([]byte("CSUBSCRIBE"), []byte(channel), blob)
 	if err == nil {
 		err = c.subW.Flush()
 	}
-	c.subMu.Unlock()
 	if err != nil {
-		return ReplayResult{}, err
+		// The read loop ends on the closed socket and answers onAck then.
+		c.subSock.Close() //nolint:errcheck // teardown
 	}
-	select {
-	case a := <-ch:
-		if a.replayed < 0 {
-			return ReplayResult{}, fmt.Errorf("transport: csubscribe rejected by %s", c.subSock.RemoteAddr())
-		}
-		return ReplayResult{Replayed: int(a.replayed), Missed: uint64(a.missed), Epoch: uint64(a.epoch)}, nil
-	case <-c.done:
-		return ReplayResult{}, ErrClosed
-	case <-time.After(subscribeCursorAckTimeout):
-		return ReplayResult{}, fmt.Errorf("transport: csubscribe ack timeout on %s", c.subSock.RemoteAddr())
-	}
+	return nil
 }
 
 // Publish appends the PUBLISH command to the publisher socket's buffer and
@@ -348,42 +328,64 @@ func (c *tcpConn) Close() error {
 
 // readLoop consumes pushes from the subscriber socket through the ReadPush
 // fast path (no generic Value tree for message frames). Non-message frames
-// are subscription acks, dropped — except csubscribe acks and errors, which
-// are routed to a waiting SubscribeCursor call.
+// are subscription acks, dropped — except a csubscribe ack or an error, each
+// handed to the oldest callback waiting for one. An error is a refused
+// CSUBSCRIBE or one the broker sends just before it closes the socket; then
+// the callbacks still waiting get ErrClosed.
 func (c *tcpConn) readLoop() {
 	r := resp.NewReader(c.subSock)
 	for {
 		channel, payload, ok, v, err := r.ReadPush()
 		if err != nil {
 			c.disconnect(err)
+			c.ackMu.Lock()
+			left := c.acks
+			c.acks, c.acksEnded = nil, true
+			c.ackMu.Unlock()
+			for _, onAck := range left {
+				onAck(ReplayResult{}, ErrClosed)
+			}
 			return
 		}
-		if !ok {
-			if a, isAck := parseCack(v); isAck {
-				if chp := c.cackCh.Load(); chp != nil {
-					select {
-					case *chp <- a:
-					default: // stale duplicate ack; waiter already served
-					}
-				}
-			}
-			continue // subscribe/unsubscribe acks
+		if ok {
+			c.handler.OnMessage(channel, payload)
+			continue
 		}
-		c.handler.OnMessage(channel, payload)
+		if res, isAck, err := parseCack(v); isAck {
+			if onAck := c.nextAck(); onAck != nil {
+				onAck(res, err)
+			}
+		}
 	}
+}
+
+// nextAck dequeues the oldest CSUBSCRIBE callback, nil when none waits.
+func (c *tcpConn) nextAck() func(ReplayResult, error) {
+	c.ackMu.Lock()
+	defer c.ackMu.Unlock()
+	if len(c.acks) == 0 {
+		return nil
+	}
+	onAck := c.acks[0]
+	c.acks[0] = nil
+	c.acks = c.acks[1:]
+	return onAck
 }
 
 // parseCack recognizes the two frames a CSUBSCRIBE can answer with: the
 // 6-element ["csubscribe", channel, count, replayed, missed, epoch] ack, or
-// a RESP error (reported as replayed = -1).
-func parseCack(v resp.Value) (cack, bool) {
+// a RESP error. A csubscribe frame of another shape answers as an error.
+func parseCack(v resp.Value) (res ReplayResult, ok bool, err error) {
 	if v.Kind == resp.KindError {
-		return cack{replayed: -1}, true
+		return res, true, fmt.Errorf("transport: csubscribe rejected: %s", v.Str)
 	}
-	if v.Kind == resp.KindArray && !v.Null && len(v.Array) == 6 && string(v.Array[0].Str) == "csubscribe" {
-		return cack{replayed: v.Array[3].Int, missed: v.Array[4].Int, epoch: v.Array[5].Int}, true
+	if v.Kind != resp.KindArray || len(v.Array) == 0 || string(v.Array[0].Str) != "csubscribe" {
+		return res, false, nil
 	}
-	return cack{}, false
+	if a := v.Array; len(a) == 6 && a[3].Int >= 0 && a[4].Int >= 0 && a[5].Int >= 0 {
+		return ReplayResult{Replayed: int(a[3].Int), Missed: uint64(a[4].Int), Epoch: uint64(a[5].Int)}, true, nil
+	}
+	return res, true, fmt.Errorf("transport: malformed csubscribe ack")
 }
 
 func (c *tcpConn) disconnect(err error) {

@@ -8,6 +8,7 @@ package transport
 import (
 	"errors"
 
+	"github.com/dynamoth/dynamoth/internal/broker"
 	"github.com/dynamoth/dynamoth/internal/message"
 	"github.com/dynamoth/dynamoth/internal/plan"
 )
@@ -32,8 +33,11 @@ type Conn interface {
 	Unsubscribe(channels ...string) error
 	// SubscribeCursor is the resumable subscribe: it subscribes to channel
 	// and has the server replay, from its per-channel replay ring, the
-	// frames the cursor's position misses, before live flow.
-	SubscribeCursor(channel string, cursor message.Cursor) (ReplayResult, error)
+	// frames the cursor's position misses, before live flow. It only sends:
+	// unless it fails, onAck is called once, later, on another goroutine,
+	// with the answer, or ErrClosed when the connection ends first. Any
+	// other error there is a refused cursor: the channel is not subscribed.
+	SubscribeCursor(channel string, cursor message.Cursor, onAck func(ReplayResult, error)) error
 	// Publish sends a payload on a channel. Implementations may pipeline:
 	// a nil return means the publish was accepted for delivery, and a
 	// server-side failure may instead surface on a later call. Publish
@@ -48,19 +52,10 @@ type Conn interface {
 	Close() error
 }
 
-// ReplayResult reports what a cursor subscribe replayed (the broker's
-// CSUBSCRIBE ack at the transport boundary).
-type ReplayResult struct {
-	// Replayed is how many retained frames the server queued before live
-	// flow; they arrive as ordinary OnMessage deliveries.
-	Replayed int
-	// Missed is how many requested frames the server's ring had already
-	// overwritten — a definite, unrecoverable gap.
-	Missed uint64
-	// Epoch is the server ring's current epoch (0 when the channel has no
-	// ring), so the client can attribute Missed to the right sequence track.
-	Epoch uint64
-}
+// ReplayResult is a cursor subscribe's answer: the broker's CSUBSCRIBE ack
+// at the transport boundary. Replayed frames arrive as ordinary OnMessage
+// deliveries.
+type ReplayResult = broker.ReplayResult
 
 // Dialer opens connections to pub/sub servers by ID.
 type Dialer interface {

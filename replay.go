@@ -119,10 +119,13 @@ func (s *seqTracker) observe(epoch, seq uint64, stamp int64) {
 
 // forgive records the broker's verdict that every frame of epoch up to and
 // including upto is unrecoverable (overwritten in its ring): contiguity jumps
-// over the hole so the next cursor does not ask for it again.
-func (s *seqTracker) forgive(epoch, upto uint64) {
+// over the hole so the next cursor does not ask for it again. It returns how
+// many sequences it gave up — the ones above contig that have not arrived —
+// so a hole named by two verdicts is counted once. An epoch it does not track
+// starts at the verdict and gives up nothing it can count.
+func (s *seqTracker) forgive(epoch, upto uint64) uint64 {
 	if epoch == 0 {
-		return
+		return 0
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -133,17 +136,21 @@ func (s *seqTracker) forgive(epoch, upto uint64) {
 		if len(s.epochs) > maxTrackedEpochs {
 			s.epochs = s.epochs[1:]
 		}
-		return
+		return 0
 	}
-	if upto > t.contig {
-		t.contig = upto
-		for q := range t.pending {
-			if q <= upto {
-				delete(t.pending, q)
-			}
+	if upto <= t.contig {
+		return 0
+	}
+	lost := upto - t.contig
+	t.contig = upto
+	for q := range t.pending {
+		if q <= upto {
+			delete(t.pending, q)
+			lost--
 		}
-		t.drain()
 	}
+	t.drain()
+	return lost
 }
 
 func (s *seqTracker) track(epoch uint64) *epochTrack {

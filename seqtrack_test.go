@@ -49,7 +49,9 @@ func TestSeqTrackerForgive(t *testing.T) {
 		t.Fatalf("openGaps = %d, want 3", gaps)
 	}
 	// Broker declares 2..4 unrecoverable: contig jumps, pending drains.
-	tr.forgive(9, 4)
+	if n := tr.forgive(9, 4); n != 3 {
+		t.Fatalf("forgive gave up %d, want 3", n)
+	}
 	if gaps := tr.openGaps(); gaps != 0 {
 		t.Fatalf("openGaps = %d after forgive", gaps)
 	}
@@ -57,9 +59,40 @@ func TestSeqTrackerForgive(t *testing.T) {
 		t.Fatalf("contig = %d after forgive+drain, want 5", sent[9])
 	}
 	// Forgiving an epoch never seen creates its track at the verdict.
-	tr.forgive(11, 30)
+	if n := tr.forgive(11, 30); n != 0 {
+		t.Fatalf("unknown-epoch forgive gave up %d, want 0", n)
+	}
 	if _, sent, _ := tr.cursor(); sent[11] != 30 {
 		t.Fatalf("unknown-epoch forgive: contig = %d, want 30", sent[11])
+	}
+}
+
+// A hole is given up once, however many verdicts name it, and frames that
+// arrived inside it are not counted as given up.
+func TestSeqTrackerForgiveCountsOnce(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		arrived []uint64 // after seq 1, before the verdicts
+		upto    []uint64 // one forgive per entry
+		want    []uint64 // what each gave up
+	}{
+		{name: "one hole, two verdicts", upto: []uint64{10, 10}, want: []uint64{9, 0}},
+		{name: "a later verdict gives up the rest", upto: []uint64{6, 10}, want: []uint64{5, 4}},
+		{name: "partly filled out of order", arrived: []uint64{3, 4, 8, 12}, upto: []uint64{10, 10}, want: []uint64{6, 0}},
+		{name: "filled up to the verdict", arrived: []uint64{2, 3, 4}, upto: []uint64{4}, want: []uint64{0}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := &seqTracker{}
+			tr.observe(9, 1, 10)
+			for _, q := range tc.arrived {
+				tr.observe(9, q, int64(10*q))
+			}
+			for i, upto := range tc.upto {
+				if n := tr.forgive(9, upto); n != tc.want[i] {
+					t.Fatalf("forgive #%d up to %d gave up %d, want %d", i+1, upto, n, tc.want[i])
+				}
+			}
+		})
 	}
 }
 

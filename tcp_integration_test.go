@@ -3,13 +3,17 @@ package dynamoth_test
 import (
 	"fmt"
 	"net"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	dynamoth "github.com/dynamoth/dynamoth"
 	"github.com/dynamoth/dynamoth/internal/balancer"
+	"github.com/dynamoth/dynamoth/internal/deliverycheck"
 	"github.com/dynamoth/dynamoth/internal/message"
 	"github.com/dynamoth/dynamoth/internal/plan"
+	"github.com/dynamoth/dynamoth/internal/resp"
 	"github.com/dynamoth/dynamoth/internal/server"
 	"github.com/dynamoth/dynamoth/internal/transport"
 )
@@ -241,63 +245,94 @@ func TestTCPClientFlush(t *testing.T) {
 	}
 }
 
-func TestTCPDeploymentMigrationUnderTraffic(t *testing.T) {
-	d := startTCPDeployment(t, 2)
-
-	sub, err := dynamoth.Connect(dynamoth.Config{Addrs: d.addrs, NodeID: 601})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sub.Close()
-	pub, err := dynamoth.Connect(dynamoth.Config{Addrs: d.addrs, NodeID: 602})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pub.Close()
-
-	msgs, err := sub.Subscribe("moving")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Warm up the subscription.
-	deadline := time.Now().Add(3 * time.Second)
-	for {
-		if err := pub.Publish("moving", []byte("warm")); err != nil {
+// connectPair connects a subscriber and a publisher client to d.
+func (d *tcpDeployment) connectPair(t *testing.T, subID, pubID uint32) (sub, pub *dynamoth.Client) {
+	t.Helper()
+	connect := func(id uint32) *dynamoth.Client {
+		c, err := dynamoth.Connect(dynamoth.Config{Addrs: d.addrs, NodeID: id})
+		if err != nil {
 			t.Fatal(err)
 		}
+		t.Cleanup(func() { c.Close() })
+		return c
+	}
+	return connect(subID), connect(pubID)
+}
+
+// subscribeWarm subscribes sub to channel and publishes on it through pub
+// until a publication arrives: TCP subscriptions land asynchronously. It
+// returns the stream and the keys it published.
+func subscribeWarm(t *testing.T, sub, pub *dynamoth.Client, channel string) (<-chan dynamoth.Message, []string) {
+	t.Helper()
+	msgs, err := sub.Subscribe(channel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	deadline := time.Now().Add(3 * time.Second)
+	for {
+		key := fmt.Sprintf("warm-%d", len(keys))
+		if err := pub.Publish(channel, []byte(key)); err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, key)
 		select {
 		case <-msgs:
+			return msgs, keys
 		case <-time.After(100 * time.Millisecond):
 			if time.Now().After(deadline) {
-				t.Fatal("warmup failed")
+				t.Fatalf("no delivery on %s", channel)
 			}
-			continue
 		}
-		break
 	}
+}
+
+// moveTo returns channel's current home, the other server, and the
+// orchestrator's plan one version on with channel mapped by entry(home,
+// other).
+func (d *tcpDeployment) moveTo(channel string, entry func(home, other plan.ServerID) plan.Entry) (home, other plan.ServerID, next *plan.Plan) {
+	current := d.orch.Plan()
+	home = current.Home(channel)
+	other = d.ids[0]
+	if home == other {
+		other = d.ids[1]
+	}
+	next = current.Clone()
+	next.Version = current.Version + 1
+	next.Set(channel, entry(home, other))
+	return home, other, next
+}
+
+func TestTCPDeploymentMigrationUnderTraffic(t *testing.T) {
+	d := startTCPDeployment(t, 2)
+	sub, pub := d.connectPair(t, 601, 602)
+	msgs, warm := subscribeWarm(t, sub, pub, "moving")
+
+	// Every publication from here on is owed to the subscriber exactly once;
+	// late warm-up copies are published, so not phantoms, and not owed.
+	l := deliverycheck.New()
+	for _, k := range warm {
+		l.Published("moving", k)
+	}
+	// Room for every delivery the test can cause: warm-ups, 20 publications,
+	// 30 nudges, each at most twice.
+	got := make(chan string, 1024)
+	deliverycheck.Drain(l, "sub", "moving", msgs, func(m dynamoth.Message) string {
+		got <- string(m.Payload)
+		return string(m.Payload)
+	})
 
 	// Move the channel to the other server through the dispatchers' plan
 	// channel, exactly as the LB does, then keep publishing across the
 	// migration.
-	current := d.orch.Plan()
-	home := current.Home("moving")
-	target := d.ids[0]
-	if home == target {
-		target = d.ids[1]
-	}
-	next := current.Clone()
-	next.Version = current.Version + 1
-	next.Set("moving", plan.Entry{Strategy: plan.StrategySingle, Servers: []plan.ServerID{target}})
+	home, target, next := d.moveTo("moving", func(_, other plan.ServerID) plan.Entry {
+		return plan.Entry{Strategy: plan.StrategySingle, Servers: []plan.ServerID{other}}
+	})
 	data, err := next.Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
 	env := &message.Envelope{Type: message.TypePlan, ID: message.ID{Node: 9, Seq: 1}, Payload: data}
-	conn, err := d.dialer.Dial(home, nopHandler{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
 	for _, id := range d.ids {
 		c2, err := d.dialer.Dial(id, nopHandler{})
 		if err != nil {
@@ -309,32 +344,257 @@ func TestTCPDeploymentMigrationUnderTraffic(t *testing.T) {
 		c2.Close()
 	}
 
-	received := 0
-	for i := 0; i < 20; i++ {
-		if err := pub.Publish("moving", []byte(fmt.Sprintf("m%d", i))); err != nil {
+	// Each publication arrives within 500 ms of being sent: a move holds
+	// nothing back.
+	publish := func(key string) {
+		if err := pub.Publish("moving", []byte(key)); err != nil {
 			t.Fatal(err)
 		}
-		select {
-		case <-msgs:
-			received++
-		case <-time.After(500 * time.Millisecond):
+		l.Published("moving", key)
+	}
+	for i := 0; i < 20; i++ {
+		key := fmt.Sprintf("m%d", i)
+		publish(key)
+		timeout := time.After(500 * time.Millisecond)
+		for arrived := false; !arrived; {
+			select {
+			case k := <-got:
+				arrived = k == key
+			case <-timeout:
+				t.Fatalf("%s (from %s to %s) not delivered within 500 ms", key, home, target)
+			}
 		}
 	}
-	if received < 18 { // tolerate in-flight raggedness at the edges
-		t.Fatalf("received %d of 20 across migration", received)
-	}
 	// The subscriber converged onto the new server.
-	deadline = time.Now().Add(3 * time.Second)
-	for d.nodes[home].Broker.Subscribers("moving") != 0 {
+	deadline := time.Now().Add(3 * time.Second)
+	for i := 0; d.nodes[home].Broker.Subscribers("moving") != 0; i++ {
 		if time.Now().After(deadline) {
 			t.Fatal("subscriber never left the old server")
 		}
-		if err := pub.Publish("moving", []byte("nudge")); err != nil {
+		publish(fmt.Sprintf("nudge-%d", i))
+		time.Sleep(100 * time.Millisecond)
+	}
+	if err := l.Wait(2 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestTCPMigrationTargetBehindPlan moves a subscribed channel on its old
+// home only: the target still holds the old plan, so its dispatcher answers
+// the subscriber's cursor subscribe with a SWITCH back to the old home, on
+// the same connection and ahead of the CSUBSCRIBE ack. The move must still
+// finish at once, resume by cursor, and leave the old home.
+func TestTCPMigrationTargetBehindPlan(t *testing.T) {
+	d := startTCPDeployment(t, 2)
+	sub, pub := d.connectPair(t, 611, 612)
+	subscribeWarm(t, sub, pub, "behind")
+
+	home, _, next := d.moveTo("behind", func(_, other plan.ServerID) plan.Entry {
+		return plan.Entry{Strategy: plan.StrategySingle, Servers: []plan.ServerID{other}}
+	})
+	d.nodes[home].Dispatcher.ApplyPlan(next)
+	start := time.Now()
+	if err := pub.Publish("behind", []byte("after")); err != nil {
+		t.Fatal(err)
+	}
+	for d.nodes[home].Broker.Subscribers("behind") != 0 || sub.Stats().ReplayRequests < 1 {
+		if time.Since(start) > time.Second {
+			t.Fatalf("after %v the subscriber still holds %d subscription(s) on its old home, %d replay requests",
+				time.Since(start), d.nodes[home].Broker.Subscribers("behind"), sub.Stats().ReplayRequests)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Logf("moved in %v", time.Since(start))
+}
+
+// TestTCPReplicateUnderTraffic replicates a channel under steady traffic
+// (all-subscribers on its home and another server, on both dispatchers): the
+// new replica's dispatcher announces the replica set to the subscriber, on
+// the same connection and ahead of the CSUBSCRIBE ack. Deliveries must not
+// pause for it.
+func TestTCPReplicateUnderTraffic(t *testing.T) {
+	d := startTCPDeployment(t, 2)
+	sub, pub := d.connectPair(t, 621, 622)
+	msgs, _ := subscribeWarm(t, sub, pub, "spread")
+
+	_, _, next := d.moveTo("spread", func(home, other plan.ServerID) plan.Entry {
+		return plan.Entry{Strategy: plan.StrategyAllSubscribers, Servers: []plan.ServerID{home, other}}
+	})
+	var arrivals []time.Time
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for m := range msgs {
+			if m.Payload[0] == 'p' {
+				arrivals = append(arrivals, time.Now())
+			}
+		}
+	}()
+	start := time.Now()
+	for _, node := range d.nodes {
+		node.Dispatcher.ApplyPlan(next.Clone())
+	}
+	const n = 100 // 2 s at one publication per 20 ms
+	for i := 0; i < n; i++ {
+		if err := pub.Publish("spread", []byte(fmt.Sprintf("p%d", i))); err != nil {
 			t.Fatal(err)
 		}
-		select {
-		case <-msgs:
-		case <-time.After(100 * time.Millisecond):
+		time.Sleep(20 * time.Millisecond)
+	}
+	for deadline := time.Now().Add(time.Second); sub.Stats().ReplayRequests < 1 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	sub.Close()
+	<-done
+	last, longest := start, time.Duration(0)
+	for _, at := range append(arrivals, time.Now()) {
+		if gap := at.Sub(last); gap > longest {
+			longest = gap
 		}
+		last = at
+	}
+	replays := sub.Stats().ReplayRequests
+	t.Logf("%d of %d delivered, longest gap %v, %d replay requests", len(arrivals), n, longest, replays)
+	if longest >= time.Second || replays < 1 {
+		t.Fatalf("deliveries paused for %v across the move, %d replay requests; want under 1 s and 1", longest, replays)
+	}
+}
+
+// cursorRefuser is a RESP endpoint that acknowledges SUBSCRIBE, UNSUBSCRIBE
+// and PUBLISH and refuses every CSUBSCRIBE with -ERR. On the first
+// connection that subscribes to its channel it pushes one stamped
+// publication there and then drops the connection, so the client's redial
+// resumes that subscription by cursor. It logs each command but PUBLISH.
+type cursorRefuser struct {
+	addr    string
+	channel string
+
+	mu     sync.Mutex
+	conns  int
+	pushed bool
+	log    []refuserCmd
+}
+
+type refuserCmd struct {
+	conn    int
+	cmd, ch string
+}
+
+func newCursorRefuser(t *testing.T, channel string) *cursorRefuser {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	s := &cursorRefuser{addr: ln.Addr().String(), channel: channel}
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			s.mu.Lock()
+			s.conns++
+			id := s.conns
+			s.mu.Unlock()
+			go s.serve(id, conn)
+		}
+	}()
+	return s
+}
+
+func (s *cursorRefuser) serve(id int, conn net.Conn) {
+	defer conn.Close()
+	r, w := resp.NewReader(conn), resp.NewWriter(conn)
+	for {
+		v, err := r.ReadValue()
+		if err != nil || len(v.Array) < 2 {
+			return
+		}
+		cmd, arg := strings.ToUpper(string(v.Array[0].Str)), string(v.Array[1].Str)
+		switch cmd {
+		case "PUBLISH":
+			w.WriteInteger(0) //nolint:errcheck // a dead peer ends the read loop
+			w.Flush()         //nolint:errcheck
+			continue
+		case "CSUBSCRIBE":
+			w.WriteError("ERR malformed cursor") //nolint:errcheck
+		default:
+			w.WriteArrayHeader(3)                   //nolint:errcheck
+			w.WriteBulkString(strings.ToLower(cmd)) //nolint:errcheck
+			w.WriteBulkString(arg)                  //nolint:errcheck
+			w.WriteInteger(1)                       //nolint:errcheck
+		}
+		s.mu.Lock()
+		s.log = append(s.log, refuserCmd{id, cmd, arg})
+		first := cmd == "SUBSCRIBE" && arg == s.channel && !s.pushed
+		s.pushed = s.pushed || first
+		s.mu.Unlock()
+		if first {
+			env := message.Envelope{Type: message.TypeData, ID: message.ID{Node: 7, Seq: 1}, Channel: arg, Payload: []byte("stamped"), Epoch: 5, ChannelSeq: 1}
+			w.WriteArrayHeader(3)        //nolint:errcheck
+			w.WriteBulkString("message") //nolint:errcheck
+			w.WriteBulkString(arg)       //nolint:errcheck
+			w.WriteBulk(env.Marshal())   //nolint:errcheck
+			w.Flush()                    //nolint:errcheck
+			return
+		}
+		if err := w.Flush(); err != nil {
+			return
+		}
+	}
+}
+
+// resubscribed reports whether a connection that had its CSUBSCRIBE to the
+// channel refused then subscribed to it plainly.
+func (s *cursorRefuser) resubscribed() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	refused := map[int]bool{}
+	for _, l := range s.log {
+		switch {
+		case l.ch != s.channel:
+		case l.cmd == "CSUBSCRIBE":
+			refused[l.conn] = true
+		case l.cmd == "SUBSCRIBE" && refused[l.conn]:
+			return true
+		}
+	}
+	return false
+}
+
+// TestRejectedCursorEndsSubscribed: a server that refuses the resume cursor
+// leaves the channel unsubscribed, so the client subscribes plainly.
+func TestRejectedCursorEndsSubscribed(t *testing.T) {
+	srv := newCursorRefuser(t, "room")
+	c, err := dynamoth.Connect(dynamoth.Config{
+		Addrs:        map[string]string{"s1": srv.addr},
+		NodeID:       631,
+		EntryTimeout: 4 * time.Second, // a repair sweep every second
+		RedialMin:    time.Millisecond,
+		RedialMax:    10 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	msgs, err := c.Subscribe("room")
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-msgs:
+	case <-time.After(3 * time.Second):
+		t.Fatal("the stamped publication never arrived")
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for !srv.resubscribed() {
+		if time.Now().After(deadline) {
+			srv.mu.Lock()
+			defer srv.mu.Unlock()
+			t.Fatalf("no plain SUBSCRIBE after the refused cursor; server saw %+v", srv.log)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -26,12 +25,11 @@ func TestShowLatencyRendersWaterfall(t *testing.T) {
 			{Channel: "room.lobby", Count: 400, P99: 30e-3, Contribution: 12},
 		},
 	}
-	srv := httptest.NewServer(obs.JSONHandler(func() any { return wf }))
-	defer srv.Close()
+	ln := serveAdmin(t, obs.Route{Path: "/debug/latency", Handler: obs.JSONHandler(func() any { return wf })})
 
 	var out strings.Builder
 	// Bare host:port, no scheme, no path: the command must normalize it.
-	if err := showLatency(strings.TrimPrefix(srv.URL, "http://"), &out); err != nil {
+	if err := showLatency(ln.Addr().String(), &out); err != nil {
 		t.Fatalf("showLatency: %v", err)
 	}
 	got := out.String()
@@ -65,10 +63,9 @@ func TestShowLatencyRendersWaterfall(t *testing.T) {
 
 // TestShowLatencyErrorStatus surfaces non-200 responses as errors.
 func TestShowLatencyErrorStatus(t *testing.T) {
-	srv := httptest.NewServer(nil) // no routes: 404 on every path
-	defer srv.Close()
+	ln := serveAdmin(t) // no routes: 404 on every path
 	var out strings.Builder
-	if err := showLatency(srv.URL, &out); err == nil {
+	if err := showLatency("http://"+ln.Addr().String(), &out); err == nil {
 		t.Fatal("want error on 404")
 	}
 }

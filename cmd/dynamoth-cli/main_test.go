@@ -1,14 +1,27 @@
 package main
 
 import (
-	"net/http/httptest"
+	"net"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/dynamoth/dynamoth/internal/obs"
 	"github.com/dynamoth/dynamoth/internal/trace"
 )
+
+// serveAdmin answers routes on a free loopback port, as a daemon's admin
+// plane does, until the test ends or it closes the returned listener.
+func serveAdmin(t *testing.T, routes ...obs.Route) net.Listener {
+	t.Helper()
+	ln, err := obs.Serve("127.0.0.1:0", obs.NewMux(routes...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	return ln
+}
 
 // syncBuffer is an io.Writer safe to read while the tail goroutine writes.
 type syncBuffer struct {
@@ -37,11 +50,11 @@ func TestTailEventsCursor(t *testing.T) {
 	rec.Record(trace.KindTrigger, 2, "", "overload", 1_800_000, 0)
 	rec.Record(trace.KindPlanPush, 2, "pub1", "", 1000, 0)
 
-	srv := httptest.NewServer(rec.EventsHandler())
-	defer srv.Close()
+	ln := serveAdmin(t, obs.Route{Path: "/debug/events", Handler: rec.EventsHandler()})
+	url := "http://" + ln.Addr().String()
 
 	var first strings.Builder
-	if err := tailEvents(srv.URL, time.Millisecond, false, &first); err != nil {
+	if err := tailEvents(url, time.Millisecond, false, &first); err != nil {
 		t.Fatal(err)
 	}
 	if n, err := trace.ValidateJSONL(strings.NewReader(first.String())); err != nil || n != 2 {
@@ -49,11 +62,11 @@ func TestTailEventsCursor(t *testing.T) {
 	}
 
 	// Tail again in follow mode with one more event landing mid-stream; the
-	// loop is cut after the second poll by closing the server.
+	// loop is cut after the second poll by closing the admin listener.
 	rec.Record(trace.KindPlanApply, 2, "pub1", "", 0, 1)
 	var second syncBuffer
 	done := make(chan error, 1)
-	go func() { done <- tailEvents(srv.URL, 5*time.Millisecond, true, &second) }()
+	go func() { done <- tailEvents(url, 5*time.Millisecond, true, &second) }()
 	deadline := time.After(5 * time.Second)
 	for !strings.Contains(second.String(), `"plan_apply"`) {
 		select {
@@ -64,8 +77,7 @@ func TestTailEventsCursor(t *testing.T) {
 		case <-time.After(time.Millisecond):
 		}
 	}
-	srv.CloseClientConnections()
-	srv.Close()
+	ln.Close()
 	<-done
 
 	if n, err := trace.ValidateJSONL(strings.NewReader(second.String())); err != nil || n != 3 {
@@ -81,12 +93,11 @@ func TestTailEventsCursor(t *testing.T) {
 func TestTailEventsURLNormalization(t *testing.T) {
 	rec := trace.NewRecorder(8)
 	rec.Record(trace.KindRelease, 3, "pub2", "graceful", 0, 0)
-	srv := httptest.NewServer(rec.EventsHandler())
-	defer srv.Close()
+	addr := serveAdmin(t, obs.Route{Path: "/debug/events", Handler: rec.EventsHandler()}).Addr().String()
 
 	for _, target := range []string{
-		strings.TrimPrefix(srv.URL, "http://"),
-		srv.URL + "/debug/events", // handler serves any path here
+		addr,
+		"http://" + addr + "/debug/events",
 	} {
 		var out strings.Builder
 		if err := tailEvents(target, time.Millisecond, false, &out); err != nil {

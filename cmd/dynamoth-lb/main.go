@@ -124,13 +124,13 @@ func run() error {
 	if *admin != "" {
 		reg := obs.NewRegistry()
 		orch.RegisterMetrics(reg)
-		srv, aln, err := obs.Serve(*admin, obs.NewAdminMux(reg, orch.Status,
-			obs.Route{Pattern: "/debug/events", Handler: rec.EventsHandler()},
-			obs.Route{Pattern: "/debug/rebalances", Handler: rec.RebalancesHandler()}))
+		aln, err := obs.Serve(*admin, obs.NewAdminMux(reg, orch.Status,
+			obs.Route{Path: "/debug/events", Handler: rec.EventsHandler()},
+			obs.Route{Path: "/debug/rebalances", Handler: rec.RebalancesHandler()}))
 		if err != nil {
 			return fmt.Errorf("admin listen %s: %w", *admin, err)
 		}
-		defer srv.Close()
+		defer aln.Close()
 		fmt.Printf("admin http on %s\n", aln.Addr())
 	}
 

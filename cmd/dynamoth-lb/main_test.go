@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"compress/gzip"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -21,7 +22,8 @@ import (
 // binaries, boots two nodes and then the LB against them with -admin-addr
 // 127.0.0.1:0, and waits until the LB's /statusz shows a load for each node:
 // the LB dialed both, subscribed to their LLA reports and decoded them. Its
-// /metrics must then be a valid exposition.
+// /metrics must then be a valid exposition, its profiling routes must serve
+// gzipped profiles, and an unknown path and a POST must get 404 and 405.
 func TestLBDaemonIntegration(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping exec-based integration test in -short mode")
@@ -91,6 +93,31 @@ func TestLBDaemonIntegration(t *testing.T) {
 		if _, ok := fams[want]; !ok {
 			t.Errorf("/metrics missing family %s (got %v)", want, fams)
 		}
+	}
+
+	// The profiling routes come from the runtime itself: gzipped profiles
+	// from a live process. Unknown paths are a 404, other methods a 405.
+	for _, path := range []string{"/debug/pprof/heap", "/debug/pprof/profile?seconds=1"} {
+		code, body := get(path)
+		zr, err := gzip.NewReader(strings.NewReader(body))
+		var raw []byte
+		if err == nil {
+			raw, err = io.ReadAll(zr)
+		}
+		if code != http.StatusOK || err != nil || len(raw) == 0 {
+			t.Errorf("%s = %d, %d profile bytes (err %v)", path, code, len(raw), err)
+		}
+	}
+	if code, _ := get("/debug/nope"); code != http.StatusNotFound {
+		t.Errorf("/debug/nope = %d, want 404", code)
+	}
+	post, err := http.Post(fmt.Sprintf("http://%s/metrics", admin), "text/plain", strings.NewReader("x"))
+	if err != nil {
+		t.Fatalf("POST /metrics: %v", err)
+	}
+	post.Body.Close()
+	if post.StatusCode != http.StatusMethodNotAllowed {
+		t.Errorf("POST /metrics = %d, want 405", post.StatusCode)
 	}
 }
 

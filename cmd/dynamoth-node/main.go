@@ -14,9 +14,10 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
-	"net/http"
+	"net/url"
 	"os"
 	"os/signal"
 	"runtime/debug"
@@ -123,26 +124,26 @@ func run() error {
 		*id, buildinfo.Version, ln.Addr(), n.ConnStats().Core, peers.String())
 
 	if *admin != "" {
-		srv, aln, err := obs.Serve(*admin, obs.NewAdminMux(n.Registry(), n.Status,
-			obs.Route{Pattern: "/debug/events", Handler: rec.EventsHandler()},
-			obs.Route{Pattern: "/debug/rebalances", Handler: rec.RebalancesHandler()},
+		aln, err := obs.Serve(*admin, obs.NewAdminMux(n.Registry(), n.Status,
+			obs.Route{Path: "/debug/events", Handler: rec.EventsHandler()},
+			obs.Route{Path: "/debug/rebalances", Handler: rec.RebalancesHandler()},
 			// Per-stage latency waterfall: e2e plus ingress/fanout/flush
 			// summaries and slow channels.
-			obs.Route{Pattern: "/debug/latency", Handler: obs.JSONHandler(
+			obs.Route{Path: "/debug/latency", Handler: obs.JSONHandler(
 				func() any { return n.Waterfall() })},
 			// Forces a GC and returns freed pages to the OS, so memory
 			// harnesses (the channel soak) can read a live-set RSS instead
 			// of the allocation high-water mark.
-			obs.Route{Pattern: "/debug/freemem", Handler: http.HandlerFunc(
-				func(w http.ResponseWriter, _ *http.Request) {
-					debug.FreeOSMemory()
-					fmt.Fprintln(w, "ok")
-				})}))
+			obs.Route{Path: "/debug/freemem", Handler: func(body *bytes.Buffer, _ url.Values) obs.Reply {
+				debug.FreeOSMemory()
+				body.WriteString("ok\n")
+				return obs.Reply{}
+			}}))
 		if err != nil {
 			ln.Close()
 			return fmt.Errorf("admin listen %s: %w", *admin, err)
 		}
-		defer srv.Close()
+		defer aln.Close()
 		// Printed on its own line so harnesses passing -admin-addr :0 can
 		// discover the bound port.
 		fmt.Printf("admin http on %s\n", aln.Addr())

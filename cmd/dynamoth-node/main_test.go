@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"compress/gzip"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -25,8 +26,10 @@ import (
 // scrapes /metrics and /healthz over HTTP — the same flow the CI obs job and
 // a production Prometheus would use. The test fails on malformed exposition,
 // on a flight-recorder stream that breaks its schema or its ?since= cursor
-// contract, and — after real traffic — on a /debug/latency waterfall whose
-// stages do not decompose the end-to-end figure.
+// contract, on profiling routes that serve no profile, on an unknown path
+// or a POST answered other than 404 and 405, and — after real traffic — on a
+// /debug/latency waterfall whose stages do not decompose the end-to-end
+// figure.
 func TestAdminEndpointIntegration(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping exec-based integration test in -short mode")
@@ -164,6 +167,31 @@ func TestAdminEndpointIntegration(t *testing.T) {
 		t.Fatalf("/debug/rebalances = %d %q", code, body)
 	}
 
+	// The profiling routes come from the runtime itself: gzipped profiles
+	// from a live process. Unknown paths are a 404, other methods a 405.
+	for _, path := range []string{"/debug/pprof/heap", "/debug/pprof/profile?seconds=1"} {
+		code, body := get(path)
+		zr, err := gzip.NewReader(strings.NewReader(body))
+		var raw []byte
+		if err == nil {
+			raw, err = io.ReadAll(zr)
+		}
+		if code != http.StatusOK || err != nil || len(raw) == 0 {
+			t.Errorf("%s = %d, %d profile bytes (err %v)", path, code, len(raw), err)
+		}
+	}
+	if code, _ := get("/debug/nope"); code != http.StatusNotFound {
+		t.Errorf("/debug/nope = %d, want 404", code)
+	}
+	post, err := http.Post(fmt.Sprintf("http://%s/metrics", addr), "text/plain", strings.NewReader("x"))
+	if err != nil {
+		t.Fatalf("POST /metrics: %v", err)
+	}
+	post.Body.Close()
+	if post.StatusCode != http.StatusMethodNotAllowed {
+		t.Errorf("POST /metrics = %d, want 405", post.StatusCode)
+	}
+
 	// The latency waterfall, after real traffic: 30 stamped publications
 	// from a real client to its own subscription.
 	const published = 30
@@ -246,5 +274,35 @@ func TestAdminEndpointIntegration(t *testing.T) {
 	}
 	if len(wf.SlowChannels) == 0 {
 		t.Errorf("no slow channel ranked:\n%s", body)
+	}
+}
+
+// TestDaemonsLinkNoHTTPStack keeps net/http and crypto/tls out of the node
+// and LB binaries. The admin plane is obs.Mux; either package would link
+// TLS, x509 and an HTTP/2 server back in — half the node binary and most of
+// an idle node's resident set (DESIGN.md §12).
+func TestDaemonsLinkNoHTTPStack(t *testing.T) {
+	if testing.Short() {
+		t.Skip("skipping go list in -short mode")
+	}
+	out, err := exec.Command("go", "list", "-deps",
+		"-f", `{{.ImportPath}}{{range .Imports}} {{.}}{{end}}`, ".", "../dynamoth-lb").Output()
+	if err != nil {
+		t.Fatalf("go list: %v", err)
+	}
+	listed := 0
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		pkg, imports, _ := strings.Cut(line, " ")
+		if strings.HasSuffix(pkg, "/cmd/dynamoth-node") || strings.HasSuffix(pkg, "/cmd/dynamoth-lb") {
+			listed++
+		}
+		for _, imp := range strings.Fields(imports) {
+			if imp == "net/http" || imp == "crypto/tls" {
+				t.Errorf("%s imports %s", pkg, imp)
+			}
+		}
+	}
+	if listed != 2 {
+		t.Fatalf("go list named %d of the two daemons:\n%s", listed, out)
 	}
 }

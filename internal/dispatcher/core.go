@@ -414,13 +414,16 @@ func (c *Core) redirectAction(node uint32, channel string, entry plan.Entry) Act
 }
 
 // forwardedCopy clones env as a TypeForwarded envelope preserving the
-// original message ID (client dedup keys on it).
+// original message ID (client dedup keys on it) and the publisher's stamp
+// (the receiving ring's stamp-based replay and every latency observer key
+// on it).
 func forwardedCopy(env *message.Envelope, channel string) *message.Envelope {
 	return &message.Envelope{
 		Type:        message.TypeForwarded,
 		ID:          env.ID,
 		Channel:     channel,
 		Payload:     env.Payload,
+		Stamp:       env.Stamp,
 		PlanVersion: env.PlanVersion,
 	}
 }

@@ -68,7 +68,9 @@ func TestOldServerEmitsSwitchForwardsAndRedirects(t *testing.T) {
 	core := NewCore("s1", 100, p1, 0)
 	core.OnPlan(p2, epoch)
 
-	actions := core.OnLocalPublish("c", dataEnv(7, 1, "c").Marshal(), 2, epoch)
+	pub := dataEnv(7, 1, "c")
+	pub.Stamp = epoch.UnixNano()
+	actions := core.OnLocalPublish("c", pub.Marshal(), 2, epoch)
 
 	// 1. Switch notification to local subscribers.
 	switches := find(actions, ActionPublishLocal, message.TypeSwitch)
@@ -90,6 +92,9 @@ func TestOldServerEmitsSwitchForwardsAndRedirects(t *testing.T) {
 	}
 	if fwds[0].Env.ID != (message.ID{Node: 7, Seq: 1}) {
 		t.Fatalf("forwarded envelope lost original ID: %+v", fwds[0].Env)
+	}
+	if fwds[0].Env.Stamp != pub.Stamp {
+		t.Fatalf("forwarded envelope stamp %d, want the publisher's %d", fwds[0].Env.Stamp, pub.Stamp)
 	}
 
 	// 3. The publisher is redirected.

@@ -24,7 +24,7 @@ func newTwoNodeCluster(t *testing.T, initial *plan.Plan) *twoNodeCluster {
 		dispatchers: make(map[plan.ServerID]*Dispatcher),
 	}
 	for _, s := range []plan.ServerID{"s1", "s2"} {
-		c.brokers[s] = broker.New(broker.Options{Name: s})
+		c.brokers[s] = broker.New(broker.Options{Name: s, ReplayDepth: 16})
 	}
 	fwd := ForwarderFunc(func(server plan.ServerID, channel string, payload []byte) error {
 		c.brokers[server].Publish(channel, payload)
@@ -184,6 +184,55 @@ func TestLiveMigrationDeliversEverywhereAndSwitches(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("s2 kept forwarding to s1 after drain")
 		}
+	}
+}
+
+// TestForwardedPublicationReplaysByStamp: a publication the old home
+// forwards keeps its publisher's stamp, so a client resuming at the new home
+// from a cursor of another ring epoch — a SWITCH move's first subscribe
+// there — gets it back from the stamp-based replay.
+func TestForwardedPublicationReplaysByStamp(t *testing.T) {
+	initial := plan.New("s1", "s2")
+	initial.Version = 1
+	initial.Set("c", plan.Entry{Strategy: plan.StrategySingle, Servers: []plan.ServerID{"s1"}})
+	cluster := newTwoNodeCluster(t, initial)
+	next := initial.Clone()
+	next.Version = 2
+	next.Set("c", plan.Entry{Strategy: plan.StrategySingle, Servers: []plan.ServerID{"s2"}})
+	for _, d := range cluster.dispatchers {
+		d.ApplyPlan(next.Clone())
+	}
+
+	// A subscriber at the new home shows when the forwarded copy has landed.
+	fresh := newTestClient()
+	freshSess, err := cluster.brokers["s2"].Connect("fresh", fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := freshSess.Subscribe("c"); err != nil {
+		t.Fatal(err)
+	}
+	id := message.ID{Node: 7, Seq: 1}
+	stamp := time.Now().UnixNano()
+	pub := &message.Envelope{Type: message.TypeData, ID: id, Channel: "c", Payload: []byte("m1"), Stamp: stamp}
+	cluster.brokers["s1"].Publish("c", pub.Marshal())
+	isForwarded := func(e *message.Envelope) bool { return e.Type == message.TypeForwarded && e.ID == id }
+	fresh.waitFor(t, isForwarded)
+
+	mover := newTestClient()
+	moverSess, err := cluster.brokers["s2"].Connect("mover", mover)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := moverSess.SubscribeFrom("c", message.Cursor{SinceStamp: stamp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Replayed != 1 {
+		t.Fatalf("cursor at the forwarded publication's stamp replayed %d frames, want 1", res.Replayed)
+	}
+	if got := mover.waitFor(t, isForwarded); got.Stamp != stamp {
+		t.Fatalf("replayed stamp %d, want %d", got.Stamp, stamp)
 	}
 }
 

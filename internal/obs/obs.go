@@ -1,8 +1,14 @@
 // Package obs is Dynamoth's zero-dependency runtime observability layer: a
 // Prometheus-text-format metric registry (counters, gauges, and a
 // cumulative-bucket bridge for metrics.Histogram), a sampled top-K hot
-// channel tracker, and an admin HTTP mux serving /metrics, /healthz,
-// /statusz and /debug/pprof.
+// channel tracker, and the admin plane's own GET-only HTTP/1.1 responder
+// (Mux) serving /metrics, /healthz, /statusz and /debug/pprof.
+//
+// The responder reads one request head per connection, routes GET and HEAD
+// by exact path to a Handler that fills a buffer, and answers with
+// Content-Length and Connection: close. It replaces net/http, whose server
+// would link crypto/tls, x509 and an HTTP/2 server into every node — half
+// the node binary, and the larger part of an idle node's resident set.
 //
 // The design rule is that the hot path pays nothing beyond what it already
 // does: metrics are read-only views over the atomics and histograms the
@@ -15,7 +21,7 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -148,56 +154,59 @@ func (r *Registry) Histogram(name, help string, h *metrics.Histogram, quantiles 
 
 // Render writes the registry in Prometheus text exposition format.
 func (r *Registry) Render(w io.Writer) error {
-	r.mu.Lock()
-	fams := make([]*family, len(r.fams))
-	copy(fams, r.fams)
-	r.mu.Unlock()
-	var b strings.Builder
-	for _, f := range fams {
-		b.Reset()
-		f.render(&b)
-		if _, err := io.WriteString(w, b.String()); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := w.Write(r.AppendText(nil))
+	return err
 }
 
 // String renders the registry to a string (the scrape helpers' form).
 func (r *Registry) String() string {
-	var b strings.Builder
-	_ = r.Render(&b)
-	return b.String()
+	return string(r.AppendText(nil))
 }
 
-func (f *family) render(b *strings.Builder) {
-	writeHeader(b, f.name, f.help, f.kind)
+// AppendText appends the registry's Prometheus text exposition to b and
+// returns the extended buffer. It formats in place: a scrape allocates
+// only what the families' read funcs return.
+func (r *Registry) AppendText(b []byte) []byte {
+	r.mu.Lock()
+	fams := r.fams[:len(r.fams):len(r.fams)]
+	r.mu.Unlock()
+	for _, f := range fams {
+		b = f.append(b)
+	}
+	return b
+}
+
+func (f *family) append(b []byte) []byte {
+	b = appendHeader(b, f.name, "", f.help, f.kind)
 	switch {
 	case f.info != nil:
-		b.WriteString(f.name)
+		b = append(b, f.name...)
 		if len(f.info) > 0 {
-			b.WriteByte('{')
+			b = append(b, '{')
 			for i, l := range f.info {
 				if i > 0 {
-					b.WriteByte(',')
+					b = append(b, ',')
 				}
-				b.WriteString(l[0])
-				b.WriteString(`="`)
-				b.WriteString(escapeLabel(l[1]))
-				b.WriteByte('"')
+				b = appendLabel(b, l[0], l[1])
 			}
-			b.WriteByte('}')
+			b = append(b, '}')
 		}
-		b.WriteString(" 1\n")
+		b = append(b, " 1\n"...)
 	case f.counter != nil:
-		writeSample(b, f.name, "", "", strconv.FormatUint(f.counter(), 10))
+		b = append(b, f.name...)
+		b = appendUint(b, f.counter())
 	case f.gauge != nil:
-		writeSample(b, f.name, "", "", formatFloat(f.gauge()))
+		b = append(b, f.name...)
+		b = appendValue(b, f.gauge())
 	case f.vec != nil:
 		samples := f.vec()
-		sort.Slice(samples, func(i, j int) bool { return samples[i].Label < samples[j].Label })
+		slices.SortFunc(samples, func(x, y Sample) int { return strings.Compare(x.Label, y.Label) })
 		for _, s := range samples {
-			writeSample(b, f.name, f.label, s.Label, formatFloat(s.Value))
+			b = append(b, f.name...)
+			b = append(b, '{')
+			b = appendLabel(b, f.label, s.Label)
+			b = append(b, '}')
+			b = appendValue(b, s.Value)
 		}
 	case f.hist != nil:
 		// One read-out per family: the buckets, _count and the quantile
@@ -206,68 +215,95 @@ func (f *family) render(b *strings.Builder) {
 		var cum uint64
 		for i, n := range c.Buckets {
 			cum += n
-			writeSample(b, f.name+"_bucket", "le", formatFloat(c.Upper(i)), strconv.FormatUint(cum, 10))
+			b = append(b, f.name...)
+			b = append(b, `_bucket{le="`...)
+			b = appendPromFloat(b, c.Upper(i))
+			b = append(b, `"}`...)
+			b = appendUint(b, cum)
 		}
-		writeSample(b, f.name+"_sum", "", "", formatFloat(c.Sum.Seconds()))
-		writeSample(b, f.name+"_count", "", "", strconv.FormatUint(cum, 10))
+		b = append(b, f.name...)
+		b = append(b, "_sum"...)
+		b = appendValue(b, c.Sum.Seconds())
+		b = append(b, f.name...)
+		b = append(b, "_count"...)
+		b = appendUint(b, cum)
 		if len(f.quants) > 0 {
-			qname := f.name + "_quantile"
-			writeHeader(b, qname, "Estimated quantiles of "+f.name+".", "gauge")
+			b = appendHeader(b, f.name, "_quantile", "Estimated quantiles of "+f.name+".", "gauge")
 			for _, q := range f.quants {
-				writeSample(b, qname, "quantile", formatFloat(q), formatFloat(c.Quantile(q).Seconds()))
+				b = append(b, f.name...)
+				b = append(b, `_quantile{quantile="`...)
+				b = appendPromFloat(b, q)
+				b = append(b, `"}`...)
+				b = appendValue(b, c.Quantile(q).Seconds())
 			}
 		}
 	}
+	return b
 }
 
-func writeHeader(b *strings.Builder, name, help, kind string) {
-	b.WriteString("# HELP ")
-	b.WriteString(name)
-	b.WriteByte(' ')
-	b.WriteString(escapeHelp(help))
-	b.WriteString("\n# TYPE ")
-	b.WriteString(name)
-	b.WriteByte(' ')
-	b.WriteString(kind)
-	b.WriteByte('\n')
+// appendHeader appends the HELP and TYPE lines of family name+suffix.
+func appendHeader(b []byte, name, suffix, help, kind string) []byte {
+	b = append(b, "# HELP "...)
+	b = append(b, name...)
+	b = append(b, suffix...)
+	b = append(b, ' ')
+	b = appendEscaped(b, help, false)
+	b = append(b, "\n# TYPE "...)
+	b = append(b, name...)
+	b = append(b, suffix...)
+	b = append(b, ' ')
+	b = append(b, kind...)
+	return append(b, '\n')
 }
 
-func writeSample(b *strings.Builder, name, label, labelValue, value string) {
-	b.WriteString(name)
-	if label != "" {
-		b.WriteByte('{')
-		b.WriteString(label)
-		b.WriteString(`="`)
-		b.WriteString(escapeLabel(labelValue))
-		b.WriteString(`"}`)
-	}
-	b.WriteByte(' ')
-	b.WriteString(value)
-	b.WriteByte('\n')
+// appendLabel appends `label="value"`, the value escaped.
+func appendLabel(b []byte, label, value string) []byte {
+	b = append(b, label...)
+	b = append(b, `="`...)
+	b = appendEscaped(b, value, true)
+	return append(b, '"')
 }
 
-// formatFloat renders a float the way Prometheus expects, including +Inf.
-func formatFloat(v float64) string {
+// appendUint and appendValue end a sample line: a space, the value, a
+// newline.
+func appendUint(b []byte, v uint64) []byte {
+	b = strconv.AppendUint(append(b, ' '), v, 10)
+	return append(b, '\n')
+}
+
+func appendValue(b []byte, v float64) []byte {
+	return append(appendPromFloat(append(b, ' '), v), '\n')
+}
+
+// appendPromFloat renders a float the way Prometheus expects, including +Inf.
+func appendPromFloat(b []byte, v float64) []byte {
 	switch {
 	case math.IsInf(v, 1):
-		return "+Inf"
+		return append(b, "+Inf"...)
 	case math.IsInf(v, -1):
-		return "-Inf"
+		return append(b, "-Inf"...)
 	case math.IsNaN(v):
-		return "NaN"
+		return append(b, "NaN"...)
 	}
-	return strconv.FormatFloat(v, 'g', -1, 64)
+	return strconv.AppendFloat(b, v, 'g', -1, 64)
 }
 
-func escapeHelp(s string) string {
-	s = strings.ReplaceAll(s, `\`, `\\`)
-	return strings.ReplaceAll(s, "\n", `\n`)
-}
-
-func escapeLabel(s string) string {
-	s = strings.ReplaceAll(s, `\`, `\\`)
-	s = strings.ReplaceAll(s, "\n", `\n`)
-	return strings.ReplaceAll(s, `"`, `\"`)
+// appendEscaped appends s with backslashes and newlines escaped, and
+// double quotes too in a label value (HELP text keeps its quotes).
+func appendEscaped(b []byte, s string, label bool) []byte {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c == '\\':
+			b = append(b, `\\`...)
+		case c == '\n':
+			b = append(b, `\n`...)
+		case c == '"' && label:
+			b = append(b, `\"`...)
+		default:
+			b = append(b, c)
+		}
+	}
+	return b
 }
 
 // ---------------------------------------------------------------------------

@@ -256,3 +256,27 @@ func TestNodeChannelTableSeesEveryPublication(t *testing.T) {
 		t.Fatalf("slow channels = %+v, want [stamped]", slow)
 	}
 }
+
+// BenchmarkRegistryRender renders a fresh default node's /metrics exposition
+// into a reused buffer, as each admin scrape does.
+func BenchmarkRegistryRender(b *testing.B) {
+	n, err := New(Options{
+		ID:        "pub1",
+		NodeNum:   0xD001,
+		Initial:   plan.New("pub1"),
+		Forwarder: dispatcher.ForwarderFunc(func(plan.ServerID, string, []byte) error { return nil }),
+		Recorder:  trace.NewRecorder(0),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer n.Close()
+	reg := n.Registry()
+	buf := reg.AppendText(nil)
+	b.SetBytes(int64(len(buf)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = reg.AppendText(buf[:0])
+	}
+}

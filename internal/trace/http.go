@@ -2,12 +2,15 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
-	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
+
+	"github.com/dynamoth/dynamoth/internal/obs"
 )
 
 // wireEvent is the JSONL schema served by /debug/events. Kind is the
@@ -53,36 +56,32 @@ func WriteJSONL(w io.Writer, events []Event) error {
 // ?since=N query returns only events with Seq > N, enabling cursor-based
 // tailing; the X-Trace-Seq response header carries the latest sequence so a
 // tail client can resume from it.
-func (r *Recorder) EventsHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+func (r *Recorder) EventsHandler() obs.Handler {
+	return func(body *bytes.Buffer, q url.Values) obs.Reply {
 		var since uint64
-		if s := req.URL.Query().Get("since"); s != "" {
+		if s := q.Get("since"); s != "" {
 			v, err := strconv.ParseUint(s, 10, 64)
 			if err != nil {
-				http.Error(w, "bad since cursor: "+err.Error(), http.StatusBadRequest)
-				return
+				return obs.Error(body, 400, "bad since cursor: "+err.Error())
 			}
 			since = v
 		}
-		events := r.Events(since)
-		w.Header().Set("Content-Type", "application/jsonl; charset=utf-8")
-		w.Header().Set("X-Trace-Seq", strconv.FormatUint(r.Seq(), 10))
-		_ = WriteJSONL(w, events)
-	})
+		_ = WriteJSONL(body, r.Events(since))
+		return obs.Reply{
+			ContentType: "application/jsonl; charset=utf-8",
+			Header:      [][2]string{{"X-Trace-Seq", strconv.FormatUint(r.Seq(), 10)}},
+		}
+	}
 }
 
 // RebalancesHandler serves reconstructed per-rebalance timelines as a JSON
 // array on /debug/rebalances.
-func (r *Recorder) RebalancesHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		timelines := r.Timelines()
-		if timelines == nil {
-			timelines = []Rebalance{}
+func (r *Recorder) RebalancesHandler() obs.Handler {
+	return obs.JSONHandler(func() any {
+		if timelines := r.Timelines(); timelines != nil {
+			return timelines
 		}
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(timelines)
+		return []Rebalance{}
 	})
 }
 

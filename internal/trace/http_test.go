@@ -2,12 +2,26 @@ package trace
 
 import (
 	"encoding/json"
-	"net/http/httptest"
+	"net/http"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/dynamoth/dynamoth/internal/obs"
 )
+
+// serveRoute answers h at path on a free loopback port until the test ends
+// and returns the route's URL.
+func serveRoute(t *testing.T, path string, h obs.Handler) string {
+	t.Helper()
+	ln, err := obs.Serve("127.0.0.1:0", obs.NewMux(obs.Route{Path: path, Handler: h}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	return "http://" + ln.Addr().String() + path
+}
 
 func TestEventsHandlerJSONL(t *testing.T) {
 	r := NewRecorder(32)
@@ -15,10 +29,9 @@ func TestEventsHandlerJSONL(t *testing.T) {
 	r.Record(KindTrigger, 2, "", "spawn:1", 0, 0)
 	r.Record(KindPlanPush, 2, "pub1", "", int64(time.Millisecond), 0)
 
-	srv := httptest.NewServer(r.EventsHandler())
-	defer srv.Close()
+	url := serveRoute(t, "/debug/events", r.EventsHandler())
 
-	res, err := srv.Client().Get(srv.URL)
+	res, err := http.Get(url)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,10 +57,9 @@ func TestEventsHandlerSinceCursor(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		r.Record(KindSwitchSend, 1, "game", "", 0, 0)
 	}
-	srv := httptest.NewServer(r.EventsHandler())
-	defer srv.Close()
+	url := serveRoute(t, "/debug/events", r.EventsHandler())
 
-	res, err := srv.Client().Get(srv.URL + "?since=3")
+	res, err := http.Get(url + "?since=3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +77,7 @@ func TestEventsHandlerSinceCursor(t *testing.T) {
 		t.Fatalf("since=3 returned seqs %v, want [4 5]", seqs)
 	}
 
-	bad, err := srv.Client().Get(srv.URL + "?since=banana")
+	bad, err := http.Get(url + "?since=banana")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,9 +98,8 @@ func TestRebalancesHandler(t *testing.T) {
 		r.Record(KindDuplicate, 0, "game", "", 1, 0)
 	}
 
-	srv := httptest.NewServer(r.RebalancesHandler())
-	defer srv.Close()
-	res, err := srv.Client().Get(srv.URL)
+	url := serveRoute(t, "/debug/rebalances", r.RebalancesHandler())
+	res, err := http.Get(url)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,9 +118,8 @@ func TestRebalancesHandler(t *testing.T) {
 
 func TestRebalancesHandlerEmpty(t *testing.T) {
 	r := NewRecorder(8)
-	srv := httptest.NewServer(r.RebalancesHandler())
-	defer srv.Close()
-	res, err := srv.Client().Get(srv.URL)
+	url := serveRoute(t, "/debug/rebalances", r.RebalancesHandler())
+	res, err := http.Get(url)
 	if err != nil {
 		t.Fatal(err)
 	}
